@@ -110,9 +110,11 @@ fn main() {
     print_row(&["consensus".into(), fmt(out.timings.consensus)]);
     print_row(&["total".into(), fmt(out.timings.total())]);
     println!(
-        "\nPOA: {} graph nodes, {} aligned bases, {} consensus bases",
+        "\nPOA: {} graph nodes, {} aligned bases, {} DP cells, {} unplaced reads, {} consensus bases",
         out.consensus_summary.poa_nodes,
         out.consensus_summary.aligned_bases,
+        out.consensus_summary.dp_cells,
+        out.consensus_summary.unplaced_reads,
         out.consensus_summary.consensus_bases
     );
 
@@ -198,6 +200,8 @@ fn main() {
             "  \"misjoins\": {misjoins},\n",
             "  \"poa_graph_nodes\": {poa_nodes},\n",
             "  \"poa_aligned_bases\": {aligned_bases},\n",
+            "  \"poa_dp_cells\": {dp_cells},\n",
+            "  \"unplaced_reads\": {unplaced_reads},\n",
             "  \"consensus_bases\": {consensus_bases},\n",
             "  \"consensus_secs\": {consensus_secs:.4},\n",
             "  \"pipeline_secs\": {pipeline_secs:.4},\n",
@@ -222,6 +226,8 @@ fn main() {
         misjoins = metrics.misjoins,
         poa_nodes = out.consensus_summary.poa_nodes,
         aligned_bases = out.consensus_summary.aligned_bases,
+        dp_cells = out.consensus_summary.dp_cells,
+        unplaced_reads = out.consensus_summary.unplaced_reads,
         consensus_bases = out.consensus_summary.consensus_bases,
         consensus_secs = out.timings.consensus,
         pipeline_secs = pipeline_secs,

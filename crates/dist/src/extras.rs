@@ -100,6 +100,8 @@ pub const FASTQ_DROPPED_LOW_QUALITY_KEY: &str = "fastq_dropped_low_quality";
 pub const POA_GRAPH_NODES_KEY: &str = "poa_graph_nodes";
 /// Total read bases threaded into POA graphs.
 pub const POA_ALIGNED_BASES_KEY: &str = "poa_aligned_bases";
+/// Cells of the banded read-vs-backbone dynamic program across all contigs.
+pub const POA_DP_CELLS_KEY: &str = "poa_dp_cells";
 /// Total consensus bases emitted.
 pub const CONSENSUS_LENGTH_KEY: &str = "consensus_length";
 
@@ -127,6 +129,7 @@ mod tests {
             FASTQ_DROPPED_LOW_QUALITY_KEY,
             POA_GRAPH_NODES_KEY,
             POA_ALIGNED_BASES_KEY,
+            POA_DP_CELLS_KEY,
             CONSENSUS_LENGTH_KEY,
         ];
         let mut sorted = keys.to_vec();

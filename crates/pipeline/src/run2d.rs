@@ -3,7 +3,7 @@
 use crate::config::{CandidateSource, PipelineConfig};
 use crate::timings::{timed, StageTimings};
 use dibella_dist::extras::{
-    CONSENSUS_LENGTH_KEY, FASTQ_DROPPED_LOW_QUALITY_KEY, POA_ALIGNED_BASES_KEY,
+    CONSENSUS_LENGTH_KEY, FASTQ_DROPPED_LOW_QUALITY_KEY, POA_ALIGNED_BASES_KEY, POA_DP_CELLS_KEY,
     POA_GRAPH_NODES_KEY,
 };
 use dibella_dist::{par_ranks, CommPhase, CommSnapshot, CommStats, ProcessGrid};
@@ -87,6 +87,10 @@ pub struct ConsensusSummary {
     pub poa_nodes: u64,
     /// Total read bases threaded into the POA graphs.
     pub aligned_bases: u64,
+    /// Total cells of the banded read-vs-backbone dynamic program.
+    pub dp_cells: u64,
+    /// Reads placed by their edge coordinates because their alignment failed.
+    pub unplaced_reads: u64,
     /// Total consensus bases emitted.
     pub consensus_bases: u64,
     /// N50 over consensus lengths.
@@ -101,6 +105,8 @@ impl ConsensusSummary {
             multi_read_contigs: contigs.iter().filter(|c| c.len() > 1).count(),
             poa_nodes: consensus.iter().map(|c| c.poa_nodes as u64).sum(),
             aligned_bases: consensus.iter().map(|c| c.aligned_bases as u64).sum(),
+            dp_cells: consensus.iter().map(|c| c.dp_cells as u64).sum(),
+            unplaced_reads: consensus.iter().map(|c| c.unplaced_reads as u64).sum(),
             consensus_bases: lengths.iter().map(|&l| l as u64).sum(),
             n50: n50(&lengths),
         }
@@ -342,7 +348,7 @@ fn enable_spmd_trace_for_debug(comm: &CommStats, grid: ProcessGrid) {
 /// layout that live on other ranks are gathered there (2-bit packed plus a
 /// header word, the read-exchange wire convention).  Also folds the POA
 /// counters into the `CommStats` extras (`poa_graph_nodes`,
-/// `poa_aligned_bases`, `consensus_length`).
+/// `poa_aligned_bases`, `poa_dp_cells`, `consensus_length`).
 fn account_consensus(
     contigs: &[Contig],
     consensus: &[ContigConsensus],
@@ -375,6 +381,7 @@ fn account_consensus(
         POA_ALIGNED_BASES_KEY,
         consensus.iter().map(|c| c.aligned_bases as u64).sum(),
     );
+    comm.bump_extra(POA_DP_CELLS_KEY, consensus.iter().map(|c| c.dp_cells as u64).sum());
     comm.bump_extra(
         CONSENSUS_LENGTH_KEY,
         consensus.iter().map(|c| c.consensus.len() as u64).sum(),

@@ -7,11 +7,12 @@
 //! edges Algorithm 2 must remove.  A variant samples alternating reads from
 //! the reverse strand to exercise the bidirected orientation rules.
 
+use crate::contigs::Contig;
 use dibella_align::BidirectedDir;
 use dibella_dist::ProcessGrid;
 use dibella_overlap::OverlapEdge;
-use dibella_seq::Strand;
-use dibella_sparse::{DistMat2D, Triples};
+use dibella_seq::{DnaSeq, ReadRecord, ReadSet, Strand};
+use dibella_sparse::{CsrMatrix, DistMat2D, Triples};
 
 /// Stride between consecutive reads in the synthetic tiling (bases).
 pub const TILING_STEP: usize = 200;
@@ -105,6 +106,37 @@ pub fn forked_overlap_graph(arm_len: usize, shared: usize, span: usize) -> Tripl
         }
     }
     t
+}
+
+/// A one-contig layout of the given same-strand reads in the given order:
+/// `joins[i] = (lead, suffix)` claims that read `i + 1` starts `lead` bases
+/// into read `i`, overlaps it from there and overhangs it by its own last
+/// `suffix` bases — all in read coordinates, as an alignment would report
+/// them — at a score of half a point per overlapping base (two reads at 12%
+/// error each align at about that).  Returns the layout, the string matrix
+/// holding its edges (both directions) and the read set.
+pub fn chain_layout(
+    reads: Vec<DnaSeq>,
+    joins: &[(usize, usize)],
+) -> (Contig, CsrMatrix<OverlapEdge>, ReadSet) {
+    let n = reads.len();
+    assert_eq!(joins.len() + 1, n, "one join per adjacent pair of reads");
+    let mut triples = Triples::new(n, n);
+    for (i, &(lead, suffix)) in joins.iter().enumerate() {
+        let overlap = (reads[i + 1].len() - suffix) as u32;
+        let score = (overlap / 2) as i32;
+        let edge = OverlapEdge { dir: 0b11, suffix: suffix as u32, score, overlap_len: overlap };
+        triples.push(i, i + 1, edge);
+        triples.push(i + 1, i, OverlapEdge { dir: 0b00, suffix: lead as u32, ..edge });
+    }
+    let contig = Contig {
+        reads: (0..n).collect(),
+        estimated_length: reads[0].len() + joins.iter().map(|&(_, suffix)| suffix).sum::<usize>(),
+        circular: false,
+    };
+    let records =
+        reads.into_iter().enumerate().map(|(i, seq)| ReadRecord { name: format!("r{i}"), seq });
+    (contig, CsrMatrix::from_triples(&triples), ReadSet::from_records(records.collect()))
 }
 
 /// Distribute a fixture over a process grid.

@@ -397,7 +397,14 @@ mod tests {
 
     fn consensus_of(seq: DnaSeq, reads: usize) -> ContigConsensus {
         let len = seq.len();
-        ContigConsensus { consensus: seq, reads, poa_nodes: len, aligned_bases: len }
+        ContigConsensus {
+            consensus: seq,
+            reads,
+            poa_nodes: len,
+            aligned_bases: len,
+            dp_cells: 0,
+            unplaced_reads: 0,
+        }
     }
 
     #[test]

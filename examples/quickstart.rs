@@ -64,6 +64,12 @@ fn main() {
     println!("contig layouts:             {}", out.contigs.len());
     println!("multi-read contigs:         {}", out.consensus_summary.multi_read_contigs);
     println!("POA graph nodes:            {}", out.consensus_summary.poa_nodes);
+    println!(
+        "POA DP cells:               {} ({:.1} Mcells/s over the consensus stage)",
+        out.consensus_summary.dp_cells,
+        out.consensus_summary.dp_cells as f64 / out.timings.consensus.max(1e-9) / 1e6
+    );
+    println!("unplaced reads:             {}", out.consensus_summary.unplaced_reads);
     if let Some((largest, cons)) = out.contigs.iter().zip(&out.consensus).next() {
         println!(
             "largest contig:             {} reads, {} bp consensus (genome is {} bp)",

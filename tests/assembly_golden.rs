@@ -73,6 +73,19 @@ fn golden_20kbp_assembly_meets_ng50_and_identity_thresholds() {
         metrics.largest_identity
     );
 
+    // The instrument itself: `banded_identity` is what the two numbers above
+    // (and the benchmark's `accuracy`) are measured with, so its values on
+    // this dataset — the headline pair and all 150 per-contig identities,
+    // folded — are pinned to the bit.  They were recorded before the banded
+    // kernel behind it was rebuilt; a kernel change may not move them.
+    assert_eq!(metrics.mean_identity.to_bits(), 0x3fef_ea6d_441d_c451);
+    assert_eq!(metrics.largest_identity.to_bits(), 0x3fef_ea6d_441d_c450);
+    let folded = metrics
+        .per_contig
+        .iter()
+        .fold(0u64, |acc, q| acc ^ q.identity.to_bits().rotate_left((q.length % 64) as u32));
+    assert_eq!((metrics.per_contig.len(), folded), (150, 0xde45_3cb1_89ca_97a2));
+
     // Structural correctness: adjacent layout reads must truly overlap on
     // the reference.
     assert_eq!(metrics.misjoins, 0, "misjoined layouts: {:?}", metrics.per_contig);

@@ -67,6 +67,8 @@ fn repeat_trap_negative_control_fires_the_misjoin_metric() {
         reads: 2,
         poa_nodes: span,
         aligned_bases: 2 * span,
+        dp_cells: 0,
+        unplaced_reads: 0,
     };
     let metrics = evaluate_assembly(
         &[misjoined],
@@ -117,6 +119,8 @@ fn chimera_labels_separate_breaks_from_misjoins() {
         reads: 2,
         poa_nodes: 1_200,
         aligned_bases: 1_200,
+        dp_cells: 0,
+        unplaced_reads: 0,
     };
     let unlabelled = evaluate_assembly(
         std::slice::from_ref(&contig),
@@ -170,6 +174,8 @@ fn circular_evaluation_does_not_penalize_origin_crossing_contigs() {
         reads: 2,
         poa_nodes: 1_400,
         aligned_bases: 1_400,
+        dp_cells: 0,
+        unplaced_reads: 0,
     };
     let truth = GroundTruth {
         origins: &origins,
