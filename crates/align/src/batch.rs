@@ -1,12 +1,11 @@
 //! Batched seed-and-extend engine: per-worker scratch, oriented-read cache,
 //! and vector/scalar dispatch.
 //!
-//! The overlap stage flattens every (candidate pair, seed) into a flat work
-//! queue on the work-stealing pool; each worker owns one [`AlignScratch`]
-//! that amortises every buffer an extension needs — the scalar DP double
-//! buffer, the vector-kernel word buffers and equality tables, the
-//! reversed-prefix buffers of the left extension, and the reverse-complement
-//! cache for opposite-strand pairs.  After the first few work items warm the
+//! The overlap stage runs one job per candidate pair on the work-stealing
+//! pool; each worker holds one [`AlignScratch`] that amortises every buffer
+//! an extension needs — the scalar DP double buffer, the vector-kernel word
+//! buffers and equality tables, the reversed-prefix buffers of the left
+//! extension, and the reverse-complement cache for opposite-strand pairs.  After the first few work items warm the
 //! buffers, the steady state allocates **nothing** per alignment (pinned by
 //! the `alloc_steady_state` integration test of this crate).
 //!
@@ -164,11 +163,11 @@ pub fn align_seed_pair_with(
 
 /// Per-worker cache of the reverse-complemented codes of one read.
 ///
-/// All seeds of a (pair, reverse-strand) work run reuse the same oriented
-/// codes; because the flat work queue keeps a pair's seeds adjacent, one
-/// cache entry per worker suffices to make the orientation cost per *pair*
-/// rather than per *seed* (the pre-batching path recomputed
-/// `h.reverse_complement()` for every seed).
+/// All seeds of a reverse-strand pair reuse the same oriented codes; a pair's
+/// seeds are extended back to back by one job, so one cache entry per worker
+/// suffices to make the orientation cost per *pair* rather than per *seed*
+/// (the pre-batching path recomputed `h.reverse_complement()` for every
+/// seed).
 #[derive(Debug, Default)]
 pub struct OrientCache {
     read: Option<usize>,

@@ -1,20 +1,19 @@
 //! Criterion micro-benchmarks for the x-drop seed-and-extend aligner, plus
-//! the engine-regression comparison that writes `BENCH_align.json`.
+//! the alignment-stage throughput record written to `BENCH_align.json`.
 //!
-//! The JSON artifact pits the batched alignment stage
-//! (`align_candidates_exec`, flat (pair, seed) work queue, per-worker
-//! scratch, lane-packed vector kernel — SSE2 on x86-64, u64 SWAR elsewhere —
-//! under `ExtendEngine::Auto`) against a faithful reconstruction of the
-//! **pre-batching** stage — a per-pair loop that clones / reverse complements
-//! `h` for *every* seed and extends with the preserved
-//! `xdrop_extend_baseline` (per-row `Vec` churn) — on the
-//! `DatasetSpec::Small` overlap workload.  To keep the bench inside a CI
-//! budget the candidate set is subsampled (every `PAIR_STRIDE`-th
-//! upper-triangle pair, recorded honestly in the JSON); every path aligns
-//! the **same** subsample, so the speedups are apples-to-apples.  It records
-//! wall-clock, aligned-cells/sec for each path and the batched/baseline
-//! speedup.  CI runs this bench at every push to maintain the perf
-//! trajectory (`DIBELLA_BENCH_OUT` overrides the path).
+//! The JSON artifact times the alignment stage (`align_candidates_exec`:
+//! length-ordered waves of per-pair jobs, pairs between already-contained
+//! reads pruned, a second seed only when the first finds no overlap) on the
+//! `DatasetSpec::Small` overlap workload under both engines — the scalar
+//! oracle and `ExtendEngine::Auto`'s lane-packed vector kernel (SSE2 on
+//! x86-64, u64 SWAR elsewhere).  Both engines do identical work, so each is
+//! reported as absolute aligned-cells/sec next to the work counters
+//! (`aligned_cells`, `pruned_pairs`, `seeds_skipped`, `extend_calls`) that
+//! say how much of the candidate set was aligned at all.  To keep the bench
+//! inside a CI budget the candidate set is subsampled (every
+//! `PAIR_STRIDE`-th upper-triangle pair, recorded in the JSON).  CI runs this
+//! bench at every push to maintain the perf trajectory
+//! (`DIBELLA_BENCH_OUT` overrides the path).
 
 // The bench crate is the sanctioned home of wall-clock reads (see
 // clippy.toml); opt back in to Instant::now here.
@@ -23,18 +22,17 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use dibella_align::{
     align_seed_pair, xdrop_extend, xdrop_extend_auto, xdrop_extend_baseline, AlignScratch,
-    AlignmentConfig, ExtendEngine, PairAlignment, ScoringScheme,
+    AlignmentConfig, ExtendEngine, ScoringScheme,
 };
 use dibella_dist::{CommStats, ProcessGrid};
 use dibella_overlap::{
     align_candidates_exec, build_a_matrix, detect_candidates_2d, CommonKmers, OverlapConfig,
 };
 use dibella_seq::simulate::apply_errors;
-use dibella_seq::{count_kmers_serial, DatasetSpec, DnaSeq, KmerSelection, ReadSet, Strand};
+use dibella_seq::{count_kmers_serial, DatasetSpec, DnaSeq, KmerSelection, Strand};
 use dibella_sparse::{DistMat2D, Triples};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use std::time::{Duration, Instant};
 
 fn overlapping_pair(len: usize, overlap: usize, error: f64, seed: u64) -> (DnaSeq, DnaSeq) {
@@ -111,97 +109,6 @@ fn measure<T>(budget: Duration, min_samples: usize, mut f: impl FnMut() -> T) ->
     samples.iter().sum::<f64>() / samples.len() as f64
 }
 
-/// A faithful reconstruction of the **pre-batching** seed-pair alignment
-/// (what `align_seed_pair` executed before the scratch refactor): fresh
-/// reversed-prefix `Vec`s per call and the preserved mid-row-update
-/// `xdrop_extend_baseline` with its per-row `Vec` churn.
-fn baseline_align_seed_pair(
-    v: &DnaSeq,
-    h_oriented: &DnaSeq,
-    seed_v: usize,
-    seed_h: usize,
-    k: usize,
-    strand: Strand,
-    config: &AlignmentConfig,
-) -> PairAlignment {
-    let scoring = config.scoring;
-    let right = xdrop_extend_baseline(
-        &v.codes()[seed_v + k..],
-        &h_oriented.codes()[seed_h + k..],
-        scoring,
-        config.xdrop,
-    );
-    let v_prefix: Vec<u8> = v.codes()[..seed_v].iter().rev().copied().collect();
-    let h_prefix: Vec<u8> = h_oriented.codes()[..seed_h].iter().rev().copied().collect();
-    let left = xdrop_extend_baseline(&v_prefix, &h_prefix, scoring, config.xdrop);
-    let score = left.score + right.score + (k as i32) * scoring.match_score;
-    PairAlignment {
-        score,
-        beg_v: seed_v - left.ext_a,
-        end_v: seed_v + k + right.ext_a,
-        beg_h: seed_h - left.ext_b,
-        end_h: seed_h + k + right.ext_b,
-        strand,
-    }
-}
-
-/// A faithful reconstruction of the **pre-batching** alignment stage (what
-/// `align_candidates` executed before the flat work queue): one parallel task
-/// per candidate pair, `h` cloned or reverse-complemented anew for *every*
-/// seed, best-scoring alignment kept per pair.
-fn baseline_align_candidates(
-    reads: &ReadSet,
-    candidates: &DistMat2D<CommonKmers>,
-    config: &OverlapConfig,
-) -> Vec<Option<PairAlignment>> {
-    let pairs: Vec<(usize, usize, CommonKmers)> = candidates
-        .to_triples()
-        .into_entries()
-        .into_iter()
-        .filter(|(i, j, _)| i < j)
-        .collect();
-    pairs
-        .into_par_iter()
-        .map(|(i, j, common)| {
-            if common.count < config.min_shared_kmers {
-                return None;
-            }
-            let v = reads.seq(i);
-            let h = reads.seq(j);
-            let mut best: Option<PairAlignment> = None;
-            for seed in &common.seeds {
-                let (h_oriented, strand, seed_h) = if seed.same_strand {
-                    (h.clone(), Strand::Forward, seed.pos_h as usize)
-                } else {
-                    (
-                        h.reverse_complement(),
-                        Strand::Reverse,
-                        h.len() - config.k - seed.pos_h as usize,
-                    )
-                };
-                if seed.pos_v as usize + config.k > v.len()
-                    || seed_h + config.k > h_oriented.len()
-                {
-                    continue;
-                }
-                let aln = baseline_align_seed_pair(
-                    v,
-                    &h_oriented,
-                    seed.pos_v as usize,
-                    seed_h,
-                    config.k,
-                    strand,
-                    &config.alignment,
-                );
-                if best.as_ref().is_none_or(|b| aln.score > b.score) {
-                    best = Some(aln);
-                }
-            }
-            best
-        })
-        .collect()
-}
-
 /// Every `PAIR_STRIDE`-th upper-triangle candidate pair enters the timed
 /// subsample (mirrored back to a symmetric matrix, like the real candidate
 /// output).  Stride 1 would time the full Small workload (~10 Gcells): fine
@@ -217,8 +124,8 @@ const VECTOR_KERNEL: &str = "sse2";
 #[cfg(not(target_arch = "x86_64"))]
 const VECTOR_KERNEL: &str = "swar";
 
-/// The engine-regression comparison recorded as `BENCH_align.json`.
-fn baseline_comparison() {
+/// The alignment-stage throughput record written to `BENCH_align.json`.
+fn stage_throughput() {
     let budget = Duration::from_millis(600);
 
     // The real workload: the candidate pairs of the Small benchmark dataset
@@ -253,41 +160,34 @@ fn baseline_comparison() {
         ..OverlapConfig::default()
     };
 
-    // Pre-batching path: per-pair tasks, per-seed clone / reverse complement,
-    // per-row-allocating baseline kernel.
-    let baseline_secs =
-        measure(budget, 3, || baseline_align_candidates(&ds.reads, &candidates, &config));
-    // Batched path, scalar oracle: flat (pair, seed) queue + per-worker
-    // scratch, but the same scalar DP inner loop.
     let scalar_secs = measure(budget, 3, || {
         align_candidates_exec(&ds.reads, &candidates, &config, ExtendEngine::Scalar)
     });
-    // Batched path, vector kernel.
-    let batched_secs = measure(budget, 3, || {
+    let vector_secs = measure(budget, 3, || {
         align_candidates_exec(&ds.reads, &candidates, &config, ExtendEngine::Auto)
     });
 
-    // One counted run for the cell tallies (engine- and thread-deterministic;
-    // all engines walk identical bands, so one cell count rates all paths).
+    // One counted run for the work tallies (engine- and thread-deterministic;
+    // both engines walk identical bands, so one cell count rates both).
     let (_, ostats, exec) =
         align_candidates_exec(&ds.reads, &candidates, &config, ExtendEngine::Auto);
     let cells = exec.aligned_cells;
     let rate = |secs: f64| if secs > 0.0 { cells as f64 / secs / 1e6 } else { 0.0 };
-    let baseline_rate = rate(baseline_secs);
     let scalar_rate = rate(scalar_secs);
-    let batched_rate = rate(batched_secs);
-    let speedup = baseline_secs / batched_secs;
-    let scalar_speedup = baseline_secs / scalar_secs;
+    let vector_rate = rate(vector_secs);
 
     println!(
-        "\nalignment engine regression (DatasetSpec::Small, every {PAIR_STRIDE}th of \
+        "\nalignment stage throughput (DatasetSpec::Small, every {PAIR_STRIDE}th of \
          {total_pairs} candidate pairs)"
     );
     println!(
-        "  reads={} sampled_pairs={} aligned_pairs={} extensions={} ({} {VECTOR_KERNEL} / {} scalar)",
+        "  reads={} sampled_pairs={} aligned_pairs={} pruned_pairs={} seeds_skipped={} \
+         extensions={} ({} {VECTOR_KERNEL} / {} scalar)",
         ds.reads.len(),
         ostats.candidate_pairs,
         ostats.aligned_pairs,
+        ostats.pruned_pairs,
+        exec.seeds_skipped,
         exec.extend_calls,
         exec.simd_calls,
         exec.scalar_calls
@@ -296,17 +196,10 @@ fn baseline_comparison() {
         "  DP cells: {cells}; peak band width {}; x-drop early stops {}",
         exec.band_width_peak, exec.xdrop_terminations
     );
+    println!("  scalar oracle:  {:>10.3} ms  ({scalar_rate:.1} Mcells/s)", scalar_secs * 1e3);
     println!(
-        "  pre-batching baseline:   {:>10.3} ms  ({baseline_rate:.1} Mcells/s)  (per-seed clone/rc + per-row Vec churn)",
-        baseline_secs * 1e3
-    );
-    println!(
-        "  batched, scalar oracle:  {:>10.3} ms  ({scalar_rate:.1} Mcells/s, {scalar_speedup:.2}x)",
-        scalar_secs * 1e3
-    );
-    println!(
-        "  batched, {VECTOR_KERNEL} (Auto):     {:>10.3} ms  ({batched_rate:.1} Mcells/s, {speedup:.2}x)",
-        batched_secs * 1e3
+        "  {VECTOR_KERNEL} (Auto):    {:>10.3} ms  ({vector_rate:.1} Mcells/s)",
+        vector_secs * 1e3
     );
 
     let json = format!(
@@ -321,20 +214,18 @@ fn baseline_comparison() {
             "  \"pair_stride\": {stride},\n",
             "  \"sampled_pairs\": {pairs},\n",
             "  \"aligned_pairs\": {aligned},\n",
+            "  \"pruned_pairs\": {pruned},\n",
+            "  \"seeds_skipped\": {skipped},\n",
             "  \"extend_calls\": {calls},\n",
             "  \"simd_calls\": {simd},\n",
             "  \"scalar_calls\": {scalar},\n",
             "  \"aligned_cells\": {cells},\n",
             "  \"band_width_peak\": {band},\n",
             "  \"xdrop_terminations\": {stops},\n",
-            "  \"baseline_secs\": {base:.6},\n",
-            "  \"batched_scalar_secs\": {scal:.6},\n",
-            "  \"batched_simd_secs\": {simdsecs:.6},\n",
-            "  \"baseline_mcells_per_sec\": {baserate:.2},\n",
-            "  \"batched_scalar_mcells_per_sec\": {scalrate:.2},\n",
-            "  \"batched_simd_mcells_per_sec\": {simdrate:.2},\n",
-            "  \"batched_scalar_speedup\": {scalspeed:.3},\n",
-            "  \"batched_simd_speedup\": {speedup:.3}\n",
+            "  \"scalar_secs\": {scal:.6},\n",
+            "  \"vector_secs\": {vecsecs:.6},\n",
+            "  \"scalar_mcells_per_sec\": {scalrate:.2},\n",
+            "  \"vector_mcells_per_sec\": {vecrate:.2}\n",
             "}}\n"
         ),
         dataset = DatasetSpec::Small.label(),
@@ -345,20 +236,18 @@ fn baseline_comparison() {
         stride = PAIR_STRIDE,
         pairs = ostats.candidate_pairs,
         aligned = ostats.aligned_pairs,
+        pruned = ostats.pruned_pairs,
+        skipped = exec.seeds_skipped,
         calls = exec.extend_calls,
         simd = exec.simd_calls,
         scalar = exec.scalar_calls,
         cells = cells,
         band = exec.band_width_peak,
         stops = exec.xdrop_terminations,
-        base = baseline_secs,
         scal = scalar_secs,
-        simdsecs = batched_secs,
-        baserate = baseline_rate,
+        vecsecs = vector_secs,
         scalrate = scalar_rate,
-        simdrate = batched_rate,
-        scalspeed = scalar_speedup,
-        speedup = speedup,
+        vecrate = vector_rate,
     );
     // Default to the workspace root (cargo bench runs with the package dir
     // as cwd); DIBELLA_BENCH_OUT overrides.
@@ -375,5 +264,5 @@ criterion_group!(benches, bench_alignment);
 
 fn main() {
     benches();
-    baseline_comparison();
+    stage_throughput();
 }

@@ -102,6 +102,25 @@ pub fn record_broadcast(stats: &CommStats, phase: CommPhase, words: u64, group_s
     stats.trace_symmetric(phase, CollectiveKind::Broadcast, group_size, words);
 }
 
+/// Account for one simulated all-reduce of a `words`-word vector over
+/// `group_size` ranks (e.g. the bitwise-OR merge of the contained-read bitmap
+/// between alignment waves).
+///
+/// Priced in this module's broadcast convention as a reduce to one root
+/// followed by a broadcast back: `2 · words · (group_size - 1)` words and
+/// `2 · (group_size - 1)` messages, the root moving `words · (group_size - 1)`
+/// each way.  Like a broadcast it is a collective — every member posts it
+/// whatever its payload — and it is free within a single-member group.
+pub fn record_allreduce(stats: &CommStats, phase: CommPhase, words: u64, group_size: usize) {
+    if group_size <= 1 {
+        return;
+    }
+    let peers = (group_size - 1) as u64;
+    stats.record(phase, 2 * words * peers, 2 * peers);
+    stats.record_rank_max(phase, words * peers);
+    stats.trace_symmetric(phase, CollectiveKind::AllReduce, group_size, words);
+}
+
 /// Account for one simulated point-to-point send of `words` words between two
 /// distinct ranks (e.g. the cross-diagonal block exchange of the symmetric
 /// Sparse SUMMA, which ships each computed `C_{i,j}` block from rank `(i, j)`
@@ -199,6 +218,25 @@ mod tests {
         // Empty broadcasts still pay latency in a bigger group.
         record_broadcast(&stats, CommPhase::OverlapDetection, 0, 3);
         assert_eq!(stats.messages(CommPhase::OverlapDetection), 5);
+    }
+
+    #[test]
+    fn allreduce_costs_a_reduce_and_a_broadcast_and_is_traced() {
+        let stats = CommStats::new();
+        stats.enable_spmd_trace(4);
+        record_allreduce(&stats, CommPhase::OverlapDetection, 3, 4);
+        assert_eq!(stats.words(CommPhase::OverlapDetection), 2 * 3 * 3);
+        assert_eq!(stats.messages(CommPhase::OverlapDetection), 2 * 3);
+        assert_eq!(stats.snapshot().phase(CommPhase::OverlapDetection).max_words_per_rank, 9);
+        // Free, and invisible to the trace, on a one-rank grid.
+        record_allreduce(&stats, CommPhase::OverlapDetection, 3, 1);
+        assert_eq!(stats.messages(CommPhase::OverlapDetection), 6);
+        let traces = stats.spmd_traces();
+        crate::verify_spmd(&traces).expect("an all-reduce is posted by every rank");
+        for trace in &traces {
+            assert_eq!(trace.events.len(), 1);
+            assert_eq!(trace.events[0].signature().1, crate::CollectiveKind::AllReduce);
+        }
     }
 
     #[test]

@@ -32,6 +32,8 @@ pub enum CollectiveKind {
     Broadcast,
     /// A simulated point-to-point send ([`record_p2p`](crate::record_p2p)).
     PointToPoint,
+    /// A simulated all-reduce ([`record_allreduce`](crate::record_allreduce)).
+    AllReduce,
 }
 
 impl CollectiveKind {
@@ -41,6 +43,7 @@ impl CollectiveKind {
             CollectiveKind::Alltoallv => "Alltoallv",
             CollectiveKind::Broadcast => "Broadcast",
             CollectiveKind::PointToPoint => "PointToPoint",
+            CollectiveKind::AllReduce => "AllReduce",
         }
     }
 }

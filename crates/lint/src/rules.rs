@@ -350,7 +350,8 @@ fn wall_clock(lexed: &LexedFile, ctx: &FileContext<'_>, out: &mut Vec<Violation>
 // Rule: comm-phase
 // ---------------------------------------------------------------------------
 
-const COLLECTIVE_CALLS: &[&str] = &["alltoallv_counted", "record_broadcast", "record_p2p"];
+const COLLECTIVE_CALLS: &[&str] =
+    &["alltoallv_counted", "record_allreduce", "record_broadcast", "record_p2p"];
 
 /// Every collective call must be lexically inside a function that takes or
 /// names a `CommPhase`, so all traffic is attributed to a phase rather than

@@ -10,18 +10,21 @@
 
 use crate::amatrix::build_a_matrix;
 use crate::semiring::OverlapSemiring;
-use crate::types::{CommonKmers, KmerOccurrence, OverlapEdge, SharedSeed};
+use crate::types::{CommonKmers, KmerOccurrence, OverlapEdge};
 use dibella_align::{
-    align_seed_pair_with, classify_alignment, AlignScratch, AlignmentConfig, ExtendEngine,
-    OrientCache, OverlapClass, PairAlignment,
+    align_seed_pair_with, classify_alignment, AlignScratch, AlignmentConfig, BidirectedDir,
+    ExtendEngine, OrientCache, OverlapClass, PairAlignment,
 };
-use dibella_dist::{words_of, BlockDist, CommPhase, CommStats, ProcessGrid};
+use dibella_dist::{
+    record_allreduce, words_of, BlockDist, CommPhase, CommStats, ProcessGrid,
+};
 use dibella_seq::{KmerTable, ReadSet, Strand};
 use dibella_sparse::{summa_aat_sym_with_words, summa_abt_with_words, DistMat2D, Triples};
 use rayon::pool;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Configuration of the overlap-detection stage.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -64,8 +67,12 @@ impl OverlapConfig {
 pub struct OverlapStats {
     /// Candidate pairs (upper triangle of `C`) examined.
     pub candidate_pairs: usize,
-    /// Pairs actually aligned (shared-k-mer filter applied).
+    /// Pairs actually aligned: they passed the shared-k-mer filter, were not
+    /// pruned, and had a seed lying within both reads.
     pub aligned_pairs: usize,
+    /// Pairs not aligned because both reads were already known to be
+    /// contained; nothing such a pair could yield would reach `R`.
+    pub pruned_pairs: usize,
     /// Pairs that produced a usable dovetail overlap.
     pub dovetail: usize,
     /// Pairs discarded because one read contains the other.
@@ -175,14 +182,15 @@ pub fn account_read_exchange_2d(reads: &ReadSet, grid: ProcessGrid, stats: &Comm
     }
 }
 
-/// The classification outcome of one aligned candidate pair.
+/// The classification outcome of one candidate pair's best alignment.
 enum PairOutcome {
-    Skipped,
+    /// No stored seed lies within both reads; nothing was aligned.
+    Unalignable,
     BelowThreshold,
     Internal,
     /// `contained` is spanned entirely by the other read.
     Contained { contained: usize },
-    Dovetail { i: usize, j: usize, edge_ij: OverlapEdge, edge_ji: OverlapEdge },
+    Dovetail { edge_ij: OverlapEdge, edge_ji: OverlapEdge },
 }
 
 pub use dibella_dist::extras::{ALIGNED_CELLS_KEY, BAND_WIDTH_PEAK_KEY, XDROP_TERMINATIONS_KEY};
@@ -201,8 +209,12 @@ pub struct AlignExecStats {
     pub band_width_peak: u64,
     /// Extensions stopped early by the x-drop test.
     pub xdrop_terminations: u64,
-    /// x-drop extension calls (two per evaluated seed: left + right).
+    /// x-drop extension calls (left + right for every seed actually extended;
+    /// a pair whose first seed finds the overlap costs two).
     pub extend_calls: u64,
+    /// Stored seeds of aligned pairs never extended because an earlier seed
+    /// of the pair already gave a dovetail or a containment.
+    pub seeds_skipped: u64,
     /// Extensions dispatched to the lane-packed vector kernel (SSE2 on
     /// x86-64, SWAR elsewhere).
     pub simd_calls: u64,
@@ -214,68 +226,22 @@ pub struct AlignExecStats {
     pub rc_orientations: u64,
 }
 
-/// Shared accumulator the per-worker scratches flush into on drop.
+/// One worker's reusable state: alignment scratch, the oriented-read cache
+/// and the counters they accumulate.  A job borrows one from a shared bench
+/// and puts it back, so warm buffers and counts carry over from wave to wave
+/// and there are never more states than concurrent workers.
 #[derive(Default)]
-struct SharedAlignCounters {
-    cells: AtomicU64,
-    band_peak: AtomicU64,
-    terminations: AtomicU64,
-    calls: AtomicU64,
-    simd: AtomicU64,
-    scalar: AtomicU64,
-    rc: AtomicU64,
-}
-
-impl SharedAlignCounters {
-    fn into_stats(self) -> AlignExecStats {
-        AlignExecStats {
-            aligned_cells: self.cells.into_inner(),
-            band_width_peak: self.band_peak.into_inner(),
-            xdrop_terminations: self.terminations.into_inner(),
-            extend_calls: self.calls.into_inner(),
-            simd_calls: self.simd.into_inner(),
-            scalar_calls: self.scalar.into_inner(),
-            rc_orientations: self.rc.into_inner(),
-        }
-    }
-}
-
-/// One worker's state for the flat (pair, seed) queue: alignment scratch plus
-/// the oriented-read cache.  The accumulated counters flush into the shared
-/// totals exactly once, when the pool drops the worker state.
-struct AlignWorker<'a> {
+struct WorkerState {
     scratch: AlignScratch,
     orient: OrientCache,
-    shared: &'a SharedAlignCounters,
+    seeds_skipped: u64,
 }
 
-impl<'a> AlignWorker<'a> {
-    fn new(shared: &'a SharedAlignCounters) -> Self {
-        Self { scratch: AlignScratch::new(), orient: OrientCache::new(), shared }
-    }
-}
-
-impl Drop for AlignWorker<'_> {
-    fn drop(&mut self) {
-        let c = &self.scratch.counters;
-        self.shared.cells.fetch_add(c.cells, Ordering::Relaxed);
-        self.shared.band_peak.fetch_max(c.band_peak, Ordering::Relaxed);
-        self.shared.terminations.fetch_add(c.terminations, Ordering::Relaxed);
-        self.shared.calls.fetch_add(c.calls, Ordering::Relaxed);
-        self.shared.simd.fetch_add(self.scratch.simd_calls, Ordering::Relaxed);
-        self.shared.scalar.fetch_add(self.scratch.scalar_calls, Ordering::Relaxed);
-        self.shared.rc.fetch_add(self.orient.rc_computed, Ordering::Relaxed);
-    }
-}
-
-/// One unit of the flat alignment work queue: one stored seed of one
-/// candidate pair.  A pair's seeds stay adjacent in the queue, so a worker
-/// processing them back-to-back hits its oriented-read cache.
-#[derive(Clone, Copy)]
-struct SeedJob {
-    pair: u32,
-    seed: SharedSeed,
-}
+/// Pairs per alignment wave.  Between waves the reads found contained so far
+/// are folded into the set that prunes later pairs; 64 and 256 prune alike
+/// (29.6% of the unpruned cells on the `clr-long` benchmark workload), 1 024
+/// lets 40.1% through, and shorter waves only add barriers.
+const WAVE_PAIRS: usize = 256;
 
 /// Align every candidate pair, classify the alignments, and assemble the
 /// pruned overlap matrix `R`.
@@ -296,8 +262,9 @@ pub fn align_candidates(
 }
 
 /// [`align_candidates`] that also folds the alignment-stage counters into
-/// `comm` extras (`aligned_cells`, `band_width_peak`, `xdrop_terminations`) —
-/// the form the pipelines call.  Only thread-count-deterministic counters are
+/// `comm` extras (`aligned_cells`, `band_width_peak`, `xdrop_terminations`)
+/// and accounts the per-wave all-reduce of the contained-read bitmap — the
+/// form the pipelines call.  Only thread-count-deterministic counters are
 /// recorded, so comm snapshots stay bit-identical at any worker count.
 pub fn align_candidates_with(
     reads: &ReadSet,
@@ -305,193 +272,221 @@ pub fn align_candidates_with(
     config: &OverlapConfig,
     comm: Option<&CommStats>,
 ) -> (DistMat2D<OverlapEdge>, OverlapStats) {
-    let (overlaps, stats, exec) =
-        align_candidates_exec(reads, candidates, config, ExtendEngine::Auto);
-    if let Some(comm) = comm {
-        comm.bump_extra(ALIGNED_CELLS_KEY, exec.aligned_cells);
-        comm.max_extra(BAND_WIDTH_PEAK_KEY, exec.band_width_peak);
-        comm.bump_extra(XDROP_TERMINATIONS_KEY, exec.xdrop_terminations);
-    }
+    let (overlaps, stats, ..) =
+        align_in_waves(reads, candidates, config, ExtendEngine::Auto, WAVE_PAIRS, comm);
     (overlaps, stats)
 }
 
 /// The full-control form of [`align_candidates`]: explicit engine choice and
 /// the execution counters returned to the caller (benches and tests).
 ///
-/// The (pair, seed) work items are flattened into one queue on the
-/// work-stealing pool; each worker reuses one [`AlignScratch`] +
-/// [`OrientCache`] across every item it steals, and the per-pair best seed is
-/// reduced deterministically afterwards (first-best in stored seed order, as
-/// the sequential path always did).  Output is bit-identical for every
-/// engine and worker count.
+/// Output is bit-identical for every engine, worker count and steal schedule.
 pub fn align_candidates_exec(
     reads: &ReadSet,
     candidates: &DistMat2D<CommonKmers>,
     config: &OverlapConfig,
     engine: ExtendEngine,
 ) -> (DistMat2D<OverlapEdge>, OverlapStats, AlignExecStats) {
+    let (overlaps, stats, exec, _) =
+        align_in_waves(reads, candidates, config, engine, WAVE_PAIRS, None);
+    (overlaps, stats, exec)
+}
+
+/// The alignment stage: one job per candidate pair ([`align_pair`]), run in
+/// waves of `wave_len` pairs over a length-ordered pair list.
+///
+/// Pairs that pass the shared-k-mer filter are sorted by (longer read's
+/// length ↓, shorter read's length ↓, i, j) — a read is contained by a longer
+/// one, so containments surface first — and cut into waves; order and wave
+/// boundaries depend on the candidate list and the read lengths alone, never
+/// on workers, grid or steal schedule.  After each wave the reads it found
+/// contained join `contained_reads` (distributed: one bitwise-OR all-reduce of
+/// `⌈n/64⌉` words, accounted on `comm`), and a pair whose reads were *both*
+/// contained when its wave began is not aligned: its dovetail would be dropped
+/// from `R`, its containment would flag a flagged read, anything else is
+/// discarded.  `R` and the flags — the fourth value returned — are therefore
+/// exactly those of `wave_len = usize::MAX`, which prunes nothing, and every
+/// flagged read keeps the aligned pair that flagged it.  (Pruning on *either*
+/// read is not exact: the pair may be the one that flags the other read.)
+fn align_in_waves(
+    reads: &ReadSet,
+    candidates: &DistMat2D<CommonKmers>,
+    config: &OverlapConfig,
+    engine: ExtendEngine,
+    wave_len: usize,
+    comm: Option<&CommStats>,
+) -> (DistMat2D<OverlapEdge>, OverlapStats, AlignExecStats, Vec<bool>) {
     let mut stats = OverlapStats::default();
     let n = reads.len();
-
-    // Work on the upper triangle only; every pair is aligned once.
-    let pairs: Vec<(usize, usize, CommonKmers)> = candidates
-        .to_triples()
-        .into_entries()
-        .into_iter()
-        .filter(|(i, j, _)| i < j)
-        .collect();
-    stats.candidate_pairs = pairs.len();
     stats.c_density = if n > 0 { candidates.nnz() as f64 / n as f64 } else { 0.0 };
 
-    // Flatten every stored seed of every pair that passes the shared-k-mer
-    // filter into the flat work queue.
-    let jobs: Vec<SeedJob> = pairs
-        .iter()
-        .enumerate()
-        .filter(|(_, (_, _, common))| common.count >= config.min_shared_kmers)
-        .flat_map(|(idx, (_, _, common))| {
-            common.seeds.iter().map(move |&seed| SeedJob { pair: idx as u32, seed })
-        })
-        .collect();
+    // Work on the upper triangle only; every pair is aligned at most once.
+    let mut pairs = candidates.to_triples().into_entries();
+    pairs.retain(|(i, j, _)| i < j);
+    stats.candidate_pairs = pairs.len();
+    pairs.retain(|(_, _, common)| common.count >= config.min_shared_kmers);
+    pairs.sort_unstable_by_key(|&(i, j, _)| {
+        let (a, b) = (reads.seq(i).len(), reads.seq(j).len());
+        (Reverse(a.max(b)), Reverse(a.min(b)), i, j)
+    });
 
-    let shared = SharedAlignCounters::default();
-    let results: Vec<Option<PairAlignment>> = pool::map_indexed_with(
-        jobs.len(),
-        || AlignWorker::new(&shared),
-        |worker, idx| {
-            let job = jobs[idx];
-            let (i, j, _) = pairs[job.pair as usize];
-            let v = reads.seq(i);
-            let h = reads.seq(j);
-            let seed = job.seed;
-            let (strand, seed_h) = if seed.same_strand {
-                (Strand::Forward, seed.pos_h as usize)
-            } else {
-                (Strand::Reverse, h.len() - config.k - seed.pos_h as usize)
-            };
-            if seed.pos_v as usize + config.k > v.len() || seed_h + config.k > h.len() {
-                return None;
-            }
-            // Orient h once per (pair, strand): forward pairs borrow the
-            // stored codes, reverse pairs hit the per-worker cache.
-            let h_codes: &[u8] = if seed.same_strand {
-                h.codes()
-            } else {
-                worker.orient.reverse_complement(j, h.codes())
-            };
-            Some(align_seed_pair_with(
-                v.codes(),
-                h_codes,
-                seed.pos_v as usize,
-                seed_h,
-                config.k,
-                strand,
-                &config.alignment,
-                engine,
-                &mut worker.scratch,
-            ))
-        },
-    );
-    let exec = shared.into_stats();
-
-    // Deterministic per-pair reduction: first-best in stored seed order
-    // (strictly-greater keeps the earliest seed on ties, exactly like the
-    // old sequential per-pair loop).
-    let mut best: Vec<Option<PairAlignment>> = vec![None; pairs.len()];
-    for (job, res) in jobs.iter().zip(results) {
-        if let Some(aln) = res {
-            let slot = &mut best[job.pair as usize];
-            if slot.is_none_or(|b| aln.score > b.score) {
-                *slot = Some(aln);
-            }
-        }
-    }
-
-    let outcomes: Vec<PairOutcome> = pairs
-        .iter()
-        .enumerate()
-        .map(|(idx, &(i, j, ref common))| {
-            if common.count < config.min_shared_kmers {
-                return PairOutcome::Skipped;
-            }
-            let v = reads.seq(i);
-            let h = reads.seq(j);
-            let Some(aln) = best[idx] else { return PairOutcome::Skipped };
-
-            let aligned_len = aln.aligned_len();
-            if aligned_len < config.alignment.min_overlap
-                || aln.score < config.alignment.score_threshold(aligned_len)
-            {
-                return PairOutcome::BelowThreshold;
-            }
-            match classify_alignment(&aln, v.len(), h.len(), &config.alignment) {
-                OverlapClass::Dovetail { dir_vh, dir_hv, suffix_vh, suffix_hv } => {
-                    PairOutcome::Dovetail {
-                        i,
-                        j,
-                        edge_ij: OverlapEdge {
-                            dir: dir_vh.bits(),
-                            suffix: suffix_vh as u32,
-                            score: aln.score,
-                            overlap_len: aligned_len as u32,
-                        },
-                        edge_ji: OverlapEdge {
-                            dir: dir_hv.bits(),
-                            suffix: suffix_hv as u32,
-                            score: aln.score,
-                            overlap_len: aligned_len as u32,
-                        },
-                    }
-                }
-                OverlapClass::Contains => PairOutcome::Contained { contained: j },
-                OverlapClass::ContainedBy => PairOutcome::Contained { contained: i },
-                OverlapClass::Internal => PairOutcome::Internal,
-            }
-        })
-        .collect();
-
-    // First sweep: gather counters and the set of contained reads.
+    let bench: Mutex<Vec<WorkerState>> = Mutex::new(Vec::new());
+    let locked_bench = || bench.lock().expect("the bench is never held across a panic");
     let mut contained_reads = vec![false; n];
-    for outcome in &outcomes {
-        match outcome {
-            PairOutcome::Skipped => {}
-            PairOutcome::BelowThreshold => {
-                stats.aligned_pairs += 1;
-                stats.below_threshold += 1;
+    let mut dovetails: Vec<(usize, usize, OverlapEdge, OverlapEdge)> = Vec::new();
+    for wave in pairs.chunks(wave_len) {
+        let live: Vec<&(usize, usize, CommonKmers)> =
+            wave.iter().filter(|&&(i, j, _)| !(contained_reads[i] && contained_reads[j])).collect();
+        stats.pruned_pairs += wave.len() - live.len();
+        let outcomes = pool::map_indexed(live.len(), |idx| {
+            let idle = locked_bench().pop();
+            let mut worker = idle.unwrap_or_default();
+            let outcome = align_pair(&mut worker, reads, live[idx], config, engine);
+            locked_bench().push(worker);
+            outcome
+        });
+        for (&&(i, j, _), outcome) in live.iter().zip(outcomes) {
+            match outcome {
+                PairOutcome::Unalignable => continue,
+                PairOutcome::BelowThreshold => stats.below_threshold += 1,
+                PairOutcome::Internal => stats.internal += 1,
+                PairOutcome::Contained { contained } => {
+                    stats.contained += 1;
+                    contained_reads[contained] = true;
+                }
+                PairOutcome::Dovetail { edge_ij, edge_ji } => {
+                    stats.dovetail += 1;
+                    dovetails.push((i, j, edge_ij, edge_ji));
+                }
             }
-            PairOutcome::Internal => {
-                stats.aligned_pairs += 1;
-                stats.internal += 1;
-            }
-            PairOutcome::Contained { contained } => {
-                stats.aligned_pairs += 1;
-                stats.contained += 1;
-                contained_reads[*contained] = true;
-            }
-            PairOutcome::Dovetail { .. } => {
-                stats.aligned_pairs += 1;
-                stats.dovetail += 1;
-            }
+            stats.aligned_pairs += 1;
+        }
+        if let Some(comm) = comm {
+            let words = n.div_ceil(64) as u64;
+            record_allreduce(comm, CommPhase::OverlapDetection, words, candidates.grid().nprocs());
         }
     }
     stats.contained_reads = contained_reads.iter().filter(|&&b| b).count();
 
-    // Second sweep: emit edges whose endpoints both survive.
+    let mut exec = AlignExecStats::default();
+    // The bench is only ever locked around a pop or a push, so it cannot be
+    // poisoned; either way every returned state's counts are intact.
+    for worker in bench.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        let counters = worker.scratch.counters;
+        exec.aligned_cells += counters.cells;
+        exec.band_width_peak = exec.band_width_peak.max(counters.band_peak);
+        exec.xdrop_terminations += counters.terminations;
+        exec.extend_calls += counters.calls;
+        exec.seeds_skipped += worker.seeds_skipped;
+        exec.simd_calls += worker.scratch.simd_calls;
+        exec.scalar_calls += worker.scratch.scalar_calls;
+        exec.rc_orientations += worker.orient.rc_computed;
+    }
+    if let Some(comm) = comm {
+        comm.bump_extra(ALIGNED_CELLS_KEY, exec.aligned_cells);
+        comm.max_extra(BAND_WIDTH_PEAK_KEY, exec.band_width_peak);
+        comm.bump_extra(XDROP_TERMINATIONS_KEY, exec.xdrop_terminations);
+    }
+
+    // Emit the dovetails whose endpoints both survive.
     let mut edges: Vec<(usize, usize, OverlapEdge)> = Vec::new();
-    for outcome in outcomes {
-        if let PairOutcome::Dovetail { i, j, edge_ij, edge_ji } = outcome {
-            if contained_reads[i] || contained_reads[j] {
-                continue;
-            }
+    for (i, j, edge_ij, edge_ji) in dovetails {
+        if !contained_reads[i] && !contained_reads[j] {
             edges.push((i, j, edge_ij));
             edges.push((j, i, edge_ji));
         }
     }
-
     let triples = Triples::from_entries(n, n, edges);
     let overlaps = DistMat2D::from_triples(candidates.grid(), &triples);
     stats.r_density = if n > 0 { overlaps.nnz() as f64 / n as f64 } else { 0.0 };
-    (overlaps, stats, exec)
+    (overlaps, stats, exec, contained_reads)
+}
+
+/// Align one candidate pair and classify its best alignment.
+///
+/// Seeds are extended in stored order and the first whose alignment is a
+/// dovetail or a containment settles the pair; the seeds after it are counted
+/// in `seeds_skipped`.  A seed that yields a weak or internal alignment — it
+/// landed in a repeat copy, or on a chance k-mer match — hands over to the
+/// next, which replaces it only on a strictly higher score, so ties keep the
+/// earlier seed.
+fn align_pair(
+    worker: &mut WorkerState,
+    reads: &ReadSet,
+    &(i, j, ref common): &(usize, usize, CommonKmers),
+    config: &OverlapConfig,
+    engine: ExtendEngine,
+) -> PairOutcome {
+    let (v, h) = (reads.seq(i), reads.seq(j));
+    let mut best: Option<(i32, PairOutcome)> = None;
+    for (nth, seed) in common.seeds.iter().enumerate() {
+        let (strand, seed_h) = if seed.same_strand {
+            (Strand::Forward, seed.pos_h as usize)
+        } else {
+            (Strand::Reverse, h.len() - config.k - seed.pos_h as usize)
+        };
+        if seed.pos_v as usize + config.k > v.len() || seed_h + config.k > h.len() {
+            continue;
+        }
+        // Orient h once per (pair, strand): forward pairs borrow the stored
+        // codes, reverse pairs hit the per-worker cache.
+        let h_codes: &[u8] = if seed.same_strand {
+            h.codes()
+        } else {
+            worker.orient.reverse_complement(j, h.codes())
+        };
+        let aln = align_seed_pair_with(
+            v.codes(),
+            h_codes,
+            seed.pos_v as usize,
+            seed_h,
+            config.k,
+            strand,
+            &config.alignment,
+            engine,
+            &mut worker.scratch,
+        );
+        if best.as_ref().is_some_and(|&(score, _)| aln.score <= score) {
+            continue;
+        }
+        let outcome = classify_pair(&aln, i, j, v.len(), h.len(), &config.alignment);
+        if matches!(outcome, PairOutcome::Dovetail { .. } | PairOutcome::Contained { .. }) {
+            worker.seeds_skipped += (common.seeds.len() - nth - 1) as u64;
+            return outcome;
+        }
+        best = Some((aln.score, outcome));
+    }
+    best.map_or(PairOutcome::Unalignable, |(_, outcome)| outcome)
+}
+
+/// Threshold and classify one alignment of reads `i` (`v`) and `j` (`h`).
+fn classify_pair(
+    aln: &PairAlignment,
+    i: usize,
+    j: usize,
+    len_v: usize,
+    len_h: usize,
+    config: &AlignmentConfig,
+) -> PairOutcome {
+    let aligned_len = aln.aligned_len();
+    if aligned_len < config.min_overlap || aln.score < config.score_threshold(aligned_len) {
+        return PairOutcome::BelowThreshold;
+    }
+    let edge = |dir: BidirectedDir, suffix: usize| OverlapEdge {
+        dir: dir.bits(),
+        suffix: suffix as u32,
+        score: aln.score,
+        overlap_len: aligned_len as u32,
+    };
+    match classify_alignment(aln, len_v, len_h, config) {
+        OverlapClass::Dovetail { dir_vh, dir_hv, suffix_vh, suffix_hv } => PairOutcome::Dovetail {
+            edge_ij: edge(dir_vh, suffix_vh),
+            edge_ji: edge(dir_hv, suffix_hv),
+        },
+        OverlapClass::Contains => PairOutcome::Contained { contained: j },
+        OverlapClass::ContainedBy => PairOutcome::Contained { contained: i },
+        OverlapClass::Internal => PairOutcome::Internal,
+    }
 }
 
 /// Run the full 2D overlap-detection stage: build `A`, account for the read
@@ -513,7 +508,7 @@ pub fn run_overlap_2d(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dibella_align::BidirectedDir;
+    use crate::types::{SeedList, SharedSeed};
     use dibella_seq::{count_kmers_serial, DatasetSpec, KmerSelection, SimulatedDataset};
 
     fn setup(seed: u64) -> (SimulatedDataset, KmerTable, OverlapConfig) {
@@ -620,6 +615,7 @@ mod tests {
     #[test]
     fn stats_are_internally_consistent() {
         let (ds, table, cfg) = setup(6);
+        let cfg = OverlapConfig { min_shared_kmers: 2, ..cfg };
         let comm = CommStats::new();
         let out = run_overlap_2d(&ds.reads, &table, &cfg, ProcessGrid::square(4), &comm);
         let s = out.stats;
@@ -628,7 +624,15 @@ mod tests {
             s.dovetail + s.contained + s.internal + s.below_threshold,
             "every aligned pair must be classified exactly once"
         );
-        assert!(s.candidate_pairs >= s.aligned_pairs);
+        // The books close: a candidate pair is filtered, pruned or aligned.
+        let filtered = out
+            .candidates
+            .to_triples()
+            .iter()
+            .filter(|&(i, j, common)| i < j && common.count < cfg.min_shared_kmers)
+            .count();
+        assert!(filtered > 0 && s.pruned_pairs > 0, "both exits must be exercised");
+        assert_eq!(s.aligned_pairs + s.pruned_pairs + filtered, s.candidate_pairs);
         assert!((s.r_density - out.overlaps.nnz() as f64 / ds.reads.len() as f64).abs() < 1e-9);
         // Every surviving overlap contributes two directed entries; dovetails
         // touching contained reads are dropped, so this is an upper bound.
@@ -730,6 +734,7 @@ mod tests {
         });
         assert!(reference.2.aligned_cells > 0);
         assert!(reference.2.extend_calls > 0);
+        assert!(reference.1.pruned_pairs > 0 && reference.2.seeds_skipped > 0);
         for threads in [1usize, 2, 4] {
             for engine in [ExtendEngine::Auto, ExtendEngine::Scalar] {
                 let (overlaps, stats, exec) = rayon::pool::with_thread_limit(threads, || {
@@ -747,6 +752,7 @@ mod tests {
                 assert_eq!(exec.band_width_peak, reference.2.band_width_peak);
                 assert_eq!(exec.xdrop_terminations, reference.2.xdrop_terminations);
                 assert_eq!(exec.extend_calls, reference.2.extend_calls);
+                assert_eq!(exec.seeds_skipped, reference.2.seeds_skipped);
                 match engine {
                     ExtendEngine::Auto => {
                         assert_eq!(exec.simd_calls, reference.2.extend_calls);
@@ -761,54 +767,242 @@ mod tests {
         }
     }
 
+    /// Align the single pair (read 0, read 1) carrying `seeds`, on one worker.
+    fn align_one_pair(
+        reads: &ReadSet,
+        seeds: &[SharedSeed],
+        cfg: &OverlapConfig,
+    ) -> (DistMat2D<OverlapEdge>, OverlapStats, AlignExecStats) {
+        let mut list = SeedList::default();
+        seeds.iter().for_each(|&seed| list.push(seed));
+        let common = CommonKmers { count: seeds.len() as u32, seeds: list };
+        let t = Triples::from_entries(2, 2, vec![(0usize, 1usize, common)]);
+        let candidates = DistMat2D::from_triples(ProcessGrid::square(1), &t);
+        rayon::pool::with_thread_limit(1, || {
+            align_candidates_exec(reads, &candidates, cfg, ExtendEngine::Auto)
+        })
+    }
+
+    fn two_reads(v: Vec<u8>, h: Vec<u8>) -> ReadSet {
+        use dibella_seq::{DnaSeq, ReadRecord};
+        ReadSet::from_records(vec![
+            ReadRecord { name: "v".into(), seq: DnaSeq::from_codes(v) },
+            ReadRecord { name: "h".into(), seq: DnaSeq::from_codes(h) },
+        ])
+    }
+
+    /// `len` pseudo-random bases drawn from `alphabet`.
+    fn lcg_bases(state: &mut u64, len: usize, alphabet: &[u8]) -> Vec<u8> {
+        let mut draw = |_| {
+            *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            alphabet[(*state >> 33) as usize % alphabet.len()]
+        };
+        (0..len).map(&mut draw).collect()
+    }
+
+    /// Reads `v = Va·REP·Vb·OVL` and `h = OVL·Hb·REP·Hc`: a true dovetail over
+    /// `OVL` plus a repeat copy `REP` in the interior of both.  The 100-base
+    /// flanks of `v` are drawn from {A, C} and those of `h` from {G, T}, so no
+    /// extension gains a base outside a shared segment and a seed's alignment
+    /// scores exactly its segment's length.  Returns the reads, a seed inside
+    /// `REP`, one inside `OVL`, and a junk seed pairing two flanks.
+    fn repeat_and_overlap(rep: usize, ovl: usize) -> (ReadSet, [SharedSeed; 3]) {
+        let mut state = 0xC0FFEEu64;
+        let rep_seq = lcg_bases(&mut state, rep, &[0, 1, 2, 3]);
+        let ovl_seq = lcg_bases(&mut state, ovl, &[0, 1, 2, 3]);
+        let mut v = lcg_bases(&mut state, 100, &[0, 1]);
+        v.extend(&rep_seq);
+        v.extend(lcg_bases(&mut state, 100, &[0, 1]));
+        v.extend(&ovl_seq);
+        let mut h = ovl_seq;
+        h.extend(lcg_bases(&mut state, 100, &[2, 3]));
+        h.extend(&rep_seq);
+        h.extend(lcg_bases(&mut state, 100, &[2, 3]));
+        let seed = |pos_v: usize, pos_h: usize| SharedSeed {
+            pos_v: pos_v as u32,
+            pos_h: pos_h as u32,
+            same_strand: true,
+        };
+        let seeds =
+            [seed(100 + 40, ovl + 100 + 40), seed(200 + rep + 50, 50), seed(20, ovl + 20)];
+        (two_reads(v, h), seeds)
+    }
+
+    #[test]
+    fn a_good_first_seed_settles_the_pair_in_two_extensions() {
+        let (reads, [rep_seed, ovl_seed, _]) = repeat_and_overlap(100, 150);
+        let cfg = OverlapConfig::for_tests(13);
+        let (r, stats, exec) = align_one_pair(&reads, &[ovl_seed, rep_seed], &cfg);
+        assert_eq!((stats.aligned_pairs, stats.dovetail), (1, 1));
+        assert_eq!((exec.extend_calls, exec.seeds_skipped), (2, 1));
+        // Exactly what that seed yields on its own.
+        let (alone, _, alone_exec) = align_one_pair(&reads, &[ovl_seed], &cfg);
+        assert_eq!((alone_exec.extend_calls, alone_exec.seeds_skipped), (2, 0));
+        assert_eq!(r.nnz(), 2);
+        assert_eq!(r.to_local_csr(), alone.to_local_csr());
+        let edge = *r.to_local_csr().get(0, 1).expect("the dovetail v → h");
+        assert_eq!((edge.score, edge.overlap_len), (150, 150));
+    }
+
+    #[test]
+    fn a_first_seed_that_finds_no_overlap_hands_over_to_the_second() {
+        let (reads, [rep_seed, ovl_seed, junk_seed]) = repeat_and_overlap(100, 150);
+        let cfg = OverlapConfig::for_tests(13);
+        let (alone, ..) = align_one_pair(&reads, &[ovl_seed], &cfg);
+        // On their own the two bad seeds classify as internal and as too weak.
+        assert_eq!(align_one_pair(&reads, &[rep_seed], &cfg).1.internal, 1);
+        assert_eq!(align_one_pair(&reads, &[junk_seed], &cfg).1.below_threshold, 1);
+        for first in [rep_seed, junk_seed] {
+            let (r, stats, exec) = align_one_pair(&reads, &[first, ovl_seed], &cfg);
+            assert_eq!((stats.aligned_pairs, stats.dovetail), (1, 1), "first seed {first:?}");
+            assert_eq!((exec.extend_calls, exec.seeds_skipped), (4, 0));
+            assert_eq!(r.to_local_csr(), alone.to_local_csr());
+        }
+    }
+
+    #[test]
+    fn a_later_seed_replaces_the_best_only_on_a_strictly_higher_score() {
+        let cfg = OverlapConfig::for_tests(13);
+        // Repeat copy and overlap of equal length score alike: the earlier
+        // seed's internal match stands although the later one is a dovetail.
+        let (reads, [rep_seed, ovl_seed, _]) = repeat_and_overlap(120, 120);
+        let (r, stats, exec) = align_one_pair(&reads, &[rep_seed, ovl_seed], &cfg);
+        assert_eq!((stats.aligned_pairs, stats.internal, stats.dovetail), (1, 1, 0));
+        assert_eq!(exec.extend_calls, 4);
+        assert_eq!(r.nnz(), 0);
+        // Stored the other way round, the dovetail comes first and settles it.
+        let (r, stats, exec) = align_one_pair(&reads, &[ovl_seed, rep_seed], &cfg);
+        assert_eq!((stats.dovetail, exec.extend_calls, r.nnz()), (1, 2, 2));
+        // One base more on the overlap and the later seed wins.
+        let (reads, [rep_seed, ovl_seed, _]) = repeat_and_overlap(120, 121);
+        let (r, stats, _) = align_one_pair(&reads, &[rep_seed, ovl_seed], &cfg);
+        assert_eq!((stats.internal, stats.dovetail, r.nnz()), (0, 1, 2));
+    }
+
     #[test]
     fn reverse_orientation_cost_is_per_pair_not_per_seed() {
-        // One reverse-strand pair carrying MAX_SEEDS seeds: the oriented-read
-        // cache must materialise exactly one reverse complement however many
-        // seeds the pair stores (the pre-batching path recomputed it per seed).
-        use crate::types::SeedList;
-        use dibella_seq::DnaSeq;
-        let mut state = 0xDEADBEEFu64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as u8 % 4
-        };
-        let genome: Vec<u8> = (0..400).map(|_| next()).collect();
-        let v = DnaSeq::from_codes(genome[..300].to_vec());
-        let h = DnaSeq::from_codes(genome[100..400].to_vec()).reverse_complement();
-        let reads = ReadSet::from_records(vec![
-            dibella_seq::ReadRecord { name: "v".into(), seq: v.clone() },
-            dibella_seq::ReadRecord { name: "h".into(), seq: h.clone() },
-        ]);
+        // One reverse-strand pair whose first seed is junk, so both stored
+        // seeds are extended: the oriented-read cache must materialise exactly
+        // one reverse complement however many seeds the pair goes through.
+        let genome = lcg_bases(&mut 0xDEADBEEFu64, 400, &[0, 1, 2, 3]);
+        let h_forward = dibella_seq::DnaSeq::from_codes(genome[100..400].to_vec());
+        let reads =
+            two_reads(genome[..300].to_vec(), h_forward.reverse_complement().codes().to_vec());
         let k = 13;
         let cfg = OverlapConfig::for_tests(k);
 
-        // Two distinct seeds of the same reverse-strand pair.  pos_h is on
-        // h's stored strand: h_oriented[seed_h..] with
+        // pos_h is on h's stored strand: h_oriented[seed_h..] with
         // seed_h = h.len() - k - pos_h must equal v[pos_v..pos_v+k], and
         // h_oriented = rc(h) = genome[100..400].
-        let seed_at = |pos_v: u32| SharedSeed {
-            pos_v,
-            pos_h: (h.len() - k) as u32 - (pos_v - 100),
-            same_strand: false,
-        };
-        let mut seeds = SeedList::default();
-        seeds.push(seed_at(150));
-        seeds.push(seed_at(220));
-        assert_eq!(seeds.len(), crate::types::MAX_SEEDS);
-        let common = CommonKmers { count: 2, seeds };
-        let t = Triples::from_entries(2, 2, vec![(0usize, 1usize, common)]);
-        let candidates = DistMat2D::from_triples(ProcessGrid::square(1), &t);
+        let true_seed =
+            SharedSeed { pos_v: 220, pos_h: (300 - k) as u32 - 120, same_strand: false };
+        let junk_seed = SharedSeed { pos_v: 5, pos_h: 5, same_strand: false };
+        assert_eq!(align_one_pair(&reads, &[junk_seed], &cfg).1.below_threshold, 1);
 
-        let (_, stats, exec) = rayon::pool::with_thread_limit(1, || {
-            align_candidates_exec(&reads, &candidates, &cfg, ExtendEngine::Auto)
-        });
-        assert_eq!(stats.aligned_pairs, 1);
+        let (_, stats, exec) = align_one_pair(&reads, &[junk_seed, true_seed], &cfg);
+        assert_eq!((stats.aligned_pairs, stats.dovetail), (1, 1));
         assert_eq!(exec.extend_calls, 4, "two seeds, each with left+right extension");
         assert_eq!(
             exec.rc_orientations, 1,
             "one reverse pair: exactly one reverse complement regardless of seed count"
         );
+    }
+
+    /// `R`, the contained flags and the stage counters at one wave length.
+    fn run_waves(
+        reads: &ReadSet,
+        candidates: &DistMat2D<CommonKmers>,
+        cfg: &OverlapConfig,
+        wave_len: usize,
+    ) -> (dibella_sparse::CsrMatrix<OverlapEdge>, Vec<bool>, OverlapStats) {
+        let (r, stats, _, contained) =
+            align_in_waves(reads, candidates, cfg, ExtendEngine::Auto, wave_len, None);
+        assert_eq!(stats.contained_reads, contained.iter().filter(|&&c| c).count());
+        (r.to_local_csr(), contained, stats)
+    }
+
+    /// Pruning must be invisible in the output: every wave length gives the
+    /// `R` and the contained set of one single wave, which prunes nothing.
+    /// Returns how many pairs wave length 1 pruned.
+    fn assert_pruning_is_exact(reads: &ReadSet, k: usize) -> usize {
+        let sel = KmerSelection { k, min_count: 2, max_count: 60 };
+        let table = count_kmers_serial(reads, &sel);
+        let cfg = OverlapConfig::for_tests(k);
+        let a = build_a_matrix(reads, &table, k, ProcessGrid::square(4), 4);
+        let candidates = detect_candidates_2d(&a, &CommStats::new());
+        let (r, contained, unpruned) = run_waves(reads, &candidates, &cfg, usize::MAX);
+        assert_eq!(unpruned.pruned_pairs, 0, "a single wave starts with nothing contained");
+        let mut pruned_by_one = 0;
+        for wave_len in [1usize, 7, WAVE_PAIRS] {
+            let (r_w, contained_w, stats) = run_waves(reads, &candidates, &cfg, wave_len);
+            assert_eq!(r_w, r, "wave length {wave_len}: R moved");
+            assert_eq!(contained_w, contained, "wave length {wave_len}: contained set moved");
+            assert_eq!(stats.aligned_pairs + stats.pruned_pairs, unpruned.aligned_pairs);
+            if wave_len == 1 {
+                pruned_by_one = stats.pruned_pairs;
+            }
+        }
+        pruned_by_one
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+        #[test]
+        fn prop_pruning_is_exact_under_heavy_containment(seed in 0u64..10_000) {
+            use dibella_seq::simulate::{generate_genome, simulate_reads, GenomeConfig, ReadSimConfig};
+            // Lengths from 100 to ~1 000 on a 1.5 kb genome: most reads lie
+            // inside a longer one.
+            let genome = generate_genome(&GenomeConfig {
+                length: 1_500,
+                repeat_fraction: 0.0,
+                repeat_length: 0,
+                seed,
+            });
+            let sim = ReadSimConfig {
+                depth: 14.0,
+                mean_read_length: 450,
+                min_read_length: 100,
+                read_length_sd: 250,
+                error_rate: 0.02,
+                seed: seed + 1,
+                ..ReadSimConfig::default()
+            };
+            let (reads, _) = simulate_reads(&genome, &sim);
+            let pruned = assert_pruning_is_exact(&reads, 13);
+            proptest::prop_assert!(pruned > 0, "seed {}: nothing was pruned", seed);
+        }
+
+        #[test]
+        fn prop_pruning_is_exact_on_tiny_datasets(seed in 0u64..10_000) {
+            assert_pruning_is_exact(&DatasetSpec::Tiny.generate(seed).reads, 13);
+        }
+    }
+
+    #[test]
+    fn each_wave_costs_one_allreduce_of_the_contained_bitmap() {
+        let (ds, table, cfg) = setup(13);
+        let grid = ProcessGrid::square(4);
+        let a = build_a_matrix(&ds.reads, &table, cfg.k, grid, 4);
+        let candidates = detect_candidates_2d(&a, &CommStats::new());
+        let bitmap_words = ds.reads.len().div_ceil(64) as u64;
+        for wave_len in [7usize, WAVE_PAIRS] {
+            let comm = CommStats::new();
+            comm.enable_spmd_trace(grid.nprocs());
+            let (_, stats, ..) = align_in_waves(
+                &ds.reads,
+                &candidates,
+                &cfg,
+                ExtendEngine::Auto,
+                wave_len,
+                Some(&comm),
+            );
+            // A reduce and a broadcast over the 4 ranks, once per wave.
+            let waves = (stats.aligned_pairs + stats.pruned_pairs).div_ceil(wave_len) as u64;
+            assert!(waves >= 1);
+            assert_eq!(comm.words(CommPhase::OverlapDetection), waves * 2 * bitmap_words * 3);
+            assert_eq!(comm.messages(CommPhase::OverlapDetection), waves * 2 * 3);
+            comm.assert_spmd();
+        }
     }
 
     #[test]

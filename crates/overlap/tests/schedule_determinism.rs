@@ -1,8 +1,8 @@
 //! Re-pins the alignment stage's determinism claim under adversarial steal
 //! schedules.
 //!
-//! `align_candidates_exec` flattens (pair, seed) work items onto the pool
-//! with per-worker scratch reused across items; everything it returns except
+//! `align_candidates_exec` runs waves of per-pair jobs on the pool with
+//! worker scratch reused across jobs and waves; everything it returns except
 //! the per-worker `rc_orientations` cache counter must be bit-identical under
 //! any chunk-claim order.  The explorer enumerates all 3-/4-chunk claim
 //! permutations (randomized large shuffles on the CI main preset) with yield

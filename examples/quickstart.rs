@@ -37,6 +37,7 @@ fn main() {
     println!("reliable k-mers (m):        {}", out.dims.kmers);
     println!("candidate pairs:            {}", out.overlap_stats.candidate_pairs);
     println!("aligned pairs:              {}", out.overlap_stats.aligned_pairs);
+    println!("pruned (both contained):    {}", out.overlap_stats.pruned_pairs);
     println!("accepted overlaps:          {}", out.overlap_stats.dovetail);
     println!("contained reads removed:    {}", out.overlap_stats.contained_reads);
     println!("overlap matrix nnz (R):     {}", out.overlap_matrix.nnz());
