@@ -34,6 +34,5 @@ pub use simd::{swar_eligible, xdrop_extend_swar, SwarScratch};
 #[cfg(target_arch = "x86_64")]
 pub use sse2::{xdrop_extend_sse2, Sse2Scratch};
 pub use xdrop::{
-    align_seed_pair, xdrop_extend, xdrop_extend_baseline, xdrop_extend_with, ExtendCounters,
-    ExtendResult, XdropScratch,
+    align_seed_pair, xdrop_extend, xdrop_extend_with, ExtendCounters, ExtendResult, XdropScratch,
 };

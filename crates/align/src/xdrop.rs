@@ -16,11 +16,10 @@
 //! finished.  This makes the per-row computation independent of evaluation
 //! order, which is what lets the SWAR kernel ([`crate::simd`]) process four
 //! cells per machine word while staying **bit-identical** to this scalar
-//! oracle.  (The earlier implementation updated `best` mid-row, so cells to
-//! the right of a new best were pruned slightly more aggressively; it is kept
-//! verbatim as [`xdrop_extend_baseline`] — the benchmark baseline.  The
-//! two-phase rule prunes a superset of the paths the row-sequential rule
-//! keeps, so it can only find equal-or-better extensions.)
+//! oracle.  (A row-sequential rule that updates `best` mid-row prunes cells to
+//! the right of a new best slightly more aggressively; the two-phase rule
+//! keeps a superset of those paths, so it can only find equal-or-better
+//! extensions.)
 //!
 //! The double-buffered scratch ([`XdropScratch`]) makes the steady state
 //! allocation-free: the two row buffers are reused across every extension a
@@ -216,106 +215,6 @@ pub fn xdrop_extend_with(
     ExtendResult { score: best, ext_a: best_i, ext_b: best_j }
 }
 
-/// The pre-batching row-sequential x-drop extension, preserved verbatim as
-/// the benchmark baseline (`BENCH_align.json` measures the batched engine
-/// against it, the way `local_spgemm_baseline` anchors the SpGEMM
-/// trajectory).  It allocates two fresh row `Vec`s per DP row and updates
-/// `best` mid-row, so cells right of a new best are pruned against the newer
-/// threshold; see the module docs for why [`xdrop_extend`] reformulated that.
-pub fn xdrop_extend_baseline(
-    a: &[u8],
-    b: &[u8],
-    scoring: ScoringScheme,
-    xdrop: i32,
-) -> ExtendResult {
-    let neg = i32::MIN / 4;
-    let m = b.len();
-    let mut best = 0i32;
-    let (mut best_i, mut best_j) = (0usize, 0usize);
-
-    // The DP row for the current i, stored over the live column window
-    // [lo, lo + vals.len()).
-    let mut lo = 0usize;
-    let mut vals: Vec<i32> = Vec::new();
-
-    // Row 0: leading gaps in `a`.
-    {
-        let mut j = 0usize;
-        while j <= m {
-            let sc = j as i32 * scoring.gap;
-            if sc < best - xdrop {
-                break;
-            }
-            vals.push(sc);
-            j += 1;
-        }
-    }
-    if vals.is_empty() {
-        return ExtendResult { score: 0, ext_a: 0, ext_b: 0 };
-    }
-
-    for i in 1..=a.len() {
-        let prev_lo = lo;
-        let prev = std::mem::take(&mut vals);
-        let prev_hi = prev_lo + prev.len() - 1;
-        let get_prev = |j: usize| -> i32 {
-            if (prev_lo..=prev_hi).contains(&j) {
-                prev[j - prev_lo]
-            } else {
-                neg
-            }
-        };
-
-        // The live window can only extend one column right of the previous row.
-        let new_lo = prev_lo;
-        let new_hi = (prev_hi + 1).min(m);
-        let mut new_vals: Vec<i32> = Vec::with_capacity(new_hi - new_lo + 1);
-        for j in new_lo..=new_hi {
-            let mut sc = neg;
-            if j >= 1 {
-                let diag = get_prev(j - 1);
-                if diag > neg {
-                    let sub = if a[i - 1] == b[j - 1] {
-                        scoring.match_score
-                    } else {
-                        scoring.mismatch
-                    };
-                    sc = sc.max(diag + sub);
-                }
-            }
-            let up = get_prev(j);
-            if up > neg {
-                sc = sc.max(up + scoring.gap);
-            }
-            if j > new_lo {
-                let left = *new_vals.last().unwrap();
-                if left > neg {
-                    sc = sc.max(left + scoring.gap);
-                }
-            }
-            if sc < best - xdrop {
-                sc = neg;
-            } else if sc > best {
-                best = sc;
-                best_i = i;
-                best_j = j;
-            }
-            new_vals.push(sc);
-        }
-
-        // Trim dead cells from both ends of the window; stop if nothing is live.
-        match new_vals.iter().position(|&v| v > neg) {
-            None => return ExtendResult { score: best, ext_a: best_i, ext_b: best_j },
-            Some(first) => {
-                let last = new_vals.iter().rposition(|&v| v > neg).unwrap();
-                lo = new_lo + first;
-                vals = new_vals[first..=last].to_vec();
-            }
-        }
-    }
-    ExtendResult { score: best, ext_a: best_i, ext_b: best_j }
-}
-
 /// Align read `v` against read `h` starting from a shared-k-mer seed.
 ///
 /// `seed_v` and `seed_h` are the k-mer start positions on `v` and on the
@@ -432,26 +331,6 @@ mod tests {
         let loose = xdrop_extend(a.codes(), b.codes(), default_scoring(), 100);
         assert_eq!(loose.score, 5 - 10 + 30);
         assert_eq!(loose.ext_a, 45);
-    }
-
-    #[test]
-    fn baseline_agrees_on_the_classic_cases() {
-        // The preserved row-sequential baseline and the two-phase oracle agree
-        // on well-conditioned inputs (they can differ only when a mid-row best
-        // update would have pruned a cell that later recovers by ~xdrop).
-        let cases = [
-            ("ACGTACGTACGTACGT", "ACGTACGTACGTACGT", 10),
-            ("ACGTACGTACAAAAAAAAAAAAAAAAAAAA", "ACGTACGTACTTTTTTTTTTTTTTTTTTTT", 5),
-            ("ACGTACGTACGTACGTACGT", "ACGTACGTACAGTACGTACGT", 20),
-        ];
-        for (a, b, xdrop) in cases {
-            let a = seq(a);
-            let b = seq(b);
-            assert_eq!(
-                xdrop_extend(a.codes(), b.codes(), default_scoring(), xdrop),
-                xdrop_extend_baseline(a.codes(), b.codes(), default_scoring(), xdrop),
-            );
-        }
     }
 
     #[test]

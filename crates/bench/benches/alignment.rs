@@ -21,12 +21,12 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use dibella_align::{
-    align_seed_pair, xdrop_extend, xdrop_extend_auto, xdrop_extend_baseline, AlignScratch,
-    AlignmentConfig, ExtendEngine, ScoringScheme,
+    align_seed_pair, xdrop_extend, xdrop_extend_auto, AlignScratch, AlignmentConfig, ExtendEngine,
+    ScoringScheme,
 };
 use dibella_dist::{CommStats, ProcessGrid};
 use dibella_overlap::{
-    align_candidates_exec, build_a_matrix, detect_candidates_2d, CommonKmers, OverlapConfig,
+    align_candidates_exec, build_a_matrix, detect_candidates_2d_with, CommonKmers, OverlapConfig,
 };
 use dibella_seq::simulate::apply_errors;
 use dibella_seq::{count_kmers_serial, DatasetSpec, DnaSeq, KmerSelection, Strand};
@@ -69,15 +69,11 @@ fn bench_alignment(c: &mut Criterion) {
     }
 
     // Raw extension throughput on identical sequences (upper bound), for the
-    // scalar oracle, the preserved pre-refactor baseline and the vector
-    // kernel (SSE2 on x86-64, SWAR elsewhere).
+    // scalar oracle and the vector kernel (SSE2 on x86-64, SWAR elsewhere).
     let mut rng = SmallRng::seed_from_u64(5);
     let s = DnaSeq::from_codes((0..10_000).map(|_| rng.gen_range(0..4u8)).collect());
     group.bench_function("xdrop_extend_identical_10k", |bencher| {
         bencher.iter(|| xdrop_extend(s.codes(), s.codes(), ScoringScheme::default(), 49))
-    });
-    group.bench_function("xdrop_extend_baseline_identical_10k", |bencher| {
-        bencher.iter(|| xdrop_extend_baseline(s.codes(), s.codes(), ScoringScheme::default(), 49))
     });
     let mut scratch = AlignScratch::new();
     group.bench_function("xdrop_extend_simd_identical_10k", |bencher| {
@@ -137,7 +133,7 @@ fn stage_throughput() {
     let table = count_kmers_serial(&ds.reads, &sel);
     let a = build_a_matrix(&ds.reads, &table, k, ProcessGrid::square(1), 1);
     let stats = CommStats::new();
-    let all_candidates = detect_candidates_2d(&a, &stats);
+    let all_candidates = detect_candidates_2d_with(&a, &stats, true);
     let mut total_pairs = 0usize;
     let mut t = Triples::new(all_candidates.nrows(), all_candidates.ncols());
     for (idx, (i, j, c)) in all_candidates

@@ -1,17 +1,17 @@
 //! Criterion micro-benchmarks for the SpGEMM kernels — local Gustavson,
 //! 2D Sparse SUMMA and the 1D outer-product algorithm — plus the
-//! kernel-regression comparison that writes `BENCH_spgemm.json`.
+//! kernel-throughput record that writes `BENCH_spgemm.json`.
 //!
-//! The JSON artifact pits the current accumulator-based kernels against the
-//! pre-refactor per-row-`HashMap` kernel (`local_spgemm_baseline`) on the
+//! The JSON artifact times the kernels the pipelines run on the
 //! `DatasetSpec::Small` overlap workload (`C = A·Aᵀ` over the shared-k-mer
-//! semiring) and on a uniform random `PlusTimes` product, recording the
-//! speedups, the useful-flop rate, accumulator probes and peak row width.
-//! The `sym_2d_*` fields compare the symmetric grid-diagonal SUMMA
-//! (`summa_aat_sym`) against the general `summa_abt` on the same workload —
-//! the expected shape is a >1 speedup from roughly half the useful flops.
-//! CI runs this bench at every push to maintain the perf trajectory
-//! (`DIBELLA_BENCH_OUT` overrides the artifact path).
+//! semiring): the symmetric SUMMA and its general reference
+//! `summa(a, aᵀ)` at P = 4, the local symmetric and general kernels, and a
+//! uniform random `PlusTimes` product for the dense-SPA fast path.  Every
+//! entry is absolute — seconds, useful flops and Mflop/s — next to the
+//! accumulator probes and the peak row width; the general kernels do about
+//! twice the symmetric ones' flops, so compare seconds between the two and
+//! Mflop/s across commits.  CI runs this bench at every push to maintain the
+//! perf trajectory (`DIBELLA_BENCH_OUT` overrides the artifact path).
 
 // The bench crate is the sanctioned home of wall-clock reads (see
 // clippy.toml); opt back in to Instant::now here.
@@ -22,15 +22,16 @@ use dibella_dist::{CommPhase, CommStats, ProcessGrid};
 use dibella_overlap::{build_a_matrix, OverlapSemiring};
 use dibella_seq::{count_kmers_serial, DatasetSpec, KmerSelection};
 use dibella_sparse::accum::FlopCounter;
-use dibella_sparse::outer1d::outer1d_abt;
-use dibella_sparse::spgemm::{
-    local_spgemm_aat_counted, local_spgemm_abt_counted, local_spgemm_counted,
-};
+use dibella_sparse::outer1d::outer1d_aat;
+use dibella_sparse::summa::flops_key;
 use dibella_sparse::{
-    local_spgemm, local_spgemm_baseline, summa, summa_aat_sym, summa_abt, CsrMatrix, DistMat2D,
-    PlusTimes, Triples,
+    local_spgemm, local_spgemm_aat, summa, summa_aat_sym, CsrMatrix, DistMat2D, PlusTimes,
+    Triples,
 };
 use std::time::{Duration, Instant};
+
+/// Wire sizes per entry; nothing here reads the word counts they scale.
+const WORDS: (u64, u64) = (2, 2);
 
 fn random_matrix(nrows: usize, ncols: usize, nnz: usize, seed: u64) -> CsrMatrix<i64> {
     let mut t = Triples::new(nrows, ncols);
@@ -47,33 +48,17 @@ fn random_matrix(nrows: usize, ncols: usize, nnz: usize, seed: u64) -> CsrMatrix
     CsrMatrix::from_triples(&t)
 }
 
-/// Mean wall-clock seconds of `f`: one warm-up call, then samples until the
-/// time budget and at least `min_samples` calls are spent.
-fn measure<T>(budget: Duration, min_samples: usize, mut f: impl FnMut() -> T) -> f64 {
-    std::hint::black_box(f());
-    let mut samples = Vec::new();
-    let started = Instant::now();
-    while started.elapsed() < budget || samples.len() < min_samples {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        samples.push(t0.elapsed().as_secs_f64());
-    }
-    samples.iter().sum::<f64>() / samples.len() as f64
-}
-
 fn bench_spgemm(c: &mut Criterion) {
     let n = 2_000;
     let a = random_matrix(n, n, 20 * n, 7);
     let b = random_matrix(n, n, 20 * n, 8);
+    let phase = CommPhase::OverlapDetection;
 
     let mut group = c.benchmark_group("spgemm");
     group.sample_size(10);
 
     group.bench_function("local_gustavson_2k_x_20nnz", |bencher| {
-        bencher.iter(|| local_spgemm::<PlusTimes<i64>>(&a, &b))
-    });
-    group.bench_function("local_baseline_hashmap_2k_x_20nnz", |bencher| {
-        bencher.iter(|| local_spgemm_baseline::<PlusTimes<i64>>(&a, &b))
+        bencher.iter(|| local_spgemm::<PlusTimes<i64>>(&a, &b, &FlopCounter::new()))
     });
 
     for p in [4usize, 16] {
@@ -81,239 +66,156 @@ fn bench_spgemm(c: &mut Criterion) {
         let da = DistMat2D::from_triples(grid, &a.to_triples());
         let db = DistMat2D::from_triples(grid, &b.to_triples());
         group.bench_with_input(BenchmarkId::new("summa_2d", p), &p, |bencher, _| {
-            bencher.iter(|| {
-                let stats = CommStats::new();
-                summa::<PlusTimes<i64>>(&da, &db, &stats, CommPhase::OverlapDetection)
-            })
+            bencher.iter(|| summa::<PlusTimes<i64>>(&da, &db, WORDS, &CommStats::new(), phase))
         });
         group.bench_with_input(BenchmarkId::new("summa_2d_aat", p), &p, |bencher, _| {
             bencher.iter(|| {
-                let stats = CommStats::new();
-                summa_abt::<PlusTimes<i64>>(&da, &da, &stats, CommPhase::OverlapDetection)
+                summa::<PlusTimes<i64>>(&da, &da.transpose(), WORDS, &CommStats::new(), phase)
             })
         });
         group.bench_with_input(BenchmarkId::new("summa_2d_aat_sym", p), &p, |bencher, _| {
-            bencher.iter(|| {
-                let stats = CommStats::new();
-                summa_aat_sym::<PlusTimes<i64>>(&da, &stats, CommPhase::OverlapDetection)
-            })
+            bencher.iter(|| summa_aat_sym::<PlusTimes<i64>>(&da, WORDS, &CommStats::new(), phase))
         });
         group.bench_with_input(BenchmarkId::new("outer_product_1d_aat", p), &p, |bencher, _| {
-            bencher.iter(|| {
-                let stats = CommStats::new();
-                outer1d_abt::<PlusTimes<i64>>(&a, &a, p, &stats, CommPhase::OverlapDetection)
-            })
+            bencher.iter(|| outer1d_aat::<PlusTimes<i64>>(&a, p, 3, &CommStats::new(), phase))
         });
     }
     group.finish();
 }
 
-/// A faithful reconstruction of the **pre-refactor** `C = A·Aᵀ` SpGEMM path
-/// (what `detect_candidates_2d` executed before the accumulator refactor):
-/// materialise the distributed transpose, then per SUMMA stage run a
-/// per-row-`HashMap` Gustavson multiply and fold it into the partial rows
-/// with a sorted two-way merge, finally cloning the blocks into the result.
-fn prerefactor_summa_aat(
-    a: &DistMat2D<dibella_overlap::KmerOccurrence>,
-) -> DistMat2D<dibella_overlap::CommonKmers> {
-    use dibella_overlap::CommonKmers;
-    use dibella_sparse::spgemm::{merge_rows, rows_to_csr};
-    use dibella_sparse::Semiring;
-    use std::collections::HashMap;
-
-    let at = a.transpose();
-    let grid = a.grid();
-    let stages = grid.cols();
-    let row_dist = a.row_dist();
-    let col_dist = at.col_dist();
-    let blocks: Vec<CsrMatrix<CommonKmers>> =
-        dibella_dist::par_ranks(grid.nprocs(), |rank| {
-            let (i, j) = grid.coords(rank);
-            let out_rows = row_dist.size(i);
-            let mut partial: Vec<Vec<(usize, CommonKmers)>> = vec![Vec::new(); out_rows];
-            for k in 0..stages {
-                let a_block = a.block(i, k);
-                let b_block = at.block(k, j);
-                if a_block.is_empty() || b_block.is_empty() {
-                    continue;
-                }
-                for (r, slot) in partial.iter_mut().enumerate() {
-                    let mut acc: HashMap<usize, CommonKmers> = HashMap::new();
-                    for (kk, aval) in a_block.row(r) {
-                        for (jj, bval) in b_block.row(kk) {
-                            if let Some(prod) =
-                                <OverlapSemiring as Semiring>::multiply(aval, bval)
-                            {
-                                match acc.entry(jj) {
-                                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                                        <OverlapSemiring as Semiring>::add(e.get_mut(), prod);
-                                    }
-                                    std::collections::hash_map::Entry::Vacant(e) => {
-                                        e.insert(prod);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    let mut new_row: Vec<(usize, CommonKmers)> = acc.into_iter().collect();
-                    new_row.sort_unstable_by_key(|(c, _)| *c);
-                    if new_row.is_empty() {
-                        continue;
-                    }
-                    if slot.is_empty() {
-                        *slot = new_row;
-                    } else {
-                        *slot = merge_rows::<OverlapSemiring>(std::mem::take(slot), new_row);
-                    }
-                }
-            }
-            rows_to_csr(out_rows, col_dist.size(j), partial)
-        });
-    DistMat2D::from_block_fn(grid, a.nrows(), at.ncols(), |i, j| {
-        blocks[grid.rank_of(i, j)].clone()
-    })
+/// One kernel's entry in the record: mean seconds and the useful flops of
+/// one call.
+struct Timed {
+    secs: f64,
+    flops: u64,
 }
 
-/// The kernel-regression comparison recorded as `BENCH_spgemm.json`.
-fn baseline_comparison() {
-    let budget = Duration::from_millis(400);
+impl Timed {
+    /// Time `f`, which runs the kernel once and returns the call's useful
+    /// flops: one warm-up call, then samples until 400 ms and at least three
+    /// calls are spent.
+    fn measure(mut f: impl FnMut() -> u64) -> Self {
+        let budget = Duration::from_millis(400);
+        let mut flops = f();
+        let mut samples = Vec::new();
+        let started = Instant::now();
+        while started.elapsed() < budget || samples.len() < 3 {
+            let t0 = Instant::now();
+            flops = f();
+            samples.push(t0.elapsed().as_secs_f64());
+        }
+        Self { secs: samples.iter().sum::<f64>() / samples.len() as f64, flops }
+    }
 
+    /// [`Timed::measure`] of a local kernel, which tallies into the counter
+    /// it is handed.
+    fn local<T>(mut kernel: impl FnMut(&FlopCounter) -> T) -> Self {
+        Self::measure(|| {
+            let flops = FlopCounter::new();
+            std::hint::black_box(kernel(&flops));
+            flops.flops()
+        })
+    }
+
+    /// [`Timed::measure`] of a SUMMA, which tallies into the stats it is
+    /// handed under `OverlapDetection`.
+    fn distributed<T>(mut kernel: impl FnMut(&CommStats) -> T) -> Self {
+        Self::measure(|| {
+            let stats = CommStats::new();
+            std::hint::black_box(kernel(&stats));
+            stats.extra(&flops_key(CommPhase::OverlapDetection))
+        })
+    }
+
+    fn mflops_per_sec(&self) -> f64 {
+        self.flops as f64 / self.secs / 1e6
+    }
+
+    /// The three JSON fields of this entry, named `<name>_…`.
+    fn json(&self, name: &str) -> String {
+        format!(
+            "  \"{name}_secs\": {:.6},\n  \"{name}_flops\": {},\n  \"{name}_mflops_per_sec\": {:.2},\n",
+            self.secs,
+            self.flops,
+            self.mflops_per_sec()
+        )
+    }
+}
+
+/// The kernel-throughput record written to `BENCH_spgemm.json`.
+fn throughput_record() {
     // The real workload: C = A·Aᵀ over the shared-k-mer semiring on the
-    // Small benchmark dataset (what `detect_candidates_2d` computes).
+    // Small benchmark dataset (what `detect_candidates_2d_with` computes).
     let ds = dibella_bench::benchmark_dataset(DatasetSpec::Small, 77);
     let k = 15;
     let sel = KmerSelection { k, min_count: 2, max_count: 120 };
     let table = count_kmers_serial(&ds.reads, &sel);
-    let a = build_a_matrix(&ds.reads, &table, k, ProcessGrid::square(1), 1);
-    let a_local = a.to_local_csr();
+    let a = build_a_matrix(&ds.reads, &table, k, ProcessGrid::square(1), 1).to_local_csr();
+    let da = DistMat2D::from_triples(ProcessGrid::square(4), &a.to_triples());
+    let phase = CommPhase::OverlapDetection;
 
-    let grid = ProcessGrid::square(4);
-    let da = DistMat2D::from_triples(grid, &a_local.to_triples());
-    // Pre-refactor SpGEMM path at P=4: distributed transpose + per-stage
-    // HashMap multiplies folded in with sorted merges + block clones.
-    let baseline_secs = measure(budget, 3, || prerefactor_summa_aat(&da));
-    // Current path at P=4: transpose-free summa_abt on reusable accumulators,
-    // all stages accumulated in place.
-    let new_secs = measure(budget, 3, || {
-        let stats = CommStats::new();
-        summa_abt::<OverlapSemiring>(&da, &da, &stats, CommPhase::OverlapDetection)
+    // The two paths `OverlapConfig::use_symmetric_summa` selects between.
+    let summa_sym = Timed::distributed(|stats| {
+        summa_aat_sym::<OverlapSemiring>(&da, WORDS, stats, phase)
     });
-    // Symmetric grid-diagonal path at P=4: only the blocks on or above the
-    // grid diagonal are multiplied, the rest are mirrored across it.
-    let sym_2d_secs = measure(budget, 3, || {
-        let stats = CommStats::new();
-        summa_aat_sym::<OverlapSemiring>(&da, &stats, CommPhase::OverlapDetection)
+    let summa_general = Timed::distributed(|stats| {
+        summa::<OverlapSemiring>(&da, &da.transpose(), WORDS, stats, phase)
     });
-    // One counted run of each distributed kernel for the useful-flops ratio.
-    let flops_key = dibella_sparse::summa::flops_key(CommPhase::OverlapDetection);
-    let sym_stats = CommStats::new();
-    let _ = summa_aat_sym::<OverlapSemiring>(&da, &sym_stats, CommPhase::OverlapDetection);
-    let sym_2d_flops = sym_stats.extra(&flops_key);
-    let gen_stats = CommStats::new();
-    let _ = summa_abt::<OverlapSemiring>(&da, &da, &gen_stats, CommPhase::OverlapDetection);
-    let general_2d_flops = gen_stats.extra(&flops_key);
-    // Local (single-block) kernels, for the finer-grained trajectory.
-    let local_baseline_secs = measure(budget, 3, || {
-        local_spgemm_baseline::<OverlapSemiring>(&a_local, &a_local.transpose())
-    });
-    let local_sym_secs = measure(budget, 3, || {
-        local_spgemm_aat_counted::<OverlapSemiring>(&a_local, &FlopCounter::new())
-    });
-    let abt_secs = measure(budget, 3, || {
-        local_spgemm_abt_counted::<OverlapSemiring>(&a_local, &a_local, &FlopCounter::new())
-    });
-
-    // One counted run for the arithmetic tallies and the output size.
-    let flops = FlopCounter::new();
-    let c_mat = local_spgemm_aat_counted::<OverlapSemiring>(&a_local, &flops);
+    // Local (single-block) kernels; the general one pays for its transpose.
+    let local_sym = Timed::local(|flops| local_spgemm_aat::<OverlapSemiring>(&a, flops));
+    let local_general =
+        Timed::local(|flops| local_spgemm::<OverlapSemiring>(&a, &a.transpose(), flops));
+    // One more counted run for the accumulator tallies and the output size.
+    let tally = FlopCounter::new();
+    let c_mat = local_spgemm_aat::<OverlapSemiring>(&a, &tally);
 
     // A uniform random PlusTimes product exercises the dense-SPA fast path.
     let n = 2_000;
-    let ra = random_matrix(n, n, 20 * n, 7);
-    let rb = random_matrix(n, n, 20 * n, 8);
-    let random_baseline_secs =
-        measure(budget, 3, || local_spgemm_baseline::<PlusTimes<i64>>(&ra, &rb));
-    let random_new_secs = measure(budget, 3, || {
-        local_spgemm_counted::<PlusTimes<i64>>(&ra, &rb, &FlopCounter::new())
-    });
+    let (ra, rb) = (random_matrix(n, n, 20 * n, 7), random_matrix(n, n, 20 * n, 8));
+    let random_2k = Timed::local(|flops| local_spgemm::<PlusTimes<i64>>(&ra, &rb, flops));
 
-    let speedup = baseline_secs / new_secs;
-    let sym_2d_speedup = new_secs / sym_2d_secs;
-    let local_speedup = local_baseline_secs / local_sym_secs;
-    let random_speedup = random_baseline_secs / random_new_secs;
-    let mflops = flops.flops() as f64 / local_sym_secs / 1e6;
-
-    println!("\nspgemm kernel regression (DatasetSpec::Small, C = A·Aᵀ, overlap semiring)");
-    println!("  reads={} kmers={} nnz(A)={} nnz(C)={}", a_local.nrows(), a_local.ncols(), a_local.nnz(), c_mat.nnz());
-    println!("  pre-refactor SUMMA path, P=4:       {:>10.3} ms   (transpose + HashMap/row + stage merges)", baseline_secs * 1e3);
-    println!("  summa_abt, P=4:                     {:>10.3} ms  ({speedup:.2}x)", new_secs * 1e3);
+    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    println!("\nspgemm kernel throughput (DatasetSpec::Small, C = A·Aᵀ, overlap semiring)");
     println!(
-        "  summa_aat_sym, P=4:                 {:>10.3} ms  ({sym_2d_speedup:.2}x vs summa_abt, \
-         {sym_2d_flops} vs {general_2d_flops} useful flops)",
-        sym_2d_secs * 1e3
+        "  threads={threads} reads={} kmers={} nnz(A)={} nnz(C)={}",
+        a.nrows(),
+        a.ncols(),
+        a.nnz(),
+        c_mat.nnz()
     );
-    println!("  local baseline (HashMap + Aᵀ):      {:>10.3} ms", local_baseline_secs * 1e3);
-    println!("  local symmetric (upper + mirror):   {:>10.3} ms  ({local_speedup:.2}x)", local_sym_secs * 1e3);
-    println!("  local general A·Bᵀ (CSC view):      {:>10.3} ms", abt_secs * 1e3);
-    println!("  useful flops: {} ({mflops:.1} Mflop/s), probes: {}, peak row width: {}",
-        flops.flops(), flops.probes(), flops.peak_row_width());
-    println!("  random 2k PlusTimes: baseline {:.3} ms vs {:.3} ms ({random_speedup:.2}x)",
-        random_baseline_secs * 1e3, random_new_secs * 1e3);
+    let entries = [
+        ("summa_sym_p4", &summa_sym),
+        ("summa_general_p4", &summa_general),
+        ("local_sym", &local_sym),
+        ("local_general", &local_general),
+        ("random_2k", &random_2k),
+    ];
+    for (name, t) in entries {
+        println!(
+            "  {name:<18} {:>10.3} ms  {:>10} flops  {:>8.1} Mflop/s",
+            t.secs * 1e3,
+            t.flops,
+            t.mflops_per_sec()
+        );
+    }
+    println!("  local_sym probes: {}, peak row width: {}", tally.probes(), tally.peak_row_width());
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"spgemm\",\n",
-            "  \"dataset\": \"{dataset}\",\n",
-            "  \"threads\": {threads},\n",
-            "  \"reads\": {reads},\n",
-            "  \"kmers\": {kmers},\n",
-            "  \"a_nnz\": {a_nnz},\n",
-            "  \"c_nnz\": {c_nnz},\n",
-            "  \"baseline_secs\": {baseline:.6},\n",
-            "  \"new_secs\": {new:.6},\n",
-            "  \"baseline_speedup\": {speedup:.3},\n",
-            "  \"sym_2d_secs\": {sym_secs:.6},\n",
-            "  \"sym_2d_speedup\": {sym_speedup:.3},\n",
-            "  \"sym_2d_flops\": {sym_flops},\n",
-            "  \"general_2d_flops\": {gen_flops},\n",
-            "  \"local_baseline_secs\": {lbase:.6},\n",
-            "  \"local_sym_secs\": {lsym:.6},\n",
-            "  \"local_speedup\": {lspeed:.3},\n",
-            "  \"general_abt_secs\": {abt:.6},\n",
-            "  \"useful_flops\": {flops},\n",
-            "  \"mflops_per_sec\": {mflops:.2},\n",
-            "  \"accumulator_probes\": {probes},\n",
-            "  \"peak_row_width\": {peak},\n",
-            "  \"random_2k_baseline_secs\": {rb:.6},\n",
-            "  \"random_2k_new_secs\": {rn:.6},\n",
-            "  \"random_2k_speedup\": {rs:.3}\n",
-            "}}\n"
-        ),
-        dataset = DatasetSpec::Small.label(),
-        threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        reads = a_local.nrows(),
-        kmers = a_local.ncols(),
-        a_nnz = a_local.nnz(),
-        c_nnz = c_mat.nnz(),
-        baseline = baseline_secs,
-        new = new_secs,
-        speedup = speedup,
-        sym_secs = sym_2d_secs,
-        sym_speedup = sym_2d_speedup,
-        sym_flops = sym_2d_flops,
-        gen_flops = general_2d_flops,
-        lbase = local_baseline_secs,
-        lsym = local_sym_secs,
-        lspeed = local_speedup,
-        abt = abt_secs,
-        flops = flops.flops(),
-        mflops = mflops,
-        probes = flops.probes(),
-        peak = flops.peak_row_width(),
-        rb = random_baseline_secs,
-        rn = random_new_secs,
-        rs = random_speedup,
+    let mut json = format!(
+        "{{\n  \"bench\": \"spgemm\",\n  \"dataset\": \"{}\",\n  \"threads\": {threads},\n  \
+         \"reads\": {},\n  \"kmers\": {},\n  \"a_nnz\": {},\n  \"c_nnz\": {},\n",
+        DatasetSpec::Small.label(),
+        a.nrows(),
+        a.ncols(),
+        a.nnz(),
+        c_mat.nnz()
+    );
+    for (name, t) in entries {
+        json += &t.json(name);
+    }
+    json += &format!(
+        "  \"accumulator_probes\": {},\n  \"peak_row_width\": {}\n}}\n",
+        tally.probes(),
+        tally.peak_row_width()
     );
     // Default to the workspace root (cargo bench runs with the package dir
     // as cwd); DIBELLA_BENCH_OUT overrides.
@@ -330,5 +232,5 @@ criterion_group!(benches, bench_spgemm);
 
 fn main() {
     benches();
-    baseline_comparison();
+    throughput_record();
 }

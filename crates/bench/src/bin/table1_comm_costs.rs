@@ -13,8 +13,8 @@
 use dibella_bench::{benchmark_dataset, fmt, print_header, print_row};
 use dibella_dist::{CommPhase, CommStats, ProcessGrid};
 use dibella_overlap::{
-    account_read_exchange_1d, account_read_exchange_2d, align_candidates, build_a_matrix,
-    detect_candidates_1d, detect_candidates_2d, detect_candidates_2d_with, OverlapConfig,
+    account_read_exchange_1d, account_read_exchange_2d, align_candidates_with, build_a_matrix,
+    detect_candidates_1d, detect_candidates_2d_with, OverlapConfig,
 };
 use dibella_pipeline::{CommModel, ModelParams};
 use dibella_seq::{count_kmers_distributed, DatasetSpec, KmerSelection};
@@ -44,8 +44,8 @@ fn main() {
     let warm = CommStats::new();
     let table = count_kmers_distributed(&ds.reads, &selection, 1, &warm);
     let a_ref = build_a_matrix(&ds.reads, &table, k, ProcessGrid::square(1), 1);
-    let c_ref = detect_candidates_2d(&a_ref, &warm);
-    let (r_ref, ostats) = align_candidates(&ds.reads, &c_ref, &overlap_cfg);
+    let c_ref = detect_candidates_2d_with(&a_ref, &warm, true);
+    let (r_ref, ostats) = align_candidates_with(&ds.reads, &c_ref, &overlap_cfg, None);
     let r_triples = r_ref.to_triples();
     let params = ModelParams {
         n: ds.num_reads(),

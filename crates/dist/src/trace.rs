@@ -14,7 +14,7 @@
 //! `alltoallv` buckets, skewed broadcasts), only the control sequence is
 //! required to match.
 //!
-//! Tracing is opt-in via [`CommStats::enable_spmd_trace`]; the pipeline
+//! Tracing is opt-in via [`crate::CommStats::enable_spmd_trace`]; the pipeline
 //! enables it when `debug_assertions` are on and asserts the invariant at the
 //! end of every run, so every multi-rank test doubles as a protocol check at
 //! zero release-build cost.

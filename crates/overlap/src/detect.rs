@@ -19,7 +19,7 @@ use dibella_dist::{
     record_allreduce, words_of, BlockDist, CommPhase, CommStats, ProcessGrid,
 };
 use dibella_seq::{KmerTable, ReadSet, Strand};
-use dibella_sparse::{summa_aat_sym_with_words, summa_abt_with_words, DistMat2D, Triples};
+use dibella_sparse::{summa, summa_aat_sym, DistMat2D, Triples};
 use rayon::pool;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -37,8 +37,8 @@ pub struct OverlapConfig {
     /// the grid blocks on or above the diagonal are multiplied and the rest
     /// are mirrored across it — half the useful flops, at the cost of a
     /// `(P − √P)/2`-message cross-diagonal block exchange.  The output is
-    /// bit-identical either way; `false` falls back to the general
-    /// transpose-free `summa_abt` path.
+    /// bit-identical either way; `false` runs the general `summa` on `A` and
+    /// its blockwise transpose, the reference the symmetric kernel is held to.
     pub use_symmetric_summa: bool,
     /// Alignment settings.
     pub alignment: AlignmentConfig,
@@ -110,44 +110,28 @@ pub fn read_exchange_words(len: usize) -> u64 {
     (len as u64).div_ceil(32) + 1
 }
 
-/// Compute the candidate overlap matrix `C = A·Aᵀ` with the symmetric Sparse
-/// SUMMA and remove the diagonal (a read trivially shares all its k-mers
-/// with itself).
+/// Compute the candidate overlap matrix `C = A·Aᵀ` with Sparse SUMMA and
+/// remove the diagonal (a read trivially shares all its k-mers with itself).
 ///
-/// Equivalent to [`detect_candidates_2d_with`] with the symmetric path on —
-/// the [`OverlapConfig::use_symmetric_summa`] default.
-pub fn detect_candidates_2d(
-    a: &DistMat2D<KmerOccurrence>,
-    stats: &CommStats,
-) -> DistMat2D<CommonKmers> {
-    detect_candidates_2d_with(a, stats, true)
-}
-
-/// [`detect_candidates_2d`] with an explicit kernel choice.
-///
-/// With `use_symmetric_summa` (the default), `summa_aat_sym` multiplies only
-/// the grid blocks on or above the diagonal and mirrors the rest, recording
-/// the cross-diagonal block exchange as point-to-point traffic; otherwise the
-/// general transpose-free `summa_abt` computes both triangles.  Either way no
-/// distributed transpose of `A` is ever materialised, and the two kernels
-/// produce bit-identical candidate matrices.
+/// With `use_symmetric_summa` (the [`OverlapConfig`] default), `summa_aat_sym`
+/// multiplies only the grid blocks on or above the diagonal and mirrors the
+/// rest, recording the cross-diagonal block exchange as point-to-point
+/// traffic; otherwise the general `summa` multiplies `A` by its blockwise
+/// transpose and computes both triangles.  Either way every block of `A` is
+/// transposed locally and no word of it is re-distributed, and the two
+/// kernels produce bit-identical candidate matrices.
 pub fn detect_candidates_2d_with(
     a: &DistMat2D<KmerOccurrence>,
     stats: &CommStats,
     use_symmetric_summa: bool,
 ) -> DistMat2D<CommonKmers> {
+    let phase = CommPhase::OverlapDetection;
     // A k-mer occurrence travels as (column index, position+orientation): 2
     // words; an exchanged C entry as (column index, count + seed list).
     let c = if use_symmetric_summa {
-        summa_aat_sym_with_words::<OverlapSemiring>(
-            a,
-            stats,
-            CommPhase::OverlapDetection,
-            2,
-            words_of::<CommonKmers>() + 1,
-        )
+        summa_aat_sym::<OverlapSemiring>(a, (2, words_of::<CommonKmers>() + 1), stats, phase)
     } else {
-        summa_abt_with_words::<OverlapSemiring>(a, a, stats, CommPhase::OverlapDetection, 2, 2)
+        summa::<OverlapSemiring>(a, &a.transpose(), (2, 2), stats, phase)
     };
     c.filter(|r, col, _| r != col)
 }
@@ -253,19 +237,12 @@ const WAVE_PAIRS: usize = 256;
 /// (all their edges are dropped), matching the paper's treatment: "Contained
 /// overlaps ... are discarded during transitive reduction regardless of their
 /// alignment scores.  They may be reintroduced at later stages."
-pub fn align_candidates(
-    reads: &ReadSet,
-    candidates: &DistMat2D<CommonKmers>,
-    config: &OverlapConfig,
-) -> (DistMat2D<OverlapEdge>, OverlapStats) {
-    align_candidates_with(reads, candidates, config, None)
-}
-
-/// [`align_candidates`] that also folds the alignment-stage counters into
-/// `comm` extras (`aligned_cells`, `band_width_peak`, `xdrop_terminations`)
-/// and accounts the per-wave all-reduce of the contained-read bitmap — the
-/// form the pipelines call.  Only thread-count-deterministic counters are
-/// recorded, so comm snapshots stay bit-identical at any worker count.
+///
+/// Given a `comm`, the alignment-stage counters are folded into its extras
+/// (`aligned_cells`, `band_width_peak`, `xdrop_terminations`) and the
+/// per-wave all-reduce of the contained-read bitmap is accounted on it.  Only
+/// thread-count-deterministic counters are recorded, so comm snapshots stay
+/// bit-identical at any worker count.
 pub fn align_candidates_with(
     reads: &ReadSet,
     candidates: &DistMat2D<CommonKmers>,
@@ -277,8 +254,9 @@ pub fn align_candidates_with(
     (overlaps, stats)
 }
 
-/// The full-control form of [`align_candidates`]: explicit engine choice and
-/// the execution counters returned to the caller (benches and tests).
+/// [`align_candidates_with`] with an explicit engine choice, no comm
+/// accounting, and the execution counters returned to the caller (benches
+/// and tests).
 ///
 /// Output is bit-identical for every engine, worker count and steal schedule.
 pub fn align_candidates_exec(
@@ -525,7 +503,7 @@ mod tests {
         let grid = ProcessGrid::square(4);
         let comm = CommStats::new();
         let a = build_a_matrix(&ds.reads, &table, cfg.k, grid, 4);
-        let c = detect_candidates_2d(&a, &comm);
+        let c = detect_candidates_2d_with(&a, &comm, true);
         assert_eq!(c.nrows(), ds.reads.len());
         assert_eq!(c.ncols(), ds.reads.len());
         assert!(c.nnz() > 0, "a 12x-depth dataset must have candidate overlaps");
@@ -541,7 +519,7 @@ mod tests {
         let grid = ProcessGrid::square(1);
         let comm = CommStats::new();
         let a = build_a_matrix(&ds.reads, &table, cfg.k, grid, 2);
-        let c = detect_candidates_2d(&a, &comm);
+        let c = detect_candidates_2d_with(&a, &comm, true);
         let local = c.to_local_csr();
         for (i, j, _) in local.iter() {
             assert!(local.get(j, i).is_some(), "C({j},{i}) missing for C({i},{j})");
@@ -727,7 +705,7 @@ mod tests {
         let (ds, table, cfg) = setup(11);
         let grid = ProcessGrid::square(4);
         let a = build_a_matrix(&ds.reads, &table, cfg.k, grid, 4);
-        let candidates = detect_candidates_2d(&a, &CommStats::new());
+        let candidates = detect_candidates_2d_with(&a, &CommStats::new(), true);
 
         let reference = rayon::pool::with_thread_limit(1, || {
             align_candidates_exec(&ds.reads, &candidates, &cfg, ExtendEngine::Scalar)
@@ -929,7 +907,7 @@ mod tests {
         let table = count_kmers_serial(reads, &sel);
         let cfg = OverlapConfig::for_tests(k);
         let a = build_a_matrix(reads, &table, k, ProcessGrid::square(4), 4);
-        let candidates = detect_candidates_2d(&a, &CommStats::new());
+        let candidates = detect_candidates_2d_with(&a, &CommStats::new(), true);
         let (r, contained, unpruned) = run_waves(reads, &candidates, &cfg, usize::MAX);
         assert_eq!(unpruned.pruned_pairs, 0, "a single wave starts with nothing contained");
         let mut pruned_by_one = 0;
@@ -983,7 +961,7 @@ mod tests {
         let (ds, table, cfg) = setup(13);
         let grid = ProcessGrid::square(4);
         let a = build_a_matrix(&ds.reads, &table, cfg.k, grid, 4);
-        let candidates = detect_candidates_2d(&a, &CommStats::new());
+        let candidates = detect_candidates_2d_with(&a, &CommStats::new(), true);
         let bitmap_words = ds.reads.len().div_ceil(64) as u64;
         for wave_len in [7usize, WAVE_PAIRS] {
             let comm = CommStats::new();

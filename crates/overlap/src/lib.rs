@@ -9,7 +9,7 @@
 //! 3. run seed-and-extend alignment on every candidate pair, classify the
 //!    result, and prune low-scoring / contained / internal matches to obtain
 //!    the overlap matrix `R` annotated with bidirected directions and
-//!    overhang lengths ([`detect::align_candidates`]);
+//!    overhang lengths ([`detect::align_candidates_with`]);
 //! 4. account for the sequence exchange that precedes alignment
 //!    ([`detect::account_read_exchange_2d`]).
 //!
@@ -32,10 +32,9 @@ pub mod types;
 
 pub use amatrix::build_a_matrix;
 pub use detect::{
-    account_read_exchange_2d, align_candidates, align_candidates_exec, align_candidates_with,
-    detect_candidates_2d, detect_candidates_2d_with, run_overlap_2d, AlignExecStats,
-    OverlapConfig, OverlapOutput, OverlapStats, ALIGNED_CELLS_KEY, BAND_WIDTH_PEAK_KEY,
-    XDROP_TERMINATIONS_KEY,
+    account_read_exchange_2d, align_candidates_exec, align_candidates_with,
+    detect_candidates_2d_with, run_overlap_2d, AlignExecStats, OverlapConfig, OverlapOutput,
+    OverlapStats, ALIGNED_CELLS_KEY, BAND_WIDTH_PEAK_KEY, XDROP_TERMINATIONS_KEY,
 };
 pub use minimizer::{minimizer_overlaps, MinimizerConfig, MinimizerOverlap};
 pub use one_d::{account_read_exchange_1d, detect_candidates_1d, run_overlap_1d};

@@ -15,31 +15,24 @@ use crate::semiring::OverlapSemiring;
 use crate::types::CommonKmers;
 use dibella_dist::{BlockDist, CommPhase, CommStats, ProcessGrid};
 use dibella_seq::{KmerTable, ReadSet};
-use dibella_sparse::outer1d::outer1d_aat_with_words;
+use dibella_sparse::outer1d::outer1d_aat;
 use dibella_sparse::{CsrMatrix, DistMat2D};
 use std::collections::BTreeSet;
 
 /// Compute the candidate overlap matrix with the 1D outer-product algorithm
 /// over `nprocs` ranks, recording the reduction traffic.
 ///
-/// Uses the transpose-free symmetric `A·Aᵀ` kernel: each rank slices its
-/// column block directly out of `A`'s CSR arrays, multiplies the upper
-/// triangle of the (mirror-symmetric) partial product against the slice's
-/// CSC view and mirrors the rest, so `Aᵀ` is never materialised and only
-/// half the products are formed.
+/// Uses the symmetric `A·Aᵀ` kernel: each rank slices its column block
+/// directly out of `A`'s CSR arrays, multiplies the upper triangle of the
+/// (mirror-symmetric) partial product against the slice's transpose and
+/// mirrors the rest, so only half the products are formed.
 pub fn detect_candidates_1d(
     a: &CsrMatrix<crate::types::KmerOccurrence>,
     nprocs: usize,
     stats: &CommStats,
 ) -> CsrMatrix<CommonKmers> {
     // A partial candidate entry travels as (row, col, count + one seed): ~4 words.
-    let result = outer1d_aat_with_words::<OverlapSemiring>(
-        a,
-        nprocs,
-        stats,
-        CommPhase::OverlapDetection,
-        4,
-    );
+    let result = outer1d_aat::<OverlapSemiring>(a, nprocs, 4, stats, CommPhase::OverlapDetection);
     result.to_local_csr(a.nrows()).filter(|r, c, _| r != c)
 }
 
@@ -115,7 +108,7 @@ mod tests {
         let (ds, table, cfg) = setup(11);
         let comm2d = CommStats::new();
         let a = build_a_matrix(&ds.reads, &table, cfg.k, ProcessGrid::square(4), 4);
-        let c2d = crate::detect::detect_candidates_2d(&a, &comm2d).to_local_csr();
+        let c2d = crate::detect::detect_candidates_2d_with(&a, &comm2d, true).to_local_csr();
         let comm1d = CommStats::new();
         let a_local = a.to_local_csr();
         let c1d = detect_candidates_1d(&a_local, 4, &comm1d);
@@ -152,7 +145,7 @@ mod tests {
         for p in [4usize, 16] {
             let comm2d = CommStats::new();
             let a = build_a_matrix(&ds.reads, &table, cfg.k, ProcessGrid::square(p), p);
-            let _ = crate::detect::detect_candidates_2d(&a, &comm2d);
+            let _ = crate::detect::detect_candidates_2d_with(&a, &comm2d, true);
             agg_2d.push(comm2d.words(CommPhase::OverlapDetection) as f64);
             let comm1d = CommStats::new();
             let a_local = a.to_local_csr();
@@ -190,7 +183,7 @@ mod tests {
         let p = 16;
         let comm2d = CommStats::new();
         let a = build_a_matrix(&ds.reads, &table, cfg.k, ProcessGrid::square(p), p);
-        let _ = crate::detect::detect_candidates_2d(&a, &comm2d);
+        let _ = crate::detect::detect_candidates_2d_with(&a, &comm2d, true);
         let comm1d = CommStats::new();
         let a_local = a.to_local_csr();
         let _ = detect_candidates_1d(&a_local, p, &comm1d);

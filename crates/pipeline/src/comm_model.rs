@@ -121,7 +121,7 @@ impl CommModel {
     }
 
     /// Overlap detection with the **symmetric** (grid-diagonal mirrored) 2D
-    /// Sparse SUMMA, the `detect_candidates_2d` default: each block of `A` is
+    /// Sparse SUMMA, the `OverlapConfig::use_symmetric_summa` default: each block of `A` is
     /// broadcast `√P − 1` times in total (vs `2(√P − 1)` for the general
     /// path), and the strictly-upper off-diagonal blocks of `C` — about
     /// `c·n/2 · (1 − 1/√P)` entries — travel point-to-point across the grid

@@ -220,6 +220,12 @@ pub fn run_dibella_2d_streaming_on_reads(
 /// boundaries exercise the same incremental reader production uses) and the
 /// k-mer counter consumes the reads as supersteps under `config.ingest`.
 ///
+/// Only the counter is bounded by the budget: the parsed batches are first
+/// collected into one whole resident [`ReadSet`] (alignment and consensus
+/// need every read), which [`run_dibella_2d_streaming_on_reads`] then streams
+/// to the counter again.  Peak memory is therefore the full read set plus
+/// one superstep, not one superstep.
+///
 /// Output is bit-identical to [`run_dibella_2d`] on the same input.
 pub fn run_dibella_2d_streaming(
     fasta: &str,

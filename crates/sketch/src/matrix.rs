@@ -17,7 +17,7 @@
 //!    and globally sorted — column IDs are ranks in that sorted order, so
 //!    the matrix is bit-identical for any rank or thread count.
 //!
-//! The result plugs straight into `detect_candidates_2d`: the
+//! The result plugs straight into `detect_candidates_2d_with`: the
 //! `OverlapSemiring` SUMMA (including the symmetric `A·Aᵀ` path) neither
 //! knows nor cares that a column is a k-min-mer rather than a k-mer.
 

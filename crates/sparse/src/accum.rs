@@ -110,11 +110,6 @@ impl<T> Accumulator<T> {
         }
     }
 
-    /// The automatic choice for an output of `ncols` columns.
-    pub fn new(ncols: usize) -> Self {
-        Self::with_policy(ncols, AccumPolicy::Auto)
-    }
-
     /// Fold `val` into column `col`, combining collisions with `add`.
     #[inline]
     pub fn scatter(&mut self, col: usize, val: T, add: impl FnOnce(&mut T, T)) {
@@ -370,11 +365,9 @@ mod tests {
 
     #[test]
     fn auto_policy_picks_by_width() {
-        assert!(matches!(Accumulator::<i64>::new(100), Accumulator::Dense(_)));
-        assert!(matches!(
-            Accumulator::<i64>::new(DENSE_WIDTH_LIMIT + 1),
-            Accumulator::Hash(_)
-        ));
+        let auto = |ncols| Accumulator::<i64>::with_policy(ncols, AccumPolicy::Auto);
+        assert!(matches!(auto(100), Accumulator::Dense(_)));
+        assert!(matches!(auto(DENSE_WIDTH_LIMIT + 1), Accumulator::Hash(_)));
     }
 
     #[test]

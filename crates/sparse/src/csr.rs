@@ -134,6 +134,16 @@ impl<T> CsrMatrix<T> {
         self.colidx[range.clone()].iter().copied().zip(self.vals[range].iter())
     }
 
+    /// Iterate over the entries of row `r` with `col >= min_col` (binary
+    /// search on the sorted column list — the symmetric `A·Aᵀ` kernel walks
+    /// only the upper triangle this way).
+    pub fn row_from(&self, r: usize, min_col: usize) -> impl Iterator<Item = (usize, &T)> {
+        let range = self.rowptr[r]..self.rowptr[r + 1];
+        let cols = &self.colidx[range.clone()];
+        let start = range.start + cols.partition_point(|&c| c < min_col);
+        self.colidx[start..range.end].iter().copied().zip(self.vals[start..range.end].iter())
+    }
+
     /// Number of entries in one row.
     pub fn row_nnz(&self, r: usize) -> usize {
         self.rowptr[r + 1] - self.rowptr[r]
@@ -195,83 +205,6 @@ impl<T> CsrMatrix<T> {
                 f(r, c, &mut self.vals[i]);
             }
         }
-    }
-
-    /// Build a column-major view of this matrix **without cloning values**:
-    /// the view stores a permutation into [`CsrMatrix::values`], so the
-    /// transpose-free `A·Bᵀ` kernels can walk `B`'s columns in place.  This
-    /// is the structural half of a transpose at a third of its cost (and none
-    /// of the value clones, which matters for heavy entry types like the
-    /// overlap semiring's seed lists).
-    pub fn csc_view(&self) -> CscView<'_, T> {
-        // Counting sort of the entry positions by column.
-        let mut colptr = vec![0usize; self.ncols + 1];
-        for &c in &self.colidx {
-            colptr[c + 1] += 1;
-        }
-        for c in 0..self.ncols {
-            colptr[c + 1] += colptr[c];
-        }
-        let mut next = colptr.clone();
-        let mut rowidx = vec![0usize; self.nnz()];
-        let mut pos = vec![0usize; self.nnz()];
-        for r in 0..self.nrows {
-            for i in self.rowptr[r]..self.rowptr[r + 1] {
-                let c = self.colidx[i];
-                let slot = next[c];
-                rowidx[slot] = r;
-                pos[slot] = i;
-                next[c] += 1;
-            }
-        }
-        CscView { nrows: self.nrows, colptr, rowidx, pos, vals: &self.vals }
-    }
-}
-
-/// A borrowed column-major (CSC) view of a [`CsrMatrix`] — see
-/// [`CsrMatrix::csc_view`].  Values stay in the CSR's arrays; the view only
-/// holds the column structure and a permutation into them.
-#[derive(Debug)]
-pub struct CscView<'a, T> {
-    nrows: usize,
-    colptr: Vec<usize>,
-    rowidx: Vec<usize>,
-    pos: Vec<usize>,
-    vals: &'a [T],
-}
-
-impl<'a, T> CscView<'a, T> {
-    /// Rows of the viewed matrix.
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    /// Columns of the viewed matrix.
-    pub fn ncols(&self) -> usize {
-        self.colptr.len() - 1
-    }
-
-    /// Stored entries.
-    pub fn nnz(&self) -> usize {
-        self.rowidx.len()
-    }
-
-    /// Iterate over column `c` as `(row, &value)` pairs, rows ascending.
-    pub fn col(&self, c: usize) -> impl Iterator<Item = (usize, &'a T)> + '_ {
-        self.col_from(c, 0)
-    }
-
-    /// Iterate over the entries of column `c` with `row >= min_row`, rows
-    /// ascending (binary search on the sorted row list — the symmetric
-    /// `A·Aᵀ` kernel uses this to walk only the upper triangle).
-    pub fn col_from(&self, c: usize, min_row: usize) -> impl Iterator<Item = (usize, &'a T)> + '_ {
-        let range = self.colptr[c]..self.colptr[c + 1];
-        let rows = &self.rowidx[range.clone()];
-        let start = rows.partition_point(|&r| r < min_row);
-        rows[start..]
-            .iter()
-            .copied()
-            .zip(self.pos[range.start + start..range.end].iter().map(|&i| &self.vals[i]))
     }
 }
 
@@ -372,23 +305,6 @@ impl<T: Clone> CsrMatrix<T> {
             rowptr.push(colidx.len());
         }
         CsrMatrix { nrows: self.nrows, ncols: cols.len(), rowptr, colidx, vals }
-    }
-
-    /// Extract the contiguous row range `rows` as a `rows.len() × ncols`
-    /// matrix (a plain sub-slice of the CSR arrays).
-    pub fn slice_row_range(&self, rows: std::ops::Range<usize>) -> CsrMatrix<T> {
-        assert!(rows.end <= self.nrows, "row slice out of bounds");
-        let start = self.rowptr[rows.start];
-        let end = self.rowptr[rows.end];
-        let rowptr: Vec<usize> =
-            self.rowptr[rows.start..=rows.end].iter().map(|p| p - start).collect();
-        CsrMatrix {
-            nrows: rows.len(),
-            ncols: self.ncols,
-            rowptr,
-            colidx: self.colidx[start..end].to_vec(),
-            vals: self.vals[start..end].to_vec(),
-        }
     }
 
     /// Keep only entries for which `pred` returns true (CombBLAS `Prune` keeps
@@ -568,21 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn csc_view_matches_transpose_rows() {
-        let m = small();
-        let view = m.csc_view();
-        assert_eq!(view.nrows(), 3);
-        assert_eq!(view.ncols(), 3);
-        assert_eq!(view.nnz(), m.nnz());
-        let t = m.transpose();
-        for c in 0..m.ncols() {
-            let from_view: Vec<(usize, i64)> = view.col(c).map(|(r, v)| (r, *v)).collect();
-            let from_t: Vec<(usize, i64)> = t.row(c).map(|(r, v)| (r, *v)).collect();
-            assert_eq!(from_view, from_t, "column {c}");
-        }
-    }
-
-    #[test]
     fn slice_col_range_rebases_columns() {
         let m = small();
         let s = m.slice_col_range(1..3);
@@ -594,18 +495,6 @@ mod tests {
         assert!(s.validate().is_ok());
         let empty = m.slice_col_range(1..1);
         assert_eq!((empty.ncols(), empty.nnz()), (0, 0));
-    }
-
-    #[test]
-    fn slice_row_range_preserves_rows() {
-        let m = small();
-        let s = m.slice_row_range(1..3);
-        assert_eq!(s.nrows(), 2);
-        assert_eq!(s.ncols(), 3);
-        assert_eq!(s.get(1, 0), Some(&3));
-        assert_eq!(s.get(1, 1), Some(&4));
-        assert_eq!(s.row_nnz(0), 0);
-        assert!(s.validate().is_ok());
     }
 
     fn arb_triples() -> impl Strategy<Value = Triples<i64>> {
@@ -657,20 +546,13 @@ mod tests {
         }
 
         #[test]
-        fn prop_csc_view_visits_every_entry_once(t in arb_triples()) {
+        fn prop_row_from_is_the_row_filtered_by_min_col(t in arb_triples(), min_col in 0usize..=13) {
             let m = CsrMatrix::from_triples(&t);
-            let view = m.csc_view();
-            let mut seen = 0usize;
-            for c in 0..m.ncols() {
-                let mut prev_row = None;
-                for (r, v) in view.col(c) {
-                    prop_assert!(prev_row.is_none_or(|p| p < r), "rows ascending");
-                    prev_row = Some(r);
-                    prop_assert_eq!(m.get(r, c), Some(v));
-                    seen += 1;
-                }
+            for r in 0..m.nrows() {
+                let tail: Vec<_> = m.row_from(r, min_col).collect();
+                let filtered: Vec<_> = m.row(r).filter(|&(c, _)| c >= min_col).collect();
+                prop_assert_eq!(tail, filtered, "row {}", r);
             }
-            prop_assert_eq!(seen, m.nnz());
         }
 
         #[test]

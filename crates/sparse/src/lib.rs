@@ -15,18 +15,17 @@
 //!   probing hash vector) and the [`accum::FlopCounter`] every kernel tallies
 //!   useful flops, probes and peak row width into.
 //! * [`spgemm`] — local (single-block) Gustavson SpGEMM over the reusable
-//!   accumulators, including the transpose-free `A·Bᵀ` kernel and the
-//!   multi-stage accumulate-in-place entry point SUMMA uses, plus a dense
-//!   reference implementation for testing.
+//!   accumulators: the general and the symmetric `A·Aᵀ` kernel, each with the
+//!   multi-stage accumulate-in-place entry point SUMMA uses.
 //! * [`elementwise`] — the element-wise kernels of Algorithm 2: `Apply`,
 //!   `Prune`, `Reduce(Row, max)`, `DimApply`, element-wise intersection and
 //!   set-difference.
 //! * [`distmat::DistMat2D`] — a matrix block-distributed over a
 //!   [`dibella_dist::ProcessGrid`].
-//! * [`mod@summa`] — 2D Sparse SUMMA (`C = A·B` over a semiring) with
-//!   communication accounting, the direct analogue of CombBLAS' SpGEMM used in
-//!   the paper.
-//! * [`outer1d`] — the 1D outer-product SpGEMM that models diBELLA 1D's
+//! * [`mod@summa`] — 2D Sparse SUMMA (`C = A·B` over a semiring, and the
+//!   symmetric `C = A·Aᵀ`) with communication accounting, the direct analogue
+//!   of CombBLAS' SpGEMM used in the paper.
+//! * [`outer1d`] — the 1D outer-product `A·Aᵀ` that models diBELLA 1D's
 //!   communication structure (Section V-B).
 
 #![warn(missing_docs)]
@@ -42,15 +41,9 @@ pub mod summa;
 pub mod triples;
 
 pub use accum::{AccumPolicy, Accumulator, FlopCounter};
-pub use csr::{CscView, CsrMatrix};
+pub use csr::CsrMatrix;
 pub use distmat::DistMat2D;
 pub use semiring::{BoolAndOr, MinPlusNum, MirrorSemiring, PlusTimes, Semiring};
-pub use spgemm::{
-    dense_reference_spgemm, local_spgemm, local_spgemm_aat, local_spgemm_abt,
-    local_spgemm_baseline, mirror_block,
-};
-pub use summa::{
-    summa, summa_aat_sym, summa_aat_sym_with_words, summa_abt, summa_abt_with_words,
-    summa_with_words,
-};
+pub use spgemm::{local_spgemm, local_spgemm_aat, mirror_block};
+pub use summa::{summa, summa_aat_sym};
 pub use triples::Triples;

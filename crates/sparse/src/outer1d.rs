@@ -8,16 +8,17 @@
 //! owners of `C`.  The reduction is the expensive part: each rank exchanges
 //! `a²m/P` words, compared with `a·m/sqrt(P)` for the 2D algorithm.
 //!
-//! This module implements that algorithm generically over a [`Semiring`] so
-//! that the 1D-vs-2D comparison of Figure 9 and Table I runs the same local
+//! This module implements that algorithm generically over a [`MirrorSemiring`]
+//! so that the 1D-vs-2D comparison of Figure 9 and Table I runs the same local
 //! kernels and differs only in decomposition and communication — exactly the
 //! comparison the paper makes.
 
+use crate::accum::FlopCounter;
 use crate::csr::CsrMatrix;
-use crate::semiring::Semiring;
-use crate::spgemm::{local_spgemm, merge_rows, rows_to_csr};
+use crate::semiring::{MirrorSemiring, Semiring};
+use crate::spgemm::{local_spgemm_aat, rows_to_csr};
 use crate::triples::Triples;
-use dibella_dist::{alltoallv_counted, par_ranks, words_of, BlockDist, CommPhase, CommStats};
+use dibella_dist::{alltoallv_counted, par_ranks, BlockDist, CommPhase, CommStats};
 use rayon::prelude::*;
 
 /// One source rank's per-destination COO buffers of the 1D all-to-all
@@ -55,141 +56,38 @@ impl<T: Clone> Outer1dResult<T> {
     }
 }
 
-/// Compute `C = A·B` with the 1D outer-product algorithm over `nprocs` virtual
-/// ranks, recording the reduction traffic into `stats` under `phase`.
+/// Compute the symmetric `C = A·Aᵀ` with the 1D outer-product algorithm over
+/// `nprocs` virtual ranks, recording the reduction traffic into `stats` under
+/// `phase` at `entry_words` words per exchanged partial entry.
 ///
-/// `A` is split into block columns and `B` into the matching block rows; the
-/// partial products are merged onto block-row owners of `C` with an
-/// all-to-all, which is the communication the paper's 1D analysis charges
-/// (`W_1D = a²m/P`, `Y_1D = P`).
-pub fn outer1d_spgemm<S: Semiring>(
+/// `A` is split into block columns; rank `k` slices its block directly out of
+/// the CSR arrays (two binary searches per row) and forms the partial product
+/// `A[:, cols_k] · (A[:, cols_k])ᵀ`, which is itself mirror-symmetric, so it
+/// runs the upper-triangle [`local_spgemm_aat`] kernel.  The partial products
+/// are merged onto block-row owners of `C` with an all-to-all, which is the
+/// communication the paper's 1D analysis charges (`W_1D = a²m/P`,
+/// `Y_1D = P`).
+pub fn outer1d_aat<S: MirrorSemiring>(
     a: &CsrMatrix<S::Left>,
-    b: &CsrMatrix<S::Right>,
     nprocs: usize,
-    stats: &CommStats,
-    phase: CommPhase,
-) -> Outer1dResult<S::Out> {
-    outer1d_spgemm_with_words::<S>(a, b, nprocs, stats, phase, words_of::<S::Out>() + 2)
-}
-
-/// [`outer1d_spgemm`] with an explicit word cost per exchanged partial entry
-/// (value plus row and column index by default).
-pub fn outer1d_spgemm_with_words<S: Semiring>(
-    a: &CsrMatrix<S::Left>,
-    b: &CsrMatrix<S::Right>,
-    nprocs: usize,
-    stats: &CommStats,
-    phase: CommPhase,
     entry_words: u64,
-) -> Outer1dResult<S::Out> {
-    assert!(nprocs > 0, "need at least one rank");
-    assert_eq!(a.ncols(), b.nrows(), "inner dimension mismatch");
-    let n = a.nrows();
-    let inner = a.ncols();
-    let inner_dist = BlockDist::new(inner, nprocs);
-    let out_row_dist = BlockDist::new(n, nprocs);
-
-    // Every rank forms its partial product A[:, k-th column block] * B[k-th
-    // row block, :].  Both slices are carved directly out of the CSR arrays
-    // (contiguous column range via two binary searches per row, contiguous
-    // row range as a sub-slice) — no transpose round-trip.
-    let partials: Vec<CsrMatrix<S::Out>> = par_ranks(nprocs, |rank| {
-        let cols = inner_dist.range(rank);
-        if cols.is_empty() {
-            return CsrMatrix::zero(n, b.ncols());
-        }
-        let a_slice = a.slice_col_range(cols.clone());
-        let b_slice = b.slice_row_range(cols);
-        local_spgemm::<S>(&a_slice, &b_slice)
-    });
-
-    reduce_partials::<S>(partials, out_row_dist, b.ncols(), stats, phase, entry_words)
-}
-
-/// Compute `C = A·Bᵀ` with the 1D outer-product algorithm, transpose-free:
-/// rank `k` multiplies `A[:, cols_k] · (B[:, cols_k])ᵀ` with the CSC-view
-/// kernel, so neither operand is ever transposed or re-sliced through a
-/// transpose.  This is the formulation diBELLA 1D's candidate detection
-/// (`C = A·Aᵀ`: pass the same matrix twice) maps onto.
-pub fn outer1d_abt<S: Semiring>(
-    a: &CsrMatrix<S::Left>,
-    b: &CsrMatrix<S::Right>,
-    nprocs: usize,
     stats: &CommStats,
     phase: CommPhase,
 ) -> Outer1dResult<S::Out> {
-    outer1d_abt_with_words::<S>(a, b, nprocs, stats, phase, words_of::<S::Out>() + 2)
-}
-
-/// [`outer1d_abt`] with an explicit word cost per exchanged partial entry.
-pub fn outer1d_abt_with_words<S: Semiring>(
-    a: &CsrMatrix<S::Left>,
-    b: &CsrMatrix<S::Right>,
-    nprocs: usize,
-    stats: &CommStats,
-    phase: CommPhase,
-    entry_words: u64,
-) -> Outer1dResult<S::Out> {
-    assert!(nprocs > 0, "need at least one rank");
-    assert_eq!(a.ncols(), b.ncols(), "inner dimension mismatch for A·Bᵀ");
-    let n = a.nrows();
-    let inner_dist = BlockDist::new(a.ncols(), nprocs);
-    let out_row_dist = BlockDist::new(n, nprocs);
-
-    let partials: Vec<CsrMatrix<S::Out>> = par_ranks(nprocs, |rank| {
-        let cols = inner_dist.range(rank);
-        if cols.is_empty() {
-            return CsrMatrix::zero(n, b.nrows());
-        }
-        let a_slice = a.slice_col_range(cols.clone());
-        let b_slice = b.slice_col_range(cols);
-        crate::spgemm::local_spgemm_abt::<S>(&a_slice, &b_slice)
-    });
-
-    reduce_partials::<S>(partials, out_row_dist, b.nrows(), stats, phase, entry_words)
-}
-
-/// Compute the symmetric `C = A·Aᵀ` with the 1D outer-product algorithm.
-///
-/// Each rank's partial product `A[:, cols_k] · (A[:, cols_k])ᵀ` is itself
-/// mirror-symmetric, so every rank runs the upper-triangle
-/// [`crate::spgemm::local_spgemm_aat`] kernel — half the multiply work of
-/// [`outer1d_abt`] with the same matrix passed twice, bit-identical output.
-pub fn outer1d_aat<S>(
-    a: &CsrMatrix<S::Left>,
-    nprocs: usize,
-    stats: &CommStats,
-    phase: CommPhase,
-) -> Outer1dResult<S::Out>
-where
-    S: crate::semiring::MirrorSemiring,
-{
-    outer1d_aat_with_words::<S>(a, nprocs, stats, phase, words_of::<S::Out>() + 2)
-}
-
-/// [`outer1d_aat`] with an explicit word cost per exchanged partial entry.
-pub fn outer1d_aat_with_words<S>(
-    a: &CsrMatrix<S::Left>,
-    nprocs: usize,
-    stats: &CommStats,
-    phase: CommPhase,
-    entry_words: u64,
-) -> Outer1dResult<S::Out>
-where
-    S: crate::semiring::MirrorSemiring,
-{
     assert!(nprocs > 0, "need at least one rank");
     let n = a.nrows();
     let inner_dist = BlockDist::new(a.ncols(), nprocs);
     let out_row_dist = BlockDist::new(n, nprocs);
 
+    // The 1D baseline is compared on communication; its multiply work is
+    // tallied nowhere.
+    let flops = FlopCounter::new();
     let partials: Vec<CsrMatrix<S::Out>> = par_ranks(nprocs, |rank| {
         let cols = inner_dist.range(rank);
         if cols.is_empty() {
             return CsrMatrix::zero(n, n);
         }
-        let a_slice = a.slice_col_range(cols);
-        crate::spgemm::local_spgemm_aat::<S>(&a_slice)
+        local_spgemm_aat::<S>(&a.slice_col_range(cols), &flops)
     });
 
     reduce_partials::<S>(partials, out_row_dist, n, stats, phase, entry_words)
@@ -253,18 +151,11 @@ fn reduce_partials<S: Semiring>(
     Outer1dResult { row_blocks, row_dist: out_row_dist }
 }
 
-/// Merge helper re-exported for the overlap crate's 1D pipeline.
-pub fn merge_sorted_rows<S: Semiring>(
-    left: Vec<(usize, S::Out)>,
-    right: Vec<(usize, S::Out)>,
-) -> Vec<(usize, S::Out)> {
-    merge_rows::<S>(left, right)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::semiring::PlusTimes;
+    use crate::spgemm::local_spgemm;
     use proptest::prelude::*;
 
     fn random_triples(nrows: usize, ncols: usize, nnz: usize, seed: u64) -> Triples<i64> {
@@ -282,28 +173,28 @@ mod tests {
         t
     }
 
+    /// `A·Aᵀ` through the general kernel against the materialised transpose.
+    fn square(a: &CsrMatrix<i64>) -> CsrMatrix<i64> {
+        local_spgemm::<PlusTimes<i64>>(a, &a.transpose(), &FlopCounter::new())
+    }
+
     #[test]
-    fn outer1d_matches_local_spgemm() {
-        let at = random_triples(12, 9, 40, 11);
-        let bt = random_triples(9, 14, 40, 12);
-        let a = CsrMatrix::from_triples(&at);
-        let b = CsrMatrix::from_triples(&bt);
-        let expected = local_spgemm::<PlusTimes<i64>>(&a, &b);
+    fn outer1d_aat_matches_the_product_with_the_transpose() {
+        let a = CsrMatrix::from_triples(&random_triples(16, 12, 60, 51));
+        let expected = square(&a);
         for p in [1usize, 2, 3, 5, 8] {
             let stats = CommStats::new();
-            let result =
-                outer1d_spgemm::<PlusTimes<i64>>(&a, &b, p, &stats, CommPhase::OverlapDetection);
-            assert_eq!(result.to_local_csr(b.ncols()), expected, "mismatch at P={p}");
+            let got = outer1d_aat::<PlusTimes<i64>>(&a, p, 3, &stats, CommPhase::OverlapDetection);
+            assert_eq!(got.to_local_csr(a.nrows()), expected, "mismatch at P={p}");
+            assert_eq!(got.nnz(), expected.nnz());
         }
     }
 
     #[test]
     fn outer1d_single_rank_communicates_nothing() {
-        let at = random_triples(8, 8, 20, 3);
-        let a = CsrMatrix::from_triples(&at);
-        let b = a.transpose();
+        let a = CsrMatrix::from_triples(&random_triples(8, 8, 20, 3));
         let stats = CommStats::new();
-        let _ = outer1d_spgemm::<PlusTimes<i64>>(&a, &b, 1, &stats, CommPhase::OverlapDetection);
+        let _ = outer1d_aat::<PlusTimes<i64>>(&a, 1, 3, &stats, CommPhase::OverlapDetection);
         assert_eq!(stats.words(CommPhase::OverlapDetection), 0);
         assert_eq!(stats.messages(CommPhase::OverlapDetection), 0);
     }
@@ -313,97 +204,38 @@ mod tests {
         // With a dense-ish A*A^T the 1D algorithm must ship roughly the full
         // partial-product volume; just assert it is substantial and grows as P
         // gives each rank a smaller share of the inner dimension.
-        let at = random_triples(20, 16, 120, 21);
-        let a = CsrMatrix::from_triples(&at);
-        let b = a.transpose();
+        let a = CsrMatrix::from_triples(&random_triples(20, 16, 120, 21));
         let stats4 = CommStats::new();
-        let _ = outer1d_spgemm::<PlusTimes<i64>>(&a, &b, 4, &stats4, CommPhase::OverlapDetection);
+        let _ = outer1d_aat::<PlusTimes<i64>>(&a, 4, 3, &stats4, CommPhase::OverlapDetection);
         let w4 = stats4.words(CommPhase::OverlapDetection);
         assert!(w4 > 0);
         let stats16 = CommStats::new();
-        let _ = outer1d_spgemm::<PlusTimes<i64>>(&a, &b, 16, &stats16, CommPhase::OverlapDetection);
+        let _ = outer1d_aat::<PlusTimes<i64>>(&a, 16, 3, &stats16, CommPhase::OverlapDetection);
         let w16 = stats16.words(CommPhase::OverlapDetection);
         assert!(w16 >= w4, "more ranks should not reduce total exchanged volume: {w16} vs {w4}");
     }
 
     #[test]
-    fn outer1d_abt_matches_product_with_transpose() {
-        let at = random_triples(13, 9, 45, 41);
-        let bt = random_triples(11, 9, 40, 42);
-        let a = CsrMatrix::from_triples(&at);
-        let b = CsrMatrix::from_triples(&bt);
-        let expected = local_spgemm::<PlusTimes<i64>>(&a, &b.transpose());
-        for p in [1usize, 2, 4, 7] {
-            let stats = CommStats::new();
-            let got = outer1d_abt::<PlusTimes<i64>>(&a, &b, p, &stats, CommPhase::Other);
-            assert_eq!(got.to_local_csr(b.nrows()), expected, "mismatch at P={p}");
-        }
-    }
-
-    #[test]
-    fn outer1d_abt_squares_a_matrix_like_the_transpose_path() {
-        // The A·Aᵀ form the 1D overlap pipeline uses: both operands are the
-        // same matrix and the comm volumes match the explicit-transpose path.
-        let at = random_triples(14, 10, 50, 43);
-        let a = CsrMatrix::from_triples(&at);
-        let stats_abt = CommStats::new();
-        let direct = outer1d_abt::<PlusTimes<i64>>(&a, &a, 4, &stats_abt, CommPhase::Other);
-        let stats_t = CommStats::new();
-        let via_t =
-            outer1d_spgemm::<PlusTimes<i64>>(&a, &a.transpose(), 4, &stats_t, CommPhase::Other);
-        assert_eq!(direct.to_local_csr(a.nrows()), via_t.to_local_csr(a.nrows()));
-        assert_eq!(stats_abt.words(CommPhase::Other), stats_t.words(CommPhase::Other));
-        assert_eq!(stats_abt.messages(CommPhase::Other), stats_t.messages(CommPhase::Other));
-    }
-
-    #[test]
-    fn outer1d_symmetric_aat_is_bit_identical_to_the_general_path() {
-        let at = random_triples(16, 12, 60, 51);
-        let a = CsrMatrix::from_triples(&at);
-        for p in [1usize, 3, 5] {
-            let stats_sym = CommStats::new();
-            let sym = outer1d_aat::<PlusTimes<i64>>(&a, p, &stats_sym, CommPhase::Other);
-            let stats_gen = CommStats::new();
-            let general = outer1d_abt::<PlusTimes<i64>>(&a, &a, p, &stats_gen, CommPhase::Other);
-            assert_eq!(
-                sym.to_local_csr(a.nrows()),
-                general.to_local_csr(a.nrows()),
-                "P={p}"
-            );
-            assert_eq!(stats_sym.words(CommPhase::Other), stats_gen.words(CommPhase::Other));
-        }
-    }
-
-    #[test]
     fn outer1d_handles_more_ranks_than_inner_dimension() {
-        let at = random_triples(6, 3, 10, 31);
-        let a = CsrMatrix::from_triples(&at);
-        let b = a.transpose();
-        let expected = local_spgemm::<PlusTimes<i64>>(&a, &b);
+        let a = CsrMatrix::from_triples(&random_triples(6, 3, 10, 31));
         let stats = CommStats::new();
-        let result = outer1d_spgemm::<PlusTimes<i64>>(&a, &b, 9, &stats, CommPhase::Other);
-        assert_eq!(result.to_local_csr(b.ncols()), expected);
+        let result = outer1d_aat::<PlusTimes<i64>>(&a, 9, 3, &stats, CommPhase::Other);
+        assert_eq!(result.to_local_csr(a.nrows()), square(&a));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
         #[test]
-        fn prop_outer1d_equals_local(
-            seed_a in 0u64..500,
-            seed_b in 500u64..1000,
+        fn prop_outer1d_aat_equals_local(
+            seed in 0u64..500,
             p in 1usize..7,
             n in 4usize..16,
             m in 4usize..16,
-            k in 4usize..16,
         ) {
-            let at = random_triples(n, m, n * m / 3 + 1, seed_a);
-            let bt = random_triples(m, k, m * k / 3 + 1, seed_b);
-            let a = CsrMatrix::from_triples(&at);
-            let b = CsrMatrix::from_triples(&bt);
-            let expected = local_spgemm::<PlusTimes<i64>>(&a, &b);
+            let a = CsrMatrix::from_triples(&random_triples(n, m, n * m / 3 + 1, seed));
             let stats = CommStats::new();
-            let got = outer1d_spgemm::<PlusTimes<i64>>(&a, &b, p, &stats, CommPhase::Other);
-            prop_assert_eq!(got.to_local_csr(b.ncols()), expected);
+            let got = outer1d_aat::<PlusTimes<i64>>(&a, p, 3, &stats, CommPhase::Other);
+            prop_assert_eq!(got.to_local_csr(n), square(&a));
         }
     }
 }

@@ -6,119 +6,62 @@
 //! [`crate::accum`]): one accumulator is created per worker thread of the
 //! work-stealing pool and reused across every output row that worker claims —
 //! and, through [`spgemm_stages`], across all SUMMA stages of a block
-//! product, so no per-row `HashMap` is ever allocated and no per-stage
-//! sorted-merge is performed.
+//! product, so no per-row map is ever allocated and no per-stage sorted-merge
+//! is performed.
 //!
-//! The right operand is abstracted by [`RightRows`], which is implemented by
-//! [`CsrMatrix`] (rows of `B`) and by [`CscView`] (columns of `B`, i.e. rows
-//! of `Bᵀ`): the same kernel therefore computes both `A·B` and the
-//! transpose-free `A·Bᵀ` ([`local_spgemm_abt`]) that overlap detection's
-//! `C = A·Aᵀ` uses without materialising a transpose.
+//! There are two stage kernels: the general `Σ A_s·B_s` ([`spgemm_stages`])
+//! and the upper-triangle-plus-mirror `Σ A_s·A_sᵀ` ([`spgemm_stages_aat`])
+//! that overlap detection's `C = A·Aᵀ` runs on.  Both take their right
+//! operands by rows; a product with a transpose is a product with
+//! [`CsrMatrix::transpose`]'s result.
 //!
 //! All kernels tally useful flops, accumulator probes and the peak row width
 //! into a [`FlopCounter`]; the distributed layers fold those into
 //! `CommStats::extras` so every phase reports flops/s.
 
 use crate::accum::{AccumPolicy, Accumulator, FlopCounter};
-use crate::csr::{CscView, CsrMatrix};
+use crate::csr::CsrMatrix;
 use crate::semiring::{MirrorSemiring, Semiring};
 use rayon::pool;
-use std::collections::HashMap;
 
-/// Row-indexed access to the *effective* right operand `B_eff` of a product
-/// `C = A·B_eff`, abstracting over `B` stored by rows ([`CsrMatrix`]) and
-/// `Bᵀ` walked through `B`'s columns ([`CscView`]).
-pub trait RightRows<T>: Sync {
-    /// Rows of the effective operand (must equal `A`'s column count).
-    fn nrows(&self) -> usize;
-    /// Columns of the effective operand (the output width).
-    fn ncols(&self) -> usize;
-    /// Iterate effective row `k` as `(col, &value)` pairs.
-    fn inner<'s>(&'s self, k: usize) -> impl Iterator<Item = (usize, &'s T)>
-    where
-        T: 's;
-    /// Iterate effective row `k` restricted to columns `>= min_col`
-    /// (entries are column-sorted, so implementations binary-search the
-    /// start; the symmetric `A·Aᵀ` kernel walks only the upper triangle
-    /// this way).
-    fn inner_from<'s>(&'s self, k: usize, min_col: usize) -> impl Iterator<Item = (usize, &'s T)>
-    where
-        T: 's;
-}
+/// One block product's stage list: the `(A_s, B_s)` operand pairs
+/// accumulated into one output block.
+type Stages<'a, L, R> = [(&'a CsrMatrix<L>, &'a CsrMatrix<R>)];
 
-impl<T: Sync> RightRows<T> for CsrMatrix<T> {
-    fn nrows(&self) -> usize {
-        CsrMatrix::nrows(self)
-    }
-    fn ncols(&self) -> usize {
-        CsrMatrix::ncols(self)
-    }
-    fn inner<'s>(&'s self, k: usize) -> impl Iterator<Item = (usize, &'s T)>
-    where
-        T: 's,
-    {
-        self.row(k)
-    }
-    fn inner_from<'s>(&'s self, k: usize, min_col: usize) -> impl Iterator<Item = (usize, &'s T)>
-    where
-        T: 's,
-    {
-        let range = self.rowptr()[k]..self.rowptr()[k + 1];
-        let cols = &self.colidx()[range.clone()];
-        let start = cols.partition_point(|&c| c < min_col);
-        cols[start..]
-            .iter()
-            .copied()
-            .zip(self.values()[range.start + start..range.end].iter())
+/// Check every stage's dimensions against the output block and between the
+/// pair's operands, panicking on the first disagreement.
+fn check_stages<L, R>(out_rows: usize, out_cols: usize, stages: &Stages<'_, L, R>) {
+    for (a, b) in stages {
+        assert_eq!(a.nrows(), out_rows, "stage with mismatched output row count");
+        assert_eq!(b.ncols(), out_cols, "stage with mismatched output column count");
+        assert_eq!(
+            a.ncols(),
+            b.nrows(),
+            "inner dimension mismatch: A is {}x{}, B is {}x{}",
+            a.nrows(),
+            a.ncols(),
+            b.nrows(),
+            b.ncols()
+        );
     }
 }
 
-/// A [`CscView`] of `B` acts as the operand `Bᵀ`: effective row `k` is
-/// column `k` of `B`.
-impl<T: Sync> RightRows<T> for CscView<'_, T> {
-    fn nrows(&self) -> usize {
-        CscView::ncols(self)
-    }
-    fn ncols(&self) -> usize {
-        CscView::nrows(self)
-    }
-    fn inner<'s>(&'s self, k: usize) -> impl Iterator<Item = (usize, &'s T)>
-    where
-        T: 's,
-    {
-        self.col(k)
-    }
-    fn inner_from<'s>(&'s self, k: usize, min_col: usize) -> impl Iterator<Item = (usize, &'s T)>
-    where
-        T: 's,
-    {
-        self.col_from(k, min_col)
-    }
-}
-
-/// Scatter row `i` of `A · B_eff` into `acc`, returning the number of
-/// accumulated (non-annihilated) products.
-#[inline]
-fn scatter_row<S: Semiring, R: RightRows<S::Right>>(
-    a: &CsrMatrix<S::Left>,
-    right: &R,
-    i: usize,
-    acc: &mut Accumulator<S::Out>,
-) -> u64 {
-    let mut products = 0u64;
-    for (k, aval) in a.row(i) {
-        for (j, bval) in right.inner(k) {
-            if let Some(prod) = S::multiply(aval, bval) {
-                products += 1;
-                acc.scatter(j, prod, S::add);
-            }
-        }
-    }
-    products
+/// Extract the finished output row from `acc` (sorted, leaving `acc` empty
+/// for the worker's next row) and tally its work into `flops`.
+fn finish_row<T>(
+    acc: &mut Accumulator<T>,
+    products: u64,
+    flops: &FlopCounter,
+) -> Vec<(usize, T)> {
+    let width = acc.len() as u64;
+    let probes = acc.take_probes();
+    let row = acc.extract_sorted();
+    flops.record_row(products, probes, width);
+    row
 }
 
 /// Multiply-accumulate a whole sequence of stage pairs into one output block:
-/// `C = Σ_s A_s · B_eff_s`, parallel over output rows with one reusable
+/// `C = Σ_s A_s · B_s`, parallel over output rows with one reusable
 /// accumulator per worker.
 ///
 /// This is the kernel SUMMA uses: every rank passes its `√P` stage pairs at
@@ -128,126 +71,62 @@ fn scatter_row<S: Semiring, R: RightRows<S::Right>>(
 /// # Panics
 /// Panics if any stage's dimensions disagree with `out_rows`/`out_cols` or
 /// between the pair's operands.
-pub fn spgemm_stages<S, R>(
+pub fn spgemm_stages<S: Semiring>(
     out_rows: usize,
     out_cols: usize,
-    stages: &[(&CsrMatrix<S::Left>, &R)],
+    stages: &Stages<'_, S::Left, S::Right>,
     policy: AccumPolicy,
     flops: &FlopCounter,
-) -> CsrMatrix<S::Out>
-where
-    S: Semiring,
-    R: RightRows<S::Right>,
-{
-    for (a, right) in stages {
-        assert_eq!(a.nrows(), out_rows, "stage with mismatched output row count");
-        assert_eq!(right.ncols(), out_cols, "stage with mismatched output column count");
-        assert_eq!(
-            a.ncols(),
-            right.nrows(),
-            "inner dimension mismatch: A is {}x{}, B is {}x{}",
-            a.nrows(),
-            a.ncols(),
-            right.nrows(),
-            right.ncols()
-        );
-    }
+) -> CsrMatrix<S::Out> {
+    check_stages(out_rows, out_cols, stages);
     let rows: Vec<Vec<(usize, S::Out)>> = pool::map_indexed_with(
         out_rows,
         || Accumulator::with_policy(out_cols, policy),
         |acc, i| {
             let mut products = 0u64;
-            for (a, right) in stages {
-                products += scatter_row::<S, R>(a, right, i, acc);
+            for (a, b) in stages {
+                for (k, aval) in a.row(i) {
+                    for (j, bval) in b.row(k) {
+                        if let Some(prod) = S::multiply(aval, bval) {
+                            products += 1;
+                            acc.scatter(j, prod, S::add);
+                        }
+                    }
+                }
             }
-            let width = acc.len() as u64;
-            let probes = acc.take_probes();
-            let row = acc.extract_sorted();
-            flops.record_row(products, probes, width);
-            row
+            finish_row(acc, products, flops)
         },
     );
     rows_to_csr(out_rows, out_cols, rows)
 }
 
-/// Compute `C = A · B` over semiring `S`.
+/// Compute `C = A · B` over semiring `S`, tallying the work into `flops`.
 ///
 /// # Panics
 /// Panics if the inner dimensions disagree.
 pub fn local_spgemm<S: Semiring>(
     a: &CsrMatrix<S::Left>,
     b: &CsrMatrix<S::Right>,
-) -> CsrMatrix<S::Out> {
-    local_spgemm_counted::<S>(a, b, &FlopCounter::new())
-}
-
-/// [`local_spgemm`] tallying its work into `flops`.
-pub fn local_spgemm_counted<S: Semiring>(
-    a: &CsrMatrix<S::Left>,
-    b: &CsrMatrix<S::Right>,
     flops: &FlopCounter,
 ) -> CsrMatrix<S::Out> {
-    spgemm_stages::<S, _>(a.nrows(), b.ncols(), &[(a, b)], AccumPolicy::Auto, flops)
-}
-
-/// Compute `C = A · Bᵀ` over semiring `S` **without materialising `Bᵀ`**:
-/// `B`'s columns are walked in place through a [`CscView`] (no value clones,
-/// no transpose round-trip).
-///
-/// # Panics
-/// Panics if `A` and `B` disagree on the inner (column) dimension.
-pub fn local_spgemm_abt<S: Semiring>(
-    a: &CsrMatrix<S::Left>,
-    b: &CsrMatrix<S::Right>,
-) -> CsrMatrix<S::Out> {
-    local_spgemm_abt_counted::<S>(a, b, &FlopCounter::new())
-}
-
-/// [`local_spgemm_abt`] tallying its work into `flops`.
-pub fn local_spgemm_abt_counted<S: Semiring>(
-    a: &CsrMatrix<S::Left>,
-    b: &CsrMatrix<S::Right>,
-    flops: &FlopCounter,
-) -> CsrMatrix<S::Out> {
-    assert_eq!(
-        a.ncols(),
-        b.ncols(),
-        "inner dimension mismatch for A·Bᵀ: A is {}x{}, B is {}x{}",
-        a.nrows(),
-        a.ncols(),
-        b.nrows(),
-        b.ncols()
-    );
-    let view = b.csc_view();
-    spgemm_stages::<S, _>(a.nrows(), b.nrows(), &[(a, &view)], AccumPolicy::Auto, flops)
+    spgemm_stages::<S>(a.nrows(), b.ncols(), &[(a, b)], AccumPolicy::Auto, flops)
 }
 
 /// Compute the symmetric product `C = A · Aᵀ` over a [`MirrorSemiring`],
 /// multiplying only the **upper triangle** (diagonal included) and mirroring
-/// it into the lower one — half the multiply work of [`local_spgemm_abt`]
-/// with the same matrix passed twice.
+/// it into the lower one — half the multiply work of
+/// `local_spgemm(a, &a.transpose(), ..)`, and only those multiplies are
+/// tallied into `flops`.
 ///
-/// The column-major form of `A` is built once (a contiguous local CSC copy —
-/// each column is walked `O(column degree)` times, so contiguity beats the
-/// zero-copy [`CscView`] here) and every worker enters each column at its
-/// upper-triangle offset by binary search.
-///
-/// Exactness: for every `k` shared by rows `i` and `j`, the products
-/// contributing to `C[i][j]` and `C[j][i]` arrive in the same (ascending `k`)
-/// order, so `C[j][i] = mirror(C[i][j])` entry for entry — see
-/// [`MirrorSemiring`].
-pub fn local_spgemm_aat<S: MirrorSemiring>(a: &CsrMatrix<S::Left>) -> CsrMatrix<S::Out> {
-    local_spgemm_aat_counted::<S>(a, &FlopCounter::new())
-}
-
-/// [`local_spgemm_aat`] tallying its work into `flops` (only the multiplies
-/// actually performed — the upper triangle — are counted).
-pub fn local_spgemm_aat_counted<S: MirrorSemiring>(
+/// `Aᵀ` is materialised once (each of its rows is walked `O(column degree)`
+/// times, so a contiguous copy pays for itself) and every worker enters each
+/// row at its upper-triangle offset by binary search.
+pub fn local_spgemm_aat<S: MirrorSemiring>(
     a: &CsrMatrix<S::Left>,
     flops: &FlopCounter,
 ) -> CsrMatrix<S::Out> {
     let at = a.transpose();
-    spgemm_stages_aat::<S, _>(a.nrows(), &[(a, &at)], AccumPolicy::Auto, flops)
+    spgemm_stages_aat::<S>(a.nrows(), &[(a, &at)], AccumPolicy::Auto, flops)
 }
 
 /// Multiply-accumulate a sequence of stage pairs into one **diagonal** block
@@ -256,10 +135,11 @@ pub fn local_spgemm_aat_counted<S: MirrorSemiring>(
 /// multi-stage generalisation of [`local_spgemm_aat`] that the symmetric
 /// Sparse SUMMA runs on its grid-diagonal blocks.
 ///
-/// `n` is the (square) output dimension; each stage's effective right operand
-/// must be the transpose of its left one (same inner dimension, `n` columns).
-/// Row `i` enters every effective right row at its upper-triangle offset via
-/// [`RightRows::inner_from`] (a binary search per inner index).
+/// `n` is the (square) output dimension; each stage's right operand must be
+/// the transpose of its left one (same inner dimension, `n` columns).  Row
+/// `i` enters every right row at its upper-triangle offset via
+/// [`CsrMatrix::row_from`] (a binary search per inner index — which is why
+/// this is a kernel of its own and not a flag on [`spgemm_stages`]).
 ///
 /// Exactness: for every inner index shared by rows `i` and `j ≥ i`, the
 /// products contributing to `C[i][j]` and `C[j][i]` arrive in the same
@@ -267,37 +147,21 @@ pub fn local_spgemm_aat_counted<S: MirrorSemiring>(
 /// general [`spgemm_stages`], so `C[j][i] = mirror(C[i][j])` entry for entry —
 /// see [`MirrorSemiring`].  Only the upper-triangle multiplies are tallied
 /// into `flops`.
-pub fn spgemm_stages_aat<S, R>(
+pub fn spgemm_stages_aat<S: MirrorSemiring>(
     n: usize,
-    stages: &[(&CsrMatrix<S::Left>, &R)],
+    stages: &Stages<'_, S::Left, S::Left>,
     policy: AccumPolicy,
     flops: &FlopCounter,
-) -> CsrMatrix<S::Out>
-where
-    S: MirrorSemiring,
-    R: RightRows<S::Left>,
-{
-    for (a, right) in stages {
-        assert_eq!(a.nrows(), n, "stage with mismatched output row count");
-        assert_eq!(right.ncols(), n, "stage with mismatched output column count");
-        assert_eq!(
-            a.ncols(),
-            right.nrows(),
-            "inner dimension mismatch: A is {}x{}, B is {}x{}",
-            a.nrows(),
-            a.ncols(),
-            right.nrows(),
-            right.ncols()
-        );
-    }
+) -> CsrMatrix<S::Out> {
+    check_stages(n, n, stages);
     let upper: Vec<Vec<(usize, S::Out)>> = pool::map_indexed_with(
         n,
         || Accumulator::with_policy(n, policy),
         |acc, i| {
             let mut products = 0u64;
-            for (a, right) in stages {
+            for (a, at) in stages {
                 for (k, aval) in a.row(i) {
-                    for (j, bval) in right.inner_from(k, i) {
+                    for (j, bval) in at.row_from(k, i) {
                         if let Some(prod) = S::multiply(aval, bval) {
                             products += 1;
                             acc.scatter(j, prod, S::add);
@@ -305,11 +169,7 @@ where
                     }
                 }
             }
-            let width = acc.len() as u64;
-            let probes = acc.take_probes();
-            let row = acc.extract_sorted();
-            flops.record_row(products, probes, width);
-            row
+            finish_row(acc, products, flops)
         },
     );
     mirror_upper_rows::<S>(n, upper)
@@ -351,64 +211,6 @@ pub fn mirror_block<S: MirrorSemiring>(block: &CsrMatrix<S::Out>) -> CsrMatrix<S
     block.transpose().map(|_, _, v| S::mirror(v))
 }
 
-/// Accumulate `A · B` into an existing set of per-row partial results.
-///
-/// `partial` must have one entry per output row; each entry is a sorted
-/// `(col, value)` list.  The existing entries are re-seeded into the worker's
-/// accumulator and the new products folded in place — collisions combine as
-/// `add(existing, new)`, matching the old sorted-merge semantics exactly.
-pub fn spgemm_accumulate<S: Semiring>(
-    a: &CsrMatrix<S::Left>,
-    b: &CsrMatrix<S::Right>,
-    partial: &mut [Vec<(usize, S::Out)>],
-) {
-    assert_eq!(a.ncols(), b.nrows(), "inner dimension mismatch");
-    assert_eq!(partial.len(), a.nrows(), "partial must have one slot per output row");
-    let ncols = b.ncols();
-    pool::for_each_mut_with(
-        partial,
-        || Accumulator::<S::Out>::new(ncols),
-        |acc, i, slot| {
-            for (c, v) in slot.drain(..) {
-                acc.scatter(c, v, S::add);
-            }
-            scatter_row::<S, _>(a, b, i, acc);
-            acc.take_probes();
-            *slot = acc.extract_sorted();
-        },
-    );
-}
-
-/// Merge two sorted `(col, value)` rows, combining collisions with `S::add`.
-pub fn merge_rows<S: Semiring>(
-    left: Vec<(usize, S::Out)>,
-    right: Vec<(usize, S::Out)>,
-) -> Vec<(usize, S::Out)> {
-    let mut out = Vec::with_capacity(left.len() + right.len());
-    let mut li = left.into_iter().peekable();
-    let mut ri = right.into_iter().peekable();
-    loop {
-        match (li.peek(), ri.peek()) {
-            (Some((lc, _)), Some((rc, _))) => {
-                if lc < rc {
-                    out.push(li.next().unwrap());
-                } else if rc < lc {
-                    out.push(ri.next().unwrap());
-                } else {
-                    let (c, mut lv) = li.next().unwrap();
-                    let (_, rv) = ri.next().unwrap();
-                    S::add(&mut lv, rv);
-                    out.push((c, lv));
-                }
-            }
-            (Some(_), None) => out.push(li.next().unwrap()),
-            (None, Some(_)) => out.push(ri.next().unwrap()),
-            (None, None) => break,
-        }
-    }
-    out
-}
-
 /// Assemble per-row `(col, value)` lists into a CSR matrix.
 pub fn rows_to_csr<T: Clone + Send>(
     nrows: usize,
@@ -431,81 +233,6 @@ pub fn rows_to_csr<T: Clone + Send>(
     CsrMatrix::from_raw(nrows, ncols, rowptr, colidx, vals)
 }
 
-/// The pre-refactor kernel: sequential row-wise Gustavson with one
-/// `HashMap` allocated per output row.
-///
-/// Kept (1) as an independent oracle the accumulator kernels are tested
-/// against and (2) as the regression baseline the `spgemm` bench compares
-/// wall-clock against (the `baseline_speedup` field of `BENCH_spgemm.json`).
-pub fn local_spgemm_baseline<S: Semiring>(
-    a: &CsrMatrix<S::Left>,
-    b: &CsrMatrix<S::Right>,
-) -> CsrMatrix<S::Out> {
-    assert_eq!(a.ncols(), b.nrows(), "inner dimension mismatch");
-    let mut rows: Vec<Vec<(usize, S::Out)>> = Vec::with_capacity(a.nrows());
-    for i in 0..a.nrows() {
-        let mut acc: HashMap<usize, S::Out> = HashMap::new();
-        for (k, aval) in a.row(i) {
-            for (j, bval) in b.row(k) {
-                if let Some(prod) = S::multiply(aval, bval) {
-                    match acc.entry(j) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            S::add(e.get_mut(), prod);
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(prod);
-                        }
-                    }
-                }
-            }
-        }
-        // lint: allow(hash-iter) — order restored by the sort on the next line
-        let mut row: Vec<(usize, S::Out)> = acc.into_iter().collect();
-        row.sort_unstable_by_key(|(j, _)| *j);
-        rows.push(row);
-    }
-    rows_to_csr(a.nrows(), b.ncols(), rows)
-}
-
-/// A straightforward dense reference SpGEMM used to validate the sparse
-/// kernels in tests and property tests.
-pub fn dense_reference_spgemm<S: Semiring>(
-    a: &CsrMatrix<S::Left>,
-    b: &CsrMatrix<S::Right>,
-) -> Vec<Vec<Option<S::Out>>> {
-    assert_eq!(a.ncols(), b.nrows());
-    let mut dense: Vec<Vec<Option<S::Out>>> = vec![vec![None; b.ncols()]; a.nrows()];
-    for (i, k, aval) in a.iter() {
-        for (j, bval) in b.row(k) {
-            if let Some(prod) = S::multiply(aval, bval) {
-                match &mut dense[i][j] {
-                    Some(acc) => S::add(acc, prod),
-                    slot @ None => *slot = Some(prod),
-                }
-            }
-        }
-    }
-    dense
-}
-
-/// Compare a sparse result against the dense reference (used by tests).
-pub fn matches_dense<T: PartialEq + Clone>(
-    sparse: &CsrMatrix<T>,
-    dense: &[Vec<Option<T>>],
-) -> bool {
-    if dense.len() != sparse.nrows() {
-        return false;
-    }
-    for (i, dense_row) in dense.iter().enumerate() {
-        for (j, d) in dense_row.iter().enumerate() {
-            if d.as_ref() != sparse.get(i, j) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,12 +245,56 @@ mod tests {
         CsrMatrix::from_triples(&Triples::from_entries(nrows, ncols, entries))
     }
 
+    /// [`local_spgemm`] for tests that do not look at the counters.
+    fn product<S: Semiring>(a: &CsrMatrix<S::Left>, b: &CsrMatrix<S::Right>) -> CsrMatrix<S::Out> {
+        local_spgemm::<S>(a, b, &FlopCounter::new())
+    }
+
+    /// A straightforward dense reference SpGEMM, the oracle the sparse
+    /// kernels are validated against.
+    fn dense_reference_spgemm<S: Semiring>(
+        a: &CsrMatrix<S::Left>,
+        b: &CsrMatrix<S::Right>,
+    ) -> Vec<Vec<Option<S::Out>>> {
+        assert_eq!(a.ncols(), b.nrows());
+        let mut dense: Vec<Vec<Option<S::Out>>> = vec![vec![None; b.ncols()]; a.nrows()];
+        for (i, k, aval) in a.iter() {
+            for (j, bval) in b.row(k) {
+                if let Some(prod) = S::multiply(aval, bval) {
+                    match &mut dense[i][j] {
+                        Some(acc) => S::add(acc, prod),
+                        slot @ None => *slot = Some(prod),
+                    }
+                }
+            }
+        }
+        dense
+    }
+
+    /// Compare a sparse result against the dense reference.
+    fn matches_dense<T: PartialEq + Clone>(
+        sparse: &CsrMatrix<T>,
+        dense: &[Vec<Option<T>>],
+    ) -> bool {
+        if dense.len() != sparse.nrows() {
+            return false;
+        }
+        for (i, dense_row) in dense.iter().enumerate() {
+            for (j, d) in dense_row.iter().enumerate() {
+                if d.as_ref() != sparse.get(i, j) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
     #[test]
     fn small_plus_times_product() {
         // A = [1 2; 0 3], B = [4 0; 5 6]  =>  C = [14 12; 15 18]
         let a = matrix_from(vec![(0, 0, 1), (0, 1, 2), (1, 1, 3)], 2, 2);
         let b = matrix_from(vec![(0, 0, 4), (1, 0, 5), (1, 1, 6)], 2, 2);
-        let c = local_spgemm::<PlusTimes<i64>>(&a, &b);
+        let c = product::<PlusTimes<i64>>(&a, &b);
         assert_eq!(c.get(0, 0), Some(&14));
         assert_eq!(c.get(0, 1), Some(&12));
         assert_eq!(c.get(1, 0), Some(&15));
@@ -535,7 +306,7 @@ mod tests {
     fn product_with_empty_matrix_is_empty() {
         let a = matrix_from(vec![(0, 0, 1)], 2, 3);
         let b = CsrMatrix::<i64>::zero(3, 4);
-        let c = local_spgemm::<PlusTimes<i64>>(&a, &b);
+        let c = product::<PlusTimes<i64>>(&a, &b);
         assert_eq!(c.nnz(), 0);
         assert_eq!(c.nrows(), 2);
         assert_eq!(c.ncols(), 4);
@@ -546,15 +317,7 @@ mod tests {
     fn mismatched_dimensions_panic() {
         let a = matrix_from(vec![(0, 0, 1)], 2, 3);
         let b = matrix_from(vec![(0, 0, 1)], 2, 2);
-        let _ = local_spgemm::<PlusTimes<i64>>(&a, &b);
-    }
-
-    #[test]
-    #[should_panic(expected = "inner dimension mismatch")]
-    fn abt_mismatched_dimensions_panic() {
-        let a = matrix_from(vec![(0, 0, 1)], 2, 3);
-        let b = matrix_from(vec![(0, 0, 1)], 3, 2);
-        let _ = local_spgemm_abt::<PlusTimes<i64>>(&a, &b);
+        let _ = product::<PlusTimes<i64>>(&a, &b);
     }
 
     #[test]
@@ -562,7 +325,7 @@ mod tests {
         // Path graph 0 -> 1 -> 2 with weights 2 and 3, plus direct 0 -> 2 with weight 10.
         let entries = vec![(0usize, 1usize, 2u64), (1, 2, 3), (0, 2, 10)];
         let r = CsrMatrix::from_triples(&Triples::from_entries(3, 3, entries));
-        let n = local_spgemm::<MinPlusNum<u64>>(&r, &r);
+        let n = product::<MinPlusNum<u64>>(&r, &r);
         // Two-hop path 0 -> 2 via 1 costs 5; the "direct then nothing" path is absent
         // because there is no outgoing edge from 2.
         assert_eq!(n.get(0, 2), Some(&5));
@@ -572,27 +335,16 @@ mod tests {
     fn bool_semiring_squares_reachability() {
         let entries = vec![(0usize, 1usize, true), (1, 2, true)];
         let g = CsrMatrix::from_triples(&Triples::from_entries(3, 3, entries));
-        let g2 = local_spgemm::<BoolAndOr>(&g, &g);
+        let g2 = product::<BoolAndOr>(&g, &g);
         assert_eq!(g2.get(0, 2), Some(&true));
         assert_eq!(g2.nnz(), 1);
     }
 
     #[test]
-    fn abt_matches_multiplying_by_the_transpose() {
-        let a = matrix_from(vec![(0, 0, 1), (0, 2, 2), (1, 1, 3), (2, 0, 4), (2, 2, 5)], 3, 3);
-        let b = matrix_from(vec![(0, 0, 6), (1, 2, 7), (3, 1, 8)], 4, 3);
-        let direct = local_spgemm_abt::<PlusTimes<i64>>(&a, &b);
-        let via_transpose = local_spgemm::<PlusTimes<i64>>(&a, &b.transpose());
-        assert_eq!(direct, via_transpose);
-        assert_eq!(direct.nrows(), 3);
-        assert_eq!(direct.ncols(), 4);
-    }
-
-    #[test]
-    fn symmetric_aat_matches_general_abt() {
+    fn symmetric_aat_matches_the_product_with_the_transpose() {
         let a = arb_like_matrix(25, 18, 9);
-        let sym = local_spgemm_aat::<PlusTimes<i64>>(&a);
-        let general = local_spgemm_abt::<PlusTimes<i64>>(&a, &a);
+        let sym = local_spgemm_aat::<PlusTimes<i64>>(&a, &FlopCounter::new());
+        let general = product::<PlusTimes<i64>>(&a, &a.transpose());
         assert_eq!(sym, general);
         assert!(sym.validate().is_ok());
     }
@@ -601,9 +353,9 @@ mod tests {
     fn symmetric_aat_counts_roughly_half_the_products() {
         let a = arb_like_matrix(30, 20, 10);
         let full = FlopCounter::new();
-        let _ = local_spgemm_abt_counted_probe(&a, &full);
+        let _ = local_spgemm::<PlusTimes<i64>>(&a, &a.transpose(), &full);
         let half = FlopCounter::new();
-        let _ = local_spgemm_aat_counted::<PlusTimes<i64>>(&a, &half);
+        let _ = local_spgemm_aat::<PlusTimes<i64>>(&a, &half);
         assert!(half.flops() > 0);
         assert!(
             half.flops() <= full.flops() / 2 + full.flops() / 8,
@@ -614,24 +366,17 @@ mod tests {
         );
     }
 
-    fn local_spgemm_abt_counted_probe(
-        a: &CsrMatrix<i64>,
-        flops: &FlopCounter,
-    ) -> CsrMatrix<i64> {
-        local_spgemm_abt_counted::<PlusTimes<i64>>(a, a, flops)
-    }
-
     #[test]
     fn staged_aat_kernel_matches_the_single_stage_one() {
         // Split A column-wise into two stages; Σ_s A_s·A_sᵀ over both must
         // equal the one-shot A·Aᵀ.
         let a = arb_like_matrix(14, 10, 4);
-        let whole = local_spgemm_aat::<PlusTimes<i64>>(&a);
+        let whole = local_spgemm_aat::<PlusTimes<i64>>(&a, &FlopCounter::new());
         let left = a.filter(|_, c, _| c < 5);
         let right = a.filter(|_, c, _| c >= 5);
         let (lt, rt) = (left.transpose(), right.transpose());
         let flops = FlopCounter::new();
-        let staged = spgemm_stages_aat::<PlusTimes<i64>, _>(
+        let staged = spgemm_stages_aat::<PlusTimes<i64>>(
             a.nrows(),
             &[(&left, &lt), (&right, &rt)],
             AccumPolicy::Auto,
@@ -652,37 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_equals_one_shot_product() {
-        let a = matrix_from(vec![(0, 0, 1), (0, 1, 2), (1, 1, 3), (2, 0, 4)], 3, 2);
-        let b = matrix_from(vec![(0, 0, 5), (0, 1, 6), (1, 0, 7), (1, 2, 8)], 2, 3);
-        let direct = local_spgemm::<PlusTimes<i64>>(&a, &b);
-        let mut partial: Vec<Vec<(usize, i64)>> = vec![Vec::new(); 3];
-        spgemm_accumulate::<PlusTimes<i64>>(&a, &b, &mut partial);
-        let assembled = rows_to_csr(3, 3, partial);
-        assert_eq!(direct, assembled);
-    }
-
-    #[test]
-    fn accumulate_merges_across_calls() {
-        // Split A into its two columns and B into its two rows; summing the two
-        // outer products must give the same result as the full product.
-        let a = matrix_from(vec![(0, 0, 1), (0, 1, 2), (1, 1, 3)], 2, 2);
-        let b = matrix_from(vec![(0, 0, 4), (1, 0, 5), (1, 1, 6)], 2, 2);
-        let full = local_spgemm::<PlusTimes<i64>>(&a, &b);
-
-        let a_col0 = matrix_from(vec![(0, 0, 1)], 2, 1);
-        let a_col1 = matrix_from(vec![(0, 0, 2), (1, 0, 3)], 2, 1);
-        let b_row0 = matrix_from(vec![(0, 0, 4)], 1, 2);
-        let b_row1 = matrix_from(vec![(0, 0, 5), (0, 1, 6)], 1, 2);
-
-        let mut partial: Vec<Vec<(usize, i64)>> = vec![Vec::new(); 2];
-        spgemm_accumulate::<PlusTimes<i64>>(&a_col0, &b_row0, &mut partial);
-        spgemm_accumulate::<PlusTimes<i64>>(&a_col1, &b_row1, &mut partial);
-        let assembled = rows_to_csr(2, 2, partial);
-        assert_eq!(full, assembled);
-    }
-
-    #[test]
     fn stages_accumulate_like_separate_products() {
         // C = A0·B0 + A1·B1, accumulated in one spgemm_stages call.
         let a0 = matrix_from(vec![(0, 0, 1), (1, 1, 2)], 2, 2);
@@ -690,17 +404,15 @@ mod tests {
         let a1 = matrix_from(vec![(0, 0, 5), (1, 0, 6)], 2, 1);
         let b1 = matrix_from(vec![(0, 0, 7), (0, 2, 8)], 1, 3);
         let flops = FlopCounter::new();
-        let c = spgemm_stages::<PlusTimes<i64>, _>(
+        let c = spgemm_stages::<PlusTimes<i64>>(
             2,
             3,
             &[(&a0, &b0), (&a1, &b1)],
             AccumPolicy::Auto,
             &flops,
         );
-        let mut partial: Vec<Vec<(usize, i64)>> = vec![Vec::new(); 2];
-        spgemm_accumulate::<PlusTimes<i64>>(&a0, &b0, &mut partial);
-        spgemm_accumulate::<PlusTimes<i64>>(&a1, &b1, &mut partial);
-        let want = rows_to_csr(2, 3, partial);
+        // A0·B0 = [3 0 0; 0 8 0], A1·B1 = [35 0 40; 42 0 48].
+        let want = matrix_from(vec![(0, 0, 38), (0, 2, 40), (1, 0, 42), (1, 1, 8), (1, 2, 48)], 2, 3);
         assert_eq!(c, want);
         assert!(flops.flops() > 0);
         assert!(flops.peak_row_width() >= 2);
@@ -710,13 +422,7 @@ mod tests {
     fn empty_stage_list_gives_the_zero_matrix() {
         let flops = FlopCounter::new();
         let stages: [(&CsrMatrix<i64>, &CsrMatrix<i64>); 0] = [];
-        let c = spgemm_stages::<PlusTimes<i64>, CsrMatrix<i64>>(
-            3,
-            4,
-            &stages,
-            AccumPolicy::Auto,
-            &flops,
-        );
+        let c = spgemm_stages::<PlusTimes<i64>>(3, 4, &stages, AccumPolicy::Auto, &flops);
         assert_eq!(c, CsrMatrix::zero(3, 4));
         assert_eq!(flops.flops(), 0);
     }
@@ -727,7 +433,7 @@ mod tests {
         let a = matrix_from(vec![(0, 0, 1), (0, 1, 2)], 1, 2);
         let b = matrix_from(vec![(0, 0, 3), (1, 0, 4)], 2, 1);
         let flops = FlopCounter::new();
-        let c = local_spgemm_counted::<PlusTimes<i64>>(&a, &b, &flops);
+        let c = local_spgemm::<PlusTimes<i64>>(&a, &b, &flops);
         assert_eq!(c.get(0, 0), Some(&11));
         assert_eq!(flops.flops(), 4, "two products, two flops each");
         assert_eq!(flops.peak_row_width(), 1);
@@ -735,49 +441,27 @@ mod tests {
     }
 
     #[test]
-    fn merge_rows_combines_collisions() {
-        let left = vec![(0usize, 1i64), (2, 3)];
-        let right = vec![(1usize, 10i64), (2, 5)];
-        let merged = merge_rows::<PlusTimes<i64>>(left, right);
-        assert_eq!(merged, vec![(0, 1), (1, 10), (2, 8)]);
-    }
-
-    #[test]
     fn dense_reference_agrees_on_small_case() {
         let a = matrix_from(vec![(0, 0, 1), (0, 1, 2), (1, 1, 3)], 2, 2);
         let b = matrix_from(vec![(0, 0, 4), (1, 0, 5), (1, 1, 6)], 2, 2);
-        let c = local_spgemm::<PlusTimes<i64>>(&a, &b);
+        let c = product::<PlusTimes<i64>>(&a, &b);
         let dense = dense_reference_spgemm::<PlusTimes<i64>>(&a, &b);
         assert!(matches_dense(&c, &dense));
-    }
-
-    #[test]
-    fn baseline_kernel_agrees_with_accumulator_kernel() {
-        let a = matrix_from(vec![(0, 0, 1), (0, 1, 2), (1, 1, 3), (3, 0, -2)], 4, 2);
-        let b = matrix_from(vec![(0, 0, 4), (1, 0, 5), (1, 2, 6)], 2, 3);
-        assert_eq!(
-            local_spgemm_baseline::<PlusTimes<i64>>(&a, &b),
-            local_spgemm::<PlusTimes<i64>>(&a, &b)
-        );
     }
 
     #[test]
     fn kernels_are_deterministic_across_thread_counts() {
         let a = arb_like_matrix(40, 37, 1);
         let b = arb_like_matrix(37, 45, 2);
-        let reference = rayon::pool::with_thread_limit(1, || {
+        let both = || {
             (
-                local_spgemm::<PlusTimes<i64>>(&a, &b),
-                local_spgemm_abt::<PlusTimes<i64>>(&a, &arb_like_matrix(21, 37, 3)),
+                product::<PlusTimes<i64>>(&a, &b),
+                local_spgemm_aat::<PlusTimes<i64>>(&a, &FlopCounter::new()),
             )
-        });
+        };
+        let reference = rayon::pool::with_thread_limit(1, both);
         for threads in [2usize, 3, 8] {
-            let got = rayon::pool::with_thread_limit(threads, || {
-                (
-                    local_spgemm::<PlusTimes<i64>>(&a, &b),
-                    local_spgemm_abt::<PlusTimes<i64>>(&a, &arb_like_matrix(21, 37, 3)),
-                )
-            });
+            let got = rayon::pool::with_thread_limit(threads, both);
             assert_eq!(got, reference, "threads={threads}");
         }
     }
@@ -845,7 +529,7 @@ mod tests {
         let dense = dense_reference_spgemm::<S>(a, b);
         for policy in [AccumPolicy::ForceDense, AccumPolicy::ForceHash] {
             let flops = FlopCounter::new();
-            let c = spgemm_stages::<S, _>(a.nrows(), b.ncols(), &[(a, b)], policy, &flops);
+            let c = spgemm_stages::<S>(a.nrows(), b.ncols(), &[(a, b)], policy, &flops);
             prop_assert!(c.validate().is_ok());
             prop_assert!(matches_dense(&c, &dense), "policy {policy:?} disagrees with dense");
             prop_assert_eq!(
@@ -863,7 +547,7 @@ mod tests {
             a in arb_matrix(8, 6),
             b in arb_matrix(6, 9),
         ) {
-            let c = local_spgemm::<PlusTimes<i64>>(&a, &b);
+            let c = product::<PlusTimes<i64>>(&a, &b);
             prop_assert!(c.validate().is_ok());
             let dense = dense_reference_spgemm::<PlusTimes<i64>>(&a, &b);
             prop_assert!(matches_dense(&c, &dense));
@@ -894,23 +578,12 @@ mod tests {
         }
 
         #[test]
-        fn prop_abt_equals_product_with_transpose(
-            a in arb_matrix(7, 5),
-            b in arb_matrix(6, 5),
-        ) {
-            let direct = local_spgemm_abt::<PlusTimes<i64>>(&a, &b);
-            prop_assert!(direct.validate().is_ok());
-            let via_t = local_spgemm::<PlusTimes<i64>>(&a, &b.transpose());
-            prop_assert_eq!(direct, via_t);
-        }
-
-        #[test]
         fn prop_symmetric_aat_equals_product_with_transpose(
             a in arb_matrix(9, 6),
         ) {
-            let sym = local_spgemm_aat::<PlusTimes<i64>>(&a);
+            let sym = local_spgemm_aat::<PlusTimes<i64>>(&a, &FlopCounter::new());
             prop_assert!(sym.validate().is_ok());
-            let via_t = local_spgemm::<PlusTimes<i64>>(&a, &a.transpose());
+            let via_t = product::<PlusTimes<i64>>(&a, &a.transpose());
             prop_assert_eq!(sym, via_t);
         }
 
@@ -920,47 +593,9 @@ mod tests {
             b in arb_matrix(5, 6),
         ) {
             // (A·B)ᵀ == Bᵀ·Aᵀ over a commutative semiring.
-            let ab_t = local_spgemm::<PlusTimes<i64>>(&a, &b).transpose();
-            let bt_at = local_spgemm::<PlusTimes<i64>>(&b.transpose(), &a.transpose());
+            let ab_t = product::<PlusTimes<i64>>(&a, &b).transpose();
+            let bt_at = product::<PlusTimes<i64>>(&b.transpose(), &a.transpose());
             prop_assert_eq!(ab_t, bt_at);
-        }
-
-        #[test]
-        fn prop_accumulate_split_equals_full(
-            a in arb_matrix(6, 4),
-            b in arb_matrix(4, 5),
-        ) {
-            let full = local_spgemm::<PlusTimes<i64>>(&a, &b);
-            // Accumulate the product one inner index at a time (rank-1 updates).
-            let at = a.transpose();
-            let mut partial: Vec<Vec<(usize, i64)>> = vec![Vec::new(); a.nrows()];
-            for k in 0..a.ncols() {
-                // Column k of A as a nrows x 1 matrix; row k of B as 1 x ncols.
-                let mut col_t = Triples::new(a.nrows(), 1);
-                for (r, v) in at.row(k) {
-                    col_t.push(r, 0, *v);
-                }
-                let mut row_t = Triples::new(1, b.ncols());
-                for (c, v) in b.row(k) {
-                    row_t.push(0, c, *v);
-                }
-                let col = CsrMatrix::from_triples(&col_t);
-                let row = CsrMatrix::from_triples(&row_t);
-                spgemm_accumulate::<PlusTimes<i64>>(&col, &row, &mut partial);
-            }
-            let assembled = rows_to_csr(a.nrows(), b.ncols(), partial);
-            prop_assert_eq!(full, assembled);
-        }
-
-        #[test]
-        fn prop_baseline_and_accumulator_kernels_agree(
-            a in arb_matrix(9, 7),
-            b in arb_matrix(7, 8),
-        ) {
-            prop_assert_eq!(
-                local_spgemm_baseline::<PlusTimes<i64>>(&a, &b),
-                local_spgemm::<PlusTimes<i64>>(&a, &b)
-            );
         }
     }
 }

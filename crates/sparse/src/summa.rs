@@ -12,14 +12,14 @@
 //! Each rank hands **all** its stage pairs to [`spgemm_stages`] at once, so
 //! every output row is accumulated in place across the `sqrt(P)` stages by
 //! one reusable per-worker accumulator and extracted exactly once — there is
-//! no per-stage sorted merge.  [`summa_abt`] computes the transpose-free
-//! `C = A·Bᵀ` (overlap detection's `A·Aᵀ`) by broadcasting `B`'s blocks in
-//! locally-converted column-major form instead of materialising and
-//! re-distributing a second (transposed) matrix.  [`summa_aat_sym`] goes one
-//! step further for `C = A·Aᵀ` over a [`MirrorSemiring`]: it multiplies only
-//! the grid blocks on or above the diagonal and mirrors the rest across it,
-//! halving the useful flops at the cost of a `(P − √P)/2`-message
-//! cross-diagonal block exchange (accounted via
+//! no per-stage sorted merge.  [`summa`] is the one general product: both the
+//! transitive reduction's `R²` and the general form of overlap detection's
+//! `A·Aᵀ` (`summa(a, &a.transpose(), ..)` — [`DistMat2D::transpose`] is a
+//! local transpose per block and moves no accounted words) go through it.
+//! [`summa_aat_sym`] specialises `C = A·Aᵀ` over a [`MirrorSemiring`]: it
+//! multiplies only the grid blocks on or above the diagonal and mirrors the
+//! rest across it, halving the useful flops at the cost of a
+//! `(P − √P)/2`-message cross-diagonal block exchange (accounted via
 //! [`dibella_dist::collectives::record_p2p`]).
 //!
 //! Every SUMMA records its arithmetic into `CommStats::extras` under
@@ -33,16 +33,28 @@ use crate::distmat::DistMat2D;
 use crate::semiring::{MirrorSemiring, Semiring};
 use crate::spgemm::{mirror_block, spgemm_stages, spgemm_stages_aat};
 use dibella_dist::collectives::{record_broadcast, record_p2p};
-use dibella_dist::{par_ranks, words_of, CommPhase, CommStats};
-
-/// One rank's SUMMA stage list: the `(A block, effective-B block)` operand
-/// pairs handed to the accumulate-in-place block multiply at once.
-type StagePairs<'a, L, R> = Vec<(&'a CsrMatrix<L>, &'a CsrMatrix<R>)>;
+use dibella_dist::{par_ranks, CommPhase, CommStats};
 
 pub use dibella_dist::extras::{flops_key, peak_row_width_key, probes_key, SUMMA_STAGES_KEY};
 
-/// Fold a finished SpGEMM's [`FlopCounter`] into `stats` under `phase`.
-fn record_flops(stats: &CommStats, phase: CommPhase, flops: &FlopCounter) {
+/// One rank's SUMMA stage list, handed to the accumulate-in-place block
+/// multiply at once: the pairs `(left(k), right(k))` for `k` in `0..stages`,
+/// minus those with an empty operand.
+fn stage_pairs<'m, L, R>(
+    stages: usize,
+    left: impl Fn(usize) -> &'m CsrMatrix<L>,
+    right: impl Fn(usize) -> &'m CsrMatrix<R>,
+) -> Vec<(&'m CsrMatrix<L>, &'m CsrMatrix<R>)> {
+    (0..stages)
+        .map(|k| (left(k), right(k)))
+        .filter(|(l, r)| !l.is_empty() && !r.is_empty())
+        .collect()
+}
+
+/// Close a SUMMA's books: its stage count, and the finished multiply's
+/// [`FlopCounter`] folded into `stats` under `phase`.
+fn record_arithmetic(stats: &CommStats, phase: CommPhase, stages: usize, flops: &FlopCounter) {
+    stats.bump_extra(SUMMA_STAGES_KEY, stages as u64);
     stats.bump_extra(&flops_key(phase), flops.flops());
     stats.bump_extra(&probes_key(phase), flops.probes());
     stats.max_extra(&peak_row_width_key(phase), flops.peak_row_width());
@@ -51,26 +63,17 @@ fn record_flops(stats: &CommStats, phase: CommPhase, flops: &FlopCounter) {
 /// Compute `C = A·B` over semiring `S` with Sparse SUMMA, recording
 /// communication into `stats` under `phase`.
 ///
-/// Word accounting uses the in-memory size of the operand entry types plus one
-/// word per entry for its column index (the usual CSC/CSR wire format).
+/// `entry_words` is the wire size of one stored entry of `A` and of `B`
+/// (value plus column index, the usual CSC/CSR wire format) — the caller
+/// knows what its entry type serialises to; `size_of` does not.
 pub fn summa<S: Semiring>(
     a: &DistMat2D<S::Left>,
     b: &DistMat2D<S::Right>,
+    entry_words: (u64, u64),
     stats: &CommStats,
     phase: CommPhase,
 ) -> DistMat2D<S::Out> {
-    summa_with_words::<S>(a, b, stats, phase, words_of::<S::Left>() + 1, words_of::<S::Right>() + 1)
-}
-
-/// [`summa`] with explicit per-entry word costs for the two operands.
-pub fn summa_with_words<S: Semiring>(
-    a: &DistMat2D<S::Left>,
-    b: &DistMat2D<S::Right>,
-    stats: &CommStats,
-    phase: CommPhase,
-    a_entry_words: u64,
-    b_entry_words: u64,
-) -> DistMat2D<S::Out> {
+    let (a_entry_words, b_entry_words) = entry_words;
     let grid = a.grid();
     assert_eq!(grid, b.grid(), "SUMMA operands must share a process grid");
     assert!(grid.is_square(), "Sparse SUMMA requires a square process grid");
@@ -108,7 +111,6 @@ pub fn summa_with_words<S: Semiring>(
             record_broadcast(stats, phase, words, grid.rows());
         }
     }
-    stats.bump_extra(SUMMA_STAGES_KEY, stages as u64);
 
     // Owner-computes: every rank hands its sqrt(P) stage pairs to one
     // accumulate-in-place block multiply.  Ranks run in parallel; inside each
@@ -118,181 +120,54 @@ pub fn summa_with_words<S: Semiring>(
     let flops = FlopCounter::new();
     let blocks: Vec<CsrMatrix<S::Out>> = par_ranks(grid.nprocs(), |rank| {
         let (i, j) = grid.coords(rank);
-        let pairs: StagePairs<'_, S::Left, S::Right> = (0..stages)
-            .filter_map(|k| {
-                let a_block = a.block(i, k);
-                let b_block = b.block(k, j);
-                (!a_block.is_empty() && !b_block.is_empty()).then_some((a_block, b_block))
-            })
-            .collect();
-        spgemm_stages::<S, _>(
-            row_dist.size(i),
-            col_dist.size(j),
-            &pairs,
-            AccumPolicy::Auto,
-            &flops,
-        )
+        let pairs = stage_pairs(stages, |k| a.block(i, k), |k| b.block(k, j));
+        spgemm_stages::<S>(row_dist.size(i), col_dist.size(j), &pairs, AccumPolicy::Auto, &flops)
     });
-    record_flops(stats, phase, &flops);
+    record_arithmetic(stats, phase, stages, &flops);
 
     DistMat2D::from_blocks(grid, a.nrows(), b.ncols(), blocks)
-}
-
-/// Compute `C = A·Bᵀ` over semiring `S` with Sparse SUMMA, **without
-/// materialising `Bᵀ`**: in stage `k`, rank `(i, j)` accumulates
-/// `A_{i,k} · (B_{j,k})ᵀ`, walking `B_{j,k}` in column-major form (each
-/// block converted locally exactly once).  This is the kernel overlap
-/// detection uses for `C = A·Aᵀ` (pass the same matrix twice), replacing the
-/// distributed `transpose()` round-trip.
-pub fn summa_abt<S: Semiring>(
-    a: &DistMat2D<S::Left>,
-    b: &DistMat2D<S::Right>,
-    stats: &CommStats,
-    phase: CommPhase,
-) -> DistMat2D<S::Out> {
-    summa_abt_with_words::<S>(
-        a,
-        b,
-        stats,
-        phase,
-        words_of::<S::Left>() + 1,
-        words_of::<S::Right>() + 1,
-    )
-}
-
-/// [`summa_abt`] with explicit per-entry word costs for the two operands.
-pub fn summa_abt_with_words<S: Semiring>(
-    a: &DistMat2D<S::Left>,
-    b: &DistMat2D<S::Right>,
-    stats: &CommStats,
-    phase: CommPhase,
-    a_entry_words: u64,
-    b_entry_words: u64,
-) -> DistMat2D<S::Out> {
-    let grid = a.grid();
-    assert_eq!(grid, b.grid(), "SUMMA operands must share a process grid");
-    assert!(grid.is_square(), "Sparse SUMMA requires a square process grid");
-    assert_eq!(
-        a.ncols(),
-        b.ncols(),
-        "inner dimension mismatch for A·Bᵀ: A is {}x{}, B is {}x{}",
-        a.nrows(),
-        a.ncols(),
-        b.nrows(),
-        b.ncols()
-    );
-    assert_eq!(a.col_dist(), b.col_dist(), "inner-dimension distributions must match");
-
-    let stages = grid.cols();
-
-    // Stage broadcasts: A_{i,k} travels along grid row i exactly as in
-    // [`summa`]; the role of B_{k,j} is played by (B_{j,k})ᵀ, so block
-    // B_{j,k} travels along grid column j to the column's grid.rows()
-    // members.  Volumes match a SUMMA on a materialised transpose, as they
-    // must — only the local representation (CSC instead of transposed CSR)
-    // differs.  `j` enumerates grid columns, so its bound is grid.cols();
-    // B's row blocks are distributed over grid *rows*, which is why the
-    // square-grid assert above is load-bearing for `b.block_nnz(j, k)`.
-    // Empty blocks still post their broadcast (see [`summa_with_words`]).
-    for k in 0..stages {
-        for i in 0..grid.rows() {
-            let words = a.block_nnz(i, k) as u64 * a_entry_words;
-            record_broadcast(stats, phase, words, grid.cols());
-        }
-        for j in 0..grid.cols() {
-            let words = b.block_nnz(j, k) as u64 * b_entry_words;
-            record_broadcast(stats, phase, words, grid.rows());
-        }
-    }
-    stats.bump_extra(SUMMA_STAGES_KEY, stages as u64);
-
-    // Convert each B block to column-major form exactly once, shared by
-    // every rank in the block's grid column.  A contiguous local transpose
-    // beats the zero-copy CSC view here because each block is walked once
-    // per stage by a whole grid column of ranks (high reuse), and no second
-    // *distributed* matrix is ever assembled — which is what the old
-    // `a.transpose()` round-trip paid for.
-    let columns: Vec<CsrMatrix<S::Right>> =
-        par_ranks(grid.nprocs(), |rank| b.blocks()[rank].transpose());
-
-    let row_dist = a.row_dist();
-    let out_col_dist = b.row_dist();
-    let flops = FlopCounter::new();
-    let blocks: Vec<CsrMatrix<S::Out>> = par_ranks(grid.nprocs(), |rank| {
-        let (i, j) = grid.coords(rank);
-        let pairs: StagePairs<'_, S::Left, S::Right> = (0..stages)
-            .filter_map(|k| {
-                let a_block = a.block(i, k);
-                let view = &columns[grid.rank_of(j, k)];
-                (!a_block.is_empty() && !view.is_empty()).then_some((a_block, view))
-            })
-            .collect();
-        spgemm_stages::<S, _>(
-            row_dist.size(i),
-            out_col_dist.size(j),
-            &pairs,
-            AccumPolicy::Auto,
-            &flops,
-        )
-    });
-    record_flops(stats, phase, &flops);
-
-    DistMat2D::from_blocks(grid, a.nrows(), b.nrows(), blocks)
 }
 
 /// Compute the symmetric product `C = A·Aᵀ` over a [`MirrorSemiring`] with a
 /// Sparse SUMMA that exploits the **grid-diagonal block symmetry** of `C`:
 /// only the blocks on or above the grid diagonal (`i ≤ j`) are multiplied.
 ///
-/// * Off-diagonal upper blocks (`i < j`) run the general transpose-free stage
-///   kernel of [`summa_abt`].
+/// * Off-diagonal upper blocks (`i < j`) run the general stage kernel of
+///   [`summa`] against the locally transposed blocks of `A`.
 /// * Diagonal blocks (`i = j`) run the upper-triangle+mirror stage kernel
 ///   ([`spgemm_stages_aat`]), since a diagonal block of `A·Aᵀ` is itself
 ///   mirror-symmetric.
 /// * Every strictly-lower block `C_{j,i}` is materialised by mirroring its
 ///   computed partner: `C_{j,i} = mirror((C_{i,j})ᵀ)` ([`mirror_block`]).
 ///
-/// This halves the useful multiply work of [`summa_abt`] (exactly the upper
-/// triangle of `C` is computed) at the price of a cross-diagonal exchange:
-/// each computed `C_{i,j}` (`i < j`) travels point-to-point from rank
-/// `(i, j)` to rank `(j, i)` — `(P − √P)/2` messages of
-/// `nnz(C_{i,j}) · out_entry_words` words, recorded via
-/// [`record_p2p`] so the phase's totals and its `p2p_*` extras show what the
-/// halved flops cost in latency.  Stage broadcasts shrink to the
-/// participating upper-triangle ranks (block `A_{i,k}` serves grid row `i`'s
-/// columns `j ≥ i` as the left operand and grid column `i`'s rows `i' ≤ i`
-/// as the transposed right operand — `(√P − i − 1) + i = √P − 1` accounted
-/// copies per block instead of the general path's `2(√P − 1)`), so both the
-/// broadcast volume and its message count halve as well.
+/// This halves the useful multiply work of `summa(a, &a.transpose(), ..)`
+/// (exactly the upper triangle of `C` is computed) at the price of a
+/// cross-diagonal exchange: each computed `C_{i,j}` (`i < j`) travels
+/// point-to-point from rank `(i, j)` to rank `(j, i)` — `(P − √P)/2` messages
+/// of `nnz(C_{i,j}) · out_entry_words` words, recorded via [`record_p2p`] so
+/// the phase's totals and its `p2p_*` extras show what the halved flops cost
+/// in latency.  Stage broadcasts shrink to the participating upper-triangle
+/// ranks (block `A_{i,k}` serves grid row `i`'s columns `j ≥ i` as the left
+/// operand and grid column `i`'s rows `i' ≤ i` as the transposed right
+/// operand — `(√P − i − 1) + i = √P − 1` accounted copies per block instead
+/// of the general path's `2(√P − 1)`), so both the broadcast volume and its
+/// message count halve as well.
 ///
-/// The output is **bit-identical** to `summa_abt(a, a, ..)` at every grid
-/// size and thread count: products for any entry arrive in the same
+/// `entry_words` is the wire size of one entry of `A` and of one exchanged
+/// entry of `C`.
+///
+/// The output is **bit-identical** to `summa(a, &a.transpose(), ..)` at every
+/// grid size and thread count: products for any entry arrive in the same
 /// (stage-major, ascending inner index) order in both formulations, and
 /// [`MirrorSemiring::mirror`] reconstructs the lower triangle entry for
 /// entry.
 pub fn summa_aat_sym<S: MirrorSemiring>(
     a: &DistMat2D<S::Left>,
+    entry_words: (u64, u64),
     stats: &CommStats,
     phase: CommPhase,
 ) -> DistMat2D<S::Out> {
-    summa_aat_sym_with_words::<S>(
-        a,
-        stats,
-        phase,
-        words_of::<S::Left>() + 1,
-        words_of::<S::Out>() + 1,
-    )
-}
-
-/// [`summa_aat_sym`] with explicit per-entry word costs for the operand and
-/// for the exchanged output blocks.
-pub fn summa_aat_sym_with_words<S: MirrorSemiring>(
-    a: &DistMat2D<S::Left>,
-    stats: &CommStats,
-    phase: CommPhase,
-    a_entry_words: u64,
-    out_entry_words: u64,
-) -> DistMat2D<S::Out> {
+    let (a_entry_words, out_entry_words) = entry_words;
     let grid = a.grid();
     assert!(grid.is_square(), "Sparse SUMMA requires a square process grid");
 
@@ -305,7 +180,7 @@ pub fn summa_aat_sym_with_words<S: MirrorSemiring>(
     // (i + 1)-member group.  Together that is (cols − 1) accounted copies per
     // block — half the general path's 2(cols − 1) — so the stage-broadcast
     // words and messages both halve.  Empty blocks still post their
-    // broadcasts (collectives; see [`summa_with_words`]).
+    // broadcasts (collectives; see [`summa`]).
     for k in 0..stages {
         for i in 0..grid.rows() {
             let words = a.block_nnz(i, k) as u64 * a_entry_words;
@@ -313,12 +188,9 @@ pub fn summa_aat_sym_with_words<S: MirrorSemiring>(
             record_broadcast(stats, phase, words, i + 1);
         }
     }
-    stats.bump_extra(SUMMA_STAGES_KEY, stages as u64);
 
-    // Column-major form of every block of A, shared by all consumers (the
-    // same local conversion summa_abt performs).
-    let columns: Vec<CsrMatrix<S::Left>> =
-        par_ranks(grid.nprocs(), |rank| a.blocks()[rank].transpose());
+    // Every block transposed locally, once, shared by all its consumers.
+    let at = a.transpose();
 
     let row_dist = a.row_dist();
     let flops = FlopCounter::new();
@@ -327,20 +199,14 @@ pub fn summa_aat_sym_with_words<S: MirrorSemiring>(
         if i > j {
             return None;
         }
-        let pairs: StagePairs<'_, S::Left, S::Left> = (0..stages)
-            .filter_map(|k| {
-                let a_block = a.block(i, k);
-                let view = &columns[grid.rank_of(j, k)];
-                (!a_block.is_empty() && !view.is_empty()).then_some((a_block, view))
-            })
-            .collect();
+        let pairs = stage_pairs(stages, |k| a.block(i, k), |k| at.block(k, j));
         Some(if i == j {
             // A diagonal block of A·Aᵀ is mirror-symmetric on its own: its
             // local upper triangle is exactly the global one, because the
             // row and column offsets of block (i, i) coincide.
-            spgemm_stages_aat::<S, _>(row_dist.size(i), &pairs, AccumPolicy::Auto, &flops)
+            spgemm_stages_aat::<S>(row_dist.size(i), &pairs, AccumPolicy::Auto, &flops)
         } else {
-            spgemm_stages::<S, _>(
+            spgemm_stages::<S>(
                 row_dist.size(i),
                 row_dist.size(j),
                 &pairs,
@@ -349,7 +215,7 @@ pub fn summa_aat_sym_with_words<S: MirrorSemiring>(
             )
         })
     });
-    record_flops(stats, phase, &flops);
+    record_arithmetic(stats, phase, stages, &flops);
 
     // Cross-diagonal exchange: rank (i, j) ships its computed C_{i,j} to the
     // mirror rank (j, i).  Empty blocks are skipped (the point-to-point
@@ -388,6 +254,27 @@ mod tests {
     use dibella_dist::ProcessGrid;
     use proptest::prelude::*;
 
+    /// Wire sizes for the tests that do not look at word counts.
+    const WORDS: (u64, u64) = (2, 2);
+
+    /// The general `A·Aᵀ`: [`summa`] against the blockwise transpose.
+    fn summa_general_aat(
+        a: &DistMat2D<i64>,
+        entry_words: (u64, u64),
+        stats: &CommStats,
+        phase: CommPhase,
+    ) -> DistMat2D<i64> {
+        summa::<PlusTimes<i64>>(a, &a.transpose(), entry_words, stats, phase)
+    }
+
+    fn local_product(at: &Triples<i64>, bt: &Triples<i64>) -> CsrMatrix<i64> {
+        local_spgemm::<PlusTimes<i64>>(
+            &CsrMatrix::from_triples(at),
+            &CsrMatrix::from_triples(bt),
+            &FlopCounter::new(),
+        )
+    }
+
     fn random_triples(nrows: usize, ncols: usize, nnz: usize, seed: u64) -> Triples<i64> {
         // Simple deterministic pseudo-random pattern (no rand dependency needed).
         let mut t = Triples::new(nrows, ncols);
@@ -412,11 +299,8 @@ mod tests {
         let a = DistMat2D::from_triples(grid, &at);
         let b = DistMat2D::from_triples(grid, &bt);
         let stats = CommStats::new();
-        let c = summa::<PlusTimes<i64>>(&a, &b, &stats, CommPhase::OverlapDetection);
-        let local = local_spgemm::<PlusTimes<i64>>(
-            &CsrMatrix::from_triples(&at),
-            &CsrMatrix::from_triples(&bt),
-        );
+        let c = summa::<PlusTimes<i64>>(&a, &b, WORDS, &stats, CommPhase::OverlapDetection);
+        let local = local_product(&at, &bt);
         assert_eq!(c.to_local_csr(), local);
     }
 
@@ -427,7 +311,7 @@ mod tests {
         let a = DistMat2D::from_triples(grid, &at);
         let b = a.transpose();
         let stats = CommStats::new();
-        let _ = summa::<PlusTimes<i64>>(&a, &b, &stats, CommPhase::OverlapDetection);
+        let _ = summa::<PlusTimes<i64>>(&a, &b, WORDS, &stats, CommPhase::OverlapDetection);
         assert_eq!(stats.words(CommPhase::OverlapDetection), 0);
         assert_eq!(stats.messages(CommPhase::OverlapDetection), 0);
     }
@@ -444,7 +328,7 @@ mod tests {
             let a = DistMat2D::from_triples(grid, &at);
             let b = DistMat2D::from_triples(grid, &bt);
             let stats = CommStats::new();
-            let _ = summa::<PlusTimes<i64>>(&a, &b, &stats, CommPhase::OverlapDetection);
+            let _ = summa::<PlusTimes<i64>>(&a, &b, WORDS, &stats, CommPhase::OverlapDetection);
             totals.push((
                 stats.words(CommPhase::OverlapDetection),
                 stats.messages(CommPhase::OverlapDetection),
@@ -465,10 +349,11 @@ mod tests {
         let t = Triples::from_entries(4, 4, entries);
         let r = DistMat2D::from_triples(grid, &t);
         let stats = CommStats::new();
-        let n = summa::<MinPlusNum<u64>>(&r, &r, &stats, CommPhase::TransitiveReduction);
+        let n = summa::<MinPlusNum<u64>>(&r, &r, WORDS, &stats, CommPhase::TransitiveReduction);
         let local = local_spgemm::<MinPlusNum<u64>>(
             &CsrMatrix::from_triples(&t),
             &CsrMatrix::from_triples(&t),
+            &FlopCounter::new(),
         );
         assert_eq!(n.to_local_csr(), local);
         // 0 -> 2 best two-hop path is via 1 (4+1=5), not via 3 (2+9=11).
@@ -482,7 +367,7 @@ mod tests {
         let a = DistMat2D::from_triples(grid, &at);
         let b = DistMat2D::from_triples(grid, &random_triples(16, 16, 80, 10));
         let stats = CommStats::new();
-        let _ = summa::<PlusTimes<i64>>(&a, &b, &stats, CommPhase::OverlapDetection);
+        let _ = summa::<PlusTimes<i64>>(&a, &b, WORDS, &stats, CommPhase::OverlapDetection);
         assert!(stats.extra(&flops_key(CommPhase::OverlapDetection)) > 0);
         assert!(stats.extra(&probes_key(CommPhase::OverlapDetection)) > 0);
         assert!(stats.extra(&peak_row_width_key(CommPhase::OverlapDetection)) > 0);
@@ -501,7 +386,7 @@ mod tests {
             let a = DistMat2D::from_triples(grid, &at);
             let b = DistMat2D::from_triples(grid, &bt);
             let stats = CommStats::new();
-            let _ = summa::<PlusTimes<i64>>(&a, &b, &stats, CommPhase::Other);
+            let _ = summa::<PlusTimes<i64>>(&a, &b, WORDS, &stats, CommPhase::Other);
             flops.push(stats.extra(&flops_key(CommPhase::Other)));
         }
         assert!(flops[0] > 0);
@@ -510,59 +395,28 @@ mod tests {
     }
 
     #[test]
-    fn summa_abt_matches_summa_against_materialised_transpose() {
-        for p in [1usize, 4, 9] {
-            let grid = ProcessGrid::square(p);
-            let at = random_triples(13, 17, 60, 21);
-            let bt = random_triples(10, 17, 50, 22);
-            let a = DistMat2D::from_triples(grid, &at);
-            let b = DistMat2D::from_triples(grid, &bt);
-            let stats_abt = CommStats::new();
-            let direct =
-                summa_abt::<PlusTimes<i64>>(&a, &b, &stats_abt, CommPhase::OverlapDetection);
-            let stats_t = CommStats::new();
-            let via_t = summa::<PlusTimes<i64>>(
-                &a,
-                &b.transpose(),
-                &stats_t,
-                CommPhase::OverlapDetection,
-            );
-            assert_eq!(direct.to_local_csr(), via_t.to_local_csr(), "P={p}");
-            // Same blocks travel in both formulations, so the accounted
-            // volumes must agree too.
-            assert_eq!(
-                stats_abt.words(CommPhase::OverlapDetection),
-                stats_t.words(CommPhase::OverlapDetection),
-                "P={p}"
-            );
-        }
-    }
-
-    #[test]
-    fn summa_aat_squares_without_transposing() {
+    fn summa_against_the_transpose_squares_a_matrix() {
         let grid = ProcessGrid::square(4);
         let at = random_triples(15, 12, 70, 31);
         let a = DistMat2D::from_triples(grid, &at);
         let stats = CommStats::new();
-        let c = summa_abt::<PlusTimes<i64>>(&a, &a, &stats, CommPhase::OverlapDetection);
+        let c = summa_general_aat(&a, WORDS, &stats, CommPhase::OverlapDetection);
         let local_a = CsrMatrix::from_triples(&at);
-        let want = local_spgemm::<PlusTimes<i64>>(&local_a, &local_a.transpose());
+        let want =
+            local_spgemm::<PlusTimes<i64>>(&local_a, &local_a.transpose(), &FlopCounter::new());
         assert_eq!(c.to_local_csr(), want);
         assert_eq!(c.nrows(), 15);
         assert_eq!(c.ncols(), 15);
     }
 
     #[test]
-    fn summa_aat_sym_is_bit_identical_to_summa_abt_on_paper_grids() {
+    fn summa_aat_sym_is_bit_identical_to_summa_against_the_transpose_on_paper_grids() {
         let at = random_triples(19, 14, 90, 41);
         for p in [1usize, 4, 9, 16] {
             let grid = ProcessGrid::square(p);
             let a = DistMat2D::from_triples(grid, &at);
-            let stats_sym = CommStats::new();
-            let sym = summa_aat_sym::<PlusTimes<i64>>(&a, &stats_sym, CommPhase::OverlapDetection);
-            let stats_abt = CommStats::new();
-            let general =
-                summa_abt::<PlusTimes<i64>>(&a, &a, &stats_abt, CommPhase::OverlapDetection);
+            let sym = summa_aat_sym::<PlusTimes<i64>>(&a, WORDS, &CommStats::new(), CommPhase::Other);
+            let general = summa_general_aat(&a, WORDS, &CommStats::new(), CommPhase::Other);
             // Distributed equality: every block, bit for bit.
             assert_eq!(sym, general, "P={p}");
         }
@@ -574,11 +428,11 @@ mod tests {
         let grid = ProcessGrid::square(9);
         let a = DistMat2D::from_triples(grid, &at);
         let reference = rayon::pool::with_thread_limit(1, || {
-            summa_aat_sym::<PlusTimes<i64>>(&a, &CommStats::new(), CommPhase::Other)
+            summa_aat_sym::<PlusTimes<i64>>(&a, WORDS, &CommStats::new(), CommPhase::Other)
         });
         for threads in [2usize, 4, 8] {
             let got = rayon::pool::with_thread_limit(threads, || {
-                summa_aat_sym::<PlusTimes<i64>>(&a, &CommStats::new(), CommPhase::Other)
+                summa_aat_sym::<PlusTimes<i64>>(&a, WORDS, &CommStats::new(), CommPhase::Other)
             });
             assert_eq!(got, reference, "threads={threads}");
         }
@@ -593,10 +447,10 @@ mod tests {
             let grid = ProcessGrid::square(p);
             let a = DistMat2D::from_triples(grid, &at);
             let stats = CommStats::new();
-            let _ = summa_aat_sym::<PlusTimes<i64>>(&a, &stats, CommPhase::Other);
+            let _ = summa_aat_sym::<PlusTimes<i64>>(&a, WORDS, &stats, CommPhase::Other);
             sym_flops.push(stats.extra(&flops_key(CommPhase::Other)));
             let stats_abt = CommStats::new();
-            let _ = summa_abt::<PlusTimes<i64>>(&a, &a, &stats_abt, CommPhase::Other);
+            let _ = summa_general_aat(&a, WORDS, &stats_abt, CommPhase::Other);
             general_flops = stats_abt.extra(&flops_key(CommPhase::Other));
         }
         assert!(sym_flops[0] > 0);
@@ -620,7 +474,7 @@ mod tests {
         let grid = ProcessGrid::square(1);
         let a = DistMat2D::from_triples(grid, &random_triples(12, 9, 40, 47));
         let stats = CommStats::new();
-        let _ = summa_aat_sym::<PlusTimes<i64>>(&a, &stats, CommPhase::OverlapDetection);
+        let _ = summa_aat_sym::<PlusTimes<i64>>(&a, WORDS, &stats, CommPhase::OverlapDetection);
         assert_eq!(stats.words(CommPhase::OverlapDetection), 0);
         assert_eq!(stats.messages(CommPhase::OverlapDetection), 0);
         assert_eq!(stats.extra(&p2p_messages_key(CommPhase::OverlapDetection)), 0);
@@ -636,22 +490,14 @@ mod tests {
             let grid = ProcessGrid::square(p);
             let a = DistMat2D::from_triples(grid, &at);
             let stats_sym = CommStats::new();
-            let c = summa_aat_sym_with_words::<PlusTimes<i64>>(
+            let c = summa_aat_sym::<PlusTimes<i64>>(
                 &a,
+                (2, 3),
                 &stats_sym,
                 CommPhase::OverlapDetection,
-                2,
-                3,
             );
             let stats_abt = CommStats::new();
-            let _ = summa_abt_with_words::<PlusTimes<i64>>(
-                &a,
-                &a,
-                &stats_abt,
-                CommPhase::OverlapDetection,
-                2,
-                2,
-            );
+            let _ = summa_general_aat(&a, (2, 2), &stats_abt, CommPhase::OverlapDetection);
             let p2p_msgs = stats_sym.extra(&p2p_messages_key(CommPhase::OverlapDetection));
             let p2p_words = stats_sym.extra(&p2p_words_key(CommPhase::OverlapDetection));
             assert_eq!(p2p_msgs, (p as u64 - side) / 2, "P={p}");
@@ -688,34 +534,7 @@ mod tests {
             let a = DistMat2D::from_triples(grid, &at);
             let b = DistMat2D::from_triples(grid, &bt);
             let stats = CommStats::new();
-            let _ = summa_with_words::<PlusTimes<i64>>(&a, &b, &stats, CommPhase::Other, aw, bw);
-            let s = side as u64;
-            assert_eq!(
-                stats.words(CommPhase::Other),
-                (s - 1) * (at.nnz() as u64 * aw + bt.nnz() as u64 * bw),
-                "side={side}"
-            );
-            assert_eq!(stats.messages(CommPhase::Other), s * 2 * s * (s - 1), "side={side}");
-        }
-    }
-
-    #[test]
-    fn summa_abt_accounting_matches_the_closed_form() {
-        // The regression pinning the rows()/cols() symbol fix: same closed
-        // form as [`summa_accounting_matches_the_closed_form`] — the B-side
-        // loop must enumerate grid columns and broadcast to grid-row-many
-        // members, which on today's square grids is only distinguishable by
-        // this totals check staying exact.
-        let at = random_triples(15, 12, 60, 53);
-        let bt = random_triples(14, 12, 50, 54);
-        let (aw, bw) = (2u64, 7u64);
-        for side in [1usize, 2, 3, 4] {
-            let grid = ProcessGrid::square(side * side);
-            let a = DistMat2D::from_triples(grid, &at);
-            let b = DistMat2D::from_triples(grid, &bt);
-            let stats = CommStats::new();
-            let _ =
-                summa_abt_with_words::<PlusTimes<i64>>(&a, &b, &stats, CommPhase::Other, aw, bw);
+            let _ = summa::<PlusTimes<i64>>(&a, &b, (aw, bw), &stats, CommPhase::Other);
             let s = side as u64;
             assert_eq!(
                 stats.words(CommPhase::Other),
@@ -736,15 +555,12 @@ mod tests {
         let a = DistMat2D::<i64>::zero(grid, 12, 12);
         let b = DistMat2D::<i64>::zero(grid, 12, 12);
         let stats = CommStats::new();
-        let _ = summa::<PlusTimes<i64>>(&a, &b, &stats, CommPhase::Other);
+        let _ = summa::<PlusTimes<i64>>(&a, &b, WORDS, &stats, CommPhase::Other);
         assert_eq!(stats.words(CommPhase::Other), 0);
         assert_eq!(stats.messages(CommPhase::Other), 3 * 2 * 3 * 2);
-        let stats_abt = CommStats::new();
-        let _ = summa_abt::<PlusTimes<i64>>(&a, &b, &stats_abt, CommPhase::Other);
-        assert_eq!(stats_abt.messages(CommPhase::Other), 3 * 2 * 3 * 2);
         // The symmetric path's empty exchange ships nothing at all.
         let stats_sym = CommStats::new();
-        let _ = summa_aat_sym::<PlusTimes<i64>>(&a, &stats_sym, CommPhase::Other);
+        let _ = summa_aat_sym::<PlusTimes<i64>>(&a, WORDS, &stats_sym, CommPhase::Other);
         assert_eq!(stats_sym.words(CommPhase::Other), 0);
         // Half the general path's broadcasts: s·(s−1) per stage × s stages.
         assert_eq!(stats_sym.messages(CommPhase::Other), 3 * 2 * 3);
@@ -758,7 +574,7 @@ mod tests {
         let a = DistMat2D::from_triples(grid, &random_triples(4, 4, 4, 7));
         let b = DistMat2D::from_triples(grid, &random_triples(4, 4, 4, 8));
         let stats = CommStats::new();
-        let _ = summa::<PlusTimes<i64>>(&a, &b, &stats, CommPhase::Other);
+        let _ = summa::<PlusTimes<i64>>(&a, &b, WORDS, &stats, CommPhase::Other);
     }
 
     #[test]
@@ -768,17 +584,7 @@ mod tests {
         let a = DistMat2D::from_triples(grid, &random_triples(4, 5, 4, 7));
         let b = DistMat2D::from_triples(grid, &random_triples(4, 4, 4, 8));
         let stats = CommStats::new();
-        let _ = summa::<PlusTimes<i64>>(&a, &b, &stats, CommPhase::Other);
-    }
-
-    #[test]
-    #[should_panic(expected = "inner dimension mismatch")]
-    fn summa_abt_rejects_dimension_mismatch() {
-        let grid = ProcessGrid::square(4);
-        let a = DistMat2D::from_triples(grid, &random_triples(4, 5, 4, 7));
-        let b = DistMat2D::from_triples(grid, &random_triples(4, 4, 4, 8));
-        let stats = CommStats::new();
-        let _ = summa_abt::<PlusTimes<i64>>(&a, &b, &stats, CommPhase::Other);
+        let _ = summa::<PlusTimes<i64>>(&a, &b, WORDS, &stats, CommPhase::Other);
     }
 
     proptest! {
@@ -798,16 +604,13 @@ mod tests {
             let a = DistMat2D::from_triples(grid, &at);
             let b = DistMat2D::from_triples(grid, &bt);
             let stats = CommStats::new();
-            let c = summa::<PlusTimes<i64>>(&a, &b, &stats, CommPhase::OverlapDetection);
-            let local = local_spgemm::<PlusTimes<i64>>(
-                &CsrMatrix::from_triples(&at),
-                &CsrMatrix::from_triples(&bt),
-            );
+            let c = summa::<PlusTimes<i64>>(&a, &b, WORDS, &stats, CommPhase::OverlapDetection);
+            let local = local_product(&at, &bt);
             prop_assert_eq!(c.to_local_csr(), local);
         }
 
         #[test]
-        fn prop_summa_aat_sym_equals_summa_abt(
+        fn prop_summa_aat_sym_equals_summa_against_the_transpose(
             seed in 0u64..1000,
             grid_side in 1usize..5,
             n in 6usize..20,
@@ -816,33 +619,9 @@ mod tests {
             let at = random_triples(n, m, (n * m / 3).max(1), seed);
             let grid = ProcessGrid::square(grid_side * grid_side);
             let a = DistMat2D::from_triples(grid, &at);
-            let sym = summa_aat_sym::<PlusTimes<i64>>(&a, &CommStats::new(), CommPhase::Other);
-            let general =
-                summa_abt::<PlusTimes<i64>>(&a, &a, &CommStats::new(), CommPhase::Other);
+            let sym = summa_aat_sym::<PlusTimes<i64>>(&a, WORDS, &CommStats::new(), CommPhase::Other);
+            let general = summa_general_aat(&a, WORDS, &CommStats::new(), CommPhase::Other);
             prop_assert_eq!(sym, general);
-        }
-
-        #[test]
-        fn prop_summa_abt_equals_local_abt(
-            seed_a in 0u64..1000,
-            seed_b in 0u64..1000,
-            grid_side in 1usize..4,
-            n in 6usize..18,
-            m in 6usize..18,
-            k in 6usize..18,
-        ) {
-            let at = random_triples(n, m, n * m / 3, seed_a);
-            let bt = random_triples(k, m, k * m / 3, seed_b);
-            let grid = ProcessGrid::square(grid_side * grid_side);
-            let a = DistMat2D::from_triples(grid, &at);
-            let b = DistMat2D::from_triples(grid, &bt);
-            let stats = CommStats::new();
-            let c = summa_abt::<PlusTimes<i64>>(&a, &b, &stats, CommPhase::Other);
-            let local = crate::spgemm::local_spgemm_abt::<PlusTimes<i64>>(
-                &CsrMatrix::from_triples(&at),
-                &CsrMatrix::from_triples(&bt),
-            );
-            prop_assert_eq!(c.to_local_csr(), local);
         }
     }
 }

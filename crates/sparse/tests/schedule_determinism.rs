@@ -1,14 +1,16 @@
 //! Re-pins the SpGEMM determinism claim under adversarial steal schedules.
 //!
-//! `spgemm_stages` accumulates every output row in place across stages on the
-//! work-stealing pool; its claim is bit-identical output for every thread
+//! `spgemm_stages` and its symmetric sibling `spgemm_stages_aat` accumulate
+//! every output row in place across stages on the work-stealing pool; their
+//! claim is bit-identical output for every thread
 //! count *and every chunk-claim order*.  The 1/2/4-thread sweeps elsewhere
 //! leave the claim order to the OS; here the schedule explorer enumerates all
 //! 3-/4-chunk permutations (and seeded large shuffles on the randomized CI
 //! preset) with yield points injected before every claim.
 
 use dibella_sparse::{
-    spgemm::spgemm_stages, AccumPolicy, CsrMatrix, FlopCounter, PlusTimes, Triples,
+    spgemm::{spgemm_stages, spgemm_stages_aat},
+    AccumPolicy, CsrMatrix, FlopCounter, PlusTimes, Triples,
 };
 use dibella_testutil::{assert_schedule_determinism, SchedulePreset};
 
@@ -41,7 +43,7 @@ fn spgemm_stages_is_bit_identical_under_adversarial_schedules() {
 
     let explored = assert_schedule_determinism(SchedulePreset::from_env(), || {
         let flops = FlopCounter::new();
-        let out = spgemm_stages::<PlusTimes<u64>, _>(
+        let out = spgemm_stages::<PlusTimes<u64>>(
             96,
             80,
             &[(&a1, &b1), (&a2, &b2)],
@@ -49,6 +51,26 @@ fn spgemm_stages_is_bit_identical_under_adversarial_schedules() {
             &flops,
         );
         // The counters are part of the determinism claim too.
+        (out, flops.flops(), flops.probes(), flops.peak_row_width())
+    });
+    assert!(explored >= 30, "expected at least the exhaustive-small preset");
+}
+
+#[test]
+fn spgemm_stages_aat_is_bit_identical_under_adversarial_schedules() {
+    // A diagonal block of a 2-stage symmetric SUMMA: Σ_s A_s·A_sᵀ.
+    let a1 = random_csr(96, 48, 700, 5);
+    let a2 = random_csr(96, 48, 350, 6);
+    let (t1, t2) = (a1.transpose(), a2.transpose());
+
+    let explored = assert_schedule_determinism(SchedulePreset::from_env(), || {
+        let flops = FlopCounter::new();
+        let out = spgemm_stages_aat::<PlusTimes<u64>>(
+            96,
+            &[(&a1, &t1), (&a2, &t2)],
+            AccumPolicy::Auto,
+            &flops,
+        );
         (out, flops.flops(), flops.probes(), flops.peak_row_width())
     });
     assert!(explored >= 30, "expected at least the exhaustive-small preset");

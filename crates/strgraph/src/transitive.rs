@@ -25,7 +25,7 @@ use crate::trsemiring::{TrMinPlus, TwoHop};
 use dibella_dist::extras::TR_ITERATIONS_KEY;
 use dibella_dist::{CommPhase, CommStats};
 use dibella_overlap::OverlapEdge;
-use dibella_sparse::{summa_with_words, DistMat2D};
+use dibella_sparse::{summa, DistMat2D};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the transitive reduction.
@@ -85,14 +85,8 @@ pub fn transitive_reduction(
         iterations += 1;
 
         // N ← R²: shortest valid two-hop walk per direction.
-        let n: DistMat2D<TwoHop> = summa_with_words::<TrMinPlus>(
-            &r,
-            &r,
-            comm,
-            CommPhase::TransitiveReduction,
-            2,
-            2,
-        );
+        let n: DistMat2D<TwoHop> =
+            summa::<TrMinPlus>(&r, &r, (2, 2), comm, CommPhase::TransitiveReduction);
 
         // v ← R.Reduce(Row, max) then v ← v + x.
         let row_bound: Vec<Option<u32>> = r
