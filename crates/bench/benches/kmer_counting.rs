@@ -1,8 +1,13 @@
-//! Criterion micro-benchmarks for the two-pass distributed k-mer counter.
+//! Criterion micro-benchmarks for the two-pass distributed k-mer counter:
+//! the serial reference, one superstep over the whole set at several rank
+//! counts, and bounded supersteps (the same fold, many exchanges).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dibella_dist::CommStats;
-use dibella_seq::{count_kmers_distributed, count_kmers_serial, DatasetSpec, KmerSelection};
+use dibella_seq::{
+    count_kmers_distributed, count_kmers_serial, count_kmers_streaming, read_set_batches,
+    DatasetSpec, IngestBudget, KmerSelection,
+};
 
 fn bench_kmer_counting(c: &mut Criterion) {
     let ds = DatasetSpec::EColiLike.generate_with_length(20_000, 3);
@@ -19,6 +24,16 @@ fn bench_kmer_counting(c: &mut Criterion) {
             bencher.iter(|| {
                 let stats = CommStats::new();
                 count_kmers_distributed(&ds.reads, &selection, p, &stats)
+            })
+        });
+    }
+    for max_batch_reads in [64usize, 1024] {
+        let budget = IngestBudget::with_batch_reads(max_batch_reads);
+        let id = BenchmarkId::new("supersteps_p16", max_batch_reads);
+        group.bench_with_input(id, &budget, |bencher, budget| {
+            bencher.iter(|| {
+                let batches = || Ok(read_set_batches(&ds.reads, *budget));
+                count_kmers_streaming(batches, &selection, 16, budget, &CommStats::new())
             })
         });
     }

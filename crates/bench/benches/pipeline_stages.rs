@@ -16,7 +16,7 @@ fn bench_pipeline(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("dibella_2d", p), &p, |bencher, _| {
             bencher.iter(|| {
                 let comm = CommStats::new();
-                run_dibella_2d_on_reads(&ds.reads, &cfg, &comm)
+                run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap()
             })
         });
         group.bench_with_input(BenchmarkId::new("dibella_1d", p), &p, |bencher, _| {

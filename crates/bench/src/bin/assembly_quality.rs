@@ -89,7 +89,7 @@ fn main() {
 
     let comm = CommStats::new();
     let started = std::time::Instant::now();
-    let out = run_dibella_2d_on_reads(&ds.reads, &config, &comm);
+    let out = run_dibella_2d_on_reads(&ds.reads, &config, &comm).unwrap();
     let pipeline_secs = started.elapsed().as_secs_f64();
     let metrics =
         evaluate_assembly(&out.contigs, &out.consensus, &ds.origins, &ds.genome, &config.consensus);
@@ -131,7 +131,7 @@ fn main() {
     let mut scenario_json = Vec::new();
     let scenarios_started = std::time::Instant::now();
     for spec in &suite {
-        let r = run_scenario(spec);
+        let r = run_scenario(spec).unwrap();
         print_row(&[
             r.scenario.clone(),
             r.reads.to_string(),

@@ -40,7 +40,7 @@ fn main() {
         for &p in &rank_counts {
             let config = PipelineConfig::for_benchmark(17, ds.config.error_rate, p);
             let comm = CommStats::new();
-            let out = run_dibella_2d_on_reads(&ds.reads, &config, &comm);
+            let out = run_dibella_2d_on_reads(&ds.reads, &config, &comm).unwrap();
             let projected = SimulatedBreakdown::project(&out.timings, &out.comm, out.grid.nprocs());
             let total = projected.total();
             let (p0, t0) = *baseline.get_or_insert((out.grid.nprocs(), total));

@@ -30,7 +30,7 @@ fn main() {
             let config = PipelineConfig::for_benchmark(17, ds.config.error_rate, p);
 
             let comm2d = CommStats::new();
-            let out2d = run_dibella_2d_on_reads(&ds.reads, &config, &comm2d);
+            let out2d = run_dibella_2d_on_reads(&ds.reads, &config, &comm2d).unwrap();
             let proj2d =
                 SimulatedBreakdown::project(&out2d.timings, &out2d.comm, out2d.grid.nprocs());
             let t2d = proj2d.total_without_tr();

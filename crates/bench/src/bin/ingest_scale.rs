@@ -7,12 +7,13 @@
 //! datasets over two orders of magnitude of read count at a **fixed genome**
 //! (so the k-mer table — the output — stays constant while the input grows),
 //! streams each one from a FASTA file under a fixed [`IngestBudget`], and
-//! records the real allocator-measured peak next to the monolithic path's
-//! peak on the sizes where the monolithic path is still affordable.
+//! records the real allocator-measured peak next to that of the same code
+//! with no budget (whole file = one chunk, whole read set = one superstep —
+//! the "monolithic" columns) on the sizes where that is still affordable.
 //!
 //! The committed `BENCH_ingest.json` holds the `full` preset: the largest
 //! dataset (>= 100k reads, ~100x the repo's usual test scale) completes
-//! under a budget the monolithic path already exceeds at a fraction of that
+//! under a budget the unbounded run already exceeds at a fraction of that
 //! size.
 //!
 //! ```bash
@@ -107,7 +108,7 @@ fn main() {
         max_resident_bytes: preset.budget_bytes,
     };
     println!(
-        "Ingest scale — streaming superstep ingest vs monolithic, {} preset\n\
+        "Ingest scale — superstep ingest, bounded vs unbounded budget, {} preset\n\
          fixed genome {} bp, mean read length {} bp, budget {} MiB, P={}\n",
         preset.name,
         preset.genome_length,
@@ -171,7 +172,7 @@ fn main() {
             preset.budget_bytes
         );
 
-        // Monolithic negative control on the affordable sizes: whole file in
+        // Unbounded negative control on the affordable sizes: whole file in
         // memory, whole read set, whole-input exchanges.
         let (monolithic_peak, monolithic_secs) = if input_bytes
             <= preset.monolithic_cutoff_bytes as u64

@@ -49,7 +49,7 @@ fn main() {
         for &p in &rank_counts {
             let config = PipelineConfig::for_benchmark(17, ds.config.error_rate, p);
             let comm = CommStats::new();
-            let out = run_dibella_2d_on_reads(&ds.reads, &config, &comm);
+            let out = run_dibella_2d_on_reads(&ds.reads, &config, &comm).unwrap();
             let proj = SimulatedBreakdown::project(&out.timings, &out.comm, out.grid.nprocs());
             let dibella_secs = proj.total_without_tr();
             let (winner, factor) = if dibella_secs <= minimap_secs {

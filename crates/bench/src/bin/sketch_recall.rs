@@ -119,7 +119,7 @@ fn run_leg(ds: &SimulatedDataset, config: &PipelineConfig, source: CandidateSour
 fn pipeline_secs(ds: &SimulatedDataset, config: &PipelineConfig) -> f64 {
     let comm = CommStats::new();
     let start = Instant::now();
-    let out = run_dibella_2d_on_reads(&ds.reads, config, &comm);
+    let out = run_dibella_2d_on_reads(&ds.reads, config, &comm).unwrap();
     let secs = start.elapsed().as_secs_f64();
     assert!(out.consensus_summary.consensus_bases > 0, "pipeline produced no consensus");
     secs

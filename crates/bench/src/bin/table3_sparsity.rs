@@ -26,7 +26,7 @@ fn main() {
         let ds = benchmark_dataset(spec, seed);
         let config = PipelineConfig::for_benchmark(17, ds.config.error_rate, 16);
         let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &config, &comm);
+        let out = run_dibella_2d_on_reads(&ds.reads, &config, &comm).unwrap();
         let d = ds.achieved_depth();
         let c = out.overlap_stats.c_density;
         let r = out.overlap_stats.r_density;

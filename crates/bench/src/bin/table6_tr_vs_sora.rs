@@ -39,7 +39,7 @@ fn main() {
         let ds = benchmark_dataset(spec, seed);
         let config = PipelineConfig::for_benchmark(17, ds.config.error_rate, 16);
         let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &config, &comm);
+        let out = run_dibella_2d_on_reads(&ds.reads, &config, &comm).unwrap();
         let r_local = out.overlap_matrix.to_local_csr();
         let r_triples = out.overlap_matrix.to_triples();
 

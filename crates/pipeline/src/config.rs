@@ -37,11 +37,12 @@ pub struct PipelineConfig {
     /// Number of virtual MPI ranks (must be a perfect square for the 2D
     /// pipeline; the largest square not exceeding it is used otherwise).
     pub nprocs: usize,
-    /// Memory budget of the streaming ingest path
-    /// ([`crate::run_dibella_2d_streaming`]): batch bounds for the superstep
-    /// k-mer counter plus a hard cap on its estimated resident bytes.
-    /// Defaults to unbounded, in which case the streaming path degenerates
-    /// to one superstep over the whole input (the monolithic behaviour).
+    /// Memory budget of the k-mer counter, honoured by every
+    /// `run_dibella_2d*` entry point: batch bounds for its supersteps plus a
+    /// hard cap on its estimated resident bytes (exceeding it is an `Err`).
+    /// It bounds the counter's working set, not the resident reads, and the
+    /// k-min-mer path, which counts nothing, never consults it.  Defaults to
+    /// unbounded: one superstep over the whole input.
     pub ingest: IngestBudget,
     /// Which candidate path builds the occurrence matrix the SUMMA consumes
     /// (defaults to the paper's exact reliable-k-mer path).

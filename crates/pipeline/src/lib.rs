@@ -42,7 +42,7 @@ pub use config::{CandidateSource, PipelineConfig};
 pub use run1d::{run_dibella_1d, Pipeline1dOutput};
 pub use scenario::{run_scenario, run_scenario_matrix, ScenarioReport, ScenarioSpec};
 pub use run2d::{
-    run_dibella_2d, run_dibella_2d_fastq, run_dibella_2d_on_reads, run_dibella_2d_streaming,
-    run_dibella_2d_streaming_on_reads, ConsensusSummary, Pipeline2dOutput,
+    run_dibella_2d, run_dibella_2d_fastq, run_dibella_2d_on_reads, ConsensusSummary,
+    Pipeline2dOutput,
 };
 pub use timings::StageTimings;

@@ -107,7 +107,7 @@ mod tests {
         let comm1d = CommStats::new();
         let out1d = run_dibella_1d(&ds.reads, &tiny_config(4), &comm1d);
         let comm2d = CommStats::new();
-        let out2d = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm2d);
+        let out2d = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm2d).unwrap();
         assert_eq!(
             out1d.overlap_matrix.to_local_csr().pattern(),
             out2d.overlap_matrix.to_local_csr().pattern(),
@@ -133,7 +133,7 @@ mod tests {
         let comm1d = CommStats::new();
         let _ = run_dibella_1d(&ds.reads, &tiny_config(p), &comm1d);
         let comm2d = CommStats::new();
-        let _ = run_dibella_2d_on_reads(&ds.reads, &tiny_config(p), &comm2d);
+        let _ = run_dibella_2d_on_reads(&ds.reads, &tiny_config(p), &comm2d).unwrap();
         // K-mer counting is the same algorithm in both pipelines.
         assert_eq!(
             comm1d.words(CommPhase::KmerCounting),

@@ -12,8 +12,7 @@ use dibella_overlap::{
     OverlapEdge, OverlapStats,
 };
 use dibella_seq::{
-    count_kmers_distributed, count_kmers_streaming, fasta_batches, parse_fasta,
-    parse_fastq_filtered, read_set_batches, KmerTable, ReadSet,
+    count_kmers_streaming, parse_fasta, parse_fastq_filtered, read_set_batches, KmerTable, ReadSet,
 };
 use dibella_sketch::build_sketch_matrix;
 use dibella_sparse::DistMat2D;
@@ -130,13 +129,7 @@ impl TrSummary {
 
 /// Run the diBELLA 2D pipeline on FASTA text.
 pub fn run_dibella_2d(fasta: &str, config: &PipelineConfig) -> Result<Pipeline2dOutput, String> {
-    let comm = CommStats::new();
-    let (reads, read_time) = timed(|| parse_fasta(fasta));
-    let reads = reads?;
-    let mut out = run_dibella_2d_on_reads(&reads, config, &comm);
-    out.timings.read_fastq = read_time;
-    out.comm = comm.snapshot();
-    Ok(out)
+    run_parsed(timed(|| parse_fasta(fasta)), config, &CommStats::new())
 }
 
 /// Run the diBELLA 2D pipeline on FASTQ text, applying the configuration's
@@ -149,15 +142,35 @@ pub fn run_dibella_2d_fastq(
 ) -> Result<Pipeline2dOutput, String> {
     let comm = CommStats::new();
     let (parsed, read_time) = timed(|| parse_fastq_filtered(fastq, config.min_mean_quality));
-    let (reads, filter_stats) = parsed?;
-    comm.bump_extra(FASTQ_DROPPED_LOW_QUALITY_KEY, filter_stats.dropped_low_quality as u64);
-    let mut out = run_dibella_2d_on_reads(&reads, config, &comm);
+    let reads = parsed.map(|(reads, filter_stats)| {
+        comm.bump_extra(FASTQ_DROPPED_LOW_QUALITY_KEY, filter_stats.dropped_low_quality as u64);
+        reads
+    });
+    run_parsed((reads, read_time), config, &comm)
+}
+
+/// The text entry points' shared epilogue: run on the parsed reads and report
+/// the measured parse time.
+fn run_parsed(
+    (reads, read_time): (Result<ReadSet, String>, f64),
+    config: &PipelineConfig,
+    comm: &CommStats,
+) -> Result<Pipeline2dOutput, String> {
+    let mut out = run_dibella_2d_on_reads(&reads?, config, comm)?;
     out.timings.read_fastq = read_time;
-    out.comm = comm.snapshot();
     Ok(out)
 }
 
 /// Run the diBELLA 2D pipeline on an already-parsed read set.
+///
+/// The k-mer counter replays the reads as bounded batches under
+/// `config.ingest` (one all-to-all exchange per batch per pass, never more
+/// than one in-flight batch), so its working set is capped by the budget even
+/// though the reads themselves stay resident for alignment and consensus.
+/// Every output is bit-identical at any batch size and thread count (see
+/// [`count_kmers_streaming`]); the default unbounded budget is one superstep
+/// over the whole set.  Fails if the estimated resident bytes of any
+/// superstep exceed `config.ingest.max_resident_bytes`.
 ///
 /// The FASTA parsing time is reported as zero; callers that parse a file can
 /// use [`run_dibella_2d`] to have it measured.
@@ -165,38 +178,11 @@ pub fn run_dibella_2d_on_reads(
     reads: &ReadSet,
     config: &PipelineConfig,
     comm: &CommStats,
-) -> Pipeline2dOutput {
+) -> Result<Pipeline2dOutput, String> {
     let grid = ProcessGrid::square_at_most(config.nprocs);
     enable_spmd_trace_for_debug(comm, grid);
     // CountKmer: two-pass distributed counting with Bloom filtering.  The
     // k-min-mer path indexes sketches instead and skips counting entirely.
-    let (table, t_count) = match config.candidate_source {
-        CandidateSource::ExactKmer => {
-            timed(|| count_kmers_distributed(reads, &config.kmer, grid.nprocs(), comm))
-        }
-        CandidateSource::KMinMer => (KmerTable::default(), 0.0),
-    };
-    pipeline_from_table(reads, table, t_count, config, grid, comm)
-}
-
-/// Run the diBELLA 2D pipeline with the **streaming superstep** k-mer counter
-/// over an already-resident read set.
-///
-/// The counter replays the reads as bounded batches under
-/// `config.ingest` (one all-to-all exchange per batch per pass, never more
-/// than one in-flight batch), so its working set is capped by the budget even
-/// though the reads themselves stay resident for alignment and consensus.
-/// The resulting [`KmerTable`] — and therefore every downstream matrix — is
-/// bit-identical to [`run_dibella_2d_on_reads`] at any batch size and thread
-/// count (see [`count_kmers_streaming`]).  Fails if the estimated resident
-/// bytes of any superstep exceed `config.ingest.max_resident_bytes`.
-pub fn run_dibella_2d_streaming_on_reads(
-    reads: &ReadSet,
-    config: &PipelineConfig,
-    comm: &CommStats,
-) -> Result<Pipeline2dOutput, String> {
-    let grid = ProcessGrid::square_at_most(config.nprocs);
-    enable_spmd_trace_for_debug(comm, grid);
     let (table, t_count) = match config.candidate_source {
         CandidateSource::ExactKmer => {
             let (table, t) = timed(|| {
@@ -215,43 +201,7 @@ pub fn run_dibella_2d_streaming_on_reads(
     Ok(pipeline_from_table(reads, table, t_count, config, grid, comm))
 }
 
-/// Run the diBELLA 2D pipeline on FASTA text through the streaming ingest
-/// path: the text is parsed in chunks (so records straddling chunk
-/// boundaries exercise the same incremental reader production uses) and the
-/// k-mer counter consumes the reads as supersteps under `config.ingest`.
-///
-/// Only the counter is bounded by the budget: the parsed batches are first
-/// collected into one whole resident [`ReadSet`] (alignment and consensus
-/// need every read), which [`run_dibella_2d_streaming_on_reads`] then streams
-/// to the counter again.  Peak memory is therefore the full read set plus
-/// one superstep, not one superstep.
-///
-/// Output is bit-identical to [`run_dibella_2d`] on the same input.
-pub fn run_dibella_2d_streaming(
-    fasta: &str,
-    config: &PipelineConfig,
-) -> Result<Pipeline2dOutput, String> {
-    const STREAM_CHUNK_BYTES: usize = 64 << 10;
-    let comm = CommStats::new();
-    let (reads, read_time) = timed(|| {
-        let mut rs = ReadSet::new();
-        for batch in fasta_batches(fasta, STREAM_CHUNK_BYTES, config.ingest) {
-            for rec in batch?.records {
-                rs.push(rec);
-            }
-        }
-        Ok::<ReadSet, String>(rs)
-    });
-    let reads = reads?;
-    let mut out = run_dibella_2d_streaming_on_reads(&reads, config, &comm)?;
-    out.timings.read_fastq = read_time;
-    out.comm = comm.snapshot();
-    Ok(out)
-}
-
-/// Everything after k-mer counting — shared verbatim by the monolithic and
-/// streaming entry points, which is what makes their outputs comparable
-/// stage for stage.
+/// Everything after k-mer counting.
 fn pipeline_from_table(
     reads: &ReadSet,
     table: KmerTable,
@@ -409,7 +359,7 @@ mod tests {
     fn pipeline_produces_a_reduced_string_graph() {
         let ds = DatasetSpec::Tiny.generate(42);
         let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm);
+        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm).unwrap();
         assert!(out.overlap_matrix.nnz() > 0, "overlaps expected on a 12x dataset");
         assert!(out.string_matrix.nnz() > 0);
         assert!(out.string_matrix.nnz() <= out.overlap_matrix.nnz());
@@ -429,7 +379,7 @@ mod tests {
         // the recorded traces (one per rank, none empty on a 2x2 grid).
         let ds = DatasetSpec::Tiny.generate(46);
         let comm = CommStats::new();
-        let _ = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm);
+        let _ = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm).unwrap();
         let traces = comm.spmd_traces();
         assert_eq!(traces.len(), 4, "one trace per virtual rank");
         assert!(traces.iter().all(|t| !t.events.is_empty()));
@@ -453,7 +403,7 @@ mod tests {
     fn timings_cover_every_stage() {
         let ds = DatasetSpec::Tiny.generate(43);
         let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm);
+        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm).unwrap();
         let t = out.timings;
         assert!(t.count_kmer > 0.0);
         assert!(t.create_spmat > 0.0);
@@ -480,7 +430,7 @@ mod tests {
     fn communication_is_recorded_per_phase() {
         let ds = DatasetSpec::Tiny.generate(45);
         let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(9), &comm);
+        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(9), &comm).unwrap();
         assert!(out.comm.phase(CommPhase::KmerCounting).words > 0);
         assert!(out.comm.phase(CommPhase::OverlapDetection).words > 0);
         assert!(out.comm.phase(CommPhase::ReadExchange).words > 0);
@@ -496,9 +446,9 @@ mod tests {
     fn process_count_changes_communication_but_not_the_result() {
         let ds = DatasetSpec::Tiny.generate(46);
         let comm1 = CommStats::new();
-        let out1 = run_dibella_2d_on_reads(&ds.reads, &tiny_config(1), &comm1);
+        let out1 = run_dibella_2d_on_reads(&ds.reads, &tiny_config(1), &comm1).unwrap();
         let comm9 = CommStats::new();
-        let out9 = run_dibella_2d_on_reads(&ds.reads, &tiny_config(9), &comm9);
+        let out9 = run_dibella_2d_on_reads(&ds.reads, &tiny_config(9), &comm9).unwrap();
         assert_eq!(
             out1.string_matrix.to_local_csr(),
             out9.string_matrix.to_local_csr(),
@@ -512,7 +462,7 @@ mod tests {
     fn non_square_process_counts_fall_back_to_the_largest_square() {
         let ds = DatasetSpec::Tiny.generate(47);
         let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(10), &comm);
+        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(10), &comm).unwrap();
         assert_eq!(out.grid.nprocs(), 9);
     }
 
@@ -522,7 +472,7 @@ mod tests {
         // into a few long contigs covering the genome.
         let ds = DatasetSpec::Tiny.generate(48);
         let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm);
+        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm).unwrap();
         let graph = BidirectedGraph::from_dist_matrix(&out.string_matrix);
         assert_eq!(graph.num_vertices(), ds.reads.len());
         let lengths = ds.reads.lengths();
@@ -559,7 +509,7 @@ mod tests {
         assert_eq!(unfiltered.comm.extras.get("fastq_dropped_low_quality"), Some(&0));
         // The unfiltered FASTQ run must agree with the FASTA run bit for bit.
         let comm = CommStats::new();
-        let from_fasta = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm);
+        let from_fasta = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
         assert_eq!(
             unfiltered.string_matrix.to_local_csr(),
             from_fasta.string_matrix.to_local_csr()
@@ -580,7 +530,7 @@ mod tests {
     fn pipeline_emits_consensus_sequences_for_every_contig() {
         let ds = DatasetSpec::Tiny.generate(50);
         let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm);
+        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm).unwrap();
         assert_eq!(out.contigs.len(), out.consensus.len(), "one consensus per layout");
         assert!(!out.contigs.is_empty());
         assert_eq!(out.consensus_summary.contigs, out.contigs.len());
@@ -609,93 +559,105 @@ mod tests {
     }
 
     #[test]
-    fn streaming_pipeline_is_bit_identical_to_monolithic() {
-        use dibella_seq::IngestBudget;
+    fn ingest_budget_changes_supersteps_but_not_the_result() {
+        use dibella_overlap::build_a_matrix;
+        use dibella_seq::{count_kmers_serial, IngestBudget};
         let ds = DatasetSpec::Tiny.generate(52);
-        let fasta = write_fasta(&ds.reads);
         let cfg = tiny_config(4);
-        let mono = run_dibella_2d(&fasta, &cfg).unwrap();
-        let mono_string = mono.string_matrix.to_local_csr();
-        let mono_overlap = mono.overlap_matrix.to_local_csr();
+        let run = |cfg: &PipelineConfig| {
+            run_dibella_2d_on_reads(&ds.reads, cfg, &CommStats::new()).unwrap()
+        };
+        let base = dibella_dist::with_threads(1, || run(&cfg));
+        // A is not an output: pin it against the one built from the serial
+        // reference counter's table.
+        let (grid, p) = (base.grid, base.grid.nprocs());
+        let a_of = |table| build_a_matrix(&ds.reads, &table, cfg.overlap.k, grid, p).to_local_csr();
+        let serial_a = a_of(count_kmers_serial(&ds.reads, &cfg.kmer));
+        assert_eq!(base.dims.kmers, serial_a.ncols());
         for max_batch_reads in [1usize, 7, 64, usize::MAX] {
+            let mut scfg = cfg;
+            scfg.ingest = IngestBudget::with_batch_reads(max_batch_reads);
+            let batches = || Ok(read_set_batches(&ds.reads, scfg.ingest));
+            let table =
+                count_kmers_streaming(batches, &cfg.kmer, p, &scfg.ingest, &CommStats::new());
+            assert_eq!(
+                a_of(table.unwrap()).pattern(),
+                serial_a.pattern(),
+                "A nnz pattern differs at b={max_batch_reads}"
+            );
+            let mut counting_words = None;
             for threads in [1usize, 2, 4] {
-                let mut scfg = cfg;
-                scfg.ingest = IngestBudget::with_batch_reads(max_batch_reads);
-                let streamed = dibella_dist::with_threads(threads, || {
-                    run_dibella_2d_streaming(&fasta, &scfg)
-                })
-                .unwrap();
+                let out = dibella_dist::with_threads(threads, || run(&scfg));
                 let ctx = format!("b={max_batch_reads} t={threads}");
-                assert_eq!(streamed.dims.reads, mono.dims.reads, "{ctx}");
-                assert_eq!(streamed.dims.kmers, mono.dims.kmers, "{ctx}");
-                assert_eq!(streamed.dims.a_density, mono.dims.a_density, "{ctx}");
+                assert_eq!(out.dims, base.dims, "{ctx}");
                 assert_eq!(
-                    streamed.string_matrix.to_local_csr(),
-                    mono_string,
-                    "string matrix differs ({ctx})"
-                );
-                assert_eq!(
-                    streamed.overlap_matrix.to_local_csr(),
-                    mono_overlap,
+                    out.overlap_matrix.to_local_csr(),
+                    base.overlap_matrix.to_local_csr(),
                     "overlap matrix differs ({ctx})"
                 );
-                let supersteps = streamed.comm.extras.get("ingest_supersteps").copied();
+                assert_eq!(
+                    out.string_matrix.to_local_csr(),
+                    base.string_matrix.to_local_csr(),
+                    "string matrix differs ({ctx})"
+                );
+                assert_eq!(out.contigs, base.contigs, "{ctx}");
+                assert_eq!(out.consensus, base.consensus, "{ctx}");
+                // Which rank extracts a read depends on its batch, so the
+                // counting exchange moves different (equally many, in
+                // expectation) k-mers off-rank per budget — but never per
+                // thread count; every later phase sees the same matrices.
+                for phase in CommPhase::ALL {
+                    let words = out.comm.phase(phase).words;
+                    if phase == CommPhase::KmerCounting {
+                        let first = *counting_words.get_or_insert(words);
+                        assert_eq!(words, first, "{phase:?} words ({ctx})");
+                    } else {
+                        assert_eq!(words, base.comm.phase(phase).words, "{phase:?} words ({ctx})");
+                    }
+                }
+                let supersteps = out.comm.extras.get("ingest_supersteps").copied();
                 assert_eq!(
                     supersteps,
                     Some(ds.reads.len().div_ceil(max_batch_reads.min(ds.reads.len())) as u64),
                     "{ctx}"
                 );
-                assert!(streamed.comm.extras.contains_key("ingest_batch_bytes_peak"), "{ctx}");
-                assert!(
-                    streamed.comm.extras.contains_key("ingest_resident_bytes_peak"),
-                    "{ctx}"
-                );
+                assert!(out.comm.extras.contains_key("ingest_batch_bytes_peak"), "{ctx}");
+                assert!(out.comm.extras.contains_key("ingest_resident_bytes_peak"), "{ctx}");
             }
         }
     }
 
     #[test]
-    fn streaming_a_matrix_pattern_matches_monolithic() {
-        use dibella_overlap::build_a_matrix;
-        use dibella_seq::{
-            count_kmers_distributed, count_kmers_streaming, read_set_batches, IngestBudget,
-        };
-        let ds = DatasetSpec::Tiny.generate(53);
-        let cfg = tiny_config(4);
-        let grid = ProcessGrid::square_at_most(cfg.nprocs);
-        let comm = CommStats::new();
-        let mono_table = count_kmers_distributed(&ds.reads, &cfg.kmer, grid.nprocs(), &comm);
-        let mono_a = build_a_matrix(&ds.reads, &mono_table, cfg.overlap.k, grid, grid.nprocs());
-        for max_batch_reads in [1usize, 7, 64] {
-            let budget = IngestBudget::with_batch_reads(max_batch_reads);
-            let stream_table = count_kmers_streaming(
-                || Ok(read_set_batches(&ds.reads, budget)),
-                &cfg.kmer,
-                grid.nprocs(),
-                &budget,
-                &comm,
-            )
-            .unwrap();
-            let stream_a =
-                build_a_matrix(&ds.reads, &stream_table, cfg.overlap.k, grid, grid.nprocs());
-            assert_eq!(
-                stream_a.to_local_csr().pattern(),
-                mono_a.to_local_csr().pattern(),
-                "A nnz pattern differs at b={max_batch_reads}"
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_pipeline_surfaces_budget_violations() {
+    fn every_entry_point_enforces_the_resident_budget() {
         use dibella_seq::IngestBudget;
         let ds = DatasetSpec::Tiny.generate(54);
         let fasta = write_fasta(&ds.reads);
+        let fastq: String = ds
+            .reads
+            .iter()
+            .map(|(_, rec)| {
+                let seq = rec.seq.to_ascii();
+                format!("@{}\n{seq}\n+\n{}\n", rec.name, "I".repeat(seq.len()))
+            })
+            .collect();
+        // Far below one superstep of 8 reads: the run must fail loudly at
+        // whichever door the reads came in, never exceed the cap silently.
         let mut cfg = tiny_config(4);
         cfg.ingest = IngestBudget::with_batch_reads(8);
         cfg.ingest.max_resident_bytes = 16;
-        let err = run_dibella_2d_streaming(&fasta, &cfg).unwrap_err();
-        assert!(err.contains("over budget"), "unexpected error: {err}");
+        let results = [
+            ("run_dibella_2d", run_dibella_2d(&fasta, &cfg)),
+            ("run_dibella_2d_fastq", run_dibella_2d_fastq(&fastq, &cfg)),
+            ("run_dibella_2d_on_reads", run_dibella_2d_on_reads(&ds.reads, &cfg, &CommStats::new())),
+        ];
+        for (entry, result) in results {
+            let err = result.err().unwrap_or_else(|| panic!("{entry} ignored the budget"));
+            assert!(err.contains("over budget"), "{entry}: unexpected error: {err}");
+            assert!(err.contains("max_resident_bytes = 16"), "{entry}: unexpected error: {err}");
+        }
+        // The k-min-mer path counts nothing, so there is nothing to bound.
+        cfg.candidate_source = crate::CandidateSource::KMinMer;
+        assert!(run_dibella_2d(&fasta, &cfg).is_ok());
     }
 
     #[test]
@@ -704,7 +666,7 @@ mod tests {
         let mut cfg = tiny_config(4);
         cfg.candidate_source = crate::CandidateSource::KMinMer;
         let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm);
+        let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
         assert!(out.overlap_matrix.nnz() > 0, "k-min-mer mode must find overlaps");
         assert!(out.string_matrix.nnz() > 0);
         // No k-mer counting happens; the sketch index is accounted instead.
@@ -718,7 +680,7 @@ mod tests {
         assert!(out.comm.extras["sketch_hpc_ratio_ppm"] > 1_000_000);
 
         // The sketch matrix must be far smaller than the exact-path A.
-        let exact = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &CommStats::new());
+        let exact = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &CommStats::new()).unwrap();
         let exact_nnz = (exact.dims.a_density * exact.dims.kmers as f64).round() as u64;
         assert!(
             out.comm.extras["sketch_nnz"] * 3 < exact_nnz,
@@ -735,7 +697,7 @@ mod tests {
                 let mut cfg = tiny_config(nprocs);
                 cfg.candidate_source = crate::CandidateSource::KMinMer;
                 let comm = CommStats::new();
-                run_dibella_2d_on_reads(&ds.reads, &cfg, &comm)
+                run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap()
             })
         };
         let base = run(1, 1);
@@ -757,7 +719,7 @@ mod tests {
     fn densities_match_matrix_contents() {
         let ds = DatasetSpec::Tiny.generate(49);
         let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm);
+        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm).unwrap();
         let n = ds.reads.len() as f64;
         assert!((out.overlap_stats.r_density - out.overlap_matrix.nnz() as f64 / n).abs() < 1e-9);
         assert!((out.tr_summary.s_density - out.string_matrix.nnz() as f64 / n).abs() < 1e-9);

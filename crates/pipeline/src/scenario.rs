@@ -131,18 +131,18 @@ pub struct ScenarioReport {
 }
 
 /// Build the scenario's dataset, run the full 2D pipeline, and score it.
-pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioReport {
+pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport, String> {
     let ds = build_scenario(spec.kind, &spec.params);
     let config = PipelineConfig::for_small_reads(spec.k, spec.nprocs);
     let comm = CommStats::new();
-    let out = run_dibella_2d_on_reads(&ds.reads, &config, &comm);
+    let out = run_dibella_2d_on_reads(&ds.reads, &config, &comm)?;
     let metrics = evaluate_assembly_truth(
         &out.contigs,
         &out.consensus,
         &GroundTruth::from_dataset(&ds),
         &config.consensus,
     );
-    ScenarioReport {
+    Ok(ScenarioReport {
         scenario: ds.label.clone(),
         genome_length: ds.genome.len(),
         reads: ds.num_reads(),
@@ -158,11 +158,11 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioReport {
         mean_identity: metrics.mean_identity,
         misjoins: metrics.misjoins,
         chimera_breaks: metrics.chimera_breaks,
-    }
+    })
 }
 
 /// Run a list of scenarios in order, returning one report per spec.
-pub fn run_scenario_matrix(specs: &[ScenarioSpec]) -> Vec<ScenarioReport> {
+pub fn run_scenario_matrix(specs: &[ScenarioSpec]) -> Result<Vec<ScenarioReport>, String> {
     specs.iter().map(run_scenario).collect()
 }
 
@@ -172,7 +172,7 @@ mod tests {
 
     #[test]
     fn fast_baseline_scenario_assembles_well() {
-        let report = run_scenario(&ScenarioSpec::fast(ScenarioKind::Baseline));
+        let report = run_scenario(&ScenarioSpec::fast(ScenarioKind::Baseline)).unwrap();
         assert_eq!(report.scenario, "baseline");
         assert!(report.ng50 >= report.genome_length / 2, "NG50 {}", report.ng50);
         assert!(report.mean_identity >= 0.99, "identity {}", report.mean_identity);

@@ -26,7 +26,7 @@ fn pipeline_is_bit_identical_under_fifty_plus_steal_schedules() {
 
     let workload = || {
         let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &config, &comm);
+        let out = run_dibella_2d_on_reads(&ds.reads, &config, &comm).unwrap();
         // Everything but wall-clock timings participates in the claim; the
         // CommSnapshot pins words/messages/extras (flops, p2p, POA counters)
         // exactly, not just the assembled sequences.

@@ -38,25 +38,25 @@ impl BloomFilter {
         Self { bits: vec![0u64; words], nbits, nhashes, inserted: 0 }
     }
 
-    fn positions(&self, key: u64) -> impl Iterator<Item = u64> + '_ {
-        // Double hashing (Kirsch–Mitzenmacher): h_i = h1 + i·h2.
+    /// The `nhashes` probe sites of a key as `(word, bit mask)`, by double
+    /// hashing (Kirsch–Mitzenmacher): `h_i = h1 + i·h2`.
+    fn probes(&self, key: u64) -> impl Iterator<Item = (usize, u64)> {
         let h1 = splitmix(key);
         let h2 = splitmix(key ^ 0x9E3779B97F4A7C15) | 1;
-        (0..self.nhashes as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2))) % self.nbits)
+        let nbits = self.nbits;
+        (0..self.nhashes as u64).map(move |i| {
+            let pos = h1.wrapping_add(i.wrapping_mul(h2)) % nbits;
+            ((pos / 64) as usize, 1u64 << (pos % 64))
+        })
     }
 
     /// Insert a key; returns `true` if the key **might** have been present
     /// already (all bits were set), `false` if it was definitely new.
     pub fn insert(&mut self, key: u64) -> bool {
         let mut already = true;
-        let positions: Vec<u64> = self.positions(key).collect();
-        for pos in positions {
-            let word = (pos / 64) as usize;
-            let bit = 1u64 << (pos % 64);
-            if self.bits[word] & bit == 0 {
-                already = false;
-                self.bits[word] |= bit;
-            }
+        for (word, bit) in self.probes(key) {
+            already &= self.bits[word] & bit != 0;
+            self.bits[word] |= bit;
         }
         self.inserted += 1;
         already
@@ -65,10 +65,7 @@ impl BloomFilter {
     /// Whether the key might have been inserted (false positives possible,
     /// false negatives impossible).
     pub fn contains(&self, key: u64) -> bool {
-        self.positions(key).all(|pos| {
-            let word = (pos / 64) as usize;
-            self.bits[word] & (1u64 << (pos % 64)) != 0
-        })
+        self.probes(key).all(|(word, bit)| self.bits[word] & bit != 0)
     }
 
     /// Number of bits in the filter.
@@ -95,9 +92,9 @@ impl BloomFilter {
 
 /// A scalable Bloom filter for streams of unknown cardinality.
 ///
-/// The monolithic counter sizes its [`BloomFilter`] from the number of
-/// incoming k-mers, which a streaming superstep ingest cannot know upfront.
-/// `ScalableBloom` (Almeida et al., "Scalable Bloom Filters") keeps a chain
+/// A [`BloomFilter`] must be sized for its key count, which a superstep
+/// ingest cannot know upfront.  `ScalableBloom` (Almeida et al., "Scalable
+/// Bloom Filters") keeps a chain
 /// of fixed-size filters: inserts go to the newest filter, membership checks
 /// consult the whole chain, and when the newest filter reaches its design
 /// capacity a new filter with twice the capacity and a tightened
@@ -161,7 +158,7 @@ impl ScalableBloom {
     }
 
     /// Approximate heap bytes held by the filter chain — the quantity the
-    /// streaming ingest's resident-byte estimate charges for its filters.
+    /// k-mer counter's resident-byte estimate charges for its filters.
     pub fn resident_bytes(&self) -> usize {
         self.stages.iter().map(|s| (s.nbits() as usize).div_ceil(8)).sum()
     }

@@ -3,16 +3,18 @@
 //! The pipeline's input is a FASTA file of long reads (Section IV-B).  The
 //! real system reads an equal-sized chunk per MPI rank with parallel I/O; in
 //! this reproduction a [`ReadSet`] is parsed once and then block-partitioned
-//! over the virtual ranks, with the parse itself parallelised over records.
+//! over the virtual ranks.  The record grammars live in [`crate::stream`],
+//! which parses chunk by chunk; the whole-text functions here feed it their
+//! text as a single chunk and collect the batches.
 //!
 //! Sequencers actually deliver **FASTQ** (sequence plus per-base Phred
-//! qualities); [`parse_fastq`] accepts the classic four-line record format
-//! and [`parse_fastq_filtered`] additionally drops reads below a mean-quality
-//! threshold — the quality-aware filtering `PipelineConfig::min_mean_quality`
-//! wires into the pipeline entry points.
+//! qualities); [`parse_fastq_filtered`] accepts the classic four-line record
+//! format and drops reads below a mean-quality threshold — the quality-aware
+//! filtering `PipelineConfig::min_mean_quality` wires into the pipeline entry
+//! points.
 
 use crate::dna::DnaSeq;
-use rayon::prelude::*;
+use crate::stream::{collect_batches, fasta_batches, fastq_batches, IngestBudget};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -105,76 +107,14 @@ impl ReadSet {
     }
 }
 
-/// Split text into logical lines, accepting Unix (`\n`), Windows (`\r\n`)
-/// and classic-Mac (`\r`) line endings, in any mixture, with or without a
-/// terminator on the final line.
-///
-/// Sequencing data regularly crosses Windows tooling on its way to a
-/// pipeline, so the parsers must not reject a byte-identical record set just
-/// because of its line endings (`str::lines` covers `\n` and `\r\n` but
-/// leaves lone-`\r` files as one giant line).
-fn logical_lines(text: &str) -> impl Iterator<Item = &str> {
-    let mut rest = text;
-    std::iter::from_fn(move || {
-        if rest.is_empty() {
-            return None;
-        }
-        match rest.find(['\n', '\r']) {
-            None => Some(std::mem::take(&mut rest)),
-            Some(pos) => {
-                let line = &rest[..pos];
-                let sep = if rest[pos..].starts_with("\r\n") { 2 } else { 1 };
-                rest = &rest[pos + sep..];
-                Some(line)
-            }
-        }
-    })
-}
-
 /// Parse FASTA text into a [`ReadSet`].
 ///
-/// Records may span multiple lines; blank lines are ignored.  Characters other
-/// than `{A, C, G, T}` (e.g. `N`) are rejected — the simulators in this repo
-/// never emit them, and the paper's pipeline operates on the 2-bit alphabet.
+/// Records may span multiple lines; blank lines are ignored; Unix, Windows
+/// (CRLF) and classic-Mac (lone CR) line endings are all accepted, as is a
+/// final line with no terminator.  Characters other than `{A, C, G, T}`
+/// (e.g. `N`) are rejected.
 pub fn parse_fasta(text: &str) -> Result<ReadSet, String> {
-    // Split into raw records first so the per-record parsing can run in parallel.
-    let mut raw: Vec<(String, String)> = Vec::new();
-    let mut current_name: Option<String> = None;
-    let mut current_seq = String::new();
-    for line in logical_lines(text) {
-        let line = line.trim_end();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('>') {
-            if let Some(name) = current_name.take() {
-                raw.push((name, std::mem::take(&mut current_seq)));
-            }
-            let name = rest.split_whitespace().next().unwrap_or("").to_string();
-            if name.is_empty() {
-                return Err("record with empty name".to_string());
-            }
-            current_name = Some(name);
-        } else {
-            if current_name.is_none() {
-                return Err("sequence data before the first '>' header".to_string());
-            }
-            current_seq.push_str(line);
-        }
-    }
-    if let Some(name) = current_name.take() {
-        raw.push((name, current_seq));
-    }
-
-    let records: Result<Vec<ReadRecord>, String> = raw
-        .into_par_iter()
-        .map(|(name, seq)| {
-            let seq = DnaSeq::from_ascii(seq.as_bytes())
-                .map_err(|e| format!("record {name}: {e}"))?;
-            Ok(ReadRecord { name, seq })
-        })
-        .collect();
-    Ok(ReadSet::from_records(records?))
+    collect_batches(fasta_batches(text, text.len().max(1), IngestBudget::unbounded()))
 }
 
 /// Parse a FASTA file from disk.
@@ -226,73 +166,9 @@ pub struct FastqFilterStats {
     pub dropped_low_quality: usize,
 }
 
-/// Parse four-line FASTQ text into a [`ReadSet`] plus each read's mean Phred
-/// quality (in the same order).
-///
-/// The classic record format is enforced strictly: a `@name` header, one
-/// sequence line, a `+` separator (bare or repeating the name), and one
-/// quality line of exactly the sequence's length in printable Phred+33
-/// characters.  Multi-line sequences are rejected — every modern long-read
-/// FASTQ writer emits four-line records — as are the malformed shapes the
-/// unit tests pin down (missing separator, truncated qualities, bases
-/// outside `{A, C, G, T}`).  Line endings are forgiven rather than the
-/// format: Unix, Windows (CRLF) and classic-Mac (lone CR) endings are all
-/// accepted, as is a final quality line with no terminating newline.
-pub fn parse_fastq(text: &str) -> Result<(ReadSet, Vec<f64>), String> {
-    let parsed = parse_fastq_records(text)?;
-    let mut qualities = Vec::with_capacity(parsed.len());
-    let mut reads = ReadSet::new();
-    for (record, q) in parsed {
-        reads.push(record);
-        qualities.push(q);
-    }
-    Ok((reads, qualities))
-}
-
-fn parse_fastq_records(text: &str) -> Result<Vec<(ReadRecord, f64)>, String> {
-    let mut raw: Vec<(String, String, String)> = Vec::new();
-    let mut lines = logical_lines(text).enumerate().filter(|(_, l)| !l.trim_end().is_empty());
-    while let Some((lineno, header)) = lines.next() {
-        let header = header.trim_end();
-        let Some(rest) = header.strip_prefix('@') else {
-            return Err(format!("line {}: expected '@' header, found {header:?}", lineno + 1));
-        };
-        let name = rest.split_whitespace().next().unwrap_or("").to_string();
-        if name.is_empty() {
-            return Err(format!("line {}: record with empty name", lineno + 1));
-        }
-        let Some((_, seq)) = lines.next() else {
-            return Err(format!("record {name}: missing sequence line"));
-        };
-        let Some((sep_no, sep)) = lines.next() else {
-            return Err(format!("record {name}: missing '+' separator"));
-        };
-        let sep = sep.trim_end();
-        if !sep.starts_with('+') {
-            return Err(format!(
-                "line {}: record {name}: expected '+' separator, found {sep:?}",
-                sep_no + 1
-            ));
-        }
-        let Some((_, qual)) = lines.next() else {
-            return Err(format!("record {name}: missing quality line"));
-        };
-        raw.push((name, seq.trim_end().to_string(), qual.trim_end().to_string()));
-    }
-
-    let parsed: Result<Vec<(ReadRecord, f64)>, String> = raw
-        .into_par_iter()
-        .map(|(name, seq, qual)| validate_fastq_record(name, seq, qual))
-        .collect();
-    parsed
-}
-
 /// Validate the three variable lines of one four-line FASTQ record (name,
 /// sequence, quality) into a [`ReadRecord`] plus its mean Phred quality.
 ///
-/// Shared between the monolithic [`parse_fastq`] and the chunked
-/// [`crate::stream::FastqBatcher`], so both paths reject malformed records
-/// with identical wording.
 pub(crate) fn validate_fastq_record(
     name: String,
     seq: String,
@@ -320,27 +196,23 @@ pub(crate) fn validate_fastq_record(
     Ok((ReadRecord { name, seq }, mean_q))
 }
 
-/// Parse FASTQ text and drop reads whose mean Phred quality is below
-/// `min_mean_quality` (a threshold of 0.0 keeps everything).
+/// Parse four-line FASTQ text (see [`crate::stream`] for the strict record
+/// format and the line endings forgiven) and drop reads whose mean Phred
+/// quality is below `min_mean_quality` (a threshold of 0.0 keeps everything).
 pub fn parse_fastq_filtered(
     text: &str,
     min_mean_quality: f64,
 ) -> Result<(ReadSet, FastqFilterStats), String> {
-    let parsed = parse_fastq_records(text)?;
-    let total_reads = parsed.len();
-    // Filter by value: kept records move straight into the read set, so the
-    // common keep-almost-everything case never copies a sequence buffer.
-    let kept: Vec<ReadRecord> = parsed
-        .into_iter()
-        .filter(|(_, q)| *q >= min_mean_quality)
-        .map(|(r, _)| r)
-        .collect();
+    let mut batches =
+        fastq_batches(text, text.len().max(1), IngestBudget::unbounded(), min_mean_quality);
+    let reads = collect_batches(&mut batches)?;
+    let dropped_low_quality = batches.dropped_low_quality();
     let stats = FastqFilterStats {
-        total_reads,
-        kept_reads: kept.len(),
-        dropped_low_quality: total_reads - kept.len(),
+        total_reads: reads.len() + dropped_low_quality,
+        kept_reads: reads.len(),
+        dropped_low_quality,
     };
-    Ok((ReadSet::from_records(kept), stats))
+    Ok((reads, stats))
 }
 
 /// Parse a FASTQ file from disk, applying the mean-quality filter.
@@ -425,15 +297,23 @@ mod tests {
     const FASTQ: &str = "@read1 instrument=x\nACGT\n+\nII5I\n@read2\nTTTTT\n+read2\n!!!!!\n";
 
     #[test]
-    fn parse_fastq_records_and_mean_qualities() {
-        let (reads, quals) = parse_fastq(FASTQ).unwrap();
+    fn fastq_records_parse() {
+        let (reads, _) = parse_fastq_filtered(FASTQ, 0.0).unwrap();
         assert_eq!(reads.len(), 2);
         assert_eq!(reads.name(0), "read1");
         assert_eq!(reads.seq(0).to_ascii(), "ACGT");
         assert_eq!(reads.seq(1).to_ascii(), "TTTTT");
+    }
+
+    #[test]
+    fn fastq_record_mean_qualities() {
+        let mean_q = |seq: &str, qual: &str| {
+            validate_fastq_record("r".to_string(), seq.to_string(), qual.to_string()).unwrap().1
+        };
         // 'I' = Q40, '5' = Q20: mean (40*3 + 20) / 4 = 35; '!' = Q0.
-        assert!((quals[0] - 35.0).abs() < 1e-9);
-        assert_eq!(quals[1], 0.0);
+        assert!((mean_q("ACGT", "II5I") - 35.0).abs() < 1e-9);
+        assert_eq!(mean_q("TTTTT", "!!!!!"), 0.0);
+        assert_eq!(mean_q("", ""), 0.0, "an empty read has no quality to average");
     }
 
     #[test]
@@ -453,34 +333,34 @@ mod tests {
 
     #[test]
     fn fastq_missing_separator_is_rejected() {
-        let err = parse_fastq("@x\nACGT\nIIII\n").unwrap_err();
+        let err = parse_fastq_filtered("@x\nACGT\nIIII\n", 0.0).unwrap_err();
         assert!(err.contains("separator"), "{err}");
     }
 
     #[test]
     fn fastq_quality_length_mismatch_is_rejected() {
-        let err = parse_fastq("@x\nACGT\n+\nII\n").unwrap_err();
+        let err = parse_fastq_filtered("@x\nACGT\n+\nII\n", 0.0).unwrap_err();
         assert!(err.contains("quality length"), "{err}");
     }
 
     #[test]
     fn fastq_truncated_records_are_rejected() {
-        assert!(parse_fastq("@x\nACGT\n+\n").unwrap_err().contains("missing quality"));
-        assert!(parse_fastq("@x\nACGT\n").unwrap_err().contains("missing '+'"));
-        assert!(parse_fastq("@x\n").unwrap_err().contains("missing sequence"));
+        assert!(parse_fastq_filtered("@x\nACGT\n+\n", 0.0).unwrap_err().contains("missing quality"));
+        assert!(parse_fastq_filtered("@x\nACGT\n", 0.0).unwrap_err().contains("missing '+'"));
+        assert!(parse_fastq_filtered("@x\n", 0.0).unwrap_err().contains("missing sequence"));
     }
 
     #[test]
     fn fastq_bad_header_name_and_bases_are_rejected() {
-        assert!(parse_fastq("ACGT\n+\nIIII\n").unwrap_err().contains("expected '@'"));
-        assert!(parse_fastq("@\nACGT\n+\nIIII\n").unwrap_err().contains("empty name"));
-        let err = parse_fastq("@x\nACGN\n+\nIIII\n").unwrap_err();
+        assert!(parse_fastq_filtered("ACGT\n+\nIIII\n", 0.0).unwrap_err().contains("expected '@'"));
+        assert!(parse_fastq_filtered("@\nACGT\n+\nIIII\n", 0.0).unwrap_err().contains("empty name"));
+        let err = parse_fastq_filtered("@x\nACGN\n+\nIIII\n", 0.0).unwrap_err();
         assert!(err.contains('x'), "error should name the record: {err}");
     }
 
     #[test]
     fn fastq_non_printable_quality_characters_are_rejected() {
-        let err = parse_fastq("@x\nACGT\n+\nII\u{7f}I\n").unwrap_err();
+        let err = parse_fastq_filtered("@x\nACGT\n+\nII\u{7f}I\n", 0.0).unwrap_err();
         assert!(err.contains("invalid quality"), "{err}");
     }
 
@@ -488,32 +368,35 @@ mod tests {
     fn fastq_accepts_crlf_line_endings() {
         // Windows-formatted file: every line terminated with \r\n.
         let crlf = FASTQ.replace('\n', "\r\n");
-        let (reads, quals) = parse_fastq(&crlf).unwrap();
-        let (unix_reads, unix_quals) = parse_fastq(FASTQ).unwrap();
+        let (reads, _) = parse_fastq_filtered(&crlf, 0.0).unwrap();
+        let (unix_reads, _) = parse_fastq_filtered(FASTQ, 0.0).unwrap();
         assert_eq!(reads, unix_reads);
-        assert_eq!(quals, unix_quals);
+        // Same qualities too: the filter makes the same decisions.
+        assert_eq!(
+            parse_fastq_filtered(&crlf, 10.0).unwrap(),
+            parse_fastq_filtered(FASTQ, 10.0).unwrap()
+        );
     }
 
     #[test]
     fn fastq_accepts_lone_cr_line_endings() {
         // Classic-Mac endings (and mixed endings) parse identically too.
         let cr = FASTQ.replace('\n', "\r");
-        let (reads, _) = parse_fastq(&cr).unwrap();
-        assert_eq!(reads, parse_fastq(FASTQ).unwrap().0);
+        let (reads, _) = parse_fastq_filtered(&cr, 0.0).unwrap();
+        assert_eq!(reads, parse_fastq_filtered(FASTQ, 0.0).unwrap().0);
         let mixed = "@a\nACGT\r\n+\rIIII\n";
-        let (reads, _) = parse_fastq(mixed).unwrap();
+        let (reads, _) = parse_fastq_filtered(mixed, 0.0).unwrap();
         assert_eq!(reads.seq(0).to_ascii(), "ACGT");
     }
 
     #[test]
     fn fastq_accepts_a_missing_final_newline() {
         // The last quality line is unterminated; the record still parses.
-        let (reads, quals) = parse_fastq("@x\nACGT\n+\nIIII").unwrap();
-        assert_eq!(reads.len(), 1);
+        let (reads, _) = parse_fastq_filtered("@x\nACGT\n+\nIIII", 40.0).unwrap();
+        assert_eq!(reads.len(), 1, "all four 'I' (Q40) were read");
         assert_eq!(reads.seq(0).to_ascii(), "ACGT");
-        assert!((quals[0] - 40.0).abs() < 1e-9);
         // Same for CRLF files truncated before the final \r\n.
-        let (reads, _) = parse_fastq("@x\r\nACGT\r\n+\r\nIIII").unwrap();
+        let (reads, _) = parse_fastq_filtered("@x\r\nACGT\r\n+\r\nIIII", 0.0).unwrap();
         assert_eq!(reads.len(), 1);
     }
 
@@ -521,13 +404,13 @@ mod tests {
     fn fastq_crlf_malformed_records_are_still_rejected() {
         // Line-ending tolerance must not weaken the format checks: the \r is
         // not part of the quality string, so the length mismatch is caught.
-        let err = parse_fastq("@x\r\nACGT\r\n+\r\nII\r\n").unwrap_err();
+        let err = parse_fastq_filtered("@x\r\nACGT\r\n+\r\nII\r\n", 0.0).unwrap_err();
         assert!(err.contains("quality length"), "{err}");
-        let err = parse_fastq("@x\r\nACGT\r\nIIII\r\n").unwrap_err();
+        let err = parse_fastq_filtered("@x\r\nACGT\r\nIIII\r\n", 0.0).unwrap_err();
         assert!(err.contains("separator"), "{err}");
         // A truncated CRLF record is missing its quality line, not blessed
         // with an empty one.
-        let err = parse_fastq("@x\r\nACGT\r\n+\r\n").unwrap_err();
+        let err = parse_fastq_filtered("@x\r\nACGT\r\n+\r\n", 0.0).unwrap_err();
         assert!(err.contains("missing quality"), "{err}");
     }
 
@@ -543,9 +426,9 @@ mod tests {
 
     #[test]
     fn fastq_empty_input_and_empty_records() {
-        let (reads, quals) = parse_fastq("").unwrap();
+        let (reads, stats) = parse_fastq_filtered("", 0.0).unwrap();
         assert!(reads.is_empty());
-        assert!(quals.is_empty());
+        assert_eq!(stats, FastqFilterStats::default());
     }
 
     #[test]

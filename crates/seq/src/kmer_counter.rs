@@ -15,13 +15,20 @@
 //! 5. surviving k-mers receive consecutive column indices — they become the
 //!    columns of the `|reads| x |k-mers|` matrix `A`.
 //!
+//! Steps 1–3 run once per **superstep** — a bounded batch of reads — with the
+//! owners' state carried across supersteps.  There is one implementation of
+//! them: [`count_kmers_streaming`] drives it over a batch stream under an
+//! [`IngestBudget`], [`count_kmers_distributed`] over a resident read set as
+//! a single superstep, and [`count_kmers_serial`] is the independent
+//! reference both are tested against.
+//!
 //! The k-mer exchange traffic is recorded under
 //! [`CommPhase::KmerCounting`] with the paper's `k/4`-bytes-per-k-mer wire
 //! format (2-bit packed), so the measured words can be compared against the
 //! model `W = n·l·k/(4·P)` of Table I.
 
-use crate::bloom::{BloomFilter, ScalableBloom};
-use crate::fasta::ReadSet;
+use crate::bloom::ScalableBloom;
+use crate::fasta::{ReadRecord, ReadSet};
 use crate::kmer::{Kmer, KmerIter};
 use crate::stream::{IngestBudget, ReadBatch};
 use dibella_dist::extras::{
@@ -29,7 +36,7 @@ use dibella_dist::extras::{
 };
 use dibella_dist::{alltoallv_counted, par_ranks, BlockDist, CommPhase, CommStats};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Reliable k-mer selection parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -144,88 +151,24 @@ pub fn count_kmers_serial(reads: &ReadSet, selection: &KmerSelection) -> KmerTab
 ///
 /// Reads are block-partitioned over ranks; canonical k-mers are exchanged to
 /// hash-assigned owner ranks twice (Bloom pass, then counting pass), exactly
-/// as the paper's k-mer counter does.  Returns the same table as
-/// [`count_kmers_serial`] for any `nprocs`.
+/// as the paper's k-mer counter does.  This is the fold
+/// [`count_kmers_streaming`] drives, with the resident set lent as a single
+/// superstep: no stream, no budget, nothing that can fail.  Returns the same
+/// table as [`count_kmers_serial`] for any `nprocs`.
 pub fn count_kmers_distributed(
     reads: &ReadSet,
     selection: &KmerSelection,
     nprocs: usize,
     stats: &CommStats,
 ) -> KmerTable {
-    assert!(nprocs > 0);
-    let read_dist = BlockDist::new(reads.len(), nprocs);
-    // The wire format is 2-bit packed, i.e. k/4 bytes per k-mer: that is
-    // ceil(k/32) 8-byte words.
-    let words_per_kmer = (selection.k as u64).div_ceil(32);
-
-    // Each rank extracts the canonical k-mers of its reads and buckets them by
-    // owner rank (hash of the canonical k-mer).
-    let extract = || -> Vec<Vec<Vec<Kmer>>> {
-        par_ranks(nprocs, |rank| {
-            let mut bufs: Vec<Vec<Kmer>> = (0..nprocs).map(|_| Vec::new()).collect();
-            for read_idx in read_dist.range(rank) {
-                let seq = reads.seq(read_idx);
-                if seq.len() < selection.k {
-                    continue;
-                }
-                for (_, kmer) in KmerIter::new(seq, selection.k) {
-                    let canon = kmer.canonical().kmer;
-                    let owner = (canon.hash64() % nprocs as u64) as usize;
-                    bufs[owner].push(canon);
-                }
-            }
-            bufs
-        })
-    };
-
-    // Pass 1: Bloom filter pass.  Owners learn which of their k-mers occur at
-    // least twice.
-    let pass1 = alltoallv_counted(extract(), stats, CommPhase::KmerCounting, words_per_kmer);
-    let candidates: Vec<Vec<Kmer>> = pass1
-        .into_iter()
-        .map(|incoming| {
-            let mut bloom = BloomFilter::with_rate(incoming.len().max(64), 0.01);
-            let mut seen_twice: HashMap<Kmer, ()> = HashMap::new();
-            for kmer in incoming {
-                if bloom.insert(kmer.packed()) {
-                    seen_twice.entry(kmer).or_insert(());
-                }
-            }
-            seen_twice.into_keys().collect()
-        })
-        .collect();
-
-    // Pass 2: counting pass over the same exchange.
-    let pass2 = alltoallv_counted(extract(), stats, CommPhase::KmerCounting, words_per_kmer);
-    let per_rank_counts: Vec<HashMap<Kmer, u32>> = pass2
-        .into_iter()
-        .zip(candidates)
-        .map(|(incoming, cands)| {
-            let cand_set: std::collections::HashSet<Kmer> = cands.into_iter().collect();
-            let mut counts: HashMap<Kmer, u32> = HashMap::with_capacity(cand_set.len());
-            for kmer in incoming {
-                if cand_set.contains(&kmer) {
-                    *counts.entry(kmer).or_insert(0) += 1;
-                }
-            }
-            counts
-        })
-        .collect();
-
-    // Because the Bloom filter may produce false positives on the *first*
-    // occurrence of a k-mer, a candidate's pass-2 count can still be 1; the
-    // reliable-range filter below removes those, matching the serial counter.
-    let mut merged: HashMap<Kmer, u32> = HashMap::new();
-    for counts in per_rank_counts {
-        for (k, c) in counts {
-            *merged.entry(k).or_insert(0) += c;
-        }
-    }
-    build_table(merged, selection)
+    let mut fold = TwoPassFold::new(selection, nprocs, stats);
+    fold.superstep(extract(reads.records(), selection, nprocs));
+    fold.start_counting();
+    fold.superstep(extract(reads.records(), selection, nprocs));
+    fold.into_table()
 }
 
-/// Streaming superstep variant of [`count_kmers_distributed`]: consumes the
-/// input as bounded [`ReadBatch`]es instead of a resident [`ReadSet`].
+/// The two-pass counter over a stream of bounded [`ReadBatch`]es.
 ///
 /// Each batch is one BSP **superstep**: every rank extracts the canonical
 /// k-mers of its share of the batch, exchanges them to hash-assigned owners
@@ -234,19 +177,17 @@ pub fn count_kmers_distributed(
 /// than one batch (plus its in-flight exchange buffers) resident.  The
 /// two-pass structure is preserved across supersteps:
 ///
-/// * **pass 1** feeds a [`ScalableBloom`] per owner (sized for an unknown
-///   stream, unlike the monolithic counter's count-sized [`BloomFilter`]);
-///   k-mers seen at least twice anywhere in the stream graduate to the
-///   owner's candidate set;
+/// * **pass 1** feeds a [`ScalableBloom`] per owner (the stream's
+///   cardinality is unknown); k-mers seen at least twice anywhere in the
+///   stream graduate to the owner's candidate table;
 /// * **pass 2** re-streams the same input (`batches` is called once per
 ///   pass) and counts occurrences of the graduated candidates.
 ///
 /// For `selection.min_count >= 2` (the paper's setting) the returned table is
-/// **bit-identical** to [`count_kmers_distributed`] and [`count_kmers_serial`]
-/// at every batch size and thread count: Bloom false positives only graduate
-/// extra *singletons*, whose full pass-2 count of 1 is then discarded by the
-/// reliable-range filter, and true `count >= 2` k-mers always graduate (no
-/// false negatives).
+/// **bit-identical** to [`count_kmers_serial`] at every batch size and thread
+/// count: Bloom false positives only graduate extra *singletons*, whose full
+/// pass-2 count of 1 is then discarded by the reliable-range filter, and true
+/// `count >= 2` k-mers always graduate (no false negatives).
 ///
 /// Resource accounting under `budget`:
 ///
@@ -260,7 +201,7 @@ pub fn count_kmers_distributed(
 ///
 /// Both passes must observe the same stream: if the second call to `batches`
 /// yields a different superstep or read count, the ingest fails.
-pub fn count_kmers_streaming<I, F>(
+pub fn count_kmers_streaming<'a, I, F>(
     mut batches: F,
     selection: &KmerSelection,
     nprocs: usize,
@@ -268,73 +209,31 @@ pub fn count_kmers_streaming<I, F>(
     stats: &CommStats,
 ) -> Result<KmerTable, String>
 where
-    I: Iterator<Item = Result<ReadBatch, String>>,
+    I: Iterator<Item = Result<ReadBatch<'a>, String>>,
     F: FnMut() -> Result<I, String>,
 {
-    assert!(nprocs > 0);
-    let words_per_kmer = (selection.k as u64).div_ceil(32);
+    let mut fold = TwoPassFold::new(selection, nprocs, stats);
     let mut peaks = IngestPeaks::default();
-
-    // Pass 1: Bloom pass, one superstep per batch.  Owner state (filter +
-    // candidate set) persists across supersteps so k-mers whose occurrences
-    // land in different batches still graduate.
-    let mut blooms: Vec<ScalableBloom> =
-        (0..nprocs).map(|_| ScalableBloom::with_rate(1 << 12, 0.01)).collect();
-    let mut candidates: Vec<HashSet<Kmer>> = vec![HashSet::new(); nprocs];
-    let mut pass1_steps = 0u64;
-    let mut pass1_reads = 0usize;
-    for batch in batches()? {
-        let batch = batch?;
-        if batch.is_empty() {
-            continue;
-        }
-        pass1_steps += 1;
-        pass1_reads += batch.len();
-        let send = extract_batch(&batch, selection, nprocs);
-        let owner_state: u64 = blooms.iter().map(|b| b.resident_bytes() as u64).sum::<u64>()
-            + kmer_set_bytes(&candidates);
-        peaks.observe(&batch, &send, owner_state, budget)?;
-        let incoming = alltoallv_counted(send, stats, CommPhase::KmerCounting, words_per_kmer);
-        for (owner, kmers) in incoming.into_iter().enumerate() {
-            for kmer in kmers {
-                if blooms[owner].insert(kmer.packed()) {
-                    candidates[owner].insert(kmer);
-                }
+    // One pass: a superstep per non-empty batch, budget-checked before its
+    // exchange.  Returns the (supersteps, reads) the pass saw.
+    let mut pass = |fold: &mut TwoPassFold<'_>| -> Result<(u64, usize), String> {
+        let (mut steps, mut reads) = (0u64, 0usize);
+        for batch in batches()? {
+            let batch = batch?;
+            if batch.is_empty() {
+                continue;
             }
+            steps += 1;
+            reads += batch.len();
+            let send = extract(&batch.records, selection, nprocs);
+            peaks.observe(&batch, &send, fold.owner_state_bytes(), budget)?;
+            fold.superstep(send);
         }
-    }
-    // The filters have done their job; only the candidate sets survive into
-    // pass 2, so the resident estimate drops accordingly.
-    drop(blooms);
-
-    // Pass 2: counting pass over a fresh stream of the same input.
-    let mut counts: Vec<HashMap<Kmer, u32>> =
-        candidates.iter().map(|c| HashMap::with_capacity(c.len())).collect();
-    let mut pass2_steps = 0u64;
-    let mut pass2_reads = 0usize;
-    for batch in batches()? {
-        let batch = batch?;
-        if batch.is_empty() {
-            continue;
-        }
-        pass2_steps += 1;
-        pass2_reads += batch.len();
-        let send = extract_batch(&batch, selection, nprocs);
-        let owner_state: u64 = kmer_set_bytes(&candidates)
-            + counts
-                .iter()
-                .map(|c| (c.len() * (std::mem::size_of::<Kmer>() + 4)) as u64 * 2)
-                .sum::<u64>();
-        peaks.observe(&batch, &send, owner_state, budget)?;
-        let incoming = alltoallv_counted(send, stats, CommPhase::KmerCounting, words_per_kmer);
-        for (owner, kmers) in incoming.into_iter().enumerate() {
-            for kmer in kmers {
-                if candidates[owner].contains(&kmer) {
-                    *counts[owner].entry(kmer).or_insert(0) += 1;
-                }
-            }
-        }
-    }
+        Ok((steps, reads))
+    };
+    let (pass1_steps, pass1_reads) = pass(&mut fold)?;
+    fold.start_counting();
+    let (pass2_steps, pass2_reads) = pass(&mut fold)?;
     if pass2_steps != pass1_steps || pass2_reads != pass1_reads {
         return Err(format!(
             "streaming input changed between passes: pass 1 saw {pass1_reads} reads in \
@@ -345,34 +244,25 @@ where
     stats.max_extra(INGEST_SUPERSTEPS_KEY, pass1_steps);
     stats.max_extra(INGEST_BATCH_BYTES_PEAK_KEY, peaks.batch_bytes);
     stats.max_extra(INGEST_RESIDENT_BYTES_PEAK_KEY, peaks.resident_bytes);
-
-    // Owners partition the k-mer space by hash, so the per-owner count maps
-    // are disjoint and merging is a plain union.
-    let mut merged: HashMap<Kmer, u32> = HashMap::new();
-    for owner_counts in counts {
-        merged.extend(owner_counts);
-    }
-    Ok(build_table(merged, selection))
+    Ok(fold.into_table())
 }
 
-/// One superstep's extraction: every rank walks its block of the batch and
-/// buckets canonical k-mers by owner rank.  The returned buffers are moved
-/// into the exchange (consumed, not cloned), so a superstep's send side is
-/// resident exactly once.
-fn extract_batch(
-    batch: &ReadBatch,
-    selection: &KmerSelection,
-    nprocs: usize,
-) -> Vec<Vec<Vec<Kmer>>> {
-    let batch_dist = BlockDist::new(batch.len(), nprocs);
+/// One superstep's send buffers, `[rank][owner]`.
+type KmerBuckets = Vec<Vec<Vec<Kmer>>>;
+
+/// One superstep's extraction: every rank walks its block of the records and
+/// buckets canonical k-mers by owner rank (hash of the canonical k-mer).
+/// The returned buffers are moved into the exchange (consumed, not cloned),
+/// so a superstep's send side is resident exactly once.
+fn extract(records: &[ReadRecord], selection: &KmerSelection, nprocs: usize) -> KmerBuckets {
+    let dist = BlockDist::new(records.len(), nprocs);
     par_ranks(nprocs, |rank| {
         let mut bufs: Vec<Vec<Kmer>> = (0..nprocs).map(|_| Vec::new()).collect();
-        for idx in batch_dist.range(rank) {
-            let seq = &batch.records[idx].seq;
-            if seq.len() < selection.k {
+        for rec in &records[dist.range(rank)] {
+            if rec.seq.len() < selection.k {
                 continue;
             }
-            for (_, kmer) in KmerIter::new(seq, selection.k) {
+            for (_, kmer) in KmerIter::new(&rec.seq, selection.k) {
                 let canon = kmer.canonical().kmer;
                 let owner = (canon.hash64() % nprocs as u64) as usize;
                 bufs[owner].push(canon);
@@ -382,13 +272,103 @@ fn extract_batch(
     })
 }
 
-/// Rough heap bytes of the per-owner candidate sets (2x for hash-table
-/// overhead — an estimate, cross-checked by the allocator-based tests).
-fn kmer_set_bytes(sets: &[HashSet<Kmer>]) -> u64 {
-    sets.iter().map(|s| (s.len() * std::mem::size_of::<Kmer>()) as u64 * 2).sum()
+/// Which pass the next superstep belongs to.
+enum Pass {
+    /// Pass 1, holding every owner's filter chain (empty until the first
+    /// superstep sizes it).
+    Bloom(Vec<ScalableBloom>),
+    /// Pass 2: the filters have done their job and are gone, so the resident
+    /// estimate drops accordingly.
+    Count,
 }
 
-/// Running peaks of the streaming ingest's resident-byte estimate.
+/// The owner-side state of the two-pass counter, folded one superstep at a
+/// time.  It persists across supersteps so k-mers whose occurrences land in
+/// different batches still graduate.
+struct TwoPassFold<'a> {
+    selection: &'a KmerSelection,
+    stats: &'a CommStats,
+    pass: Pass,
+    /// Per owner: the candidates pass 1 graduated (`k-mer → 0`), counted in
+    /// place by pass 2.
+    counts: Vec<HashMap<Kmer, u32>>,
+}
+
+impl<'a> TwoPassFold<'a> {
+    fn new(selection: &'a KmerSelection, nprocs: usize, stats: &'a CommStats) -> Self {
+        assert!(nprocs > 0);
+        let counts = vec![HashMap::new(); nprocs];
+        Self { selection, stats, pass: Pass::Bloom(Vec::new()), counts }
+    }
+
+    /// Exchange one superstep's buckets and fold what each owner receives.
+    fn superstep(&mut self, send: KmerBuckets) {
+        // The wire format is 2-bit packed, i.e. k/4 bytes per k-mer: that is
+        // ceil(k/32) 8-byte words.
+        let words_per_kmer = (self.selection.k as u64).div_ceil(32);
+        let incoming = alltoallv_counted(send, self.stats, CommPhase::KmerCounting, words_per_kmer);
+        match &mut self.pass {
+            Pass::Bloom(blooms) => {
+                if blooms.is_empty() {
+                    // First stage sized for what the first superstep delivers:
+                    // with a single superstep that is the whole stream and the
+                    // chain never grows; later stages double.  (Their bytes
+                    // enter the resident estimate from the next superstep on;
+                    // at ~1.2 B per k-mer they sit well inside the 2x the
+                    // estimate charges for this superstep's 8 B-per-k-mer
+                    // exchange.)
+                    let sized = |kmers: &Vec<Kmer>| ScalableBloom::with_rate(kmers.len(), 0.01);
+                    *blooms = incoming.iter().map(sized).collect();
+                }
+                let owners = blooms.iter_mut().zip(&mut self.counts);
+                for ((bloom, counts), kmers) in owners.zip(incoming) {
+                    for kmer in kmers {
+                        if bloom.insert(kmer.packed()) {
+                            counts.entry(kmer).or_insert(0);
+                        }
+                    }
+                }
+            }
+            Pass::Count => {
+                for (counts, kmers) in self.counts.iter_mut().zip(incoming) {
+                    for kmer in kmers {
+                        if let Some(count) = counts.get_mut(&kmer) {
+                            *count += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// End pass 1: only the candidate tables survive into pass 2.
+    fn start_counting(&mut self) {
+        self.pass = Pass::Count;
+    }
+
+    /// Rough heap bytes of the persistent owner state: the filter chains plus
+    /// the candidate tables (2x for hash-table overhead — an estimate,
+    /// cross-checked by the allocator-based tests).
+    fn owner_state_bytes(&self) -> u64 {
+        let blooms = match &self.pass {
+            Pass::Bloom(blooms) => blooms.iter().map(|b| b.resident_bytes() as u64).sum(),
+            Pass::Count => 0,
+        };
+        let entry = (std::mem::size_of::<Kmer>() + std::mem::size_of::<u32>()) as u64;
+        blooms + self.counts.iter().map(|c| c.len() as u64 * entry * 2).sum::<u64>()
+    }
+
+    /// Owners partition the k-mer space by hash, so the per-owner tables are
+    /// disjoint and the result is their plain union.  Because the Bloom
+    /// filter may produce false positives on the *first* occurrence of a
+    /// k-mer, a candidate's pass-2 count can still be 1; the reliable-range
+    /// filter removes those, matching the serial counter.
+    fn into_table(self) -> KmerTable {
+        build_table(self.counts.into_iter().flatten(), self.selection)
+    }
+}
+
+/// Running peaks of the ingest's resident-byte estimate.
 #[derive(Default)]
 struct IngestPeaks {
     batch_bytes: u64,
@@ -403,8 +383,8 @@ impl IngestPeaks {
     /// all-to-all) and the persistent owner state.
     fn observe(
         &mut self,
-        batch: &ReadBatch,
-        send: &[Vec<Vec<Kmer>>],
+        batch: &ReadBatch<'_>,
+        send: &KmerBuckets,
         owner_state: u64,
         budget: &IngestBudget,
     ) -> Result<(), String> {
@@ -430,7 +410,10 @@ impl IngestPeaks {
     }
 }
 
-fn build_table(counts: HashMap<Kmer, u32>, selection: &KmerSelection) -> KmerTable {
+fn build_table(
+    counts: impl IntoIterator<Item = (Kmer, u32)>,
+    selection: &KmerSelection,
+) -> KmerTable {
     let mut reliable: Vec<(Kmer, u32)> = counts
         .into_iter()
         .filter(|(_, c)| *c >= selection.min_count && *c <= selection.max_count)
@@ -587,13 +570,12 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_monolithic_at_fixed_batch_sizes_and_threads() {
+    fn streaming_matches_serial_at_fixed_batch_sizes_and_threads() {
         use crate::stream::{read_set_batches, IngestBudget};
         let ds = DatasetSpec::Tiny.generate(11);
         let sel = KmerSelection { k: 11, min_count: 2, max_count: 30 };
+        let serial = count_kmers_serial(&ds.reads, &sel);
         for nprocs in [1usize, 3] {
-            let mono_stats = CommStats::new();
-            let mono = count_kmers_distributed(&ds.reads, &sel, nprocs, &mono_stats);
             for max_batch_reads in [1usize, 7, 64, usize::MAX] {
                 for threads in [1usize, 2, 4] {
                     let budget = IngestBudget::with_batch_reads(max_batch_reads);
@@ -609,7 +591,7 @@ mod tests {
                     })
                     .unwrap();
                     let ctx = format!("P={nprocs} b={max_batch_reads} t={threads}");
-                    assert_tables_identical(&streamed, &mono, &ctx);
+                    assert_tables_identical(&streamed, &serial, &ctx);
                     assert_eq!(
                         stats.extra("ingest_supersteps") as usize,
                         ds.reads.len().div_ceil(max_batch_reads.min(ds.reads.len())),
@@ -714,7 +696,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
         #[test]
-        fn prop_streaming_equals_monolithic_at_random_batch_sizes(
+        fn prop_streaming_equals_serial_at_random_batch_sizes(
             seed in 0u64..200,
             max_batch_reads in 1usize..=64,
             nprocs in 1usize..6,
@@ -724,8 +706,7 @@ mod tests {
             let threads = [1usize, 2, 4][threads_idx];
             let ds = DatasetSpec::Tiny.generate_with_length(2_000, seed);
             let sel = KmerSelection { k: 9, min_count: 2, max_count: 50 };
-            let mono_stats = CommStats::new();
-            let mono = count_kmers_distributed(&ds.reads, &sel, nprocs, &mono_stats);
+            let serial = count_kmers_serial(&ds.reads, &sel);
             let budget = IngestBudget::with_batch_reads(max_batch_reads);
             let stats = CommStats::new();
             let streamed = dibella_dist::with_threads(threads, || {
@@ -738,8 +719,8 @@ mod tests {
                 )
             });
             let streamed = streamed.unwrap();
-            prop_assert_eq!(streamed.len(), mono.len());
-            for ((ca, ka, na), (cb, kb, nb)) in streamed.iter().zip(mono.iter()) {
+            prop_assert_eq!(streamed.len(), serial.len());
+            for ((ca, ka, na), (cb, kb, nb)) in streamed.iter().zip(serial.iter()) {
                 prop_assert_eq!(ca, cb);
                 prop_assert_eq!(ka, kb);
                 prop_assert_eq!(na, nb);

@@ -8,6 +8,8 @@
 //!   forms and k-mer extraction from sequences.
 //! * [`fasta`] — FASTA parsing/writing and the [`fasta::ReadSet`] container
 //!   used throughout the pipeline.
+//! * [`stream`] — the chunked FASTA/FASTQ readers behind those parsers, and
+//!   the [`stream::IngestBudget`] that bounds their batches.
 //! * [`bloom`] — the Bloom filter used to discard singleton k-mers during
 //!   counting (Melsted & Pritchard style, as cited by the paper).
 //! * [`simulate`] — synthetic genome and PacBio-CLR-like long-read simulation.
@@ -40,8 +42,8 @@ pub mod stream;
 pub use bloom::{BloomFilter, ScalableBloom};
 pub use dna::{complement_code, DnaSeq, Strand};
 pub use fasta::{
-    parse_fasta, parse_fasta_file, parse_fastq, parse_fastq_file, parse_fastq_filtered,
-    write_fasta, write_fasta_file, FastqFilterStats, ReadRecord, ReadSet,
+    parse_fasta, parse_fasta_file, parse_fastq_file, parse_fastq_filtered, write_fasta,
+    write_fasta_file, FastqFilterStats, ReadRecord, ReadSet,
 };
 pub use hpc::HpcSeq;
 pub use kmer::{CanonicalKmer, Kmer, KmerIter};
@@ -56,6 +58,6 @@ pub use simulate::{
     SimulatedDataset, Topology,
 };
 pub use stream::{
-    fasta_batches, fasta_batches_file, fastq_batches, read_set_batches, FastaBatcher,
-    FastqBatcher, IngestBudget, LineAssembler, ReadBatch,
+    collect_batches, fasta_batches, fasta_batches_file, fastq_batches, read_set_batches, Batches,
+    IngestBudget, LineAssembler, ReadBatch, ReadBatcher,
 };

@@ -1,53 +1,56 @@
-//! Chunked, bounded-memory FASTA/FASTQ ingest.
+//! Chunked, bounded-memory FASTA/FASTQ ingest — the one reader per format.
 //!
-//! The monolithic parsers in [`crate::fasta`] require the whole input text in
-//! memory; at the scales the paper targets no rank can hold its input, so the
-//! real system streams fixed-size I/O chunks per rank and processes reads in
-//! bounded batches (the BSP *supersteps* of the streaming k-mer counter in
-//! [`crate::kmer_counter`]).  This module is the chunk layer:
+//! At the scales the paper targets no rank can hold its input, so the real
+//! system streams fixed-size I/O chunks per rank and processes reads in
+//! bounded batches (the BSP *supersteps* of the k-mer counter in
+//! [`crate::kmer_counter`]).  This module is that chunk layer, and the only
+//! parser each format has: [`crate::fasta::parse_fasta`] and
+//! [`crate::fasta::parse_fastq_filtered`] are its degenerate case (whole text
+//! = one chunk, unbounded budget = one batch).
 //!
 //! * [`LineAssembler`] — turns arbitrary byte chunks into logical lines,
 //!   handling records (and CRLF terminators) that straddle chunk boundaries;
-//! * [`FastaBatcher`] / [`FastqBatcher`] — incremental record assembly with
-//!   the *same* validation and line-ending tolerance as the monolithic
-//!   parsers, sealing [`ReadBatch`]es at the [`IngestBudget`] bounds;
-//! * [`fasta_batches`] / [`fastq_batches`] — batch iterators over in-memory
-//!   text fed through the chunk path (tests and the pipeline entry point);
-//! * [`fasta_batches_file`] — batch iterator over a FASTA file read
+//! * [`ReadBatcher`] — incremental record assembly (the FASTA or the
+//!   four-line FASTQ grammar, with all input validation), sealing
+//!   [`ReadBatch`]es at the [`IngestBudget`] bounds;
+//! * [`fasta_batches`] / [`fastq_batches`] / [`fasta_batches_file`] — one
+//!   chunk pump ([`Batches`]) over in-memory text or a file read
 //!   `chunk_bytes` at a time, so peak memory is one chunk plus one batch;
-//! * [`read_set_batches`] — batch views over an already-resident
+//! * [`read_set_batches`] — the same batches lent from an already-resident
 //!   [`ReadSet`], for replaying supersteps without re-parsing.
 //!
-//! Every path yields byte-identical records to the monolithic parsers for
-//! any chunk size, which is what makes the streaming pipeline's outputs
-//! bit-identical to the monolithic pipeline's.
+//! Records do not depend on the chunk size, and batch boundaries depend only
+//! on the budget: one sealing rule ([`IngestBudget`]) serves the parser path
+//! and the resident path alike.
 
 use crate::dna::DnaSeq;
 use crate::fasta::{validate_fastq_record, ReadRecord, ReadSet};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::Read;
 use std::path::Path;
 
-/// The memory budget of a streaming ingest.
+/// The memory budget of an ingest.
 ///
 /// All three bounds default to "unbounded" (`usize::MAX`); setting any of
 /// them makes the corresponding resource hard-capped:
 ///
 /// * a [`ReadBatch`] is sealed before it would exceed `max_batch_reads`
 ///   reads or `max_batch_bytes` heap bytes (a batch never splits a read, so
-///   one read larger than `max_batch_bytes` still forms a singleton batch);
-/// * the streaming k-mer counter fails with an error if its estimated
-///   resident bytes (current batch + in-flight exchange buffers + per-owner
-///   filter/table state) ever exceed `max_resident_bytes`, rather than
-///   silently growing past the budget.
+///   one read larger than `max_batch_bytes` still forms a singleton batch,
+///   and a bound of zero means one read per batch);
+/// * the k-mer counter fails with an error if its estimated resident bytes
+///   (current batch + in-flight exchange buffers + per-owner filter/table
+///   state) ever exceed `max_resident_bytes`, rather than silently growing
+///   past the budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IngestBudget {
     /// Maximum reads per batch (one superstep ingests one batch per rank).
     pub max_batch_reads: usize,
     /// Maximum heap bytes per batch (names + 1-byte-per-base sequences).
     pub max_batch_bytes: usize,
-    /// Hard cap on the streaming ingest's estimated resident bytes.
+    /// Hard cap on the k-mer counter's estimated resident bytes.
     pub max_resident_bytes: usize,
 }
 
@@ -58,8 +61,7 @@ impl Default for IngestBudget {
 }
 
 impl IngestBudget {
-    /// No bounds: one batch holding the whole input, no resident cap — the
-    /// monolithic behaviour, through the streaming machinery.
+    /// No bounds: one batch holding the whole input, no resident cap.
     pub fn unbounded() -> Self {
         Self {
             max_batch_reads: usize::MAX,
@@ -77,19 +79,36 @@ impl IngestBudget {
     pub fn with_batch_bytes(max_batch_bytes: usize) -> Self {
         Self { max_batch_bytes, ..Self::unbounded() }
     }
+
+    /// Sealing rule, first half: an open batch of `reads` reads and `bytes`
+    /// bytes must be sealed *before* taking a record of `next` bytes, so
+    /// batches stay within `max_batch_bytes` — except a single read larger
+    /// than the whole budget, which must go somewhere.
+    fn seals_before(&self, reads: usize, bytes: usize, next: usize) -> bool {
+        reads > 0 && bytes.saturating_add(next) > self.max_batch_bytes
+    }
+
+    /// Sealing rule, second half: a batch that has just taken a record is
+    /// full.  Checked only after a record went in, so every batch makes
+    /// progress whatever the bounds.
+    fn is_full(&self, reads: usize, bytes: usize) -> bool {
+        reads >= self.max_batch_reads || bytes >= self.max_batch_bytes
+    }
 }
 
-/// One bounded batch of parsed reads — the unit of a streaming superstep.
+/// One bounded batch of reads — the unit of a counting superstep.  Parsers
+/// yield owned batches (`ReadBatch<'static>`); [`read_set_batches`] lends
+/// ranges of a resident [`ReadSet`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReadBatch {
+pub struct ReadBatch<'a> {
     /// Global index of the first read of this batch (reads are numbered in
-    /// input order across batches, matching the monolithic [`ReadSet`]).
+    /// input order across batches, matching the collected [`ReadSet`]).
     pub first_read: usize,
     /// The records of this batch, in input order.
-    pub records: Vec<ReadRecord>,
+    pub records: Cow<'a, [ReadRecord]>,
 }
 
-impl ReadBatch {
+impl ReadBatch<'_> {
     /// Number of reads in the batch.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -113,13 +132,27 @@ pub fn record_bytes(rec: &ReadRecord) -> usize {
     rec.name.len() + rec.seq.len()
 }
 
+/// Collect a batch stream into one resident [`ReadSet`], stopping at the
+/// stream's first error.
+pub fn collect_batches<'a>(
+    batches: impl Iterator<Item = Result<ReadBatch<'a>, String>>,
+) -> Result<ReadSet, String> {
+    let mut records = Vec::new();
+    for batch in batches {
+        records.extend(batch?.records.into_owned());
+    }
+    Ok(ReadSet::from_records(records))
+}
+
 /// Incremental splitter of byte chunks into logical lines.
 ///
-/// Accepts the same line endings as the monolithic parsers' `logical_lines`
-/// — Unix (`\n`), Windows (`\r\n`) and classic-Mac (`\r`), in any mixture,
-/// with or without a final terminator — but over a *sequence of chunks*: a
-/// line (or a `\r\n` pair) split across a chunk boundary is carried over and
-/// completed by the next chunk.  Feeding an empty chunk is a no-op.
+/// Accepts Unix (`\n`), Windows (`\r\n`) and classic-Mac (`\r`) line endings,
+/// in any mixture, with or without a final terminator — sequencing data
+/// regularly crosses Windows tooling on its way to a pipeline, and a
+/// byte-identical record set must not be rejected for its line endings — over
+/// a *sequence of chunks*: a line (or a `\r\n` pair) split across a chunk
+/// boundary is carried over and completed by the next chunk.  Feeding an
+/// empty chunk is a no-op.
 #[derive(Debug, Default)]
 pub struct LineAssembler {
     carry: Vec<u8>,
@@ -133,13 +166,9 @@ impl LineAssembler {
         Self::default()
     }
 
-    /// Number of complete logical lines emitted so far (for error messages
-    /// that report 1-based line numbers like the monolithic parsers).
-    pub fn lines_emitted(&self) -> u64 {
-        self.lines_emitted
-    }
-
-    /// Feed one chunk, calling `emit` for every logical line completed by it.
+    /// Feed one chunk, calling `emit(lineno, line)` for every logical line
+    /// completed by it (`lineno` is 1-based and counts blank lines, for
+    /// error messages).
     ///
     /// Lines are borrowed from the internal carry buffer, so `emit` must copy
     /// what it keeps.  Returns the first error `emit` produces (or a UTF-8
@@ -147,7 +176,7 @@ impl LineAssembler {
     pub fn push(
         &mut self,
         chunk: &[u8],
-        mut emit: impl FnMut(&str) -> Result<(), String>,
+        mut emit: impl FnMut(u64, &str) -> Result<(), String>,
     ) -> Result<(), String> {
         let mut rest = chunk;
         // A '\r' at the end of the previous chunk already emitted its line;
@@ -181,7 +210,10 @@ impl LineAssembler {
     }
 
     /// Flush the final unterminated line, if any.
-    pub fn finish(&mut self, mut emit: impl FnMut(&str) -> Result<(), String>) -> Result<(), String> {
+    pub fn finish(
+        &mut self,
+        mut emit: impl FnMut(u64, &str) -> Result<(), String>,
+    ) -> Result<(), String> {
         self.pending_lf = false;
         if self.carry.is_empty() {
             return Ok(());
@@ -191,56 +223,40 @@ impl LineAssembler {
 
     fn emit_carry(
         &mut self,
-        emit: &mut impl FnMut(&str) -> Result<(), String>,
+        emit: &mut impl FnMut(u64, &str) -> Result<(), String>,
     ) -> Result<(), String> {
         self.lines_emitted += 1;
         let line = std::str::from_utf8(&self.carry)
             .map_err(|e| format!("line {}: invalid UTF-8: {e}", self.lines_emitted))?;
-        let result = emit(line);
+        let result = emit(self.lines_emitted, line);
         self.carry.clear();
         result
     }
 }
 
-/// Shared budget-driven batch sealing for the FASTA/FASTQ batchers.
+/// Budget-driven batch sealing for the parser path.
 #[derive(Debug)]
 struct BatchSealer {
     budget: IngestBudget,
     batch: Vec<ReadRecord>,
     batch_bytes: usize,
     first_read: usize,
-    next_read: usize,
-    ready: VecDeque<ReadBatch>,
+    ready: VecDeque<ReadBatch<'static>>,
 }
 
 impl BatchSealer {
     fn new(budget: IngestBudget) -> Self {
-        Self {
-            budget,
-            batch: Vec::new(),
-            batch_bytes: 0,
-            first_read: 0,
-            next_read: 0,
-            ready: VecDeque::new(),
-        }
+        Self { budget, batch: Vec::new(), batch_bytes: 0, first_read: 0, ready: VecDeque::new() }
     }
 
     fn push(&mut self, record: ReadRecord) {
         let bytes = record_bytes(&record);
-        // Seal *before* pushing when the record would overflow the byte
-        // budget, so batches stay within `max_batch_bytes` (except a single
-        // read larger than the whole budget, which must go somewhere).
-        if !self.batch.is_empty()
-            && self.batch_bytes.saturating_add(bytes) > self.budget.max_batch_bytes
-        {
+        if self.budget.seals_before(self.batch.len(), self.batch_bytes, bytes) {
             self.seal();
         }
         self.batch.push(record);
         self.batch_bytes += bytes;
-        self.next_read += 1;
-        if self.batch.len() >= self.budget.max_batch_reads
-            || self.batch_bytes >= self.budget.max_batch_bytes
-        {
+        if self.budget.is_full(self.batch.len(), self.batch_bytes) {
             self.seal();
         }
     }
@@ -250,96 +266,10 @@ impl BatchSealer {
             return;
         }
         let records = std::mem::take(&mut self.batch);
-        self.ready.push_back(ReadBatch { first_read: self.first_read, records });
-        self.first_read = self.next_read;
+        let first_read = self.first_read;
+        self.first_read += records.len();
         self.batch_bytes = 0;
-    }
-
-    fn next_ready(&mut self) -> Option<ReadBatch> {
-        self.ready.pop_front()
-    }
-}
-
-/// Incremental FASTA parser over byte chunks, yielding [`ReadBatch`]es.
-///
-/// Accepts exactly the inputs [`crate::fasta::parse_fasta`] accepts (same
-/// record grammar, multi-line sequences, blank lines, line-ending tolerance,
-/// same error wording for empty names / data before the first header /
-/// invalid bases) and produces byte-identical records for any chunk size.
-#[derive(Debug)]
-pub struct FastaBatcher {
-    lines: LineAssembler,
-    current_name: Option<String>,
-    current_seq: String,
-    sealer: BatchSealer,
-}
-
-impl FastaBatcher {
-    /// A batcher sealing batches at the given budget's batch bounds.
-    pub fn new(budget: IngestBudget) -> Self {
-        Self {
-            lines: LineAssembler::new(),
-            current_name: None,
-            current_seq: String::new(),
-            sealer: BatchSealer::new(budget),
-        }
-    }
-
-    /// Feed one chunk of FASTA bytes (an empty chunk is a no-op).
-    pub fn push_chunk(&mut self, chunk: &[u8]) -> Result<(), String> {
-        let Self { lines, current_name, current_seq, sealer } = self;
-        lines.push(chunk, |line| Self::take_line(line, current_name, current_seq, sealer))
-    }
-
-    /// Signal end of input: flushes the trailing record and seals the final
-    /// (possibly smaller) batch.
-    pub fn finish(&mut self) -> Result<(), String> {
-        let Self { lines, current_name, current_seq, sealer } = self;
-        lines.finish(|line| Self::take_line(line, current_name, current_seq, sealer))?;
-        if let Some(name) = current_name.take() {
-            sealer.push(Self::complete(name, std::mem::take(current_seq))?);
-        }
-        sealer.seal();
-        Ok(())
-    }
-
-    /// Pop the next sealed batch, if any.
-    pub fn next_batch(&mut self) -> Option<ReadBatch> {
-        self.sealer.next_ready()
-    }
-
-    fn take_line(
-        line: &str,
-        current_name: &mut Option<String>,
-        current_seq: &mut String,
-        sealer: &mut BatchSealer,
-    ) -> Result<(), String> {
-        let line = line.trim_end();
-        if line.is_empty() {
-            return Ok(());
-        }
-        if let Some(rest) = line.strip_prefix('>') {
-            if let Some(name) = current_name.take() {
-                sealer.push(Self::complete(name, std::mem::take(current_seq))?);
-            }
-            let name = rest.split_whitespace().next().unwrap_or("").to_string();
-            if name.is_empty() {
-                return Err("record with empty name".to_string());
-            }
-            *current_name = Some(name);
-        } else {
-            if current_name.is_none() {
-                return Err("sequence data before the first '>' header".to_string());
-            }
-            current_seq.push_str(line);
-        }
-        Ok(())
-    }
-
-    fn complete(name: String, seq: String) -> Result<ReadRecord, String> {
-        let seq =
-            DnaSeq::from_ascii(seq.as_bytes()).map_err(|e| format!("record {name}: {e}"))?;
-        Ok(ReadRecord { name, seq })
+        self.ready.push_back(ReadBatch { first_read, records: Cow::Owned(records) });
     }
 }
 
@@ -357,147 +287,191 @@ enum FastqField {
     Qual(String, String),
 }
 
-/// Incremental four-line FASTQ parser over byte chunks, yielding
-/// [`ReadBatch`]es after an optional mean-quality filter.
-///
-/// Enforces the same strict record format as [`crate::fasta::parse_fastq`]
-/// (header / one sequence line / `+` separator / quality line of matching
-/// length), with the same line-ending tolerance and error wording, for any
-/// chunk size.  Reads whose mean Phred quality falls below
-/// `min_mean_quality` are dropped and counted, mirroring
-/// [`crate::fasta::parse_fastq_filtered`].
+/// The record grammar a [`ReadBatcher`] parses, with its record in progress.
 #[derive(Debug)]
-pub struct FastqBatcher {
+enum Grammar {
+    /// A `>name` header, then the sequence over any number of lines.
+    /// Characters other than `{A, C, G, T}` (e.g. `N`) are rejected — the
+    /// simulators in this repo never emit them, and the paper's pipeline
+    /// operates on the 2-bit alphabet.
+    Fasta { name: Option<String>, seq: String },
+    /// The classic four-line record, enforced strictly: a `@name` header, one
+    /// sequence line, a `+` separator (bare or repeating the name), and one
+    /// quality line of exactly the sequence's length in printable Phred+33
+    /// characters.  Multi-line sequences are rejected — every modern
+    /// long-read FASTQ writer emits four-line records.  Reads whose mean
+    /// Phred quality falls below `min_mean_quality` are dropped and counted.
+    Fastq { field: FastqField, min_mean_quality: f64, dropped_low_quality: usize },
+}
+
+impl Grammar {
+    /// Consume one logical line; blank lines are ignored by both grammars.
+    fn take_line(&mut self, lineno: u64, line: &str, out: &mut BatchSealer) -> Result<(), String> {
+        let line = line.trim_end();
+        if line.is_empty() {
+            return Ok(());
+        }
+        match self {
+            Grammar::Fasta { name, seq } => {
+                if let Some(rest) = line.strip_prefix('>') {
+                    flush_fasta(name, seq, out)?;
+                    let next = rest.split_whitespace().next().unwrap_or("");
+                    if next.is_empty() {
+                        return Err("record with empty name".to_string());
+                    }
+                    *name = Some(next.to_string());
+                } else {
+                    if name.is_none() {
+                        return Err("sequence data before the first '>' header".to_string());
+                    }
+                    seq.push_str(line);
+                }
+            }
+            Grammar::Fastq { field, min_mean_quality, dropped_low_quality } => {
+                *field = match std::mem::take(field) {
+                    FastqField::Header => {
+                        let Some(rest) = line.strip_prefix('@') else {
+                            return Err(format!(
+                                "line {lineno}: expected '@' header, found {line:?}"
+                            ));
+                        };
+                        let name = rest.split_whitespace().next().unwrap_or("");
+                        if name.is_empty() {
+                            return Err(format!("line {lineno}: record with empty name"));
+                        }
+                        FastqField::Seq(name.to_string())
+                    }
+                    FastqField::Seq(name) => FastqField::Sep(name, line.to_string()),
+                    FastqField::Sep(name, seq) => {
+                        if !line.starts_with('+') {
+                            return Err(format!(
+                                "line {lineno}: record {name}: expected '+' separator, found {line:?}"
+                            ));
+                        }
+                        FastqField::Qual(name, seq)
+                    }
+                    FastqField::Qual(name, seq) => {
+                        let (record, mean_q) = validate_fastq_record(name, seq, line.to_string())?;
+                        if mean_q >= *min_mean_quality {
+                            out.push(record);
+                        } else {
+                            *dropped_low_quality += 1;
+                        }
+                        FastqField::Header
+                    }
+                };
+            }
+        }
+        Ok(())
+    }
+
+    /// End of input: flush the trailing FASTA record, reject a truncated
+    /// FASTQ one.
+    fn end(&mut self, out: &mut BatchSealer) -> Result<(), String> {
+        match self {
+            Grammar::Fasta { name, seq } => flush_fasta(name, seq, out),
+            Grammar::Fastq { field, .. } => match std::mem::take(field) {
+                FastqField::Header => Ok(()),
+                FastqField::Seq(name) => Err(format!("record {name}: missing sequence line")),
+                FastqField::Sep(name, _) => Err(format!("record {name}: missing '+' separator")),
+                FastqField::Qual(name, _) => Err(format!("record {name}: missing quality line")),
+            },
+        }
+    }
+}
+
+/// Complete the FASTA record in progress, if any.
+fn flush_fasta(
+    name: &mut Option<String>,
+    seq: &mut String,
+    out: &mut BatchSealer,
+) -> Result<(), String> {
+    if let Some(name) = name.take() {
+        let seq = DnaSeq::from_ascii(std::mem::take(seq).as_bytes())
+            .map_err(|e| format!("record {name}: {e}"))?;
+        out.push(ReadRecord { name, seq });
+    }
+    Ok(())
+}
+
+/// Incremental FASTA or FASTQ parser over byte chunks, yielding
+/// [`ReadBatch`]es: the records (and the errors) are the same for any chunk
+/// size.
+#[derive(Debug)]
+pub struct ReadBatcher {
     lines: LineAssembler,
-    state: FastqField,
-    min_mean_quality: f64,
-    dropped_low_quality: usize,
+    grammar: Grammar,
     sealer: BatchSealer,
 }
 
-impl FastqBatcher {
-    /// A batcher with the given batch budget and mean-quality floor
-    /// (0.0 keeps everything).
-    pub fn new(budget: IngestBudget, min_mean_quality: f64) -> Self {
-        Self {
-            lines: LineAssembler::new(),
-            state: FastqField::Header,
-            min_mean_quality,
-            dropped_low_quality: 0,
-            sealer: BatchSealer::new(budget),
-        }
+impl ReadBatcher {
+    /// A FASTA batcher sealing batches at the given budget's batch bounds.
+    pub fn fasta(budget: IngestBudget) -> Self {
+        Self::new(Grammar::Fasta { name: None, seq: String::new() }, budget)
     }
 
-    /// Feed one chunk of FASTQ bytes (an empty chunk is a no-op).
+    /// A four-line FASTQ batcher with the given batch budget and
+    /// mean-quality floor (0.0 keeps everything).
+    pub fn fastq(budget: IngestBudget, min_mean_quality: f64) -> Self {
+        let field = FastqField::Header;
+        Self::new(Grammar::Fastq { field, min_mean_quality, dropped_low_quality: 0 }, budget)
+    }
+
+    fn new(grammar: Grammar, budget: IngestBudget) -> Self {
+        Self { lines: LineAssembler::new(), grammar, sealer: BatchSealer::new(budget) }
+    }
+
+    /// Feed one chunk of input bytes (an empty chunk is a no-op).
     pub fn push_chunk(&mut self, chunk: &[u8]) -> Result<(), String> {
-        let Self { lines, state, min_mean_quality, dropped_low_quality, sealer } = self;
-        let lineno_base = lines.lines_emitted();
-        let mut lineno = lineno_base;
-        lines.push(chunk, |line| {
-            lineno += 1;
-            Self::take_line(line, lineno, state, *min_mean_quality, dropped_low_quality, sealer)
-        })
+        let Self { lines, grammar, sealer } = self;
+        lines.push(chunk, |lineno, line| grammar.take_line(lineno, line, sealer))
     }
 
-    /// Signal end of input: rejects a truncated trailing record and seals the
-    /// final batch.
+    /// Signal end of input: completes (or rejects) the trailing record and
+    /// seals the final, possibly smaller, batch.
     pub fn finish(&mut self) -> Result<(), String> {
-        let Self { lines, state, min_mean_quality, dropped_low_quality, sealer } = self;
-        let mut lineno = lines.lines_emitted();
-        lines.finish(|line| {
-            lineno += 1;
-            Self::take_line(line, lineno, state, *min_mean_quality, dropped_low_quality, sealer)
-        })?;
-        match std::mem::take(state) {
-            FastqField::Header => {}
-            FastqField::Seq(name) => return Err(format!("record {name}: missing sequence line")),
-            FastqField::Sep(name, _) => {
-                return Err(format!("record {name}: missing '+' separator"))
-            }
-            FastqField::Qual(name, _) => {
-                return Err(format!("record {name}: missing quality line"))
-            }
-        }
+        let Self { lines, grammar, sealer } = self;
+        lines.finish(|lineno, line| grammar.take_line(lineno, line, sealer))?;
+        grammar.end(sealer)?;
         sealer.seal();
         Ok(())
     }
 
     /// Pop the next sealed batch, if any.
-    pub fn next_batch(&mut self) -> Option<ReadBatch> {
-        self.sealer.next_ready()
+    pub fn next_batch(&mut self) -> Option<ReadBatch<'static>> {
+        self.sealer.ready.pop_front()
     }
 
-    /// Reads dropped by the mean-quality filter so far.
+    /// Reads dropped by the FASTQ mean-quality filter so far (FASTA carries
+    /// no qualities and never drops).
     pub fn dropped_low_quality(&self) -> usize {
-        self.dropped_low_quality
-    }
-
-    fn take_line(
-        line: &str,
-        lineno: u64,
-        state: &mut FastqField,
-        min_mean_quality: f64,
-        dropped_low_quality: &mut usize,
-        sealer: &mut BatchSealer,
-    ) -> Result<(), String> {
-        if line.trim_end().is_empty() {
-            return Ok(());
+        match self.grammar {
+            Grammar::Fasta { .. } => 0,
+            Grammar::Fastq { dropped_low_quality, .. } => dropped_low_quality,
         }
-        *state = match std::mem::take(state) {
-            FastqField::Header => {
-                let header = line.trim_end();
-                let Some(rest) = header.strip_prefix('@') else {
-                    return Err(format!("line {lineno}: expected '@' header, found {header:?}"));
-                };
-                let name = rest.split_whitespace().next().unwrap_or("").to_string();
-                if name.is_empty() {
-                    return Err(format!("line {lineno}: record with empty name"));
-                }
-                FastqField::Seq(name)
-            }
-            FastqField::Seq(name) => FastqField::Sep(name, line.trim_end().to_string()),
-            FastqField::Sep(name, seq) => {
-                let sep = line.trim_end();
-                if !sep.starts_with('+') {
-                    return Err(format!(
-                        "line {lineno}: record {name}: expected '+' separator, found {sep:?}"
-                    ));
-                }
-                FastqField::Qual(name, seq)
-            }
-            FastqField::Qual(name, seq) => {
-                let (record, mean_q) = validate_fastq_record(name, seq, line.trim_end().to_string())?;
-                if mean_q >= min_mean_quality {
-                    sealer.push(record);
-                } else {
-                    *dropped_low_quality += 1;
-                }
-                FastqField::Header
-            }
-        };
-        Ok(())
     }
 }
 
-/// Iterator state shared by the text- and file-backed FASTA batch streams.
-enum FastaSource<'a> {
+/// Where a [`Batches`] pump reads its chunks from.
+enum ChunkSource<'a> {
     Text { text: &'a [u8], pos: usize },
     File { file: std::fs::File, buf: Vec<u8> },
 }
 
-/// Iterator of [`ReadBatch`]es from FASTA input fed through the chunk path.
+/// Iterator of [`ReadBatch`]es: the chunk pump feeding a [`ReadBatcher`]
+/// from text or a file, `chunk_bytes` at a time.
 ///
 /// Yields `Err` at most once (the first parse/I/O error) and then fuses.
-pub struct FastaBatches<'a> {
-    source: FastaSource<'a>,
+pub struct Batches<'a> {
+    source: ChunkSource<'a>,
     chunk_bytes: usize,
-    batcher: FastaBatcher,
+    batcher: ReadBatcher,
     finished: bool,
     failed: bool,
 }
 
-impl Iterator for FastaBatches<'_> {
-    type Item = Result<ReadBatch, String>;
+impl Iterator for Batches<'_> {
+    type Item = Result<ReadBatch<'static>, String>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.failed {
@@ -518,45 +492,46 @@ impl Iterator for FastaBatches<'_> {
     }
 }
 
-impl FastaBatches<'_> {
+impl<'a> Batches<'a> {
+    fn new(source: ChunkSource<'a>, chunk_bytes: usize, batcher: ReadBatcher) -> Self {
+        assert!(chunk_bytes > 0, "chunk size must be positive");
+        Self { source, chunk_bytes, batcher, finished: false, failed: false }
+    }
+
     /// Read and feed one chunk, or finish the batcher at end of input.
     fn step(&mut self) -> Result<(), String> {
-        match &mut self.source {
-            FastaSource::Text { text, pos } => {
-                if *pos >= text.len() {
-                    self.finished = true;
-                    return self.batcher.finish();
-                }
+        let chunk = match &mut self.source {
+            ChunkSource::Text { text, pos } => {
                 let end = (*pos + self.chunk_bytes).min(text.len());
                 let chunk = &text[*pos..end];
                 *pos = end;
-                self.batcher.push_chunk(chunk)
+                chunk
             }
-            FastaSource::File { file, buf } => {
+            ChunkSource::File { file, buf } => {
                 buf.resize(self.chunk_bytes, 0);
                 let n = file.read(buf).map_err(|e| format!("reading FASTA chunk: {e}"))?;
-                if n == 0 {
-                    self.finished = true;
-                    return self.batcher.finish();
-                }
-                self.batcher.push_chunk(&buf[..n])
+                &buf[..n]
             }
+        };
+        if chunk.is_empty() {
+            self.finished = true;
+            return self.batcher.finish();
         }
+        self.batcher.push_chunk(chunk)
+    }
+
+    /// Reads dropped by the FASTQ mean-quality filter so far.
+    pub fn dropped_low_quality(&self) -> usize {
+        self.batcher.dropped_low_quality()
     }
 }
 
 /// Stream batches from in-memory FASTA text, fed in `chunk_bytes`-sized
 /// chunks through the same incremental path as the file reader (so tests can
 /// pin chunk-boundary behaviour without touching disk).
-pub fn fasta_batches(text: &str, chunk_bytes: usize, budget: IngestBudget) -> FastaBatches<'_> {
-    assert!(chunk_bytes > 0, "chunk size must be positive");
-    FastaBatches {
-        source: FastaSource::Text { text: text.as_bytes(), pos: 0 },
-        chunk_bytes,
-        batcher: FastaBatcher::new(budget),
-        finished: false,
-        failed: false,
-    }
+pub fn fasta_batches(text: &str, chunk_bytes: usize, budget: IngestBudget) -> Batches<'_> {
+    let source = ChunkSource::Text { text: text.as_bytes(), pos: 0 };
+    Batches::new(source, chunk_bytes, ReadBatcher::fasta(budget))
 }
 
 /// Stream batches from a FASTA file, reading `chunk_bytes` at a time: peak
@@ -565,66 +540,11 @@ pub fn fasta_batches_file(
     path: impl AsRef<Path>,
     chunk_bytes: usize,
     budget: IngestBudget,
-) -> Result<FastaBatches<'static>, String> {
-    assert!(chunk_bytes > 0, "chunk size must be positive");
+) -> Result<Batches<'static>, String> {
     let file = std::fs::File::open(path.as_ref())
         .map_err(|e| format!("opening {}: {e}", path.as_ref().display()))?;
-    Ok(FastaBatches {
-        source: FastaSource::File { file, buf: Vec::new() },
-        chunk_bytes,
-        batcher: FastaBatcher::new(budget),
-        finished: false,
-        failed: false,
-    })
-}
-
-/// Iterator of quality-filtered [`ReadBatch`]es from FASTQ text fed through
-/// the chunk path (the FASTQ twin of [`fasta_batches`]).
-pub struct FastqBatches<'a> {
-    text: &'a [u8],
-    pos: usize,
-    chunk_bytes: usize,
-    batcher: FastqBatcher,
-    finished: bool,
-    failed: bool,
-}
-
-impl Iterator for FastqBatches<'_> {
-    type Item = Result<ReadBatch, String>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            if let Some(batch) = self.batcher.next_batch() {
-                return Some(Ok(batch));
-            }
-            if self.finished {
-                return None;
-            }
-            let result = if self.pos >= self.text.len() {
-                self.finished = true;
-                self.batcher.finish()
-            } else {
-                let end = (self.pos + self.chunk_bytes).min(self.text.len());
-                let chunk = &self.text[self.pos..end];
-                self.pos = end;
-                self.batcher.push_chunk(chunk)
-            };
-            if let Err(e) = result {
-                self.failed = true;
-                return Some(Err(e));
-            }
-        }
-    }
-}
-
-impl FastqBatches<'_> {
-    /// Reads dropped by the mean-quality filter so far.
-    pub fn dropped_low_quality(&self) -> usize {
-        self.batcher.dropped_low_quality()
-    }
+    let source = ChunkSource::File { file, buf: Vec::new() };
+    Ok(Batches::new(source, chunk_bytes, ReadBatcher::fasta(budget)))
 }
 
 /// Stream quality-filtered batches from in-memory FASTQ text in
@@ -634,86 +554,124 @@ pub fn fastq_batches(
     chunk_bytes: usize,
     budget: IngestBudget,
     min_mean_quality: f64,
-) -> FastqBatches<'_> {
-    assert!(chunk_bytes > 0, "chunk size must be positive");
-    FastqBatches {
-        text: text.as_bytes(),
-        pos: 0,
-        chunk_bytes,
-        batcher: FastqBatcher::new(budget, min_mean_quality),
-        finished: false,
-        failed: false,
-    }
+) -> Batches<'_> {
+    let source = ChunkSource::Text { text: text.as_bytes(), pos: 0 };
+    Batches::new(source, chunk_bytes, ReadBatcher::fastq(budget, min_mean_quality))
 }
 
-/// Stream batch views over an already-resident [`ReadSet`].
+/// Lend batches of an already-resident [`ReadSet`].
 ///
-/// The streaming k-mer counter consumes each pass through a fresh batch
-/// iterator; when the reads are already in memory (the pipeline keeps them
-/// for alignment and consensus anyway), replaying supersteps from the
-/// `ReadSet` avoids re-parsing while keeping the per-superstep exchange
-/// buffers bounded by the same budget.  Each batch clones its bounded slice
-/// of records — at most one batch of copies is alive at a time.
+/// The k-mer counter consumes each pass through a fresh batch iterator; when
+/// the reads are already in memory (the pipeline keeps them for alignment
+/// and consensus anyway), replaying supersteps from the `ReadSet` avoids
+/// re-parsing while keeping the per-superstep exchange buffers bounded by
+/// the same budget, sealed by the same rule as the parser path.
 pub fn read_set_batches(
     reads: &ReadSet,
     budget: IngestBudget,
-) -> impl Iterator<Item = Result<ReadBatch, String>> + '_ {
-    let mut next_read = 0usize;
+) -> impl Iterator<Item = Result<ReadBatch<'_>, String>> + '_ {
+    let mut first_read = 0usize;
     std::iter::from_fn(move || {
-        if next_read >= reads.len() {
-            return None;
-        }
-        let first_read = next_read;
-        let mut records = Vec::new();
-        let mut bytes = 0usize;
-        while next_read < reads.len() && records.len() < budget.max_batch_reads {
-            let rec = reads.record(next_read);
-            let rec_bytes = record_bytes(rec);
-            if !records.is_empty() && bytes.saturating_add(rec_bytes) > budget.max_batch_bytes {
+        let rest = &reads.records()[first_read..];
+        let (mut len, mut bytes) = (0usize, 0usize);
+        for rec in rest {
+            if budget.seals_before(len, bytes, record_bytes(rec)) {
                 break;
             }
-            records.push(rec.clone());
-            bytes += rec_bytes;
-            next_read += 1;
-            if bytes >= budget.max_batch_bytes {
+            len += 1;
+            bytes += record_bytes(rec);
+            if budget.is_full(len, bytes) {
                 break;
             }
         }
-        Some(Ok(ReadBatch { first_read, records }))
+        let batch = ReadBatch { first_read, records: Cow::Borrowed(&rest[..len]) };
+        first_read += len;
+        (len > 0).then_some(Ok(batch))
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fasta::{parse_fasta, parse_fastq, parse_fastq_filtered, write_fasta};
+    use crate::fasta::{parse_fasta, write_fasta};
     use crate::simulate::DatasetSpec;
 
     /// Collect every record from a batch stream, checking `first_read`
     /// bookkeeping along the way.
-    fn collect(iter: impl Iterator<Item = Result<ReadBatch, String>>) -> Result<ReadSet, String> {
+    fn collect<'a>(
+        iter: impl Iterator<Item = Result<ReadBatch<'a>, String>>,
+    ) -> Result<ReadSet, String> {
         let mut rs = ReadSet::new();
         for batch in iter {
             let batch = batch?;
             assert_eq!(batch.first_read, rs.len(), "batch first_read must be contiguous");
             assert!(!batch.is_empty(), "batchers must not emit empty batches");
-            for rec in batch.records {
+            for rec in batch.records.into_owned() {
                 rs.push(rec);
             }
         }
         Ok(rs)
     }
 
+    /// A read set spelled out record by record — the oracle the parsers are
+    /// checked against (they share one implementation, so comparing them
+    /// with each other proves nothing).
+    fn literal(records: &[(&str, &str)]) -> ReadSet {
+        let records = records
+            .iter()
+            .map(|(name, seq)| ReadRecord { name: name.to_string(), seq: seq.parse().unwrap() });
+        ReadSet::from_records(records.collect())
+    }
+
     const SAMPLE: &str = ">read1 some description\nACGT\nACGT\n\n>read2\nTTTT\n>read3\nG\n";
     const FASTQ: &str = "@read1 instrument=x\nACGT\n+\nII5I\n@read2\nTTTTT\n+read2\n!!!!!\n";
 
+    fn sample_reads() -> ReadSet {
+        literal(&[("read1", "ACGTACGT"), ("read2", "TTTT"), ("read3", "G")])
+    }
+
+    /// FASTQ text of a read set, every base at Phred 40.
+    fn write_fastq(reads: &ReadSet) -> String {
+        let mut out = String::new();
+        for (_, rec) in reads.iter() {
+            let seq = rec.seq.to_ascii();
+            out.push_str(&format!("@{}\n{seq}\n+\n{}\n", rec.name, "I".repeat(seq.len())));
+        }
+        out
+    }
+
     #[test]
-    fn chunked_fasta_matches_monolithic_at_every_chunk_size() {
-        let expected = parse_fasta(SAMPLE).unwrap();
+    fn chunked_fasta_yields_the_literal_records_at_every_chunk_size() {
+        let expected = sample_reads();
         for chunk_bytes in 1..=SAMPLE.len() + 1 {
             let got =
                 collect(fasta_batches(SAMPLE, chunk_bytes, IngestBudget::unbounded())).unwrap();
             assert_eq!(got, expected, "chunk_bytes={chunk_bytes}");
+        }
+    }
+
+    #[test]
+    fn simulated_reads_round_trip_at_every_chunk_size_and_line_ending() {
+        // The oracle is the simulator's own read set: text written from it
+        // must parse back to it whatever the chunking and line endings.
+        let reads = DatasetSpec::Tiny.generate_with_length(3_000, 4).reads;
+        for (format, text) in [("fasta", write_fasta(&reads)), ("fastq", write_fastq(&reads))] {
+            let variants = [
+                ("LF", text.clone()),
+                ("CRLF", text.replace('\n', "\r\n")),
+                ("CR", text.replace('\n', "\r")),
+                ("no final newline", text.trim_end().to_string()),
+            ];
+            for (ending, text) in &variants {
+                for chunk_bytes in [1, 2, 3, 7, 64, text.len()] {
+                    let budget = IngestBudget::with_batch_reads(5);
+                    let got = match format {
+                        "fasta" => collect(fasta_batches(text, chunk_bytes, budget)),
+                        _ => collect(fastq_batches(text, chunk_bytes, budget, 0.0)),
+                    };
+                    assert_eq!(got.unwrap(), reads, "{format} {ending} chunk_bytes={chunk_bytes}");
+                }
+            }
         }
     }
 
@@ -751,14 +709,14 @@ mod tests {
 
     #[test]
     fn empty_trailing_chunk_is_a_no_op() {
-        let mut batcher = FastaBatcher::new(IngestBudget::unbounded());
+        let mut batcher = ReadBatcher::fasta(IngestBudget::unbounded());
         batcher.push_chunk(SAMPLE.as_bytes()).unwrap();
         batcher.push_chunk(b"").unwrap();
         batcher.push_chunk(b"").unwrap();
         batcher.finish().unwrap();
         let mut rs = ReadSet::new();
         while let Some(batch) = batcher.next_batch() {
-            for rec in batch.records {
+            for rec in batch.records.into_owned() {
                 rs.push(rec);
             }
         }
@@ -803,11 +761,39 @@ mod tests {
     }
 
     #[test]
-    fn fasta_errors_match_the_monolithic_parser() {
-        for bad in ["ACGT\n>x\nACGT\n", ">\nACGT\n", ">bad\nACGN\n"] {
-            let mono = parse_fasta(bad).unwrap_err();
-            let streamed = collect(fasta_batches(bad, 4, IngestBudget::unbounded())).unwrap_err();
-            assert_eq!(streamed, mono, "input {bad:?}");
+    fn degenerate_batch_bounds_terminate_with_one_read_per_batch() {
+        // A bound of 0 or 1 (reads, or bytes — every read is larger) cannot
+        // be met; both paths must then fall back to singleton batches, not
+        // spin on empty ones: one sealing rule, so they cannot disagree.
+        let reads = DatasetSpec::Tiny.generate(9).reads;
+        let text = write_fasta(&reads);
+        for bound in [0usize, 1] {
+            for budget in
+                [IngestBudget::with_batch_reads(bound), IngestBudget::with_batch_bytes(bound)]
+            {
+                let parsed: Vec<_> = fasta_batches(&text, 512, budget).take(reads.len() + 1).collect();
+                let lent: Vec<_> = read_set_batches(&reads, budget).take(reads.len() + 1).collect();
+                for (path, batches) in [("parser", parsed), ("resident", lent)] {
+                    let ctx = format!("{path} path, {budget:?}");
+                    assert_eq!(batches.len(), reads.len(), "one batch per read ({ctx})");
+                    assert_eq!(collect(batches.into_iter()).unwrap(), reads, "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fasta_errors_are_the_same_at_any_chunk_size() {
+        for (bad, expected) in [
+            ("ACGT\n>x\nACGT\n", "sequence data before the first '>' header"),
+            (">\nACGT\n", "record with empty name"),
+            (">bad\nACGN\n", "record bad: invalid base 'N' at position 3"),
+        ] {
+            for chunk_bytes in [1, 4, bad.len()] {
+                let err = collect(fasta_batches(bad, chunk_bytes, IngestBudget::unbounded()))
+                    .unwrap_err();
+                assert_eq!(err, expected, "input {bad:?} chunk_bytes={chunk_bytes}");
+            }
         }
         // The stream fuses after an error.
         let mut iter = fasta_batches(">bad\nACGN\n>ok\nACGT\n", 4, IngestBudget::unbounded());
@@ -816,8 +802,8 @@ mod tests {
     }
 
     #[test]
-    fn chunked_fastq_matches_monolithic_at_every_chunk_size() {
-        let (expected, _) = parse_fastq(FASTQ).unwrap();
+    fn chunked_fastq_yields_the_literal_records_at_every_chunk_size() {
+        let expected = literal(&[("read1", "ACGT"), ("read2", "TTTTT")]);
         for chunk_bytes in 1..=FASTQ.len() + 1 {
             let got = collect(fastq_batches(FASTQ, chunk_bytes, IngestBudget::unbounded(), 0.0))
                 .unwrap();
@@ -826,7 +812,7 @@ mod tests {
         // CRLF + truncated final newline through the chunked path, record
         // fields (header/sequence/quality) straddling every boundary.
         let crlf = "@x\r\nACGT\r\n+\r\nIIII";
-        let (expected, _) = parse_fastq(crlf).unwrap();
+        let expected = literal(&[("x", "ACGT")]);
         for chunk_bytes in 1..=crlf.len() {
             let got = collect(fastq_batches(crlf, chunk_bytes, IngestBudget::unbounded(), 0.0))
                 .unwrap();
@@ -836,35 +822,34 @@ mod tests {
 
     #[test]
     fn chunked_fastq_filters_by_mean_quality_and_counts_drops() {
-        let (expected, stats) = parse_fastq_filtered(FASTQ, 10.0).unwrap();
+        // read2 is all '!' (Q0) and falls below the floor.
         let mut iter = fastq_batches(FASTQ, 5, IngestBudget::unbounded(), 10.0);
-        let mut rs = ReadSet::new();
-        for batch in &mut iter {
-            for rec in batch.unwrap().records {
-                rs.push(rec);
-            }
-        }
-        assert_eq!(rs, expected);
-        assert_eq!(iter.dropped_low_quality(), stats.dropped_low_quality);
+        let rs = collect(&mut iter).unwrap();
+        assert_eq!(rs, literal(&[("read1", "ACGT")]));
+        assert_eq!(iter.dropped_low_quality(), 1);
     }
 
     #[test]
-    fn chunked_fastq_rejects_malformed_records_like_the_monolithic_parser() {
-        for bad in [
-            "@x\nACGT\nIIII\n",          // missing separator
-            "@x\nACGT\n+\nII\n",         // quality length mismatch
-            "@x\nACGT\n+\n",             // missing quality line
-            "@x\nACGT\n",                // missing separator (truncated)
-            "@x\n",                      // missing sequence line
-            "ACGT\n+\nIIII\n",           // missing '@'
-            "@\nACGT\n+\nIIII\n",        // empty name
-            "@x\nACGN\n+\nIIII\n",       // invalid base
-            "@x\r\nACGT\r\n+\r\nII\r\n", // CRLF quality length mismatch
+    fn chunked_fastq_rejects_malformed_records_at_any_chunk_size() {
+        for (bad, expected) in [
+            ("@x\nACGT\nIIII\n", "line 3: record x: expected '+' separator, found \"IIII\""),
+            ("@x\nACGT\n+\nII\n", "record x: quality length 2 does not match sequence length 4"),
+            ("@x\nACGT\n+\n", "record x: missing quality line"),
+            ("@x\nACGT\n", "record x: missing '+' separator"),
+            ("@x\n", "record x: missing sequence line"),
+            ("ACGT\n+\nIIII\n", "line 1: expected '@' header, found \"ACGT\""),
+            ("\n@\nACGT\n+\nIIII\n", "line 2: record with empty name"),
+            ("@x\nACGN\n+\nIIII\n", "record x: invalid base 'N' at position 3"),
+            (
+                "@x\r\nACGT\r\n+\r\nII\r\n",
+                "record x: quality length 2 does not match sequence length 4",
+            ),
         ] {
-            let mono = parse_fastq(bad).unwrap_err();
-            let streamed =
-                collect(fastq_batches(bad, 3, IngestBudget::unbounded(), 0.0)).unwrap_err();
-            assert_eq!(streamed, mono, "input {bad:?}");
+            for chunk_bytes in [1, 3, bad.len()] {
+                let err = collect(fastq_batches(bad, chunk_bytes, IngestBudget::unbounded(), 0.0))
+                    .unwrap_err();
+                assert_eq!(err, expected, "input {bad:?} chunk_bytes={chunk_bytes}");
+            }
         }
     }
 

@@ -1,9 +1,10 @@
-//! Pins the peak-memory contract of the streaming superstep ingest.
+//! Pins the peak-memory contract of the superstep ingest.
 //!
 //! The shared [`PeakAlloc`] counting allocator measures *real* resident
-//! bytes (not the counter's internal estimate): streaming ingest under an
-//! [`IngestBudget`] must stay under the budget, and the monolithic path on
-//! the same input must demonstrably exceed it (the negative control that
+//! bytes (not the counter's internal estimate): ingest under an
+//! [`IngestBudget`] must stay under the budget, and the same code with no
+//! budget (whole text = one chunk, whole set = one superstep) must
+//! demonstrably exceed it on the same input (the negative control that
 //! proves the budget is binding, not vacuous).  This file holds a single
 //! `#[test]` on purpose: the counter is global, and a sibling test
 //! allocating concurrently would make the delta meaningless.
@@ -11,18 +12,18 @@
 use dibella_dist::CommStats;
 use dibella_seq::simulate::{generate_genome, simulate_reads, GenomeConfig, ReadSimConfig};
 use dibella_seq::{
-    count_kmers_distributed, count_kmers_streaming, fasta_batches, parse_fasta, write_fasta,
-    IngestBudget, KmerSelection, KmerTable,
+    count_kmers_distributed, count_kmers_serial, count_kmers_streaming, fasta_batches,
+    parse_fasta, write_fasta, IngestBudget, KmerSelection, KmerTable,
 };
 use dibella_testutil::PeakAlloc;
 
 #[global_allocator]
 static ALLOC: PeakAlloc = PeakAlloc::new();
 
-/// Hard budget the streaming ingest must honour and the monolithic path must
-/// break: well above the streaming working set (one 32 KiB batch + its
+/// Hard budget the bounded ingest must honour and the unbounded one must
+/// break: well above the bounded working set (one 32 KiB batch + its
 /// exchange buffers + k-mer tables over a 10 kb genome), well below the
-/// monolithic working set (the full ~1 MB read set plus all ~1M extracted
+/// unbounded working set (the full ~1 MB read set plus all ~1M extracted
 /// k-mers resident at once).
 const BUDGET_BYTES: usize = 8 << 20;
 
@@ -85,9 +86,9 @@ fn streaming_ingest_stays_under_a_budget_the_monolithic_path_exceeds() {
     assert!(estimated > 0 && estimated <= BUDGET_BYTES as u64);
     assert!(stats.extra("ingest_supersteps") > 1, "must have taken multiple supersteps");
 
-    // Monolithic negative control: same input, whole-text parse and
+    // Unbounded negative control: same input, whole-text parse and
     // whole-input two-pass counting.  Its peak must exceed the budget — that
-    // is the memory wall the streaming path exists to avoid.
+    // is the memory wall the bounded supersteps exist to avoid.
     let mono_stats = CommStats::new();
     let scope = ALLOC.scope();
     let mono_reads = parse_fasta(&text).unwrap();
@@ -100,9 +101,10 @@ fn streaming_ingest_stays_under_a_budget_the_monolithic_path_exceeds() {
          is not discriminating"
     );
 
-    // Same answer either way: the budget changes the memory shape, never the
-    // k-mer table.
+    // Same answer either way — the serial reference's: the budget changes
+    // the memory shape, never the k-mer table.
     assert_tables_identical(&streamed, &mono);
+    assert_tables_identical(&mono, &count_kmers_serial(&parse_fasta(&text).unwrap(), &sel));
     eprintln!(
         "streaming peak {streaming_peak} B (estimate {estimated} B) vs monolithic peak \
          {mono_peak} B under a {BUDGET_BYTES} B budget"

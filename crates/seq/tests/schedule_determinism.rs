@@ -1,17 +1,17 @@
-//! Re-pins the streaming k-mer counter's determinism claim under adversarial
-//! steal schedules.
+//! Re-pins the k-mer counter's determinism claim under adversarial steal
+//! schedules.
 //!
 //! `count_kmers_streaming` runs both counting passes as supersteps whose
-//! per-batch shuffles and owner-side folds ride the work-stealing pool; the
-//! PR-8 claim is that the resulting table is bit-identical to the monolithic
-//! counter at any batch size and thread count.  Here the schedule explorer
+//! per-batch extraction rides the work-stealing pool; the PR-8 claim is that
+//! the resulting table is bit-identical to the serial reference counter at
+//! any batch size and thread count.  Here the schedule explorer
 //! additionally permutes the pool's chunk-claim order (all 3-/4-chunk
 //! permutations, or seeded large shuffles on the CI main preset) with yield
 //! points injected before every claim.
 
 use dibella_dist::CommStats;
 use dibella_seq::stream::{read_set_batches, IngestBudget};
-use dibella_seq::{count_kmers_distributed, count_kmers_streaming, DatasetSpec, KmerSelection};
+use dibella_seq::{count_kmers_serial, count_kmers_streaming, DatasetSpec, KmerSelection};
 use dibella_testutil::{assert_schedule_determinism, SchedulePreset};
 
 #[test]
@@ -20,12 +20,9 @@ fn count_kmers_streaming_is_bit_identical_under_adversarial_schedules() {
     let sel = KmerSelection { k: 9, min_count: 2, max_count: 50 };
     let budget = IngestBudget::with_batch_reads(7);
 
-    // The monolithic counter is the fixed reference; every explored schedule
-    // must reproduce it (which also re-proves streaming == monolithic).
-    let reference: Vec<(u32, _, u32)> = {
-        let stats = CommStats::new();
-        count_kmers_distributed(&ds.reads, &sel, 4, &stats).iter().collect()
-    };
+    // The serial counter is the fixed, independent reference; every explored
+    // schedule must reproduce it.
+    let reference: Vec<(u32, _, u32)> = count_kmers_serial(&ds.reads, &sel).iter().collect();
 
     let explored = assert_schedule_determinism(SchedulePreset::from_env(), || {
         let stats = CommStats::new();
@@ -38,7 +35,7 @@ fn count_kmers_streaming_is_bit_identical_under_adversarial_schedules() {
         )
         .expect("budget is per-batch and generous");
         let entries: Vec<(u32, _, u32)> = table.iter().collect();
-        assert_eq!(entries, reference, "streaming must match the monolithic counter");
+        assert_eq!(entries, reference, "streaming must match the serial counter");
         entries
     });
     assert!(explored >= 30, "expected at least the exhaustive-small preset");

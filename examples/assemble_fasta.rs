@@ -57,7 +57,7 @@ fn main() {
     }
 
     let comm = CommStats::new();
-    let out = run_dibella_2d_on_reads(&reads, &config, &comm);
+    let out = run_dibella_2d_on_reads(&reads, &config, &comm).expect("running the pipeline");
 
     println!("\nstage timings (s):");
     for (label, value) in StageTimings::LABELS.iter().zip(out.timings.values()) {

@@ -31,7 +31,8 @@ fn main() {
     //    alignment, pruning, the transitive reduction of Algorithm 2, contig
     //    layout and POA consensus.
     let comm = CommStats::new();
-    let out = run_dibella_2d_on_reads(&dataset.reads, &config, &comm);
+    let out = run_dibella_2d_on_reads(&dataset.reads, &config, &comm)
+        .expect("the default ingest budget is unbounded");
 
     println!("\n== pipeline summary ==");
     println!("reliable k-mers (m):        {}", out.dims.kmers);

@@ -42,7 +42,7 @@
 //! // string-graph construction, contig layout and POA consensus.
 //! let config = PipelineConfig::for_small_reads(13, 4);
 //! let comm = CommStats::new();
-//! let out = run_dibella_2d_on_reads(&dataset.reads, &config, &comm);
+//! let out = run_dibella_2d_on_reads(&dataset.reads, &config, &comm).unwrap();
 //!
 //! assert!(out.string_matrix.nnz() > 0);
 //! assert!(out.string_matrix.nnz() <= out.overlap_matrix.nnz());
@@ -83,7 +83,7 @@ pub mod prelude {
         PipelineConfig, ScenarioReport, ScenarioSpec, StageTimings,
     };
     pub use dibella_seq::{
-        parse_fasta, parse_fasta_file, parse_fastq, parse_fastq_file, parse_fastq_filtered,
+        parse_fasta, parse_fasta_file, parse_fastq_file, parse_fastq_filtered,
         write_fasta, DatasetSpec, DnaSeq, Kmer, KmerSelection, ReadSet, ScenarioKind,
         ScenarioParams, Strand, Topology,
     };
@@ -106,7 +106,7 @@ mod tests {
         let ds = DatasetSpec::Tiny.generate(3);
         let cfg = PipelineConfig::for_small_reads(13, 1);
         let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm);
+        let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
         let graph = BidirectedGraph::from_dist_matrix(&out.string_matrix);
         assert_eq!(graph.num_vertices(), ds.reads.len());
     }

@@ -20,7 +20,7 @@ use dibella2d::strgraph::{Contig, ContigConsensus};
 /// structure) — the yardstick every trap scenario is compared against.
 #[test]
 fn baseline_scenario_meets_assembly_floors() {
-    let report = run_scenario(&ScenarioSpec::fast(ScenarioKind::Baseline));
+    let report = run_scenario(&ScenarioSpec::fast(ScenarioKind::Baseline)).unwrap();
     assert!(
         report.ng50 >= report.genome_length / 2,
         "baseline NG50 {} below half the genome {}",
@@ -87,9 +87,9 @@ fn repeat_trap_negative_control_fires_the_misjoin_metric() {
 #[test]
 fn scenario_reports_are_bit_identical_across_thread_counts() {
     let spec = ScenarioSpec::fast(ScenarioKind::InterspersedRepeat);
-    let one = dibella2d::dist::with_threads(1, || run_scenario(&spec));
-    let two = dibella2d::dist::with_threads(2, || run_scenario(&spec));
-    let four = dibella2d::dist::with_threads(4, || run_scenario(&spec));
+    let one = dibella2d::dist::with_threads(1, || run_scenario(&spec).unwrap());
+    let two = dibella2d::dist::with_threads(2, || run_scenario(&spec).unwrap());
+    let four = dibella2d::dist::with_threads(4, || run_scenario(&spec).unwrap());
     assert_eq!(one, two, "report differs between 1 and 2 worker threads");
     assert_eq!(one, four, "report differs between 1 and 4 worker threads");
 }
@@ -210,7 +210,7 @@ fn circular_evaluation_does_not_penalize_origin_crossing_contigs() {
 /// structurally clean under circular-aware evaluation.
 #[test]
 fn circular_scenario_assembles_cleanly_under_circular_truth() {
-    let report = run_scenario(&ScenarioSpec::fast(ScenarioKind::CircularGenome));
+    let report = run_scenario(&ScenarioSpec::fast(ScenarioKind::CircularGenome)).unwrap();
     assert_eq!(report.misjoins, 0, "circular scenario reported false misjoins");
     assert!(
         report.mean_identity >= 0.98,
@@ -225,7 +225,7 @@ fn circular_scenario_assembles_cleanly_under_circular_truth() {
 /// assembling the clean majority of reads.
 #[test]
 fn chimeric_scenario_labels_chimeras_and_keeps_the_assembly_usable() {
-    let report = run_scenario(&ScenarioSpec::fast(ScenarioKind::ChimericReads));
+    let report = run_scenario(&ScenarioSpec::fast(ScenarioKind::ChimericReads)).unwrap();
     assert!(report.chimeric_reads > 0, "chimera scenario produced no labelled chimeras");
     // Chimeras legitimately fragment the layout (that is the trap), but the
     // assembly must stay usable: a quarter-genome NG50 floor and polished
@@ -244,7 +244,7 @@ fn chimeric_scenario_labels_chimeras_and_keeps_the_assembly_usable() {
 #[test]
 #[ignore = "full matrix smoke: run explicitly or in CI push builds"]
 fn full_fast_scenario_matrix_runs_end_to_end() {
-    let reports = run_scenario_matrix(&ScenarioSpec::fast_suite());
+    let reports = run_scenario_matrix(&ScenarioSpec::fast_suite()).unwrap();
     assert_eq!(reports.len(), 6);
     for r in &reports {
         assert!(r.reads > 10, "{}: too few reads", r.scenario);

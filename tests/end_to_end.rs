@@ -20,7 +20,7 @@ fn pipeline_recovers_most_true_overlaps_on_tiny_dataset() {
     let ds = DatasetSpec::Tiny.generate(101);
     let cfg = PipelineConfig::for_small_reads(13, 4);
     let comm = CommStats::new();
-    let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm);
+    let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
 
     // The pipeline removes contained (and near-contained, within the
     // classification fuzz) reads from the graph, as the paper prescribes, so
@@ -68,7 +68,7 @@ fn string_graph_is_sparser_than_overlap_graph_and_fixed_point() {
     let ds = DatasetSpec::Tiny.generate(102);
     let cfg = PipelineConfig::for_small_reads(13, 9);
     let comm = CommStats::new();
-    let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm);
+    let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
     assert!(out.string_matrix.nnz() > 0);
     assert!(out.string_matrix.nnz() < out.overlap_matrix.nnz());
     // Applying the reduction again must change nothing (fixed point).
@@ -103,7 +103,7 @@ fn error_free_dataset_assembles_into_a_near_complete_contig() {
 
     let cfg = PipelineConfig::for_small_reads(15, 4);
     let comm = CommStats::new();
-    let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm);
+    let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
 
     let lengths = ds.reads.lengths();
     let contigs = extract_contigs(&out.string_matrix.to_local_csr(), &lengths);
@@ -127,7 +127,7 @@ fn one_d_and_two_d_pipelines_agree_while_communication_differs() {
     let ds = DatasetSpec::Tiny.generate(104);
     let cfg = PipelineConfig::for_small_reads(13, 16);
     let comm2d = CommStats::new();
-    let out2d = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm2d);
+    let out2d = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm2d).unwrap();
     let comm1d = CommStats::new();
     let out1d = run_dibella_1d(&ds.reads, &cfg, &comm1d);
 
@@ -150,7 +150,7 @@ fn fasta_roundtrip_through_the_full_pipeline() {
     let cfg = PipelineConfig::for_small_reads(13, 4);
     let from_text = run_dibella_2d(&fasta, &cfg).expect("pipeline on FASTA text");
     let comm = CommStats::new();
-    let from_reads = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm);
+    let from_reads = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
     assert_eq!(
         from_text.string_matrix.to_local_csr(),
         from_reads.string_matrix.to_local_csr()
@@ -163,7 +163,7 @@ fn measured_communication_matches_the_table1_model_in_shape() {
     let ds = DatasetSpec::Tiny.generate(106);
     let cfg = PipelineConfig::for_small_reads(13, 16);
     let comm = CommStats::new();
-    let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm);
+    let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
 
     let params = ModelParams {
         n: out.dims.reads,

@@ -51,7 +51,7 @@ fn reductions_agree_on_a_pipeline_produced_overlap_matrix() {
     let ds = DatasetSpec::Tiny.generate(201);
     let cfg = PipelineConfig::for_small_reads(13, 4);
     let comm = CommStats::new();
-    let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm);
+    let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
     let r_local = out.overlap_matrix.to_local_csr();
     assert!(r_local.nnz() > 0);
 
@@ -81,7 +81,7 @@ fn no_implementation_leaves_transitive_edges_behind() {
     let ds = DatasetSpec::Tiny.generate(202);
     let cfg = PipelineConfig::for_small_reads(13, 4);
     let comm = CommStats::new();
-    let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm);
+    let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
     let fuzz = cfg.transitive.fuzz;
 
     assert!(remaining_transitive_edges(&out.string_matrix, fuzz).is_empty());
@@ -98,12 +98,12 @@ fn grid_and_thread_count_do_not_change_the_string_graph() {
     let reference = {
         let cfg = PipelineConfig::for_small_reads(13, 1);
         let comm = CommStats::new();
-        run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).string_matrix.to_local_csr()
+        run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap().string_matrix.to_local_csr()
     };
     for nprocs in [4usize, 9, 25] {
         let cfg = PipelineConfig::for_small_reads(13, nprocs);
         let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm);
+        let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
         assert_eq!(out.string_matrix.to_local_csr(), reference, "P={nprocs}");
     }
     // And across rayon thread counts.
@@ -111,7 +111,7 @@ fn grid_and_thread_count_do_not_change_the_string_graph() {
         let cfg = PipelineConfig::for_small_reads(13, 4);
         let got = dibella2d::dist::with_threads(threads, || {
             let comm = CommStats::new();
-            run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).string_matrix.to_local_csr()
+            run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap().string_matrix.to_local_csr()
         });
         assert_eq!(got, reference, "threads={threads}");
     }
