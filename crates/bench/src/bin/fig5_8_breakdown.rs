@@ -15,7 +15,6 @@ use dibella_bench::{
     SimulatedBreakdown,
 };
 use dibella_dist::collectives::{p2p_messages_key, p2p_words_key};
-use dibella_dist::extras::POA_DP_CELLS_KEY;
 use dibella_dist::{CommPhase, CommStats};
 use dibella_overlap::{BAND_WIDTH_PEAK_KEY, XDROP_TERMINATIONS_KEY};
 use dibella_pipeline::{run_dibella_2d, PipelineConfig, StageTimings};
@@ -106,7 +105,7 @@ fn main() {
 
                 // The consensus stage in its own unit: cells of the banded
                 // read-vs-backbone DP (the graph work rides in the seconds).
-                let poa_cells = out.comm.extras.get(POA_DP_CELLS_KEY).copied().unwrap_or(0);
+                let poa_cells = out.consensus_summary.dp_cells;
                 let poa_secs = out.timings.consensus;
                 let poa_rate = if poa_secs > 0.0 { poa_cells as f64 / poa_secs / 1e6 } else { 0.0 };
                 println!("  Consensus: {poa_cells} POA DP cells at {poa_rate:.1} Mcells/s");

@@ -87,7 +87,7 @@ pub struct PhaseCounters {
 pub struct CommSnapshot {
     /// Per-phase counters, in phase order.
     pub phases: BTreeMap<CommPhase, PhaseCounters>,
-    /// Named auxiliary counters (e.g. `"tr_iterations"`, `"summa_stages"`).
+    /// Named auxiliary counters (e.g. `"aligned_cells"`, `"ingest_supersteps"`).
     pub extras: BTreeMap<String, u64>,
 }
 

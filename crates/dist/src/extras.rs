@@ -1,10 +1,14 @@
 //! The single registry of `CommStats::extras` keys.
 //!
-//! Every auxiliary counter the pipeline records — flop counts, superstep
-//! counts, sketch statistics, POA totals — lives in `CommStats::extras` under
-//! a string key.  PR 5 fixed a broadcast-accounting bug that boiled down to a
-//! typo'd key symbol: two call sites spelled the same logical counter
-//! differently, so the report silently read zeros.  To make that class of bug
+//! The auxiliary counters that have no typed home yet — SpGEMM flops and
+//! probes, point-to-point traffic, x-drop cells, ingest supersteps, FASTQ
+//! drops — live in `CommStats::extras` under a string key.  A number that a
+//! typed struct on the same output already carries (`TrOutcome::iterations`,
+//! `ConsensusSummary`, `SketchStats`) is not repeated here.
+//!
+//! PR 5 fixed a broadcast-accounting bug that boiled down to a typo'd key
+//! symbol: two call sites spelled the same logical counter differently, so
+//! the report silently read zeros.  To make that class of bug
 //! mechanically checkable, **all** extras keys are declared in this one
 //! module and nowhere else:
 //!
@@ -20,15 +24,7 @@
 
 use crate::comm::CommPhase;
 
-// --- Transitive reduction ---------------------------------------------------
-
-/// Reduction rounds executed by Algorithm 2.
-pub const TR_ITERATIONS_KEY: &str = "tr_iterations";
-
 // --- Sparse SUMMA -----------------------------------------------------------
-
-/// SUMMA stages executed (one per grid dimension per multiply).
-pub const SUMMA_STAGES_KEY: &str = "summa_stages";
 
 /// The `CommStats::extras` key carrying useful SpGEMM flops for `phase`.
 pub fn flops_key(phase: CommPhase) -> String {
@@ -77,33 +73,10 @@ pub const INGEST_BATCH_BYTES_PEAK_KEY: &str = "ingest_batch_bytes_peak";
 /// Peak estimated resident bytes of any ingest superstep (a maximum).
 pub const INGEST_RESIDENT_BYTES_PEAK_KEY: &str = "ingest_resident_bytes_peak";
 
-// --- Sketch-space candidate generation ---------------------------------------
-
-/// Nonzeros of the reads × k-min-mers occurrence matrix.
-pub const SKETCH_NNZ_KEY: &str = "sketch_nnz";
-/// Surviving k-min-mer columns after the occurrence filter.
-pub const SKETCH_COLUMNS_KEY: &str = "sketch_columns";
-/// Achieved minimizer density in parts per million.
-pub const SKETCH_DENSITY_PPM_KEY: &str = "sketch_density_ppm";
-/// Raw-to-HPC compression ratio in parts per million.
-pub const SKETCH_HPC_RATIO_PPM_KEY: &str = "sketch_hpc_ratio_ppm";
-/// K-min-mer keys dropped for occurring in too few reads.
-pub const SKETCH_DROPPED_RARE_KEY: &str = "sketch_dropped_rare";
-/// K-min-mer keys dropped for occurring in too many reads.
-pub const SKETCH_DROPPED_REPETITIVE_KEY: &str = "sketch_dropped_repetitive";
-
-// --- FASTQ ingest and consensus ----------------------------------------------
+// --- FASTQ ingest -----------------------------------------------------------
 
 /// Reads dropped by the FASTQ mean-quality filter.
 pub const FASTQ_DROPPED_LOW_QUALITY_KEY: &str = "fastq_dropped_low_quality";
-/// Total POA graph nodes across all contigs.
-pub const POA_GRAPH_NODES_KEY: &str = "poa_graph_nodes";
-/// Total read bases threaded into POA graphs.
-pub const POA_ALIGNED_BASES_KEY: &str = "poa_aligned_bases";
-/// Cells of the banded read-vs-backbone dynamic program across all contigs.
-pub const POA_DP_CELLS_KEY: &str = "poa_dp_cells";
-/// Total consensus bases emitted.
-pub const CONSENSUS_LENGTH_KEY: &str = "consensus_length";
 
 #[cfg(test)]
 mod tests {
@@ -112,25 +85,13 @@ mod tests {
     #[test]
     fn fixed_keys_are_distinct() {
         let keys = [
-            TR_ITERATIONS_KEY,
-            SUMMA_STAGES_KEY,
             ALIGNED_CELLS_KEY,
             BAND_WIDTH_PEAK_KEY,
             XDROP_TERMINATIONS_KEY,
             INGEST_SUPERSTEPS_KEY,
             INGEST_BATCH_BYTES_PEAK_KEY,
             INGEST_RESIDENT_BYTES_PEAK_KEY,
-            SKETCH_NNZ_KEY,
-            SKETCH_COLUMNS_KEY,
-            SKETCH_DENSITY_PPM_KEY,
-            SKETCH_HPC_RATIO_PPM_KEY,
-            SKETCH_DROPPED_RARE_KEY,
-            SKETCH_DROPPED_REPETITIVE_KEY,
             FASTQ_DROPPED_LOW_QUALITY_KEY,
-            POA_GRAPH_NODES_KEY,
-            POA_ALIGNED_BASES_KEY,
-            POA_DP_CELLS_KEY,
-            CONSENSUS_LENGTH_KEY,
         ];
         let mut sorted = keys.to_vec();
         sorted.sort_unstable();

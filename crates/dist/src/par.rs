@@ -16,9 +16,9 @@
 use rayon::pool;
 
 /// Run `body` with the calling thread's worker count pinned to `threads`
-/// (affecting [`par_ranks`] / [`par_ranks_mut`] calls and every `par_iter`
-/// made inside, including from nested worker threads), then restore the
-/// previous setting.
+/// (affecting [`par_ranks`] / [`par_ranks_mut`] calls and every other
+/// `rayon::pool` loop made inside, including from nested worker threads), then
+/// restore the previous setting.
 pub fn with_threads<T>(threads: usize, body: impl FnOnce() -> T) -> T {
     pool::with_thread_limit(threads, body)
 }

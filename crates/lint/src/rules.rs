@@ -546,13 +546,13 @@ mod tests {
 
     #[test]
     fn extras_key_allows_constants_and_flags_literals() {
-        let good = "fn f(s: &CommStats) { s.bump_extra(TR_ITERATIONS_KEY, 1); }";
+        let good = "fn f(s: &CommStats) { s.bump_extra(ALIGNED_CELLS_KEY, 1); }";
         assert!(run("crates/strgraph/src/x.rs", "strgraph", good).is_empty());
-        let bad = "fn f(s: &CommStats) { s.bump_extra(\"tr_iterations\", 1); }";
+        let bad = "fn f(s: &CommStats) { s.bump_extra(\"aligned_cells\", 1); }";
         let v = run("crates/strgraph/src/x.rs", "strgraph", bad);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "extras-key");
-        assert!(v[0].message.contains("tr_iterations"));
+        assert!(v[0].message.contains("aligned_cells"));
     }
 
     #[test]

@@ -196,7 +196,7 @@ fn comm_phase_ignores_definitions_and_imports() {
 #[test]
 fn extras_key_must_fire_on_raw_literals() {
     let src = "fn f(s: &CommStats) {\n\
-               s.bump_extra(\"summa_stages\", 2);\n\
+               s.bump_extra(\"aligned_cells\", 2);\n\
                s.max_extra(\"peak\", 9);\n\
                s.set_extra(\"x\", 1);\n\
                let _v = s.extra(\"x\");\n\
@@ -211,12 +211,12 @@ fn extras_key_must_fire_on_raw_literals() {
 #[test]
 fn extras_key_must_not_fire_on_registry_constants_or_in_the_registry() {
     let src = "fn f(s: &CommStats) {\n\
-               s.bump_extra(SUMMA_STAGES_KEY, 2);\n\
+               s.bump_extra(ALIGNED_CELLS_KEY, 2);\n\
                s.bump_extra(&flops_key(phase), 2);\n\
                }\n";
     expect("crates/sparse/src/fx.rs", src, &[]);
     // The registry module itself defines the literals.
-    let registry = "pub const SUMMA_STAGES_KEY: &str = \"summa_stages\";";
+    let registry = "pub const ALIGNED_CELLS_KEY: &str = \"aligned_cells\";";
     expect("crates/dist/src/extras.rs", registry, &[]);
 }
 
@@ -225,7 +225,7 @@ fn extras_key_must_not_fire_in_tests() {
     let src = "fn lib_ok() {}\n\
                #[cfg(test)]\n\
                mod tests {\n\
-               fn t(s: &CommStats) { s.bump_extra(\"tr_iterations\", 3); }\n\
+               fn t(s: &CommStats) { s.bump_extra(\"xdrop_terminations\", 3); }\n\
                }\n";
     expect("crates/dist/src/fx.rs", src, &[]);
 }
@@ -262,7 +262,7 @@ fn a_clean_multi_rule_file_is_clean() {
                m.insert(1, 2);\n\
                let total: u32 = m.values().sum();\n\
                record_p2p(stats, phase, total as u64);\n\
-               stats.bump_extra(SUMMA_STAGES_KEY, 1);\n\
+               stats.bump_extra(ALIGNED_CELLS_KEY, 1);\n\
                m.get(&1).copied().ok_or_else(|| \"missing\".to_string())\n\
                }\n";
     expect("crates/sparse/src/fx.rs", src, &[]);

@@ -7,11 +7,11 @@
 //! sketched with `(w, k)` minimizers, pairs sharing enough minimizers are
 //! reported with an overlap span estimated from the minimizer hit positions,
 //! and no alignment is performed.  It is deliberately a shared-memory
-//! algorithm (minimap2 has no distributed mode), parallelised over reads with
-//! rayon, mirroring its 32-OpenMP-thread single-node usage in the paper.
+//! algorithm (minimap2 has no distributed mode), parallelised over reads on
+//! the pool, mirroring its 32-OpenMP-thread single-node usage in the paper.
 
 use dibella_seq::{windowed_minimizers, DnaSeq, ReadSet};
-use rayon::prelude::*;
+use rayon::pool;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -80,10 +80,8 @@ fn sketch(seq: &DnaSeq, k: usize, w: usize) -> Vec<(u64, u32, bool)> {
 /// Find approximate overlaps between all read pairs sharing minimizers.
 pub fn minimizer_overlaps(reads: &ReadSet, config: &MinimizerConfig) -> Vec<MinimizerOverlap> {
     // Sketch every read in parallel.
-    let sketches: Vec<Vec<(u64, u32, bool)>> = (0..reads.len())
-        .into_par_iter()
-        .map(|i| sketch(reads.seq(i), config.k, config.w))
-        .collect();
+    let sketches: Vec<Vec<(u64, u32, bool)>> =
+        pool::map_indexed(reads.len(), |i| sketch(reads.seq(i), config.k, config.w));
 
     // Index: minimizer hash -> hits.  BTreeMap, not HashMap: `values()` below
     // feeds the pair statistics, so its iteration order must be deterministic.
@@ -130,8 +128,9 @@ pub fn minimizer_overlaps(reads: &ReadSet, config: &MinimizerConfig) -> Vec<Mini
         }
     }
 
-    let mut out: Vec<MinimizerOverlap> = pairs
-        .into_par_iter()
+    // `pairs` iterates in `(read_a, read_b)` order, so the output is sorted.
+    pairs
+        .into_iter()
         .filter_map(|((a, b), stat)| {
             let shared = stat.shared_same.max(stat.shared_diff);
             let span = (stat.max_a - stat.min_a) as usize + config.k;
@@ -147,9 +146,7 @@ pub fn minimizer_overlaps(reads: &ReadSet, config: &MinimizerConfig) -> Vec<Mini
                 None
             }
         })
-        .collect();
-    out.sort_by_key(|o| (o.read_a, o.read_b));
-    out
+        .collect()
 }
 
 #[cfg(test)]

@@ -7,11 +7,13 @@
 //! any chunk-claim order.  The explorer enumerates all 3-/4-chunk claim
 //! permutations (randomized large shuffles on the CI main preset) with yield
 //! injection, a much denser schedule space than the 1/2/4-thread sweeps.
+//! The minimizer baseline's sketching loop gets the same treatment.
 
 use dibella_align::ExtendEngine;
 use dibella_dist::{CommStats, ProcessGrid};
 use dibella_overlap::{
-    align_candidates_exec, build_a_matrix, detect_candidates_2d_with, OverlapConfig,
+    align_candidates_exec, build_a_matrix, detect_candidates_2d_with, minimizer_overlaps,
+    MinimizerConfig, OverlapConfig,
 };
 use dibella_seq::{count_kmers_serial, DatasetSpec, KmerSelection};
 use dibella_testutil::{assert_schedule_determinism, SchedulePreset};
@@ -42,6 +44,18 @@ fn align_candidates_exec_is_bit_identical_under_adversarial_schedules() {
             exec.band_width_peak,
             exec.xdrop_terminations,
         )
+    });
+    assert!(explored >= 30, "expected at least the exhaustive-small preset");
+}
+
+#[test]
+fn minimizer_overlaps_is_bit_identical_under_adversarial_schedules() {
+    let ds = DatasetSpec::Tiny.generate(77);
+    let cfg = MinimizerConfig::for_tests(13);
+    assert!(!minimizer_overlaps(&ds.reads, &cfg).is_empty(), "nothing to pin");
+
+    let explored = assert_schedule_determinism(SchedulePreset::from_env(), || {
+        minimizer_overlaps(&ds.reads, &cfg)
     });
     assert!(explored >= 30, "expected at least the exhaustive-small preset");
 }

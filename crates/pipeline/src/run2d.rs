@@ -2,10 +2,7 @@
 
 use crate::config::{CandidateSource, PipelineConfig};
 use crate::timings::{timed, StageTimings};
-use dibella_dist::extras::{
-    CONSENSUS_LENGTH_KEY, FASTQ_DROPPED_LOW_QUALITY_KEY, POA_ALIGNED_BASES_KEY, POA_DP_CELLS_KEY,
-    POA_GRAPH_NODES_KEY,
-};
+use dibella_dist::extras::FASTQ_DROPPED_LOW_QUALITY_KEY;
 use dibella_dist::{par_ranks, CommPhase, CommSnapshot, CommStats, ProcessGrid};
 use dibella_overlap::{
     account_read_exchange_2d, align_candidates_with, build_a_matrix, detect_candidates_2d_with,
@@ -14,7 +11,7 @@ use dibella_overlap::{
 use dibella_seq::{
     count_kmers_streaming, parse_fasta, parse_fastq_filtered, read_set_batches, KmerTable, ReadSet,
 };
-use dibella_sketch::build_sketch_matrix;
+use dibella_sketch::{build_sketch_matrix, SketchStats};
 use dibella_sparse::DistMat2D;
 use dibella_strgraph::{
     consensus_contig, extract_contigs, n50, transitive_reduction, Contig, ContigConsensus,
@@ -47,6 +44,8 @@ pub struct Pipeline2dOutput {
     pub grid: ProcessGrid,
     /// Number of reads (`n`) and reliable k-mers (`m`).
     pub dims: PipelineDims,
+    /// Size and selectivity of the sketch matrix (k-min-mer mode only).
+    pub sketch: Option<SketchStats>,
 }
 
 /// Dimensions of the run (Table II symbols measured on the input).
@@ -216,13 +215,14 @@ fn pipeline_from_table(
     // Exact mode: one column per reliable k-mer.  k-min-mer mode: one column
     // per surviving k-min-mer — same entry type, same CSR shape, ~density×
     // fewer nonzeros, with the ownership exchange accounted under
-    // `CommPhase::SketchIndex` and the sketch_* extras.
-    let (a, t_create) = timed(|| match config.candidate_source {
+    // `CommPhase::SketchIndex`.
+    let ((a, sketch), t_create) = timed(|| match config.candidate_source {
         CandidateSource::ExactKmer => {
-            build_a_matrix(reads, &table, config.overlap.k, grid, grid.nprocs())
+            (build_a_matrix(reads, &table, config.overlap.k, grid, grid.nprocs()), None)
         }
         CandidateSource::KMinMer => {
-            build_sketch_matrix(reads, &config.sketch, grid, grid.nprocs(), comm).0
+            let (a, stats) = build_sketch_matrix(reads, &config.sketch, grid, grid.nprocs(), comm);
+            (a, Some(stats))
         }
     });
     timings.create_spmat = t_create;
@@ -262,7 +262,7 @@ fn pipeline_from_table(
         (contigs, consensus)
     });
     timings.consensus = t_consensus;
-    account_consensus(&contigs, &consensus, reads, grid, comm);
+    account_consensus(&contigs, reads, grid, comm);
 
     // Every debug-build pipeline run doubles as an SPMD protocol check: the
     // collectives above appended per-rank traces, which must agree rank for
@@ -287,6 +287,7 @@ fn pipeline_from_table(
             mean_read_length: reads.mean_read_length(),
             a_density,
         },
+        sketch,
     }
 }
 
@@ -302,12 +303,9 @@ fn enable_spmd_trace_for_debug(comm: &CommStats, grid: ProcessGrid) {
 /// Account the communication a real distributed consensus stage would incur:
 /// every multi-read contig is built on one owner rank, so the reads of the
 /// layout that live on other ranks are gathered there (2-bit packed plus a
-/// header word, the read-exchange wire convention).  Also folds the POA
-/// counters into the `CommStats` extras (`poa_graph_nodes`,
-/// `poa_aligned_bases`, `poa_dp_cells`, `consensus_length`).
+/// header word, the read-exchange wire convention).
 fn account_consensus(
     contigs: &[Contig],
-    consensus: &[ContigConsensus],
     reads: &ReadSet,
     grid: ProcessGrid,
     comm: &CommStats,
@@ -332,16 +330,6 @@ fn account_consensus(
         }
     }
     comm.record(CommPhase::Consensus, words, messages);
-    comm.bump_extra(POA_GRAPH_NODES_KEY, consensus.iter().map(|c| c.poa_nodes as u64).sum());
-    comm.bump_extra(
-        POA_ALIGNED_BASES_KEY,
-        consensus.iter().map(|c| c.aligned_bases as u64).sum(),
-    );
-    comm.bump_extra(POA_DP_CELLS_KEY, consensus.iter().map(|c| c.dp_cells as u64).sum());
-    comm.bump_extra(
-        CONSENSUS_LENGTH_KEY,
-        consensus.iter().map(|c| c.consensus.len() as u64).sum(),
-    );
 }
 
 #[cfg(test)]
@@ -436,10 +424,10 @@ mod tests {
         assert!(out.comm.phase(CommPhase::ReadExchange).words > 0);
         assert!(out.comm.phase(CommPhase::TransitiveReduction).words > 0);
         assert!(out.comm.phase(CommPhase::Consensus).words > 0);
-        assert!(out.comm.extras.contains_key("tr_iterations"));
-        assert!(out.comm.extras.contains_key("poa_graph_nodes"));
-        assert!(out.comm.extras.contains_key("poa_aligned_bases"));
-        assert!(out.comm.extras.contains_key("consensus_length"));
+        assert!(out.tr_summary.iterations > 0);
+        assert!(out.consensus_summary.poa_nodes > 0);
+        assert!(out.consensus_summary.aligned_bases > 0);
+        assert!(out.consensus_summary.consensus_bases > 0);
     }
 
     #[test]
@@ -674,18 +662,19 @@ mod tests {
         assert!(out.comm.phase(CommPhase::SketchIndex).words > 0);
         assert_eq!(out.timings.count_kmer, 0.0);
         assert!(out.timings.create_spmat > 0.0);
-        // dims.kmers reports k-min-mer columns; extras carry the details.
-        assert_eq!(out.dims.kmers as u64, out.comm.extras["sketch_columns"]);
-        assert!(out.comm.extras["sketch_nnz"] > 0);
-        assert!(out.comm.extras["sketch_hpc_ratio_ppm"] > 1_000_000);
+        // dims.kmers reports k-min-mer columns; `sketch` carries the details.
+        let sketch = out.sketch.expect("k-min-mer mode reports its sketch stats");
+        assert_eq!(out.dims.kmers as u64, sketch.columns);
+        assert!(sketch.nnz > 0);
+        assert!(sketch.hpc_ratio() > 1.0);
 
         // The sketch matrix must be far smaller than the exact-path A.
         let exact = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &CommStats::new()).unwrap();
         let exact_nnz = (exact.dims.a_density * exact.dims.kmers as f64).round() as u64;
         assert!(
-            out.comm.extras["sketch_nnz"] * 3 < exact_nnz,
+            sketch.nnz * 3 < exact_nnz,
             "sketch nnz {} vs exact nnz {exact_nnz}",
-            out.comm.extras["sketch_nnz"]
+            sketch.nnz
         );
     }
 

@@ -82,12 +82,6 @@ impl BloomFilter {
     pub fn inserted(&self) -> u64 {
         self.inserted
     }
-
-    /// Fraction of bits currently set (diagnostic for sizing).
-    pub fn fill_ratio(&self) -> f64 {
-        let set: u64 = self.bits.iter().map(|w| w.count_ones() as u64).sum();
-        set as f64 / self.nbits as f64
-    }
 }
 
 /// A scalable Bloom filter for streams of unknown cardinality.
@@ -215,7 +209,6 @@ mod tests {
     fn empty_filter_contains_nothing_set() {
         let bf = BloomFilter::new(1024, 3);
         assert!(!bf.contains(7));
-        assert_eq!(bf.fill_ratio(), 0.0);
         assert_eq!(bf.inserted(), 0);
     }
 

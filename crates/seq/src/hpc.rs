@@ -100,16 +100,6 @@ impl HpcSeq {
             Err(i) => i - 1,
         }
     }
-
-    /// Raw bases per compressed base (`raw_len / len`), the HPC compression
-    /// ratio.  `1.0` for the empty sequence.
-    pub fn compression_ratio(&self) -> f64 {
-        if self.compressed.is_empty() {
-            1.0
-        } else {
-            self.raw_len as f64 / self.compressed.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -129,7 +119,6 @@ mod tests {
         assert_eq!(hpc.decompress_coord(3), 6); // TTTT starts at 6
         assert_eq!(hpc.raw_end(3), 10);
         assert_eq!(hpc.raw_len(), 10);
-        assert!((hpc.compression_ratio() - 2.5).abs() < 1e-12);
     }
 
     #[test]
@@ -138,7 +127,6 @@ mod tests {
         assert!(hpc.is_empty());
         assert_eq!(hpc.len(), 0);
         assert_eq!(hpc.raw_len(), 0);
-        assert!((hpc.compression_ratio() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -121,16 +121,6 @@ impl KmerTable {
             .enumerate()
             .map(|(i, (k, c))| (i as u32, *k, *c))
     }
-
-    /// Average number of reads containing a reliable k-mer (`a` in Table II:
-    /// the density of `A`).
-    pub fn mean_count(&self) -> f64 {
-        if self.counts.is_empty() {
-            0.0
-        } else {
-            self.counts.iter().map(|&c| c as f64).sum::<f64>() / self.counts.len() as f64
-        }
-    }
 }
 
 /// Serial reference k-mer counter (used by tests and the minimizer baseline).

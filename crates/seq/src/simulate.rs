@@ -857,17 +857,6 @@ impl DatasetSpec {
         }
     }
 
-    /// Genome size of the *real* organism in megabases (for documentation).
-    pub fn real_genome_size_mb(&self) -> f64 {
-        match self {
-            DatasetSpec::EColiLike => 4.6,
-            DatasetSpec::CElegansLike => 100.0,
-            DatasetSpec::HSapiensLike => 3000.0,
-            DatasetSpec::Small => 0.06,
-            DatasetSpec::Tiny => 0.004,
-        }
-    }
-
     /// Default scaled genome length in bases used by the harnesses.
     pub fn default_genome_length(&self) -> usize {
         match self {

@@ -31,8 +31,4 @@ pub mod matrix;
 pub use config::SketchConfig;
 pub use dibella_overlap::KmerOccurrence;
 pub use kminmer::{sketch_read, KminmerHit, ReadSketch};
-pub use matrix::{
-    build_sketch_matrix, SketchStats, SKETCH_COLUMNS_KEY, SKETCH_DENSITY_PPM_KEY,
-    SKETCH_DROPPED_RARE_KEY, SKETCH_DROPPED_REPETITIVE_KEY, SKETCH_HPC_RATIO_PPM_KEY,
-    SKETCH_NNZ_KEY,
-};
+pub use matrix::{build_sketch_matrix, SketchStats};

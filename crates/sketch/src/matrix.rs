@@ -30,11 +30,6 @@ use dibella_overlap::KmerOccurrence;
 use dibella_seq::ReadSet;
 use dibella_sparse::{DistMat2D, Triples};
 
-pub use dibella_dist::extras::{
-    SKETCH_COLUMNS_KEY, SKETCH_DENSITY_PPM_KEY, SKETCH_DROPPED_RARE_KEY,
-    SKETCH_DROPPED_REPETITIVE_KEY, SKETCH_HPC_RATIO_PPM_KEY, SKETCH_NNZ_KEY,
-};
-
 /// Size and selectivity counters of one sketch-matrix build.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SketchStats {
@@ -78,7 +73,8 @@ impl SketchStats {
 
 /// Build the reads × k-min-mers occurrence matrix, distributed over `grid`,
 /// with the ownership/ID-assignment exchange accounted on `stats` under
-/// [`CommPhase::SketchIndex`] (plus the `sketch_*` extras).
+/// [`CommPhase::SketchIndex`]; the returned [`SketchStats`] are the build's
+/// size and selectivity counters.
 ///
 /// The output is bit-identical for any `construction_ranks >= 1` and any
 /// thread count: k-min-mer occurrence counts are global, and column IDs are
@@ -175,13 +171,6 @@ pub fn build_sketch_matrix(
     agg.nnz = entries.len() as u64;
     let triples = Triples::from_entries(reads.len(), survivors.len(), entries);
 
-    stats.bump_extra(SKETCH_NNZ_KEY, agg.nnz);
-    stats.bump_extra(SKETCH_COLUMNS_KEY, agg.columns);
-    stats.bump_extra(SKETCH_DENSITY_PPM_KEY, (agg.achieved_density() * 1e6) as u64);
-    stats.bump_extra(SKETCH_HPC_RATIO_PPM_KEY, (agg.hpc_ratio() * 1e6) as u64);
-    stats.bump_extra(SKETCH_DROPPED_RARE_KEY, agg.dropped_rare);
-    stats.bump_extra(SKETCH_DROPPED_REPETITIVE_KEY, agg.dropped_repetitive);
-
     (DistMat2D::from_triples(grid, &triples), agg)
 }
 
@@ -243,15 +232,11 @@ mod tests {
         let (reads, cfg) = setup();
         let stats = CommStats::new();
         let grid = ProcessGrid::square(4);
-        let (_, info) = build_sketch_matrix(&reads, &cfg, grid, 4, &stats);
+        build_sketch_matrix(&reads, &cfg, grid, 4, &stats);
         let snap = stats.snapshot();
         let phase = snap.phase(CommPhase::SketchIndex);
         assert!(phase.words > 0, "multi-rank construction must move key words");
         assert!(phase.messages > 0);
-        assert_eq!(snap.extras["sketch_nnz"], info.nnz);
-        assert_eq!(snap.extras["sketch_columns"], info.columns);
-        assert!(snap.extras["sketch_density_ppm"] > 0);
-        assert!(snap.extras["sketch_hpc_ratio_ppm"] > 1_000_000);
     }
 
     #[test]

@@ -50,6 +50,41 @@ impl<T> CsrMatrix<T> {
         m
     }
 
+    /// Build from `(row, col, value)` entries, taken by value and sorted in
+    /// place; duplicate coordinates are rejected.
+    ///
+    /// # Panics
+    /// Panics if a coordinate is out of bounds, or if the entries contain
+    /// duplicate `(row, col)` coordinates — use [`Triples::merge_duplicates`]
+    /// first if duplicates are expected.
+    pub fn from_entries(nrows: usize, ncols: usize, entries: Vec<(usize, usize, T)>) -> Self {
+        // `Triples::from_entries` is the bounds check.
+        let mut entries = Triples::from_entries(nrows, ncols, entries).into_entries();
+        entries.sort_by_key(|a| (a.0, a.1));
+        for w in entries.windows(2) {
+            assert!(
+                (w[0].0, w[0].1) != (w[1].0, w[1].1),
+                "duplicate coordinate ({}, {}) in triples",
+                w[0].0,
+                w[0].1
+            );
+        }
+        let mut rowptr = vec![0usize; nrows + 1];
+        for (r, _, _) in &entries {
+            rowptr[r + 1] += 1;
+        }
+        for r in 0..nrows {
+            rowptr[r + 1] += rowptr[r];
+        }
+        let mut colidx = Vec::with_capacity(entries.len());
+        let mut vals = Vec::with_capacity(entries.len());
+        for (_, c, v) in entries {
+            colidx.push(c);
+            vals.push(v);
+        }
+        Self { nrows, ncols, rowptr, colidx, vals }
+    }
+
     /// Check the CSR invariants, returning a description of the first
     /// violation if any.
     pub fn validate(&self) -> Result<(), String> {
@@ -121,11 +156,6 @@ impl<T> CsrMatrix<T> {
     /// The value array.
     pub fn values(&self) -> &[T] {
         &self.vals
-    }
-
-    /// Mutable access to the values (the pattern cannot be changed this way).
-    pub fn values_mut(&mut self) -> &mut [T] {
-        &mut self.vals
     }
 
     /// Iterate over one row as `(col, &value)` pairs.
@@ -209,39 +239,9 @@ impl<T> CsrMatrix<T> {
 }
 
 impl<T: Clone> CsrMatrix<T> {
-    /// Build from triples; duplicate coordinates are rejected.
-    ///
-    /// # Panics
-    /// Panics if the triples contain duplicate `(row, col)` coordinates — use
-    /// [`Triples::merge_duplicates`] first if duplicates are expected.
+    /// [`CsrMatrix::from_entries`] on a borrowed triple list (values cloned).
     pub fn from_triples(triples: &Triples<T>) -> Self {
-        let nrows = triples.nrows();
-        let ncols = triples.ncols();
-        let mut entries: Vec<(usize, usize, T)> =
-            triples.iter().map(|(r, c, v)| (r, c, v.clone())).collect();
-        entries.sort_by_key(|a| (a.0, a.1));
-        for w in entries.windows(2) {
-            assert!(
-                (w[0].0, w[0].1) != (w[1].0, w[1].1),
-                "duplicate coordinate ({}, {}) in triples",
-                w[0].0,
-                w[0].1
-            );
-        }
-        let mut rowptr = vec![0usize; nrows + 1];
-        for (r, _, _) in &entries {
-            rowptr[r + 1] += 1;
-        }
-        for r in 0..nrows {
-            rowptr[r + 1] += rowptr[r];
-        }
-        let mut colidx = Vec::with_capacity(entries.len());
-        let mut vals = Vec::with_capacity(entries.len());
-        for (_, c, v) in entries {
-            colidx.push(c);
-            vals.push(v);
-        }
-        Self { nrows, ncols, rowptr, colidx, vals }
+        Self::from_entries(triples.nrows(), triples.ncols(), triples.entries().to_vec())
     }
 
     /// Convert back to triples (values cloned).
@@ -340,19 +340,6 @@ impl<T: Clone> CsrMatrix<T> {
             out.push(acc);
         }
         out
-    }
-
-    /// Replace each nonzero in row `r` with `f(v[r], value)` where `v` is a
-    /// per-row vector (CombBLAS `DimApply(Row, v, op)`).
-    ///
-    /// Rows whose vector slot is `None` are left untouched.
-    pub fn dimapply_rows<U: Clone, V>(
-        &self,
-        v: &[Option<U>],
-        mut f: impl FnMut(&U, usize, usize, &T) -> V,
-    ) -> CsrMatrix<Option<V>> {
-        assert_eq!(v.len(), self.nrows, "vector length must equal the row count");
-        self.map(|r, c, val| v[r].as_ref().map(|u| f(u, r, c, val)))
     }
 }
 
@@ -455,15 +442,6 @@ mod tests {
         let m = small();
         let maxes = m.reduce_rows(|_, _, v| *v, i64::max);
         assert_eq!(maxes, vec![Some(2), None, Some(4)]);
-    }
-
-    #[test]
-    fn dimapply_rows_broadcasts_row_vector() {
-        let m = small();
-        let v = vec![Some(10i64), None, Some(100)];
-        let d = m.dimapply_rows(&v, |u, _, _, _| *u);
-        assert_eq!(d.get(0, 0), Some(&Some(10)));
-        assert_eq!(d.get(2, 1), Some(&Some(100)));
     }
 
     #[test]

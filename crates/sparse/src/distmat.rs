@@ -9,6 +9,7 @@
 use crate::csr::CsrMatrix;
 use crate::triples::Triples;
 use dibella_dist::{par_ranks, BlockDist, ProcessGrid};
+use rayon::pool;
 use serde::{Deserialize, Serialize};
 
 /// A sparse matrix block-distributed over a 2D process grid.
@@ -41,19 +42,12 @@ impl<T: Clone + Send + Sync> DistMat2D<T> {
             per_rank[rank].push((r - row_dist.start(bi), c - col_dist.start(bj), v.clone()));
         }
 
-        // Build the local CSR blocks in parallel.
-        let blocks: Vec<CsrMatrix<T>> = {
-            let per_rank_ref = &per_rank;
-            par_ranks(grid.nprocs(), |rank| {
-                let (bi, bj) = grid.coords(rank);
-                let local = Triples::from_entries(
-                    row_dist.size(bi),
-                    col_dist.size(bj),
-                    per_rank_ref[rank].clone(),
-                );
-                CsrMatrix::from_triples(&local)
-            })
-        };
+        // Build the local CSR blocks in parallel, each from its own routed
+        // entries by value.
+        let blocks: Vec<CsrMatrix<T>> = pool::map_owned(per_rank, |rank, local| {
+            let (bi, bj) = grid.coords(rank);
+            CsrMatrix::from_entries(row_dist.size(bi), col_dist.size(bj), local)
+        });
 
         Self { grid, nrows, ncols, row_dist, col_dist, blocks }
     }
@@ -61,29 +55,6 @@ impl<T: Clone + Send + Sync> DistMat2D<T> {
     /// An all-zero distributed matrix with the given global dimensions.
     pub fn zero(grid: ProcessGrid, nrows: usize, ncols: usize) -> Self {
         Self::from_triples(grid, &Triples::new(nrows, ncols))
-    }
-
-    /// Assemble the distributed blocks from a builder that produces each local
-    /// block directly (used by SUMMA to avoid a global round-trip).
-    ///
-    /// # Panics
-    /// Panics if a produced block's dimensions do not match the distribution.
-    pub fn from_block_fn(
-        grid: ProcessGrid,
-        nrows: usize,
-        ncols: usize,
-        build: impl Fn(usize, usize) -> CsrMatrix<T> + Sync,
-    ) -> Self {
-        let row_dist = BlockDist::new(nrows, grid.rows());
-        let col_dist = BlockDist::new(ncols, grid.cols());
-        let blocks = par_ranks(grid.nprocs(), |rank| {
-            let (bi, bj) = grid.coords(rank);
-            let block = build(bi, bj);
-            assert_eq!(block.nrows(), row_dist.size(bi), "block ({bi},{bj}) row mismatch");
-            assert_eq!(block.ncols(), col_dist.size(bj), "block ({bi},{bj}) col mismatch");
-            block
-        });
-        Self { grid, nrows, ncols, row_dist, col_dist, blocks }
     }
 
     /// Assemble a distributed matrix from already-built per-rank blocks, **by
@@ -172,10 +143,11 @@ impl<T: Clone + Send + Sync> DistMat2D<T> {
         out
     }
 
-    /// Gather the whole matrix into a single local CSR (for tests, serial
-    /// baselines and diagnostics — not used on the performance path).
+    /// Gather the whole matrix into a single local CSR.  Every run does this
+    /// once: the 2D pipeline on `S` (contig extraction and consensus walk a
+    /// local matrix), the 1D baseline on `A`.
     pub fn to_local_csr(&self) -> CsrMatrix<T> {
-        CsrMatrix::from_triples(&self.to_triples())
+        CsrMatrix::from_entries(self.nrows, self.ncols, self.to_triples().into_entries())
     }
 
     /// Look up a value by global coordinates.

@@ -4,8 +4,9 @@
 //! the SpGEMM `N = R²`:
 //!
 //! * `Reduce(Row, max)` and `Apply` — provided directly on
-//!   [`crate::CsrMatrix`];
-//! * `DimApply(Row, v, return2nd)` — building the maximal-suffix matrix `M`;
+//!   [`crate::CsrMatrix`].  `DimApply(Row, v, return2nd)` is not a kernel
+//!   here: `M` holds one value per row, so `strgraph::transitive` reads
+//!   `v[row]` inside the comparison below instead of materialising it;
 //! * an element-wise comparison over the intersection of two sparsity patterns
 //!   (`I = M >= N`, only where both are nonzero) — [`ewise_intersect`];
 //! * `R ∘ ¬I` — removing the flagged transitive edges, i.e. the set difference
@@ -14,8 +15,7 @@
 //! All kernels are pattern-respecting and never densify.
 
 use crate::csr::CsrMatrix;
-use crate::triples::Triples;
-use rayon::prelude::*;
+use rayon::pool;
 
 /// Element-wise operation over the **intersection** of the patterns of `a` and
 /// `b`.  For every coordinate present in both, `f` may produce an output entry
@@ -27,85 +27,24 @@ pub fn ewise_intersect<A: Clone + Sync, B: Clone + Sync, C: Clone + Send>(
 ) -> CsrMatrix<C> {
     assert_eq!(a.nrows(), b.nrows(), "ewise: row count mismatch");
     assert_eq!(a.ncols(), b.ncols(), "ewise: column count mismatch");
-    let rows: Vec<Vec<(usize, C)>> = (0..a.nrows())
-        .into_par_iter()
-        .map(|r| {
-            let mut out = Vec::new();
-            let mut bi = b.row(r).peekable();
-            for (ca, va) in a.row(r) {
-                // Advance b's iterator until its column >= ca.
-                while matches!(bi.peek(), Some((cb, _)) if *cb < ca) {
-                    bi.next();
-                }
-                if let Some((cb, vb)) = bi.peek() {
-                    if *cb == ca {
-                        if let Some(v) = f(r, ca, va, vb) {
-                            out.push((ca, v));
-                        }
+    let rows: Vec<Vec<(usize, C)>> = pool::map_indexed(a.nrows(), |r| {
+        let mut out = Vec::new();
+        let mut bi = b.row(r).peekable();
+        for (ca, va) in a.row(r) {
+            // Advance b's iterator until its column >= ca.
+            while matches!(bi.peek(), Some((cb, _)) if *cb < ca) {
+                bi.next();
+            }
+            if let Some((cb, vb)) = bi.peek() {
+                if *cb == ca {
+                    if let Some(v) = f(r, ca, va, vb) {
+                        out.push((ca, v));
                     }
                 }
             }
-            out
-        })
-        .collect();
-    crate::spgemm::rows_to_csr(a.nrows(), a.ncols(), rows)
-}
-
-/// Element-wise operation over the **union** of the patterns of `a` and `b`.
-///
-/// `f` receives `Option`s for the two sides; at least one is always `Some`.
-pub fn ewise_union<A: Clone + Sync, B: Clone + Sync, C: Clone + Send>(
-    a: &CsrMatrix<A>,
-    b: &CsrMatrix<B>,
-    f: impl Fn(usize, usize, Option<&A>, Option<&B>) -> Option<C> + Sync,
-) -> CsrMatrix<C> {
-    assert_eq!(a.nrows(), b.nrows(), "ewise: row count mismatch");
-    assert_eq!(a.ncols(), b.ncols(), "ewise: column count mismatch");
-    let rows: Vec<Vec<(usize, C)>> = (0..a.nrows())
-        .into_par_iter()
-        .map(|r| {
-            let mut out = Vec::new();
-            let mut ai = a.row(r).peekable();
-            let mut bi = b.row(r).peekable();
-            loop {
-                match (ai.peek().copied(), bi.peek().copied()) {
-                    (Some((ca, va)), Some((cb, vb))) => {
-                        if ca < cb {
-                            if let Some(v) = f(r, ca, Some(va), None) {
-                                out.push((ca, v));
-                            }
-                            ai.next();
-                        } else if cb < ca {
-                            if let Some(v) = f(r, cb, None, Some(vb)) {
-                                out.push((cb, v));
-                            }
-                            bi.next();
-                        } else {
-                            if let Some(v) = f(r, ca, Some(va), Some(vb)) {
-                                out.push((ca, v));
-                            }
-                            ai.next();
-                            bi.next();
-                        }
-                    }
-                    (Some((ca, va)), None) => {
-                        if let Some(v) = f(r, ca, Some(va), None) {
-                            out.push((ca, v));
-                        }
-                        ai.next();
-                    }
-                    (None, Some((cb, vb))) => {
-                        if let Some(v) = f(r, cb, None, Some(vb)) {
-                            out.push((cb, v));
-                        }
-                        bi.next();
-                    }
-                    (None, None) => break,
-                }
-            }
-            out
-        })
-        .collect();
+        }
+        out
+    });
     crate::spgemm::rows_to_csr(a.nrows(), a.ncols(), rows)
 }
 
@@ -118,64 +57,14 @@ pub fn set_difference<A: Clone + Sync + Send, M: Clone + Sync>(
 ) -> CsrMatrix<A> {
     assert_eq!(a.nrows(), mask.nrows(), "set_difference: row count mismatch");
     assert_eq!(a.ncols(), mask.ncols(), "set_difference: column count mismatch");
-    let rows: Vec<Vec<(usize, A)>> = (0..a.nrows())
-        .into_par_iter()
-        .map(|r| {
-            let mask_cols: Vec<usize> = mask.row(r).map(|(c, _)| c).collect();
-            a.row(r)
-                .filter(|(c, _)| mask_cols.binary_search(c).is_err())
-                .map(|(c, v)| (c, v.clone()))
-                .collect()
-        })
-        .collect();
+    let rows: Vec<Vec<(usize, A)>> = pool::map_indexed(a.nrows(), |r| {
+        let mask_cols: Vec<usize> = mask.row(r).map(|(c, _)| c).collect();
+        a.row(r)
+            .filter(|(c, _)| mask_cols.binary_search(c).is_err())
+            .map(|(c, v)| (c, v.clone()))
+            .collect()
+    });
     crate::spgemm::rows_to_csr(a.nrows(), a.ncols(), rows)
-}
-
-/// Build a matrix with the pattern of `a` where each entry in row `r` is
-/// `f(v[r], entry)`; rows whose vector slot is `None` produce no entries.
-///
-/// This is the `M ← R.DimApply(Row, v, return2nd)` step of Algorithm 2 in a
-/// form that drops rows with no reduction value.
-pub fn dimapply_rows_filtered<A: Clone + Sync, U: Clone + Sync, C: Clone + Send>(
-    a: &CsrMatrix<A>,
-    v: &[Option<U>],
-    f: impl Fn(&U, usize, usize, &A) -> C + Sync,
-) -> CsrMatrix<C> {
-    assert_eq!(v.len(), a.nrows(), "vector length must equal the row count");
-    let rows: Vec<Vec<(usize, C)>> = (0..a.nrows())
-        .into_par_iter()
-        .map(|r| match &v[r] {
-            None => Vec::new(),
-            Some(u) => a.row(r).map(|(c, val)| (c, f(u, r, c, val))).collect(),
-        })
-        .collect();
-    crate::spgemm::rows_to_csr(a.nrows(), a.ncols(), rows)
-}
-
-/// Keep the entries of `a` selected by `pred`, in parallel over rows.
-pub fn filter_par<A: Clone + Sync + Send>(
-    a: &CsrMatrix<A>,
-    pred: impl Fn(usize, usize, &A) -> bool + Sync,
-) -> CsrMatrix<A> {
-    let rows: Vec<Vec<(usize, A)>> = (0..a.nrows())
-        .into_par_iter()
-        .map(|r| {
-            a.row(r)
-                .filter(|(c, v)| pred(r, *c, v))
-                .map(|(c, v)| (c, v.clone()))
-                .collect()
-        })
-        .collect();
-    crate::spgemm::rows_to_csr(a.nrows(), a.ncols(), rows)
-}
-
-/// Convenience: build a CSR matrix from a list of entries (testing helper).
-pub fn csr_from_entries<T: Clone>(
-    nrows: usize,
-    ncols: usize,
-    entries: Vec<(usize, usize, T)>,
-) -> CsrMatrix<T> {
-    CsrMatrix::from_triples(&Triples::from_entries(nrows, ncols, entries))
 }
 
 #[cfg(test)]
@@ -185,8 +74,8 @@ mod tests {
 
     #[test]
     fn intersect_only_touches_shared_coordinates() {
-        let a = csr_from_entries(2, 3, vec![(0, 0, 1i64), (0, 2, 2), (1, 1, 3)]);
-        let b = csr_from_entries(2, 3, vec![(0, 2, 10i64), (1, 0, 20), (1, 1, 30)]);
+        let a = CsrMatrix::from_entries(2, 3, vec![(0, 0, 1i64), (0, 2, 2), (1, 1, 3)]);
+        let b = CsrMatrix::from_entries(2, 3, vec![(0, 2, 10i64), (1, 0, 20), (1, 1, 30)]);
         let c = ewise_intersect(&a, &b, |_, _, x, y| Some(x + y));
         assert_eq!(c.nnz(), 2);
         assert_eq!(c.get(0, 2), Some(&12));
@@ -195,30 +84,17 @@ mod tests {
 
     #[test]
     fn intersect_can_drop_entries() {
-        let a = csr_from_entries(1, 4, vec![(0, 0, 5i64), (0, 1, 1), (0, 3, 9)]);
-        let b = csr_from_entries(1, 4, vec![(0, 0, 5i64), (0, 1, 2), (0, 3, 9)]);
+        let a = CsrMatrix::from_entries(1, 4, vec![(0, 0, 5i64), (0, 1, 1), (0, 3, 9)]);
+        let b = CsrMatrix::from_entries(1, 4, vec![(0, 0, 5i64), (0, 1, 2), (0, 3, 9)]);
         let c = ewise_intersect(&a, &b, |_, _, x, y| if x == y { Some(*x) } else { None });
         assert_eq!(c.nnz(), 2);
         assert_eq!(c.get(0, 1), None);
     }
 
     #[test]
-    fn union_visits_every_coordinate_once() {
-        let a = csr_from_entries(1, 5, vec![(0, 0, 1i64), (0, 2, 2)]);
-        let b = csr_from_entries(1, 5, vec![(0, 2, 10i64), (0, 4, 20)]);
-        let c = ewise_union(&a, &b, |_, _, x, y| {
-            Some(x.copied().unwrap_or(0) + y.copied().unwrap_or(0))
-        });
-        assert_eq!(c.nnz(), 3);
-        assert_eq!(c.get(0, 0), Some(&1));
-        assert_eq!(c.get(0, 2), Some(&12));
-        assert_eq!(c.get(0, 4), Some(&20));
-    }
-
-    #[test]
     fn set_difference_removes_masked_entries() {
-        let a = csr_from_entries(2, 3, vec![(0, 0, 1i64), (0, 1, 2), (1, 2, 3)]);
-        let mask = csr_from_entries(2, 3, vec![(0, 1, true), (1, 0, true)]);
+        let a = CsrMatrix::from_entries(2, 3, vec![(0, 0, 1i64), (0, 1, 2), (1, 2, 3)]);
+        let mask = CsrMatrix::from_entries(2, 3, vec![(0, 1, true), (1, 0, true)]);
         let d = set_difference(&a, &mask);
         assert_eq!(d.nnz(), 2);
         assert_eq!(d.get(0, 0), Some(&1));
@@ -228,29 +104,9 @@ mod tests {
 
     #[test]
     fn set_difference_with_empty_mask_is_identity() {
-        let a = csr_from_entries(2, 2, vec![(0, 0, 1i64), (1, 1, 2)]);
+        let a = CsrMatrix::from_entries(2, 2, vec![(0, 0, 1i64), (1, 1, 2)]);
         let mask = CsrMatrix::<bool>::zero(2, 2);
         assert_eq!(set_difference(&a, &mask), a);
-    }
-
-    #[test]
-    fn dimapply_skips_empty_rows() {
-        let a = csr_from_entries(3, 3, vec![(0, 0, 1i64), (0, 1, 2), (2, 2, 3)]);
-        let v = vec![Some(100i64), Some(7), None];
-        let m = dimapply_rows_filtered(&a, &v, |u, _, _, _| *u);
-        assert_eq!(m.get(0, 0), Some(&100));
-        assert_eq!(m.get(0, 1), Some(&100));
-        assert_eq!(m.get(2, 2), None);
-        assert_eq!(m.nnz(), 2);
-    }
-
-    #[test]
-    fn filter_par_matches_sequential_filter() {
-        let a = csr_from_entries(3, 3, vec![(0, 0, 1i64), (1, 1, -2), (2, 2, 3), (2, 0, -4)]);
-        let pos_par = filter_par(&a, |_, _, v| *v > 0);
-        let pos_seq = a.filter(|_, _, v| *v > 0);
-        assert_eq!(pos_par, pos_seq);
-        assert_eq!(pos_par.nnz(), 2);
     }
 
     fn arb_matrix(nrows: usize, ncols: usize) -> impl Strategy<Value = CsrMatrix<i64>> {
@@ -260,7 +116,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, (r, c))| (r, c, i as i64 + 1))
                 .collect();
-            csr_from_entries(nrows, ncols, entries)
+            CsrMatrix::from_entries(nrows, ncols, entries)
         })
     }
 
@@ -286,18 +142,15 @@ mod tests {
         }
 
         #[test]
-        fn prop_intersect_union_patterns(
+        fn prop_intersect_pattern_is_the_set_intersection(
             a in arb_matrix(8, 8),
             b in arb_matrix(8, 8),
         ) {
             let inter = ewise_intersect(&a, &b, |_, _, x, y| Some(x + y));
-            let uni = ewise_union(&a, &b, |_, _, x, y| Some(x.copied().unwrap_or(0) + y.copied().unwrap_or(0)));
             let pa: std::collections::BTreeSet<_> = a.pattern().into_iter().collect();
             let pb: std::collections::BTreeSet<_> = b.pattern().into_iter().collect();
             let expected_inter: Vec<_> = pa.intersection(&pb).copied().collect();
-            let expected_union: Vec<_> = pa.union(&pb).copied().collect();
             prop_assert_eq!(inter.pattern(), expected_inter);
-            prop_assert_eq!(uni.pattern(), expected_union);
         }
     }
 }

@@ -19,7 +19,7 @@ use crate::semiring::{MirrorSemiring, Semiring};
 use crate::spgemm::{local_spgemm_aat, rows_to_csr};
 use crate::triples::Triples;
 use dibella_dist::{alltoallv_counted, par_ranks, BlockDist, CommPhase, CommStats};
-use rayon::prelude::*;
+use rayon::pool;
 
 /// One source rank's per-destination COO buffers of the 1D all-to-all
 /// reduction (entry `[dst]` holds the `(row, col, value)` triples bound for
@@ -47,7 +47,7 @@ impl<T: Clone> Outer1dResult<T> {
                 t.push(roff + r, c, v.clone());
             }
         }
-        CsrMatrix::from_triples(&t)
+        CsrMatrix::from_entries(total_rows, ncols, t.into_entries())
     }
 
     /// Total stored entries.
@@ -108,45 +108,38 @@ fn reduce_partials<S: Semiring>(
     // Consume each partial: values are *moved* into the send buffers and the
     // partial's CSR storage is freed inside the map, so the exchange never
     // holds a cloned copy of the partial products alongside the originals.
-    let send: Vec<CooBuffers<S::Out>> = partials
-        .into_par_iter()
-        .map(|partial| {
-            let mut bufs: CooBuffers<S::Out> = (0..nprocs).map(|_| Vec::new()).collect();
-            for (r, c, v) in partial.into_entries() {
-                bufs[out_row_dist.owner(r)].push((r, c, v));
-            }
-            bufs
-        })
-        .collect();
+    let send: Vec<CooBuffers<S::Out>> = pool::map_owned(partials, |_, partial| {
+        let mut bufs: CooBuffers<S::Out> = (0..nprocs).map(|_| Vec::new()).collect();
+        for (r, c, v) in partial.into_entries() {
+            bufs[out_row_dist.owner(r)].push((r, c, v));
+        }
+        bufs
+    });
     let received = alltoallv_counted(send, stats, phase, entry_words);
 
     // Merge each destination rank's received entries into its block rows.
-    let row_blocks: Vec<CsrMatrix<S::Out>> = received
-        .into_par_iter()
-        .enumerate()
-        .map(|(rank, entries)| {
-            let rows_here = out_row_dist.size(rank);
-            let roff = out_row_dist.start(rank);
-            let mut rows: Vec<Vec<(usize, S::Out)>> = vec![Vec::new(); rows_here];
-            // Group by row, then merge column-sorted runs with the semiring add.
-            let mut by_row: Vec<Vec<(usize, S::Out)>> = vec![Vec::new(); rows_here];
-            for (r, c, v) in entries {
-                by_row[r - roff].push((c, v));
-            }
-            for (local_r, mut run) in by_row.into_iter().enumerate() {
-                run.sort_by_key(|(c, _)| *c);
-                let mut merged: Vec<(usize, S::Out)> = Vec::with_capacity(run.len());
-                for (c, v) in run {
-                    match merged.last_mut() {
-                        Some((lc, lv)) if *lc == c => S::add(lv, v),
-                        _ => merged.push((c, v)),
-                    }
+    let row_blocks: Vec<CsrMatrix<S::Out>> = pool::map_owned(received, |rank, entries| {
+        let rows_here = out_row_dist.size(rank);
+        let roff = out_row_dist.start(rank);
+        let mut rows: Vec<Vec<(usize, S::Out)>> = vec![Vec::new(); rows_here];
+        // Group by row, then merge column-sorted runs with the semiring add.
+        let mut by_row: Vec<Vec<(usize, S::Out)>> = vec![Vec::new(); rows_here];
+        for (r, c, v) in entries {
+            by_row[r - roff].push((c, v));
+        }
+        for (local_r, mut run) in by_row.into_iter().enumerate() {
+            run.sort_by_key(|(c, _)| *c);
+            let mut merged: Vec<(usize, S::Out)> = Vec::with_capacity(run.len());
+            for (c, v) in run {
+                match merged.last_mut() {
+                    Some((lc, lv)) if *lc == c => S::add(lv, v),
+                    _ => merged.push((c, v)),
                 }
-                rows[local_r] = merged;
             }
-            rows_to_csr(rows_here, out_cols, rows)
-        })
-        .collect();
+            rows[local_r] = merged;
+        }
+        rows_to_csr(rows_here, out_cols, rows)
+    });
 
     Outer1dResult { row_blocks, row_dist: out_row_dist }
 }

@@ -35,7 +35,7 @@ use crate::spgemm::{mirror_block, spgemm_stages, spgemm_stages_aat};
 use dibella_dist::collectives::{record_broadcast, record_p2p};
 use dibella_dist::{par_ranks, CommPhase, CommStats};
 
-pub use dibella_dist::extras::{flops_key, peak_row_width_key, probes_key, SUMMA_STAGES_KEY};
+pub use dibella_dist::extras::{flops_key, peak_row_width_key, probes_key};
 
 /// One rank's SUMMA stage list, handed to the accumulate-in-place block
 /// multiply at once: the pairs `(left(k), right(k))` for `k` in `0..stages`,
@@ -51,10 +51,9 @@ fn stage_pairs<'m, L, R>(
         .collect()
 }
 
-/// Close a SUMMA's books: its stage count, and the finished multiply's
-/// [`FlopCounter`] folded into `stats` under `phase`.
-fn record_arithmetic(stats: &CommStats, phase: CommPhase, stages: usize, flops: &FlopCounter) {
-    stats.bump_extra(SUMMA_STAGES_KEY, stages as u64);
+/// Close a SUMMA's books: the finished multiply's [`FlopCounter`] folded into
+/// `stats` under `phase`.
+fn record_arithmetic(stats: &CommStats, phase: CommPhase, flops: &FlopCounter) {
     stats.bump_extra(&flops_key(phase), flops.flops());
     stats.bump_extra(&probes_key(phase), flops.probes());
     stats.max_extra(&peak_row_width_key(phase), flops.peak_row_width());
@@ -123,7 +122,7 @@ pub fn summa<S: Semiring>(
         let pairs = stage_pairs(stages, |k| a.block(i, k), |k| b.block(k, j));
         spgemm_stages::<S>(row_dist.size(i), col_dist.size(j), &pairs, AccumPolicy::Auto, &flops)
     });
-    record_arithmetic(stats, phase, stages, &flops);
+    record_arithmetic(stats, phase, &flops);
 
     DistMat2D::from_blocks(grid, a.nrows(), b.ncols(), blocks)
 }
@@ -215,7 +214,7 @@ pub fn summa_aat_sym<S: MirrorSemiring>(
             )
         })
     });
-    record_arithmetic(stats, phase, stages, &flops);
+    record_arithmetic(stats, phase, &flops);
 
     // Cross-diagonal exchange: rank (i, j) ships its computed C_{i,j} to the
     // mirror rank (j, i).  Empty blocks are skipped (the point-to-point

@@ -1,4 +1,6 @@
-//! Re-pins the SpGEMM determinism claim under adversarial steal schedules.
+//! Re-pins the SpGEMM determinism claim — and that of the other pool loops in
+//! this crate (the element-wise kernels of Algorithm 2, the 1D outer product
+//! and its consuming reduction) — under adversarial steal schedules.
 //!
 //! `spgemm_stages` and its symmetric sibling `spgemm_stages_aat` accumulate
 //! every output row in place across stages on the work-stealing pool; their
@@ -8,7 +10,10 @@
 //! 3-/4-chunk permutations (and seeded large shuffles on the randomized CI
 //! preset) with yield points injected before every claim.
 
+use dibella_dist::{CommPhase, CommStats};
 use dibella_sparse::{
+    elementwise::{ewise_intersect, set_difference},
+    outer1d::outer1d_aat,
     spgemm::{spgemm_stages, spgemm_stages_aat},
     AccumPolicy, CsrMatrix, FlopCounter, PlusTimes, Triples,
 };
@@ -72,6 +77,34 @@ fn spgemm_stages_aat_is_bit_identical_under_adversarial_schedules() {
             &flops,
         );
         (out, flops.flops(), flops.probes(), flops.peak_row_width())
+    });
+    assert!(explored >= 30, "expected at least the exhaustive-small preset");
+}
+
+#[test]
+fn elementwise_kernels_are_bit_identical_under_adversarial_schedules() {
+    // Half-dense patterns, so most rows have shared and unshared coordinates.
+    let r = random_csr(96, 80, 3_800, 7);
+    let n = random_csr(96, 80, 3_800, 8);
+
+    let explored = assert_schedule_determinism(SchedulePreset::from_env(), || {
+        // The two steps of a transitive-reduction round: I ← R ≥ N, R ← R ∘ ¬I.
+        let mask = ewise_intersect(&r, &n, |_, _, x, y| (x >= y).then_some(true));
+        let reduced = set_difference(&r, &mask);
+        (mask, reduced)
+    });
+    assert!(explored >= 30, "expected at least the exhaustive-small preset");
+}
+
+#[test]
+fn outer1d_aat_is_bit_identical_under_adversarial_schedules() {
+    let a = random_csr(96, 48, 700, 9);
+
+    let explored = assert_schedule_determinism(SchedulePreset::from_env(), || {
+        let stats = CommStats::new();
+        let out = outer1d_aat::<PlusTimes<u64>>(&a, 4, 2, &stats, CommPhase::OverlapDetection);
+        // The all-to-all's accounted traffic is part of the claim too.
+        (out.row_blocks, stats.snapshot())
     });
     assert!(explored >= 30, "expected at least the exhaustive-small preset");
 }

@@ -41,11 +41,6 @@ impl BidirectedGraph {
         self.adjacency.iter().map(|a| a.len()).sum()
     }
 
-    /// Number of undirected overlaps.
-    pub fn num_overlaps(&self) -> usize {
-        self.num_directed_edges() / 2
-    }
-
     /// Degree (number of overlap partners) of a vertex.
     pub fn degree(&self, v: usize) -> usize {
         self.adjacency[v].len()
@@ -80,16 +75,6 @@ impl BidirectedGraph {
             prev_dir = Some(dir);
         }
         true
-    }
-
-    /// Histogram of vertex degrees (index = degree).
-    pub fn degree_histogram(&self) -> Vec<usize> {
-        let max_deg = self.adjacency.iter().map(|a| a.len()).max().unwrap_or(0);
-        let mut hist = vec![0usize; max_deg + 1];
-        for a in &self.adjacency {
-            hist[a.len()] += 1;
-        }
-        hist
     }
 }
 
@@ -166,12 +151,9 @@ mod tests {
     fn counts_and_degrees() {
         let g = BidirectedGraph::from_matrix(&CsrMatrix::from_triples(&chain_overlap_graph(6, 2)));
         assert_eq!(g.num_vertices(), 6);
-        assert_eq!(g.num_overlaps(), 5 + 4);
+        assert_eq!(g.num_directed_edges(), 2 * (5 + 4));
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.degree(2), 4);
-        let hist = g.degree_histogram();
-        assert_eq!(hist.iter().sum::<usize>(), 6);
-        assert_eq!(hist[2], 2, "the two chain ends have degree 2");
     }
 
     #[test]

@@ -22,7 +22,6 @@
 
 use crate::matrix_ops::{ewise_intersect_dist, set_difference_dist};
 use crate::trsemiring::{TrMinPlus, TwoHop};
-use dibella_dist::extras::TR_ITERATIONS_KEY;
 use dibella_dist::{CommPhase, CommStats};
 use dibella_overlap::OverlapEdge;
 use dibella_sparse::{summa, DistMat2D};
@@ -120,8 +119,6 @@ pub fn transitive_reduction(
             break;
         }
     }
-    comm.bump_extra(TR_ITERATIONS_KEY, iterations as u64);
-
     TrOutcome { string_matrix: r, iterations, removed_edges: removed, nnz_per_round }
 }
 

@@ -200,13 +200,6 @@ impl AllocScope<'_> {
     pub fn peak_resident(&self) -> u64 {
         self.alloc.peak_resident().saturating_sub(self.base_current)
     }
-
-    /// Bytes resident right now above the scope's baseline (what the workload
-    /// has not yet freed); can be compared against
-    /// [`AllocScope::peak_resident`] to see how much was transient.
-    pub fn resident_now(&self) -> u64 {
-        self.alloc.current().saturating_sub(self.base_current)
-    }
 }
 
 #[cfg(test)]
@@ -264,12 +257,10 @@ mod tests {
         unsafe {
             let p = a.alloc(layout);
             assert_eq!(scope.peak_resident(), 500);
-            assert_eq!(scope.resident_now(), 500);
             a.dealloc(p, layout);
         }
         assert_eq!(scope.allocations(), 1);
         assert_eq!(scope.peak_resident(), 500, "scope peak survives the free");
-        assert_eq!(scope.resident_now(), 0);
         unsafe { a.dealloc(pre, layout) };
     }
 

@@ -50,11 +50,6 @@ pub enum SchedulePreset {
 }
 
 impl SchedulePreset {
-    /// The default randomized preset (32 schedules).
-    pub fn randomized_default() -> Self {
-        SchedulePreset::RandomizedLarge { count: 32 }
-    }
-
     /// The preset selected by the `DIBELLA_SCHEDULES` environment variable:
     /// `randomized` (optionally `randomized:<count>`) or anything else /
     /// unset for [`SchedulePreset::ExhaustiveSmall`].  This is the CI knob —
@@ -148,7 +143,6 @@ mod tests {
     #[test]
     fn randomized_preset_honours_its_count() {
         assert_eq!(SchedulePreset::RandomizedLarge { count: 26 }.schedules().len(), 26);
-        assert_eq!(SchedulePreset::randomized_default().schedules().len(), 32);
     }
 
     #[test]

@@ -14,7 +14,6 @@ use dibella2d::overlap::{
 };
 use dibella2d::prelude::*;
 use dibella2d::seq::count_kmers_distributed;
-use dibella2d::sketch::SKETCH_NNZ_KEY;
 use dibella2d::sparse::DistMat2D;
 use std::time::Instant;
 
@@ -105,7 +104,7 @@ fn main() {
         );
         println!(
             "  \\- sketch A: {} nnz, {} k-min-mer columns, density {:.3}, HPC ratio {:.2}",
-            snap.extras.get(SKETCH_NNZ_KEY).copied().unwrap_or(0),
+            info.nnz,
             info.columns,
             info.achieved_density(),
             info.hpc_ratio(),

@@ -92,7 +92,7 @@ fn golden_20kbp_assembly_meets_ng50_and_identity_thresholds() {
 
     // The consensus stage was timed and accounted.
     assert!(out.timings.consensus > 0.0);
-    assert!(out.comm.extras.get("poa_graph_nodes").copied().unwrap_or(0) > 0);
+    assert!(out.consensus_summary.poa_nodes > 0);
 
     // Determinism: the pipeline's pool-parallel per-contig consensus must be
     // bit-identical to a serial recomputation, pinned to one worker thread.
