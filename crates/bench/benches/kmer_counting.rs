@@ -1,9 +1,11 @@
-//! Criterion micro-benchmarks for the two-pass distributed k-mer counter:
-//! the serial reference, one superstep over the whole set at several rank
-//! counts, and bounded supersteps (the same fold, many exchanges).
+//! Criterion micro-benchmarks for the exact-k-mer front end: the two-pass
+//! distributed counter (the serial reference, one superstep over the whole
+//! set at several rank counts, and bounded supersteps — the same fold, many
+//! exchanges) and the row-wise assembly of `A` from its table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dibella_dist::CommStats;
+use dibella_dist::{CommStats, ProcessGrid};
+use dibella_overlap::build_a_matrix;
 use dibella_seq::{
     count_kmers_distributed, count_kmers_serial, count_kmers_streaming, read_set_batches,
     DatasetSpec, IngestBudget, KmerSelection,
@@ -40,5 +42,19 @@ fn bench_kmer_counting(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_kmer_counting);
+fn bench_build_a(c: &mut Criterion) {
+    let ds = DatasetSpec::EColiLike.generate_with_length(20_000, 3);
+    let selection = KmerSelection::with_bella_bound(17, ds.achieved_depth(), ds.config.error_rate);
+    let table = count_kmers_distributed(&ds.reads, &selection, 16, &CommStats::new());
+    let grid = ProcessGrid::square(16);
+
+    let mut group = c.benchmark_group("build_a");
+    group.sample_size(10);
+    group.bench_function("p16_grid4x4", |bencher| {
+        bencher.iter(|| build_a_matrix(&ds.reads, &table, selection.k, grid, grid.nprocs()))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_kmer_counting, bench_build_a);
 criterion_main!(benches);

@@ -85,6 +85,8 @@ const MEAN_READ_LENGTH: usize = 300;
 struct SizeResult {
     reads: usize,
     input_bytes: u64,
+    /// Σ max(l − k + 1, 0) over the reads: the layer's unit of work.
+    kmer_windows: u64,
     supersteps: u64,
     batch_bytes_peak: u64,
     resident_estimate_peak: u64,
@@ -145,6 +147,8 @@ fn main() {
         };
         let (reads, _) = simulate_reads(&genome, &sim);
         let nreads = reads.len();
+        let kmer_windows: u64 =
+            reads.lengths().iter().map(|&l| (l + 1).saturating_sub(sel.k) as u64).sum();
         std::fs::write(&fasta_path, write_fasta(&reads)).expect("writing sweep FASTA");
         drop(reads);
         let input_bytes = std::fs::metadata(&fasta_path).expect("stat sweep FASTA").len();
@@ -194,6 +198,7 @@ fn main() {
         let r = SizeResult {
             reads: nreads,
             input_bytes,
+            kmer_windows,
             supersteps: stats.extra(INGEST_SUPERSTEPS_KEY),
             batch_bytes_peak: stats.extra(INGEST_BATCH_BYTES_PEAK_KEY),
             resident_estimate_peak: stats.extra(INGEST_RESIDENT_BYTES_PEAK_KEY),
@@ -253,29 +258,38 @@ fn main() {
                     "    {{\n",
                     "      \"reads\": {reads},\n",
                     "      \"input_bytes\": {input},\n",
+                    "      \"kmer_windows\": {windows},\n",
                     "      \"supersteps\": {steps},\n",
                     "      \"batch_bytes_peak\": {batch_peak},\n",
                     "      \"resident_estimate_peak\": {estimate},\n",
                     "      \"streaming_peak_bytes\": {stream_peak},\n",
                     "      \"streaming_secs\": {stream_secs:.4},\n",
+                    "      \"streaming_mkmers_per_s\": {stream_rate:.2},\n",
                     "      \"kmers\": {kmers},\n",
                     "      \"monolithic_peak_bytes\": {mono_peak},\n",
-                    "      \"monolithic_secs\": {mono_secs}\n",
+                    "      \"monolithic_secs\": {mono_secs},\n",
+                    "      \"monolithic_mkmers_per_s\": {mono_rate}\n",
                     "    }}"
                 ),
                 reads = r.reads,
                 input = r.input_bytes,
+                windows = r.kmer_windows,
                 steps = r.supersteps,
                 batch_peak = r.batch_bytes_peak,
                 estimate = r.resident_estimate_peak,
                 stream_peak = r.streaming_peak,
                 stream_secs = r.streaming_secs,
+                stream_rate = r.kmer_windows as f64 / r.streaming_secs / 1e6,
                 kmers = r.kmers,
                 mono_peak =
                     r.monolithic_peak.map(|p| p.to_string()).unwrap_or_else(|| "null".into()),
                 mono_secs = r
                     .monolithic_secs
                     .map(|s| format!("{s:.4}"))
+                    .unwrap_or_else(|| "null".into()),
+                mono_rate = r
+                    .monolithic_secs
+                    .map(|s| format!("{:.2}", r.kmer_windows as f64 / s / 1e6))
                     .unwrap_or_else(|| "null".into()),
             )
         })

@@ -8,6 +8,7 @@
 
 use crate::comm::{CommPhase, CommStats};
 use crate::trace::CollectiveKind;
+use rayon::pool;
 
 pub use crate::extras::{p2p_messages_key, p2p_words_key};
 
@@ -33,14 +34,17 @@ pub fn words_of<T>() -> u64 {
 ///
 /// # Panics
 /// Panics if any `send[src]` does not have exactly one buffer per rank.
-pub fn alltoallv_counted<T>(
+pub fn alltoallv_counted<T: Send>(
     send: Vec<Vec<Vec<T>>>,
     stats: &CommStats,
     phase: CommPhase,
     words_per_item: u64,
 ) -> Vec<Vec<T>> {
     let nprocs = send.len();
-    let mut recv: Vec<Vec<T>> = (0..nprocs).map(|_| Vec::new()).collect();
+    // `inbound[dst][src]`: the accounting pass hands every buffer to the rank
+    // that is about to receive it.
+    let mut inbound: Vec<Vec<Vec<T>>> =
+        (0..nprocs).map(|_| Vec::with_capacity(nprocs)).collect();
     let mut words_received = vec![0u64; nprocs];
     let mut words_sent_by_rank = vec![0u64; nprocs];
     for (src, buffers) in send.into_iter().enumerate() {
@@ -59,7 +63,7 @@ pub fn alltoallv_counted<T>(
                 words_received[dst] += words;
                 messages_sent += 1;
             }
-            recv[dst].extend(buffer);
+            inbound[dst].push(buffer);
         }
         words_sent_by_rank[src] = words_sent;
         if words_sent > 0 || messages_sent > 0 {
@@ -73,7 +77,16 @@ pub fn alltoallv_counted<T>(
         }
     }
     stats.trace_alltoallv(phase, nprocs, &words_sent_by_rank);
-    recv
+    // Every destination fills its own receive buffer, reserved at its exact
+    // total, and frees each source buffer once copied: the two sides of the
+    // exchange are co-resident one destination at a time, not all at once.
+    pool::map_owned(inbound, |_, buffers| {
+        let mut recv = Vec::with_capacity(buffers.iter().map(Vec::len).sum());
+        for buffer in buffers {
+            recv.extend(buffer);
+        }
+        recv
+    })
 }
 
 /// Account for one simulated broadcast of `words` words from one rank to the

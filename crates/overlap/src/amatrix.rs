@@ -3,16 +3,18 @@
 //! Section IV-D: "The local k-mer hash table and the local sequences are used
 //! to create a distributed |sequences|-by-|k-mers| matrix A.  A nonzero `A_ij`
 //! stores the position of the j-th k-mer in the i-th sequence."  Reads are
-//! block-partitioned over virtual ranks for the construction; the resulting
-//! triples are then distributed over the 2D grid exactly as CombBLAS would.
+//! block-partitioned over virtual ranks for the construction.  A rank walks
+//! each of its reads once and hands it over as a finished row, which
+//! [`DistMat2D::from_sorted_rows`] appends to the 2D blocks its columns fall
+//! in — distributed exactly as CombBLAS would, with no triple list in between.
 
 use crate::types::KmerOccurrence;
-use dibella_dist::{par_ranks, BlockDist, ProcessGrid};
+use dibella_dist::ProcessGrid;
 use dibella_seq::{KmerIter, KmerTable, ReadSet};
-use dibella_sparse::{DistMat2D, Triples};
+use dibella_sparse::DistMat2D;
 
 /// Build the occurrence matrix `A` (reads × reliable k-mers), distributed over
-/// `grid`.
+/// `grid`, identically for any `construction_ranks`.
 ///
 /// If a reliable k-mer occurs more than once in a read, the first occurrence
 /// is kept (one position per nonzero, as in BELLA's `A` matrix).
@@ -24,41 +26,23 @@ pub fn build_a_matrix(
     construction_ranks: usize,
 ) -> DistMat2D<KmerOccurrence> {
     assert!(construction_ranks > 0);
-    let read_dist = BlockDist::new(reads.len(), construction_ranks);
-
-    // Each construction rank scans its block of reads and emits triples.
-    let per_rank: Vec<Vec<(usize, usize, KmerOccurrence)>> =
-        par_ranks(construction_ranks, |rank| {
-            let mut entries = Vec::new();
-            for read_idx in read_dist.range(rank) {
-                let seq = reads.seq(read_idx);
-                if seq.len() < k {
-                    continue;
-                }
-                // First occurrence per column within this read (membership
-                // only — the set is never iterated, so HashSet is safe here).
-                let mut seen: std::collections::HashSet<u32> = std::collections::HashSet::new();
-                for (pos, kmer) in KmerIter::new(seq, k) {
-                    let canon = kmer.canonical();
-                    if let Some(col) = table.column_of(&canon.kmer) {
-                        if seen.insert(col) {
-                            entries.push((
-                                read_idx,
-                                col as usize,
-                                KmerOccurrence { pos: pos as u32, forward: canon.was_forward },
-                            ));
-                        }
-                    }
-                }
-            }
-            entries
-        });
-
-    let mut triples = Triples::new(reads.len(), table.len());
-    for entries in per_rank {
-        triples.extend(entries);
-    }
-    DistMat2D::from_triples(grid, &triples)
+    DistMat2D::from_sorted_rows(grid, reads.len(), table.len(), construction_ranks, |read, row| {
+        // A hit is `column · 2³² + position · 2 + strand`: sorting the words
+        // orders a read's hits by column and, within a column, by position,
+        // so the one `dedup` keeps is the first occurrence.
+        let mut hits: Vec<u64> = KmerIter::new(reads.seq(read), k)
+            .filter_map(|(pos, _, canon)| {
+                let col = table.column_of(&canon.kmer)? as u64;
+                Some(col << 32 | (pos as u64) << 1 | u64::from(!canon.was_forward))
+            })
+            .collect();
+        hits.sort_unstable();
+        hits.dedup_by_key(|hit| *hit >> 32);
+        row.extend(hits.into_iter().map(|hit| {
+            let occ = KmerOccurrence { pos: (hit as u32) >> 1, forward: hit & 1 == 0 };
+            ((hit >> 32) as usize, occ)
+        }));
+    })
 }
 
 #[cfg(test)]

@@ -162,7 +162,7 @@ mod tests {
             return Vec::new();
         }
         let hashes: Vec<(u64, u32, bool)> = KmerIter::new(seq, k)
-            .map(|(pos, kmer)| {
+            .map(|(pos, kmer, _)| {
                 let canon = kmer.canonical();
                 (canon.kmer.hash64(), pos as u32, canon.was_forward)
             })

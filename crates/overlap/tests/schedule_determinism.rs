@@ -7,7 +7,8 @@
 //! any chunk-claim order.  The explorer enumerates all 3-/4-chunk claim
 //! permutations (randomized large shuffles on the CI main preset) with yield
 //! injection, a much denser schedule space than the 1/2/4-thread sweeps.
-//! The minimizer baseline's sketching loop gets the same treatment.
+//! The minimizer baseline's sketching loop and the row-wise assembly of `A`
+//! get the same treatment.
 
 use dibella_align::ExtendEngine;
 use dibella_dist::{CommStats, ProcessGrid};
@@ -56,6 +57,26 @@ fn minimizer_overlaps_is_bit_identical_under_adversarial_schedules() {
 
     let explored = assert_schedule_determinism(SchedulePreset::from_env(), || {
         minimizer_overlaps(&ds.reads, &cfg)
+    });
+    assert!(explored >= 30, "expected at least the exhaustive-small preset");
+}
+
+#[test]
+fn build_a_matrix_is_bit_identical_under_adversarial_schedules() {
+    // Seven construction ranks on a 3×3 grid: three scanning runs per grid
+    // row, so every block is stitched from runs that any chunk may have
+    // scanned.  The reference is one rank on one thread's natural order.
+    let ds = DatasetSpec::Tiny.generate_with_length(2_000, 78);
+    let k = 13;
+    let table = count_kmers_serial(&ds.reads, &KmerSelection { k, min_count: 2, max_count: 60 });
+    let grid = ProcessGrid::square(9);
+    let reference = build_a_matrix(&ds.reads, &table, k, grid, 1);
+    assert!(reference.nnz() > 0, "nothing to pin");
+
+    let explored = assert_schedule_determinism(SchedulePreset::from_env(), || {
+        let a = build_a_matrix(&ds.reads, &table, k, grid, 7);
+        assert_eq!(a, reference, "construction ranks and schedule must not change A");
+        a
     });
     assert!(explored >= 30, "expected at least the exhaustive-small preset");
 }

@@ -1,6 +1,7 @@
 //! Pipeline configuration.
 
 use dibella_overlap::OverlapConfig;
+use dibella_seq::kmer::MAX_K;
 use dibella_seq::{IngestBudget, KmerSelection};
 use dibella_sketch::SketchConfig;
 use dibella_strgraph::{ConsensusConfig, TransitiveReductionConfig};
@@ -69,6 +70,28 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
+    /// Check the settings a run cannot survive: the message names the field.
+    ///
+    /// `k` is carried twice — [`KmerSelection::k`] for the counter,
+    /// [`OverlapConfig::k`] for the occurrence matrix — and a table of one
+    /// length looked up with windows of another is an empty `A`, not an
+    /// error.  Every pipeline entry point calls this before any stage runs.
+    pub fn validate(&self) -> Result<(), String> {
+        let KmerSelection { k, min_count, max_count } = self.kmer;
+        if !(1..=MAX_K).contains(&k) {
+            return Err(format!("kmer.k must be in 1..={MAX_K}, got {k}"));
+        }
+        if self.overlap.k != k {
+            return Err(format!("overlap.k must equal kmer.k = {k}, got {}", self.overlap.k));
+        }
+        if min_count > max_count {
+            return Err(format!(
+                "kmer.min_count = {min_count} must not exceed kmer.max_count = {max_count}"
+            ));
+        }
+        Ok(())
+    }
+
     /// The paper's experimental setting (`k = 17`, max k-mer frequency 4,
     /// fuzz 1000) at a given virtual process count.
     pub fn paper_default(nprocs: usize) -> Self {

@@ -36,11 +36,19 @@ pub struct Pipeline1dOutput {
 }
 
 /// Run the diBELLA 1D pipeline on an already-parsed read set.
+///
+/// # Panics
+/// Panics if [`PipelineConfig::validate`] rejects the configuration.
 pub fn run_dibella_1d(
     reads: &ReadSet,
     config: &PipelineConfig,
     comm: &CommStats,
 ) -> Pipeline1dOutput {
+    // No `Result` to return yet: fail here, on the caller's thread, with the
+    // same message the 2D entry points return.
+    if let Err(message) = config.validate() {
+        panic!("{message}");
+    }
     let nprocs = config.nprocs.max(1);
     let mut timings = StageTimings::default();
 
@@ -99,6 +107,14 @@ mod tests {
 
     fn tiny_config(nprocs: usize) -> PipelineConfig {
         PipelineConfig::for_small_reads(13, nprocs)
+    }
+
+    #[test]
+    #[should_panic(expected = "overlap.k must equal kmer.k = 13, got 11")]
+    fn an_invalid_configuration_fails_with_the_validation_message() {
+        let mut cfg = tiny_config(4);
+        cfg.overlap.k = 11;
+        run_dibella_1d(&DatasetSpec::Tiny.generate(52).reads, &cfg, &CommStats::new());
     }
 
     #[test]

@@ -169,7 +169,8 @@ fn run_parsed(
 /// Every output is bit-identical at any batch size and thread count (see
 /// [`count_kmers_streaming`]); the default unbounded budget is one superstep
 /// over the whole set.  Fails if the estimated resident bytes of any
-/// superstep exceed `config.ingest.max_resident_bytes`.
+/// superstep exceed `config.ingest.max_resident_bytes`, or — before anything
+/// runs — if [`PipelineConfig::validate`] rejects the configuration.
 ///
 /// The FASTA parsing time is reported as zero; callers that parse a file can
 /// use [`run_dibella_2d`] to have it measured.
@@ -178,6 +179,7 @@ pub fn run_dibella_2d_on_reads(
     config: &PipelineConfig,
     comm: &CommStats,
 ) -> Result<Pipeline2dOutput, String> {
+    config.validate()?;
     let grid = ProcessGrid::square_at_most(config.nprocs);
     enable_spmd_trace_for_debug(comm, grid);
     // CountKmer: two-pass distributed counting with Bloom filtering.  The
@@ -646,6 +648,35 @@ mod tests {
         // The k-min-mer path counts nothing, so there is nothing to bound.
         cfg.candidate_source = crate::CandidateSource::KMinMer;
         assert!(run_dibella_2d(&fasta, &cfg).is_ok());
+    }
+
+    /// The error `run_dibella_2d` returns for `tiny_config(4)` after `edit`:
+    /// FASTA text in, `Err` out, no panic on any thread.
+    fn rejection(edit: impl FnOnce(&mut PipelineConfig)) -> String {
+        let fasta = write_fasta(&DatasetSpec::Tiny.generate(58).reads);
+        let mut cfg = tiny_config(4);
+        edit(&mut cfg);
+        run_dibella_2d(&fasta, &cfg).err().expect("an invalid configuration must be rejected")
+    }
+
+    #[test]
+    fn a_k_the_kmer_type_cannot_hold_is_an_error_not_a_worker_panic() {
+        for k in [0, dibella_seq::kmer::MAX_K + 1] {
+            let err = rejection(|cfg| (cfg.kmer.k, cfg.overlap.k) = (k, k));
+            assert!(err.contains("kmer.k must be in 1..=31"), "k = {k}: unexpected error: {err}");
+        }
+    }
+
+    #[test]
+    fn counting_one_k_and_looking_up_another_is_an_error_not_an_empty_matrix() {
+        let err = rejection(|cfg| cfg.overlap.k = 11);
+        assert!(err.contains("overlap.k must equal kmer.k = 13, got 11"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn an_empty_reliable_range_is_an_error() {
+        let err = rejection(|cfg| (cfg.kmer.min_count, cfg.kmer.max_count) = (5, 4));
+        assert!(err.contains("kmer.min_count = 5 must not exceed"), "unexpected error: {err}");
     }
 
     #[test]

@@ -39,13 +39,17 @@ impl BloomFilter {
     }
 
     /// The `nhashes` probe sites of a key as `(word, bit mask)`, by double
-    /// hashing (Kirsch–Mitzenmacher): `h_i = h1 + i·h2`.
+    /// hashing (Kirsch–Mitzenmacher): `h_i = h1 + i·h2`, scaled from `u64`
+    /// onto `0..nbits` by a multiply-shift rather than `%` — a 64-bit
+    /// division per probe costs more than the probe (measured: a third of
+    /// the counter's pass 1 on noisy reads).
     fn probes(&self, key: u64) -> impl Iterator<Item = (usize, u64)> {
         let h1 = splitmix(key);
         let h2 = splitmix(key ^ 0x9E3779B97F4A7C15) | 1;
         let nbits = self.nbits;
         (0..self.nhashes as u64).map(move |i| {
-            let pos = h1.wrapping_add(i.wrapping_mul(h2)) % nbits;
+            let h = h1.wrapping_add(i.wrapping_mul(h2));
+            let pos = ((h as u128 * nbits as u128) >> 64) as u64;
             ((pos / 64) as usize, 1u64 << (pos % 64))
         })
     }

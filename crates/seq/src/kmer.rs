@@ -6,6 +6,11 @@
 //! strand (Section II).  A [`CanonicalKmer`] also remembers whether the
 //! canonical form equals the original orientation, which the overlap semiring
 //! needs to reason about relative read orientations.
+//!
+//! [`Kmer::from_codes`], [`Kmer::reverse_complement`] and [`Kmer::canonical`]
+//! are the definitions, O(k) each.  Every scanner goes through [`KmerIter`],
+//! which rolls a forward and a reverse-complement register along the
+//! sequence and yields each window with its canonical form in O(1).
 
 use crate::dna::DnaSeq;
 use serde::{Deserialize, Serialize};
@@ -34,6 +39,12 @@ impl Kmer {
             packed = (packed << 2) | c as u64;
         }
         Self { packed, k: codes.len() as u8 }
+    }
+
+    /// The k-mer whose [`Kmer::packed`] value and length are given.
+    pub(crate) fn from_packed(packed: u64, k: usize) -> Self {
+        debug_assert!((1..=MAX_K).contains(&k) && packed >> (2 * k) == 0);
+        Self { packed, k: k as u8 }
     }
 
     /// Parse from ASCII (e.g. `"ACGTT"`).
@@ -113,11 +124,21 @@ pub struct CanonicalKmer {
     pub was_forward: bool,
 }
 
-/// Iterator over all k-mers of a sequence with their start positions.
+/// Iterator over all k-mers of a sequence with their start positions and
+/// canonical forms, in O(1) per window.
+///
+/// Two registers roll along the sequence: `fwd` holds the window as read and
+/// `rc` its reverse complement, each updated with one shift per base, so no
+/// window is re-packed and no reverse complement re-derived.
+/// [`Kmer::from_codes`] and [`Kmer::canonical`] remain the definition the
+/// registers are tested against.
 pub struct KmerIter<'a> {
-    seq: &'a DnaSeq,
-    k: usize,
+    codes: &'a [u8],
+    k: u8,
+    /// Start of the next window; the registers hold its first `k - 1` bases.
     pos: usize,
+    fwd: u64,
+    rc: u64,
 }
 
 impl<'a> KmerIter<'a> {
@@ -127,27 +148,40 @@ impl<'a> KmerIter<'a> {
     /// Panics if `k` is 0 or exceeds [`MAX_K`].
     pub fn new(seq: &'a DnaSeq, k: usize) -> Self {
         assert!((1..=MAX_K).contains(&k), "k must be in 1..={MAX_K}");
-        Self { seq, k, pos: 0 }
+        let mut iter = Self { codes: seq.codes(), k: k as u8, pos: 0, fwd: 0, rc: 0 };
+        for &code in iter.codes.iter().take(k - 1) {
+            iter.roll(code);
+        }
+        iter
+    }
+
+    /// Shift one base into both registers (`DnaSeq` codes are 2-bit).
+    fn roll(&mut self, code: u8) {
+        let k = self.k as u32;
+        self.fwd = ((self.fwd << 2) | code as u64) & ((1 << (2 * k)) - 1);
+        self.rc = (self.rc >> 2) | ((3 - code as u64) << (2 * (k - 1)));
     }
 }
 
 impl Iterator for KmerIter<'_> {
-    /// `(start position, k-mer)`
-    type Item = (usize, Kmer);
+    /// `(start position, k-mer as read, its canonical form and strand)`; a
+    /// k-mer equal to its reverse complement is forward, as in
+    /// [`Kmer::canonical`].
+    type Item = (usize, Kmer, CanonicalKmer);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.pos + self.k > self.seq.len() {
-            return None;
-        }
-        let codes = &self.seq.codes()[self.pos..self.pos + self.k];
-        let kmer = Kmer::from_codes(codes);
+        let &code = self.codes.get(self.pos + self.k as usize - 1)?;
+        self.roll(code);
+        let kmer = Kmer { packed: self.fwd, k: self.k };
+        let was_forward = self.fwd <= self.rc;
+        let canonical = if was_forward { kmer } else { Kmer { packed: self.rc, k: self.k } };
         let pos = self.pos;
         self.pos += 1;
-        Some((pos, kmer))
+        Some((pos, kmer, CanonicalKmer { kmer: canonical, was_forward }))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = (self.seq.len() + 1).saturating_sub(self.pos + self.k);
+        let remaining = (self.codes.len() + 1).saturating_sub(self.pos + self.k as usize);
         (remaining, Some(remaining))
     }
 }
@@ -240,6 +274,32 @@ mod tests {
     }
 
     proptest! {
+        // The rolling registers against the definitions, at every position
+        // and every k.  The sequence ends in `half ++ revcomp(half)`, so the
+        // even-length windows centred on that junction equal their own
+        // reverse complement (the forward-wins tie); short inputs cover
+        // sequences shorter than k, and the k range covers k = 1 and the
+        // full-width mask of k = 31.
+        #[test]
+        fn prop_rolling_iter_matches_from_codes_and_canonical(
+            prefix in proptest::collection::vec(0u8..4, 0..120),
+            half in proptest::collection::vec(0u8..4, 0..40),
+        ) {
+            let mut codes = prefix;
+            codes.extend(&half);
+            codes.extend(half.iter().rev().map(|&c| 3 - c));
+            let seq = DnaSeq::from_codes(codes.clone());
+            for k in 1..=MAX_K {
+                let windows: Vec<_> = KmerIter::new(&seq, k).collect();
+                prop_assert_eq!(windows.len(), (codes.len() + 1).saturating_sub(k));
+                for (p, &(pos, kmer, canonical)) in windows.iter().enumerate() {
+                    let oracle = Kmer::from_codes(&codes[p..p + k]);
+                    prop_assert_eq!((pos, kmer), (p, oracle), "k = {}", k);
+                    prop_assert_eq!(canonical, oracle.canonical(), "k = {} pos = {}", k, p);
+                }
+            }
+        }
+
         #[test]
         fn prop_revcomp_involution(k in arb_kmer()) {
             prop_assert_eq!(k.reverse_complement().reverse_complement(), k);

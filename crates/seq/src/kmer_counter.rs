@@ -2,25 +2,30 @@
 //!
 //! The counter mirrors the HipMer-style design diBELLA 2D uses:
 //!
-//! 1. every rank extracts the canonical k-mers of its block of reads and sends
-//!    each k-mer to an owner rank chosen by hashing (`MPI_Alltoallv`);
-//! 2. **pass 1**: owners insert incoming k-mers into a Bloom filter; a k-mer
-//!    that hits the filter (seen at least twice) graduates to the local hash
-//!    table — singletons never occupy table memory;
-//! 3. **pass 2**: the same exchange is repeated and owners count occurrences
-//!    of the k-mers that graduated;
+//! 1. every rank rolls over the canonical k-mers of its block of reads and
+//!    sends each, as its packed `u64`, to an owner rank chosen by hashing
+//!    (`MPI_Alltoallv`);
+//! 2. **pass 1**: each owner sorts what it received and run-lengths it (KMC 3,
+//!    HySortK).  A k-mer seen twice in the batch graduates to the owner's
+//!    candidates at once; a batch-singleton goes through the owner's Bloom
+//!    filter and graduates only if the filter has seen it before — singletons
+//!    never occupy candidate memory;
+//! 3. **pass 2**: the same exchange is repeated and owners add the run
+//!    lengths to the candidates they find;
 //! 4. k-mers whose count falls outside the reliable range
 //!    `[min_count, max_count]` are discarded (the BELLA-style upper bound `d`
 //!    removes repeat-induced high-frequency k-mers);
-//! 5. surviving k-mers receive consecutive column indices — they become the
-//!    columns of the `|reads| x |k-mers|` matrix `A`.
+//! 5. surviving k-mers, in ascending order, receive consecutive column
+//!    indices — they become the columns of the `|reads| x |k-mers|` matrix `A`.
 //!
 //! Steps 1–3 run once per **superstep** — a bounded batch of reads — with the
-//! owners' state carried across supersteps.  There is one implementation of
-//! them: [`count_kmers_streaming`] drives it over a batch stream under an
+//! owners' state carried across supersteps and each owner folding its share
+//! as its own pool task.  There is one implementation of them:
+//! [`count_kmers_streaming`] drives it over a batch stream under an
 //! [`IngestBudget`], [`count_kmers_distributed`] over a resident read set as
-//! a single superstep, and [`count_kmers_serial`] is the independent
-//! reference both are tested against.
+//! a single superstep, and [`count_kmers_serial`], a plain hash-map count, is
+//! the independent reference both are tested against.  Everything the fold
+//! keeps is sorted, so no output depends on a hasher or a schedule.
 //!
 //! The k-mer exchange traffic is recorded under
 //! [`CommPhase::KmerCounting`] with the paper's `k/4`-bytes-per-k-mer wire
@@ -34,9 +39,8 @@ use crate::stream::{IngestBudget, ReadBatch};
 use dibella_dist::extras::{
     INGEST_BATCH_BYTES_PEAK_KEY, INGEST_RESIDENT_BYTES_PEAK_KEY, INGEST_SUPERSTEPS_KEY,
 };
-use dibella_dist::{alltoallv_counted, par_ranks, BlockDist, CommPhase, CommStats};
+use dibella_dist::{alltoallv_counted, par_ranks, par_ranks_mut, BlockDist, CommPhase, CommStats};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Reliable k-mer selection parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -72,40 +76,37 @@ impl KmerSelection {
     }
 }
 
-/// The reliable k-mer table: canonical k-mers, their counts, and their column
-/// indices in the `|reads| x |k-mers|` matrix `A`.
+/// The reliable k-mer table: canonical k-mers in ascending order, their
+/// counts, and — a k-mer's position being its column — their column indices
+/// in the `|reads| x |k-mers|` matrix `A`.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct KmerTable {
-    kmers: Vec<Kmer>,
+    k: usize,
+    /// [`Kmer::packed`] of every k-mer, ascending.
+    packed: Vec<u64>,
     counts: Vec<u32>,
-    #[serde(skip)]
-    index: HashMap<Kmer, u32>,
 }
 
 impl KmerTable {
-    fn from_sorted(kmers: Vec<Kmer>, counts: Vec<u32>) -> Self {
-        let index = kmers.iter().enumerate().map(|(i, k)| (*k, i as u32)).collect();
-        Self { kmers, counts, index }
-    }
-
     /// Number of reliable k-mers (`m` in the paper's notation).
     pub fn len(&self) -> usize {
-        self.kmers.len()
+        self.packed.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.kmers.is_empty()
+        self.packed.is_empty()
     }
 
-    /// Column index of a canonical k-mer, if reliable.
+    /// Column index of a canonical k-mer, if reliable (binary search).
     pub fn column_of(&self, canonical: &Kmer) -> Option<u32> {
-        self.index.get(canonical).copied()
+        let column = self.packed.binary_search(&canonical.packed()).ok()?;
+        (canonical.k() == self.k).then_some(column as u32)
     }
 
     /// The canonical k-mer at a column index.
     pub fn kmer_at(&self, column: u32) -> Kmer {
-        self.kmers[column as usize]
+        Kmer::from_packed(self.packed[column as usize], self.k)
     }
 
     /// The count of the k-mer at a column index.
@@ -115,23 +116,16 @@ impl KmerTable {
 
     /// Iterate over `(column, kmer, count)`.
     pub fn iter(&self) -> impl Iterator<Item = (u32, Kmer, u32)> + '_ {
-        self.kmers
-            .iter()
-            .zip(self.counts.iter())
-            .enumerate()
-            .map(|(i, (k, c))| (i as u32, *k, *c))
+        (0..self.len() as u32).map(|col| (col, self.kmer_at(col), self.count_at(col)))
     }
 }
 
 /// Serial reference k-mer counter (used by tests and the minimizer baseline).
 pub fn count_kmers_serial(reads: &ReadSet, selection: &KmerSelection) -> KmerTable {
-    let mut counts: HashMap<Kmer, u32> = HashMap::new();
+    let mut counts = std::collections::HashMap::<u64, u32>::new();
     for (_, rec) in reads.iter() {
-        if rec.seq.len() < selection.k {
-            continue;
-        }
-        for (_, kmer) in KmerIter::new(&rec.seq, selection.k) {
-            *counts.entry(kmer.canonical().kmer).or_insert(0) += 1;
+        for (_, _, canon) in KmerIter::new(&rec.seq, selection.k) {
+            *counts.entry(canon.kmer.packed()).or_insert(0) += 1;
         }
     }
     build_table(counts, selection)
@@ -152,9 +146,9 @@ pub fn count_kmers_distributed(
     stats: &CommStats,
 ) -> KmerTable {
     let mut fold = TwoPassFold::new(selection, nprocs, stats);
-    fold.superstep(extract(reads.records(), selection, nprocs));
+    fold.superstep(extract(reads.records(), selection, nprocs), Owner::graduate);
     fold.start_counting();
-    fold.superstep(extract(reads.records(), selection, nprocs));
+    fold.superstep(extract(reads.records(), selection, nprocs), Owner::count);
     fold.into_table()
 }
 
@@ -164,14 +158,11 @@ pub fn count_kmers_distributed(
 /// k-mers of its share of the batch, exchanges them to hash-assigned owners
 /// via one `alltoallv`, and the owners fold the incoming k-mers into their
 /// per-rank state before the next batch is touched — at no point is more
-/// than one batch (plus its in-flight exchange buffers) resident.  The
-/// two-pass structure is preserved across supersteps:
-///
-/// * **pass 1** feeds a [`ScalableBloom`] per owner (the stream's
-///   cardinality is unknown); k-mers seen at least twice anywhere in the
-///   stream graduate to the owner's candidate table;
-/// * **pass 2** re-streams the same input (`batches` is called once per
-///   pass) and counts occurrences of the graduated candidates.
+/// than one batch (plus its in-flight exchange buffers) resident.  The two
+/// passes span the stream: pass 1's candidates and its [`ScalableBloom`] (the
+/// stream's cardinality is unknown) carry over from superstep to superstep,
+/// so k-mers seen twice anywhere in the stream graduate, and pass 2
+/// re-streams the same input (`batches` is called once per pass).
 ///
 /// For `selection.min_count >= 2` (the paper's setting) the returned table is
 /// **bit-identical** to [`count_kmers_serial`] at every batch size and thread
@@ -206,7 +197,7 @@ where
     let mut peaks = IngestPeaks::default();
     // One pass: a superstep per non-empty batch, budget-checked before its
     // exchange.  Returns the (supersteps, reads) the pass saw.
-    let mut pass = |fold: &mut TwoPassFold<'_>| -> Result<(u64, usize), String> {
+    let mut pass = |fold: &mut TwoPassFold<'_>, step| -> Result<(u64, usize), String> {
         let (mut steps, mut reads) = (0u64, 0usize);
         for batch in batches()? {
             let batch = batch?;
@@ -216,14 +207,15 @@ where
             steps += 1;
             reads += batch.len();
             let send = extract(&batch.records, selection, nprocs);
-            peaks.observe(&batch, &send, fold.owner_state_bytes(), budget)?;
-            fold.superstep(send);
+            let owner_state = fold.owners.iter().map(Owner::state_bytes).sum();
+            peaks.observe(&batch, &send, owner_state, budget)?;
+            fold.superstep(send, step);
         }
         Ok((steps, reads))
     };
-    let (pass1_steps, pass1_reads) = pass(&mut fold)?;
+    let (pass1_steps, pass1_reads) = pass(&mut fold, Owner::graduate)?;
     fold.start_counting();
-    let (pass2_steps, pass2_reads) = pass(&mut fold)?;
+    let (pass2_steps, pass2_reads) = pass(&mut fold, Owner::count)?;
     if pass2_steps != pass1_steps || pass2_reads != pass1_reads {
         return Err(format!(
             "streaming input changed between passes: pass 1 saw {pass1_reads} reads in \
@@ -237,8 +229,10 @@ where
     Ok(fold.into_table())
 }
 
-/// One superstep's send buffers, `[rank][owner]`.
-type KmerBuckets = Vec<Vec<Vec<Kmer>>>;
+/// One superstep's send buffers, `[rank][owner]`, of packed canonical
+/// k-mers: `k` is one number per run, so the 8-byte value is the whole item
+/// (the *accounted* wire size stays the paper's `⌈k/32⌉` words).
+type KmerBuckets = Vec<Vec<Vec<u64>>>;
 
 /// One superstep's extraction: every rank walks its block of the records and
 /// buckets canonical k-mers by owner rank (hash of the canonical k-mer).
@@ -247,105 +241,130 @@ type KmerBuckets = Vec<Vec<Vec<Kmer>>>;
 fn extract(records: &[ReadRecord], selection: &KmerSelection, nprocs: usize) -> KmerBuckets {
     let dist = BlockDist::new(records.len(), nprocs);
     par_ranks(nprocs, |rank| {
-        let mut bufs: Vec<Vec<Kmer>> = (0..nprocs).map(|_| Vec::new()).collect();
-        for rec in &records[dist.range(rank)] {
-            if rec.seq.len() < selection.k {
-                continue;
-            }
-            for (_, kmer) in KmerIter::new(&rec.seq, selection.k) {
-                let canon = kmer.canonical().kmer;
-                let owner = (canon.hash64() % nprocs as u64) as usize;
-                bufs[owner].push(canon);
+        let block = &records[dist.range(rank)];
+        // The hash spreads a rank's windows evenly: a bucket sized an eighth
+        // over its even share almost never regrows.
+        let share = block.iter().map(|r| r.seq.len()).sum::<usize>() / nprocs;
+        let mut bufs: Vec<Vec<u64>> =
+            (0..nprocs).map(|_| Vec::with_capacity(share + share / 8 + 64)).collect();
+        for rec in block {
+            for (_, _, canon) in KmerIter::new(&rec.seq, selection.k) {
+                let owner = (canon.kmer.hash64() % nprocs as u64) as usize;
+                bufs[owner].push(canon.kmer.packed());
             }
         }
         bufs
     })
 }
 
-/// Which pass the next superstep belongs to.
-enum Pass {
-    /// Pass 1, holding every owner's filter chain (empty until the first
-    /// superstep sizes it).
-    Bloom(Vec<ScalableBloom>),
-    /// Pass 2: the filters have done their job and are gone, so the resident
-    /// estimate drops accordingly.
-    Count,
+/// Yield `(k-mer, occurrences)` for every run of a sorted batch.
+fn runs(sorted: &[u64]) -> impl Iterator<Item = (u64, u32)> + '_ {
+    sorted.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as u32))
 }
 
-/// The owner-side state of the two-pass counter, folded one superstep at a
-/// time.  It persists across supersteps so k-mers whose occurrences land in
-/// different batches still graduate.
+/// One owner's share of the counter's state.  It persists across supersteps
+/// so k-mers whose occurrences land in different batches still graduate.
+#[derive(Default)]
+struct Owner {
+    /// Pass 1's filter chain: sized by the first superstep, gone in pass 2
+    /// (so the resident estimate drops accordingly).
+    bloom: Option<ScalableBloom>,
+    /// The candidates pass 1 graduated, ascending and distinct …
+    sorted: Vec<u64>,
+    /// … plus those graduated since the last merge, in arrival order and
+    /// absent from `sorted` (a k-mer may repeat here until the merge).
+    tail: Vec<u64>,
+    /// Pass 2: occurrences of `sorted[i]`.
+    counts: Vec<u32>,
+}
+
+impl Owner {
+    /// Pass 1.  A run of two graduates on the spot; only batch-singletons
+    /// reach the filter.  A k-mer with global count >= 2 still always
+    /// graduates — two of its occurrences share a batch, or the second
+    /// singleton finds the first in the filter (no false negatives) — and a
+    /// false positive still only graduates a true singleton, which pass 2
+    /// counts as 1.
+    fn graduate(&mut self, batch: &mut [u64]) {
+        batch.sort_unstable();
+        // First stage sized for the first superstep's singletons: with a
+        // single superstep that is every key the filter will ever see and
+        // the chain never grows; later stages double.  (Their bytes enter
+        // the resident estimate from the next superstep on; at ~1.2 B per
+        // singleton they sit well inside the 2x the estimate charges for
+        // this superstep's 8 B-per-k-mer exchange.)
+        let bloom = self.bloom.get_or_insert_with(|| {
+            ScalableBloom::with_rate(runs(batch).filter(|run| run.1 == 1).count(), 0.01)
+        });
+        for (kmer, occurrences) in runs(batch) {
+            let known = self.sorted.binary_search(&kmer).is_ok();
+            if !known && (occurrences >= 2 || bloom.insert(kmer)) {
+                self.tail.push(kmer);
+            }
+        }
+        // Merging costs O(state), so it waits until the tail is as long as
+        // the run it joins: amortised O(log state) per graduation, never
+        // O(state) per superstep.
+        if self.tail.len() >= self.sorted.len().max(1024) {
+            self.merge_tail();
+        }
+    }
+
+    fn merge_tail(&mut self) {
+        self.sorted.extend(std::mem::take(&mut self.tail));
+        self.sorted.sort_unstable();
+        self.sorted.dedup();
+    }
+
+    /// Pass 2: add each run's length to its candidate, if it is one.
+    fn count(&mut self, batch: &mut [u64]) {
+        batch.sort_unstable();
+        for (kmer, occurrences) in runs(batch) {
+            if let Ok(i) = self.sorted.binary_search(&kmer) {
+                self.counts[i] += occurrences;
+            }
+        }
+    }
+
+    /// Heap bytes of the persistent state: filter chain, candidates, counts.
+    fn state_bytes(&self) -> u64 {
+        let bloom = self.bloom.as_ref().map_or(0, ScalableBloom::resident_bytes);
+        let kmers = (self.sorted.capacity() + self.tail.capacity()) * std::mem::size_of::<u64>();
+        (bloom + kmers + std::mem::size_of_val(self.counts.as_slice())) as u64
+    }
+}
+
+/// The owner-side state of the two-pass counter, folded a superstep at a time.
 struct TwoPassFold<'a> {
     selection: &'a KmerSelection,
     stats: &'a CommStats,
-    pass: Pass,
-    /// Per owner: the candidates pass 1 graduated (`k-mer → 0`), counted in
-    /// place by pass 2.
-    counts: Vec<HashMap<Kmer, u32>>,
+    owners: Vec<Owner>,
 }
 
 impl<'a> TwoPassFold<'a> {
     fn new(selection: &'a KmerSelection, nprocs: usize, stats: &'a CommStats) -> Self {
         assert!(nprocs > 0);
-        let counts = vec![HashMap::new(); nprocs];
-        Self { selection, stats, pass: Pass::Bloom(Vec::new()), counts }
+        Self { selection, stats, owners: (0..nprocs).map(|_| Owner::default()).collect() }
     }
 
-    /// Exchange one superstep's buckets and fold what each owner receives.
-    fn superstep(&mut self, send: KmerBuckets) {
+    /// Exchange one superstep's buckets and let each owner fold what it
+    /// receives with `step`, as its own task (its state is its own).
+    fn superstep(&mut self, send: KmerBuckets, step: fn(&mut Owner, &mut [u64])) {
         // The wire format is 2-bit packed, i.e. k/4 bytes per k-mer: that is
         // ceil(k/32) 8-byte words.
         let words_per_kmer = (self.selection.k as u64).div_ceil(32);
         let incoming = alltoallv_counted(send, self.stats, CommPhase::KmerCounting, words_per_kmer);
-        match &mut self.pass {
-            Pass::Bloom(blooms) => {
-                if blooms.is_empty() {
-                    // First stage sized for what the first superstep delivers:
-                    // with a single superstep that is the whole stream and the
-                    // chain never grows; later stages double.  (Their bytes
-                    // enter the resident estimate from the next superstep on;
-                    // at ~1.2 B per k-mer they sit well inside the 2x the
-                    // estimate charges for this superstep's 8 B-per-k-mer
-                    // exchange.)
-                    let sized = |kmers: &Vec<Kmer>| ScalableBloom::with_rate(kmers.len(), 0.01);
-                    *blooms = incoming.iter().map(sized).collect();
-                }
-                let owners = blooms.iter_mut().zip(&mut self.counts);
-                for ((bloom, counts), kmers) in owners.zip(incoming) {
-                    for kmer in kmers {
-                        if bloom.insert(kmer.packed()) {
-                            counts.entry(kmer).or_insert(0);
-                        }
-                    }
-                }
-            }
-            Pass::Count => {
-                for (counts, kmers) in self.counts.iter_mut().zip(incoming) {
-                    for kmer in kmers {
-                        if let Some(count) = counts.get_mut(&kmer) {
-                            *count += 1;
-                        }
-                    }
-                }
-            }
-        }
+        let mut folds: Vec<(&mut Owner, Vec<u64>)> = self.owners.iter_mut().zip(incoming).collect();
+        par_ranks_mut(&mut folds, |_, (owner, batch)| step(owner, batch));
     }
 
-    /// End pass 1: only the candidate tables survive into pass 2.
+    /// End pass 1: only the candidates survive into pass 2.
     fn start_counting(&mut self) {
-        self.pass = Pass::Count;
-    }
-
-    /// Rough heap bytes of the persistent owner state: the filter chains plus
-    /// the candidate tables (2x for hash-table overhead — an estimate,
-    /// cross-checked by the allocator-based tests).
-    fn owner_state_bytes(&self) -> u64 {
-        let blooms = match &self.pass {
-            Pass::Bloom(blooms) => blooms.iter().map(|b| b.resident_bytes() as u64).sum(),
-            Pass::Count => 0,
-        };
-        let entry = (std::mem::size_of::<Kmer>() + std::mem::size_of::<u32>()) as u64;
-        blooms + self.counts.iter().map(|c| c.len() as u64 * entry * 2).sum::<u64>()
+        par_ranks_mut(&mut self.owners, |_, owner| {
+            owner.bloom = None;
+            owner.merge_tail();
+            owner.counts = vec![0; owner.sorted.len()];
+        });
     }
 
     /// Owners partition the k-mer space by hash, so the per-owner tables are
@@ -354,7 +373,8 @@ impl<'a> TwoPassFold<'a> {
     /// k-mer, a candidate's pass-2 count can still be 1; the reliable-range
     /// filter removes those, matching the serial counter.
     fn into_table(self) -> KmerTable {
-        build_table(self.counts.into_iter().flatten(), self.selection)
+        let counted = self.owners.into_iter().flat_map(|o| o.sorted.into_iter().zip(o.counts));
+        build_table(counted, self.selection)
     }
 }
 
@@ -379,11 +399,9 @@ impl IngestPeaks {
         budget: &IngestBudget,
     ) -> Result<(), String> {
         let batch_bytes = batch.bytes() as u64;
-        let exchange_bytes: u64 = send
-            .iter()
-            .flatten()
-            .map(|buf| (buf.len() * std::mem::size_of::<Kmer>()) as u64)
-            .sum();
+        // Buckets are presized, so a side of the exchange is their capacity.
+        let slots: usize = send.iter().flatten().map(Vec::capacity).sum();
+        let exchange_bytes = (slots * std::mem::size_of::<u64>()) as u64;
         let resident = batch_bytes + 2 * exchange_bytes + owner_state;
         self.batch_bytes = self.batch_bytes.max(batch_bytes);
         self.resident_bytes = self.resident_bytes.max(resident);
@@ -400,17 +418,13 @@ impl IngestPeaks {
     }
 }
 
-fn build_table(
-    counts: impl IntoIterator<Item = (Kmer, u32)>,
-    selection: &KmerSelection,
-) -> KmerTable {
-    let mut reliable: Vec<(Kmer, u32)> = counts
-        .into_iter()
-        .filter(|(_, c)| *c >= selection.min_count && *c <= selection.max_count)
-        .collect();
-    reliable.sort_by_key(|(k, _)| *k);
-    let (kmers, counts): (Vec<_>, Vec<_>) = reliable.into_iter().unzip();
-    KmerTable::from_sorted(kmers, counts)
+/// The table of the reliable among `(packed k-mer, count)` pairs.
+fn build_table(counts: impl IntoIterator<Item = (u64, u32)>, sel: &KmerSelection) -> KmerTable {
+    let in_range = |&(_, count): &(u64, u32)| (sel.min_count..=sel.max_count).contains(&count);
+    let mut reliable: Vec<(u64, u32)> = counts.into_iter().filter(in_range).collect();
+    reliable.sort_unstable();
+    let (packed, counts) = reliable.into_iter().unzip();
+    KmerTable { k: sel.k, packed, counts }
 }
 
 #[cfg(test)]

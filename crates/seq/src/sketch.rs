@@ -33,10 +33,7 @@ pub type MinimizerPos = (u64, u32, bool);
 /// `seq.len() < k`.
 pub fn kmer_hashes(seq: &DnaSeq, k: usize) -> Vec<MinimizerPos> {
     KmerIter::new(seq, k)
-        .map(|(pos, kmer)| {
-            let canon = kmer.canonical();
-            (canon.kmer.hash64(), pos as u32, canon.was_forward)
-        })
+        .map(|(pos, _, canon)| (canon.kmer.hash64(), pos as u32, canon.was_forward))
         .collect()
 }
 

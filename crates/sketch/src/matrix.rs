@@ -28,7 +28,7 @@ use dibella_dist::{
 };
 use dibella_overlap::KmerOccurrence;
 use dibella_seq::ReadSet;
-use dibella_sparse::{DistMat2D, Triples};
+use dibella_sparse::DistMat2D;
 
 /// Size and selectivity counters of one sketch-matrix build.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -155,23 +155,19 @@ pub fn build_sketch_matrix(
     survivors.sort_unstable();
     agg.columns = survivors.len() as u64;
 
-    // Pass 3: emit triples against the global column map.
-    let mut entries: Vec<(usize, usize, KmerOccurrence)> = Vec::new();
-    for (read_idx, hits) in sketches.iter().enumerate() {
-        for hit in hits {
+    // Pass 3: every read becomes a finished row against the global column
+    // map (a read's keys are distinct, so sorting by column is all it needs),
+    // appended straight to its 2D blocks.
+    let a = DistMat2D::from_sorted_rows(grid, reads.len(), survivors.len(), nranks, |read, row| {
+        for hit in &sketches[read] {
             if let Ok(col) = survivors.binary_search(&hit.key) {
-                entries.push((
-                    read_idx,
-                    col,
-                    KmerOccurrence { pos: hit.pos, forward: hit.forward },
-                ));
+                row.push((col, KmerOccurrence { pos: hit.pos, forward: hit.forward }));
             }
         }
-    }
-    agg.nnz = entries.len() as u64;
-    let triples = Triples::from_entries(reads.len(), survivors.len(), entries);
-
-    (DistMat2D::from_triples(grid, &triples), agg)
+        row.sort_unstable_by_key(|&(col, _)| col);
+    });
+    agg.nnz = a.nnz() as u64;
+    (a, agg)
 }
 
 #[cfg(test)]

@@ -52,6 +52,87 @@ impl<T: Clone + Send + Sync> DistMat2D<T> {
         Self { grid, nrows, ncols, row_dist, col_dist, blocks }
     }
 
+    /// Assemble a matrix row by row, straight into its blocks: no triple list,
+    /// no routing pass, no sort.  `fill_row(r, &mut row)` leaves row `r`'s
+    /// `(column, value)` entries in `row` (handed over empty) in strictly
+    /// ascending column order.
+    ///
+    /// Each grid row is cut into `⌈scan_ranks / grid.rows()⌉` runs of
+    /// consecutive rows, scanned in parallel.  A run appends every row to raw
+    /// CSR arrays, one set per grid column, so rows and columns arrive in
+    /// order and nothing is ever sorted; a block is its grid row's runs
+    /// concatenated into exactly-sized arrays.  The result does not depend on
+    /// `scan_ranks`.
+    ///
+    /// # Panics
+    /// Panics if a column is out of range or a row is not strictly ascending
+    /// (the latter through the validation of [`CsrMatrix::from_raw`]).
+    pub fn from_sorted_rows(
+        grid: ProcessGrid,
+        nrows: usize,
+        ncols: usize,
+        scan_ranks: usize,
+        fill_row: impl Fn(usize, &mut Vec<(usize, T)>) + Sync,
+    ) -> Self {
+        let row_dist = BlockDist::new(nrows, grid.rows());
+        let col_dist = BlockDist::new(ncols, grid.cols());
+        let runs_per_row = scan_ranks.div_ceil(grid.rows()).max(1);
+        let col_starts: Vec<usize> =
+            (0..grid.cols()).map(|bj| col_dist.start(bj)).chain([ncols]).collect();
+
+        // Per run and grid column: (row ends, block-local columns, values).
+        type Raw<T> = (Vec<usize>, Vec<usize>, Vec<T>);
+        let scanned: Vec<Vec<Raw<T>>> = par_ranks(grid.rows() * runs_per_row, |run| {
+            let bi = run / runs_per_row;
+            let rows = BlockDist::new(row_dist.size(bi), runs_per_row).range(run % runs_per_row);
+            let mut parts: Vec<Raw<T>> =
+                (0..grid.cols()).map(|_| (Vec::new(), Vec::new(), Vec::new())).collect();
+            let mut row = Vec::new();
+            for r in rows {
+                fill_row(row_dist.start(bi) + r, &mut row);
+                // Columns ascend, so the block cursor only moves forward (no
+                // division per entry); a row out of order wraps a column
+                // past `ncols` here and is rejected by `from_raw` below.
+                let mut bj = 0;
+                for (c, v) in row.drain(..) {
+                    assert!(c < ncols, "column {c} out of range ({ncols} columns)");
+                    while c >= col_starts[bj + 1] {
+                        bj += 1;
+                    }
+                    parts[bj].1.push(c.wrapping_sub(col_starts[bj]));
+                    parts[bj].2.push(v);
+                }
+                for (ends, cols, _) in &mut parts {
+                    ends.push(cols.len());
+                }
+            }
+            parts
+        });
+
+        // Hand every block its parts, in row order.
+        let mut per_block: Vec<Vec<Raw<T>>> = (0..grid.nprocs()).map(|_| Vec::new()).collect();
+        for (run, parts) in scanned.into_iter().enumerate() {
+            for (bj, part) in parts.into_iter().enumerate() {
+                per_block[grid.rank_of(run / runs_per_row, bj)].push(part);
+            }
+        }
+        let blocks = pool::map_owned(per_block, |rank, parts| {
+            let (bi, bj) = grid.coords(rank);
+            let nnz = parts.iter().map(|(_, cols, _)| cols.len()).sum();
+            let mut rowptr = Vec::with_capacity(row_dist.size(bi) + 1);
+            let (mut colidx, mut vals) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+            rowptr.push(0);
+            for (ends, cols, more) in parts {
+                let base = colidx.len();
+                rowptr.extend(ends.into_iter().map(|end| base + end));
+                colidx.extend(cols);
+                vals.extend(more);
+            }
+            CsrMatrix::from_raw(row_dist.size(bi), col_dist.size(bj), rowptr, colidx, vals)
+        });
+        Self::from_blocks(grid, nrows, ncols, blocks)
+    }
+
     /// An all-zero distributed matrix with the given global dimensions.
     pub fn zero(grid: ProcessGrid, nrows: usize, ncols: usize) -> Self {
         Self::from_triples(grid, &Triples::new(nrows, ncols))

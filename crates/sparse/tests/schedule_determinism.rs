@@ -11,11 +11,12 @@
 //! preset) with yield points injected before every claim.
 
 use dibella_dist::{CommPhase, CommStats};
+use dibella_dist::ProcessGrid;
 use dibella_sparse::{
     elementwise::{ewise_intersect, set_difference},
     outer1d::outer1d_aat,
     spgemm::{spgemm_stages, spgemm_stages_aat},
-    AccumPolicy, CsrMatrix, FlopCounter, PlusTimes, Triples,
+    AccumPolicy, CsrMatrix, DistMat2D, FlopCounter, PlusTimes, Triples,
 };
 use dibella_testutil::{assert_schedule_determinism, SchedulePreset};
 
@@ -107,4 +108,46 @@ fn outer1d_aat_is_bit_identical_under_adversarial_schedules() {
         (out.row_blocks, stats.snapshot())
     });
     assert!(explored >= 30, "expected at least the exhaustive-small preset");
+}
+
+#[test]
+fn from_sorted_rows_equals_from_triples_under_adversarial_schedules() {
+    // Sparse enough for empty rows (and, at 4×4, empty blocks), plus an
+    // all-empty matrix; rows fewer than scan ranks leave some runs empty.
+    let inputs = [random_csr(23, 31, 40, 10), random_csr(5, 40, 60, 11), CsrMatrix::zero(7, 9)];
+    let grids = [1usize, 4, 9, 16].map(ProcessGrid::square);
+    assert!((0..23).any(|r| inputs[0].row_nnz(r) == 0), "want an empty row");
+
+    let explored = assert_schedule_determinism(SchedulePreset::from_env(), || {
+        let mut built = Vec::new();
+        for m in &inputs {
+            for grid in grids {
+                let want = DistMat2D::from_triples(grid, &m.to_triples());
+                for scan_ranks in [1usize, 4, 7, 16] {
+                    let got =
+                        DistMat2D::from_sorted_rows(grid, m.nrows(), m.ncols(), scan_ranks, |r, row| {
+                            row.extend(m.row(r).map(|(c, v)| (c, *v)))
+                        });
+                    assert_eq!(got, want, "{grid:?} scan_ranks={scan_ranks}");
+                }
+                built.push(want);
+            }
+        }
+        built
+    });
+    assert!(explored >= 30, "expected at least the exhaustive-small preset");
+}
+
+#[test]
+#[should_panic(expected = "unsorted or duplicate columns")]
+fn from_sorted_rows_rejects_a_row_out_of_order() {
+    let fill = |_: usize, row: &mut Vec<(usize, u64)>| row.extend([(3, 1), (1, 2)]);
+    let _ = DistMat2D::from_sorted_rows(ProcessGrid::square(1), 2, 5, 1, fill);
+}
+
+#[test]
+#[should_panic(expected = "column 5 out of range (5 columns)")]
+fn from_sorted_rows_rejects_a_column_out_of_range() {
+    let fill = |_: usize, row: &mut Vec<(usize, u64)>| row.push((5, 1));
+    let _ = DistMat2D::from_sorted_rows(ProcessGrid::square(4), 2, 5, 1, fill);
 }
