@@ -4,57 +4,39 @@
 //! The overlap stage runs one job per candidate pair on the work-stealing
 //! pool; each worker holds one [`AlignScratch`] that amortises every buffer
 //! an extension needs — the scalar DP double buffer, the vector-kernel word
-//! buffers and equality tables, the reversed-prefix buffers of the left
+//! buffers and substitution tables, the reversed-prefix buffers of the left
 //! extension, and the reverse-complement cache for opposite-strand pairs.  After the first few work items warm the
 //! buffers, the steady state allocates **nothing** per alignment (pinned by
 //! the `alloc_steady_state` integration test of this crate).
 //!
 //! Dispatch: [`ExtendEngine::Auto`] runs the lane-packed vector kernel
-//! whenever [`swar_eligible`] accepts the scoring scheme — the 8-lane SSE2
-//! kernel ([`crate::sse2`]) on x86-64, the portable 4-lane u64 SWAR kernel
-//! ([`crate::simd`]) everywhere else — else (and under
-//! [`ExtendEngine::Scalar`]) the scalar oracle.  All kernels produce
-//! bit-identical [`ExtendResult`]s, so engine choice never changes pipeline
-//! output.
+//! ([`crate::vector`], over the target's lane word: `__m128i` on x86-64,
+//! `[i16; 8]` everywhere else) whenever [`vector_eligible`] accepts the
+//! scoring scheme, else (and under [`ExtendEngine::Scalar`]) the scalar
+//! oracle.  Both produce bit-identical [`ExtendResult`]s, so engine choice
+//! never changes pipeline output.
 
 use crate::classify::PairAlignment;
+use crate::lanes::Lanes;
 use crate::scoring::{AlignmentConfig, ScoringScheme};
-use crate::simd::swar_eligible;
-#[cfg(not(target_arch = "x86_64"))]
-use crate::simd::{xdrop_extend_swar, SwarScratch};
-#[cfg(target_arch = "x86_64")]
-use crate::sse2::{xdrop_extend_sse2, Sse2Scratch};
+use crate::vector::{vector_eligible, xdrop_extend_vector, VectorScratch};
 use crate::xdrop::{xdrop_extend_with, ExtendCounters, ExtendResult, XdropScratch};
 use dibella_seq::Strand;
 
-/// Scratch type of the vector kernel the current target dispatches to.
+/// The lane word the vector kernel runs on.
 #[cfg(target_arch = "x86_64")]
-type VectorScratch = Sse2Scratch;
-/// Scratch type of the vector kernel the current target dispatches to.
+pub(crate) type Word = std::arch::x86_64::__m128i;
+/// The lane word the vector kernel runs on.
 #[cfg(not(target_arch = "x86_64"))]
-type VectorScratch = SwarScratch;
+pub(crate) type Word = [i16; 8];
 
-/// One eligible extension through the target's vector kernel.
-#[inline]
-fn vector_extend(
-    a: &[u8],
-    b: &[u8],
-    scoring: ScoringScheme,
-    xdrop: i32,
-    scratch: &mut VectorScratch,
-    counters: &mut ExtendCounters,
-) -> ExtendResult {
-    #[cfg(target_arch = "x86_64")]
-    return xdrop_extend_sse2(a, b, scoring, xdrop, scratch, counters);
-    #[cfg(not(target_arch = "x86_64"))]
-    xdrop_extend_swar(a, b, scoring, xdrop, scratch, counters)
-}
+/// Name of the target's lane word, as bench records print it.
+pub const VECTOR_KERNEL: &str = <Word as Lanes>::NAME;
 
 /// Which extension kernel the batched engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExtendEngine {
-    /// Vector kernel (SSE2 or SWAR) when the scoring scheme is eligible,
-    /// scalar otherwise.
+    /// Vector kernel when the scoring scheme is eligible, scalar otherwise.
     #[default]
     Auto,
     /// Always the scalar oracle (the reference / bench comparison path).
@@ -65,14 +47,13 @@ pub enum ExtendEngine {
 #[derive(Debug, Default)]
 pub struct AlignScratch {
     xdrop: XdropScratch,
-    simd: VectorScratch,
+    vector: VectorScratch<Word>,
     rev_a: Vec<u8>,
     rev_b: Vec<u8>,
     /// Cell/band/termination counters accumulated over every extension this
     /// scratch ran (engine-independent: all kernels count identically).
     pub counters: ExtendCounters,
-    /// Extensions dispatched to the vector kernel (SSE2 on x86-64, SWAR
-    /// elsewhere).
+    /// Extensions dispatched to the vector kernel ([`VECTOR_KERNEL`]).
     pub simd_calls: u64,
     /// Extensions dispatched to the scalar oracle.
     pub scalar_calls: u64,
@@ -94,18 +75,22 @@ pub fn xdrop_extend_auto(
     engine: ExtendEngine,
     scratch: &mut AlignScratch,
 ) -> ExtendResult {
-    if engine == ExtendEngine::Auto && swar_eligible(scoring, xdrop) {
+    if engine == ExtendEngine::Auto && vector_eligible(scoring, xdrop) {
         scratch.simd_calls += 1;
-        vector_extend(a, b, scoring, xdrop, &mut scratch.simd, &mut scratch.counters)
+        xdrop_extend_vector(a, b, scoring, xdrop, &mut scratch.vector, &mut scratch.counters)
     } else {
         scratch.scalar_calls += 1;
         xdrop_extend_with(a, b, scoring, xdrop, &mut scratch.xdrop, &mut scratch.counters)
     }
 }
 
-/// Batched twin of [`crate::xdrop::align_seed_pair`]: operates on raw 2-bit
-/// code slices (no `DnaSeq` clones) and reuses the worker scratch for both
-/// extensions and the reversed-prefix buffers.
+/// Align read `v` against read `h` starting from a shared-k-mer seed.
+///
+/// `seed_v` and `seed_h` are the k-mer start positions on `v` and on the
+/// *oriented* `h`; `k` is the seed length.  The seed region is scored as `k`
+/// matches and the alignment is extended with [`xdrop_extend_auto`] on both
+/// sides.  Operates on raw 2-bit code slices (no `DnaSeq` clones) and reuses
+/// the worker scratch for both extensions and the reversed-prefix buffers.
 ///
 /// `h_oriented` must already be oriented for `strand` (the caller caches the
 /// reverse complement per (pair, strand) via [`OrientCache`]).
@@ -136,19 +121,17 @@ pub fn align_seed_pair_with(
     );
 
     // Left extension over the reversed prefixes before the seed, built into
-    // the reusable buffers (cleared, not reallocated).
-    let s = &mut *scratch;
-    s.rev_a.clear();
-    s.rev_a.extend(v[..seed_v].iter().rev().copied());
-    s.rev_b.clear();
-    s.rev_b.extend(h_oriented[..seed_h].iter().rev().copied());
-    let left = if engine == ExtendEngine::Auto && swar_eligible(scoring, config.xdrop) {
-        s.simd_calls += 1;
-        vector_extend(&s.rev_a, &s.rev_b, scoring, config.xdrop, &mut s.simd, &mut s.counters)
-    } else {
-        s.scalar_calls += 1;
-        xdrop_extend_with(&s.rev_a, &s.rev_b, scoring, config.xdrop, &mut s.xdrop, &mut s.counters)
-    };
+    // the reusable buffers (cleared, not reallocated), which leave the
+    // scratch for the call so that it can be borrowed whole.
+    let mut rev_a = std::mem::take(&mut scratch.rev_a);
+    let mut rev_b = std::mem::take(&mut scratch.rev_b);
+    rev_a.clear();
+    rev_a.extend(v[..seed_v].iter().rev().copied());
+    rev_b.clear();
+    rev_b.extend(h_oriented[..seed_h].iter().rev().copied());
+    let left = xdrop_extend_auto(&rev_a, &rev_b, scoring, config.xdrop, engine, scratch);
+    scratch.rev_a = rev_a;
+    scratch.rev_b = rev_b;
 
     let score = left.score + right.score + (k as i32) * scoring.match_score;
     PairAlignment {
@@ -234,6 +217,87 @@ mod tests {
         assert_eq!((scratch.simd_calls, scratch.scalar_calls), (1, 2));
     }
 
+    /// One seed-pair alignment on a cold scratch.
+    fn pair(
+        v: &DnaSeq,
+        h_oriented: &DnaSeq,
+        seed_v: usize,
+        seed_h: usize,
+        k: usize,
+        strand: Strand,
+        engine: ExtendEngine,
+    ) -> PairAlignment {
+        let (v, h) = (v.codes(), h_oriented.codes());
+        let config = AlignmentConfig::for_tests();
+        align_seed_pair_with(v, h, seed_v, seed_h, k, strand, &config, engine, &mut AlignScratch::new())
+    }
+
+    #[test]
+    fn seed_pair_alignment_on_exact_overlap() {
+        // v = genome[0..60), h = genome[30..90): a 30-base overlap.
+        let mut rng = SmallRng::seed_from_u64(1);
+        let genome = DnaSeq::from_codes((0..90).map(|_| rng.gen_range(0..4u8)).collect());
+        let v = genome.slice(0, 60);
+        let h = genome.slice(30, 90);
+        // Shared seed: genome[40..50) = v[40..50) = h[10..20).
+        let aln = pair(&v, &h, 40, 10, 10, Strand::Forward, ExtendEngine::Auto);
+        assert_eq!(aln.beg_v, 30);
+        assert_eq!(aln.end_v, 60);
+        assert_eq!(aln.beg_h, 0);
+        assert_eq!(aln.end_h, 30);
+        assert_eq!(aln.score, 30);
+        assert_eq!(aln.strand, Strand::Forward);
+    }
+
+    #[test]
+    fn seed_pair_alignment_tolerates_errors() {
+        let mut rng = SmallRng::seed_from_u64(2);
+        let genome = DnaSeq::from_codes((0..600).map(|_| rng.gen_range(0..4u8)).collect());
+        let v = genome.slice(0, 400);
+        let h_template = genome.slice(200, 600);
+        // Introduce ~5% substitution errors into h.
+        let mut h_codes = h_template.codes().to_vec();
+        for idx in (0..h_codes.len()).step_by(20) {
+            h_codes[idx] = (h_codes[idx] + 1) % 4;
+        }
+        let h = DnaSeq::from_codes(h_codes);
+        // Find an exact shared 12-mer to seed from: search a window of v in h.
+        // (Position 241 avoids the substituted positions 240 and 260.)
+        let seed_v = 241;
+        let window = v.slice(seed_v, seed_v + 12).to_ascii();
+        let h_ascii = h.to_ascii();
+        let seed_h = h_ascii.find(&window).expect("seed window should exist in h");
+        let aln = pair(&v, &h, seed_v, seed_h, 12, Strand::Forward, ExtendEngine::Auto);
+        // The overlap region is ~200 bases; the alignment should span most of it.
+        assert!(aln.end_v - aln.beg_v > 150, "aligned span too short: {aln:?}");
+        assert!(aln.score > 100, "score too low: {aln:?}");
+        // And it should reach (close to) the ends of the overlapping region.
+        assert!(aln.end_v >= 395, "alignment should reach the end of v: {aln:?}");
+        assert!(aln.beg_h <= 5, "alignment should reach the start of h: {aln:?}");
+    }
+
+    #[test]
+    fn reverse_complement_overlap_aligns_on_oriented_h() {
+        let mut rng = SmallRng::seed_from_u64(3);
+        let genome = DnaSeq::from_codes((0..300).map(|_| rng.gen_range(0..4u8)).collect());
+        let v = genome.slice(0, 200);
+        let h = genome.slice(100, 300).reverse_complement(); // stored reverse-complemented
+        let h_oriented = h.reverse_complement(); // orient back for alignment
+        let seed_v = 150;
+        let window = v.slice(seed_v, seed_v + 10).to_ascii();
+        let seed_h = h_oriented.to_ascii().find(&window).unwrap();
+        let aln = pair(&v, &h_oriented, seed_v, seed_h, 10, Strand::Reverse, ExtendEngine::Auto);
+        assert_eq!(aln.strand, Strand::Reverse);
+        assert_eq!(aln.end_v - aln.beg_v, 100, "the 100-base overlap should align fully");
+    }
+
+    #[test]
+    #[should_panic(expected = "seed exceeds read v")]
+    fn out_of_range_seed_panics() {
+        let (v, h) = ("ACGT".parse().unwrap(), "ACGTACGT".parse().unwrap());
+        let _ = pair(&v, &h, 3, 0, 5, Strand::Forward, ExtendEngine::Auto);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -248,35 +312,22 @@ mod tests {
         ) {
             let mut rng = SmallRng::seed_from_u64(seed);
             let genome: Vec<u8> = (0..len + 60).map(|_| rng.gen_range(0..4u8)).collect();
-            let v = DnaSeq::from_codes(genome[..len].to_vec());
-            let h_fwd = DnaSeq::from_codes(genome[30..len + 30].to_vec());
-            let (h_oriented, strand) = if reverse {
-                // Stored reverse-complemented; orient back for alignment.
-                (h_fwd.clone(), Strand::Reverse)
-            } else {
-                (h_fwd.clone(), Strand::Forward)
-            };
-            // Seed at a shared position: v[40..52) == h_fwd[10..22).
+            let v = &genome[..len];
+            let h_oriented = &genome[30..len + 30];
+            let strand = if reverse { Strand::Reverse } else { Strand::Forward };
+            // Seed at a shared position: v[40..52) == h[10..22).
             let k = 12usize;
             let seed_v = 40usize.min(len - k);
             let seed_h = seed_v.saturating_sub(30);
             let mut config = AlignmentConfig::for_tests();
             config.xdrop = xdrop;
             let mut scratch = AlignScratch::new();
-            let auto = align_seed_pair_with(
-                v.codes(), h_oriented.codes(), seed_v, seed_h, k, strand,
-                &config, ExtendEngine::Auto, &mut scratch,
-            );
-            let scal = align_seed_pair_with(
-                v.codes(), h_oriented.codes(), seed_v, seed_h, k, strand,
-                &config, ExtendEngine::Scalar, &mut scratch,
-            );
+            let [auto, scal] = [ExtendEngine::Auto, ExtendEngine::Scalar].map(|engine| {
+                align_seed_pair_with(
+                    v, h_oriented, seed_v, seed_h, k, strand, &config, engine, &mut scratch,
+                )
+            });
             prop_assert_eq!(auto, scal);
-            // And the legacy DnaSeq entry point agrees.
-            let legacy = crate::xdrop::align_seed_pair(
-                &v, &h_oriented, seed_v, seed_h, k, strand, &config,
-            );
-            prop_assert_eq!(auto, legacy);
         }
     }
 }

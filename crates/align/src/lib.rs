@@ -9,30 +9,27 @@
 //! dovetail edge types of Figure 1, and their overhang (suffix) lengths —
 //! the two quantities the transitive reduction stores in `R` (Section IV-E).
 //!
-//! Since the batched-engine rework the crate has three extension kernels:
-//! the scalar two-phase oracle ([`xdrop`]), a portable SWAR kernel packing
-//! four `i16` DP lanes per `u64` ([`simd`]), and on x86-64 an SSE2 kernel
-//! packing eight `i16` lanes per `__m128i` ([`sse2`]).  The batched engine
-//! ([`batch`]) dispatches per scoring scheme with per-worker reusable
-//! scratch; all kernels are bit-identical wherever the `i16` value-range
-//! guards hold.
+//! There are two extension kernels: the scalar two-phase oracle ([`xdrop`])
+//! and one lane-packed vector kernel ([`vector`]), written once over a lane
+//! word of eight `i16` DP cells — `__m128i` through SSE2 intrinsics on
+//! x86-64, a plain `[i16; 8]` everywhere else (`lanes.rs`).  The batched
+//! engine ([`batch`]) dispatches per scoring scheme with per-worker reusable
+//! scratch; the kernels are bit-identical wherever the `i16` value-range
+//! guards ([`vector_eligible`]) hold.
 
 #![warn(missing_docs)]
 
 pub mod batch;
 pub mod classify;
+mod lanes;
 pub mod scoring;
-pub mod simd;
-#[cfg(target_arch = "x86_64")]
-pub mod sse2;
+pub mod vector;
 pub mod xdrop;
 
-pub use batch::{align_seed_pair_with, xdrop_extend_auto, AlignScratch, ExtendEngine, OrientCache};
+pub use batch::{
+    align_seed_pair_with, xdrop_extend_auto, AlignScratch, ExtendEngine, OrientCache, VECTOR_KERNEL,
+};
 pub use classify::{classify_alignment, BidirectedDir, OverlapClass, PairAlignment};
 pub use scoring::{AlignmentConfig, ScoringScheme};
-pub use simd::{swar_eligible, xdrop_extend_swar, SwarScratch};
-#[cfg(target_arch = "x86_64")]
-pub use sse2::{xdrop_extend_sse2, Sse2Scratch};
-pub use xdrop::{
-    align_seed_pair, xdrop_extend, xdrop_extend_with, ExtendCounters, ExtendResult, XdropScratch,
-};
+pub use vector::vector_eligible;
+pub use xdrop::{xdrop_extend, xdrop_extend_with, ExtendCounters, ExtendResult, XdropScratch};

@@ -14,8 +14,8 @@
 //! *completed* rows: every cell of row `i` is thresholded against
 //! `best(rows < i) − xdrop`, and the best score is folded in once the row is
 //! finished.  This makes the per-row computation independent of evaluation
-//! order, which is what lets the SWAR kernel ([`crate::simd`]) process four
-//! cells per machine word while staying **bit-identical** to this scalar
+//! order, which is what lets the vector kernel ([`crate::vector`]) process a
+//! word of lanes at a time while staying **bit-identical** to this scalar
 //! oracle.  (A row-sequential rule that updates `best` mid-row prunes cells to
 //! the right of a new best slightly more aggressively; the two-phase rule
 //! keeps a superset of those paths, so it can only find equal-or-better
@@ -25,9 +25,7 @@
 //! allocation-free: the two row buffers are reused across every extension a
 //! worker performs.
 
-use crate::classify::PairAlignment;
-use crate::scoring::{AlignmentConfig, ScoringScheme};
-use dibella_seq::{DnaSeq, Strand};
+use crate::scoring::ScoringScheme;
 
 /// Result of extending in one direction: the best score and how far the
 /// extension reached into each sequence.
@@ -43,7 +41,7 @@ pub struct ExtendResult {
 
 /// Cell-level counters of the extension kernels, accumulated across calls.
 ///
-/// Both the scalar oracle and the SWAR kernel count identically (they visit
+/// Both the scalar oracle and the vector kernel count identically (they visit
 /// the same adaptive band), so the totals are engine- and thread-count
 /// independent; the batched aligner folds them into `CommStats` extras
 /// (`aligned_cells`, `band_width_peak`, `xdrop_terminations`).
@@ -103,7 +101,7 @@ pub fn xdrop_extend(a: &[u8], b: &[u8], scoring: ScoringScheme, xdrop: i32) -> E
 
 /// [`xdrop_extend`] with caller-provided scratch and counters — the
 /// allocation-free form the batched aligner uses.  This is the **reference
-/// oracle** the SWAR kernel is proptested against.
+/// oracle** the vector kernel is proptested against.
 pub fn xdrop_extend_with(
     a: &[u8],
     b: &[u8],
@@ -215,41 +213,10 @@ pub fn xdrop_extend_with(
     ExtendResult { score: best, ext_a: best_i, ext_b: best_j }
 }
 
-/// Align read `v` against read `h` starting from a shared-k-mer seed.
-///
-/// `seed_v` and `seed_h` are the k-mer start positions on `v` and on the
-/// *oriented* `h` (reverse-complemented when `strand == Strand::Reverse`);
-/// `k` is the seed length.  The seed region is scored as `k` matches and the
-/// alignment is extended with [`xdrop_extend`] on both sides.
-///
-/// Allocates per call; the batched pipeline path uses
-/// [`crate::batch::align_seed_pair_with`] with per-worker scratch instead.
-pub fn align_seed_pair(
-    v: &DnaSeq,
-    h_oriented: &DnaSeq,
-    seed_v: usize,
-    seed_h: usize,
-    k: usize,
-    strand: Strand,
-    config: &AlignmentConfig,
-) -> PairAlignment {
-    let mut scratch = crate::batch::AlignScratch::default();
-    crate::batch::align_seed_pair_with(
-        v.codes(),
-        h_oriented.codes(),
-        seed_v,
-        seed_h,
-        k,
-        strand,
-        config,
-        crate::batch::ExtendEngine::Auto,
-        &mut scratch,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dibella_seq::DnaSeq;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -372,75 +339,5 @@ mod tests {
         let d = seq("ACGTACGTACTTTTTTTTTTTTTTTTTTTT");
         let _ = xdrop_extend_with(c.codes(), d.codes(), default_scoring(), 5, &mut scratch, &mut counters);
         assert_eq!(counters.terminations, 1);
-    }
-
-    #[test]
-    fn seed_pair_alignment_on_exact_overlap() {
-        // v = genome[0..60), h = genome[30..90): a 30-base overlap.
-        let mut rng = SmallRng::seed_from_u64(1);
-        let genome = DnaSeq::from_codes((0..90).map(|_| rng.gen_range(0..4u8)).collect());
-        let v = genome.slice(0, 60);
-        let h = genome.slice(30, 90);
-        // Shared seed: genome[40..50) = v[40..50) = h[10..20).
-        let cfg = AlignmentConfig::for_tests();
-        let aln = align_seed_pair(&v, &h, 40, 10, 10, Strand::Forward, &cfg);
-        assert_eq!(aln.beg_v, 30);
-        assert_eq!(aln.end_v, 60);
-        assert_eq!(aln.beg_h, 0);
-        assert_eq!(aln.end_h, 30);
-        assert_eq!(aln.score, 30);
-        assert_eq!(aln.strand, Strand::Forward);
-    }
-
-    #[test]
-    fn seed_pair_alignment_tolerates_errors() {
-        let mut rng = SmallRng::seed_from_u64(2);
-        let genome = DnaSeq::from_codes((0..600).map(|_| rng.gen_range(0..4u8)).collect());
-        let v = genome.slice(0, 400);
-        let h_template = genome.slice(200, 600);
-        // Introduce ~5% substitution errors into h.
-        let mut h_codes = h_template.codes().to_vec();
-        for idx in (0..h_codes.len()).step_by(20) {
-            h_codes[idx] = (h_codes[idx] + 1) % 4;
-        }
-        let h = DnaSeq::from_codes(h_codes);
-        // Find an exact shared 12-mer to seed from: search a window of v in h.
-        // (Position 241 avoids the substituted positions 240 and 260.)
-        let seed_v = 241;
-        let window = v.slice(seed_v, seed_v + 12).to_ascii();
-        let h_ascii = h.to_ascii();
-        let seed_h = h_ascii.find(&window).expect("seed window should exist in h");
-        let cfg = AlignmentConfig::for_tests();
-        let aln = align_seed_pair(&v, &h, seed_v, seed_h, 12, Strand::Forward, &cfg);
-        // The overlap region is ~200 bases; the alignment should span most of it.
-        assert!(aln.end_v - aln.beg_v > 150, "aligned span too short: {aln:?}");
-        assert!(aln.score > 100, "score too low: {aln:?}");
-        // And it should reach (close to) the ends of the overlapping region.
-        assert!(aln.end_v >= 395, "alignment should reach the end of v: {aln:?}");
-        assert!(aln.beg_h <= 5, "alignment should reach the start of h: {aln:?}");
-    }
-
-    #[test]
-    fn reverse_complement_overlap_aligns_on_oriented_h() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let genome = DnaSeq::from_codes((0..300).map(|_| rng.gen_range(0..4u8)).collect());
-        let v = genome.slice(0, 200);
-        let h = genome.slice(100, 300).reverse_complement(); // stored reverse-complemented
-        let h_oriented = h.reverse_complement(); // orient back for alignment
-        let seed_v = 150;
-        let window = v.slice(seed_v, seed_v + 10).to_ascii();
-        let seed_h = h_oriented.to_ascii().find(&window).unwrap();
-        let cfg = AlignmentConfig::for_tests();
-        let aln = align_seed_pair(&v, &h_oriented, seed_v, seed_h, 10, Strand::Reverse, &cfg);
-        assert_eq!(aln.strand, Strand::Reverse);
-        assert_eq!(aln.end_v - aln.beg_v, 100, "the 100-base overlap should align fully");
-    }
-
-    #[test]
-    #[should_panic(expected = "seed exceeds read v")]
-    fn out_of_range_seed_panics() {
-        let v = seq("ACGT");
-        let h = seq("ACGTACGT");
-        let _ = align_seed_pair(&v, &h, 3, 0, 5, Strand::Forward, &AlignmentConfig::for_tests());
     }
 }

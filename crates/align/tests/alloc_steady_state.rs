@@ -3,9 +3,9 @@
 //! The shared [`PeakAlloc`] counting allocator wraps the system allocator;
 //! after warm-up calls have grown every scratch buffer, further extensions
 //! and full seed-pair alignments through the worker scratch must allocate
-//! nothing.  This file holds a single `#[test]` on purpose: the counter is
-//! global, and a sibling test allocating concurrently would make the delta
-//! meaningless.
+//! nothing.  This file holds a single `#[test]` on purpose (the counters are
+//! global to the process) and counts the calling thread's own allocation
+//! calls, which libtest's threads cannot move.
 
 use dibella_align::{
     align_seed_pair_with, xdrop_extend_auto, AlignmentConfig, AlignScratch, ExtendEngine,
@@ -20,7 +20,7 @@ static ALLOC: PeakAlloc = PeakAlloc::new();
 fn count_allocs(f: impl FnOnce()) -> u64 {
     let scope = ALLOC.scope();
     f();
-    scope.allocations()
+    scope.thread_allocations()
 }
 
 #[test]
@@ -43,7 +43,7 @@ fn steady_state_alignment_allocates_nothing() {
     let mut scratch = AlignScratch::new();
     let mut cache = OrientCache::new();
 
-    // Warm-up: grows the DP buffers, equality tables, reversed-prefix
+    // Warm-up: grows the DP buffers, substitution tables, reversed-prefix
     // buffers and the orientation cache to their steady-state sizes (the
     // same work shapes the steady loop replays).
     for seed_off in [0usize, 37, 113, 271] {

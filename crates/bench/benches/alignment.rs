@@ -5,8 +5,8 @@
 //! length-ordered waves of per-pair jobs, pairs between already-contained
 //! reads pruned, a second seed only when the first finds no overlap) on the
 //! `DatasetSpec::Small` overlap workload under both engines — the scalar
-//! oracle and `ExtendEngine::Auto`'s lane-packed vector kernel (SSE2 on
-//! x86-64, u64 SWAR elsewhere).  Both engines do identical work, so each is
+//! oracle and `ExtendEngine::Auto`'s lane-packed vector kernel (on the lane
+//! word `VECTOR_KERNEL` names).  Both engines do identical work, so each is
 //! reported as absolute aligned-cells/sec next to the work counters
 //! (`aligned_cells`, `pruned_pairs`, `seeds_skipped`, `extend_calls`) that
 //! say how much of the candidate set was aligned at all.  To keep the bench
@@ -21,8 +21,8 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use dibella_align::{
-    align_seed_pair, xdrop_extend, xdrop_extend_auto, AlignScratch, AlignmentConfig, ExtendEngine,
-    ScoringScheme,
+    align_seed_pair_with, xdrop_extend, xdrop_extend_auto, AlignScratch, AlignmentConfig,
+    ExtendEngine, ScoringScheme, VECTOR_KERNEL,
 };
 use dibella_dist::{CommStats, ProcessGrid};
 use dibella_overlap::{
@@ -63,13 +63,26 @@ fn bench_alignment(c: &mut Criterion) {
         }
         let Some((sv, sh)) = seed else { continue };
         let id = format!("len{len}_err{error}");
+        let mut scratch = AlignScratch::new();
         group.bench_with_input(BenchmarkId::new("align_seed_pair", id), &len, |bencher, _| {
-            bencher.iter(|| align_seed_pair(&v, &h, sv, sh, 17, Strand::Forward, &cfg));
+            bencher.iter(|| {
+                align_seed_pair_with(
+                    v.codes(),
+                    h.codes(),
+                    sv,
+                    sh,
+                    17,
+                    Strand::Forward,
+                    &cfg,
+                    ExtendEngine::Auto,
+                    &mut scratch,
+                )
+            });
         });
     }
 
     // Raw extension throughput on identical sequences (upper bound), for the
-    // scalar oracle and the vector kernel (SSE2 on x86-64, SWAR elsewhere).
+    // scalar oracle and the vector kernel.
     let mut rng = SmallRng::seed_from_u64(5);
     let s = DnaSeq::from_codes((0..10_000).map(|_| rng.gen_range(0..4u8)).collect());
     group.bench_function("xdrop_extend_identical_10k", |bencher| {
@@ -110,15 +123,6 @@ fn measure<T>(budget: Duration, min_samples: usize, mut f: impl FnMut() -> T) ->
 /// output).  Stride 1 would time the full Small workload (~10 Gcells): fine
 /// interactively, far past a CI budget.
 const PAIR_STRIDE: usize = 32;
-
-/// Which lane-packed kernel `ExtendEngine::Auto` dispatches to on this
-/// target.
-#[cfg(target_arch = "x86_64")]
-const VECTOR_KERNEL: &str = "sse2";
-/// Which lane-packed kernel `ExtendEngine::Auto` dispatches to on this
-/// target.
-#[cfg(not(target_arch = "x86_64"))]
-const VECTOR_KERNEL: &str = "swar";
 
 /// The alignment-stage throughput record written to `BENCH_align.json`.
 fn stage_throughput() {

@@ -199,8 +199,8 @@ pub struct AlignExecStats {
     /// Stored seeds of aligned pairs never extended because an earlier seed
     /// of the pair already gave a dovetail or a containment.
     pub seeds_skipped: u64,
-    /// Extensions dispatched to the lane-packed vector kernel (SSE2 on
-    /// x86-64, SWAR elsewhere).
+    /// Extensions dispatched to the lane-packed vector kernel (whichever
+    /// lane word the target has: `dibella_align::VECTOR_KERNEL`).
     pub simd_calls: u64,
     /// Extensions dispatched to the scalar oracle.
     pub scalar_calls: u64,

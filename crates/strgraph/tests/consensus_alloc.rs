@@ -6,7 +6,9 @@
 //! replaced took about 50 MB on the same layout), and the number of
 //! allocation calls does not depend on how long the reads are.
 //!
-//! The counters are process-global, so this file holds a single test.
+//! The counters are process-global, so this file holds a single test; the
+//! allocation calls are the calling thread's own (the consensus of one contig
+//! runs on it alone), which libtest's threads cannot move.
 
 use dibella_seq::simulate::apply_errors;
 use dibella_seq::DnaSeq;
@@ -39,7 +41,7 @@ fn measure(read_len: usize) -> (u64, u64) {
 
     let scope = ALLOC.scope();
     let out = consensus_contig(&contig, &s, &reads, &ConsensusConfig::default());
-    let measured = (scope.allocations(), scope.peak_resident());
+    let measured = (scope.thread_allocations(), scope.peak_resident());
     assert_eq!(out.unplaced_reads, 0);
     assert!(out.consensus.len().abs_diff(genome.len()) < genome.len() / 20);
     measured

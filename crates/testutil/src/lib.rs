@@ -25,12 +25,15 @@
 //! let scope = ALLOC.scope();
 //! run_workload();
 //! assert!(scope.peak_resident() <= BUDGET_BYTES);
-//! assert_eq!(scope.allocations(), 0); // for zero-allocation claims
+//! assert_eq!(scope.thread_allocations(), 0); // for zero-allocation claims
 //! ```
 //!
 //! The counters are global to the process, so a measuring test file should
 //! hold a single `#[test]` (a sibling test allocating concurrently would make
 //! the delta meaningless) — the same discipline the PR 7 test established.
+//! Even then libtest's own threads allocate while the test runs, so a claim
+//! about the calls of single-threaded code is made on
+//! [`AllocScope::thread_allocations`], which counts the calling thread only.
 
 #![warn(missing_docs)]
 
@@ -39,7 +42,15 @@ pub mod schedule;
 pub use schedule::{assert_schedule_determinism, ExploredSchedule, SchedulePreset};
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+thread_local! {
+    /// Allocation calls the current thread made through any [`PeakAlloc`].
+    /// `const`-initialised and without a destructor, so touching it neither
+    /// allocates nor registers anything: legal inside `GlobalAlloc`.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// A counting global allocator wrapping the system allocator.
 ///
@@ -99,13 +110,19 @@ impl PeakAlloc {
         AllocScope {
             alloc: self,
             base_allocations: self.allocations(),
+            base_thread_allocations: THREAD_ALLOCATIONS.get(),
             base_current: self.current(),
         }
     }
 
     fn on_alloc(&self, bytes: usize) {
-        self.allocations.fetch_add(1, Ordering::Relaxed);
+        self.count_call();
         self.grow(bytes as u64);
+    }
+
+    fn count_call(&self) {
+        self.allocations.fetch_add(1, Ordering::Relaxed);
+        THREAD_ALLOCATIONS.set(THREAD_ALLOCATIONS.get() + 1);
     }
 
     fn grow(&self, bytes: u64) {
@@ -156,7 +173,7 @@ unsafe impl GlobalAlloc for PeakAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let new_ptr = System.realloc(ptr, layout, new_size);
         if !new_ptr.is_null() {
-            self.allocations.fetch_add(1, Ordering::Relaxed);
+            self.count_call();
             // Account the delta: a grow raises current (and maybe the peak), a
             // shrink lowers it.
             if new_size >= layout.size() {
@@ -184,13 +201,21 @@ unsafe impl GlobalAlloc for PeakAlloc {
 pub struct AllocScope<'a> {
     alloc: &'a PeakAlloc,
     base_allocations: u64,
+    base_thread_allocations: u64,
     base_current: u64,
 }
 
 impl AllocScope<'_> {
-    /// Allocation calls since the scope opened.
+    /// Allocation calls since the scope opened, by every thread.
     pub fn allocations(&self) -> u64 {
         self.alloc.allocations() - self.base_allocations
+    }
+
+    /// Allocation calls the current thread has made since it opened the
+    /// scope: what a zero-allocation claim about single-threaded code is
+    /// checked on, because the harness's other threads cannot move it.
+    pub fn thread_allocations(&self) -> u64 {
+        THREAD_ALLOCATIONS.get() - self.base_thread_allocations
     }
 
     /// Peak resident bytes **above the scope's baseline**: the high-water
@@ -262,6 +287,26 @@ mod tests {
         assert_eq!(scope.allocations(), 1);
         assert_eq!(scope.peak_resident(), 500, "scope peak survives the free");
         unsafe { a.dealloc(pre, layout) };
+    }
+
+    #[test]
+    fn thread_allocations_ignore_other_threads() {
+        let a = PeakAlloc::new();
+        let layout = Layout::from_size_align(64, 8).unwrap();
+        let scope = a.scope();
+        std::thread::scope(|s| {
+            s.spawn(|| unsafe {
+                let p = a.alloc(layout);
+                a.dealloc(p, layout);
+            });
+        });
+        assert_eq!((scope.allocations(), scope.thread_allocations()), (1, 0));
+        unsafe {
+            let p = a.alloc(layout);
+            let p = a.realloc(p, layout, 128);
+            a.dealloc(p, Layout::from_size_align(128, 8).unwrap());
+        }
+        assert_eq!((scope.allocations(), scope.thread_allocations()), (3, 2));
     }
 
     #[test]
