@@ -22,7 +22,7 @@ fn bench_pipeline(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("dibella_1d", p), &p, |bencher, _| {
             bencher.iter(|| {
                 let comm = CommStats::new();
-                run_dibella_1d(&ds.reads, &cfg, &comm)
+                run_dibella_1d(&ds.reads, &cfg, &comm).unwrap()
             })
         });
     }

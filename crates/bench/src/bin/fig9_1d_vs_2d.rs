@@ -36,7 +36,7 @@ fn main() {
             let t2d = proj2d.total_without_tr();
 
             let comm1d = CommStats::new();
-            let out1d = run_dibella_1d(&ds.reads, &config, &comm1d);
+            let out1d = run_dibella_1d(&ds.reads, &config, &comm1d).unwrap();
             // Project the 1D pipeline: same compute scaling, 1D communication.
             let pf = p as f64;
             let t1d = out1d.timings.alignment / pf

@@ -29,6 +29,10 @@
 // The bench crate is the sanctioned home of wall-clock reads (see
 // clippy.toml); opt back in to Instant::now here.
 #![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "pair sets are intersected and counted; nothing is emitted in iteration order"
+)]
 
 use dibella_bench::{print_header, print_row};
 use dibella_dist::{CommPhase, CommStats, ProcessGrid};

@@ -7,7 +7,6 @@
 //! empty point-to-point buffers are not sent.
 
 use crate::comm::{CommPhase, CommStats};
-use crate::trace::CollectiveKind;
 use rayon::pool;
 
 pub use crate::extras::{p2p_messages_key, p2p_words_key};
@@ -46,7 +45,6 @@ pub fn alltoallv_counted<T: Send>(
     let mut inbound: Vec<Vec<Vec<T>>> =
         (0..nprocs).map(|_| Vec::with_capacity(nprocs)).collect();
     let mut words_received = vec![0u64; nprocs];
-    let mut words_sent_by_rank = vec![0u64; nprocs];
     for (src, buffers) in send.into_iter().enumerate() {
         assert_eq!(
             buffers.len(),
@@ -65,7 +63,6 @@ pub fn alltoallv_counted<T: Send>(
             }
             inbound[dst].push(buffer);
         }
-        words_sent_by_rank[src] = words_sent;
         if words_sent > 0 || messages_sent > 0 {
             stats.record(phase, words_sent, messages_sent);
             stats.record_rank_max(phase, words_sent);
@@ -76,7 +73,6 @@ pub fn alltoallv_counted<T: Send>(
             stats.record_rank_max(phase, words);
         }
     }
-    stats.trace_alltoallv(phase, nprocs, &words_sent_by_rank);
     // Every destination fills its own receive buffer, reserved at its exact
     // total, and frees each source buffer once copied: the two sides of the
     // exchange are co-resident one destination at a time, not all at once.
@@ -112,7 +108,6 @@ pub fn record_broadcast(stats: &CommStats, phase: CommPhase, words: u64, group_s
     let peers = (group_size - 1) as u64;
     stats.record(phase, words * peers, peers);
     stats.record_rank_max(phase, words * peers);
-    stats.trace_symmetric(phase, CollectiveKind::Broadcast, group_size, words);
 }
 
 /// Account for one simulated all-reduce of a `words`-word vector over
@@ -131,7 +126,6 @@ pub fn record_allreduce(stats: &CommStats, phase: CommPhase, words: u64, group_s
     let peers = (group_size - 1) as u64;
     stats.record(phase, 2 * words * peers, 2 * peers);
     stats.record_rank_max(phase, words * peers);
-    stats.trace_symmetric(phase, CollectiveKind::AllReduce, group_size, words);
 }
 
 /// Account for one simulated point-to-point send of `words` words between two
@@ -155,7 +149,6 @@ pub fn record_p2p(stats: &CommStats, phase: CommPhase, words: u64) {
     stats.record_rank_max(phase, words);
     stats.bump_extra(&p2p_words_key(phase), words);
     stats.bump_extra(&p2p_messages_key(phase), 1);
-    stats.trace_symmetric(phase, CollectiveKind::PointToPoint, 2, words);
 }
 
 #[cfg(test)]
@@ -234,22 +227,15 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_costs_a_reduce_and_a_broadcast_and_is_traced() {
+    fn allreduce_costs_a_reduce_and_a_broadcast() {
         let stats = CommStats::new();
-        stats.enable_spmd_trace(4);
         record_allreduce(&stats, CommPhase::OverlapDetection, 3, 4);
         assert_eq!(stats.words(CommPhase::OverlapDetection), 2 * 3 * 3);
         assert_eq!(stats.messages(CommPhase::OverlapDetection), 2 * 3);
         assert_eq!(stats.snapshot().phase(CommPhase::OverlapDetection).max_words_per_rank, 9);
-        // Free, and invisible to the trace, on a one-rank grid.
+        // Free on a one-rank grid.
         record_allreduce(&stats, CommPhase::OverlapDetection, 3, 1);
         assert_eq!(stats.messages(CommPhase::OverlapDetection), 6);
-        let traces = stats.spmd_traces();
-        crate::verify_spmd(&traces).expect("an all-reduce is posted by every rank");
-        for trace in &traces {
-            assert_eq!(trace.events.len(), 1);
-            assert_eq!(trace.events[0].signature().1, crate::CollectiveKind::AllReduce);
-        }
     }
 
     #[test]
@@ -314,83 +300,5 @@ mod tests {
         let stats = CommStats::new();
         let send: Vec<Vec<Vec<u8>>> = vec![vec![vec![]], vec![vec![], vec![]]];
         let _ = alltoallv_counted(send, &stats, CommPhase::Other, 1);
-    }
-
-    #[test]
-    fn collectives_append_spmd_trace_events_when_enabled() {
-        let stats = CommStats::new();
-        stats.enable_spmd_trace(3);
-        let send = square_send(&[
-            &[&[1], &[2, 3], &[4]],
-            &[&[5, 6], &[], &[7]],
-            &[&[8], &[9], &[]],
-        ]);
-        let _ = alltoallv_counted(send, &stats, CommPhase::KmerCounting, 1);
-        record_broadcast(&stats, CommPhase::OverlapDetection, 10, 3);
-        record_p2p(&stats, CommPhase::OverlapDetection, 25);
-        // Single-member broadcasts and empty p2p sends stay invisible.
-        record_broadcast(&stats, CommPhase::Other, 10, 1);
-        record_p2p(&stats, CommPhase::Other, 0);
-
-        let traces = stats.spmd_traces();
-        assert_eq!(traces.len(), 3);
-        crate::verify_spmd(&traces).expect("symmetric collectives are SPMD-consistent");
-        for trace in &traces {
-            assert_eq!(trace.events.len(), 3);
-            assert_eq!(trace.events[0].kind, crate::CollectiveKind::Alltoallv);
-            assert_eq!(trace.events[0].participants, 3);
-            assert_eq!(trace.events[1].kind, crate::CollectiveKind::Broadcast);
-            assert_eq!(trace.events[2].kind, crate::CollectiveKind::PointToPoint);
-            assert_eq!(trace.events[2].participants, 2);
-        }
-        // The alltoallv event carries each rank's own sent words.
-        assert_eq!(traces[0].events[0].words, 3);
-        assert_eq!(traces[1].events[0].words, 3);
-        assert_eq!(traces[2].events[0].words, 2);
-        stats.assert_spmd();
-    }
-
-    #[test]
-    fn tracing_is_off_by_default_and_costs_nothing() {
-        let stats = CommStats::new();
-        assert!(!stats.spmd_trace_enabled());
-        record_broadcast(&stats, CommPhase::Other, 10, 4);
-        assert!(stats.spmd_traces().is_empty());
-        stats.assert_spmd(); // vacuous no-op when disabled
-    }
-
-    #[test]
-    fn seeded_rank_divergence_is_caught_with_a_readable_diff() {
-        let stats = CommStats::new();
-        stats.enable_spmd_trace(4);
-        record_broadcast(&stats, CommPhase::OverlapDetection, 8, 4);
-        // Fault injection: rank 2 alone posts an extra collective, as a buggy
-        // rank-dependent branch would.
-        stats.trace_event_for_rank(
-            2,
-            CommPhase::OverlapDetection,
-            crate::CollectiveKind::Broadcast,
-            4,
-            8,
-        );
-        record_p2p(&stats, CommPhase::OverlapDetection, 5);
-
-        let err = crate::verify_spmd(&stats.spmd_traces()).unwrap_err();
-        assert_eq!(err.rank, 2);
-        assert_eq!(err.index, 1);
-        let rendered = err.to_string();
-        assert!(rendered.contains("rank 2 disagrees with rank 0"), "{rendered}");
-        assert!(rendered.contains("PointToPoint"), "{rendered}");
-        assert!(rendered.contains("Broadcast"), "{rendered}");
-    }
-
-    #[test]
-    #[should_panic(expected = "SPMD protocol divergence")]
-    fn assert_spmd_panics_on_divergence() {
-        let stats = CommStats::new();
-        stats.enable_spmd_trace(2);
-        record_broadcast(&stats, CommPhase::Other, 1, 2);
-        stats.trace_event_for_rank(1, CommPhase::Other, crate::CollectiveKind::PointToPoint, 2, 1);
-        stats.assert_spmd();
     }
 }

@@ -8,9 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Mutex;
-
-use crate::trace::{CollectiveEvent, CollectiveKind, CollectiveTrace, verify_spmd};
+use std::sync::{Mutex, MutexGuard};
 
 /// The communicating stages of Algorithm 1, matching Table I of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -117,9 +115,6 @@ impl CommSnapshot {
 #[derive(Debug, Default)]
 pub struct CommStats {
     inner: Mutex<CommSnapshot>,
-    /// Per-rank collective traces for the SPMD protocol verifier — `None`
-    /// until [`CommStats::enable_spmd_trace`] switches tracing on.
-    spmd: Mutex<Option<Vec<CollectiveTrace>>>,
 }
 
 impl CommStats {
@@ -128,9 +123,19 @@ impl CommStats {
         Self::default()
     }
 
+    /// The counters, locked.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "mutex poisoning after another thread's panic is not an input error, and \
+                  propagating it would infect every signature with a useless error arm"
+    )]
+    fn locked(&self) -> MutexGuard<'_, CommSnapshot> {
+        self.inner.lock().unwrap()
+    }
+
     /// Add `words` words and `messages` messages to `phase`.
     pub fn record(&self, phase: CommPhase, words: u64, messages: u64) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.locked();
         let counters = inner.phases.entry(phase).or_default();
         counters.words += words;
         counters.messages += messages;
@@ -139,152 +144,48 @@ impl CommStats {
     /// Record the word volume one rank moved in `phase`, keeping the maximum
     /// (a per-rank bandwidth / load-imbalance indicator).
     pub fn record_rank_max(&self, phase: CommPhase, words: u64) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.locked();
         let counters = inner.phases.entry(phase).or_default();
         counters.max_words_per_rank = counters.max_words_per_rank.max(words);
     }
 
     /// Add `amount` to the named auxiliary counter.
     pub fn bump_extra(&self, key: &str, amount: u64) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.locked();
         *inner.extras.entry(key.to_string()).or_insert(0) += amount;
     }
 
     /// Raise the named auxiliary counter to `value` if it is larger (a
     /// maximum-tracking extra, e.g. the peak SpGEMM accumulator row width).
     pub fn max_extra(&self, key: &str, value: u64) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.locked();
         let slot = inner.extras.entry(key.to_string()).or_insert(0);
         *slot = (*slot).max(value);
     }
 
     /// Current value of the named auxiliary counter (0 if never recorded).
     pub fn extra(&self, key: &str) -> u64 {
-        self.inner.lock().unwrap().extras.get(key).copied().unwrap_or(0)
+        self.locked().extras.get(key).copied().unwrap_or(0)
     }
 
     /// Words recorded for `phase` so far.
     pub fn words(&self, phase: CommPhase) -> u64 {
-        self.inner.lock().unwrap().phase(phase).words
+        self.locked().phase(phase).words
     }
 
     /// Messages recorded for `phase` so far.
     pub fn messages(&self, phase: CommPhase) -> u64 {
-        self.inner.lock().unwrap().phase(phase).messages
+        self.locked().phase(phase).messages
     }
 
     /// Total words across all phases so far.
     pub fn total_words(&self) -> u64 {
-        self.inner.lock().unwrap().total_words()
+        self.locked().total_words()
     }
 
     /// A frozen copy of the current counters.
     pub fn snapshot(&self) -> CommSnapshot {
-        self.inner.lock().unwrap().clone()
-    }
-
-    // --- SPMD protocol tracing ----------------------------------------------
-
-    /// Switch on per-rank collective tracing for `nranks` virtual ranks,
-    /// replacing any previous trace.
-    ///
-    /// Once enabled, every simulated collective appends a
-    /// [`CollectiveEvent`] to each participating rank's
-    /// [`CollectiveTrace`]; [`CommStats::assert_spmd`] (or
-    /// [`verify_spmd`] on [`CommStats::spmd_traces`]) then checks the SPMD
-    /// protocol invariant.  The pipeline enables this when
-    /// `debug_assertions` are on, so release builds pay nothing.
-    pub fn enable_spmd_trace(&self, nranks: usize) {
-        let traces = (0..nranks).map(CollectiveTrace::new).collect();
-        *self.spmd.lock().unwrap() = Some(traces);
-    }
-
-    /// Whether collective tracing is currently enabled.
-    pub fn spmd_trace_enabled(&self) -> bool {
-        self.spmd.lock().unwrap().is_some()
-    }
-
-    /// A copy of the per-rank collective traces (empty if tracing is off).
-    pub fn spmd_traces(&self) -> Vec<CollectiveTrace> {
-        self.spmd.lock().unwrap().clone().unwrap_or_default()
-    }
-
-    /// Record one collective that every traced rank took part in
-    /// symmetrically (broadcasts, point-to-point pairs): the same event —
-    /// including `words` — is appended to every rank's trace atomically, so
-    /// concurrent collectives from [`par_ranks`](crate::par_ranks) workers
-    /// cannot interleave differently on different ranks.
-    ///
-    /// No-op while tracing is disabled.
-    pub fn trace_symmetric(
-        &self,
-        phase: CommPhase,
-        kind: CollectiveKind,
-        participants: usize,
-        words: u64,
-    ) {
-        let mut guard = self.spmd.lock().unwrap();
-        if let Some(traces) = guard.as_mut() {
-            for trace in traces.iter_mut() {
-                trace.events.push(CollectiveEvent { phase, kind, participants, words });
-            }
-        }
-    }
-
-    /// Record one all-to-all exchange over `participants` ranks, with
-    /// `words_sent[r]` words attributed to rank `r` (diagnostic only — the
-    /// verifier compares the control sequence, not the payloads).  Ranks
-    /// beyond `words_sent.len()`, or all ranks when the exchange spans a
-    /// different rank count than the trace, are attributed zero words.
-    ///
-    /// No-op while tracing is disabled.
-    pub fn trace_alltoallv(&self, phase: CommPhase, participants: usize, words_sent: &[u64]) {
-        let mut guard = self.spmd.lock().unwrap();
-        if let Some(traces) = guard.as_mut() {
-            let per_rank = if words_sent.len() == traces.len() { Some(words_sent) } else { None };
-            for (r, trace) in traces.iter_mut().enumerate() {
-                let words = per_rank.map_or(0, |w| w[r]);
-                trace.events.push(CollectiveEvent {
-                    phase,
-                    kind: CollectiveKind::Alltoallv,
-                    participants,
-                    words,
-                });
-            }
-        }
-    }
-
-    /// Append an event to **one** rank's trace only — a fault-injection hook
-    /// for negative tests that seed a rank-divergent collective (the thing a
-    /// buggy rank-dependent branch would produce).  Out-of-range ranks are
-    /// ignored; no-op while tracing is disabled.
-    pub fn trace_event_for_rank(
-        &self,
-        rank: usize,
-        phase: CommPhase,
-        kind: CollectiveKind,
-        participants: usize,
-        words: u64,
-    ) {
-        let mut guard = self.spmd.lock().unwrap();
-        if let Some(traces) = guard.as_mut() {
-            if let Some(trace) = traces.get_mut(rank) {
-                trace.events.push(CollectiveEvent { phase, kind, participants, words });
-            }
-        }
-    }
-
-    /// Assert the SPMD protocol invariant over the recorded traces,
-    /// panicking with the rendered divergence diff on violation.  No-op while
-    /// tracing is disabled, so callers may assert unconditionally.
-    pub fn assert_spmd(&self) {
-        let guard = self.spmd.lock().unwrap();
-        if let Some(traces) = guard.as_ref() {
-            if let Err(divergence) = verify_spmd(traces) {
-                drop(guard);
-                panic!("{divergence}");
-            }
-        }
+        self.locked().clone()
     }
 }
 

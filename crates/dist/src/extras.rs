@@ -16,11 +16,12 @@
 //! * phase-suffixed families (`spgemm_flops_<Phase>`, `p2p_words_<Phase>`)
 //!   are `pub fn …_key(phase) -> String` builders.
 //!
-//! The `dibella-lint` `extras-key` rule enforces the invariant: a
-//! `bump_extra`/`max_extra`/`extra` call site anywhere in the workspace must
-//! name one of these constants/builders (or quote a literal that appears in
-//! this file verbatim).  Adding a counter means adding it here first, which
-//! keeps the writer and every reader agreeing on the symbol.
+//! A CI grep (`.github/workflows/ci.yml`, "Extras keys come from the
+//! registry") enforces the invariant on the writers: outside `comm.rs`, whose
+//! unit tests exercise the bag itself, every `bump_extra`/`max_extra` call
+//! must pass a `…_KEY` constant or a `&…_key(phase)` builder, so a literal or
+//! a computed key fails the build.  Adding a counter means adding it here
+//! first, which keeps the writer and every reader agreeing on the symbol.
 
 use crate::comm::CommPhase;
 

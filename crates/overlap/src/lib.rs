@@ -22,6 +22,7 @@
 //!   overlaps from shared minimizers without base-level alignment.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod amatrix;
 pub mod detect;

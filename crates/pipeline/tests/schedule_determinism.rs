@@ -1,5 +1,5 @@
 //! Re-pins the whole 2D pipeline's determinism claim under ≥ 50 explored
-//! steal schedules, with the SPMD protocol verifier armed.
+//! steal schedules.
 //!
 //! Every stage of `run_dibella_2d_on_reads` rides the work-stealing pool
 //! (per-rank SUMMA blocks, per-row SpGEMM, batched alignment, per-contig
@@ -8,9 +8,7 @@
 //! pipeline through both explorer presets — the complete 3-/4-chunk
 //! permutation enumeration plus seeded large shuffles — and asserts the
 //! end-to-end output (string graph, consensus, and the exact communication
-//! snapshot) never moves.  Debug builds additionally record and verify the
-//! per-rank collective traces inside every run, so each schedule also
-//! re-checks the SPMD protocol invariant.
+//! snapshot) never moves.
 
 use dibella_dist::CommStats;
 use dibella_pipeline::{run_dibella_2d_on_reads, PipelineConfig};

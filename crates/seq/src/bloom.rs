@@ -229,7 +229,7 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_inserted_keys_are_always_found(keys in proptest::collection::hash_set(any::<u64>(), 1..500)) {
+        fn prop_inserted_keys_are_always_found(keys in proptest::collection::btree_set(any::<u64>(), 1..500)) {
             let mut bf = BloomFilter::with_rate(keys.len(), 0.01);
             for &k in &keys {
                 bf.insert(k);

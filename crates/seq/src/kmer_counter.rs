@@ -122,6 +122,11 @@ impl KmerTable {
 
 /// Serial reference k-mer counter (used by tests and the minimizer baseline).
 pub fn count_kmers_serial(reads: &ReadSet, selection: &KmerSelection) -> KmerTable {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the reference counter stays the plain hash fold the sorted ones are held to; \
+                  build_table sorts before anything leaves"
+    )]
     let mut counts = std::collections::HashMap::<u64, u32>::new();
     for (_, rec) in reads.iter() {
         for (_, _, canon) in KmerIter::new(&rec.seq, selection.k) {

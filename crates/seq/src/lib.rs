@@ -28,6 +28,7 @@
 //!   selection, used by both `dibella-overlap` and `dibella-sketch`.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod bloom;
 pub mod dna;

@@ -130,6 +130,7 @@ pub fn sketch_read(seq: &DnaSeq, cfg: &SketchConfig) -> ReadSketch {
     }
 
     // Stage 3: canonical k-min-mers over consecutive minimizer windows.
+    #[expect(clippy::disallowed_types, reason = "membership only: inserted into, never iterated")]
     let mut seen = std::collections::HashSet::new();
     for window in mins.windows(cfg.kmm) {
         let forward = forward_is_canonical(window);

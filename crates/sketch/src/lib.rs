@@ -23,6 +23,7 @@
 //! is the single biggest lever on everything downstream.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod config;
 pub mod kminmer;

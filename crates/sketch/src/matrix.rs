@@ -225,14 +225,34 @@ mod tests {
 
     #[test]
     fn exchange_is_accounted_under_sketch_index() {
+        // Both collectives of the ownership pass at their exact volumes,
+        // recomputed from the definitions.  The all-to-all moves one word per
+        // off-rank (read, key) pair, in one message per non-empty off-rank
+        // bucket; then every owner posts its allgather to the other P - 1
+        // ranks, empty or not (the `record_broadcast` convention), so an owner
+        // that skips the collective shows up in the message count.
         let (reads, cfg) = setup();
-        let stats = CommStats::new();
-        let grid = ProcessGrid::square(4);
-        build_sketch_matrix(&reads, &cfg, grid, 4, &stats);
-        let snap = stats.snapshot();
-        let phase = snap.phase(CommPhase::SketchIndex);
-        assert!(phase.words > 0, "multi-rank construction must move key words");
-        assert!(phase.messages > 0);
+        for p in [1usize, 4, 9] {
+            let stats = CommStats::new();
+            let (_, info) = build_sketch_matrix(&reads, &cfg, ProcessGrid::square(4), p, &stats);
+            let read_dist = BlockDist::new(reads.len(), p);
+            let mut buckets = std::collections::BTreeSet::new();
+            let mut pairs = 0u64;
+            for read in 0..reads.len() {
+                let src = read_dist.owner(read);
+                for hit in sketch_read(reads.seq(read), &cfg).hits {
+                    let dst = (hit.key % p as u64) as usize;
+                    if dst != src {
+                        pairs += 1;
+                        buckets.insert((src, dst));
+                    }
+                }
+            }
+            let (ranks, peers) = (p as u64, p as u64 - 1);
+            let phase = stats.snapshot().phase(CommPhase::SketchIndex);
+            assert_eq!(phase.words, pairs + info.columns * peers, "words at P = {p}");
+            assert_eq!(phase.messages, buckets.len() as u64 + ranks * peers, "messages at P = {p}");
+        }
     }
 
     #[test]

@@ -645,10 +645,9 @@ fn walk_orientations(contig: &Contig, s: &CsrMatrix<OverlapEdge>) -> Vec<bool> {
     let reads = &contig.reads;
     let mut orientations = Vec::with_capacity(reads.len());
     for pair in reads.windows(2) {
-        let edge = s
-            .get(pair[0], pair[1])
-            // lint: allow(unwrap) — extract_contigs only emits edges present in S
-            .expect("contig layouts walk existing string-graph edges");
+        #[expect(clippy::expect_used, reason = "extract_contigs only emits edges present in S")]
+        let edge =
+            s.get(pair[0], pair[1]).expect("contig layouts walk existing string-graph edges");
         let dir = edge.direction();
         if orientations.is_empty() {
             orientations.push(dir.source_forward());
@@ -706,10 +705,8 @@ pub fn consensus_contig(
 
     for (step, &orientation) in orientations.iter().enumerate().skip(1) {
         let (from, to) = (contig.reads[step - 1], contig.reads[step]);
-        let edge = s
-            .get(from, to)
-            // lint: allow(unwrap) — extract_contigs only emits edges present in S
-            .expect("contig layouts walk existing string-graph edges");
+        #[expect(clippy::expect_used, reason = "extract_contigs only emits edges present in S")]
+        let edge = s.get(from, to).expect("contig layouts walk existing string-graph edges");
         let seq = oriented(step, orientation);
         let codes = seq.codes();
         aligned_bases += codes.len();

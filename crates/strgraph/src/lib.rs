@@ -26,6 +26,7 @@
 //!   tests, benches and examples.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod bidirected;
 pub mod consensus;

@@ -247,7 +247,7 @@ fn contig_quality(
         contig.reads.windows(2).map(|p| (p[0], p[1])).collect();
     if contig.circular && contig.reads.len() > 2 {
         // The cut point of a linearised circular walk is a true adjacency too.
-        // lint: allow(unwrap) — reads.len() > 2 is checked just above
+        #[expect(clippy::unwrap_used, reason = "reads.len() > 2 is checked just above")]
         adjacencies.push((*contig.reads.last().unwrap(), contig.reads[0]));
     }
     for (a, b) in adjacencies {
@@ -314,7 +314,7 @@ fn reference_regions(
                     // reads, so rotations anchored there are the candidates.
                     let span = cons.consensus.len().clamp(len, 2 * len);
                     let first = origins[contig.reads[0]].start % len.max(1);
-                    // lint: allow(unwrap) — contigs hold at least one read
+                    #[expect(clippy::unwrap_used, reason = "contigs hold at least one read")]
                     let last = origins[*contig.reads.last().unwrap()].start % len.max(1);
                     let regions = [first, last]
                         .iter()

@@ -28,6 +28,7 @@ pub fn myers_transitive_reduction(
     assert_eq!(r.nrows(), r.ncols(), "the overlap matrix must be square");
     let n = r.nrows();
     let mut mark = vec![Mark::Vacant; n];
+    #[expect(clippy::disallowed_types, reason = "membership only: inserted into, never iterated")]
     let mut removed: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
 
     for v in 0..n {
@@ -36,7 +37,7 @@ pub fn myers_transitive_reduction(
             continue;
         }
         neighbors.sort_by_key(|(_, e)| e.suffix);
-        // lint: allow(unwrap) — guarded by the is_empty() continue above
+        #[expect(clippy::unwrap_used, reason = "guarded by the is_empty() continue above")]
         let longest = neighbors.last().unwrap().1.suffix.saturating_add(fuzz);
         for (w, _) in &neighbors {
             mark[*w] = Mark::InPlay;

@@ -129,7 +129,7 @@ fn one_d_and_two_d_pipelines_agree_while_communication_differs() {
     let comm2d = CommStats::new();
     let out2d = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm2d).unwrap();
     let comm1d = CommStats::new();
-    let out1d = run_dibella_1d(&ds.reads, &cfg, &comm1d);
+    let out1d = run_dibella_1d(&ds.reads, &cfg, &comm1d).unwrap();
 
     assert_eq!(
         out2d.overlap_matrix.to_local_csr().pattern(),
