@@ -6,7 +6,10 @@
 //! `DatasetSpec::Small` overlap workload (`C = A·Aᵀ` over the shared-k-mer
 //! semiring): the symmetric SUMMA and its general reference
 //! `summa(a, aᵀ)` at P = 4, the local symmetric and general kernels, and a
-//! uniform random `PlusTimes` product for the dense-SPA fast path.  Every
+//! uniform random `PlusTimes` product for the dense-SPA fast path — all on
+//! the row-wise kernels — plus the symmetric SUMMA at P = 16 on a HiFi-shaped
+//! input, whose blocks multiply ~20 products per output coordinate and take
+//! the k-major kernel (the record says how many took which).  Every
 //! entry is absolute — seconds, useful flops and Mflop/s — next to the
 //! accumulator probes and the peak row width; the general kernels do about
 //! twice the symmetric ones' flops, so compare seconds between the two and
@@ -19,11 +22,13 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use dibella_dist::{CommPhase, CommStats, ProcessGrid};
-use dibella_overlap::{build_a_matrix, OverlapSemiring};
+use dibella_overlap::{build_a_matrix, KmerOccurrence, OverlapSemiring};
+use dibella_seq::simulate::{generate_genome, simulate_reads, GenomeConfig, ReadSimConfig};
 use dibella_seq::{count_kmers_serial, DatasetSpec, KmerSelection};
 use dibella_sparse::accum::FlopCounter;
 use dibella_sparse::outer1d::outer1d_aat;
-use dibella_sparse::summa::flops_key;
+use dibella_sparse::spgemm::aat_block_is_k_major;
+use dibella_sparse::summa::{aat_block_stages, flops_key};
 use dibella_sparse::{
     local_spgemm, local_spgemm_aat, summa, summa_aat_sym, CsrMatrix, DistMat2D, PlusTimes,
     Triples,
@@ -142,6 +147,52 @@ impl Timed {
     }
 }
 
+/// `A` of a HiFi-shaped read set (60 kbp genome without repeats, 30× of
+/// 1.2 kb reads at 0.2% error, k = 17): ~1 500 reads that share ~600 k-mers
+/// per overlapping pair, the dense side of the block-kernel rule that
+/// `Small`'s 13%-error reads never reach.
+fn hifi_a_matrix(grid: ProcessGrid) -> DistMat2D<KmerOccurrence> {
+    let genome = generate_genome(&GenomeConfig {
+        length: 60_000,
+        repeat_fraction: 0.0,
+        repeat_length: 0,
+        seed: 77,
+    });
+    let (reads, _) = simulate_reads(
+        &genome,
+        &ReadSimConfig {
+            depth: 30.0,
+            mean_read_length: 1_200,
+            min_read_length: 900,
+            read_length_sd: 100,
+            error_rate: 0.002,
+            seed: 78,
+            ..ReadSimConfig::default()
+        },
+    );
+    let k = 17;
+    let table = count_kmers_serial(&reads, &KmerSelection { k, min_count: 2, max_count: 60 });
+    build_a_matrix(&reads, &table, k, grid, 1)
+}
+
+/// How many upper-triangle blocks of `summa_aat_sym(a)` run k-major and how
+/// many row-wise, by the rule the blocks apply to themselves.
+fn kernel_census(a: &DistMat2D<KmerOccurrence>) -> (usize, usize) {
+    let at = a.transpose();
+    let side = a.grid().rows();
+    let (mut k_major, mut row_wise) = (0, 0);
+    for (i, j) in (0..side).flat_map(|i| (i..side).map(move |j| (i, j))) {
+        let stages = aat_block_stages(a, &at, i, j);
+        let (rows, cols) = (a.row_dist().size(i), a.row_dist().size(j));
+        if aat_block_is_k_major(rows, cols, &stages, i == j) {
+            k_major += 1;
+        } else {
+            row_wise += 1;
+        }
+    }
+    (k_major, row_wise)
+}
+
 /// The kernel-throughput record written to `BENCH_spgemm.json`.
 fn throughput_record() {
     // The real workload: C = A·Aᵀ over the shared-k-mer semiring on the
@@ -174,6 +225,14 @@ fn throughput_record() {
     let (ra, rb) = (random_matrix(n, n, 20 * n, 7), random_matrix(n, n, 20 * n, 8));
     let random_2k = Timed::local(|flops| local_spgemm::<PlusTimes<i64>>(&ra, &rb, flops));
 
+    // The dense side of the block-kernel rule: HiFi-shaped reads at P = 16.
+    let hifi = hifi_a_matrix(ProcessGrid::square(16));
+    let summa_sym_p16 = Timed::distributed(|stats| {
+        summa_aat_sym::<OverlapSemiring>(&hifi, WORDS, stats, phase)
+    });
+    let (hifi_k_major, hifi_row_wise) = kernel_census(&hifi);
+    let (small_k_major, small_row_wise) = kernel_census(&da);
+
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!("\nspgemm kernel throughput (DatasetSpec::Small, C = A·Aᵀ, overlap semiring)");
     println!(
@@ -189,6 +248,7 @@ fn throughput_record() {
         ("local_sym", &local_sym),
         ("local_general", &local_general),
         ("random_2k", &random_2k),
+        ("summa_sym_p16", &summa_sym_p16),
     ];
     for (name, t) in entries {
         println!(
@@ -199,6 +259,12 @@ fn throughput_record() {
         );
     }
     println!("  local_sym probes: {}, peak row width: {}", tally.probes(), tally.peak_row_width());
+    println!(
+        "  summa_sym_p16 is HiFi-shaped: reads={} nnz(A)={}; upper blocks k-major/row-wise: \
+         {hifi_k_major}/{hifi_row_wise} (summa_sym_p4: {small_k_major}/{small_row_wise})",
+        hifi.nrows(),
+        hifi.nnz()
+    );
 
     let mut json = format!(
         "{{\n  \"bench\": \"spgemm\",\n  \"dataset\": \"{}\",\n  \"threads\": {threads},\n  \
@@ -212,6 +278,15 @@ fn throughput_record() {
     for (name, t) in entries {
         json += &t.json(name);
     }
+    json += &format!(
+        "  \"summa_sym_p16_reads\": {},\n  \"summa_sym_p16_a_nnz\": {},\n  \
+         \"summa_sym_p16_k_major_blocks\": {hifi_k_major},\n  \
+         \"summa_sym_p16_row_wise_blocks\": {hifi_row_wise},\n  \
+         \"summa_sym_p4_k_major_blocks\": {small_k_major},\n  \
+         \"summa_sym_p4_row_wise_blocks\": {small_row_wise},\n",
+        hifi.nrows(),
+        hifi.nnz()
+    );
     json += &format!(
         "  \"accumulator_probes\": {},\n  \"peak_row_width\": {}\n}}\n",
         tally.probes(),

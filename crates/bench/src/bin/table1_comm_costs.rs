@@ -9,6 +9,12 @@
 //! ```bash
 //! cargo run --release -p dibella-bench --bin table1_comm_costs
 //! ```
+//!
+//! The two 2D overlap-detection rows are a check, not just a print: the
+//! process exits non-zero when the measured messages of `2D` or `2D sym`
+//! differ from `comm_model.rs` at all, or the measured words by more than 1%
+//! — CI runs this binary, so an edit to the function that posts those
+//! collectives cannot drift from the model unseen.
 
 use dibella_bench::{benchmark_dataset, fmt, print_header, print_row};
 use dibella_dist::{CommPhase, CommStats, ProcessGrid};
@@ -66,6 +72,7 @@ fn main() {
     print_header(&[
         "P", "phase", "algo", "meas. words", "model words", "meas. msgs", "model msgs",
     ]);
+    let mut drifted = Vec::new();
 
     for &p in &[16usize, 64, 256] {
         let grid = ProcessGrid::square(p);
@@ -84,6 +91,7 @@ fn main() {
         let _ = detect_candidates_2d_with(&a2d, &comm2d, false);
         let od2 = comm2d.snapshot().phase(CommPhase::OverlapDetection);
         emit(p, "Overlap detection", "2D", od2.words, model.overlap_2d().aggregate_words, od2.messages, model.overlap_2d().aggregate_messages);
+        drifted.extend(drift(p, "2D", od2.words, model.overlap_2d().aggregate_words, od2.messages, model.overlap_2d().aggregate_messages));
 
         // Overlap detection, symmetric 2D SUMMA (the pipeline default):
         // half the broadcast traffic plus the cross-diagonal exchange.
@@ -91,6 +99,7 @@ fn main() {
         let _ = detect_candidates_2d_with(&a2d, &comm2s, true);
         let od2s = comm2s.snapshot().phase(CommPhase::OverlapDetection);
         emit(p, "Overlap detection", "2D sym", od2s.words, model.overlap_2d_sym().aggregate_words, od2s.messages, model.overlap_2d_sym().aggregate_messages);
+        drifted.extend(drift(p, "2D sym", od2s.words, model.overlap_2d_sym().aggregate_words, od2s.messages, model.overlap_2d_sym().aggregate_messages));
 
         // Overlap detection, 1D outer product.
         let comm1d = CommStats::new();
@@ -138,6 +147,24 @@ fn main() {
     println!("  Transitive red.    1D: -           2D: rn/sqrt(P)   latency - vs t*sqrt(P)");
     println!("\n(Measured and model values above are aggregates across all ranks, in 8-byte words,");
     println!(" with 2-bit packed k-mers/reads; divide by P for the per-process figures.)");
+
+    if !drifted.is_empty() {
+        eprintln!("\noverlap detection drifted from comm_model.rs:");
+        for line in &drifted {
+            eprintln!("  {line}");
+        }
+        std::process::exit(1);
+    }
+}
+
+/// What, if anything, separates a measured overlap-detection row from the
+/// model: messages must match exactly, words within 1%.
+fn drift(p: usize, algo: &str, mw: u64, model_w: f64, mm: u64, model_m: f64) -> Option<String> {
+    let words_off = (mw as f64 - model_w).abs() > 0.01 * model_w;
+    let messages_off = mm as f64 != model_m;
+    (words_off || messages_off).then(|| {
+        format!("P={p} {algo}: measured {mw} words / {mm} messages, model {model_w:.0} / {model_m:.0}")
+    })
 }
 
 fn emit(p: usize, phase: &str, algo: &str, mw: u64, model_w: f64, mm: u64, model_m: f64) {

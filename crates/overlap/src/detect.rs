@@ -647,6 +647,45 @@ mod tests {
     }
 
     #[test]
+    fn both_block_kernels_agree_on_real_occurrences() {
+        use dibella_sparse::spgemm::{
+            aat_block_is_k_major, spgemm_aat_block, spgemm_stages, spgemm_stages_aat,
+        };
+        use dibella_sparse::summa::aat_block_stages;
+        use dibella_sparse::{AccumPolicy, FlopCounter};
+        let (ds, table, cfg) = setup(8);
+        let mut k_major = 0;
+        for side in 1usize..=4 {
+            let a = build_a_matrix(&ds.reads, &table, cfg.k, ProcessGrid::square(side * side), 1);
+            let at = a.transpose();
+            for (i, j) in (0..side).flat_map(|i| (i..side).map(move |j| (i, j))) {
+                let stages = aat_block_stages(&a, &at, i, j);
+                let pairs: Vec<_> = stages.iter().map(|st| (st.left, st.right_t)).collect();
+                let (rows, cols) = (a.row_dist().size(i), a.row_dist().size(j));
+                // The row-wise kernels, called by name ...
+                let want_flops = FlopCounter::new();
+                let want = if i == j {
+                    spgemm_stages_aat::<OverlapSemiring>(rows, &pairs, AccumPolicy::Auto, &want_flops)
+                } else {
+                    spgemm_stages::<OverlapSemiring>(rows, cols, &pairs, AccumPolicy::Auto, &want_flops)
+                };
+                // ... against the block's own choice (k-major on all of
+                // Tiny's blocks: ~20 shared k-mers per candidate pair).
+                let flops = FlopCounter::new();
+                let got = spgemm_aat_block::<OverlapSemiring>(rows, cols, &stages, i == j, &flops);
+                assert_eq!(got, want, "block ({i}, {j}) of {side}x{side}");
+                assert_eq!(
+                    (flops.flops(), flops.probes(), flops.peak_row_width()),
+                    (want_flops.flops(), want_flops.probes(), want_flops.peak_row_width()),
+                    "block ({i}, {j}) of {side}x{side}"
+                );
+                k_major += usize::from(aat_block_is_k_major(rows, cols, &stages, i == j));
+            }
+        }
+        assert!(k_major >= 10, "the comparison must reach the k-major kernel ({k_major} of 20 blocks)");
+    }
+
+    #[test]
     fn symmetric_summa_records_the_cross_diagonal_exchange() {
         let (ds, table, cfg) = setup(9);
         let grid = ProcessGrid::square(9);

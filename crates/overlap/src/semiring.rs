@@ -20,11 +20,7 @@ impl Semiring for OverlapSemiring {
     type Out = CommonKmers;
 
     fn multiply(a: &KmerOccurrence, b: &KmerOccurrence) -> Option<CommonKmers> {
-        Some(CommonKmers::from_seed(SharedSeed {
-            pos_v: a.pos,
-            pos_h: b.pos,
-            same_strand: a.forward == b.forward,
-        }))
+        Some(CommonKmers::from_seed(shared_seed(a, b)))
     }
 
     fn add(acc: &mut CommonKmers, x: CommonKmers) {
@@ -36,6 +32,27 @@ impl Semiring for OverlapSemiring {
             acc.seeds.push(seed);
         }
     }
+
+    /// Count the shared k-mer and keep its seed while there is room, in
+    /// place: no 32-byte `CommonKmers` is built for a pair already seen.
+    #[inline]
+    fn multiply_add(acc: &mut Option<CommonKmers>, a: &KmerOccurrence, b: &KmerOccurrence) -> bool {
+        match acc {
+            Some(acc) => {
+                acc.count += 1;
+                acc.seeds.push(shared_seed(a, b));
+            }
+            None => *acc = Self::multiply(a, b),
+        }
+        true
+    }
+}
+
+/// The seed one shared k-mer contributes: its position in each read and
+/// whether the two occurrences agree in strand.
+#[inline]
+fn shared_seed(a: &KmerOccurrence, b: &KmerOccurrence) -> SharedSeed {
+    SharedSeed { pos_v: a.pos, pos_h: b.pos, same_strand: a.forward == b.forward }
 }
 
 /// `C = A·Aᵀ` is mirror-symmetric for the overlap semiring: `C[j][i]` holds
@@ -88,6 +105,24 @@ mod tests {
             assert_eq!(m.pos_h, o.pos_v);
             assert_eq!(m.same_strand, o.same_strand);
         }
+    }
+
+    #[test]
+    fn multiply_add_is_multiply_then_add() {
+        // The fused form against the trait's default, slot by slot, from the
+        // empty slot past the seed cap and across both strands.
+        let (mut fused, mut plain) = (None, None);
+        for i in 0..MAX_SEEDS as u32 + 3 {
+            let (a, b) = (occ(7 * i, i % 2 == 0), occ(100 + i, i % 3 == 0));
+            assert!(OverlapSemiring::multiply_add(&mut fused, &a, &b));
+            let prod = OverlapSemiring::multiply(&a, &b).unwrap();
+            match &mut plain {
+                Some(acc) => OverlapSemiring::add(acc, prod),
+                None => plain = Some(prod),
+            }
+            assert_eq!(fused, plain, "after product {i}");
+        }
+        assert_eq!(fused.map(|c| c.count), Some(MAX_SEEDS as u32 + 3));
     }
 
     #[test]

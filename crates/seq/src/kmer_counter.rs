@@ -248,10 +248,13 @@ fn extract(records: &[ReadRecord], selection: &KmerSelection, nprocs: usize) -> 
     par_ranks(nprocs, |rank| {
         let block = &records[dist.range(rank)];
         // The hash spreads a rank's windows evenly: a bucket sized an eighth
-        // over its even share almost never regrows.
+        // over its even share almost never regrows.  No floor on top: there
+        // are `nprocs²` buckets, so any constant here is a `P²` term (64
+        // slots each were 8.6 GB at P = 4 096), and a rank with an empty
+        // block must allocate nothing at all.
         let share = block.iter().map(|r| r.seq.len()).sum::<usize>() / nprocs;
         let mut bufs: Vec<Vec<u64>> =
-            (0..nprocs).map(|_| Vec::with_capacity(share + share / 8 + 64)).collect();
+            (0..nprocs).map(|_| Vec::with_capacity(share + share / 8)).collect();
         for rec in block {
             for (_, _, canon) in KmerIter::new(&rec.seq, selection.k) {
                 let owner = (canon.kmer.hash64() % nprocs as u64) as usize;

@@ -16,7 +16,9 @@
 //!   useful flops, probes and peak row width into.
 //! * [`spgemm`] — local (single-block) Gustavson SpGEMM over the reusable
 //!   accumulators: the general and the symmetric `A·Aᵀ` kernel, each with the
-//!   multi-stage accumulate-in-place entry point SUMMA uses.
+//!   multi-stage accumulate-in-place entry point SUMMA uses, and the k-major
+//!   kernel a block of `A·Aᵀ` switches to when its products outnumber its
+//!   output coordinates.
 //! * [`elementwise`] — the element-wise kernels of Algorithm 2: `Apply`,
 //!   `Prune`, `Reduce(Row, max)`, `DimApply`, element-wise intersection and
 //!   set-difference.

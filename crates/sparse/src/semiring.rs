@@ -30,6 +30,24 @@ pub trait Semiring {
 
     /// Fold `x` into the accumulator `acc`.
     fn add(acc: &mut Self::Out, x: Self::Out);
+
+    /// Fused multiply-add into a slot that may still be empty: exactly
+    /// `multiply` then (`add` into `Some`, or store into `None`), returning
+    /// whether a product was folded (`false` = annihilated, slot untouched).
+    ///
+    /// The k-major block kernel ([`crate::spgemm`]) accumulates through this
+    /// alone, so a semiring whose `Out` is large can override it to update the
+    /// slot in place instead of building a temporary per product.  An
+    /// override must leave the slot bit-identical to the default's.
+    #[inline]
+    fn multiply_add(acc: &mut Option<Self::Out>, a: &Self::Left, b: &Self::Right) -> bool {
+        let Some(prod) = Self::multiply(a, b) else { return false };
+        match acc {
+            Some(acc) => Self::add(acc, prod),
+            None => *acc = Some(prod),
+        }
+        true
+    }
 }
 
 /// A semiring whose `C = A·Aᵀ` output is mirror-symmetric: the product is

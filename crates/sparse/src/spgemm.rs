@@ -9,11 +9,25 @@
 //! product, so no per-row map is ever allocated and no per-stage sorted-merge
 //! is performed.
 //!
-//! There are two stage kernels: the general `Σ A_s·B_s` ([`spgemm_stages`])
-//! and the upper-triangle-plus-mirror `Σ A_s·A_sᵀ` ([`spgemm_stages_aat`])
-//! that overlap detection's `C = A·Aᵀ` runs on.  Both take their right
-//! operands by rows; a product with a transpose is a product with
-//! [`CsrMatrix::transpose`]'s result.
+//! There are two row-wise stage kernels: the general `Σ A_s·B_s`
+//! ([`spgemm_stages`]) and the upper-triangle-plus-mirror `Σ A_s·A_sᵀ`
+//! ([`spgemm_stages_aat`]).  Both take their right operands by rows; a
+//! product with a transpose is a product with [`CsrMatrix::transpose`]'s
+//! result.
+//!
+//! A block of overlap detection's `C = A·Aᵀ` goes through
+//! [`spgemm_aat_block`], which runs those kernels where the block's output
+//! is about as large as its product count, and a third, **k-major** kernel
+//! where it is much smaller (`products ≥ rows × cols`, counted exactly from
+//! the operands' row lengths — [`aat_block_is_k_major`]).  The row-wise
+//! kernels re-fetch a short row of `Aᵀ` for every (row, inner index) visit
+//! and build one `Out` per product; measured on 1.2 kb reads at 0.2% error
+//! (600 products per stored entry of `C`) that is 17–30 ns per product, 24 ms
+//! of a block's 53 in traversal alone.  The k-major kernel walks inner indices
+//! instead, streams both transposed operands once and folds each cross
+//! product into a dense slot through [`Semiring::multiply_add`]: 4× faster
+//! there, and pointless where the slots would stay empty.  Both sides produce
+//! the same CSR and the same tallies.
 //!
 //! All kernels tally useful flops, accumulator probes and the peak row width
 //! into a [`FlopCounter`]; the distributed layers fold those into
@@ -119,14 +133,16 @@ pub fn local_spgemm<S: Semiring>(
 /// tallied into `flops`.
 ///
 /// `Aᵀ` is materialised once (each of its rows is walked `O(column degree)`
-/// times, so a contiguous copy pays for itself) and every worker enters each
-/// row at its upper-triangle offset by binary search.
+/// times, so a contiguous copy pays for itself); the product is one diagonal
+/// block of [`spgemm_aat_block`], which picks its kernel from the product
+/// count.
 pub fn local_spgemm_aat<S: MirrorSemiring>(
     a: &CsrMatrix<S::Left>,
     flops: &FlopCounter,
 ) -> CsrMatrix<S::Out> {
     let at = a.transpose();
-    spgemm_stages_aat::<S>(a.nrows(), &[(a, &at)], AccumPolicy::Auto, flops)
+    let stage = AatStage { left: a, left_t: &at, right_t: &at };
+    spgemm_aat_block::<S>(a.nrows(), a.nrows(), &[stage], true, flops)
 }
 
 /// Multiply-accumulate a sequence of stage pairs into one **diagonal** block
@@ -173,6 +189,198 @@ pub fn spgemm_stages_aat<S: MirrorSemiring>(
         },
     );
     mirror_upper_rows::<S>(n, upper)
+}
+
+/// One SUMMA stage of a block `C_{i,j} = Σ_k A_{i,k}·(A_{j,k})ᵀ` of the
+/// symmetric product, with every operand by rows so that either block kernel
+/// of [`spgemm_aat_block`] can run on it.
+#[derive(Debug)]
+pub struct AatStage<'a, T> {
+    /// `A_{i,k}`: output rows × inner.
+    pub left: &'a CsrMatrix<T>,
+    /// `(A_{i,k})ᵀ`: inner × output rows.
+    pub left_t: &'a CsrMatrix<T>,
+    /// `(A_{j,k})ᵀ`: inner × output columns (`left_t` again on a diagonal block).
+    pub right_t: &'a CsrMatrix<T>,
+}
+
+/// The two kernels a block of `A·Aᵀ` can run on (see [`spgemm_aat_block`]).
+#[derive(Debug, Clone, Copy)]
+enum BlockKernel {
+    /// Row-wise: [`spgemm_stages`] / [`spgemm_stages_aat`].
+    Gustavson,
+    /// Inner-index-major into a dense slot array: [`aat_block_k_major`].
+    KMajor,
+}
+
+/// One output row as the kernels hand it over: `(column, value)`, ascending.
+type SparseRow<T> = Vec<(usize, T)>;
+
+/// Slots (output coordinates) one k-major row tile may hold: the dense
+/// array a worker scatters into, and the granularity of the pool's work.
+const TILE_SLOTS: usize = 1 << 17;
+
+/// The products a block's stages will multiply, exactly, from the row
+/// lengths of its two `Aᵀ` operands: `Σ_k |Aᵀ_{k,i}[k]|·|Aᵀ_{k,j}[k]|`, or the
+/// upper triangle's `d(d+1)/2` per inner index on a diagonal block.
+fn aat_block_products<T>(stages: &[AatStage<'_, T>], diagonal: bool) -> u64 {
+    let per_stage = |st: &AatStage<'_, T>| -> u64 {
+        let (l, r) = (st.left_t.rowptr(), st.right_t.rowptr());
+        l.windows(2)
+            .zip(r.windows(2))
+            .map(|(l, r)| {
+                let (l, r) = ((l[1] - l[0]) as u64, (r[1] - r[0]) as u64);
+                if diagonal { l * (l + 1) / 2 } else { l * r }
+            })
+            .sum()
+    };
+    stages.iter().map(per_stage).sum()
+}
+
+/// Whether [`spgemm_aat_block`] runs this block k-major: when its stages
+/// multiply at least as many products as the output block has coordinates
+/// (the module docs say what was measured on either side).  On a block whose
+/// output is about as large as its product count — the regime the paper runs
+/// in, `n/√P ≥ 10⁴` columns — a dense slot array would be mostly empty, so the
+/// rule needs no knob: it bounds the array by the work that fills it.
+pub fn aat_block_is_k_major<T>(
+    out_rows: usize,
+    out_cols: usize,
+    stages: &[AatStage<'_, T>],
+    diagonal: bool,
+) -> bool {
+    let area = out_rows as u64 * out_cols as u64;
+    area > 0 && aat_block_products(stages, diagonal) >= area
+}
+
+/// One block of the symmetric product `C = A·Aᵀ`: `Σ_s left_s · right_tₛ`,
+/// on a `diagonal` block only the upper triangle, mirrored.  The block picks
+/// its own kernel by [`aat_block_is_k_major`]; both produce the same CSR and
+/// the same tallies in `flops`, so the choice is invisible in every output.
+///
+/// # Panics
+/// Panics if a stage's dimensions disagree with the block's or with each
+/// other, or if a `diagonal` block is not square.
+pub fn spgemm_aat_block<S: MirrorSemiring>(
+    out_rows: usize,
+    out_cols: usize,
+    stages: &[AatStage<'_, S::Left>],
+    diagonal: bool,
+    flops: &FlopCounter,
+) -> CsrMatrix<S::Out> {
+    let kernel = if aat_block_is_k_major(out_rows, out_cols, stages, diagonal) {
+        BlockKernel::KMajor
+    } else {
+        BlockKernel::Gustavson
+    };
+    aat_block_with::<S>(kernel, out_rows, out_cols, stages, diagonal, flops)
+}
+
+/// [`spgemm_aat_block`] on a given kernel.
+fn aat_block_with<S: MirrorSemiring>(
+    kernel: BlockKernel,
+    out_rows: usize,
+    out_cols: usize,
+    stages: &[AatStage<'_, S::Left>],
+    diagonal: bool,
+    flops: &FlopCounter,
+) -> CsrMatrix<S::Out> {
+    assert!(!diagonal || out_rows == out_cols, "a diagonal block is square");
+    let pairs: Vec<_> = stages.iter().map(|st| (st.left, st.right_t)).collect();
+    check_stages(out_rows, out_cols, &pairs);
+    for st in stages {
+        let transposed = (st.left.ncols(), st.left.nrows());
+        assert_eq!((st.left_t.nrows(), st.left_t.ncols()), transposed, "left_t is not shaped like leftᵀ");
+    }
+    match kernel {
+        BlockKernel::Gustavson => {
+            if diagonal {
+                spgemm_stages_aat::<S>(out_rows, &pairs, AccumPolicy::Auto, flops)
+            } else {
+                spgemm_stages::<S>(out_rows, out_cols, &pairs, AccumPolicy::Auto, flops)
+            }
+        }
+        BlockKernel::KMajor => {
+            let rows = aat_block_k_major::<S>(out_rows, out_cols, stages, diagonal, flops);
+            if diagonal {
+                mirror_upper_rows::<S>(out_rows, rows)
+            } else {
+                rows_to_csr(out_rows, out_cols, rows)
+            }
+        }
+    }
+}
+
+/// The k-major block kernel: for every stage and every inner index `k`, fold
+/// the cross product of `left_t`'s row `k` with `right_t`'s row `k` (on a
+/// diagonal block, of the row with itself from the diagonal position on)
+/// into a dense slot per output coordinate through
+/// [`Semiring::multiply_add`], then emit each output row by scanning its
+/// slots, which are already in column order.
+///
+/// Row tiles of at most [`TILE_SLOTS`] slots are the pool's work items, one
+/// slot array per worker reused across its tiles; an output row lives in one
+/// tile, so the result cannot depend on threads or on the claim order.  Every
+/// `(i, j)` still receives its products stage-major in ascending `k` — the
+/// order of the row-wise kernels — and every folded product tallies one
+/// product and one probe, as a dense-SPA scatter does.
+fn aat_block_k_major<S: MirrorSemiring>(
+    out_rows: usize,
+    out_cols: usize,
+    stages: &[AatStage<'_, S::Left>],
+    diagonal: bool,
+    flops: &FlopCounter,
+) -> Vec<SparseRow<S::Out>> {
+    // As few tiles as the slot bound allows, then evened out.
+    let ntiles = out_rows.div_ceil((TILE_SLOTS / out_cols.max(1)).max(1));
+    let tile_rows = out_rows.div_ceil(ntiles.max(1));
+    let tiles: Vec<Vec<SparseRow<S::Out>>> = pool::map_indexed_with(
+        ntiles,
+        || vec![None; tile_rows * out_cols],
+        |slots: &mut Vec<Option<S::Out>>, tile| {
+            let first = tile * tile_rows;
+            let end = (first + tile_rows).min(out_rows);
+            let mut products = 0u64;
+            for st in stages {
+                let (lptr, lcol, lval) = (st.left_t.rowptr(), st.left_t.colidx(), st.left_t.values());
+                let (rptr, rcol, rval) = (st.right_t.rowptr(), st.right_t.colidx(), st.right_t.values());
+                for k in 0..st.left_t.nrows() {
+                    let (l0, l1) = (lptr[k], lptr[k + 1]);
+                    let (r0, r1) = (rptr[k], rptr[k + 1]);
+                    let skip = lcol[l0..l1].partition_point(|&i| i < first);
+                    for p in l0 + skip..l1 {
+                        if lcol[p] >= end {
+                            break;
+                        }
+                        let row = &mut slots[(lcol[p] - first) * out_cols..][..out_cols];
+                        // Diagonal: `left_t` is `right_t`, so position `p` of
+                        // this row is the diagonal and `p..` the upper triangle.
+                        let from = if diagonal { p } else { r0 };
+                        for (&j, b) in rcol[from..r1].iter().zip(&rval[from..r1]) {
+                            products += u64::from(S::multiply_add(&mut row[j], &lval[p], b));
+                        }
+                    }
+                }
+            }
+            let mut width = 0;
+            let rows = (first..end)
+                .map(|i| {
+                    let from = if diagonal { i } else { 0 };
+                    let row_slots = &mut slots[(i - first) * out_cols..][from..out_cols];
+                    let row: SparseRow<S::Out> = row_slots
+                        .iter_mut()
+                        .enumerate()
+                        .filter_map(|(j, slot)| slot.take().map(|v| (from + j, v)))
+                        .collect();
+                    width = width.max(row.len());
+                    row
+                })
+                .collect();
+            flops.record_row(products, products, width as u64);
+            rows
+        },
+    );
+    tiles.into_iter().flatten().collect()
 }
 
 /// Mirror the strict upper triangle of per-row `(col, value)` results into
@@ -236,8 +444,10 @@ pub fn rows_to_csr<T: Clone + Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distmat::DistMat2D;
     use crate::semiring::{BoolAndOr, MinPlusNum, PlusTimes};
     use crate::triples::Triples;
+    use dibella_dist::ProcessGrid;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 
@@ -466,6 +676,141 @@ mod tests {
         }
     }
 
+    /// `(x, y) ↦ x·y` under `+`, except that a product divisible by three is
+    /// annihilated — on an empty slot and on an occupied one alike.
+    struct ThreeAnnihilates;
+
+    impl Semiring for ThreeAnnihilates {
+        type Left = i64;
+        type Right = i64;
+        type Out = i64;
+        fn multiply(a: &i64, b: &i64) -> Option<i64> {
+            Some(a * b).filter(|p| p % 3 != 0)
+        }
+        fn add(acc: &mut i64, x: i64) {
+            *acc += x;
+        }
+    }
+
+    impl MirrorSemiring for ThreeAnnihilates {
+        fn mirror(out: &i64) -> i64 {
+            *out
+        }
+    }
+
+    /// One block on both kernels: the CSR and every tally must agree.
+    fn both_kernels<S>(
+        rows: usize,
+        cols: usize,
+        stages: &[AatStage<'_, S::Left>],
+        diagonal: bool,
+    ) -> (CsrMatrix<S::Out>, u64, u64, u64)
+    where
+        S: MirrorSemiring,
+        S::Out: PartialEq + std::fmt::Debug,
+    {
+        let run = |kernel| {
+            let flops = FlopCounter::new();
+            let c = aat_block_with::<S>(kernel, rows, cols, stages, diagonal, &flops);
+            assert!(c.validate().is_ok(), "{kernel:?}");
+            (c, flops.flops(), flops.probes(), flops.peak_row_width())
+        };
+        let row_wise = run(BlockKernel::Gustavson);
+        assert_eq!(run(BlockKernel::KMajor), row_wise, "{rows}x{cols} diagonal={diagonal}");
+        row_wise
+    }
+
+    /// Every upper block of `A·Aᵀ` on a `side × side` grid through both
+    /// kernels, empty stages included (SUMMA drops them; the kernels must not
+    /// need that), and each against the general product of the same stages.
+    fn both_kernels_on_every_block<S>(a: &CsrMatrix<S::Left>, side: usize)
+    where
+        S: MirrorSemiring,
+        S::Left: PartialEq,
+        S::Out: PartialEq + std::fmt::Debug,
+    {
+        let da = DistMat2D::from_triples(ProcessGrid::square(side * side), &a.to_triples());
+        let at = da.transpose();
+        for i in 0..side {
+            for j in i..side {
+                let stages: Vec<_> = (0..side)
+                    .map(|k| AatStage { left: da.block(i, k), left_t: at.block(k, i), right_t: at.block(k, j) })
+                    .collect();
+                let (rows, cols) = (da.row_dist().size(i), da.row_dist().size(j));
+                let (block, ..) = both_kernels::<S>(rows, cols, &stages, i == j);
+                let pairs: Vec<_> = stages.iter().map(|st| (st.left, st.right_t)).collect();
+                let general =
+                    spgemm_stages::<S>(rows, cols, &pairs, AccumPolicy::Auto, &FlopCounter::new());
+                assert_eq!(block, general, "block ({i}, {j}) of a {side}x{side} grid");
+            }
+        }
+    }
+
+    #[test]
+    fn the_rule_counts_products_exactly_and_compares_them_with_the_area() {
+        // Inner rows of lengths 3, 0, 2 (left) and 2, 4, 1 (right).
+        let lt = matrix_from(vec![(0, 0, 1), (0, 1, 1), (0, 2, 1), (2, 0, 1), (2, 3, 1)], 3, 4);
+        let rt = matrix_from(
+            vec![(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (1, 2, 1), (1, 3, 1), (2, 4, 1)],
+            3,
+            5,
+        );
+        let l = lt.transpose();
+        let off = [AatStage { left: &l, left_t: &lt, right_t: &rt }];
+        assert_eq!(aat_block_products(&off, false), 3 * 2 + 2);
+        let diag = [AatStage { left: &l, left_t: &lt, right_t: &lt }];
+        assert_eq!(aat_block_products(&diag, true), 6 + 3, "d(d+1)/2 per inner index");
+        // 8 products: k-major up to 8 output coordinates, row-wise beyond.
+        assert!(aat_block_is_k_major(4, 2, &off, false));
+        assert!(!aat_block_is_k_major(4, 5, &off, false));
+        assert!(!aat_block_is_k_major(0, 5, &off, false), "an empty block has no slots to fill");
+        assert!(!aat_block_is_k_major(4, 5, &[] as &[AatStage<'_, i64>], false));
+    }
+
+    #[test]
+    fn kernels_agree_on_a_block_larger_than_one_tile_at_every_thread_count() {
+        // 420 x 400 and 420 x 420 outputs: 168 000 and 176 400 slots, two tiles.
+        let a = arb_like_matrix(420, 24, 21);
+        let b = arb_like_matrix(400, 24, 22);
+        let (at, bt) = (a.transpose(), b.transpose());
+        assert!(a.nrows() * b.nrows() > TILE_SLOTS);
+        let off = [AatStage { left: &a, left_t: &at, right_t: &bt }];
+        let diag = [AatStage { left: &a, left_t: &at, right_t: &at }];
+        let both = || {
+            (
+                both_kernels::<PlusTimes<i64>>(420, 400, &off, false),
+                both_kernels::<PlusTimes<i64>>(420, 420, &diag, true),
+            )
+        };
+        let reference = rayon::pool::with_thread_limit(1, both);
+        assert_eq!(reference.1 .0, product::<PlusTimes<i64>>(&a, &at));
+        for threads in [2usize, 4] {
+            assert_eq!(rayon::pool::with_thread_limit(threads, both), reference, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn an_annihilated_product_tallies_nothing_and_leaves_no_entry() {
+        // Row 0 = (3, 1, ·), row 1 = (1, 2, 3), row 2 = (·, ·, 3).
+        let a = matrix_from(vec![(0, 0, 3), (0, 1, 1), (1, 0, 1), (1, 1, 2), (1, 2, 3), (2, 2, 3)], 3, 3);
+        let at = a.transpose();
+        let stage = [AatStage { left: &a, left_t: &at, right_t: &at }];
+        let (c, flops, probes, width) = both_kernels::<ThreeAnnihilates>(3, 3, &stage, true);
+        // C[0][0] = 9̸ + 1: annihilated on first touch, then stored.
+        assert_eq!(c.get(0, 0), Some(&1));
+        // C[0][1] = 3̸ + 2, C[1][1] = 1 + 4 + 9̸: stored, then annihilated on a hit.
+        assert_eq!(c.get(0, 1), Some(&2));
+        assert_eq!(c.get(1, 1), Some(&5));
+        // C[1][2] = C[2][2] = 9̸ only: no entry at all, in either triangle.
+        assert_eq!(c.get(1, 2), None);
+        assert_eq!(c.get(2, 1), None);
+        assert_eq!(c.get(2, 2), None);
+        assert_eq!(c.nnz(), 4);
+        // Upper-triangle products that survived: 1, 2, 1, 4.
+        assert_eq!((flops, probes, width), (8, 4, 2));
+        both_kernels_on_every_block::<ThreeAnnihilates>(&arb_like_matrix(30, 12, 23), 2);
+    }
+
     /// Deterministic pseudo-random matrix without the proptest machinery.
     fn arb_like_matrix(nrows: usize, ncols: usize, seed: u64) -> CsrMatrix<i64> {
         let mut t = Triples::new(nrows, ncols);
@@ -585,6 +930,24 @@ mod tests {
             prop_assert!(sym.validate().is_ok());
             let via_t = product::<PlusTimes<i64>>(&a, &a.transpose());
             prop_assert_eq!(sym, via_t);
+        }
+
+        #[test]
+        fn prop_both_block_kernels_agree_on_every_grid_and_thread_count(
+            // Sparse enough for empty blocks, stages and inner rows; dense
+            // enough that the rule itself goes both ways across cases.
+            coords in proptest::collection::btree_set((0usize..23, 0usize..11), 0..120),
+            threads in 0usize..3,
+        ) {
+            let entries: Vec<_> =
+                coords.into_iter().enumerate().map(|(n, (r, c))| (r, c, (n % 7) as i64 - 3)).collect();
+            let a = matrix_from(entries, 23, 11);
+            rayon::pool::with_thread_limit(1 << threads, || {
+                for side in 1..=4 {
+                    both_kernels_on_every_block::<PlusTimes<i64>>(&a, side);
+                    both_kernels_on_every_block::<ThreeAnnihilates>(&a, side);
+                }
+            });
         }
 
         #[test]

@@ -20,7 +20,12 @@
 //! multiplies only the grid blocks on or above the diagonal and mirrors the
 //! rest across it, halving the useful flops at the cost of a
 //! `(P − √P)/2`-message cross-diagonal block exchange (accounted via
-//! [`dibella_dist::collectives::record_p2p`]).
+//! [`dibella_dist::collectives::record_p2p`]).  Each of its blocks picks its
+//! own kernel ([`spgemm_aat_block`]): row-wise where the block's output is
+//! about as large as its product count, k-major into a dense slot array
+//! where the products outnumber the output coordinates — rows of `Aᵀ`
+//! re-fetched per (read, k-mer) against both operands streamed once.  The
+//! choice is invisible in `C` and in every counter.
 //!
 //! Every SUMMA records its arithmetic into `CommStats::extras` under
 //! phase-suffixed keys (see [`flops_key`], [`probes_key`],
@@ -31,7 +36,7 @@ use crate::accum::{AccumPolicy, FlopCounter};
 use crate::csr::CsrMatrix;
 use crate::distmat::DistMat2D;
 use crate::semiring::{MirrorSemiring, Semiring};
-use crate::spgemm::{mirror_block, spgemm_stages, spgemm_stages_aat};
+use crate::spgemm::{mirror_block, spgemm_aat_block, spgemm_stages, AatStage};
 use dibella_dist::collectives::{record_broadcast, record_p2p};
 use dibella_dist::{par_ranks, CommPhase, CommStats};
 
@@ -48,6 +53,21 @@ fn stage_pairs<'m, L, R>(
     (0..stages)
         .map(|k| (left(k), right(k)))
         .filter(|(l, r)| !l.is_empty() && !r.is_empty())
+        .collect()
+}
+
+/// The stage list of block `(i, j)` of `A·Aᵀ` — `A_{i,k}`, its transpose and
+/// `(A_{j,k})ᵀ` for every `k` — given `A` and its blockwise transpose `at`,
+/// minus the stages with an empty operand.
+pub fn aat_block_stages<'m, T: Clone + Send + Sync>(
+    a: &'m DistMat2D<T>,
+    at: &'m DistMat2D<T>,
+    i: usize,
+    j: usize,
+) -> Vec<AatStage<'m, T>> {
+    (0..a.grid().cols())
+        .map(|k| AatStage { left: a.block(i, k), left_t: at.block(k, i), right_t: at.block(k, j) })
+        .filter(|st| !st.left.is_empty() && !st.right_t.is_empty())
         .collect()
 }
 
@@ -131,11 +151,12 @@ pub fn summa<S: Semiring>(
 /// Sparse SUMMA that exploits the **grid-diagonal block symmetry** of `C`:
 /// only the blocks on or above the grid diagonal (`i ≤ j`) are multiplied.
 ///
-/// * Off-diagonal upper blocks (`i < j`) run the general stage kernel of
-///   [`summa`] against the locally transposed blocks of `A`.
-/// * Diagonal blocks (`i = j`) run the upper-triangle+mirror stage kernel
-///   ([`spgemm_stages_aat`]), since a diagonal block of `A·Aᵀ` is itself
-///   mirror-symmetric.
+/// * Off-diagonal upper blocks (`i < j`) are computed whole against the
+///   locally transposed blocks of `A`.
+/// * Diagonal blocks (`i = j`) are computed as upper triangle + mirror, since
+///   a diagonal block of `A·Aᵀ` is itself mirror-symmetric.
+/// * Either kind runs the kernel [`spgemm_aat_block`] picks from the block's
+///   own product count.
 /// * Every strictly-lower block `C_{j,i}` is materialised by mirroring its
 ///   computed partner: `C_{j,i} = mirror((C_{i,j})ᵀ)` ([`mirror_block`]).
 ///
@@ -198,21 +219,12 @@ pub fn summa_aat_sym<S: MirrorSemiring>(
         if i > j {
             return None;
         }
-        let pairs = stage_pairs(stages, |k| a.block(i, k), |k| at.block(k, j));
-        Some(if i == j {
-            // A diagonal block of A·Aᵀ is mirror-symmetric on its own: its
-            // local upper triangle is exactly the global one, because the
-            // row and column offsets of block (i, i) coincide.
-            spgemm_stages_aat::<S>(row_dist.size(i), &pairs, AccumPolicy::Auto, &flops)
-        } else {
-            spgemm_stages::<S>(
-                row_dist.size(i),
-                row_dist.size(j),
-                &pairs,
-                AccumPolicy::Auto,
-                &flops,
-            )
-        })
+        let stages = aat_block_stages(a, &at, i, j);
+        // A diagonal block of A·Aᵀ is mirror-symmetric on its own: its local
+        // upper triangle is exactly the global one, because the row and
+        // column offsets of block (i, i) coincide.  Each block picks its
+        // kernel from its own product count (see [`spgemm_aat_block`]).
+        Some(spgemm_aat_block::<S>(row_dist.size(i), row_dist.size(j), &stages, i == j, &flops))
     });
     record_arithmetic(stats, phase, &flops);
 

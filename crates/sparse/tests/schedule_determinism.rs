@@ -3,8 +3,9 @@
 //! and its consuming reduction) — under adversarial steal schedules.
 //!
 //! `spgemm_stages` and its symmetric sibling `spgemm_stages_aat` accumulate
-//! every output row in place across stages on the work-stealing pool; their
-//! claim is bit-identical output for every thread
+//! every output row in place across stages on the work-stealing pool, and the
+//! k-major block kernel behind `spgemm_aat_block` fills row tiles of a dense
+//! slot array on it; their claim is bit-identical output for every thread
 //! count *and every chunk-claim order*.  The 1/2/4-thread sweeps elsewhere
 //! leave the claim order to the OS; here the schedule explorer enumerates all
 //! 3-/4-chunk permutations (and seeded large shuffles on the randomized CI
@@ -15,7 +16,7 @@ use dibella_dist::ProcessGrid;
 use dibella_sparse::{
     elementwise::{ewise_intersect, set_difference},
     outer1d::outer1d_aat,
-    spgemm::{spgemm_stages, spgemm_stages_aat},
+    spgemm::{aat_block_is_k_major, spgemm_aat_block, spgemm_stages, spgemm_stages_aat, AatStage},
     AccumPolicy, CsrMatrix, DistMat2D, FlopCounter, PlusTimes, Triples,
 };
 use dibella_testutil::{assert_schedule_determinism, SchedulePreset};
@@ -80,6 +81,41 @@ fn spgemm_stages_aat_is_bit_identical_under_adversarial_schedules() {
         (out, flops.flops(), flops.probes(), flops.peak_row_width())
     });
     assert!(explored >= 30, "expected at least the exhaustive-small preset");
+}
+
+#[test]
+fn k_major_aat_block_is_bit_identical_under_adversarial_schedules() {
+    // Two stages dense enough for the block to pick the k-major kernel, and
+    // an output of five row tiles, so a 3-/4-chunk schedule splits the tile
+    // loop unevenly.  Diagonal and off-diagonal block of the same grid row.
+    let (a1, a2) = (random_csr(768, 40, 9_000, 12), random_csr(768, 40, 5_000, 13));
+    let (b1, b2) = (random_csr(700, 40, 9_000, 14), random_csr(700, 40, 5_000, 15));
+    let (at1, at2, bt1, bt2) = (a1.transpose(), a2.transpose(), b1.transpose(), b2.transpose());
+    let diag = [
+        AatStage { left: &a1, left_t: &at1, right_t: &at1 },
+        AatStage { left: &a2, left_t: &at2, right_t: &at2 },
+    ];
+    let off = [
+        AatStage { left: &a1, left_t: &at1, right_t: &bt1 },
+        AatStage { left: &a2, left_t: &at2, right_t: &bt2 },
+    ];
+    assert!(aat_block_is_k_major(768, 768, &diag, true));
+    assert!(aat_block_is_k_major(768, 700, &off, false));
+
+    let run = || {
+        let flops = FlopCounter::new();
+        let d = spgemm_aat_block::<PlusTimes<u64>>(768, 768, &diag, true, &flops);
+        let o = spgemm_aat_block::<PlusTimes<u64>>(768, 700, &off, false, &flops);
+        (d, o, flops.flops(), flops.probes(), flops.peak_row_width())
+    };
+    let explored = assert_schedule_determinism(SchedulePreset::from_env(), run);
+    assert!(explored >= 30, "expected at least the exhaustive-small preset");
+
+    // And what every schedule agreed on is what the row-wise kernels compute.
+    let flops = FlopCounter::new();
+    let d = spgemm_stages_aat::<PlusTimes<u64>>(768, &[(&a1, &at1), (&a2, &at2)], AccumPolicy::Auto, &flops);
+    let o = spgemm_stages::<PlusTimes<u64>>(768, 700, &[(&a1, &bt1), (&a2, &bt2)], AccumPolicy::Auto, &flops);
+    assert_eq!(run(), (d, o, flops.flops(), flops.probes(), flops.peak_row_width()));
 }
 
 #[test]
