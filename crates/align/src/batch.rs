@@ -10,16 +10,18 @@
 //! the `alloc_steady_state` integration test of this crate).
 //!
 //! Dispatch: [`ExtendEngine::Auto`] runs the lane-packed vector kernel
-//! ([`crate::vector`], over the target's lane word: `__m128i` on x86-64,
-//! `[i16; 8]` everywhere else) whenever [`vector_eligible`] accepts the
-//! scoring scheme, else (and under [`ExtendEngine::Scalar`]) the scalar
-//! oracle.  Both produce bit-identical [`ExtendResult`]s, so engine choice
-//! never changes pipeline output.
+//! ([`crate::vector`]) whenever [`vector_eligible`] accepts the scoring
+//! scheme, else (and under [`ExtendEngine::Scalar`]) the scalar oracle.  The
+//! kernel's lane word is the widest the host has ([`vector_kernel`]):
+//! `__m256i` on an x86-64 CPU that reports AVX2 (asked per call — a cached
+//! flag), else `__m128i`; `[i16; 8]` on every other target.  All of them
+//! produce bit-identical [`ExtendResult`]s and counters, so neither the
+//! engine nor the host ever changes pipeline output.
 
 use crate::classify::PairAlignment;
 use crate::lanes::Lanes;
 use crate::scoring::{AlignmentConfig, ScoringScheme};
-use crate::vector::{vector_eligible, xdrop_extend_vector, VectorScratch};
+use crate::vector::{vector_eligible, VectorScratch};
 use crate::xdrop::{xdrop_extend_with, ExtendCounters, ExtendResult, XdropScratch};
 use dibella_seq::Strand;
 
@@ -30,8 +32,19 @@ pub(crate) type Word = std::arch::x86_64::__m128i;
 #[cfg(not(target_arch = "x86_64"))]
 pub(crate) type Word = [i16; 8];
 
-/// Name of the target's lane word, as bench records print it.
-pub const VECTOR_KERNEL: &str = <Word as Lanes>::NAME;
+/// The wider x86-64 word, for a CPU that reports AVX2.
+#[cfg(target_arch = "x86_64")]
+type WideWord = std::arch::x86_64::__m256i;
+
+/// Name of the lane word [`ExtendEngine::Auto`] runs on *this host*, as bench
+/// records print it (`"avx2"`, `"sse2"` or `"portable"`).
+pub fn vector_kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        return <WideWord as Lanes>::NAME;
+    }
+    <Word as Lanes>::NAME
+}
 
 /// Which extension kernel the batched engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -48,12 +61,15 @@ pub enum ExtendEngine {
 pub struct AlignScratch {
     xdrop: XdropScratch,
     vector: VectorScratch<Word>,
+    /// Grown only on a host with AVX2, where `vector` then stays empty.
+    #[cfg(target_arch = "x86_64")]
+    vector_wide: VectorScratch<WideWord>,
     rev_a: Vec<u8>,
     rev_b: Vec<u8>,
     /// Cell/band/termination counters accumulated over every extension this
     /// scratch ran (engine-independent: all kernels count identically).
     pub counters: ExtendCounters,
-    /// Extensions dispatched to the vector kernel ([`VECTOR_KERNEL`]).
+    /// Extensions dispatched to the vector kernel ([`vector_kernel`]).
     pub simd_calls: u64,
     /// Extensions dispatched to the scalar oracle.
     pub scalar_calls: u64,
@@ -77,7 +93,12 @@ pub fn xdrop_extend_auto(
 ) -> ExtendResult {
     if engine == ExtendEngine::Auto && vector_eligible(scoring, xdrop) {
         scratch.simd_calls += 1;
-        xdrop_extend_vector(a, b, scoring, xdrop, &mut scratch.vector, &mut scratch.counters)
+        let counters = &mut scratch.counters;
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            return WideWord::extend(a, b, scoring, xdrop, &mut scratch.vector_wide, counters);
+        }
+        Word::extend(a, b, scoring, xdrop, &mut scratch.vector, counters)
     } else {
         scratch.scalar_calls += 1;
         xdrop_extend_with(a, b, scoring, xdrop, &mut scratch.xdrop, &mut scratch.counters)
@@ -199,6 +220,13 @@ mod tests {
         let other = DnaSeq::from_codes(vec![2, 2, 1]);
         let _ = cache.reverse_complement(8, other.codes());
         assert_eq!(cache.rc_computed, 2);
+    }
+
+    // CI prints this next to the bench records, whose rates depend on it.
+    #[test]
+    fn vector_kernel_names_a_lane_word() {
+        println!("vector_kernel() = {}", vector_kernel());
+        assert!(["avx2", "sse2", "portable"].contains(&vector_kernel()));
     }
 
     #[test]

@@ -11,11 +11,13 @@
 //!
 //! There are two extension kernels: the scalar two-phase oracle ([`xdrop`])
 //! and one lane-packed vector kernel ([`vector`]), written once over a lane
-//! word of eight `i16` DP cells — `__m128i` through SSE2 intrinsics on
-//! x86-64, a plain `[i16; 8]` everywhere else (`lanes.rs`).  The batched
-//! engine ([`batch`]) dispatches per scoring scheme with per-worker reusable
-//! scratch; the kernels are bit-identical wherever the `i16` value-range
-//! guards ([`vector_eligible`]) hold.
+//! word of `i16` DP cells — sixteen in a `__m256i` on an x86-64 CPU that
+//! reports AVX2, eight in a `__m128i` (SSE2) on any other x86-64, eight in a
+//! plain `[i16; 8]` everywhere else (`lanes.rs`).  The batched engine
+//! ([`batch`]) dispatches per scoring scheme with per-worker reusable
+//! scratch and picks the host's word ([`vector_kernel`]); the kernels are
+//! bit-identical wherever the `i16` value-range guards
+//! ([`vector_eligible`]) hold.
 
 #![warn(missing_docs)]
 
@@ -27,7 +29,7 @@ pub mod vector;
 pub mod xdrop;
 
 pub use batch::{
-    align_seed_pair_with, xdrop_extend_auto, AlignScratch, ExtendEngine, OrientCache, VECTOR_KERNEL,
+    align_seed_pair_with, vector_kernel, xdrop_extend_auto, AlignScratch, ExtendEngine, OrientCache,
 };
 pub use classify::{classify_alignment, BidirectedDir, OverlapClass, PairAlignment};
 pub use scoring::{AlignmentConfig, ScoringScheme};

@@ -2,25 +2,37 @@
 //! time.
 //!
 //! This is the lane-packed twin of the scalar oracle in [`crate::xdrop`],
-//! written once over the lane word — `__m128i` on x86-64, a plain `[i16; 8]`
-//! everywhere else (`lanes.rs`).  DP scores are `i16` lanes, lane `t` of
-//! word `w` holding column `N·w + t`; the row buffers are indexed by absolute
+//! written once over the lane word (`lanes.rs`): `__m256i` (16 lanes) on an
+//! x86-64 CPU with AVX2, `__m128i` (8) on any other x86-64, a plain
+//! `[i16; 8]` everywhere else.  DP scores are `i16` lanes, lane `t` of word
+//! `w` holding column `N·w + t`; the row buffers are indexed by absolute
 //! word, so the adaptive band just slides over them with no per-row
 //! repacking:
 //!
 //! ```text
-//!   word w:  | 8w | 8w+1 | 8w+2 | 8w+3 | 8w+4 | 8w+5 | 8w+6 | 8w+7 |   i16 lanes
+//!   word w:  | Nw | Nw+1 | Nw+2 | Nw+3 |  …  | Nw+N-2 | Nw+N-1 |   i16 lanes
 //! ```
 //!
 //! Lane adds are wrapping; the value-range guards of [`vector_eligible`] keep
 //! every intermediate inside `i16`, so they are *exact* — no saturation,
 //! hence scores bit-identical to the oracle.  Dead cells hold the sentinel
-//! `NEG16`; a dead lane plus any bounded addend stays far below every
-//! threshold, so dead lanes may freely participate in the maxes.
+//! `NEG16`, exactly; a dead lane plus any bounded addend stays far below
+//! every threshold, so dead lanes may freely participate in the maxes.
 //!
 //! The within-row left-gap dependency `run[j] = max(tmp[j], run[j-1] + gap)`
-//! is a max-plus prefix scan: log-steps inside a word (`Lanes::scan`) plus a
-//! sequential cross-word carry through a `gap`-ramp broadcast.
+//! is a max-plus prefix scan: in-word (`Lanes::scan`) plus a sequential
+//! cross-word carry, a broadcast of the word's last run value that every
+//! lane of the next word reads through a `gap` ramp.
+//!
+//! The word loop is the recurrence and nothing else — per word: one load of
+//! the previous row, the diagonal shift, a table add, the scan, the carry,
+//! the threshold select, one store, the running row maximum.  Everything
+//! else is per row: the live extent is found by stepping in from the window's
+//! two end words, termination is a row maximum equal to the sentinel, and of
+//! the two boundary masks only the right one exists (see the loop for why the
+//! left one could never change a lane).  No closure in the row loop may hold
+//! a lane operation: a closure does not inherit the AVX2 entry's target
+//! feature, so its intrinsics would stay calls.
 //!
 //! Scores are kept *relative* to a running `i64` base: when the in-band best
 //! exceeds `REBASE_AT`, the base absorbs it and every live lane is shifted
@@ -29,7 +41,7 @@
 //!
 //! The kernel implements exactly the two-phase thresholding of
 //! [`crate::xdrop::xdrop_extend`]; the tests at the bottom hold it to the
-//! oracle, results and counters, for every lane word the target has.
+//! oracle, results and counters, for every lane word the host has.
 
 use crate::lanes::Lanes;
 use crate::scoring::ScoringScheme;
@@ -65,11 +77,11 @@ pub fn vector_eligible(scoring: ScoringScheme, xdrop: i32) -> bool {
 pub(crate) struct VectorScratch<L> {
     prev: Vec<L>,
     cur: Vec<L>,
-    /// `sub[4 * w + c]`: lane `t` scores base `c` of `a` against
+    /// `sub[w][c]`: lane `t` scores base `c` of `a` against
     /// `b[N·w + t - 1]`.  Rebuilt by every call, lazily as the band reaches
     /// new words, so early-terminating extensions never pay for the full
     /// length of `b`.
-    sub: Vec<L>,
+    sub: Vec<[L; 4]>,
 }
 
 impl<L> Default for VectorScratch<L> {
@@ -83,6 +95,7 @@ impl<L> Default for VectorScratch<L> {
 ///
 /// The caller must check [`vector_eligible`] first; the batched engine
 /// ([`crate::batch`]) does this and falls back to the scalar oracle.
+#[inline(always)]
 pub(crate) fn xdrop_extend_vector<L: Lanes>(
     a: &[u8],
     b: &[u8],
@@ -92,7 +105,6 @@ pub(crate) fn xdrop_extend_vector<L: Lanes>(
     counters: &mut ExtendCounters,
 ) -> ExtendResult {
     debug_assert!(vector_eligible(scoring, xdrop));
-    counters.calls += 1;
     let m = b.len();
     // Words covering columns 0..=m, plus one guard word at the right so the
     // row after a window ending at column m can still read a NEG word.
@@ -101,17 +113,21 @@ pub(crate) fn xdrop_extend_vector<L: Lanes>(
     if scratch.prev.len() < nw {
         scratch.prev.resize(nw, negv);
         scratch.cur.resize(nw, negv);
-        scratch.sub.resize(4 * nw, negv);
+        scratch.sub.resize(nw, [negv; 4]);
     }
+    // Bound once: the row loop swaps the two references, never the `Vec`s.
+    let (mut prev, mut cur) = (&mut scratch.prev[..nw], &mut scratch.cur[..nw]);
+    let sub = &mut scratch.sub[..nw];
     let mut sub_built = 0;
 
     let gap = scoring.gap as i16;
     let gap1 = L::splat(gap);
     let match16 = L::splat(scoring.match_score as i16);
     let mism16 = L::splat(scoring.mismatch as i16);
-    // Cross-word scan carry ramp: lane t adds (t + 1) · gap to the carried
-    // run value from the previous word.
+    // Cross-word scan carry: lane t adds (t + 1) · gap to the run value
+    // carried out of the previous word, which itself ages a word per word.
     let ramp = L::from_fn(|t| ((t as i32 + 1) * scoring.gap) as i16);
+    let word_gap = L::splat((L::N as i32 * scoring.gap) as i16);
     let lane_ids = L::from_fn(|t| t as i16);
 
     // Best score = base + best_rel; lanes store scores relative to `base`.
@@ -124,21 +140,20 @@ pub(crate) fn xdrop_extend_vector<L: Lanes>(
     let r0_width = ((xdrop / -scoring.gap) as usize + 1).min(m + 1);
     let row0_we = (r0_width - 1) / L::N;
     let row0 = |j: usize| if j < r0_width { (j as i32 * scoring.gap) as i16 } else { NEG16 };
-    for w in 0..=row0_we {
-        scratch.prev[w] = L::from_fn(|t| row0(w * L::N + t));
+    for (w, word) in prev[..=row0_we].iter_mut().enumerate() {
+        *word = L::from_fn(|t| row0(w * L::N + t));
     }
-    scratch.prev[row0_we + 1] = negv;
-    counters.cells += r0_width as u64;
-    counters.band_peak = counters.band_peak.max(r0_width as u64);
+    prev[row0_we + 1] = negv;
+    let (mut rows, mut cells, mut band_peak) = (1u64, r0_width, r0_width);
+    let mut terminated = false;
 
     // Live window [lo, hi] (absolute columns) of the previous row.
     let mut lo = 0usize;
     let mut hi = r0_width - 1;
 
     for i in 1..=a.len() {
-        let wlo = lo;
         let whi = (hi + 1).min(m);
-        let ws = wlo / L::N;
+        let ws = lo / L::N;
         let we = whi / L::N;
         // best_rel ≤ REBASE_AT and xdrop ≤ 3000, so this fits an i16 lane.
         let thr = L::splat((best_rel - xdrop) as i16);
@@ -151,115 +166,121 @@ pub(crate) fn xdrop_extend_vector<L: Lanes>(
                 Some(col) if col < m => i16::from(b[col]),
                 _ => -1,
             });
-            for c in 0..4 {
-                let hit = codes.eq_mask(L::splat(c as i16));
-                scratch.sub[4 * sub_built + c] = hit.select(match16, mism16);
+            for (c, table) in sub[sub_built].iter_mut().enumerate() {
+                *table = codes.eq_mask(L::splat(c as i16)).select(match16, mism16);
             }
             sub_built += 1;
         }
 
-        // Masks for the boundary words: lanes outside [wlo, whi] must stay
-        // dead (a left-gap run can spill past the window's right edge).
-        let before_lo = lane_ids.lt_mask(L::splat((wlo - ws * L::N) as i16));
-        let after_hi = L::splat((whi - we * L::N) as i16).lt_mask(lane_ids);
-
-        // One fused pass: diag/up candidates, the left-gap prefix scan,
-        // thresholding and boundary masks — with the row maximum and the
-        // live word extent folded in, so the finished row never needs to be
-        // re-read.  `carry` holds the pre-threshold run value of the last
-        // lane of the previous word (the scan is sequential across words,
-        // lane-parallel within).
-        let mut carry: i16 = NEG16;
+        // One pass, a word at a time: diag/up candidates, the left-gap prefix
+        // scan and the two-phase x-drop test against the previous rows' best
+        // — the recurrence and nothing else.  `carry` is the pre-threshold
+        // run value of the last lane of the previous word, in every lane (the
+        // scan is sequential across words, lane-parallel within); it never
+        // leaves the vector unit and does not wait for `v`.
+        //
+        // No mask for the lanes left of `lo` in word `ws`: they read only
+        // exact-`NEG16` lanes of the previous row (the threshold select, the
+        // fences and the rebase's `vmax(NEG16)` write nothing else into a
+        // dead lane), so their diag/up candidates are ≤ NEG16 + 63, and no
+        // left-gap run starts left of `lo` (`carry` starts at `NEG16`) — all
+        // far below `thr`, so the threshold select already writes `NEG16`.
+        let mut carry = negv;
         let mut rowmax = negv;
-        let mut first_w = usize::MAX;
-        let mut last_w = ws;
-        let mut pm1 = if ws == 0 { negv } else { scratch.prev[ws - 1] };
-        for w in ws..=we {
-            let p = scratch.prev[w];
+        let mut pm1 = if ws == 0 { negv } else { prev[ws - 1] };
+        // The last finished word, not yet folded into `rowmax`: the row's
+        // last word is masked first.
+        let mut word = negv;
+        for ((&p, out), sub_w) in prev[ws..=we].iter().zip(&mut cur[ws..=we]).zip(&sub[ws..=we]) {
+            rowmax = rowmax.vmax(word);
             // Column Nw+t's diagonal neighbour is column Nw+t-1 of the
             // previous row: shift the band left by one lane across words.
-            let diag_src = p.shift_in(pm1);
+            let tmp = p.shift_in(pm1).add(sub_w[ai]).vmax(p.add(gap1));
             pm1 = p;
-            let tmp = diag_src.add(scratch.sub[4 * w + ai]).vmax(p.add(gap1));
-
             // Max-plus prefix scan for run[j] = max(tmp[j], run[j-1] + gap):
-            // in-word log-steps, then the cross-word carry via the ramp.
-            let v = tmp.scan(gap).vmax(L::splat(carry).add(ramp));
-            carry = v.last();
-
-            // Two-phase x-drop test against the previous rows' best.
-            let mut word = v.lt_mask(thr).select(negv, v);
-            if w == ws {
-                word = before_lo.select(negv, word);
-            }
-            if w == we {
-                word = after_hi.select(negv, word);
-            }
-            scratch.cur[w] = word;
-            rowmax = rowmax.vmax(word);
-            // Dead lanes hold the exact sentinel, so a word with any live
-            // lane has a lane that differs from it.
-            if word.ne_bits(negv) != 0 {
-                if first_w == usize::MAX {
-                    first_w = w;
-                }
-                last_w = w;
-            }
+            // in-word, then the cross-word carry via the ramp.
+            let s = tmp.scan(gap);
+            let v = s.vmax(carry.add(ramp));
+            carry = s.broadcast_last().vmax(carry.add(word_gap));
+            word = v.lt_mask(thr).select(negv, v);
+            *out = word;
         }
+        // Lanes right of `whi` in the last word must stay dead: a left-gap
+        // run can spill past the window's right edge.
+        let after_hi = L::splat((whi - we * L::N) as i16).lt_mask(lane_ids);
+        word = after_hi.select(negv, word);
+        cur[we] = word;
+        rowmax = rowmax.vmax(word);
         // NEG fence words the next row's reads rely on.
-        scratch.cur[we + 1] = negv;
+        cur[we + 1] = negv;
         if ws > 0 {
-            scratch.cur[ws - 1] = negv;
+            cur[ws - 1] = negv;
         }
-        counters.cells += (whi - wlo + 1) as u64;
-        counters.band_peak = counters.band_peak.max((whi - wlo + 1) as u64);
+        rows += 1;
+        cells += whi - lo + 1;
+        band_peak = band_peak.max(whi - lo + 1);
 
-        if first_w == usize::MAX {
-            counters.terminations += 1;
+        // Dead lanes hold the exact sentinel and live ones are ≥ thr ≥
+        // -xdrop > NEG16, so a dead row is one whose maximum is the sentinel.
+        let row_best = i32::from(rowmax.hmax());
+        if row_best == i32::from(NEG16) {
+            terminated = true;
             break;
+        }
+
+        // The live word extent, stepping in from both ends (almost always
+        // one step: the window moves a column or two per row).
+        let (mut first_w, mut last_w) = (ws, we);
+        while cur[first_w].ne_bits(negv) == 0 {
+            first_w += 1;
+        }
+        while cur[last_w].ne_bits(negv) == 0 {
+            last_w -= 1;
         }
 
         // Fold the finished row into the best (first attainment in column
         // order), only when some lane strictly improves on it.
-        let row_best = i32::from(rowmax.hmax());
         if row_best > best_rel {
             let bestv = L::splat(row_best as i16);
-            for w in first_w..=last_w {
-                let hits = scratch.cur[w].eq_mask(bestv).ne_bits(L::splat(0));
+            for (w, word) in cur[first_w..=last_w].iter().enumerate() {
+                let hits = word.eq_mask(bestv).ne_bits(L::splat(0));
                 if hits != 0 {
                     best_rel = row_best;
                     best_i = i;
-                    best_j = w * L::N + (hits.trailing_zeros() / L::STRIDE) as usize;
+                    best_j = (first_w + w) * L::N + (hits.trailing_zeros() / L::STRIDE) as usize;
                     break;
                 }
             }
         }
 
-        // Trim: first/last live columns (lane != NEG16 ⇔ live — live lanes
-        // are ≥ thr ≥ -xdrop > NEG16), confined to the tracked boundary
-        // words.  No explicit re-pinning of the trimmed range is needed:
-        // every dead cell inside [wlo, whi] already holds the exact sentinel
-        // (the threshold select writes it), and the boundary masks covered
-        // the lanes outside it.
-        let flive = scratch.cur[first_w].ne_bits(negv);
-        let llive = scratch.cur[last_w].ne_bits(negv);
+        // Trim: first/last live columns (lane != NEG16 ⇔ live), confined to
+        // the boundary words.  No explicit re-pinning of the trimmed range is
+        // needed: every dead cell of the row already holds the exact
+        // sentinel (the threshold select and `after_hi` write it).
+        let flive = cur[first_w].ne_bits(negv);
+        let llive = cur[last_w].ne_bits(negv);
         lo = first_w * L::N + (flive.trailing_zeros() / L::STRIDE) as usize;
         hi = last_w * L::N + ((31 - llive.leading_zeros()) / L::STRIDE) as usize;
-        std::mem::swap(&mut scratch.prev, &mut scratch.cur);
+        std::mem::swap(&mut prev, &mut cur);
 
         // Rebase before the relative scores can outgrow i16.
         if best_rel > REBASE_AT {
             let down = L::splat(-best_rel as i16);
-            for w in lo / L::N..=hi / L::N {
+            for word in &mut prev[lo / L::N..=hi / L::N] {
                 // Dead lanes must stay exactly at the sentinel: they sink
                 // below it and the max lifts them back, while live lanes stay
                 // ≥ -xdrop - best_rel, far above it.
-                scratch.prev[w] = scratch.prev[w].add(down).vmax(negv);
+                *word = word.add(down).vmax(negv);
             }
             base += i64::from(best_rel);
             best_rel = 0;
         }
     }
+    counters.calls += 1;
+    counters.rows += rows;
+    counters.cells += cells as u64;
+    counters.band_peak = counters.band_peak.max(band_peak as u64);
+    counters.terminations += u64::from(terminated);
     ExtendResult { score: (base + i64::from(best_rel)) as i32, ext_a: best_i, ext_b: best_j }
 }
 
@@ -268,6 +289,7 @@ mod tests {
     use super::*;
     use crate::batch::Word;
     use crate::xdrop::{xdrop_extend_with, XdropScratch};
+    use dibella_seq::{simulate::apply_errors, DnaSeq};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -282,7 +304,7 @@ mod tests {
         scratch: &mut VectorScratch<L>,
     ) -> ExtendResult {
         let (mut cv, mut cs) = (ExtendCounters::default(), ExtendCounters::default());
-        let got = xdrop_extend_vector(a, b, sc, xdrop, scratch, &mut cv);
+        let got = L::extend(a, b, sc, xdrop, scratch, &mut cv);
         let want = xdrop_extend_with(a, b, sc, xdrop, &mut XdropScratch::new(), &mut cs);
         assert_eq!((got, cv), (want, cs), "{sc:?}, xdrop {xdrop}");
         got
@@ -353,10 +375,77 @@ mod tests {
         }
     }
 
+    /// `$f::<L>($arg…)` for both widths of the safe word and every intrinsic
+    /// word this host has, so SSE2 stays tested where `Auto` runs AVX2.
+    macro_rules! for_every_lane_word {
+        ($f:ident($($arg:expr),*)) => {{
+            $f::<[i16; 8]>($($arg),*);
+            $f::<[i16; 16]>($($arg),*);
+            $f::<Word>($($arg),*);
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx2") {
+                $f::<std::arch::x86_64::__m256i>($($arg),*);
+            } else {
+                println!("skipped the AVX2 word: this CPU has none");
+            }
+        }};
+    }
+
     #[test]
     fn fixed_cases_match_scalar_for_every_lane_word() {
-        fixed_cases_match_scalar::<[i16; 8]>();
-        fixed_cases_match_scalar::<Word>();
+        for_every_lane_word!(fixed_cases_match_scalar());
+    }
+
+    /// The word loop has no mask for the lanes left of `lo`: slide the band's
+    /// left edge through every lane of its word (16 junk offsets) while a
+    /// 40-column left-gap run — an insertion in `b` — is live to its right.
+    fn left_edge_needs_no_mask<L: Lanes>() {
+        let mut rng = SmallRng::seed_from_u64(23);
+        let a: Vec<u8> = (0..400).map(|_| rng.gen_range(0..4u8)).collect();
+        let scratch = &mut VectorScratch::<L>::default();
+        for offset in 0..16 {
+            let junk = (0..offset).map(|_| rng.gen_range(0..4u8));
+            let insert = (0..40).map(|j| (a[200 + j % 7] + 1) % 4);
+            let b: Vec<u8> =
+                junk.chain(a[..200].iter().copied()).chain(insert).chain(a[200..].iter().copied()).collect();
+            let r = check(&a, &b, ScoringScheme::default(), 100, scratch);
+            assert_eq!((r.ext_a, r.ext_b), (400, 440 + offset), "crossed the insertion");
+        }
+    }
+
+    #[test]
+    fn left_edge_needs_no_mask_on_any_lane_word() {
+        for_every_lane_word!(left_edge_needs_no_mask());
+    }
+
+    /// Mcells/s and ns/row of `L` at five band widths on a 0.2%- and a
+    /// 13%-error pair: the per-row / per-cell cost fit of DESIGN.md.
+    fn print_rates<L: Lanes>() {
+        let mut rng = SmallRng::seed_from_u64(3);
+        let genome = DnaSeq::from_codes((0..12_000).map(|_| rng.gen_range(0..4u8)).collect());
+        let scratch = &mut VectorScratch::<L>::default();
+        for error in [0.002, 0.13] {
+            let (a, b) = (apply_errors(&genome, error, &mut rng), apply_errors(&genome, error, &mut rng));
+            for xdrop in [10, 20, 49, 100, 200] {
+                let (sc, mut c) = (ScoringScheme::default(), ExtendCounters::default());
+                let t0 = std::time::Instant::now();
+                while t0.elapsed().as_millis() < 200 {
+                    std::hint::black_box(L::extend(a.codes(), b.codes(), sc, xdrop, scratch, &mut c));
+                }
+                let ns = t0.elapsed().as_nanos() as f64;
+                println!(
+                    "{:>8} err {error:<5} xdrop {xdrop:>3}: band {:>5.1}  {:>6.0} Mcells/s  {:>6.1} ns/row",
+                    L::NAME, c.cells as f64 / c.rows as f64, c.cells as f64 * 1e3 / ns, ns / c.rows as f64
+                );
+            }
+        }
+    }
+
+    /// `cargo test --release -p dibella-align print_rates -- --ignored --nocapture`
+    #[test]
+    #[ignore = "a measurement, not a check"]
+    fn print_rates_of_every_lane_word() {
+        for_every_lane_word!(print_rates());
     }
 
     #[test]
@@ -380,8 +469,7 @@ mod tests {
         // the scalar oracle.
         #[test]
         fn vector_matches_scalar_oracle(seed in 0u64..1_000_000) {
-            random_cases_match_scalar::<[i16; 8]>(seed);
-            random_cases_match_scalar::<Word>(seed);
+            for_every_lane_word!(random_cases_match_scalar(seed));
         }
     }
 }

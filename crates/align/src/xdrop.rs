@@ -49,6 +49,8 @@ pub struct ExtendResult {
 pub struct ExtendCounters {
     /// DP cells evaluated (sum of live-band widths over all rows).
     pub cells: u64,
+    /// DP rows evaluated (row 0 included), so `cells / rows` is the mean band.
+    pub rows: u64,
     /// Widest live band observed in any single row.
     pub band_peak: u64,
     /// Extensions stopped by the x-drop test before consuming all of `a`.
@@ -61,6 +63,7 @@ impl ExtendCounters {
     /// Fold another counter set into this one (`band_peak` takes the max).
     pub fn merge(&mut self, other: &ExtendCounters) {
         self.cells += other.cells;
+        self.rows += other.rows;
         self.band_peak = self.band_peak.max(other.band_peak);
         self.terminations += other.terminations;
         self.calls += other.calls;
@@ -130,6 +133,7 @@ pub fn xdrop_extend_with(
         }
     }
     counters.cells += scratch.prev.len() as u64;
+    counters.rows += 1;
     counters.band_peak = counters.band_peak.max(scratch.prev.len() as u64);
     if scratch.prev.is_empty() {
         return ExtendResult { score: 0, ext_a: 0, ext_b: 0 };
@@ -179,6 +183,7 @@ pub fn xdrop_extend_with(
             scratch.cur.push(sc);
         }
         counters.cells += scratch.cur.len() as u64;
+        counters.rows += 1;
         counters.band_peak = counters.band_peak.max(scratch.cur.len() as u64);
 
         // Fold the finished row into `best` (first attainment wins ties).

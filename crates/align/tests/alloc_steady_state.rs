@@ -40,7 +40,15 @@ fn steady_state_alignment_allocates_nothing() {
     let h_rc = h.reverse_complement();
     let config = AlignmentConfig::for_tests();
 
+    // A cold scratch holds no buffer, and the first vector extension grows
+    // the three buffers (`prev`, `cur`, `sub`) of the one lane word this host
+    // runs: the scratch of the other word costs nothing, ever.
     let mut scratch = AlignScratch::new();
+    let allocs = count_allocs(|| {
+        let (v, h) = (v.codes(), h.codes());
+        let _ = xdrop_extend_auto(v, h, ScoringScheme::default(), 20, ExtendEngine::Auto, &mut scratch);
+    });
+    assert_eq!(allocs, 3, "one lane word's buffers, each grown once");
     let mut cache = OrientCache::new();
 
     // Warm-up: grows the DP buffers, substitution tables, reversed-prefix

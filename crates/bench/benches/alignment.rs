@@ -6,9 +6,9 @@
 //! reads pruned, a second seed only when the first finds no overlap) on the
 //! `DatasetSpec::Small` overlap workload under both engines — the scalar
 //! oracle and `ExtendEngine::Auto`'s lane-packed vector kernel (on the lane
-//! word `VECTOR_KERNEL` names).  Both engines do identical work, so each is
+//! word `vector_kernel()` names: the widest this host has).  Both engines do identical work, so each is
 //! reported as absolute aligned-cells/sec next to the work counters
-//! (`aligned_cells`, `pruned_pairs`, `seeds_skipped`, `extend_calls`) that
+//! (`aligned_cells`, `dp_rows`, `pruned_pairs`, `seeds_skipped`, `extend_calls`) that
 //! say how much of the candidate set was aligned at all.  To keep the bench
 //! inside a CI budget the candidate set is subsampled (every
 //! `PAIR_STRIDE`-th upper-triangle pair, recorded in the JSON).  CI runs this
@@ -21,8 +21,8 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use dibella_align::{
-    align_seed_pair_with, xdrop_extend, xdrop_extend_auto, AlignScratch, AlignmentConfig,
-    ExtendEngine, ScoringScheme, VECTOR_KERNEL,
+    align_seed_pair_with, vector_kernel, xdrop_extend, xdrop_extend_auto, AlignScratch,
+    AlignmentConfig, ExtendEngine, ScoringScheme,
 };
 use dibella_dist::{CommStats, ProcessGrid};
 use dibella_overlap::{
@@ -175,6 +175,7 @@ fn stage_throughput() {
     let rate = |secs: f64| if secs > 0.0 { cells as f64 / secs / 1e6 } else { 0.0 };
     let scalar_rate = rate(scalar_secs);
     let vector_rate = rate(vector_secs);
+    let kernel = vector_kernel();
 
     println!(
         "\nalignment stage throughput (DatasetSpec::Small, every {PAIR_STRIDE}th of \
@@ -182,7 +183,7 @@ fn stage_throughput() {
     );
     println!(
         "  reads={} sampled_pairs={} aligned_pairs={} pruned_pairs={} seeds_skipped={} \
-         extensions={} ({} {VECTOR_KERNEL} / {} scalar)",
+         extensions={} ({} {kernel} / {} scalar)",
         ds.reads.len(),
         ostats.candidate_pairs,
         ostats.aligned_pairs,
@@ -193,12 +194,12 @@ fn stage_throughput() {
         exec.scalar_calls
     );
     println!(
-        "  DP cells: {cells}; peak band width {}; x-drop early stops {}",
-        exec.band_width_peak, exec.xdrop_terminations
+        "  DP cells: {cells} in {} rows; peak band width {}; x-drop early stops {}",
+        exec.dp_rows, exec.band_width_peak, exec.xdrop_terminations
     );
     println!("  scalar oracle:  {:>10.3} ms  ({scalar_rate:.1} Mcells/s)", scalar_secs * 1e3);
     println!(
-        "  {VECTOR_KERNEL} (Auto):    {:>10.3} ms  ({vector_rate:.1} Mcells/s)",
+        "  {kernel} (Auto):    {:>10.3} ms  ({vector_rate:.1} Mcells/s)",
         vector_secs * 1e3
     );
 
@@ -220,6 +221,7 @@ fn stage_throughput() {
             "  \"simd_calls\": {simd},\n",
             "  \"scalar_calls\": {scalar},\n",
             "  \"aligned_cells\": {cells},\n",
+            "  \"dp_rows\": {rows},\n",
             "  \"band_width_peak\": {band},\n",
             "  \"xdrop_terminations\": {stops},\n",
             "  \"scalar_secs\": {scal:.6},\n",
@@ -230,7 +232,7 @@ fn stage_throughput() {
         ),
         dataset = DatasetSpec::Small.label(),
         threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        kernel = VECTOR_KERNEL,
+        kernel = kernel,
         reads = ds.reads.len(),
         total = total_pairs,
         stride = PAIR_STRIDE,
@@ -242,6 +244,7 @@ fn stage_throughput() {
         simd = exec.simd_calls,
         scalar = exec.scalar_calls,
         cells = cells,
+        rows = exec.dp_rows,
         band = exec.band_width_peak,
         stops = exec.xdrop_terminations,
         scal = scalar_secs,

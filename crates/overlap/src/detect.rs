@@ -189,6 +189,8 @@ pub use dibella_dist::extras::{ALIGNED_CELLS_KEY, BAND_WIDTH_PEAK_KEY, XDROP_TER
 pub struct AlignExecStats {
     /// DP cells evaluated (live-band widths summed over every extension row).
     pub aligned_cells: u64,
+    /// Extension rows evaluated; `aligned_cells / dp_rows` is the mean band.
+    pub dp_rows: u64,
     /// Widest adaptive band of any single extension row.
     pub band_width_peak: u64,
     /// Extensions stopped early by the x-drop test.
@@ -199,8 +201,8 @@ pub struct AlignExecStats {
     /// Stored seeds of aligned pairs never extended because an earlier seed
     /// of the pair already gave a dovetail or a containment.
     pub seeds_skipped: u64,
-    /// Extensions dispatched to the lane-packed vector kernel (whichever
-    /// lane word the target has: `dibella_align::VECTOR_KERNEL`).
+    /// Extensions dispatched to the lane-packed vector kernel (on the lane
+    /// word this host has: `dibella_align::vector_kernel()`).
     pub simd_calls: u64,
     /// Extensions dispatched to the scalar oracle.
     pub scalar_calls: u64,
@@ -225,7 +227,7 @@ struct WorkerState {
 /// are folded into the set that prunes later pairs; 64 and 256 prune alike
 /// (29.6% of the unpruned cells on the `clr-long` benchmark workload), 1 024
 /// lets 40.1% through, and shorter waves only add barriers.
-const WAVE_PAIRS: usize = 256;
+pub const WAVE_PAIRS: usize = 256;
 
 /// Align every candidate pair, classify the alignments, and assemble the
 /// pruned overlap matrix `R`.
@@ -357,6 +359,7 @@ fn align_in_waves(
     for worker in bench.into_inner().unwrap_or_else(PoisonError::into_inner) {
         let counters = worker.scratch.counters;
         exec.aligned_cells += counters.cells;
+        exec.dp_rows += counters.rows;
         exec.band_width_peak = exec.band_width_peak.max(counters.band_peak);
         exec.xdrop_terminations += counters.terminations;
         exec.extend_calls += counters.calls;
@@ -771,6 +774,7 @@ mod tests {
                 // Cell/band/termination accounting is engine- and
                 // thread-count-deterministic (rc_orientations is not).
                 assert_eq!(exec.aligned_cells, reference.2.aligned_cells);
+                assert_eq!(exec.dp_rows, reference.2.dp_rows);
                 assert_eq!(exec.band_width_peak, reference.2.band_width_peak);
                 assert_eq!(exec.xdrop_terminations, reference.2.xdrop_terminations);
                 assert_eq!(exec.extend_calls, reference.2.extend_calls);

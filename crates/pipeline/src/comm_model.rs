@@ -147,6 +147,23 @@ impl CommModel {
         }
     }
 
+    /// The alignment stage's share of overlap detection: the pairs that pass
+    /// the shared-k-mer filter are aligned in waves of
+    /// [`dibella_overlap::WAVE_PAIRS`], and after each wave one
+    /// bitwise-OR all-reduce folds the `⌈n/64⌉`-word contained-read bitmap —
+    /// a reduce plus a broadcast over the `P` ranks.  Exact, not asymptotic:
+    /// the instrumentation must post exactly this.
+    pub fn alignment_waves(&self, candidate_pairs: usize, reads: usize) -> PhaseCost {
+        let waves = candidate_pairs.div_ceil(dibella_overlap::WAVE_PAIRS) as f64;
+        let peers = self.p as f64 - 1.0;
+        let aggregate = waves * 2.0 * reads.div_ceil(64) as f64 * peers;
+        PhaseCost {
+            aggregate_words: aggregate,
+            per_process_words: aggregate / self.p as f64,
+            aggregate_messages: waves * 2.0 * peers,
+        }
+    }
+
     /// Overlap detection with the 1D outer product: `W = a²m/P` per process.
     /// (The model ignores the local merging of duplicate partial products, so
     /// it is an upper bound at small `P`.)
@@ -298,6 +315,14 @@ mod tests {
         assert!(y1d > y2d);
         assert!((y1d - 63.0).abs() < 1e-9);
         assert!((y2d - 14.0).abs() < 1e-9); // 2(√P - 1) = 14
+    }
+
+    #[test]
+    fn alignment_waves_price_one_allreduce_per_wave() {
+        // DESIGN.md's `clr-long` figures: 14 waves × 2 bitmap words at P = 16.
+        let cost = CommModel::new(params(), 16).alignment_waves(14 * 256 - 3, 128);
+        assert_eq!((cost.aggregate_words, cost.aggregate_messages), (840.0, 420.0));
+        assert_eq!(CommModel::new(params(), 1).alignment_waves(5_000, 128).aggregate_words, 0.0);
     }
 
     #[test]
