@@ -118,10 +118,10 @@ fn measure<T>(budget: Duration, min_samples: usize, mut f: impl FnMut() -> T) ->
     samples.iter().sum::<f64>() / samples.len() as f64
 }
 
-/// Every `PAIR_STRIDE`-th upper-triangle candidate pair enters the timed
-/// subsample (mirrored back to a symmetric matrix, like the real candidate
-/// output).  Stride 1 would time the full Small workload (~10 Gcells): fine
-/// interactively, far past a CI budget.
+/// Every `PAIR_STRIDE`-th candidate pair enters the timed subsample (an
+/// upper-triangular matrix, like the real candidate output).  Stride 1 would
+/// time the full Small workload (~10 Gcells): fine interactively, far past a
+/// CI budget.
 const PAIR_STRIDE: usize = 32;
 
 /// The alignment-stage throughput record written to `BENCH_align.json`.
@@ -140,17 +140,10 @@ fn stage_throughput() {
     let all_candidates = detect_candidates_2d_with(&a, &stats, true);
     let mut total_pairs = 0usize;
     let mut t = Triples::new(all_candidates.nrows(), all_candidates.ncols());
-    for (idx, (i, j, c)) in all_candidates
-        .to_triples()
-        .into_entries()
-        .into_iter()
-        .filter(|(i, j, _)| i < j)
-        .enumerate()
-    {
+    for (idx, (i, j, c)) in all_candidates.to_triples().into_entries().into_iter().enumerate() {
         total_pairs += 1;
         if idx % PAIR_STRIDE == 0 {
             t.push(i, j, c);
-            t.push(j, i, c);
         }
     }
     let candidates: DistMat2D<CommonKmers> = DistMat2D::from_triples(ProcessGrid::square(1), &t);

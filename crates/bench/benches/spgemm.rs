@@ -4,12 +4,13 @@
 //!
 //! The JSON artifact times the kernels the pipelines run on the
 //! `DatasetSpec::Small` overlap workload (`C = A·Aᵀ` over the shared-k-mer
-//! semiring): the symmetric SUMMA and its general reference
-//! `summa(a, aᵀ)` at P = 4, the local symmetric and general kernels, and a
-//! uniform random `PlusTimes` product for the dense-SPA fast path — all on
-//! the row-wise kernels — plus the symmetric SUMMA at P = 16 on a HiFi-shaped
-//! input, whose blocks multiply ~20 products per output coordinate and take
-//! the k-major kernel (the record says how many took which).  Every
+//! semiring): the symmetric SUMMA (the upper triangle of `C`) and its general
+//! reference `summa(a, aᵀ)` (all of it) at P = 4, the local symmetric and
+//! general kernels, and a uniform random `PlusTimes` product for the
+//! dense-SPA fast path — all on the row-wise kernels — plus the symmetric
+//! SUMMA at P = 16 on a HiFi-shaped input, whose blocks multiply ~20 products
+//! per output coordinate and take the k-major kernel (the record says how
+//! many took which).  Every
 //! entry is absolute — seconds, useful flops and Mflop/s — next to the
 //! accumulator probes and the peak row width; the general kernels do about
 //! twice the symmetric ones' flops, so compare seconds between the two and
@@ -79,7 +80,7 @@ fn bench_spgemm(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("summa_2d_aat_sym", p), &p, |bencher, _| {
-            bencher.iter(|| summa_aat_sym::<PlusTimes<i64>>(&da, WORDS, &CommStats::new(), phase))
+            bencher.iter(|| summa_aat_sym::<PlusTimes<i64>>(&da, WORDS.0, &CommStats::new(), phase))
         });
         group.bench_with_input(BenchmarkId::new("outer_product_1d_aat", p), &p, |bencher, _| {
             bencher.iter(|| outer1d_aat::<PlusTimes<i64>>(&a, p, 3, &CommStats::new(), phase))
@@ -207,7 +208,7 @@ fn throughput_record() {
 
     // The two paths `OverlapConfig::use_symmetric_summa` selects between.
     let summa_sym = Timed::distributed(|stats| {
-        summa_aat_sym::<OverlapSemiring>(&da, WORDS, stats, phase)
+        summa_aat_sym::<OverlapSemiring>(&da, WORDS.0, stats, phase)
     });
     let summa_general = Timed::distributed(|stats| {
         summa::<OverlapSemiring>(&da, &da.transpose(), WORDS, stats, phase)
@@ -228,7 +229,7 @@ fn throughput_record() {
     // The dense side of the block-kernel rule: HiFi-shaped reads at P = 16.
     let hifi = hifi_a_matrix(ProcessGrid::square(16));
     let summa_sym_p16 = Timed::distributed(|stats| {
-        summa_aat_sym::<OverlapSemiring>(&hifi, WORDS, stats, phase)
+        summa_aat_sym::<OverlapSemiring>(&hifi, WORDS.0, stats, phase)
     });
     let (hifi_k_major, hifi_row_wise) = kernel_census(&hifi);
     let (small_k_major, small_row_wise) = kernel_census(&da);

@@ -14,7 +14,6 @@ use dibella_bench::{
     alignment_cell_rate, benchmark_dataset, fmt, phase_flop_rate, print_header, print_row,
     SimulatedBreakdown,
 };
-use dibella_dist::collectives::{p2p_messages_key, p2p_words_key};
 use dibella_dist::{CommPhase, CommStats};
 use dibella_overlap::{BAND_WIDTH_PEAK_KEY, XDROP_TERMINATIONS_KEY};
 use dibella_pipeline::{run_dibella_2d, PipelineConfig, StageTimings};
@@ -66,28 +65,6 @@ fn main() {
                 println!(
                     "  SpGEMM (AAᵀ): {spgemm_flops} useful flops at {spgemm_rate:.1} Mflop/s; \
                      TrReduction squarings: {tr_flops} flops at {tr_rate:.1} Mflop/s"
-                );
-
-                // The symmetric SUMMA's cross-diagonal block exchange,
-                // split out of the phase totals: halving the AAᵀ flops buys
-                // (P − √P)/2 point-to-point block sends.
-                let p2p_words = out
-                    .comm
-                    .extras
-                    .get(&p2p_words_key(CommPhase::OverlapDetection))
-                    .copied()
-                    .unwrap_or(0);
-                let p2p_msgs = out
-                    .comm
-                    .extras
-                    .get(&p2p_messages_key(CommPhase::OverlapDetection))
-                    .copied()
-                    .unwrap_or(0);
-                let spgemm_phase = out.comm.phase(CommPhase::OverlapDetection);
-                println!(
-                    "  SpGEMM comm: {} words / {} messages total, of which the \
-                     cross-diagonal exchange is {p2p_words} words / {p2p_msgs} messages",
-                    spgemm_phase.words, spgemm_phase.messages
                 );
 
                 // Alignment throughput from the batched x-drop engine's cell

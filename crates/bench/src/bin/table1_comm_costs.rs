@@ -11,9 +11,9 @@
 //! ```
 //!
 //! The two 2D overlap-detection rows and the alignment-wave row are a check,
-//! not just a print: the process exits non-zero when the measured messages of
-//! `2D`, `2D sym` or `waves` differ from `comm_model.rs` at all, or the
-//! measured words by more than 1% (`waves`: at all) — CI runs this binary, so
+//! not just a print: the process exits non-zero when the measured words or
+//! messages of `2D`, `2D sym` or `waves` differ from `comm_model.rs` at all,
+//! or `2D sym` is not exactly half of `2D` in both — CI runs this binary, so
 //! an edit to a function that posts those collectives cannot drift from the
 //! model unseen.
 
@@ -92,15 +92,21 @@ fn main() {
         let _ = detect_candidates_2d_with(&a2d, &comm2d, false);
         let od2 = comm2d.snapshot().phase(CommPhase::OverlapDetection);
         emit(p, "Overlap detection", "2D", od2.words, model.overlap_2d().aggregate_words, od2.messages, model.overlap_2d().aggregate_messages);
-        drifted.extend(drift(p, "2D", od2.words, model.overlap_2d().aggregate_words, od2.messages, model.overlap_2d().aggregate_messages, 0.01));
+        drifted.extend(drift(p, "2D", od2.words, model.overlap_2d().aggregate_words, od2.messages, model.overlap_2d().aggregate_messages));
 
         // Overlap detection, symmetric 2D SUMMA (the pipeline default):
-        // half the broadcast traffic plus the cross-diagonal exchange.
+        // half the broadcast traffic and nothing else.
         let comm2s = CommStats::new();
         let c2s = detect_candidates_2d_with(&a2d, &comm2s, true);
         let od2s = comm2s.snapshot().phase(CommPhase::OverlapDetection);
         emit(p, "Overlap detection", "2D sym", od2s.words, model.overlap_2d_sym().aggregate_words, od2s.messages, model.overlap_2d_sym().aggregate_messages);
-        drifted.extend(drift(p, "2D sym", od2s.words, model.overlap_2d_sym().aggregate_words, od2s.messages, model.overlap_2d_sym().aggregate_messages, 0.01));
+        drifted.extend(drift(p, "2D sym", od2s.words, model.overlap_2d_sym().aggregate_words, od2s.messages, model.overlap_2d_sym().aggregate_messages));
+        if (2 * od2s.words, 2 * od2s.messages) != (od2.words, od2.messages) {
+            drifted.push(format!(
+                "P={p} 2D sym: {} words / {} messages are not half of 2D's {} / {}",
+                od2s.words, od2s.messages, od2.words, od2.messages
+            ));
+        }
 
         // Overlap detection, the alignment stage on those candidates: one
         // all-reduce of the contained-read bitmap per wave, held exactly.
@@ -109,7 +115,7 @@ fn main() {
         let odw = comm_al.snapshot().phase(CommPhase::OverlapDetection);
         let waves = model.alignment_waves(al.candidate_pairs, ds.num_reads());
         emit(p, "Overlap detection", "waves", odw.words, waves.aggregate_words, odw.messages, waves.aggregate_messages);
-        drifted.extend(drift(p, "waves", odw.words, waves.aggregate_words, odw.messages, waves.aggregate_messages, 0.0));
+        drifted.extend(drift(p, "waves", odw.words, waves.aggregate_words, odw.messages, waves.aggregate_messages));
 
         // Overlap detection, 1D outer product.
         let comm1d = CommStats::new();
@@ -168,20 +174,10 @@ fn main() {
 }
 
 /// What, if anything, separates a measured overlap-detection row from the
-/// model: messages must match exactly, words within `tolerance` of the model
-/// (1% for the SUMMA rows, whose `c` is an average; none for the waves).
-fn drift(
-    p: usize,
-    algo: &str,
-    mw: u64,
-    model_w: f64,
-    mm: u64,
-    model_m: f64,
-    tolerance: f64,
-) -> Option<String> {
-    let words_off = (mw as f64 - model_w).abs() > tolerance * model_w;
-    let messages_off = mm as f64 != model_m;
-    (words_off || messages_off).then(|| {
+/// model: words (the model's `a·m` is a rounded product) and messages must
+/// match exactly.
+fn drift(p: usize, algo: &str, mw: u64, model_w: f64, mm: u64, model_m: f64) -> Option<String> {
+    (mw as f64 != model_w.round() || mm as f64 != model_m).then(|| {
         format!("P={p} {algo}: measured {mw} words / {mm} messages, model {model_w:.0} / {model_m:.0}")
     })
 }

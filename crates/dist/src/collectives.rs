@@ -9,16 +9,6 @@
 use crate::comm::{CommPhase, CommStats};
 use rayon::pool;
 
-pub use crate::extras::{p2p_messages_key, p2p_words_key};
-
-/// The wire size of `T` in 8-byte words (`⌈size_of::<T>() / 8⌉`).
-///
-/// Callers that ship a more compact wire format than the in-memory layout
-/// (e.g. 2-bit packed k-mers) pass their own per-item word count instead.
-pub fn words_of<T>() -> u64 {
-    (std::mem::size_of::<T>() as u64).div_ceil(8)
-}
-
 /// Simulated `MPI_Alltoallv`: deliver `send[src][dst]` to rank `dst`,
 /// recording the traffic under `phase`.
 ///
@@ -128,29 +118,6 @@ pub fn record_allreduce(stats: &CommStats, phase: CommPhase, words: u64, group_s
     stats.record_rank_max(phase, words * peers);
 }
 
-/// Account for one simulated point-to-point send of `words` words between two
-/// distinct ranks (e.g. the cross-diagonal block exchange of the symmetric
-/// Sparse SUMMA, which ships each computed `C_{i,j}` block from rank `(i, j)`
-/// to its mirror rank `(j, i)`).
-///
-/// Follows the module's point-to-point convention: empty buffers are **not**
-/// sent (unlike broadcasts, a sender knows its buffer is empty and can skip
-/// the `MPI_Send`; the matching receive learns the count from a preceding
-/// size exchange the model folds into the payload message).  Besides the
-/// phase's word/message totals, the volume is tallied under the
-/// [`p2p_words_key`]/[`p2p_messages_key`] extras so reports can split
-/// point-to-point traffic from the collective (broadcast) traffic of the same
-/// phase.
-pub fn record_p2p(stats: &CommStats, phase: CommPhase, words: u64) {
-    if words == 0 {
-        return;
-    }
-    stats.record(phase, words, 1);
-    stats.record_rank_max(phase, words);
-    stats.bump_extra(&p2p_words_key(phase), words);
-    stats.bump_extra(&p2p_messages_key(phase), 1);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,37 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn p2p_records_words_one_message_and_the_phase_extras() {
-        let stats = CommStats::new();
-        record_p2p(&stats, CommPhase::OverlapDetection, 25);
-        record_p2p(&stats, CommPhase::OverlapDetection, 10);
-        assert_eq!(stats.words(CommPhase::OverlapDetection), 35);
-        assert_eq!(stats.messages(CommPhase::OverlapDetection), 2);
-        assert_eq!(stats.extra(&p2p_words_key(CommPhase::OverlapDetection)), 35);
-        assert_eq!(stats.extra(&p2p_messages_key(CommPhase::OverlapDetection)), 2);
-        // Other phases see nothing.
-        assert_eq!(stats.extra(&p2p_messages_key(CommPhase::KmerCounting)), 0);
-        assert_eq!(
-            stats.snapshot().phase(CommPhase::OverlapDetection).max_words_per_rank,
-            25
-        );
-    }
-
-    #[test]
-    fn empty_p2p_sends_are_free_unlike_empty_broadcasts() {
-        // Point-to-point convention: a sender skips empty buffers entirely.
-        let stats = CommStats::new();
-        record_p2p(&stats, CommPhase::Other, 0);
-        assert_eq!(stats.words(CommPhase::Other), 0);
-        assert_eq!(stats.messages(CommPhase::Other), 0);
-        assert_eq!(stats.extra(&p2p_messages_key(CommPhase::Other)), 0);
-        // Broadcast convention: the collective is posted regardless of payload.
-        record_broadcast(&stats, CommPhase::Other, 0, 3);
-        assert_eq!(stats.words(CommPhase::Other), 0);
-        assert_eq!(stats.messages(CommPhase::Other), 2);
-    }
-
-    #[test]
     fn rank_max_sees_receive_side_skew() {
         // Every rank sends one word, but rank 0 receives everything (a hash
         // hot spot): the per-rank max must reflect the receive side.
@@ -283,15 +219,6 @@ mod tests {
         let snap = stats.snapshot().phase(CommPhase::KmerCounting);
         assert_eq!(snap.words, 2);
         assert_eq!(snap.max_words_per_rank, 2, "rank 0 received 2 words");
-    }
-
-    #[test]
-    fn words_of_rounds_up_to_whole_words() {
-        assert_eq!(words_of::<u8>(), 1);
-        assert_eq!(words_of::<u64>(), 1);
-        assert_eq!(words_of::<[u64; 2]>(), 2);
-        assert_eq!(words_of::<[u8; 17]>(), 3);
-        assert_eq!(words_of::<()>(), 0);
     }
 
     #[test]

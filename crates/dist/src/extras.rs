@@ -1,8 +1,8 @@
 //! The single registry of `CommStats::extras` keys.
 //!
 //! The auxiliary counters that have no typed home yet — SpGEMM flops and
-//! probes, point-to-point traffic, x-drop cells, ingest supersteps, FASTQ
-//! drops — live in `CommStats::extras` under a string key.  A number that a
+//! probes, x-drop cells, ingest supersteps, FASTQ drops — live in
+//! `CommStats::extras` under a string key.  A number that a
 //! typed struct on the same output already carries (`TrOutcome::iterations`,
 //! `ConsensusSummary`, `SketchStats`) is not repeated here.
 //!
@@ -13,7 +13,7 @@
 //! module and nowhere else:
 //!
 //! * fixed keys are `pub const …_KEY: &str` items;
-//! * phase-suffixed families (`spgemm_flops_<Phase>`, `p2p_words_<Phase>`)
+//! * phase-suffixed families (`spgemm_flops_<Phase>`, `spgemm_probes_<Phase>`)
 //!   are `pub fn …_key(phase) -> String` builders.
 //!
 //! A CI grep (`.github/workflows/ci.yml`, "Extras keys come from the
@@ -41,18 +41,6 @@ pub fn probes_key(phase: CommPhase) -> String {
 /// `phase` (a maximum, not a sum).
 pub fn peak_row_width_key(phase: CommPhase) -> String {
     format!("spgemm_peak_row_width_{}", phase.name())
-}
-
-// --- Point-to-point traffic (symmetric SUMMA's cross-diagonal exchange) -----
-
-/// The `CommStats::extras` key counting point-to-point words for `phase`.
-pub fn p2p_words_key(phase: CommPhase) -> String {
-    format!("p2p_words_{}", phase.name())
-}
-
-/// The `CommStats::extras` key counting point-to-point messages for `phase`.
-pub fn p2p_messages_key(phase: CommPhase) -> String {
-    format!("p2p_messages_{}", phase.name())
 }
 
 // --- Alignment engine -------------------------------------------------------
@@ -106,8 +94,6 @@ mod tests {
         assert_eq!(flops_key(p), "spgemm_flops_OverlapDetection");
         assert_eq!(probes_key(p), "spgemm_probes_OverlapDetection");
         assert_eq!(peak_row_width_key(p), "spgemm_peak_row_width_OverlapDetection");
-        assert_eq!(p2p_words_key(p), "p2p_words_OverlapDetection");
-        assert_eq!(p2p_messages_key(p), "p2p_messages_OverlapDetection");
         // Families stay disjoint across phases.
         assert_ne!(flops_key(CommPhase::Other), flops_key(p));
     }

@@ -70,9 +70,7 @@ pub mod extras;
 mod grid;
 mod par;
 
-pub use collectives::{
-    alltoallv_counted, record_allreduce, record_broadcast, record_p2p, words_of,
-};
+pub use collectives::{alltoallv_counted, record_allreduce, record_broadcast};
 pub use comm::{CommPhase, CommSnapshot, CommStats, PhaseCounters};
 pub use grid::{BlockDist, ProcessGrid};
 pub use par::{par_ranks, par_ranks_mut, with_threads};

@@ -15,9 +15,7 @@ use dibella_align::{
     align_seed_pair_with, classify_alignment, AlignScratch, AlignmentConfig, BidirectedDir,
     ExtendEngine, OrientCache, OverlapClass, PairAlignment,
 };
-use dibella_dist::{
-    record_allreduce, words_of, BlockDist, CommPhase, CommStats, ProcessGrid,
-};
+use dibella_dist::{record_allreduce, BlockDist, CommPhase, CommStats, ProcessGrid};
 use dibella_seq::{KmerTable, ReadSet, Strand};
 use dibella_sparse::{summa, summa_aat_sym, DistMat2D, Triples};
 use rayon::pool;
@@ -34,11 +32,11 @@ pub struct OverlapConfig {
     /// Minimum number of shared reliable k-mers for a pair to be aligned.
     pub min_shared_kmers: u32,
     /// Compute `C = A·Aᵀ` with the symmetric SUMMA (`summa_aat_sym`): only
-    /// the grid blocks on or above the diagonal are multiplied and the rest
-    /// are mirrored across it — half the useful flops, at the cost of a
-    /// `(P − √P)/2`-message cross-diagonal block exchange.  The output is
+    /// the grid blocks on or above the diagonal are multiplied — half the
+    /// useful flops and half the stage broadcasts.  The output is
     /// bit-identical either way; `false` runs the general `summa` on `A` and
-    /// its blockwise transpose, the reference the symmetric kernel is held to.
+    /// its blockwise transpose and drops the lower triangle, the reference
+    /// the symmetric kernel is held to.
     pub use_symmetric_summa: bool,
     /// Alignment settings.
     pub alignment: AlignmentConfig,
@@ -84,7 +82,8 @@ pub struct OverlapStats {
     pub internal: usize,
     /// Pairs discarded for a low alignment score or a short overlap.
     pub below_threshold: usize,
-    /// `c` — average nonzeros per row of `C` (both triangles, Table III).
+    /// `c` — average nonzeros per row of `C` (both triangles, Table III):
+    /// `2 · candidate_pairs / n`.
     pub c_density: f64,
     /// `r` — average nonzeros per row of `R` (Table III).
     pub r_density: f64,
@@ -95,7 +94,8 @@ pub struct OverlapStats {
 pub struct OverlapOutput {
     /// The occurrence matrix `A` (reads × k-mers).
     pub a: DistMat2D<KmerOccurrence>,
-    /// The candidate overlap matrix `C` (diagonal removed).
+    /// The candidate overlap matrix `C`: its strict upper triangle, one
+    /// entry per read pair `i < j`.
     pub candidates: DistMat2D<CommonKmers>,
     /// The overlap matrix `R` after alignment and pruning.
     pub overlaps: DistMat2D<OverlapEdge>,
@@ -111,15 +111,17 @@ pub fn read_exchange_words(len: usize) -> u64 {
 }
 
 /// Compute the candidate overlap matrix `C = A·Aᵀ` with Sparse SUMMA and
-/// remove the diagonal (a read trivially shares all its k-mers with itself).
+/// return its **strict upper triangle**: `C` is symmetric and every pair is
+/// aligned once, and a read trivially shares all its k-mers with itself.
+/// Grid blocks below the diagonal are empty.
 ///
 /// With `use_symmetric_summa` (the [`OverlapConfig`] default), `summa_aat_sym`
-/// multiplies only the grid blocks on or above the diagonal and mirrors the
-/// rest, recording the cross-diagonal block exchange as point-to-point
-/// traffic; otherwise the general `summa` multiplies `A` by its blockwise
-/// transpose and computes both triangles.  Either way every block of `A` is
-/// transposed locally and no word of it is re-distributed, and the two
-/// kernels produce bit-identical candidate matrices.
+/// multiplies only the upper triangle and only the diagonal is removed here;
+/// otherwise the general `summa` multiplies `A` by its blockwise transpose,
+/// computes both triangles and the lower one is dropped here as well.  Either
+/// way every block of `A` is transposed locally and no word of it is
+/// re-distributed, and the two kernels produce bit-identical candidate
+/// matrices.
 pub fn detect_candidates_2d_with(
     a: &DistMat2D<KmerOccurrence>,
     stats: &CommStats,
@@ -127,13 +129,12 @@ pub fn detect_candidates_2d_with(
 ) -> DistMat2D<CommonKmers> {
     let phase = CommPhase::OverlapDetection;
     // A k-mer occurrence travels as (column index, position+orientation): 2
-    // words; an exchanged C entry as (column index, count + seed list).
-    let c = if use_symmetric_summa {
-        summa_aat_sym::<OverlapSemiring>(a, (2, words_of::<CommonKmers>() + 1), stats, phase)
+    // words.
+    if use_symmetric_summa {
+        summa_aat_sym::<OverlapSemiring>(a, 2, stats, phase).filter(|r, col, _| r != col)
     } else {
-        summa::<OverlapSemiring>(a, &a.transpose(), (2, 2), stats, phase)
-    };
-    c.filter(|r, col, _| r != col)
+        summa::<OverlapSemiring>(a, &a.transpose(), (2, 2), stats, phase).filter(|r, col, _| r < col)
+    }
 }
 
 /// Account for the sequence exchange of the 2D algorithm (Section V-C).
@@ -298,12 +299,13 @@ fn align_in_waves(
 ) -> (DistMat2D<OverlapEdge>, OverlapStats, AlignExecStats, Vec<bool>) {
     let mut stats = OverlapStats::default();
     let n = reads.len();
-    stats.c_density = if n > 0 { candidates.nnz() as f64 / n as f64 } else { 0.0 };
 
-    // Work on the upper triangle only; every pair is aligned at most once.
+    // Work on the upper triangle only (all a caller need pass); every pair
+    // is aligned at most once.
     let mut pairs = candidates.to_triples().into_entries();
     pairs.retain(|(i, j, _)| i < j);
     stats.candidate_pairs = pairs.len();
+    stats.c_density = if n > 0 { 2.0 * pairs.len() as f64 / n as f64 } else { 0.0 };
     pairs.retain(|(_, _, common)| common.count >= config.min_shared_kmers);
     pairs.sort_unstable_by_key(|&(i, j, _)| {
         let (a, b) = (reads.seq(i).len(), reads.seq(j).len());
@@ -523,14 +525,16 @@ mod tests {
 
     #[test]
     fn candidate_matrix_pattern_is_symmetric() {
+        // ... so only its strict upper triangle is stored.
         let (ds, table, cfg) = setup(2);
         let grid = ProcessGrid::square(1);
         let comm = CommStats::new();
         let a = build_a_matrix(&ds.reads, &table, cfg.k, grid, 2);
         let c = detect_candidates_2d_with(&a, &comm, true);
         let local = c.to_local_csr();
+        assert!(local.nnz() > 0);
         for (i, j, _) in local.iter() {
-            assert!(local.get(j, i).is_some(), "C({j},{i}) missing for C({i},{j})");
+            assert!(i < j, "C({i},{j}) is on or below the diagonal");
         }
     }
 
@@ -686,27 +690,6 @@ mod tests {
             }
         }
         assert!(k_major >= 10, "the comparison must reach the k-major kernel ({k_major} of 20 blocks)");
-    }
-
-    #[test]
-    fn symmetric_summa_records_the_cross_diagonal_exchange() {
-        let (ds, table, cfg) = setup(9);
-        let grid = ProcessGrid::square(9);
-        let a = build_a_matrix(&ds.reads, &table, cfg.k, grid, 9);
-        let comm = CommStats::new();
-        let _ = detect_candidates_2d_with(&a, &comm, true);
-        let msgs = comm
-            .extra(&dibella_dist::collectives::p2p_messages_key(CommPhase::OverlapDetection));
-        assert!(msgs > 0, "cross-diagonal exchange must be accounted");
-        assert!(msgs <= (9 - 3) / 2, "at most (P − √P)/2 block sends");
-        // The general path records no point-to-point traffic at all.
-        let comm_gen = CommStats::new();
-        let _ = detect_candidates_2d_with(&a, &comm_gen, false);
-        assert_eq!(
-            comm_gen
-                .extra(&dibella_dist::collectives::p2p_messages_key(CommPhase::OverlapDetection)),
-            0
-        );
     }
 
     #[test]

@@ -19,13 +19,14 @@ use dibella_sparse::outer1d::outer1d_aat;
 use dibella_sparse::{CsrMatrix, DistMat2D};
 use std::collections::BTreeSet;
 
-/// Compute the candidate overlap matrix with the 1D outer-product algorithm
-/// over `nprocs` ranks, recording the reduction traffic.
+/// Compute the candidate overlap matrix — its strict upper triangle, as the
+/// 2D path returns it — with the 1D outer-product algorithm over `nprocs`
+/// ranks, recording the reduction traffic.
 ///
 /// Uses the symmetric `A·Aᵀ` kernel: each rank slices its column block
-/// directly out of `A`'s CSR arrays, multiplies the upper triangle of the
-/// (mirror-symmetric) partial product against the slice's transpose and
-/// mirrors the rest, so only half the products are formed.
+/// directly out of `A`'s CSR arrays and multiplies the upper triangle of the
+/// (symmetric) partial product against the slice's transpose, so each read
+/// pair is formed, shipped and merged once.
 pub fn detect_candidates_1d(
     a: &CsrMatrix<crate::types::KmerOccurrence>,
     nprocs: usize,
@@ -33,13 +34,14 @@ pub fn detect_candidates_1d(
 ) -> CsrMatrix<CommonKmers> {
     // A partial candidate entry travels as (row, col, count + one seed): ~4 words.
     let result = outer1d_aat::<OverlapSemiring>(a, nprocs, 4, stats, CommPhase::OverlapDetection);
-    result.to_local_csr(a.nrows()).filter(|r, c, _| r != c)
+    result.to_local_csr(a.nrows()).filter(|r, c, _| r < c)
 }
 
 /// Account for diBELLA 1D's read exchange (Section V-C): every rank owns a
 /// block of `C`'s rows and already holds those reads; it must fetch the
 /// column read of every nonzero it is responsible for (at most one read per
-/// nonzero), from the rank that owns it in the 1D distribution.
+/// nonzero), from the rank that owns it in the 1D distribution.  `candidates`
+/// holds each pair once, so a pair costs at most one fetched read.
 pub fn account_read_exchange_1d(
     reads: &ReadSet,
     candidates: &CsrMatrix<CommonKmers>,

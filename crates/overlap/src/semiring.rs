@@ -5,9 +5,12 @@
 //! the addition operator by incrementing the counter of common k-mers [...]
 //! and storing the positions of another common k-mer [...] as long as it is
 //! smaller than the number of positions to be stored."
+//!
+//! `C[j][i]` would hold the count of `C[i][j]` and the same seeds with
+//! `pos_v`/`pos_h` swapped, so only `C[i][j]`, `i < j`, is ever formed: a
+//! seed's `pos_v` is a position in the lower-numbered read.
 
 use crate::types::{CommonKmers, KmerOccurrence, SharedSeed, MAX_SEEDS};
-use dibella_sparse::semiring::MirrorSemiring;
 use dibella_sparse::Semiring;
 
 /// Semiring computing [`CommonKmers`] from pairs of [`KmerOccurrence`]s.
@@ -55,24 +58,6 @@ fn shared_seed(a: &KmerOccurrence, b: &KmerOccurrence) -> SharedSeed {
     SharedSeed { pos_v: a.pos, pos_h: b.pos, same_strand: a.forward == b.forward }
 }
 
-/// `C = A·Aᵀ` is mirror-symmetric for the overlap semiring: `C[j][i]` holds
-/// the same shared-k-mer count as `C[i][j]`, with every seed's row/column
-/// positions swapped (the same k-mers contribute, in the same order).  The
-/// symmetric SpGEMM kernels exploit this to compute only the upper triangle.
-impl MirrorSemiring for OverlapSemiring {
-    fn mirror(out: &CommonKmers) -> CommonKmers {
-        let mut mirrored = CommonKmers { count: out.count, seeds: Default::default() };
-        for seed in &out.seeds {
-            mirrored.seeds.push(SharedSeed {
-                pos_v: seed.pos_h,
-                pos_h: seed.pos_v,
-                same_strand: seed.same_strand,
-            });
-        }
-        mirrored
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,21 +75,6 @@ mod tests {
         assert!(!rc.seeds[0].same_strand);
         let rc2 = OverlapSemiring::multiply(&occ(5, false), &occ(9, false)).unwrap();
         assert!(rc2.seeds[0].same_strand, "both reverse means same relative strand");
-    }
-
-    #[test]
-    fn mirror_swaps_seed_positions_and_keeps_the_count() {
-        let mut acc = OverlapSemiring::multiply(&occ(1, true), &occ(2, false)).unwrap();
-        OverlapSemiring::add(&mut acc, OverlapSemiring::multiply(&occ(3, true), &occ(4, true)).unwrap());
-        OverlapSemiring::add(&mut acc, OverlapSemiring::multiply(&occ(5, true), &occ(6, true)).unwrap());
-        let mirrored = OverlapSemiring::mirror(&acc);
-        assert_eq!(mirrored.count, acc.count);
-        assert_eq!(mirrored.seeds.len(), acc.seeds.len());
-        for (m, o) in mirrored.seeds.iter().zip(acc.seeds.iter()) {
-            assert_eq!(m.pos_v, o.pos_h);
-            assert_eq!(m.pos_h, o.pos_v);
-            assert_eq!(m.same_strand, o.same_strand);
-        }
     }
 
     #[test]

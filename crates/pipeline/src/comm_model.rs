@@ -120,30 +120,17 @@ impl CommModel {
         }
     }
 
-    /// Overlap detection with the **symmetric** (grid-diagonal mirrored) 2D
-    /// Sparse SUMMA, the `OverlapConfig::use_symmetric_summa` default: each block of `A` is
-    /// broadcast `√P − 1` times in total (vs `2(√P − 1)` for the general
-    /// path), and the strictly-upper off-diagonal blocks of `C` — about
-    /// `c·n/2 · (1 − 1/√P)` entries — travel point-to-point across the grid
-    /// diagonal in `(P − √P)/2` messages at the `C`-entry wire size.
+    /// Overlap detection with the **symmetric** (upper-triangular) 2D Sparse
+    /// SUMMA, the `OverlapConfig::use_symmetric_summa` default: each block of
+    /// `A` is broadcast `√P − 1` times in total (vs `2(√P − 1)` for the
+    /// general path) and nothing else moves — exactly half of
+    /// [`overlap_2d`](Self::overlap_2d).
     pub fn overlap_2d_sym(&self) -> PhaseCost {
-        let pm = &self.params;
-        let nnz_a = pm.a * pm.m as f64;
-        let broadcast =
-            nnz_a * ModelParams::SPGEMM_ENTRY_WORDS as f64 * (self.sqrt_p() - 1.0);
-        // Strict upper triangle of C, minus the share living in the √P
-        // diagonal grid blocks (those are mirrored locally, never shipped);
-        // priced at the same wire size the instrumentation uses.
-        let exchange_entries =
-            pm.c * pm.n as f64 / 2.0 * (1.0 - 1.0 / self.sqrt_p());
-        let exchange_entry_words =
-            (dibella_dist::words_of::<dibella_overlap::CommonKmers>() + 1) as f64;
-        let aggregate = broadcast + exchange_entries * exchange_entry_words;
+        let full = self.overlap_2d();
         PhaseCost {
-            aggregate_words: aggregate,
-            per_process_words: aggregate / self.p as f64,
-            aggregate_messages: self.p as f64 * (self.sqrt_p() - 1.0)
-                + (self.p as f64 - self.sqrt_p()) / 2.0,
+            aggregate_words: full.aggregate_words / 2.0,
+            per_process_words: full.per_process_words / 2.0,
+            aggregate_messages: full.aggregate_messages / 2.0,
         }
     }
 
@@ -164,12 +151,13 @@ impl CommModel {
         }
     }
 
-    /// Overlap detection with the 1D outer product: `W = a²m/P` per process.
-    /// (The model ignores the local merging of duplicate partial products, so
-    /// it is an upper bound at small `P`.)
+    /// Overlap detection with the 1D outer product: `W = a²m/P` per process
+    /// asymptotically; a k-mer held by `a` reads emits each of its
+    /// `a(a+1)/2` read pairs once.  (The model ignores the local merging of
+    /// duplicate partial products, so it is an upper bound at small `P`.)
     pub fn overlap_1d(&self) -> PhaseCost {
         let pm = &self.params;
-        let partial_nnz = pm.a * pm.a * pm.m as f64;
+        let partial_nnz = pm.a * (pm.a + 1.0) / 2.0 * pm.m as f64;
         let off_node = (self.p as f64 - 1.0) / self.p as f64;
         let aggregate = partial_nnz * off_node * ModelParams::OUTER1D_ENTRY_WORDS as f64;
         PhaseCost {
@@ -196,17 +184,17 @@ impl CommModel {
     }
 
     /// Read exchange for the 1D pipeline: at most one read per candidate
-    /// nonzero, `c·n/P` reads per rank.
+    /// pair — `c/2` per row of `C`, `c·n/2P` reads per rank.
     pub fn read_exchange_1d(&self) -> PhaseCost {
         let pm = &self.params;
         let off_node = (self.p as f64 - 1.0) / self.p as f64;
-        let per_rank_reads = (pm.c * pm.n as f64 / self.p as f64 * off_node)
-            .min(pm.n as f64);
+        let pairs_per_rank = pm.c / 2.0 * pm.n as f64 / self.p as f64;
+        let per_rank_reads = (pairs_per_rank * off_node).min(pm.n as f64);
         let per_rank = per_rank_reads * pm.read_words() as f64;
         PhaseCost {
             aggregate_words: per_rank * self.p as f64,
             per_process_words: per_rank,
-            aggregate_messages: self.p as f64 * ((self.p - 1) as f64).min(pm.c * pm.n as f64 / self.p as f64),
+            aggregate_messages: self.p as f64 * ((self.p - 1) as f64).min(pairs_per_rank),
         }
     }
 
@@ -232,7 +220,9 @@ impl CommModel {
     /// would move fewer words per process than the 2D algorithm's — the
     /// paper's "(c²/4)-way parallelism" observation (Section V-C): the 1D
     /// exchange costs `c·n·l/P` against `2·n·l/√P` for 2D, so the 1D
-    /// algorithm needs `P > (c/2)²` to come out ahead.
+    /// algorithm needs `P > (c/2)²` to come out ahead.  (The paper's constant:
+    /// [`read_exchange_1d`](Self::read_exchange_1d) fetches one read per
+    /// *pair*, so this model's own curves cross at a quarter of it.)
     pub fn one_d_read_exchange_crossover(&self) -> f64 {
         (self.params.c / 2.0).powi(2)
     }

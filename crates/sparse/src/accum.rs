@@ -363,6 +363,60 @@ mod tests {
         assert_eq!(acc.extract_sorted(), vec![(42, 1)]);
     }
 
+    /// A value that reports its own drop: `drops[id]` must end at exactly 1.
+    struct Tracked<'a> {
+        id: usize,
+        sum: i64,
+        drops: &'a std::cell::RefCell<Vec<u32>>,
+    }
+
+    impl Drop for Tracked<'_> {
+        fn drop(&mut self) {
+            self.drops.borrow_mut()[self.id] += 1;
+        }
+    }
+
+    /// What stands in for Miri on the `MaybeUninit` slots: both accumulators
+    /// through salted random scatter / extract sequences that end mid-row,
+    /// against a `BTreeMap` — the same rows, and every value ever handed over
+    /// (merged away, extracted, or abandoned in the dropped accumulator)
+    /// dropped exactly once.
+    #[test]
+    fn accumulators_match_a_map_and_drop_every_value_exactly_once() {
+        for (policy, salt) in [AccumPolicy::ForceDense, AccumPolicy::ForceHash]
+            .into_iter()
+            .flat_map(|policy| (0..48u64).map(move |salt| (policy, salt)))
+        {
+            let drops = std::cell::RefCell::new(Vec::new());
+            let mut state = salt.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let mut next = |bound: usize| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 33) as usize % bound
+            };
+            let ncols = 1 + next(200);
+            let mut acc = Accumulator::<Tracked<'_>>::with_policy(ncols, policy);
+            let mut want = std::collections::BTreeMap::new();
+            for _ in 0..next(400) {
+                if next(16) == 0 {
+                    let row: Vec<_> =
+                        acc.extract_sorted().into_iter().map(|(c, v)| (c, v.sum)).collect();
+                    let want_row: Vec<_> = std::mem::take(&mut want).into_iter().collect();
+                    assert_eq!(row, want_row, "{policy:?} salt {salt}");
+                } else {
+                    let (col, sum) = (next(ncols), next(1000) as i64);
+                    let id = drops.borrow().len();
+                    drops.borrow_mut().push(0);
+                    acc.scatter(col, Tracked { id, sum, drops: &drops }, |a, b| a.sum += b.sum);
+                    *want.entry(col).or_insert(0) += sum;
+                }
+            }
+            assert_eq!(acc.len(), want.len(), "{policy:?} salt {salt}");
+            drop(acc);
+            let drops = drops.into_inner();
+            assert!(drops.iter().all(|&d| d == 1), "{policy:?} salt {salt}: drops {drops:?}");
+        }
+    }
+
     #[test]
     fn auto_policy_picks_by_width() {
         let auto = |ncols| Accumulator::<i64>::with_policy(ncols, AccumPolicy::Auto);

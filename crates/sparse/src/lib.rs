@@ -15,20 +15,20 @@
 //!   probing hash vector) and the [`accum::FlopCounter`] every kernel tallies
 //!   useful flops, probes and peak row width into.
 //! * [`spgemm`] — local (single-block) Gustavson SpGEMM over the reusable
-//!   accumulators: the general and the symmetric `A·Aᵀ` kernel, each with the
-//!   multi-stage accumulate-in-place entry point SUMMA uses, and the k-major
-//!   kernel a block of `A·Aᵀ` switches to when its products outnumber its
-//!   output coordinates.
+//!   accumulators: the general kernel and the upper-triangle `A·Aᵀ` kernel,
+//!   each with the multi-stage accumulate-in-place entry point SUMMA uses,
+//!   and the k-major kernel a block of `A·Aᵀ` switches to when its products
+//!   outnumber its output coordinates.
 //! * [`elementwise`] — the element-wise kernels of Algorithm 2: `Apply`,
 //!   `Prune`, `Reduce(Row, max)`, `DimApply`, element-wise intersection and
 //!   set-difference.
 //! * [`distmat::DistMat2D`] — a matrix block-distributed over a
 //!   [`dibella_dist::ProcessGrid`].
 //! * [`mod@summa`] — 2D Sparse SUMMA (`C = A·B` over a semiring, and the
-//!   symmetric `C = A·Aᵀ`) with communication accounting, the direct analogue
-//!   of CombBLAS' SpGEMM used in the paper.
-//! * [`outer1d`] — the 1D outer-product `A·Aᵀ` that models diBELLA 1D's
-//!   communication structure (Section V-B).
+//!   upper triangle of the symmetric `C = A·Aᵀ`) with communication
+//!   accounting, the direct analogue of CombBLAS' SpGEMM used in the paper.
+//! * [`outer1d`] — the 1D outer-product `A·Aᵀ` (upper triangle) that models
+//!   diBELLA 1D's communication structure (Section V-B).
 
 #![warn(missing_docs)]
 
@@ -45,7 +45,7 @@ pub mod triples;
 pub use accum::{AccumPolicy, Accumulator, FlopCounter};
 pub use csr::CsrMatrix;
 pub use distmat::DistMat2D;
-pub use semiring::{BoolAndOr, MinPlusNum, MirrorSemiring, PlusTimes, Semiring};
-pub use spgemm::{local_spgemm, local_spgemm_aat, mirror_block};
+pub use semiring::{BoolAndOr, MinPlusNum, PlusTimes, Semiring};
+pub use spgemm::{local_spgemm, local_spgemm_aat};
 pub use summa::{summa, summa_aat_sym};
 pub use triples::Triples;

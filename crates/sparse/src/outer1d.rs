@@ -8,14 +8,16 @@
 //! owners of `C`.  The reduction is the expensive part: each rank exchanges
 //! `a²m/P` words, compared with `a·m/sqrt(P)` for the 2D algorithm.
 //!
-//! This module implements that algorithm generically over a [`MirrorSemiring`]
+//! This module implements that algorithm generically over a [`Semiring`]
 //! so that the 1D-vs-2D comparison of Figure 9 and Table I runs the same local
-//! kernels and differs only in decomposition and communication — exactly the
-//! comparison the paper makes.
+//! kernels and differs only in decomposition and communication.  Like the
+//! symmetric SUMMA, it forms, ships and returns the **upper triangle** of `C`
+//! only: a k-mer's owner emits each read pair once, to one of the two read
+//! owners, as diBELLA 1D does (Ellis et al., ICPP 2019).
 
 use crate::accum::FlopCounter;
 use crate::csr::CsrMatrix;
-use crate::semiring::{MirrorSemiring, Semiring};
+use crate::semiring::Semiring;
 use crate::spgemm::{local_spgemm_aat, rows_to_csr};
 use crate::triples::Triples;
 use dibella_dist::{alltoallv_counted, par_ranks, BlockDist, CommPhase, CommStats};
@@ -56,24 +58,28 @@ impl<T: Clone> Outer1dResult<T> {
     }
 }
 
-/// Compute the symmetric `C = A·Aᵀ` with the 1D outer-product algorithm over
-/// `nprocs` virtual ranks, recording the reduction traffic into `stats` under
-/// `phase` at `entry_words` words per exchanged partial entry.
+/// Compute the upper triangle (diagonal included) of the symmetric
+/// `C = A·Aᵀ` with the 1D outer-product algorithm over `nprocs` virtual
+/// ranks, recording the reduction traffic into `stats` under `phase` at
+/// `entry_words` words per exchanged partial entry.
 ///
 /// `A` is split into block columns; rank `k` slices its block directly out of
 /// the CSR arrays (two binary searches per row) and forms the partial product
-/// `A[:, cols_k] · (A[:, cols_k])ᵀ`, which is itself mirror-symmetric, so it
-/// runs the upper-triangle [`local_spgemm_aat`] kernel.  The partial products
-/// are merged onto block-row owners of `C` with an all-to-all, which is the
-/// communication the paper's 1D analysis charges (`W_1D = a²m/P`,
-/// `Y_1D = P`).
-pub fn outer1d_aat<S: MirrorSemiring>(
+/// `A[:, cols_k] · (A[:, cols_k])ᵀ`, which is itself symmetric, so it runs
+/// the upper-triangle [`local_spgemm_aat`] kernel.  The partial products —
+/// each pair once — are merged onto block-row owners of `C` with an
+/// all-to-all, which is the communication the paper's 1D analysis charges
+/// (`W_1D = a²m/P`, `Y_1D = P`).
+pub fn outer1d_aat<S>(
     a: &CsrMatrix<S::Left>,
     nprocs: usize,
     entry_words: u64,
     stats: &CommStats,
     phase: CommPhase,
-) -> Outer1dResult<S::Out> {
+) -> Outer1dResult<S::Out>
+where
+    S: Semiring<Right = <S as Semiring>::Left>,
+{
     assert!(nprocs > 0, "need at least one rank");
     let n = a.nrows();
     let inner_dist = BlockDist::new(a.ncols(), nprocs);
@@ -166,9 +172,11 @@ mod tests {
         t
     }
 
-    /// `A·Aᵀ` through the general kernel against the materialised transpose.
+    /// The upper triangle of `A·Aᵀ` through the general kernel against the
+    /// materialised transpose.
     fn square(a: &CsrMatrix<i64>) -> CsrMatrix<i64> {
         local_spgemm::<PlusTimes<i64>>(a, &a.transpose(), &FlopCounter::new())
+            .filter(|r, c, _| r <= c)
     }
 
     #[test]

@@ -50,19 +50,6 @@ pub trait Semiring {
     }
 }
 
-/// A semiring whose `C = A·Aᵀ` output is mirror-symmetric: the product is
-/// fully determined by its upper triangle, with `C[j][i] = mirror(C[i][j])`.
-///
-/// This holds whenever `multiply(x, y)` and `multiply(y, x)` are related by a
-/// fixed involution (for commutative scalar semirings the involution is the
-/// identity; the overlap semiring swaps the two stored seed positions).  The
-/// symmetric SpGEMM kernels exploit it to halve the multiply work of `A·Aᵀ`;
-/// both operands come from the same matrix, so `Right` must equal `Left`.
-pub trait MirrorSemiring: Semiring<Right = <Self as Semiring>::Left> {
-    /// The value of `C[j][i]` given the computed `C[i][j]`.
-    fn mirror(out: &Self::Out) -> Self::Out;
-}
-
 /// The ordinary `(+, *)` semiring over a numeric type.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlusTimes<T>(std::marker::PhantomData<T>);
@@ -86,32 +73,6 @@ macro_rules! impl_plus_times {
 }
 
 impl_plus_times!(i32, i64, u32, u64, f32, f64);
-
-macro_rules! impl_mirror_identity {
-    ($($semiring:ty),*) => {
-        $(
-            impl MirrorSemiring for $semiring {
-                fn mirror(out: &Self::Out) -> Self::Out {
-                    out.clone()
-                }
-            }
-        )*
-    };
-}
-
-impl_mirror_identity!(
-    PlusTimes<i32>,
-    PlusTimes<i64>,
-    PlusTimes<u32>,
-    PlusTimes<u64>,
-    PlusTimes<f32>,
-    PlusTimes<f64>,
-    MinPlusNum<i32>,
-    MinPlusNum<i64>,
-    MinPlusNum<u32>,
-    MinPlusNum<u64>,
-    BoolAndOr
-);
 
 /// The `(min, +)` semiring over a numeric type (shortest paths).
 ///

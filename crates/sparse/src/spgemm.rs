@@ -10,10 +10,15 @@
 //! is performed.
 //!
 //! There are two row-wise stage kernels: the general `Σ A_s·B_s`
-//! ([`spgemm_stages`]) and the upper-triangle-plus-mirror `Σ A_s·A_sᵀ`
+//! ([`spgemm_stages`]) and the upper triangle of `Σ A_s·A_sᵀ`
 //! ([`spgemm_stages_aat`]).  Both take their right operands by rows; a
 //! product with a transpose is a product with [`CsrMatrix::transpose`]'s
-//! result.
+//! result.  A product of a matrix with its own transpose multiplies `Left`
+//! by `Left`, which its kernels say in their bound: `Semiring<Right = Left>`.
+//! Such a product is symmetric up to swapping the operands of every
+//! `multiply`, so its kernels return the **upper triangle** (diagonal
+//! included) and nothing below it: the caller that wants `C[j][i]` reads
+//! `C[i][j]`.
 //!
 //! A block of overlap detection's `C = A·Aᵀ` goes through
 //! [`spgemm_aat_block`], which runs those kernels where the block's output
@@ -35,7 +40,7 @@
 
 use crate::accum::{AccumPolicy, Accumulator, FlopCounter};
 use crate::csr::CsrMatrix;
-use crate::semiring::{MirrorSemiring, Semiring};
+use crate::semiring::Semiring;
 use rayon::pool;
 
 /// One block product's stage list: the `(A_s, B_s)` operand pairs
@@ -126,30 +131,30 @@ pub fn local_spgemm<S: Semiring>(
     spgemm_stages::<S>(a.nrows(), b.ncols(), &[(a, b)], AccumPolicy::Auto, flops)
 }
 
-/// Compute the symmetric product `C = A · Aᵀ` over a [`MirrorSemiring`],
-/// multiplying only the **upper triangle** (diagonal included) and mirroring
-/// it into the lower one — half the multiply work of
-/// `local_spgemm(a, &a.transpose(), ..)`, and only those multiplies are
-/// tallied into `flops`.
+/// Compute the **upper triangle** (diagonal included) of the symmetric
+/// product `C = A · Aᵀ` — half the multiply work of
+/// `local_spgemm(a, &a.transpose(), ..)`, whose entries on or above the
+/// diagonal it equals bit for bit, and only those multiplies are tallied into
+/// `flops`.
 ///
 /// `Aᵀ` is materialised once (each of its rows is walked `O(column degree)`
 /// times, so a contiguous copy pays for itself); the product is one diagonal
 /// block of [`spgemm_aat_block`], which picks its kernel from the product
 /// count.
-pub fn local_spgemm_aat<S: MirrorSemiring>(
-    a: &CsrMatrix<S::Left>,
-    flops: &FlopCounter,
-) -> CsrMatrix<S::Out> {
+pub fn local_spgemm_aat<S>(a: &CsrMatrix<S::Left>, flops: &FlopCounter) -> CsrMatrix<S::Out>
+where
+    S: Semiring<Right = <S as Semiring>::Left>,
+{
     let at = a.transpose();
     let stage = AatStage { left: a, left_t: &at, right_t: &at };
     spgemm_aat_block::<S>(a.nrows(), a.nrows(), &[stage], true, flops)
 }
 
-/// Multiply-accumulate a sequence of stage pairs into one **diagonal** block
-/// of a symmetric product, `C = Σ_s A_s · (A_s)ᵀ`, computing only the upper
-/// triangle (diagonal included) and mirroring it into the lower one — the
-/// multi-stage generalisation of [`local_spgemm_aat`] that the symmetric
-/// Sparse SUMMA runs on its grid-diagonal blocks.
+/// Multiply-accumulate a sequence of stage pairs into the upper triangle
+/// (diagonal included) of one **diagonal** block of a symmetric product,
+/// `C = Σ_s A_s · (A_s)ᵀ` — the multi-stage generalisation of
+/// [`local_spgemm_aat`] that the symmetric Sparse SUMMA runs on its
+/// grid-diagonal blocks.
 ///
 /// `n` is the (square) output dimension; each stage's right operand must be
 /// the transpose of its left one (same inner dimension, `n` columns).  Row
@@ -158,17 +163,19 @@ pub fn local_spgemm_aat<S: MirrorSemiring>(
 /// this is a kernel of its own and not a flag on [`spgemm_stages`]).
 ///
 /// Exactness: for every inner index shared by rows `i` and `j ≥ i`, the
-/// products contributing to `C[i][j]` and `C[j][i]` arrive in the same
-/// (stage-major, ascending inner index) order in both this kernel and the
-/// general [`spgemm_stages`], so `C[j][i] = mirror(C[i][j])` entry for entry —
-/// see [`MirrorSemiring`].  Only the upper-triangle multiplies are tallied
-/// into `flops`.
-pub fn spgemm_stages_aat<S: MirrorSemiring>(
+/// products contributing to `C[i][j]` arrive in the same (stage-major,
+/// ascending inner index) order in both this kernel and the general
+/// [`spgemm_stages`], so the two agree on the upper triangle entry for entry.
+/// Only the upper-triangle multiplies are tallied into `flops`.
+pub fn spgemm_stages_aat<S>(
     n: usize,
     stages: &Stages<'_, S::Left, S::Left>,
     policy: AccumPolicy,
     flops: &FlopCounter,
-) -> CsrMatrix<S::Out> {
+) -> CsrMatrix<S::Out>
+where
+    S: Semiring<Right = <S as Semiring>::Left>,
+{
     check_stages(n, n, stages);
     let upper: Vec<Vec<(usize, S::Out)>> = pool::map_indexed_with(
         n,
@@ -188,7 +195,7 @@ pub fn spgemm_stages_aat<S: MirrorSemiring>(
             finish_row(acc, products, flops)
         },
     );
-    mirror_upper_rows::<S>(n, upper)
+    rows_to_csr(n, n, upper)
 }
 
 /// One SUMMA stage of a block `C_{i,j} = Σ_k A_{i,k}·(A_{j,k})ᵀ` of the
@@ -254,20 +261,23 @@ pub fn aat_block_is_k_major<T>(
 }
 
 /// One block of the symmetric product `C = A·Aᵀ`: `Σ_s left_s · right_tₛ`,
-/// on a `diagonal` block only the upper triangle, mirrored.  The block picks
+/// on a `diagonal` block only the upper triangle.  The block picks
 /// its own kernel by [`aat_block_is_k_major`]; both produce the same CSR and
 /// the same tallies in `flops`, so the choice is invisible in every output.
 ///
 /// # Panics
 /// Panics if a stage's dimensions disagree with the block's or with each
 /// other, or if a `diagonal` block is not square.
-pub fn spgemm_aat_block<S: MirrorSemiring>(
+pub fn spgemm_aat_block<S>(
     out_rows: usize,
     out_cols: usize,
     stages: &[AatStage<'_, S::Left>],
     diagonal: bool,
     flops: &FlopCounter,
-) -> CsrMatrix<S::Out> {
+) -> CsrMatrix<S::Out>
+where
+    S: Semiring<Right = <S as Semiring>::Left>,
+{
     let kernel = if aat_block_is_k_major(out_rows, out_cols, stages, diagonal) {
         BlockKernel::KMajor
     } else {
@@ -277,14 +287,17 @@ pub fn spgemm_aat_block<S: MirrorSemiring>(
 }
 
 /// [`spgemm_aat_block`] on a given kernel.
-fn aat_block_with<S: MirrorSemiring>(
+fn aat_block_with<S>(
     kernel: BlockKernel,
     out_rows: usize,
     out_cols: usize,
     stages: &[AatStage<'_, S::Left>],
     diagonal: bool,
     flops: &FlopCounter,
-) -> CsrMatrix<S::Out> {
+) -> CsrMatrix<S::Out>
+where
+    S: Semiring<Right = <S as Semiring>::Left>,
+{
     assert!(!diagonal || out_rows == out_cols, "a diagonal block is square");
     let pairs: Vec<_> = stages.iter().map(|st| (st.left, st.right_t)).collect();
     check_stages(out_rows, out_cols, &pairs);
@@ -302,11 +315,7 @@ fn aat_block_with<S: MirrorSemiring>(
         }
         BlockKernel::KMajor => {
             let rows = aat_block_k_major::<S>(out_rows, out_cols, stages, diagonal, flops);
-            if diagonal {
-                mirror_upper_rows::<S>(out_rows, rows)
-            } else {
-                rows_to_csr(out_rows, out_cols, rows)
-            }
+            rows_to_csr(out_rows, out_cols, rows)
         }
     }
 }
@@ -324,13 +333,16 @@ fn aat_block_with<S: MirrorSemiring>(
 /// `(i, j)` still receives its products stage-major in ascending `k` — the
 /// order of the row-wise kernels — and every folded product tallies one
 /// product and one probe, as a dense-SPA scatter does.
-fn aat_block_k_major<S: MirrorSemiring>(
+fn aat_block_k_major<S>(
     out_rows: usize,
     out_cols: usize,
     stages: &[AatStage<'_, S::Left>],
     diagonal: bool,
     flops: &FlopCounter,
-) -> Vec<SparseRow<S::Out>> {
+) -> Vec<SparseRow<S::Out>>
+where
+    S: Semiring<Right = <S as Semiring>::Left>,
+{
     // As few tiles as the slot bound allows, then evened out.
     let ntiles = out_rows.div_ceil((TILE_SLOTS / out_cols.max(1)).max(1));
     let tile_rows = out_rows.div_ceil(ntiles.max(1));
@@ -381,42 +393,6 @@ fn aat_block_k_major<S: MirrorSemiring>(
         },
     );
     tiles.into_iter().flatten().collect()
-}
-
-/// Mirror the strict upper triangle of per-row `(col, value)` results into
-/// the lower one and assemble the full square CSR block.
-///
-/// Iterating `i` ascending appends to each lower row in ascending column
-/// order, so `lower[j] ++ upper[j]` is sorted without any per-row sort.
-fn mirror_upper_rows<S: MirrorSemiring>(
-    n: usize,
-    upper: Vec<Vec<(usize, S::Out)>>,
-) -> CsrMatrix<S::Out> {
-    let mut lower: Vec<Vec<(usize, S::Out)>> = vec![Vec::new(); n];
-    for (i, row) in upper.iter().enumerate() {
-        for (j, v) in row {
-            if *j > i {
-                lower[*j].push((i, S::mirror(v)));
-            }
-        }
-    }
-    let rows: Vec<Vec<(usize, S::Out)>> = lower
-        .into_iter()
-        .zip(upper)
-        .map(|(mut low, up)| {
-            low.extend(up);
-            low
-        })
-        .collect();
-    rows_to_csr(n, n, rows)
-}
-
-/// The cross-diagonal mirror of a computed off-diagonal block of a symmetric
-/// product: `C_{j,i} = mirror((C_{i,j})ᵀ)` — transpose the pattern, mirror
-/// every value.  This is what the symmetric Sparse SUMMA materialises on each
-/// strictly-lower grid rank after receiving its partner's block.
-pub fn mirror_block<S: MirrorSemiring>(block: &CsrMatrix<S::Out>) -> CsrMatrix<S::Out> {
-    block.transpose().map(|_, _, v| S::mirror(v))
 }
 
 /// Assemble per-row `(col, value)` lists into a CSR matrix.
@@ -554,7 +530,7 @@ mod tests {
     fn symmetric_aat_matches_the_product_with_the_transpose() {
         let a = arb_like_matrix(25, 18, 9);
         let sym = local_spgemm_aat::<PlusTimes<i64>>(&a, &FlopCounter::new());
-        let general = product::<PlusTimes<i64>>(&a, &a.transpose());
+        let general = product::<PlusTimes<i64>>(&a, &a.transpose()).filter(|r, c, _| r <= c);
         assert_eq!(sym, general);
         assert!(sym.validate().is_ok());
     }
@@ -594,16 +570,6 @@ mod tests {
         );
         assert_eq!(staged, whole);
         assert!(flops.flops() > 0);
-    }
-
-    #[test]
-    fn mirror_block_transposes_and_mirrors() {
-        let block = matrix_from(vec![(0, 1, 3), (2, 0, -4), (1, 1, 5)], 3, 2);
-        let mirrored = mirror_block::<PlusTimes<i64>>(&block);
-        assert_eq!(mirrored.nrows(), 2);
-        assert_eq!(mirrored.ncols(), 3);
-        // PlusTimes mirrors by identity, so this is a plain transpose.
-        assert_eq!(mirrored, block.transpose());
     }
 
     #[test]
@@ -692,12 +658,6 @@ mod tests {
         }
     }
 
-    impl MirrorSemiring for ThreeAnnihilates {
-        fn mirror(out: &i64) -> i64 {
-            *out
-        }
-    }
-
     /// One block on both kernels: the CSR and every tally must agree.
     fn both_kernels<S>(
         rows: usize,
@@ -706,7 +666,7 @@ mod tests {
         diagonal: bool,
     ) -> (CsrMatrix<S::Out>, u64, u64, u64)
     where
-        S: MirrorSemiring,
+        S: Semiring<Right = <S as Semiring>::Left>,
         S::Out: PartialEq + std::fmt::Debug,
     {
         let run = |kernel| {
@@ -725,7 +685,7 @@ mod tests {
     /// need that), and each against the general product of the same stages.
     fn both_kernels_on_every_block<S>(a: &CsrMatrix<S::Left>, side: usize)
     where
-        S: MirrorSemiring,
+        S: Semiring<Right = <S as Semiring>::Left>,
         S::Left: PartialEq,
         S::Out: PartialEq + std::fmt::Debug,
     {
@@ -740,7 +700,8 @@ mod tests {
                 let (block, ..) = both_kernels::<S>(rows, cols, &stages, i == j);
                 let pairs: Vec<_> = stages.iter().map(|st| (st.left, st.right_t)).collect();
                 let general =
-                    spgemm_stages::<S>(rows, cols, &pairs, AccumPolicy::Auto, &FlopCounter::new());
+                    spgemm_stages::<S>(rows, cols, &pairs, AccumPolicy::Auto, &FlopCounter::new())
+                        .filter(|r, c, _| i < j || r <= c);
                 assert_eq!(block, general, "block ({i}, {j}) of a {side}x{side} grid");
             }
         }
@@ -783,7 +744,7 @@ mod tests {
             )
         };
         let reference = rayon::pool::with_thread_limit(1, both);
-        assert_eq!(reference.1 .0, product::<PlusTimes<i64>>(&a, &at));
+        assert_eq!(reference.1 .0, product::<PlusTimes<i64>>(&a, &at).filter(|r, c, _| r <= c));
         for threads in [2usize, 4] {
             assert_eq!(rayon::pool::with_thread_limit(threads, both), reference, "threads={threads}");
         }
@@ -805,7 +766,7 @@ mod tests {
         assert_eq!(c.get(1, 2), None);
         assert_eq!(c.get(2, 1), None);
         assert_eq!(c.get(2, 2), None);
-        assert_eq!(c.nnz(), 4);
+        assert_eq!(c.nnz(), 3);
         // Upper-triangle products that survived: 1, 2, 1, 4.
         assert_eq!((flops, probes, width), (8, 4, 2));
         both_kernels_on_every_block::<ThreeAnnihilates>(&arb_like_matrix(30, 12, 23), 2);
@@ -928,7 +889,7 @@ mod tests {
         ) {
             let sym = local_spgemm_aat::<PlusTimes<i64>>(&a, &FlopCounter::new());
             prop_assert!(sym.validate().is_ok());
-            let via_t = product::<PlusTimes<i64>>(&a, &a.transpose());
+            let via_t = product::<PlusTimes<i64>>(&a, &a.transpose()).filter(|r, c, _| r <= c);
             prop_assert_eq!(sym, via_t);
         }
 
