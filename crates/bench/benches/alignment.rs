@@ -1,9 +1,8 @@
-//! Criterion micro-benchmarks for the x-drop seed-and-extend aligner, plus
-//! the alignment-stage throughput record written to `BENCH_align.json`.
+//! The alignment-stage throughput record written to `BENCH_align.json`.
 //!
-//! The JSON artifact times the alignment stage (`align_candidates_exec`:
-//! length-ordered waves of per-pair jobs, pairs between already-contained
-//! reads pruned, a second seed only when the first finds no overlap) on the
+//! It times the alignment stage (`align_candidates_exec`: length-ordered
+//! waves of per-pair jobs, pairs between already-contained reads pruned, a
+//! second seed only when the first finds no overlap) on the
 //! `DatasetSpec::Small` overlap workload under both engines — the scalar
 //! oracle and `ExtendEngine::Auto`'s lane-packed vector kernel (on the lane
 //! word `vector_kernel()` names: the widest this host has).  Both engines do identical work, so each is
@@ -19,90 +18,14 @@
 // clippy.toml); opt back in to Instant::now here.
 #![allow(clippy::disallowed_methods)]
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
-use dibella_align::{
-    align_seed_pair_with, vector_kernel, xdrop_extend, xdrop_extend_auto, AlignScratch,
-    AlignmentConfig, ExtendEngine, ScoringScheme,
-};
+use dibella_align::{vector_kernel, AlignmentConfig, ExtendEngine};
 use dibella_dist::{CommStats, ProcessGrid};
 use dibella_overlap::{
     align_candidates_exec, build_a_matrix, detect_candidates_2d_with, CommonKmers, OverlapConfig,
 };
-use dibella_seq::simulate::apply_errors;
-use dibella_seq::{count_kmers_serial, DatasetSpec, DnaSeq, KmerSelection, Strand};
+use dibella_seq::{count_kmers_serial, DatasetSpec, KmerSelection};
 use dibella_sparse::{DistMat2D, Triples};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
-
-fn overlapping_pair(len: usize, overlap: usize, error: f64, seed: u64) -> (DnaSeq, DnaSeq) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let genome =
-        DnaSeq::from_codes((0..2 * len - overlap).map(|_| rng.gen_range(0..4u8)).collect());
-    let v = apply_errors(&genome.slice(0, len), error, &mut rng);
-    let h = apply_errors(&genome.slice(len - overlap, 2 * len - overlap), error, &mut rng);
-    (v, h)
-}
-
-fn bench_alignment(c: &mut Criterion) {
-    let mut group = c.benchmark_group("alignment");
-    group.sample_size(20);
-
-    for &(len, error) in &[(2_000usize, 0.0f64), (2_000, 0.15), (8_000, 0.15)] {
-        let (v, h) = overlapping_pair(len, len / 2, error, 11);
-        let cfg = AlignmentConfig::for_error_rate(error.max(0.01));
-        // Locate an exact shared 17-mer once, outside the measured loop.
-        let h_ascii = h.to_ascii();
-        let mut seed = None;
-        for start in (len - len / 4..len - 20).step_by(3) {
-            let window = v.slice(start, start + 17).to_ascii();
-            if let Some(pos) = h_ascii.find(&window) {
-                seed = Some((start, pos));
-                break;
-            }
-        }
-        let Some((sv, sh)) = seed else { continue };
-        let id = format!("len{len}_err{error}");
-        let mut scratch = AlignScratch::new();
-        group.bench_with_input(BenchmarkId::new("align_seed_pair", id), &len, |bencher, _| {
-            bencher.iter(|| {
-                align_seed_pair_with(
-                    v.codes(),
-                    h.codes(),
-                    sv,
-                    sh,
-                    17,
-                    Strand::Forward,
-                    &cfg,
-                    ExtendEngine::Auto,
-                    &mut scratch,
-                )
-            });
-        });
-    }
-
-    // Raw extension throughput on identical sequences (upper bound), for the
-    // scalar oracle and the vector kernel.
-    let mut rng = SmallRng::seed_from_u64(5);
-    let s = DnaSeq::from_codes((0..10_000).map(|_| rng.gen_range(0..4u8)).collect());
-    group.bench_function("xdrop_extend_identical_10k", |bencher| {
-        bencher.iter(|| xdrop_extend(s.codes(), s.codes(), ScoringScheme::default(), 49))
-    });
-    let mut scratch = AlignScratch::new();
-    group.bench_function("xdrop_extend_simd_identical_10k", |bencher| {
-        bencher.iter(|| {
-            xdrop_extend_auto(
-                s.codes(),
-                s.codes(),
-                ScoringScheme::default(),
-                49,
-                ExtendEngine::Auto,
-                &mut scratch,
-            )
-        })
-    });
-    group.finish();
-}
 
 /// Mean wall-clock seconds of `f`: one warm-up call, then samples until the
 /// time budget and at least `min_samples` calls are spent.
@@ -125,7 +48,7 @@ fn measure<T>(budget: Duration, min_samples: usize, mut f: impl FnMut() -> T) ->
 const PAIR_STRIDE: usize = 32;
 
 /// The alignment-stage throughput record written to `BENCH_align.json`.
-fn stage_throughput() {
+fn main() {
     let budget = Duration::from_millis(600);
 
     // The real workload: the candidate pairs of the Small benchmark dataset
@@ -254,11 +177,4 @@ fn stage_throughput() {
         Ok(()) => println!("  wrote {out_path}"),
         Err(e) => eprintln!("  could not write {out_path}: {e}"),
     }
-}
-
-criterion_group!(benches, bench_alignment);
-
-fn main() {
-    benches();
-    stage_throughput();
 }

@@ -1,10 +1,8 @@
-//! Criterion micro-benchmarks for the SpGEMM kernels — local Gustavson,
-//! 2D Sparse SUMMA and the 1D outer-product algorithm — plus the
-//! kernel-throughput record that writes `BENCH_spgemm.json`.
+//! The kernel-throughput record of the SpGEMM kernels, written to
+//! `BENCH_spgemm.json`.
 //!
-//! The JSON artifact times the kernels the pipelines run on the
-//! `DatasetSpec::Small` overlap workload (`C = A·Aᵀ` over the shared-k-mer
-//! semiring): the symmetric SUMMA (the upper triangle of `C`) and its general
+//! It times the kernels the pipelines run on the `DatasetSpec::Small` overlap
+//! workload (`C = A·Aᵀ` over the shared-k-mer semiring): the symmetric SUMMA (the upper triangle of `C`) and its general
 //! reference `summa(a, aᵀ)` (all of it) at P = 4, the local symmetric and
 //! general kernels, and a uniform random `PlusTimes` product for the
 //! dense-SPA fast path — all on the row-wise kernels — plus the symmetric
@@ -21,13 +19,11 @@
 // clippy.toml); opt back in to Instant::now here.
 #![allow(clippy::disallowed_methods)]
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
 use dibella_dist::{CommPhase, CommStats, ProcessGrid};
 use dibella_overlap::{build_a_matrix, KmerOccurrence, OverlapSemiring};
 use dibella_seq::simulate::{generate_genome, simulate_reads, GenomeConfig, ReadSimConfig};
 use dibella_seq::{count_kmers_serial, DatasetSpec, KmerSelection};
 use dibella_sparse::accum::FlopCounter;
-use dibella_sparse::outer1d::outer1d_aat;
 use dibella_sparse::spgemm::aat_block_is_k_major;
 use dibella_sparse::summa::{aat_block_stages, flops_key};
 use dibella_sparse::{
@@ -52,41 +48,6 @@ fn random_matrix(nrows: usize, ncols: usize, nnz: usize, seed: u64) -> CsrMatrix
         }
     }
     CsrMatrix::from_triples(&t)
-}
-
-fn bench_spgemm(c: &mut Criterion) {
-    let n = 2_000;
-    let a = random_matrix(n, n, 20 * n, 7);
-    let b = random_matrix(n, n, 20 * n, 8);
-    let phase = CommPhase::OverlapDetection;
-
-    let mut group = c.benchmark_group("spgemm");
-    group.sample_size(10);
-
-    group.bench_function("local_gustavson_2k_x_20nnz", |bencher| {
-        bencher.iter(|| local_spgemm::<PlusTimes<i64>>(&a, &b, &FlopCounter::new()))
-    });
-
-    for p in [4usize, 16] {
-        let grid = ProcessGrid::square(p);
-        let da = DistMat2D::from_triples(grid, &a.to_triples());
-        let db = DistMat2D::from_triples(grid, &b.to_triples());
-        group.bench_with_input(BenchmarkId::new("summa_2d", p), &p, |bencher, _| {
-            bencher.iter(|| summa::<PlusTimes<i64>>(&da, &db, WORDS, &CommStats::new(), phase))
-        });
-        group.bench_with_input(BenchmarkId::new("summa_2d_aat", p), &p, |bencher, _| {
-            bencher.iter(|| {
-                summa::<PlusTimes<i64>>(&da, &da.transpose(), WORDS, &CommStats::new(), phase)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("summa_2d_aat_sym", p), &p, |bencher, _| {
-            bencher.iter(|| summa_aat_sym::<PlusTimes<i64>>(&da, WORDS.0, &CommStats::new(), phase))
-        });
-        group.bench_with_input(BenchmarkId::new("outer_product_1d_aat", p), &p, |bencher, _| {
-            bencher.iter(|| outer1d_aat::<PlusTimes<i64>>(&a, p, 3, &CommStats::new(), phase))
-        });
-    }
-    group.finish();
 }
 
 /// One kernel's entry in the record: mean seconds and the useful flops of
@@ -195,7 +156,7 @@ fn kernel_census(a: &DistMat2D<KmerOccurrence>) -> (usize, usize) {
 }
 
 /// The kernel-throughput record written to `BENCH_spgemm.json`.
-fn throughput_record() {
+fn main() {
     // The real workload: C = A·Aᵀ over the shared-k-mer semiring on the
     // Small benchmark dataset (what `detect_candidates_2d_with` computes).
     let ds = dibella_bench::benchmark_dataset(DatasetSpec::Small, 77);
@@ -302,11 +263,4 @@ fn throughput_record() {
         Ok(()) => println!("  wrote {out_path}"),
         Err(e) => eprintln!("  could not write {out_path}: {e}"),
     }
-}
-
-criterion_group!(benches, bench_spgemm);
-
-fn main() {
-    benches();
-    throughput_record();
 }

@@ -11,7 +11,7 @@
 //! cargo run --release -p dibella-bench --bin fig4_strong_scaling
 //! ```
 
-use dibella_bench::{benchmark_dataset, fmt, print_header, print_row, SimulatedBreakdown};
+use dibella_bench::{benchmark_dataset, fmt, print_header, print_row, project};
 use dibella_dist::CommStats;
 use dibella_pipeline::{run_dibella_2d_on_reads, PipelineConfig, StageTimings};
 use dibella_seq::DatasetSpec;
@@ -41,7 +41,7 @@ fn main() {
             let config = PipelineConfig::for_benchmark(17, ds.config.error_rate, p);
             let comm = CommStats::new();
             let out = run_dibella_2d_on_reads(&ds.reads, &config, &comm).unwrap();
-            let projected = SimulatedBreakdown::project(&out.timings, &out.comm, out.grid.nprocs());
+            let projected = project(&out.timings, &out.comm, out.grid.nprocs());
             let total = projected.total();
             let (p0, t0) = *baseline.get_or_insert((out.grid.nprocs(), total));
             let eff = StageTimings::parallel_efficiency(t0, p0, total, out.grid.nprocs());

@@ -12,7 +12,7 @@
 
 use dibella_bench::{
     alignment_cell_rate, benchmark_dataset, fmt, phase_flop_rate, print_header, print_row,
-    SimulatedBreakdown,
+    project,
 };
 use dibella_dist::{CommPhase, CommStats};
 use dibella_overlap::{BAND_WIDTH_PEAK_KEY, XDROP_TERMINATIONS_KEY};
@@ -39,7 +39,7 @@ fn main() {
         for &p in &rank_counts {
             let config = PipelineConfig::for_benchmark(17, ds.config.error_rate, p);
             let out = run_dibella_2d(&fasta, &config).expect("pipeline run");
-            let proj = SimulatedBreakdown::project(&out.timings, &out.comm, out.grid.nprocs());
+            let proj = project(&out.timings, &out.comm, out.grid.nprocs());
             let mut row = vec![p.to_string()];
             row.extend(proj.values().iter().map(|v| fmt(*v)));
             row.push(fmt(proj.total()));

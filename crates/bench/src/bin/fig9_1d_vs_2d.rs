@@ -10,7 +10,7 @@
 //! cargo run --release -p dibella-bench --bin fig9_1d_vs_2d
 //! ```
 
-use dibella_bench::{benchmark_dataset, comm_time_secs, fmt, print_header, print_row, SimulatedBreakdown};
+use dibella_bench::{benchmark_dataset, comm_time_secs, fmt, print_header, print_row, project};
 use dibella_dist::{CommPhase, CommStats};
 use dibella_pipeline::{run_dibella_1d, run_dibella_2d_on_reads, PipelineConfig};
 use dibella_seq::DatasetSpec;
@@ -32,7 +32,7 @@ fn main() {
             let comm2d = CommStats::new();
             let out2d = run_dibella_2d_on_reads(&ds.reads, &config, &comm2d).unwrap();
             let proj2d =
-                SimulatedBreakdown::project(&out2d.timings, &out2d.comm, out2d.grid.nprocs());
+                project(&out2d.timings, &out2d.comm, out2d.grid.nprocs());
             let t2d = proj2d.total_without_tr();
 
             let comm1d = CommStats::new();

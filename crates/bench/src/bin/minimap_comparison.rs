@@ -15,7 +15,7 @@
 // clippy.toml); opt back in to Instant::now here.
 #![allow(clippy::disallowed_methods)]
 
-use dibella_bench::{benchmark_dataset, fmt, print_header, print_row, SimulatedBreakdown};
+use dibella_bench::{benchmark_dataset, fmt, print_header, print_row, project};
 use dibella_dist::CommStats;
 use dibella_overlap::{minimizer_overlaps, MinimizerConfig};
 use dibella_pipeline::{run_dibella_2d_on_reads, PipelineConfig};
@@ -50,7 +50,7 @@ fn main() {
             let config = PipelineConfig::for_benchmark(17, ds.config.error_rate, p);
             let comm = CommStats::new();
             let out = run_dibella_2d_on_reads(&ds.reads, &config, &comm).unwrap();
-            let proj = SimulatedBreakdown::project(&out.timings, &out.comm, out.grid.nprocs());
+            let proj = project(&out.timings, &out.comm, out.grid.nprocs());
             let dibella_secs = proj.total_without_tr();
             let (winner, factor) = if dibella_secs <= minimap_secs {
                 ("diBELLA 2D", minimap_secs / dibella_secs)

@@ -74,9 +74,9 @@ struct LegResult {
     secs: f64,
 }
 
-/// Run one candidate path end to end through alignment, mirroring the
-/// staging of `run_overlap_2d` so the exact leg pays for its k-mer counting
-/// stage and the sketch leg for its index exchange.
+/// Run one candidate path end to end through alignment, so the exact leg
+/// pays for its k-mer counting stage and the sketch leg for its index
+/// exchange.
 fn run_leg(ds: &SimulatedDataset, config: &PipelineConfig, source: CandidateSource) -> LegResult {
     let comm = CommStats::new();
     let start = Instant::now();

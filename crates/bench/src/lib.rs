@@ -81,89 +81,32 @@ pub fn simulated_phase_time(
     serial_compute_secs / p as f64 + comm_time_secs(per_rank_words, per_rank_msgs)
 }
 
-/// A simulated distributed runtime breakdown at `p` ranks, derived from a
-/// single-host run's stage timings and communication snapshot.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimulatedBreakdown {
-    /// Pairwise alignment (perfectly parallel, no communication).
-    pub alignment: f64,
-    /// FASTA parsing (parallel I/O is modelled as non-scaling beyond 8 ranks,
-    /// mirroring the paper's observation that read I/O stops scaling).
-    pub read_fastq: f64,
-    /// K-mer counting.
-    pub count_kmer: f64,
-    /// Building `A`/`Aᵀ`.
-    pub create_spmat: f64,
-    /// The candidate-overlap SpGEMM.
-    pub spgemm: f64,
-    /// Sequence exchange.
-    pub exchange_read: f64,
-    /// Transitive reduction.
-    pub tr_reduction: f64,
-    /// Contig extraction plus POA consensus (embarrassingly parallel per
-    /// contig, plus the per-contig read gather).
-    pub consensus: f64,
-}
-
-impl SimulatedBreakdown {
-    /// Project a measured single-host run onto `p` virtual ranks.
-    pub fn project(timings: &StageTimings, comm: &CommSnapshot, p: usize) -> Self {
-        let pf = p as f64;
-        let io_ranks = pf.min(8.0);
-        Self {
-            alignment: timings.alignment / pf,
-            read_fastq: timings.read_fastq / io_ranks,
-            count_kmer: simulated_phase_time(timings.count_kmer, comm, CommPhase::KmerCounting, p),
-            create_spmat: timings.create_spmat / pf,
-            spgemm: simulated_phase_time(timings.spgemm, comm, CommPhase::OverlapDetection, p),
-            exchange_read: comm_time_secs(
-                comm.phase(CommPhase::ReadExchange).words as f64 / pf,
-                comm.phase(CommPhase::ReadExchange).messages as f64 / pf,
-            ),
-            tr_reduction: simulated_phase_time(
-                timings.tr_reduction,
-                comm,
-                CommPhase::TransitiveReduction,
-                p,
-            ),
-            consensus: simulated_phase_time(timings.consensus, comm, CommPhase::Consensus, p),
-        }
-    }
-
-    /// Total simulated runtime.
-    pub fn total(&self) -> f64 {
-        self.alignment
-            + self.read_fastq
-            + self.count_kmer
-            + self.create_spmat
-            + self.spgemm
-            + self.exchange_read
-            + self.tr_reduction
-            + self.consensus
-    }
-
-    /// Total without alignment (right-hand plots of Figures 5–8).
-    pub fn total_without_alignment(&self) -> f64 {
-        self.total() - self.alignment
-    }
-
-    /// Total without transitive reduction (Figure 9 comparison).
-    pub fn total_without_tr(&self) -> f64 {
-        self.total() - self.tr_reduction
-    }
-
-    /// The stage values in the order of [`StageTimings::LABELS`].
-    pub fn values(&self) -> [f64; 8] {
-        [
-            self.alignment,
-            self.read_fastq,
-            self.count_kmer,
-            self.create_spmat,
-            self.spgemm,
-            self.exchange_read,
-            self.tr_reduction,
-            self.consensus,
-        ]
+/// Project a measured single-host run onto `p` virtual ranks: the simulated
+/// distributed runtime breakdown, derived from the run's stage timings and
+/// communication snapshot.  Alignment is perfectly parallel and communicates
+/// nothing; parsing is modelled as non-scaling beyond 8 ranks, mirroring the
+/// paper's observation that read I/O stops scaling; the read exchange is
+/// communication alone.
+pub fn project(timings: &StageTimings, comm: &CommSnapshot, p: usize) -> StageTimings {
+    let pf = p as f64;
+    let io_ranks = pf.min(8.0);
+    StageTimings {
+        alignment: timings.alignment / pf,
+        read_fastq: timings.read_fastq / io_ranks,
+        count_kmer: simulated_phase_time(timings.count_kmer, comm, CommPhase::KmerCounting, p),
+        create_spmat: timings.create_spmat / pf,
+        spgemm: simulated_phase_time(timings.spgemm, comm, CommPhase::OverlapDetection, p),
+        exchange_read: comm_time_secs(
+            comm.phase(CommPhase::ReadExchange).words as f64 / pf,
+            comm.phase(CommPhase::ReadExchange).messages as f64 / pf,
+        ),
+        tr_reduction: simulated_phase_time(
+            timings.tr_reduction,
+            comm,
+            CommPhase::TransitiveReduction,
+            p,
+        ),
+        consensus: simulated_phase_time(timings.consensus, comm, CommPhase::Consensus, p),
     }
 }
 
@@ -226,7 +169,7 @@ mod tests {
     }
 
     #[test]
-    fn simulated_breakdown_shrinks_with_more_ranks() {
+    fn projected_breakdown_shrinks_with_more_ranks() {
         let timings = StageTimings {
             read_fastq: 1.0,
             count_kmer: 4.0,
@@ -240,8 +183,8 @@ mod tests {
         let stats = CommStats::new();
         stats.record(CommPhase::OverlapDetection, 1_000_000, 100);
         let snap = stats.snapshot();
-        let t4 = SimulatedBreakdown::project(&timings, &snap, 4);
-        let t64 = SimulatedBreakdown::project(&timings, &snap, 64);
+        let t4 = project(&timings, &snap, 4);
+        let t64 = project(&timings, &snap, 64);
         assert!(t64.total() < t4.total());
         assert!(t64.alignment < t4.alignment);
         assert!(t4.total() < timings.total());

@@ -8,7 +8,6 @@
 //! overlap matrix `R`, annotated with the overhang length and bidirected
 //! direction that transitive reduction needs.
 
-use crate::amatrix::build_a_matrix;
 use crate::semiring::OverlapSemiring;
 use crate::types::{CommonKmers, KmerOccurrence, OverlapEdge};
 use dibella_align::{
@@ -16,7 +15,7 @@ use dibella_align::{
     ExtendEngine, OrientCache, OverlapClass, PairAlignment,
 };
 use dibella_dist::{record_allreduce, BlockDist, CommPhase, CommStats, ProcessGrid};
-use dibella_seq::{KmerTable, ReadSet, Strand};
+use dibella_seq::{ReadSet, Strand};
 use dibella_sparse::{summa, summa_aat_sym, DistMat2D, Triples};
 use rayon::pool;
 use serde::{Deserialize, Serialize};
@@ -87,20 +86,6 @@ pub struct OverlapStats {
     pub c_density: f64,
     /// `r` — average nonzeros per row of `R` (Table III).
     pub r_density: f64,
-}
-
-/// The matrices produced by an overlap-detection run.
-#[derive(Debug, Clone)]
-pub struct OverlapOutput {
-    /// The occurrence matrix `A` (reads × k-mers).
-    pub a: DistMat2D<KmerOccurrence>,
-    /// The candidate overlap matrix `C`: its strict upper triangle, one
-    /// entry per read pair `i < j`.
-    pub candidates: DistMat2D<CommonKmers>,
-    /// The overlap matrix `R` after alignment and pruning.
-    pub overlaps: DistMat2D<OverlapEdge>,
-    /// Counters for this run.
-    pub stats: OverlapStats,
 }
 
 /// Word cost of shipping one read of `len` bases (2-bit packed plus a header
@@ -477,27 +462,12 @@ fn classify_pair(
     }
 }
 
-/// Run the full 2D overlap-detection stage: build `A`, account for the read
-/// exchange, compute `C = A·Aᵀ`, align and prune.
-pub fn run_overlap_2d(
-    reads: &ReadSet,
-    table: &KmerTable,
-    config: &OverlapConfig,
-    grid: ProcessGrid,
-    comm: &CommStats,
-) -> OverlapOutput {
-    let a = build_a_matrix(reads, table, config.k, grid, grid.nprocs());
-    account_read_exchange_2d(reads, grid, comm);
-    let candidates = detect_candidates_2d_with(&a, comm, config.use_symmetric_summa);
-    let (overlaps, stats) = align_candidates_with(reads, &candidates, config, Some(comm));
-    OverlapOutput { a, candidates, overlaps, stats }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::amatrix::build_a_matrix;
     use crate::types::{SeedList, SharedSeed};
-    use dibella_seq::{count_kmers_serial, DatasetSpec, KmerSelection, SimulatedDataset};
+    use dibella_seq::{count_kmers_serial, DatasetSpec, KmerSelection, KmerTable, SimulatedDataset};
 
     fn setup(seed: u64) -> (SimulatedDataset, KmerTable, OverlapConfig) {
         let ds = DatasetSpec::Tiny.generate(seed);
@@ -505,6 +475,22 @@ mod tests {
         let sel = KmerSelection { k, min_count: 2, max_count: 60 };
         let table = count_kmers_serial(&ds.reads, &sel);
         (ds, table, OverlapConfig::for_tests(k))
+    }
+
+    /// `C`, `R` and the counters of the whole 2D stage as the driver runs it:
+    /// build `A`, account for the read exchange, multiply, align and prune.
+    fn overlap_2d(
+        ds: &SimulatedDataset,
+        table: &KmerTable,
+        cfg: &OverlapConfig,
+        grid: ProcessGrid,
+        comm: &CommStats,
+    ) -> (DistMat2D<CommonKmers>, DistMat2D<OverlapEdge>, OverlapStats) {
+        let a = build_a_matrix(&ds.reads, table, cfg.k, grid, grid.nprocs());
+        account_read_exchange_2d(&ds.reads, grid, comm);
+        let candidates = detect_candidates_2d_with(&a, comm, cfg.use_symmetric_summa);
+        let (overlaps, stats) = align_candidates_with(&ds.reads, &candidates, cfg, Some(comm));
+        (candidates, overlaps, stats)
     }
 
     #[test]
@@ -543,9 +529,9 @@ mod tests {
         let (ds, table, cfg) = setup(3);
         let grid = ProcessGrid::square(4);
         let comm = CommStats::new();
-        let out = run_overlap_2d(&ds.reads, &table, &cfg, grid, &comm);
-        assert!(out.overlaps.nnz() > 0, "expected some accepted overlaps");
-        let local = out.overlaps.to_local_csr();
+        let (_, overlaps, _) = overlap_2d(&ds, &table, &cfg, grid, &comm);
+        assert!(overlaps.nnz() > 0, "expected some accepted overlaps");
+        let local = overlaps.to_local_csr();
         for (i, j, edge) in local.iter() {
             let mirror = local.get(j, i).expect("mirrored entry must exist");
             assert_eq!(
@@ -563,8 +549,8 @@ mod tests {
         let (ds, table, cfg) = setup(4);
         let grid = ProcessGrid::square(1);
         let comm = CommStats::new();
-        let out = run_overlap_2d(&ds.reads, &table, &cfg, grid, &comm);
-        let local = out.overlaps.to_local_csr();
+        let (_, overlaps, _) = overlap_2d(&ds, &table, &cfg, grid, &comm);
+        let local = overlaps.to_local_csr();
         let mut true_pos = 0usize;
         let mut false_pos = 0usize;
         for (i, j, _) in local.iter() {
@@ -587,14 +573,14 @@ mod tests {
     fn grid_size_does_not_change_the_overlap_set() {
         let (ds, table, cfg) = setup(5);
         let comm1 = CommStats::new();
-        let out1 = run_overlap_2d(&ds.reads, &table, &cfg, ProcessGrid::square(1), &comm1);
+        let (_, r1, stats1) = overlap_2d(&ds, &table, &cfg, ProcessGrid::square(1), &comm1);
         let comm4 = CommStats::new();
-        let out4 = run_overlap_2d(&ds.reads, &table, &cfg, ProcessGrid::square(4), &comm4);
+        let (_, r4, stats4) = overlap_2d(&ds, &table, &cfg, ProcessGrid::square(4), &comm4);
         let comm9 = CommStats::new();
-        let out9 = run_overlap_2d(&ds.reads, &table, &cfg, ProcessGrid::square(9), &comm9);
-        assert_eq!(out1.overlaps.to_local_csr(), out4.overlaps.to_local_csr());
-        assert_eq!(out1.overlaps.to_local_csr(), out9.overlaps.to_local_csr());
-        assert_eq!(out1.stats, out4.stats);
+        let (_, r9, _) = overlap_2d(&ds, &table, &cfg, ProcessGrid::square(9), &comm9);
+        assert_eq!(r1.to_local_csr(), r4.to_local_csr());
+        assert_eq!(r1.to_local_csr(), r9.to_local_csr());
+        assert_eq!(stats1, stats4);
         // Larger grids communicate, a single rank does not.
         assert_eq!(comm1.words(CommPhase::OverlapDetection), 0);
         assert!(comm4.words(CommPhase::OverlapDetection) > 0);
@@ -607,30 +593,28 @@ mod tests {
         let (ds, table, cfg) = setup(6);
         let cfg = OverlapConfig { min_shared_kmers: 2, ..cfg };
         let comm = CommStats::new();
-        let out = run_overlap_2d(&ds.reads, &table, &cfg, ProcessGrid::square(4), &comm);
-        let s = out.stats;
+        let (candidates, overlaps, s) = overlap_2d(&ds, &table, &cfg, ProcessGrid::square(4), &comm);
         assert_eq!(
             s.aligned_pairs,
             s.dovetail + s.contained + s.internal + s.below_threshold,
             "every aligned pair must be classified exactly once"
         );
         // The books close: a candidate pair is filtered, pruned or aligned.
-        let filtered = out
-            .candidates
+        let filtered = candidates
             .to_triples()
             .iter()
             .filter(|&(i, j, common)| i < j && common.count < cfg.min_shared_kmers)
             .count();
         assert!(filtered > 0 && s.pruned_pairs > 0, "both exits must be exercised");
         assert_eq!(s.aligned_pairs + s.pruned_pairs + filtered, s.candidate_pairs);
-        assert!((s.r_density - out.overlaps.nnz() as f64 / ds.reads.len() as f64).abs() < 1e-9);
+        assert!((s.r_density - overlaps.nnz() as f64 / ds.reads.len() as f64).abs() < 1e-9);
         // Every surviving overlap contributes two directed entries; dovetails
         // touching contained reads are dropped, so this is an upper bound.
-        assert!(out.overlaps.nnz() <= 2 * s.dovetail);
-        assert_eq!(out.overlaps.nnz() % 2, 0);
+        assert!(overlaps.nnz() <= 2 * s.dovetail);
+        assert_eq!(overlaps.nnz() % 2, 0);
         // No edge may touch a contained read.
         if s.contained_reads > 0 {
-            assert!(out.overlaps.nnz() < 2 * s.dovetail || s.dovetail == 0);
+            assert!(overlaps.nnz() < 2 * s.dovetail || s.dovetail == 0);
         }
     }
 
@@ -659,7 +643,7 @@ mod tests {
             aat_block_is_k_major, spgemm_aat_block, spgemm_stages, spgemm_stages_aat,
         };
         use dibella_sparse::summa::aat_block_stages;
-        use dibella_sparse::{AccumPolicy, FlopCounter};
+        use dibella_sparse::FlopCounter;
         let (ds, table, cfg) = setup(8);
         let mut k_major = 0;
         for side in 1usize..=4 {
@@ -672,9 +656,9 @@ mod tests {
                 // The row-wise kernels, called by name ...
                 let want_flops = FlopCounter::new();
                 let want = if i == j {
-                    spgemm_stages_aat::<OverlapSemiring>(rows, &pairs, AccumPolicy::Auto, &want_flops)
+                    spgemm_stages_aat::<OverlapSemiring>(rows, &pairs, &want_flops)
                 } else {
-                    spgemm_stages::<OverlapSemiring>(rows, cols, &pairs, AccumPolicy::Auto, &want_flops)
+                    spgemm_stages::<OverlapSemiring>(rows, cols, &pairs, &want_flops)
                 };
                 // ... against the block's own choice (k-major on all of
                 // Tiny's blocks: ~20 shared k-mers per candidate pair).
@@ -697,12 +681,13 @@ mod tests {
         let (ds, table, cfg) = setup(10);
         let general_cfg = OverlapConfig { use_symmetric_summa: false, ..cfg };
         let comm_sym = CommStats::new();
-        let sym = run_overlap_2d(&ds.reads, &table, &cfg, ProcessGrid::square(4), &comm_sym);
+        let (_, r_sym, stats_sym) =
+            overlap_2d(&ds, &table, &cfg, ProcessGrid::square(4), &comm_sym);
         let comm_gen = CommStats::new();
-        let gen =
-            run_overlap_2d(&ds.reads, &table, &general_cfg, ProcessGrid::square(4), &comm_gen);
-        assert_eq!(sym.overlaps.to_local_csr(), gen.overlaps.to_local_csr());
-        assert_eq!(sym.stats, gen.stats);
+        let (_, r_gen, stats_gen) =
+            overlap_2d(&ds, &table, &general_cfg, ProcessGrid::square(4), &comm_gen);
+        assert_eq!(r_sym.to_local_csr(), r_gen.to_local_csr());
+        assert_eq!(stats_sym, stats_gen);
     }
 
     proptest::proptest! {
@@ -1016,12 +1001,12 @@ mod tests {
     fn comm_extras_carry_alignment_counters() {
         let (ds, table, cfg) = setup(12);
         let comm = CommStats::new();
-        let out = run_overlap_2d(&ds.reads, &table, &cfg, ProcessGrid::square(4), &comm);
-        assert!(out.stats.aligned_pairs > 0);
+        let (candidates, _, stats) = overlap_2d(&ds, &table, &cfg, ProcessGrid::square(4), &comm);
+        assert!(stats.aligned_pairs > 0);
         assert!(comm.extra(ALIGNED_CELLS_KEY) > 0);
         assert!(comm.extra(BAND_WIDTH_PEAK_KEY) > 0);
         // The counters agree with a direct exec run on the same candidates.
-        let (_, _, exec) = align_candidates_exec(&ds.reads, &out.candidates, &cfg, ExtendEngine::Auto);
+        let (_, _, exec) = align_candidates_exec(&ds.reads, &candidates, &cfg, ExtendEngine::Auto);
         assert_eq!(comm.extra(ALIGNED_CELLS_KEY), exec.aligned_cells);
         assert_eq!(comm.extra(BAND_WIDTH_PEAK_KEY), exec.band_width_peak);
         assert_eq!(comm.extra(XDROP_TERMINATIONS_KEY), exec.xdrop_terminations);

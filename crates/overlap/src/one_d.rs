@@ -9,14 +9,13 @@
 //! and Table I's cost comparison run the same local kernels and differ only in
 //! decomposition and communication — which is the paper's claim.
 
-use crate::amatrix::build_a_matrix;
-use crate::detect::{align_candidates_with, read_exchange_words, OverlapConfig, OverlapOutput};
+use crate::detect::read_exchange_words;
 use crate::semiring::OverlapSemiring;
 use crate::types::CommonKmers;
-use dibella_dist::{BlockDist, CommPhase, CommStats, ProcessGrid};
-use dibella_seq::{KmerTable, ReadSet};
+use dibella_dist::{BlockDist, CommPhase, CommStats};
+use dibella_seq::ReadSet;
 use dibella_sparse::outer1d::outer1d_aat;
-use dibella_sparse::{CsrMatrix, DistMat2D};
+use dibella_sparse::CsrMatrix;
 use std::collections::BTreeSet;
 
 /// Compute the candidate overlap matrix — its strict upper triangle, as the
@@ -69,33 +68,12 @@ pub fn account_read_exchange_1d(
     }
 }
 
-/// Run the full 1D overlap-detection baseline: build `A`, compute the
-/// candidates with the outer-product algorithm, account for the per-nonzero
-/// read exchange, then align and prune exactly as the 2D pipeline does.
-pub fn run_overlap_1d(
-    reads: &ReadSet,
-    table: &KmerTable,
-    config: &OverlapConfig,
-    nprocs: usize,
-    comm: &CommStats,
-) -> OverlapOutput {
-    // The 1D algorithm's data structures are not 2D-distributed; a single-rank
-    // grid holds the assembled matrices for downstream (shared) stages.
-    let grid = ProcessGrid::square(1);
-    let a = build_a_matrix(reads, table, config.k, grid, nprocs);
-    let a_local = a.to_local_csr();
-    let candidates_local = detect_candidates_1d(&a_local, nprocs, comm);
-    account_read_exchange_1d(reads, &candidates_local, nprocs, comm);
-    let candidates = DistMat2D::from_triples(grid, &candidates_local.to_triples());
-    let (overlaps, stats) = align_candidates_with(reads, &candidates, config, Some(comm));
-    OverlapOutput { a, candidates, overlaps, stats }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::run_overlap_2d;
-    use dibella_seq::{count_kmers_serial, DatasetSpec, KmerSelection};
+    use crate::{build_a_matrix, OverlapConfig};
+    use dibella_dist::ProcessGrid;
+    use dibella_seq::{count_kmers_serial, DatasetSpec, KmerSelection, KmerTable};
 
     fn setup(seed: u64) -> (dibella_seq::SimulatedDataset, KmerTable, OverlapConfig) {
         let ds = DatasetSpec::Tiny.generate(seed);
@@ -119,20 +97,6 @@ mod tests {
         for (i, j, v) in c2d.iter() {
             assert_eq!(c1d.get(i, j).unwrap().count, v.count);
         }
-    }
-
-    #[test]
-    fn one_d_and_2d_pipelines_accept_the_same_overlaps() {
-        let (ds, table, cfg) = setup(12);
-        let comm2d = CommStats::new();
-        let out2d = run_overlap_2d(&ds.reads, &table, &cfg, ProcessGrid::square(4), &comm2d);
-        let comm1d = CommStats::new();
-        let out1d = run_overlap_1d(&ds.reads, &table, &cfg, 4, &comm1d);
-        assert_eq!(
-            out2d.overlaps.to_local_csr().pattern(),
-            out1d.overlaps.to_local_csr().pattern()
-        );
-        assert_eq!(out2d.stats.dovetail, out1d.stats.dovetail);
     }
 
     #[test]

@@ -215,17 +215,6 @@ impl CommModel {
             aggregate_messages: pm.tr_iterations as f64 * 2.0 * self.p as f64 * (self.sqrt_p() - 1.0),
         }
     }
-
-    /// The process count above which the 1D algorithm's **read exchange**
-    /// would move fewer words per process than the 2D algorithm's — the
-    /// paper's "(c²/4)-way parallelism" observation (Section V-C): the 1D
-    /// exchange costs `c·n·l/P` against `2·n·l/√P` for 2D, so the 1D
-    /// algorithm needs `P > (c/2)²` to come out ahead.  (The paper's constant:
-    /// [`read_exchange_1d`](Self::read_exchange_1d) fetches one read per
-    /// *pair*, so this model's own curves cross at a quarter of it.)
-    pub fn one_d_read_exchange_crossover(&self) -> f64 {
-        (self.params.c / 2.0).powi(2)
-    }
 }
 
 #[cfg(test)]
@@ -277,9 +266,11 @@ mod tests {
 
     #[test]
     fn one_d_read_exchange_beats_2d_only_past_the_crossover() {
+        // The paper's crossover (Section V-C): the 1D exchange costs `c·n·l/P`
+        // against `2·n·l/√P` for 2D, so 1D needs `P > (c/2)²` = 2 500 at
+        // c = 100 (`read_exchange_1d` fetches one read per *pair*, so this
+        // model's own curves cross at a quarter of it).
         let pm = params();
-        let crossover = CommModel::new(pm, 4).one_d_read_exchange_crossover();
-        assert!((crossover - 2500.0).abs() < 1e-9, "c=100 => crossover at (c/2)^2 = 2500");
         // Well below the crossover the 1D per-process read exchange exceeds 2D's.
         let below = CommModel::new(pm, 64);
         assert!(

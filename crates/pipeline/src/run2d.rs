@@ -3,7 +3,7 @@
 use crate::config::{CandidateSource, PipelineConfig};
 use crate::timings::{timed, StageTimings};
 use dibella_dist::extras::FASTQ_DROPPED_LOW_QUALITY_KEY;
-use dibella_dist::{par_ranks, CommPhase, CommSnapshot, CommStats, ProcessGrid};
+use dibella_dist::{par_ranks, BlockDist, CommPhase, CommSnapshot, CommStats, ProcessGrid};
 use dibella_overlap::{
     account_read_exchange_2d, align_candidates_with, build_a_matrix, detect_candidates_2d_with,
     OverlapEdge, OverlapStats,
@@ -298,7 +298,9 @@ fn account_consensus(
     comm: &CommStats,
 ) {
     let p = grid.nprocs();
-    let n = reads.len().max(1);
+    // Balanced block distribution of reads over ranks, as in the read
+    // exchange; self-messages are free.
+    let read_dist = BlockDist::new(reads.len(), p);
     let mut words = 0u64;
     let mut messages = 0u64;
     for (index, contig) in contigs.iter().enumerate() {
@@ -307,10 +309,7 @@ fn account_consensus(
         }
         let owner = index % p;
         for &r in &contig.reads {
-            // Balanced block distribution of reads over ranks, as in the
-            // read exchange; self-messages are free.
-            let read_owner = r * p / n;
-            if read_owner != owner {
+            if read_dist.owner(r) != owner {
                 words += (reads.seq(r).len() as u64).div_ceil(32) + 1;
                 messages += 1;
             }
@@ -328,6 +327,24 @@ mod tests {
 
     fn tiny_config(nprocs: usize) -> PipelineConfig {
         PipelineConfig::for_small_reads(13, nprocs)
+    }
+
+    #[test]
+    fn consensus_gathers_are_charged_against_the_read_exchange_owners() {
+        // 10 reads on 4 ranks: blocks {0,1,2} {3,4,5} {6,7} {8,9}, where
+        // `r·P/n` would put read 5 on rank 2.
+        use dibella_seq::{DnaSeq, ReadRecord};
+        let reads = ReadSet::from_records(
+            (0..10)
+                .map(|r| ReadRecord { name: format!("r{r}"), seq: DnaSeq::from_codes(vec![0; 40 + r]) })
+                .collect(),
+        );
+        let contig = |reads: &[usize]| Contig { reads: reads.to_vec(), estimated_length: 0, circular: false };
+        // Contig 0 is built on rank 0 and gathers read 3 (43 bases: 3 words);
+        // contig 1 on rank 1, where reads 4 and 5 already are.
+        let comm = CommStats::new();
+        account_consensus(&[contig(&[0, 3]), contig(&[4, 5])], &reads, ProcessGrid::square(4), &comm);
+        assert_eq!((comm.words(CommPhase::Consensus), comm.messages(CommPhase::Consensus)), (3, 1));
     }
 
     #[test]

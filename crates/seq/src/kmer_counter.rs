@@ -53,12 +53,6 @@ pub struct KmerSelection {
     pub max_count: u32,
 }
 
-impl Default for KmerSelection {
-    fn default() -> Self {
-        Self { k: 17, min_count: 2, max_count: 8 }
-    }
-}
-
 impl KmerSelection {
     /// The experimental setting of the paper: `k = 17`, maximum k-mer
     /// frequency 4 (Section VI).

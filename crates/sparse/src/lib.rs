@@ -11,11 +11,11 @@
 //! * [`semiring::Semiring`] — the overloadable add/multiply abstraction; the
 //!   overlap-detection and MinPlus transitive-reduction semirings of the paper
 //!   live in the higher-level crates and plug in here.
-//! * [`accum`] — reusable per-worker row accumulators (dense SPA / linear-
-//!   probing hash vector) and the [`accum::FlopCounter`] every kernel tallies
-//!   useful flops, probes and peak row width into.
+//! * [`accum`] — the reusable per-worker row accumulator (a dense SPA) and
+//!   the [`accum::FlopCounter`] every kernel tallies useful flops, probes and
+//!   peak row width into.
 //! * [`spgemm`] — local (single-block) Gustavson SpGEMM over the reusable
-//!   accumulators: the general kernel and the upper-triangle `A·Aᵀ` kernel,
+//!   accumulator: the general kernel and the upper-triangle `A·Aᵀ` kernel,
 //!   each with the multi-stage accumulate-in-place entry point SUMMA uses,
 //!   and the k-major kernel a block of `A·Aᵀ` switches to when its products
 //!   outnumber its output coordinates.
@@ -42,7 +42,7 @@ pub mod spgemm;
 pub mod summa;
 pub mod triples;
 
-pub use accum::{AccumPolicy, Accumulator, FlopCounter};
+pub use accum::FlopCounter;
 pub use csr::CsrMatrix;
 pub use distmat::DistMat2D;
 pub use semiring::{BoolAndOr, MinPlusNum, PlusTimes, Semiring};

@@ -1,9 +1,8 @@
 //! Local sparse matrix-matrix multiplication over a semiring.
 //!
 //! CombBLAS' local SpGEMM uses a tuned hybrid hash/heap algorithm; this
-//! module implements a row-wise Gustavson SpGEMM on top of the reusable
-//! [`Accumulator`] abstraction (dense SPA or linear-probing hash vector, see
-//! [`crate::accum`]): one accumulator is created per worker thread of the
+//! module implements a row-wise Gustavson SpGEMM on top of the reusable dense
+//! SPA ([`DenseSpa`]): one accumulator is created per worker thread of the
 //! work-stealing pool and reused across every output row that worker claims —
 //! and, through [`spgemm_stages`], across all SUMMA stages of a block
 //! product, so no per-row map is ever allocated and no per-stage sorted-merge
@@ -38,7 +37,7 @@
 //! into a [`FlopCounter`]; the distributed layers fold those into
 //! `CommStats::extras` so every phase reports flops/s.
 
-use crate::accum::{AccumPolicy, Accumulator, FlopCounter};
+use crate::accum::{DenseSpa, FlopCounter};
 use crate::csr::CsrMatrix;
 use crate::semiring::Semiring;
 use rayon::pool;
@@ -67,11 +66,7 @@ fn check_stages<L, R>(out_rows: usize, out_cols: usize, stages: &Stages<'_, L, R
 
 /// Extract the finished output row from `acc` (sorted, leaving `acc` empty
 /// for the worker's next row) and tally its work into `flops`.
-fn finish_row<T>(
-    acc: &mut Accumulator<T>,
-    products: u64,
-    flops: &FlopCounter,
-) -> Vec<(usize, T)> {
+fn finish_row<T>(acc: &mut DenseSpa<T>, products: u64, flops: &FlopCounter) -> Vec<(usize, T)> {
     let width = acc.len() as u64;
     let probes = acc.take_probes();
     let row = acc.extract_sorted();
@@ -94,13 +89,12 @@ pub fn spgemm_stages<S: Semiring>(
     out_rows: usize,
     out_cols: usize,
     stages: &Stages<'_, S::Left, S::Right>,
-    policy: AccumPolicy,
     flops: &FlopCounter,
 ) -> CsrMatrix<S::Out> {
     check_stages(out_rows, out_cols, stages);
     let rows: Vec<Vec<(usize, S::Out)>> = pool::map_indexed_with(
         out_rows,
-        || Accumulator::with_policy(out_cols, policy),
+        || DenseSpa::new(out_cols),
         |acc, i| {
             let mut products = 0u64;
             for (a, b) in stages {
@@ -128,7 +122,7 @@ pub fn local_spgemm<S: Semiring>(
     b: &CsrMatrix<S::Right>,
     flops: &FlopCounter,
 ) -> CsrMatrix<S::Out> {
-    spgemm_stages::<S>(a.nrows(), b.ncols(), &[(a, b)], AccumPolicy::Auto, flops)
+    spgemm_stages::<S>(a.nrows(), b.ncols(), &[(a, b)], flops)
 }
 
 /// Compute the **upper triangle** (diagonal included) of the symmetric
@@ -170,7 +164,6 @@ where
 pub fn spgemm_stages_aat<S>(
     n: usize,
     stages: &Stages<'_, S::Left, S::Left>,
-    policy: AccumPolicy,
     flops: &FlopCounter,
 ) -> CsrMatrix<S::Out>
 where
@@ -179,7 +172,7 @@ where
     check_stages(n, n, stages);
     let upper: Vec<Vec<(usize, S::Out)>> = pool::map_indexed_with(
         n,
-        || Accumulator::with_policy(n, policy),
+        || DenseSpa::new(n),
         |acc, i| {
             let mut products = 0u64;
             for (a, at) in stages {
@@ -308,9 +301,9 @@ where
     match kernel {
         BlockKernel::Gustavson => {
             if diagonal {
-                spgemm_stages_aat::<S>(out_rows, &pairs, AccumPolicy::Auto, flops)
+                spgemm_stages_aat::<S>(out_rows, &pairs, flops)
             } else {
-                spgemm_stages::<S>(out_rows, out_cols, &pairs, AccumPolicy::Auto, flops)
+                spgemm_stages::<S>(out_rows, out_cols, &pairs, flops)
             }
         }
         BlockKernel::KMajor => {
@@ -565,7 +558,6 @@ mod tests {
         let staged = spgemm_stages_aat::<PlusTimes<i64>>(
             a.nrows(),
             &[(&left, &lt), (&right, &rt)],
-            AccumPolicy::Auto,
             &flops,
         );
         assert_eq!(staged, whole);
@@ -584,7 +576,6 @@ mod tests {
             2,
             3,
             &[(&a0, &b0), (&a1, &b1)],
-            AccumPolicy::Auto,
             &flops,
         );
         // A0·B0 = [3 0 0; 0 8 0], A1·B1 = [35 0 40; 42 0 48].
@@ -598,9 +589,80 @@ mod tests {
     fn empty_stage_list_gives_the_zero_matrix() {
         let flops = FlopCounter::new();
         let stages: [(&CsrMatrix<i64>, &CsrMatrix<i64>); 0] = [];
-        let c = spgemm_stages::<PlusTimes<i64>>(3, 4, &stages, AccumPolicy::Auto, &flops);
+        let c = spgemm_stages::<PlusTimes<i64>>(3, 4, &stages, &flops);
         assert_eq!(c, CsrMatrix::zero(3, 4));
         assert_eq!(flops.flops(), 0);
+    }
+
+    /// `A·B` from the definition — on or above the diagonal only when `upper`
+    /// — as sorted `(row, column, value)` entries, with the tallies a dense
+    /// SPA reports for it: flops, probes (one per product), peak row width.
+    fn by_definition(
+        a: &CsrMatrix<i64>,
+        b: &CsrMatrix<i64>,
+        upper: bool,
+    ) -> (Vec<(usize, usize, i64)>, (u64, u64, u64)) {
+        let mut want = std::collections::BTreeMap::new();
+        let mut products = 0u64;
+        for (i, k, x) in a.iter() {
+            for (j, y) in b.row(k).filter(|&(j, _)| !upper || j >= i) {
+                *want.entry((i, j)).or_insert(0) += x * y;
+                products += 1;
+            }
+        }
+        let mut widths = vec![0u64; a.nrows()];
+        want.keys().for_each(|&(i, _)| widths[i] += 1);
+        let peak = widths.into_iter().max().unwrap_or(0);
+        (want.into_iter().map(|((i, j), v)| (i, j, v)).collect(), (2 * products, products, peak))
+    }
+
+    #[test]
+    fn a_block_wider_than_two_to_the_sixteen_equals_the_definition() {
+        // Columns on both sides of 2^16 and at both ends of the block; every
+        // inner index reaches most of them, so they collide.
+        const WIDE: usize = 70_000;
+        let far = [0usize, 1, 65_535, 65_536, 65_537, WIDE - 1];
+        let entries = |c: &CsrMatrix<i64>| c.iter().map(|(i, j, v)| (i, j, *v)).collect::<Vec<_>>();
+        let tallies = |f: &FlopCounter| (f.flops(), f.probes(), f.peak_row_width());
+
+        // General: (3 x 4)·(4 x WIDE).
+        let a = matrix_from(
+            (0..3).flat_map(|i| (i % 2..4).map(move |k| (i, k, (i + 2 * k) as i64 + 1))).collect(),
+            3,
+            4,
+        );
+        let b = matrix_from(
+            (0..4)
+                .flat_map(|k| far.iter().skip(k % 3).map(move |&j| (k, j, 2 * (j % 7) as i64 - 6 * k as i64 - 1)))
+                .collect(),
+            4,
+            WIDE,
+        );
+        let flops = FlopCounter::new();
+        let c = spgemm_stages::<PlusTimes<i64>>(3, WIDE, &[(&a, &b)], &flops);
+        let (want, want_tallies) = by_definition(&a, &b, false);
+        assert!(c.validate().is_ok());
+        assert_eq!((entries(&c), tallies(&flops)), (want, want_tallies));
+        assert_eq!(want_tallies.2, far.len() as u64, "a row must span the whole block");
+
+        // Symmetric: three non-empty rows of a WIDE x 4 operand, so the
+        // WIDE x WIDE upper triangle has entries in columns past 2^16.
+        let a = matrix_from(
+            [3usize, 65_536, WIDE - 1]
+                .into_iter()
+                .enumerate()
+                .flat_map(|(n, i)| (n % 2..4).map(move |k| (i, k, 2 * (n + 3 * k) as i64 - 7)))
+                .collect(),
+            WIDE,
+            4,
+        );
+        let at = a.transpose();
+        let flops = FlopCounter::new();
+        let c = spgemm_stages_aat::<PlusTimes<i64>>(WIDE, &[(&a, &at)], &flops);
+        let (want, want_tallies) = by_definition(&a, &at, true);
+        assert!(c.validate().is_ok());
+        assert_eq!((entries(&c), tallies(&flops)), (want, want_tallies));
+        assert_eq!((c.nnz(), want_tallies.2), (6, 3));
     }
 
     #[test]
@@ -700,7 +762,7 @@ mod tests {
                 let (block, ..) = both_kernels::<S>(rows, cols, &stages, i == j);
                 let pairs: Vec<_> = stages.iter().map(|st| (st.left, st.right_t)).collect();
                 let general =
-                    spgemm_stages::<S>(rows, cols, &pairs, AccumPolicy::Auto, &FlopCounter::new())
+                    spgemm_stages::<S>(rows, cols, &pairs, &FlopCounter::new())
                         .filter(|r, c, _| i < j || r <= c);
                 assert_eq!(block, general, "block ({i}, {j}) of a {side}x{side} grid");
             }
@@ -824,26 +886,19 @@ mod tests {
         )
     }
 
-    /// Run one (a, b) pair through both accumulator variants and compare
-    /// against the dense reference — the satellite coverage pitting the SPA
-    /// and the hash accumulator against each other over a semiring.
-    fn check_both_policies<S>(a: &CsrMatrix<S::Left>, b: &CsrMatrix<S::Right>) -> Result<(), TestCaseError>
+    /// Run one (a, b) pair through [`spgemm_stages`] and compare against the
+    /// dense reference, over a semiring.
+    fn check_against_dense<S>(a: &CsrMatrix<S::Left>, b: &CsrMatrix<S::Right>) -> Result<(), TestCaseError>
     where
         S: Semiring,
         S::Out: PartialEq + std::fmt::Debug,
     {
         let dense = dense_reference_spgemm::<S>(a, b);
-        for policy in [AccumPolicy::ForceDense, AccumPolicy::ForceHash] {
-            let flops = FlopCounter::new();
-            let c = spgemm_stages::<S>(a.nrows(), b.ncols(), &[(a, b)], policy, &flops);
-            prop_assert!(c.validate().is_ok());
-            prop_assert!(matches_dense(&c, &dense), "policy {policy:?} disagrees with dense");
-            prop_assert_eq!(
-                flops.flops() % 2,
-                0,
-                "flops are counted in multiply-add pairs"
-            );
-        }
+        let flops = FlopCounter::new();
+        let c = spgemm_stages::<S>(a.nrows(), b.ncols(), &[(a, b)], &flops);
+        prop_assert!(c.validate().is_ok());
+        prop_assert!(matches_dense(&c, &dense), "the kernel disagrees with dense");
+        prop_assert_eq!(flops.flops() % 2, 0, "flops are counted in multiply-add pairs");
         Ok(())
     }
 
@@ -860,27 +915,27 @@ mod tests {
         }
 
         #[test]
-        fn prop_both_accumulators_match_dense_plus_times(
+        fn prop_stages_match_dense_plus_times(
             a in arb_matrix(8, 6),
             b in arb_matrix(6, 9),
         ) {
-            check_both_policies::<PlusTimes<i64>>(&a, &b)?;
+            check_against_dense::<PlusTimes<i64>>(&a, &b)?;
         }
 
         #[test]
-        fn prop_both_accumulators_match_dense_min_plus(
+        fn prop_stages_match_dense_min_plus(
             a in arb_u64_matrix(7, 6),
             b in arb_u64_matrix(6, 8),
         ) {
-            check_both_policies::<MinPlusNum<u64>>(&a, &b)?;
+            check_against_dense::<MinPlusNum<u64>>(&a, &b)?;
         }
 
         #[test]
-        fn prop_both_accumulators_match_dense_bool(
+        fn prop_stages_match_dense_bool(
             a in arb_bool_matrix(7, 6),
             b in arb_bool_matrix(6, 8),
         ) {
-            check_both_policies::<BoolAndOr>(&a, &b)?;
+            check_against_dense::<BoolAndOr>(&a, &b)?;
         }
 
         #[test]

@@ -30,7 +30,7 @@
 //! [`peak_row_width_key`]), which is how the pipeline reports flops/s per
 //! phase.
 
-use crate::accum::{AccumPolicy, FlopCounter};
+use crate::accum::FlopCounter;
 use crate::csr::CsrMatrix;
 use crate::distmat::DistMat2D;
 use crate::semiring::Semiring;
@@ -138,7 +138,7 @@ pub fn summa<S: Semiring>(
     let blocks: Vec<CsrMatrix<S::Out>> = par_ranks(grid.nprocs(), |rank| {
         let (i, j) = grid.coords(rank);
         let pairs = stage_pairs(stages, |k| a.block(i, k), |k| b.block(k, j));
-        spgemm_stages::<S>(row_dist.size(i), col_dist.size(j), &pairs, AccumPolicy::Auto, &flops)
+        spgemm_stages::<S>(row_dist.size(i), col_dist.size(j), &pairs, &flops)
     });
     record_arithmetic(stats, phase, &flops);
 

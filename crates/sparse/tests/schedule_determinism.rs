@@ -17,7 +17,7 @@ use dibella_sparse::{
     elementwise::{ewise_intersect, set_difference},
     outer1d::outer1d_aat,
     spgemm::{aat_block_is_k_major, spgemm_aat_block, spgemm_stages, spgemm_stages_aat, AatStage},
-    AccumPolicy, CsrMatrix, DistMat2D, FlopCounter, PlusTimes, Triples,
+    CsrMatrix, DistMat2D, FlopCounter, PlusTimes, Triples,
 };
 use dibella_testutil::{assert_schedule_determinism, SchedulePreset};
 
@@ -54,7 +54,6 @@ fn spgemm_stages_is_bit_identical_under_adversarial_schedules() {
             96,
             80,
             &[(&a1, &b1), (&a2, &b2)],
-            AccumPolicy::Auto,
             &flops,
         );
         // The counters are part of the determinism claim too.
@@ -75,7 +74,6 @@ fn spgemm_stages_aat_is_bit_identical_under_adversarial_schedules() {
         let out = spgemm_stages_aat::<PlusTimes<u64>>(
             96,
             &[(&a1, &t1), (&a2, &t2)],
-            AccumPolicy::Auto,
             &flops,
         );
         (out, flops.flops(), flops.probes(), flops.peak_row_width())
@@ -113,8 +111,8 @@ fn k_major_aat_block_is_bit_identical_under_adversarial_schedules() {
 
     // And what every schedule agreed on is what the row-wise kernels compute.
     let flops = FlopCounter::new();
-    let d = spgemm_stages_aat::<PlusTimes<u64>>(768, &[(&a1, &at1), (&a2, &at2)], AccumPolicy::Auto, &flops);
-    let o = spgemm_stages::<PlusTimes<u64>>(768, 700, &[(&a1, &bt1), (&a2, &bt2)], AccumPolicy::Auto, &flops);
+    let d = spgemm_stages_aat::<PlusTimes<u64>>(768, &[(&a1, &at1), (&a2, &at2)], &flops);
+    let o = spgemm_stages::<PlusTimes<u64>>(768, 700, &[(&a1, &bt1), (&a2, &bt2)], &flops);
     assert_eq!(run(), (d, o, flops.flops(), flops.probes(), flops.peak_row_width()));
 }
 

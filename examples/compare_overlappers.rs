@@ -46,8 +46,8 @@ fn main() {
         "method", "pairs", "recall%", "prec.%", "time (s)", "align (s)", "Mcells/s", "comm words"
     );
 
-    // diBELLA 2D — staged like `run_overlap_2d`, with the alignment stage
-    // (the dominant cost, Figures 5-8) timed on its own.
+    // diBELLA 2D, with the alignment stage (the dominant cost, Figures 5-8)
+    // timed on its own.
     {
         let comm = CommStats::new();
         let table = count_kmers_distributed(&dataset.reads, &config.kmer, nprocs, &comm);
@@ -111,7 +111,7 @@ fn main() {
         );
     }
 
-    // diBELLA 1D — staged like `run_overlap_1d`.
+    // diBELLA 1D.
     {
         let comm = CommStats::new();
         let table = count_kmers_distributed(&dataset.reads, &config.kmer, nprocs, &comm);

@@ -74,8 +74,7 @@ pub mod prelude {
     pub use dibella_align::{AlignmentConfig, BidirectedDir, OverlapClass, ScoringScheme};
     pub use dibella_dist::{CommPhase, CommStats, ProcessGrid};
     pub use dibella_overlap::{
-        minimizer_overlaps, run_overlap_1d, run_overlap_2d, MinimizerConfig, OverlapConfig,
-        OverlapEdge,
+        minimizer_overlaps, MinimizerConfig, OverlapConfig, OverlapEdge,
     };
     pub use dibella_pipeline::{
         run_dibella_1d, run_dibella_2d, run_dibella_2d_fastq, run_dibella_2d_on_reads,
