@@ -59,7 +59,8 @@ fn main() {
 
     println!("Paper (Figure 4): near-linear scaling with >= 80% parallel efficiency for");
     println!("H. sapiens (peak 92% on Summit) and 68-83% for C. elegans.");
-    println!("'measured' is this host's wall clock (constant by construction); 'proj. T(P)'");
-    println!("divides the measured per-stage compute across ranks and adds the per-rank");
-    println!("communication time derived from the measured volumes (see EXPERIMENTS.md).");
+    println!("'measured' is this host's wall clock, including per-rank driver work that");
+    println!("grows with P; 'proj. T(P)' divides the measured per-stage compute across");
+    println!("ranks and adds the per-rank communication time derived from the measured");
+    println!("volumes (see EXPERIMENTS.md).");
 }

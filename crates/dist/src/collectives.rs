@@ -9,43 +9,54 @@
 use crate::comm::{CommPhase, CommStats};
 use rayon::pool;
 
-/// Simulated `MPI_Alltoallv`: deliver `send[src][dst]` to rank `dst`,
-/// recording the traffic under `phase`.
+/// Simulated `MPI_Alltoallv`: rank `src` sends the items `send[src]`, each to
+/// rank `owner(item)`, recording the traffic under `phase`.
 ///
-/// Rank `dst` receives the concatenation of every `send[src][dst]` in
-/// ascending `src` order (deterministic, like a rank-ordered `MPI_Alltoallv`).
-/// Each off-rank, non-empty buffer counts `len · words_per_item` words and
-/// one message against the sending rank; on-rank data (`src == dst`) is free,
-/// so a single-rank exchange records nothing.  The largest per-rank volume of
-/// this exchange — sent **or received**, so that both send- and receive-side
-/// skew show up — is folded into the phase's
+/// Rank `dst` receives the items addressed to it in ascending `src` order,
+/// each source's in the order it listed them (deterministic, like a
+/// rank-ordered `MPI_Alltoallv`).  A source's items for one rank travel as
+/// one buffer: each off-rank, non-empty buffer counts `len · words_per_item`
+/// words and one message against the sending rank; on-rank data
+/// (`src == dst`) is free, so a single-rank exchange records nothing.  The
+/// largest per-rank volume of this exchange — sent **or received**, so that
+/// both send- and receive-side skew show up — is folded into the phase's
 /// [`max_words_per_rank`](crate::PhaseCounters::max_words_per_rank).
 ///
 /// # Panics
-/// Panics if any `send[src]` does not have exactly one buffer per rank.
+/// Panics if `owner` returns a rank outside `0..send.len()`.
 pub fn alltoallv_counted<T: Send>(
-    send: Vec<Vec<Vec<T>>>,
+    send: Vec<Vec<T>>,
+    owner: impl Fn(&T) -> usize + Sync,
     stats: &CommStats,
     phase: CommPhase,
     words_per_item: u64,
 ) -> Vec<Vec<T>> {
     let nprocs = send.len();
-    // `inbound[dst][src]`: the accounting pass hands every buffer to the rank
-    // that is about to receive it.
-    let mut inbound: Vec<Vec<Vec<T>>> =
-        (0..nprocs).map(|_| Vec::with_capacity(nprocs)).collect();
+    // Every source groups its own items, as its own task, and keeps only its
+    // non-empty buffers, so no state here grows with rank pairs.  An owner
+    // hash spreads a source's items evenly: a buffer sized an eighth over its
+    // even share almost never regrows, and an empty source allocates nothing.
+    let outgoing: Vec<Vec<(usize, Vec<T>)>> = pool::map_owned(send, |_, items| {
+        if items.is_empty() {
+            return Vec::new();
+        }
+        let share = items.len() / nprocs;
+        let mut buffers: Vec<Vec<T>> =
+            (0..nprocs).map(|_| Vec::with_capacity(share + share / 8)).collect();
+        for item in items {
+            buffers[owner(&item)].push(item);
+        }
+        buffers.into_iter().enumerate().filter(|(_, buffer)| !buffer.is_empty()).collect()
+    });
+    // `inbound[dst]`: the accounting pass hands every buffer to the rank that
+    // is about to receive it, in ascending source order.
+    let mut inbound: Vec<Vec<Vec<T>>> = (0..nprocs).map(|_| Vec::new()).collect();
     let mut words_received = vec![0u64; nprocs];
-    for (src, buffers) in send.into_iter().enumerate() {
-        assert_eq!(
-            buffers.len(),
-            nprocs,
-            "rank {src} prepared {} buffers for {nprocs} ranks",
-            buffers.len()
-        );
+    for (src, buffers) in outgoing.into_iter().enumerate() {
         let mut words_sent = 0u64;
         let mut messages_sent = 0u64;
-        for (dst, buffer) in buffers.into_iter().enumerate() {
-            if dst != src && !buffer.is_empty() {
+        for (dst, buffer) in buffers {
+            if dst != src {
                 let words = buffer.len() as u64 * words_per_item;
                 words_sent += words;
                 words_received[dst] += words;
@@ -53,7 +64,7 @@ pub fn alltoallv_counted<T: Send>(
             }
             inbound[dst].push(buffer);
         }
-        if words_sent > 0 || messages_sent > 0 {
+        if messages_sent > 0 {
             stats.record(phase, words_sent, messages_sent);
             stats.record_rank_max(phase, words_sent);
         }
@@ -123,33 +134,70 @@ mod tests {
     use super::*;
     use crate::comm::CommPhase;
 
-    fn square_send(matrix: &[&[&[u32]]]) -> Vec<Vec<Vec<u32>>> {
-        matrix.iter().map(|row| row.iter().map(|buf| buf.to_vec()).collect()).collect()
+    /// Run the exchange on a `[src][dst]` matrix of values: each source lists
+    /// its values row by row, tagged with their destination, and the tag is
+    /// the owner.  Returns the values each rank received.
+    fn exchange(
+        matrix: &[&[&[u32]]],
+        stats: &CommStats,
+        phase: CommPhase,
+        words_per_item: u64,
+    ) -> Vec<Vec<u32>> {
+        let send = matrix
+            .iter()
+            .map(|row| {
+                let tagged = row.iter().enumerate();
+                tagged.flat_map(|(dst, buf)| buf.iter().map(move |&v| (dst, v))).collect()
+            })
+            .collect();
+        let recv = alltoallv_counted(send, |&(dst, _)| dst, stats, phase, words_per_item);
+        recv.into_iter().map(|items| items.into_iter().map(|(_, v)| v).collect()).collect()
     }
 
     #[test]
     fn delivery_is_concatenated_in_source_order() {
         let stats = CommStats::new();
-        let send = square_send(&[
-            &[&[1], &[2, 3], &[4]],
-            &[&[5, 6], &[], &[7]],
-            &[&[8], &[9], &[]],
-        ]);
-        let recv = alltoallv_counted(send, &stats, CommPhase::Other, 1);
+        let recv = exchange(
+            &[
+                &[&[1], &[2, 3], &[4]],
+                &[&[5, 6], &[], &[7]],
+                &[&[8], &[9], &[]],
+            ],
+            &stats,
+            CommPhase::Other,
+            1,
+        );
         assert_eq!(recv[0], vec![1, 5, 6, 8]);
         assert_eq!(recv[1], vec![2, 3, 9]);
         assert_eq!(recv[2], vec![4, 7]);
     }
 
     #[test]
+    fn a_source_listed_out_of_destination_order_is_delivered_in_its_order() {
+        // Owner `v % 3`: rank 0 lists its values for ranks 2, 0, 1, 1, 0, 2
+        // and rank 1 for ranks 0, 1, 2, 0; rank 2 lists nothing.
+        let stats = CommStats::new();
+        let send = vec![vec![5u32, 3, 1, 4, 0, 2], vec![9, 7, 8, 6], vec![]];
+        let recv = alltoallv_counted(send, |&v| v as usize % 3, &stats, CommPhase::Other, 1);
+        assert_eq!(recv, vec![vec![3, 0, 9, 6], vec![1, 4, 7], vec![5, 2, 8]]);
+        // Rank 0 sends 2 + 2 items in 2 messages, rank 1 sends 2 + 1 in 2.
+        assert_eq!(stats.words(CommPhase::Other), 7);
+        assert_eq!(stats.messages(CommPhase::Other), 4);
+    }
+
+    #[test]
     fn volumes_match_hand_computed_off_rank_items() {
         let stats = CommStats::new();
-        let send = square_send(&[
-            &[&[1], &[2, 3], &[4]],    // off-rank: 3 items, 2 messages
-            &[&[5, 6], &[], &[7]],     // off-rank: 3 items, 2 messages
-            &[&[8], &[9], &[]],        // off-rank: 2 items, 2 messages
-        ]);
-        let _ = alltoallv_counted(send, &stats, CommPhase::KmerCounting, 1);
+        let _ = exchange(
+            &[
+                &[&[1], &[2, 3], &[4]],    // off-rank: 3 items, 2 messages
+                &[&[5, 6], &[], &[7]],     // off-rank: 3 items, 2 messages
+                &[&[8], &[9], &[]],        // off-rank: 2 items, 2 messages
+            ],
+            &stats,
+            CommPhase::KmerCounting,
+            1,
+        );
         assert_eq!(stats.words(CommPhase::KmerCounting), 8);
         assert_eq!(stats.messages(CommPhase::KmerCounting), 6);
         // Per-rank max: ranks sent 3, 3 and 2 words respectively.
@@ -159,8 +207,7 @@ mod tests {
     #[test]
     fn words_per_item_scales_the_volume_but_not_the_messages() {
         let stats = CommStats::new();
-        let send = square_send(&[&[&[], &[1, 2, 3]], &[&[4], &[]]]);
-        let _ = alltoallv_counted(send, &stats, CommPhase::Other, 5);
+        let _ = exchange(&[&[&[], &[1, 2, 3]], &[&[4], &[]]], &stats, CommPhase::Other, 5);
         assert_eq!(stats.words(CommPhase::Other), (3 + 1) * 5);
         assert_eq!(stats.messages(CommPhase::Other), 2);
     }
@@ -168,14 +215,13 @@ mod tests {
     #[test]
     fn single_rank_and_empty_buffers_are_free() {
         let stats = CommStats::new();
-        let recv = alltoallv_counted(vec![vec![vec![1u8, 2, 3]]], &stats, CommPhase::Other, 4);
+        let recv = exchange(&[&[&[1, 2, 3]]], &stats, CommPhase::Other, 4);
         assert_eq!(recv, vec![vec![1, 2, 3]]);
         assert_eq!(stats.words(CommPhase::Other), 0);
         assert_eq!(stats.messages(CommPhase::Other), 0);
 
         // Empty off-rank buffers do not count as messages either.
-        let send: Vec<Vec<Vec<u8>>> = vec![vec![vec![], vec![]], vec![vec![], vec![]]];
-        let _ = alltoallv_counted(send, &stats, CommPhase::Other, 4);
+        let _ = exchange(&[&[&[], &[]], &[&[], &[]]], &stats, CommPhase::Other, 4);
         assert_eq!(stats.messages(CommPhase::Other), 0);
     }
 
@@ -210,22 +256,18 @@ mod tests {
         // Every rank sends one word, but rank 0 receives everything (a hash
         // hot spot): the per-rank max must reflect the receive side.
         let stats = CommStats::new();
-        let send = square_send(&[
-            &[&[], &[], &[]],
-            &[&[10], &[], &[]],
-            &[&[20], &[], &[]],
-        ]);
-        let _ = alltoallv_counted(send, &stats, CommPhase::KmerCounting, 1);
+        let _ = exchange(
+            &[
+                &[&[], &[], &[]],
+                &[&[10], &[], &[]],
+                &[&[20], &[], &[]],
+            ],
+            &stats,
+            CommPhase::KmerCounting,
+            1,
+        );
         let snap = stats.snapshot().phase(CommPhase::KmerCounting);
         assert_eq!(snap.words, 2);
         assert_eq!(snap.max_words_per_rank, 2, "rank 0 received 2 words");
-    }
-
-    #[test]
-    #[should_panic(expected = "buffers")]
-    fn ragged_send_matrices_are_rejected() {
-        let stats = CommStats::new();
-        let send: Vec<Vec<Vec<u8>>> = vec![vec![vec![]], vec![vec![], vec![]]];
-        let _ = alltoallv_counted(send, &stats, CommPhase::Other, 1);
     }
 }

@@ -30,11 +30,13 @@
 //!
 //! ## Phases
 //!
-//! Traffic is attributed to the four communicating stages of Algorithm 1
-//! (matching Table I of the paper): [`CommPhase::KmerCounting`],
+//! Traffic is attributed to six communicating phases: the four stages of
+//! Algorithm 1 that Table I of the paper prices ([`CommPhase::KmerCounting`],
 //! [`CommPhase::OverlapDetection`], [`CommPhase::ReadExchange`] and
-//! [`CommPhase::TransitiveReduction`], plus [`CommPhase::Other`] for
-//! miscellaneous traffic in tests and tools.
+//! [`CommPhase::TransitiveReduction`]), the k-min-mer index that replaces
+//! k-mer counting on the sketch path ([`CommPhase::SketchIndex`]) and the
+//! post-paper consensus gather ([`CommPhase::Consensus`]), plus
+//! [`CommPhase::Other`] for miscellaneous traffic in tests and tools.
 //!
 //! ## Example
 //!
@@ -49,14 +51,16 @@
 //! assert_eq!(dist.range(0), 0..5);
 //! assert_eq!(dist.owner(7), 1);
 //!
-//! // Exchange data between 2 virtual ranks and account for it.
+//! // Exchange data between 2 virtual ranks and account for it: values below
+//! // 10 belong to rank 0, the others to rank 1.
 //! let stats = CommStats::new();
 //! let send = vec![
-//!     vec![vec![1u64], vec![10, 11]], // rank 0 keeps [1], sends [10, 11] to rank 1
-//!     vec![vec![2, 3], vec![4]],      // rank 1 sends [2, 3] to rank 0, keeps [4]
+//!     vec![10u64, 1, 11], // rank 0 keeps [1], sends [10, 11] to rank 1
+//!     vec![2, 14, 3],     // rank 1 sends [2, 3] to rank 0, keeps [14]
 //! ];
-//! let recv = alltoallv_counted(send, &stats, CommPhase::Other, 1);
+//! let recv = alltoallv_counted(send, |&v| usize::from(v >= 10), &stats, CommPhase::Other, 1);
 //! assert_eq!(recv[0], vec![1, 2, 3]);
+//! assert_eq!(recv[1], vec![10, 11, 14]);
 //! assert_eq!(stats.words(CommPhase::Other), 4); // only off-rank items count
 //! assert_eq!(stats.messages(CommPhase::Other), 2);
 //! ```

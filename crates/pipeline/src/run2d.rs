@@ -4,6 +4,7 @@ use crate::config::{CandidateSource, PipelineConfig};
 use crate::timings::{timed, StageTimings};
 use dibella_dist::extras::FASTQ_DROPPED_LOW_QUALITY_KEY;
 use dibella_dist::{par_ranks, BlockDist, CommPhase, CommSnapshot, CommStats, ProcessGrid};
+use dibella_overlap::detect::read_exchange_words;
 use dibella_overlap::{
     account_read_exchange_2d, align_candidates_with, build_a_matrix, detect_candidates_2d_with,
     OverlapEdge, OverlapStats,
@@ -310,7 +311,7 @@ fn account_consensus(
         let owner = index % p;
         for &r in &contig.reads {
             if read_dist.owner(r) != owner {
-                words += (reads.seq(r).len() as u64).div_ceil(32) + 1;
+                words += read_exchange_words(reads.seq(r).len());
                 messages += 1;
             }
         }

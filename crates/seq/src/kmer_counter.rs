@@ -228,34 +228,24 @@ where
     Ok(fold.into_table())
 }
 
-/// One superstep's send buffers, `[rank][owner]`, of packed canonical
-/// k-mers: `k` is one number per run, so the 8-byte value is the whole item
-/// (the *accounted* wire size stays the paper's `⌈k/32⌉` words).
-type KmerBuckets = Vec<Vec<Vec<u64>>>;
-
-/// One superstep's extraction: every rank walks its block of the records and
-/// buckets canonical k-mers by owner rank (hash of the canonical k-mer).
-/// The returned buffers are moved into the exchange (consumed, not cloned),
-/// so a superstep's send side is resident exactly once.
-fn extract(records: &[ReadRecord], selection: &KmerSelection, nprocs: usize) -> KmerBuckets {
+/// One superstep's extraction: every rank lists the packed canonical k-mers
+/// of its block of the records, presized to its window count.  `k` is one
+/// number per run, so the 8-byte value is the whole item (the *accounted*
+/// wire size stays the paper's `⌈k/32⌉` words).  The lists are moved into
+/// the exchange (consumed, not cloned), so a superstep's send side is
+/// resident exactly once.
+fn extract(records: &[ReadRecord], selection: &KmerSelection, nprocs: usize) -> Vec<Vec<u64>> {
     let dist = BlockDist::new(records.len(), nprocs);
     par_ranks(nprocs, |rank| {
         let block = &records[dist.range(rank)];
-        // The hash spreads a rank's windows evenly: a bucket sized an eighth
-        // over its even share almost never regrows.  No floor on top: there
-        // are `nprocs²` buckets, so any constant here is a `P²` term (64
-        // slots each were 8.6 GB at P = 4 096), and a rank with an empty
-        // block must allocate nothing at all.
-        let share = block.iter().map(|r| r.seq.len()).sum::<usize>() / nprocs;
-        let mut bufs: Vec<Vec<u64>> =
-            (0..nprocs).map(|_| Vec::with_capacity(share + share / 8)).collect();
+        let windows = block.iter().map(|r| (r.seq.len() + 1).saturating_sub(selection.k)).sum();
+        let mut kmers = Vec::with_capacity(windows);
         for rec in block {
             for (_, _, canon) in KmerIter::new(&rec.seq, selection.k) {
-                let owner = (canon.kmer.hash64() % nprocs as u64) as usize;
-                bufs[owner].push(canon.kmer.packed());
+                kmers.push(canon.kmer.packed());
             }
         }
-        bufs
+        kmers
     })
 }
 
@@ -349,13 +339,17 @@ impl<'a> TwoPassFold<'a> {
         Self { selection, stats, owners: (0..nprocs).map(|_| Owner::default()).collect() }
     }
 
-    /// Exchange one superstep's buckets and let each owner fold what it
-    /// receives with `step`, as its own task (its state is its own).
-    fn superstep(&mut self, send: KmerBuckets, step: fn(&mut Owner, &mut [u64])) {
+    /// Exchange one superstep's k-mers to their owners (a hash of the
+    /// canonical k-mer) and let each owner fold what it receives with `step`,
+    /// as its own task (its state is its own).
+    fn superstep(&mut self, send: Vec<Vec<u64>>, step: fn(&mut Owner, &mut [u64])) {
+        let (k, nprocs) = (self.selection.k, self.owners.len() as u64);
+        let owner = |&packed: &u64| (Kmer::from_packed(packed, k).hash64() % nprocs) as usize;
         // The wire format is 2-bit packed, i.e. k/4 bytes per k-mer: that is
         // ceil(k/32) 8-byte words.
-        let words_per_kmer = (self.selection.k as u64).div_ceil(32);
-        let incoming = alltoallv_counted(send, self.stats, CommPhase::KmerCounting, words_per_kmer);
+        let words_per_kmer = (k as u64).div_ceil(32);
+        let incoming =
+            alltoallv_counted(send, owner, self.stats, CommPhase::KmerCounting, words_per_kmer);
         let mut folds: Vec<(&mut Owner, Vec<u64>)> = self.owners.iter_mut().zip(incoming).collect();
         par_ranks_mut(&mut folds, |_, (owner, batch)| step(owner, batch));
     }
@@ -390,19 +384,18 @@ struct IngestPeaks {
 impl IngestPeaks {
     /// Fold one superstep into the peaks and enforce the resident budget.
     ///
-    /// The estimate charges the batch itself, the exchange buffers twice
-    /// (send and receive sides are briefly co-resident inside the
-    /// all-to-all) and the persistent owner state.
+    /// The estimate charges the batch itself, the send lists twice (send and
+    /// receive sides are briefly co-resident inside the all-to-all) and the
+    /// persistent owner state.
     fn observe(
         &mut self,
         batch: &ReadBatch<'_>,
-        send: &KmerBuckets,
+        send: &[Vec<u64>],
         owner_state: u64,
         budget: &IngestBudget,
     ) -> Result<(), String> {
         let batch_bytes = batch.bytes() as u64;
-        // Buckets are presized, so a side of the exchange is their capacity.
-        let slots: usize = send.iter().flatten().map(Vec::capacity).sum();
+        let slots: usize = send.iter().map(Vec::capacity).sum();
         let exchange_bytes = (slots * std::mem::size_of::<u64>()) as u64;
         let resident = batch_bytes + 2 * exchange_bytes + owner_state;
         self.batch_bytes = self.batch_bytes.max(batch_bytes);

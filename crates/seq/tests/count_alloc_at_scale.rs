@@ -1,17 +1,12 @@
 //! Pins the k-mer counter's memory at a paper-scale rank count.
 //!
-//! Every source rank of a superstep prepares one bucket per owner rank, so
-//! anything a bucket allocates up front is paid `P²` times.  PR 18 presized
-//! each with a 64-slot floor — 512 B × `P²`, half a gigabyte at P = 1 024 and
-//! 8.6 GB at P = 4 096, which OOM-killed `fig4_strong_scaling` while the
-//! benchmark's P = 16 never saw it.  Here `DatasetSpec::Tiny` (80 reads, so
-//! 944 of 1 024 ranks have nothing to extract) is counted at P = 1 024 under
-//! the shared counting allocator with a cap that the floor breaks tenfold.
-//!
-//! What the cap still tolerates: the exchange's `P × P` empty `Vec` headers
-//! (24 B each, on the send and on the receive side — 48 KiB per rank at this
-//! P).  They go with the owner-partitioned single send buffer of ROADMAP item
-//! 1(a), not with this test.
+//! Anything the k-mer exchange holds per (source, owner) pair is paid `P²`
+//! times — even an empty `Vec` header on each side is 48 B × `P²`, 0.8 GB
+//! here — which the benchmark's P = 16 never sees but which keeps the
+//! scaling figures from running.  Here `DatasetSpec::Tiny` (80 reads, so
+//! 4 016 of 4 096 ranks have nothing to extract) is counted at P = 4 096
+//! under the shared counting allocator with a cap linear in the input and
+//! in `P`, with no rank-pair term.
 //!
 //! This file holds a single `#[test]` on purpose: the counter is global.
 
@@ -23,10 +18,10 @@ use dibella_testutil::PeakAlloc;
 static ALLOC: PeakAlloc = PeakAlloc::new();
 
 #[test]
-fn counting_tiny_at_1024_ranks_stays_linear_in_input_and_ranks() {
+fn counting_tiny_at_4096_ranks_stays_linear_in_input_and_ranks() {
     let ds = DatasetSpec::Tiny.generate(5);
     let sel = KmerSelection { k: 13, min_count: 2, max_count: 60 };
-    let nprocs = 1024;
+    let nprocs = 4096;
     let bases: usize = ds.reads.records().iter().map(|r| r.seq.len()).sum();
 
     let stats = CommStats::new();
@@ -35,8 +30,8 @@ fn counting_tiny_at_1024_ranks_stays_linear_in_input_and_ranks() {
     let peak = scope.peak_resident();
 
     // 64 B per input base (a packed k-mer per window, on both sides of the
-    // exchange, plus owner state) and 64 KiB per rank.
-    let cap = (64 * bases + (64 << 10) * nprocs) as u64;
+    // exchange, plus owner state) and 2 KiB per rank.
+    let cap = (64 * bases + (2 << 10) * nprocs) as u64;
     assert!(
         peak <= cap,
         "counting {bases} bases on {nprocs} ranks peaked at {peak} B, over the {cap} B cap: \

@@ -113,19 +113,12 @@ pub fn build_sketch_matrix(
 
     // Pass 2: ownership exchange — each distinct (read, key) pair sends its
     // key to the owner rank `key % nranks` (one u64 word per pair).
-    let send: Vec<Vec<Vec<u64>>> = per_rank
+    let send = per_rank
         .iter()
-        .map(|block| {
-            let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); nranks];
-            for (_, sk) in block {
-                for hit in &sk.hits {
-                    buckets[(hit.key % nranks as u64) as usize].push(hit.key);
-                }
-            }
-            buckets
-        })
+        .map(|block| block.iter().flat_map(|(_, sk)| sk.hits.iter().map(|hit| hit.key)).collect())
         .collect();
-    let recv: Vec<Vec<u64>> = alltoallv_counted(send, stats, CommPhase::SketchIndex, 1);
+    let owner = |&key: &u64| (key % nranks as u64) as usize;
+    let recv: Vec<Vec<u64>> = alltoallv_counted(send, owner, stats, CommPhase::SketchIndex, 1);
 
     // Owners count reads per key and apply the occurrence filter.
     let mut survivors: Vec<u64> = Vec::new();

@@ -23,11 +23,6 @@ use crate::triples::Triples;
 use dibella_dist::{alltoallv_counted, par_ranks, BlockDist, CommPhase, CommStats};
 use rayon::pool;
 
-/// One source rank's per-destination COO buffers of the 1D all-to-all
-/// reduction (entry `[dst]` holds the `(row, col, value)` triples bound for
-/// rank `dst`).
-type CooBuffers<T> = Vec<Vec<(usize, usize, T)>>;
-
 /// Result of a 1D outer-product SpGEMM: the output matrix distributed in block
 /// rows over `nprocs` ranks, plus the gathered global matrix.
 pub struct Outer1dResult<T> {
@@ -110,18 +105,12 @@ fn reduce_partials<S: Semiring>(
     phase: CommPhase,
     entry_words: u64,
 ) -> Outer1dResult<S::Out> {
-    let nprocs = partials.len();
-    // Consume each partial: values are *moved* into the send buffers and the
+    // Consume each partial: values are *moved* into the send lists and the
     // partial's CSR storage is freed inside the map, so the exchange never
     // holds a cloned copy of the partial products alongside the originals.
-    let send: Vec<CooBuffers<S::Out>> = pool::map_owned(partials, |_, partial| {
-        let mut bufs: CooBuffers<S::Out> = (0..nprocs).map(|_| Vec::new()).collect();
-        for (r, c, v) in partial.into_entries() {
-            bufs[out_row_dist.owner(r)].push((r, c, v));
-        }
-        bufs
-    });
-    let received = alltoallv_counted(send, stats, phase, entry_words);
+    let send = pool::map_owned(partials, |_, partial| partial.into_entries().collect());
+    let owner = |&(r, _, _): &(usize, usize, S::Out)| out_row_dist.owner(r);
+    let received = alltoallv_counted(send, owner, stats, phase, entry_words);
 
     // Merge each destination rank's received entries into its block rows.
     let row_blocks: Vec<CsrMatrix<S::Out>> = pool::map_owned(received, |rank, entries| {
