@@ -34,7 +34,7 @@ pub(crate) type Word = [i16; 8];
 
 /// The wider x86-64 word, for a CPU that reports AVX2.
 #[cfg(target_arch = "x86_64")]
-type WideWord = std::arch::x86_64::__m256i;
+pub(crate) type WideWord = std::arch::x86_64::__m256i;
 
 /// Name of the lane word [`ExtendEngine::Auto`] runs on *this host*, as bench
 /// records print it (`"avx2"`, `"sse2"` or `"portable"`).

@@ -1,18 +1,20 @@
-//! The lane word of the vector x-drop kernel ([`crate::vector`]).
+//! The lane word of the vector kernels: the x-drop extension
+//! ([`crate::vector`]) and the banded fit ([`crate::banded`]).
 //!
 //! A [`Lanes`] value is `N` DP cells held as `i16` lanes, lane `t` of word
-//! `w` being column `N·w + t`.  The kernel is written once over this trait;
+//! `w` being column `N·w + t`.  Each kernel is written once over this trait;
 //! the trait exists because the fast words on x86-64 are `__m128i` (SSE2,
 //! the baseline) and `__m256i` (AVX2, entered only through its
-//! [`Lanes::extend`], on a CPU that reports it), reached only through
-//! `std::arch` intrinsics, and a plain `[i16; N]` implements the same
-//! operations in safe Rust for every target.  The array word is also the
+//! [`Lanes::extend`] and [`Lanes::fit`], on a CPU that reports it), reached
+//! only through `std::arch` intrinsics, and a plain `[i16; N]` implements
+//! the same operations in safe Rust for every target.  The array word is also the
 //! oracle: the tests at the bottom hold every intrinsic method to the array
 //! method of the same width on random lanes, op by op.
 //!
 //! All arithmetic is wrapping and lane-wise; masks are lanes of all-ones
 //! (`-1`) or zero.
 
+use crate::banded::{banded_fit_lanes, AlnOp, Band, BandedFit, LaneScratch};
 use crate::scoring::ScoringScheme;
 use crate::vector::{xdrop_extend_vector, VectorScratch, NEG16};
 use crate::xdrop::{ExtendCounters, ExtendResult};
@@ -66,6 +68,19 @@ pub(crate) trait Lanes: Copy {
         counters: &mut ExtendCounters,
     ) -> ExtendResult {
         xdrop_extend_vector(a, b, scoring, xdrop, scratch, counters)
+    }
+    /// [`banded_fit_lanes`] on this word, entered the way
+    /// [`crate::banded::banded_fit`] enters it.
+    fn fit(
+        scratch: &mut LaneScratch<Self>,
+        ops: &mut Vec<AlnOp>,
+        read: &[u8],
+        window: &[u8],
+        offset: usize,
+        band: Band,
+        scoring: ScoringScheme,
+    ) -> Option<BandedFit> {
+        banded_fit_lanes(scratch, ops, read, window, offset, band, scoring)
     }
 }
 
@@ -208,9 +223,9 @@ mod x86 {
 
     // SAFETY, for every block below: the intrinsics require the `avx2` target
     // feature.  The trait is crate-private and no `__m256i` method is called
-    // before `is_x86_feature_detected!("avx2")` has said yes — `batch.rs`
-    // and the tests ask first, and `extend` asks again; all but the load in
-    // `from_fn` work on register values only.
+    // before `is_x86_feature_detected!("avx2")` has said yes — `batch.rs`,
+    // `banded.rs` and the tests ask first, and `extend` and `fit` ask again;
+    // all but the load in `from_fn` work on register values only.
     impl Lanes for __m256i {
         const NAME: &'static str = "avx2";
         const N: usize = 16;
@@ -315,6 +330,32 @@ mod x86 {
             assert!(is_x86_feature_detected!("avx2"), "the AVX2 word on a CPU without AVX2");
             // SAFETY: the CPU was just seen to support AVX2.
             unsafe { entry(a, b, scoring, xdrop, scratch, counters) }
+        }
+        fn fit(
+            scratch: &mut LaneScratch<Self>,
+            ops: &mut Vec<AlnOp>,
+            read: &[u8],
+            window: &[u8],
+            offset: usize,
+            band: Band,
+            scoring: ScoringScheme,
+        ) -> Option<BandedFit> {
+            // As in `extend`: the kernel inlines into this instantiation.
+            #[target_feature(enable = "avx2")]
+            fn entry(
+                scratch: &mut LaneScratch<__m256i>,
+                ops: &mut Vec<AlnOp>,
+                read: &[u8],
+                window: &[u8],
+                offset: usize,
+                band: Band,
+                scoring: ScoringScheme,
+            ) -> Option<BandedFit> {
+                banded_fit_lanes(scratch, ops, read, window, offset, band, scoring)
+            }
+            assert!(is_x86_feature_detected!("avx2"), "the AVX2 word on a CPU without AVX2");
+            // SAFETY: the CPU was just seen to support AVX2.
+            unsafe { entry(scratch, ops, read, window, offset, band, scoring) }
         }
     }
 

@@ -18,9 +18,31 @@
 //! scratch and picks the host's word ([`vector_kernel`]); the kernels are
 //! bit-identical wherever the `i16` value-range guards
 //! ([`vector_eligible`]) hold.
+//!
+//! The consensus stage's banded fit ([`banded`]) is the lane word's second
+//! caller: a scalar kernel and one generic lane kernel again, dispatched the
+//! same way by [`banded_fit`].
 
 #![warn(missing_docs)]
 
+/// `$f::<L>($arg…)` for both widths of the safe word and every intrinsic
+/// word this host has, so SSE2 stays tested where the dispatch runs AVX2.
+#[cfg(test)]
+macro_rules! for_every_lane_word {
+    ($f:ident($($arg:expr),*)) => {{
+        $f::<[i16; 8]>($($arg),*);
+        $f::<[i16; 16]>($($arg),*);
+        $f::<$crate::batch::Word>($($arg),*);
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            $f::<std::arch::x86_64::__m256i>($($arg),*);
+        } else {
+            println!("skipped the AVX2 word: this CPU has none");
+        }
+    }};
+}
+
+pub mod banded;
 pub mod batch;
 pub mod classify;
 mod lanes;
@@ -28,6 +50,7 @@ pub mod scoring;
 pub mod vector;
 pub mod xdrop;
 
+pub use banded::{banded_fit, AlnOp, Band, BandedFit, FitScratch};
 pub use batch::{
     align_seed_pair_with, vector_kernel, xdrop_extend_auto, AlignScratch, ExtendEngine, OrientCache,
 };

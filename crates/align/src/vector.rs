@@ -55,7 +55,7 @@ pub(crate) const NEG16: i16 = -16384;
 
 /// Rebase the relative scores into the `i64` base once the in-band best
 /// exceeds this, keeping all lane values well inside `i16`.
-const REBASE_AT: i32 = 4096;
+pub(crate) const REBASE_AT: i32 = 4096;
 
 /// Can the vector kernel run this scoring scheme bit-exactly?
 ///
@@ -287,7 +287,7 @@ pub(crate) fn xdrop_extend_vector<L: Lanes>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::Word;
+    use crate::banded::{Band, LaneScratch};
     use crate::xdrop::{xdrop_extend_with, XdropScratch};
     use dibella_seq::{simulate::apply_errors, DnaSeq};
     use proptest::prelude::*;
@@ -375,22 +375,6 @@ mod tests {
         }
     }
 
-    /// `$f::<L>($arg…)` for both widths of the safe word and every intrinsic
-    /// word this host has, so SSE2 stays tested where `Auto` runs AVX2.
-    macro_rules! for_every_lane_word {
-        ($f:ident($($arg:expr),*)) => {{
-            $f::<[i16; 8]>($($arg),*);
-            $f::<[i16; 16]>($($arg),*);
-            $f::<Word>($($arg),*);
-            #[cfg(target_arch = "x86_64")]
-            if is_x86_feature_detected!("avx2") {
-                $f::<std::arch::x86_64::__m256i>($($arg),*);
-            } else {
-                println!("skipped the AVX2 word: this CPU has none");
-            }
-        }};
-    }
-
     #[test]
     fn fixed_cases_match_scalar_for_every_lane_word() {
         for_every_lane_word!(fixed_cases_match_scalar());
@@ -419,13 +403,33 @@ mod tests {
     }
 
     /// Mcells/s and ns/row of `L` at five band widths on a 0.2%- and a
-    /// 13%-error pair: the per-row / per-cell cost fit of DESIGN.md.
+    /// 13%-error pair: the per-row / per-cell cost fit of DESIGN.md.  Then
+    /// the banded fit on the same pairs, on read threading's tracked band
+    /// (half-width 32) and its start-up ribbon (half-width 128).
     fn print_rates<L: Lanes>() {
         let mut rng = SmallRng::seed_from_u64(3);
         let genome = DnaSeq::from_codes((0..12_000).map(|_| rng.gen_range(0..4u8)).collect());
         let scratch = &mut VectorScratch::<L>::default();
+        let (fit_scratch, ops) = (&mut LaneScratch::<L>::default(), &mut Vec::new());
         for error in [0.002, 0.13] {
             let (a, b) = (apply_errors(&genome, error, &mut rng), apply_errors(&genome, error, &mut rng));
+            let tracked = Band { half_width: 32, tracked: Some(32) };
+            let ribbon = Band { half_width: 128, tracked: None };
+            for (name, band) in [("tracked 32", tracked), ("ribbon 128", ribbon)] {
+                let sc = ScoringScheme::default();
+                let (mut cells, mut rows) = (0, 0);
+                let t0 = std::time::Instant::now();
+                while t0.elapsed().as_millis() < 200 {
+                    let fit = L::fit(fit_scratch, ops, a.codes(), b.codes(), 0, band, sc);
+                    cells += std::hint::black_box(fit).map_or(0, |fit| fit.cells);
+                    rows += a.len();
+                }
+                let ns = t0.elapsed().as_nanos() as f64;
+                println!(
+                    "{:>8} err {error:<5} fit {name}: band {:>5.1}  {:>6.0} Mcells/s  {:>6.1} ns/row",
+                    L::NAME, cells as f64 / rows as f64, cells as f64 * 1e3 / ns, ns / rows as f64
+                );
+            }
             for xdrop in [10, 20, 49, 100, 200] {
                 let (sc, mut c) = (ScoringScheme::default(), ExtendCounters::default());
                 let t0 = std::time::Instant::now();

@@ -13,12 +13,12 @@
 //!    already stored in its [`OverlapEdge`]s and oriented by the edge's
 //!    bidirected direction;
 //! 3. the read is aligned to its backbone window with a **banded**
-//!    dynamic program (the same linear-gap [`ScoringScheme`] the x-drop
-//!    aligner uses) and the resulting operations are threaded into the
-//!    graph: matches bump node weights, substitutions branch into
-//!    *alternative* nodes, insertions create (or re-weight) *insert* nodes
-//!    between columns, deletions simply skip columns — the edge weights
-//!    record every traversal;
+//!    dynamic program ([`banded_fit`], in `dibella_align` beside the x-drop
+//!    kernels, with the same linear-gap [`ScoringScheme`]) and the resulting
+//!    operations are threaded into the graph: matches bump node weights,
+//!    substitutions branch into *alternative* nodes, insertions create (or
+//!    re-weight) *insert* nodes between columns, deletions simply skip
+//!    columns — the edge weights record every traversal;
 //! 4. the consensus is the **heaviest path** through the resulting DAG,
 //!    found by one dynamic-programming sweep over a topological order.
 //!
@@ -38,12 +38,13 @@
 //! (the adaptive band of abPOA), which follows any amount of accumulated
 //! indel drift.  A fit that falls well short of the score the overlap aligner
 //! gave the same overlap is retried from a four times wider start.  A read
-//! costs `(2·min_band + 1) · read_len` cells plus the start-up ribbon, one
-//! direction byte each; the buffers are reused from read to read, so a row
-//! allocates nothing.
+//! costs `(2·min_band + 1) · read_len` cells plus the start-up ribbon.  The
+//! fit runs on the host's widest lane word and keeps each row's band as `i16`
+//! words, two bytes a cell, from which the traceback reads its directions;
+//! the buffers are reused from read to read, so a row allocates nothing.
 
 use crate::contigs::Contig;
-use dibella_align::ScoringScheme;
+use dibella_align::{banded_fit, AlnOp, Band, FitScratch, ScoringScheme};
 use dibella_overlap::OverlapEdge;
 use dibella_seq::{DnaSeq, ReadSet};
 use dibella_sparse::CsrMatrix;
@@ -124,19 +125,6 @@ pub struct PoaGraph {
     edges: Vec<PoaEdge>,
     /// Anchor column node ids, in contig order.
     backbone: Vec<u32>,
-}
-
-/// One traceback operation of the banded aligner, in window coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AlnOp {
-    /// Read base equals window column `col`.
-    Match(usize),
-    /// Read base substitutes window column `col`.
-    Sub(usize, u8),
-    /// Read base inserted between window columns.
-    Ins(u8),
-    /// Window column `col` deleted from the read.
-    Del(usize),
 }
 
 impl PoaGraph {
@@ -337,242 +325,8 @@ impl PoaGraph {
 }
 
 // ---------------------------------------------------------------------------
-// The banded aligner
+// Identity against a reference
 // ---------------------------------------------------------------------------
-
-/// Score of a cell no alignment reaches.
-const NEG: i32 = i32::MIN / 4;
-/// Anything below this is a dead cell plus a few penalties: still dead.
-const DEAD: i32 = NEG / 2;
-
-// Traceback directions, one byte per banded cell.
-const STOP: u8 = 0;
-const DIAG: u8 = 1;
-const UP: u8 = 2;
-const LEFT: u8 = 3;
-
-/// Where [`banded_fit`] puts the band of each row.
-#[derive(Debug, Clone, Copy)]
-struct Band {
-    /// Half-width of the ribbon on the expected diagonal: row `i` spans
-    /// columns `offset + i ± half_width`.
-    half_width: usize,
-    /// `Some(w)`: only the first `half_width` rows stay on the diagonal — as
-    /// many rows as it has columns either side, for the true diagonal to
-    /// stand out — and every later row spans `w` columns either side of one
-    /// past the previous row's best column.
-    tracked: Option<usize>,
-}
-
-/// Reusable buffers of [`banded_fit`]; one serves every read of a layout.
-#[derive(Debug, Default)]
-struct FitScratch {
-    /// Scores of the previous and the current row, one dead cell before the
-    /// band and two after it, so a cell can read all its neighbours unchecked.
-    prev: Vec<i32>,
-    cur: Vec<i32>,
-    /// Direction of every banded cell, rows back to back.
-    dirs: Vec<u8>,
-    /// Per row: the first window column of its band and where its cells
-    /// start in `dirs`.
-    rows: Vec<(usize, usize)>,
-    /// The alignment found, in read order.
-    ops: Vec<AlnOp>,
-}
-
-/// Result of a banded fit alignment of a read against a backbone window; the
-/// operations themselves are left in [`FitScratch::ops`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct BandedFit {
-    /// Read bases consumed by the operations (the rest extend past the
-    /// window).
-    read_consumed: usize,
-    /// Window columns `window_start..window_end` are the ones the operations
-    /// span (leading/trailing window columns the alignment never reached are
-    /// *not* included).
-    window_start: usize,
-    window_end: usize,
-    /// Matches and total aligned columns, for identity computations.
-    matches: usize,
-    columns: usize,
-    /// Score of the alignment.
-    score: i32,
-    /// DP cells evaluated.
-    cells: usize,
-}
-
-/// Banded "fit" alignment of `read` against `window`: the read may start at
-/// any window column of row 0's band (free leading window gap) and may either
-/// end inside the window or consume the window entirely (the remaining read
-/// bases are the unconsumed tail).  Allocates nothing once `scratch` has
-/// grown to the size of the largest read it has seen.
-fn banded_fit(
-    scratch: &mut FitScratch,
-    read: &[u8],
-    window: &[u8],
-    offset: usize,
-    band: Band,
-    scoring: ScoringScheme,
-) -> BandedFit {
-    let FitScratch { prev, cur, dirs, rows, ops } = scratch;
-    ops.clear();
-    let rn = read.len();
-    let wn = window.len();
-    if rn == 0 || wn == 0 {
-        return BandedFit::default();
-    }
-    let half = band.half_width;
-    let diagonal = |i: usize| ((offset + i).saturating_sub(half).min(wn), (offset + i + half).min(wn));
-
-    // Row 0: a free start anywhere in its band.
-    let (mut plo, mut phi) = diagonal(0);
-    prev.clear();
-    prev.push(NEG);
-    prev.resize(phi - plo + 2, 0);
-    prev.extend([NEG, NEG]);
-    dirs.clear();
-    dirs.resize(phi + 1 - plo, STOP);
-    rows.clear();
-    rows.push((plo, 0));
-    let mut cells = 0;
-    // Best column of the previous row (row 0 is flat: take the diagonal).
-    let mut track = offset.min(wn);
-
-    // Best "free end" cell: either the window is consumed (column `wn`, the
-    // rest of the read becomes the tail the caller appends to the backbone)
-    // or the read is (last row, the read ends inside the window).
-    let (mut best_i, mut best_j, mut best) = (0usize, 0usize, NEG);
-    if wn <= phi {
-        // Degenerate: the window can be skipped entirely (score 0); only wins
-        // when no real alignment scores positive.
-        best = 0;
-        best_j = wn;
-    }
-
-    for i in 1..=rn {
-        // The band: never left of the previous row's (those cells are dead)
-        // and at most two columns further right (the padding of `prev`).
-        let (lo, hi) = match band.tracked {
-            Some(w) if i > half => {
-                let hi = (track + 1 + w).min(phi + 2).min(wn);
-                ((track + 1).saturating_sub(w).max(plo).min(hi), hi)
-            }
-            _ => diagonal(i),
-        };
-        let width = hi + 1 - lo;
-        cells += width;
-        cur.clear();
-        cur.resize(width + 3, NEG);
-        let row_dirs = dirs.len();
-        dirs.resize(row_dirs + width, STOP);
-        rows.push((lo, row_dirs));
-
-        // Column `j` reads the previous row's `j − 1` (diagonal: one read and
-        // one window base) at `prev[j − plo]` and its `j` (up: a read base
-        // only, an insertion into the window) at `prev[j − plo + 1]`; `left`
-        // carries this row's `j − 1` (a window base only, a deletion).
-        let mut left = NEG;
-        if lo == 0 {
-            // Column 0 has no window base: only "up" reaches it.
-            let up = prev[1] + scoring.gap;
-            if up > DEAD {
-                left = up;
-                cur[1] = up;
-                dirs[row_dirs] = UP;
-            }
-        }
-        let first = lo.max(1);
-        let n = hi + 1 - first;
-        let r = read[i - 1];
-        let sources = prev[first - plo..][..n].iter().zip(&prev[first - plo + 1..][..n]);
-        let outputs = cur[first - lo + 1..][..n].iter_mut().zip(&mut dirs[row_dirs + first - lo..]);
-        for (((&diag, &up), &w), (out, dir_out)) in sources.zip(&window[first - 1..hi]).zip(outputs) {
-            // Ties keep the earlier of diagonal, up, left.
-            let mut score = diag + if r == w { scoring.match_score } else { scoring.mismatch };
-            let mut dir = DIAG;
-            if up + scoring.gap > score {
-                score = up + scoring.gap;
-                dir = UP;
-            }
-            if left + scoring.gap > score {
-                score = left + scoring.gap;
-                dir = LEFT;
-            }
-            if score < DEAD {
-                score = NEG;
-                dir = STOP;
-            }
-            *out = score;
-            *dir_out = dir;
-            left = score;
-        }
-
-        let row = &cur[1..=width];
-        let mut row_best = NEG;
-        for (k, &v) in row.iter().enumerate() {
-            if v > row_best {
-                row_best = v;
-                track = lo + k;
-            }
-        }
-        if row_best == NEG {
-            // The whole band died (pathological placement): no alignment.
-            return BandedFit { cells, ..BandedFit::default() };
-        }
-        if hi == wn && row[wn - lo] > best {
-            best = row[wn - lo];
-            best_i = i;
-            best_j = wn;
-        }
-        if i == rn && row_best > best {
-            best = row_best;
-            best_i = rn;
-            best_j = track;
-        }
-        std::mem::swap(prev, cur);
-        (plo, phi) = (lo, hi);
-    }
-
-    // Traceback from the best boundary cell; read bases past `best_i` are
-    // the unconsumed tail (an extension of the backbone, when the window was
-    // consumed to its end).
-    let (mut i, mut j) = (best_i, best_j);
-    let mut matches = 0usize;
-    loop {
-        let (lo, row_dirs) = rows[i];
-        match dirs[row_dirs + j - lo] {
-            DIAG => {
-                if read[i - 1] == window[j - 1] {
-                    matches += 1;
-                    ops.push(AlnOp::Match(j - 1));
-                } else {
-                    ops.push(AlnOp::Sub(j - 1, read[i - 1]));
-                }
-                i -= 1;
-                j -= 1;
-            }
-            UP => {
-                ops.push(AlnOp::Ins(read[i - 1]));
-                i -= 1;
-            }
-            LEFT => {
-                ops.push(AlnOp::Del(j - 1));
-                j -= 1;
-            }
-            _ => break,
-        }
-    }
-    ops.reverse();
-    BandedFit {
-        read_consumed: best_i,
-        window_start: j,
-        window_end: best_j,
-        matches,
-        columns: ops.len(),
-        score: best,
-        cells,
-    }
-}
 
 /// Percent identity (matches / aligned columns) of a banded global-ish
 /// alignment of `a` against `b`.  Used by the assembly-quality metrics to
@@ -795,7 +549,9 @@ mod tests {
     /// the diagonal.  Kept as the oracle the new kernel must equal when its
     /// band stays on the diagonal too.
     mod oracle {
-        use super::super::{AlnOp, ScoringScheme, NEG};
+        use super::super::{AlnOp, ScoringScheme};
+
+        const NEG: i32 = i32::MIN / 4;
 
         #[derive(Clone, Copy, PartialEq, Eq)]
         enum Dir {

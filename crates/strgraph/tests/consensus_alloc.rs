@@ -1,10 +1,11 @@
 //! Memory contract of the consensus stage, measured with the shared
-//! [`PeakAlloc`] counting allocator: the banded aligner keeps two score rows
-//! and one direction byte per cell in buffers a layout's reads share, and the
-//! POA graph keeps its nodes and edges in flat arenas — so a layout of long
-//! noisy reads peaks at a few megabytes (the full-width traceback matrix this
-//! replaced took about 50 MB on the same layout), and the number of
-//! allocation calls does not depend on how long the reads are.
+//! [`PeakAlloc`] counting allocator: the banded aligner keeps each row's band
+//! as `i16` lane words (two bytes a cell, plus a dead fence word a row) in
+//! buffers a layout's reads share, and the POA graph keeps its nodes and
+//! edges in flat arenas — so a layout of long noisy reads peaks at a few
+//! megabytes (the full-width traceback matrix this replaced took about 50 MB
+//! on the same layout), and the number of allocation calls does not depend
+//! on how long the reads are.
 //!
 //! The counters are process-global, so this file holds a single test; the
 //! allocation calls are the calling thread's own (the consensus of one contig
