@@ -1,8 +1,8 @@
 //! Compressed sparse row (CSR) matrices.
 //!
 //! CSR is the local storage format used for all computation: every block of a
-//! [`crate::DistMat2D`] is a `CsrMatrix`, and the local SpGEMM, element-wise
-//! kernels and reductions all operate on it.
+//! [`crate::DistMat2D`] is a `CsrMatrix`, and the local SpGEMM, filters,
+//! transposes and reductions all operate on it.
 
 use crate::triples::Triples;
 use serde::{Deserialize, Serialize};

@@ -140,9 +140,9 @@ impl<T: Clone + Send + Sync> DistMat2D<T> {
 
     /// Assemble a distributed matrix from already-built per-rank blocks, **by
     /// value** (no clone): `blocks[rank]` becomes the block of grid position
-    /// `grid.coords(rank)`.  This is the constructor the SUMMA kernels and
-    /// the block-wise element-wise operations use, since their `par_ranks`
-    /// loop already produces the blocks in rank order.
+    /// `grid.coords(rank)`.  This is the constructor the SUMMA kernels
+    /// use, since their `par_ranks` loop already produces the blocks in rank
+    /// order.
     ///
     /// # Panics
     /// Panics if the block count or any block's dimensions do not match the
@@ -317,8 +317,8 @@ impl<T: Clone + Send + Sync> DistMat2D<T> {
     ///
     /// In a real 2D distribution this requires a reduction along each grid
     /// row; the caller can account for that traffic separately (it is
-    /// asymptotically dominated by the SpGEMM and the paper folds it into the
-    /// in-place element-wise operations).
+    /// asymptotically dominated by the SpGEMM and the paper folds it into
+    /// Algorithm 2's in-place element-wise steps).
     pub fn reduce_rows<U: Clone + Send>(
         &self,
         map: impl Fn(usize, usize, &T) -> U + Sync,

@@ -19,11 +19,10 @@
 //!   each with the multi-stage accumulate-in-place entry point SUMMA uses,
 //!   and the k-major kernel a block of `A·Aᵀ` switches to when its products
 //!   outnumber its output coordinates.
-//! * [`elementwise`] — the element-wise kernels of Algorithm 2: `Apply`,
-//!   `Prune`, `Reduce(Row, max)`, `DimApply`, element-wise intersection and
-//!   set-difference.
 //! * [`distmat::DistMat2D`] — a matrix block-distributed over a
-//!   [`dibella_dist::ProcessGrid`].
+//!   [`dibella_dist::ProcessGrid`], with the block-wise `filter`,
+//!   `transpose` and `reduce_rows` that Algorithm 2's element-wise steps
+//!   (`Reduce(Row, max)`, `M ≥ N`, `R ∘ ¬I`) run on.
 //! * [`mod@summa`] — 2D Sparse SUMMA (`C = A·B` over a semiring, and the
 //!   upper triangle of the symmetric `C = A·Aᵀ`) with communication
 //!   accounting, the direct analogue of CombBLAS' SpGEMM used in the paper.
@@ -35,7 +34,6 @@
 pub mod accum;
 pub mod csr;
 pub mod distmat;
-pub mod elementwise;
 pub mod outer1d;
 pub mod semiring;
 pub mod spgemm;

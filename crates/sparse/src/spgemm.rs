@@ -389,7 +389,7 @@ where
 }
 
 /// Assemble per-row `(col, value)` lists into a CSR matrix.
-pub fn rows_to_csr<T: Clone + Send>(
+pub(crate) fn rows_to_csr<T: Clone + Send>(
     nrows: usize,
     ncols: usize,
     rows: Vec<Vec<(usize, T)>>,

@@ -33,7 +33,6 @@ pub mod consensus;
 pub mod contigs;
 pub mod fixtures;
 pub mod metrics;
-pub mod matrix_ops;
 pub mod myers;
 pub mod sora;
 pub mod transitive;

@@ -8,8 +8,8 @@
 //!     v ← R.Reduce(Row, max)      (longest suffix per row)
 //!     v ← v.Apply(+x)             (fuzz for error-shifted endpoints)
 //!     M ← R.DimApply(Row, v)      (each nonzero replaced by its row's bound)
-//!     I ← M ≥ N                   (on the intersection, with rules (b), (c))
-//!     R ← R ∘ ¬I                  (remove the transitive edges)
+//!     I ← M ≥ N                   (on R's pattern, with rules (b), (c))
+//!     R ← R ∘ ¬I ∘ ¬Iᵀ            (remove the transitive edges, both ways)
 //!   while nnz ≠ prev
 //!   return R as S
 //! ```
@@ -20,7 +20,6 @@
 //! geometrically shrinking density makes the total communication essentially
 //! that of the first squaring (Section V-D).
 
-use crate::matrix_ops::{ewise_intersect_dist, set_difference_dist};
 use crate::trsemiring::{TrMinPlus, TwoHop};
 use dibella_dist::{CommPhase, CommStats};
 use dibella_overlap::OverlapEdge;
@@ -94,23 +93,21 @@ pub fn transitive_reduction(
             .map(|m| m.map(|v| v.saturating_add(config.fuzz)))
             .collect();
 
-        // I ← M ≥ N over the intersection of R and N, honouring rules (b) and
-        // (c): only a two-hop walk whose implied direction equals the direct
-        // edge's direction can make it transitive.
-        let transitive_mask = ewise_intersect_dist(&r, &n, |row, _col, edge, two_hop| {
-            let bound = row_bound[row]?;
-            let best = two_hop.for_dir(edge.direction())?;
-            (bound >= best).then_some(true)
+        // I ← M ≥ N on R's pattern, honouring rules (b) and (c): only a
+        // two-hop walk whose implied direction equals the direct edge's
+        // direction can make it transitive.
+        let transitive = r.filter(|i, j, edge| {
+            let best = n.get(i, j).and_then(|two_hop| two_hop.for_dir(edge.direction()));
+            row_bound[i].zip(best).is_some_and(|(bound, best)| bound >= best)
         });
 
-        // Removing (i, j) must also remove (j, i) to keep R pattern-symmetric;
-        // the reverse walk exists with mirrored directions, but its suffix sums
-        // are measured from the other end and can straddle the fuzz boundary,
-        // so symmetrise the mask explicitly.
-        let mask_sym = symmetrize_mask(&transitive_mask);
-
-        // R ← R ∘ ¬I.
-        let reduced = set_difference_dist(&r, &mask_sym);
+        // R ← R ∘ ¬I ∘ ¬Iᵀ.  The reverse walk of a transitive (i, j) exists
+        // with mirrored directions, but its suffix sums are measured from the
+        // other end and can straddle the fuzz bound, so I is not symmetric;
+        // removing Iᵀ too keeps R pattern-symmetric.
+        let transposed = transitive.transpose();
+        let reduced =
+            r.filter(|i, j, _| transitive.get(i, j).is_none() && transposed.get(i, j).is_none());
         removed += prev - reduced.nnz();
         nnz_per_round.push(reduced.nnz());
         let converged = reduced.nnz() == prev;
@@ -120,18 +117,6 @@ pub fn transitive_reduction(
         }
     }
     TrOutcome { string_matrix: r, iterations, removed_edges: removed, nnz_per_round }
-}
-
-/// Make a boolean mask pattern-symmetric: the result contains `(i, j)` iff the
-/// input contains `(i, j)` or `(j, i)`.
-fn symmetrize_mask(mask: &DistMat2D<bool>) -> DistMat2D<bool> {
-    let transposed = mask.transpose();
-    let mut triples = mask.to_triples();
-    for (i, j, v) in transposed.to_triples().into_entries() {
-        triples.push(i, j, v);
-    }
-    triples.merge_duplicates(|a, b| *a = *a || b);
-    DistMat2D::from_triples(mask.grid(), &triples)
 }
 
 /// Check that no transitive edge remains: for every edge `(i, j)` of `s`,
