@@ -200,7 +200,9 @@ impl CommModel {
 
     /// Transitive reduction (2D only): the squaring of `R` dominates,
     /// `W = r·n/√P` per process per iteration, with geometrically shrinking
-    /// iterations.
+    /// iterations.  The measured phase also carries each round's transpose
+    /// of the transitive-edge mask `I`, two words per off-diagonal entry:
+    /// O(removed edges), of lower order than `r·n/√P`, so it is not modelled.
     pub fn transitive_reduction_2d(&self) -> PhaseCost {
         let pm = &self.params;
         let nnz_r = pm.r * pm.n as f64;

@@ -64,7 +64,7 @@ pub struct TrOutcome {
 }
 
 /// Run Algorithm 2 on the overlap matrix `R`, recording the squaring traffic
-/// under [`CommPhase::TransitiveReduction`].
+/// and the transpose of `I` under [`CommPhase::TransitiveReduction`].
 pub fn transitive_reduction(
     r: &DistMat2D<OverlapEdge>,
     config: &TransitiveReductionConfig,
@@ -104,7 +104,17 @@ pub fn transitive_reduction(
         // R ← R ∘ ¬I ∘ ¬Iᵀ.  The reverse walk of a transitive (i, j) exists
         // with mirrored directions, but its suffix sums are measured from the
         // other end and can straddle the fuzz bound, so I is not symmetric;
-        // removing Iᵀ too keeps R pattern-symmetric.
+        // removing Iᵀ too keeps R pattern-symmetric.  The transpose sends
+        // every non-empty off-diagonal block of I to its mirror rank in one
+        // message of two words (row, column) per entry — a mask carries no
+        // value; diagonal blocks stay local.
+        let grid = transitive.grid();
+        let (words, messages) = (grid.ranks().map(|rank| grid.coords(rank)))
+            .filter(|(bi, bj)| bi != bj)
+            .map(|(bi, bj)| transitive.block_nnz(bi, bj) as u64)
+            .filter(|&nnz| nnz > 0)
+            .fold((0, 0), |(words, messages), nnz| (words + 2 * nnz, messages + 1));
+        comm.record(CommPhase::TransitiveReduction, words, messages);
         let transposed = transitive.transpose();
         let reduced =
             r.filter(|i, j, _| transitive.get(i, j).is_none() && transposed.get(i, j).is_none());
@@ -178,6 +188,26 @@ mod tests {
         }
         assert!(out.removed_edges > 0);
         assert!(comm.words(CommPhase::TransitiveReduction) > 0);
+    }
+
+    #[test]
+    fn transposing_the_mask_is_charged_per_off_diagonal_entry() {
+        // n = 6, span 2 on a 2 × 2 grid (rows and columns split 0..3 | 3..6):
+        // round 1's I is the 8 skip entries (i, i ± 2).  (1,3) and (2,4) sit
+        // in block (0,1), (3,1) and (4,2) in block (1,0); (0,2), (2,0), (3,5)
+        // and (5,3) stay on the diagonal.  Round 2 finds nothing, so Iᵀ adds
+        // 4 entries × 2 words in 2 messages to the two squarings.
+        let r = to_dist(&chain_overlap_graph(6, 2), ProcessGrid::square(4));
+        let comm = CommStats::new();
+        let out = transitive_reduction(&r, &TransitiveReductionConfig::for_tests(), &comm);
+        assert_eq!((out.iterations, out.removed_edges), (2, 8));
+        let phase = CommPhase::TransitiveReduction;
+        let squarings = CommStats::new();
+        for m in [&r, &out.string_matrix] {
+            let _: DistMat2D<TwoHop> = summa::<TrMinPlus>(m, m, (2, 2), &squarings, phase);
+        }
+        assert_eq!(comm.words(phase), squarings.words(phase) + 8);
+        assert_eq!(comm.messages(phase), squarings.messages(phase) + 2);
     }
 
     #[test]
