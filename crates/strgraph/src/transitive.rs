@@ -170,7 +170,9 @@ pub fn remaining_transitive_edges(
 mod tests {
     use super::*;
     use crate::fixtures::{chain_overlap_graph, tiling_overlap_graph, to_dist};
+    use crate::sora::sora_transitive_reduction;
     use dibella_dist::ProcessGrid;
+    use dibella_sparse::{CsrMatrix, Triples};
 
     #[test]
     fn chain_with_skip_edges_reduces_to_the_chain() {
@@ -208,6 +210,29 @@ mod tests {
         }
         assert_eq!(comm.words(phase), squarings.words(phase) + 8);
         assert_eq!(comm.messages(phase), squarings.messages(phase) + 2);
+    }
+
+    #[test]
+    fn an_asymmetric_mask_still_removes_both_directions() {
+        // The 8-read chain with every backward skip's suffix cut from 400 to
+        // 300, as an error-shifted endpoint would.  Rows 6 and 7 hold no
+        // forward skip, so their bound is 300 + 60 < 400, the two-hop sum:
+        // (6,4) and (7,5) are not in I while (4,6) and (5,7) are.  S must
+        // lose both directions all the same, as SORA's does.
+        let mut r = Triples::new(8, 8);
+        for (i, j, mut edge) in chain_overlap_graph(8, 2).into_entries() {
+            if i == j + 2 {
+                edge.suffix = 300;
+            }
+            r.push(i, j, edge);
+        }
+        let cfg = TransitiveReductionConfig::for_tests();
+        let (sora, _) = sora_transitive_reduction(&CsrMatrix::from_triples(&r), cfg.fuzz);
+        let dist = to_dist(&r, ProcessGrid::square(4));
+        let s = transitive_reduction(&dist, &cfg, &CommStats::new()).string_matrix.to_local_csr();
+        assert_eq!(s.pattern(), s.transpose().pattern(), "S must be pattern-symmetric");
+        assert_eq!(s.pattern(), sora.pattern());
+        assert_eq!(s.nnz(), 2 * 7, "only the adjacent edges should survive");
     }
 
     #[test]
