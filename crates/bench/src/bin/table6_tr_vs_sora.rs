@@ -8,6 +8,12 @@
 //! and the diBELLA runtime is additionally projected to the paper's node
 //! counts with the measured communication volumes.
 //!
+//! The two simulated datasets give `R`s of a few hundred edges, where both
+//! reductions take under a millisecond.  A third input is the benchmark's
+//! `graph-tiling` task: the tiling fixture with 80 000 reads, span 12,
+//! fuzz 100 and read ids shuffled, where the reduction removes 1.76 M of
+//! 1.92 M entries.  Every row checks that both reductions find the same `S`.
+//!
 //! ```bash
 //! cargo run --release -p dibella-bench --bin table6_tr_vs_sora
 //! ```
@@ -18,10 +24,14 @@
 
 use dibella_bench::{benchmark_dataset, fmt, print_header, print_row, simulated_phase_time};
 use dibella_dist::{CommPhase, CommStats, ProcessGrid};
+use dibella_overlap::OverlapEdge;
 use dibella_pipeline::{run_dibella_2d_on_reads, PipelineConfig};
 use dibella_seq::DatasetSpec;
-use dibella_sparse::DistMat2D;
+use dibella_sparse::{CsrMatrix, DistMat2D, Triples};
+use dibella_strgraph::fixtures::tiling_overlap_graph;
 use dibella_strgraph::{sora_transitive_reduction, transitive_reduction, TransitiveReductionConfig};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 fn main() {
@@ -31,60 +41,30 @@ fn main() {
     ]);
 
     let cases = [
-        (DatasetSpec::CElegansLike, 61u64, vec![32usize, 72, 128]),
-        (DatasetSpec::HSapiensLike, 62, vec![128usize, 200, 338]),
+        (DatasetSpec::CElegansLike, 61u64, [32usize, 72, 128]),
+        (DatasetSpec::HSapiensLike, 62, [128usize, 200, 338]),
     ];
-
     for (spec, seed, node_counts) in cases {
         let ds = benchmark_dataset(spec, seed);
         let config = PipelineConfig::for_benchmark(17, ds.config.error_rate, 16);
-        let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &config, &comm).unwrap();
-        let r_local = out.overlap_matrix.to_local_csr();
-        let r_triples = out.overlap_matrix.to_triples();
-
-        // The SORA-style baseline (vertex-centric supersteps, full graph
-        // materialisation) — measured once; the paper's SORA times are
-        // essentially flat across node counts.
-        let start = Instant::now();
-        let (_, sora_stats) = sora_transitive_reduction(&r_local, config.transitive.fuzz);
-        let sora_secs = start.elapsed().as_secs_f64();
-
-        for &p in &node_counts {
-            let grid = ProcessGrid::square_at_most(p);
-            let tr_comm = CommStats::new();
-            let r_dist = DistMat2D::from_triples(grid, &r_triples);
-            let start = Instant::now();
-            let _ = transitive_reduction(
-                &r_dist,
-                &TransitiveReductionConfig { fuzz: config.transitive.fuzz, max_iterations: 16 },
-                &tr_comm,
-            );
-            let tr_secs = start.elapsed().as_secs_f64();
-            let projected = simulated_phase_time(
-                tr_secs,
-                &tr_comm.snapshot(),
-                CommPhase::TransitiveReduction,
-                grid.nprocs(),
-            );
-            print_row(&[
-                ds.label.clone(),
-                p.to_string(),
-                fmt(sora_secs),
-                fmt(tr_secs),
-                format!("{:.1}x", sora_secs / tr_secs),
-                fmt(projected),
-                format!("{:.1}x", sora_secs / projected),
-            ]);
-        }
-        println!(
-            "  ({} overlap edges; SORA-style baseline used {} supersteps and shuffled {} adjacency records)",
-            r_local.nnz(),
-            sora_stats.supersteps,
-            sora_stats.messages
-        );
-        println!();
+        let out = run_dibella_2d_on_reads(&ds.reads, &config, &CommStats::new()).unwrap();
+        let r = out.overlap_matrix.to_triples();
+        compare(&ds.label, &r, config.transitive.fuzz, &node_counts);
     }
+
+    // The graph-tiling task: reads on both strands, ids shuffled (seed 7).
+    let n = 80_000;
+    let mut rng = SmallRng::seed_from_u64(7);
+    let mut read_of: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        read_of.swap(i, rng.gen_range(0..=i));
+    }
+    let entries = tiling_overlap_graph(n, 12, true)
+        .into_entries()
+        .into_iter()
+        .map(|(i, j, edge)| (read_of[i], read_of[j], edge))
+        .collect();
+    compare("graph-tiling", &Triples::from_entries(n, n, entries), 100, &[16, 64]);
 
     println!("Paper (Table VI): SORA 34.3-34.9 s vs diBELLA 1.2-1.9 s on C. elegans");
     println!("(18.2-29.0x), and 23.4-25.3 s vs 1.9-2.3 s on H. sapiens (10.5-13.3x).");
@@ -92,4 +72,57 @@ fn main() {
     println!("column scales the matrix-based reduction to the paper's node counts using the");
     println!("measured communication volumes (the SORA baseline's runtime is flat across");
     println!("node counts in the paper, so its single-host measurement is used as-is).");
+}
+
+/// Reduce `r` once with the SORA-style baseline and once per node count with
+/// Algorithm 2, print one row per node count, and exit non-zero unless both
+/// find the same `S` pattern.
+fn compare(label: &str, r: &Triples<OverlapEdge>, fuzz: u32, node_counts: &[usize]) {
+    // The SORA-style baseline (vertex-centric supersteps, full graph
+    // materialisation) — measured once; the paper's SORA times are
+    // essentially flat across node counts.
+    let r_local = CsrMatrix::from_triples(r);
+    let start = Instant::now();
+    let (sora_s, sora_stats) = sora_transitive_reduction(&r_local, fuzz);
+    let sora_secs = start.elapsed().as_secs_f64();
+
+    for &p in node_counts {
+        let grid = ProcessGrid::square_at_most(p);
+        let tr_comm = CommStats::new();
+        let r_dist = DistMat2D::from_triples(grid, r);
+        let start = Instant::now();
+        let tr = transitive_reduction(
+            &r_dist,
+            &TransitiveReductionConfig { fuzz, max_iterations: 16 },
+            &tr_comm,
+        );
+        let tr_secs = start.elapsed().as_secs_f64();
+        if tr.string_matrix.to_local_csr().pattern() != sora_s.pattern() {
+            eprintln!("{label}, P = {p}: Algorithm 2 and the SORA-style baseline disagree on S");
+            std::process::exit(1);
+        }
+        let projected = simulated_phase_time(
+            tr_secs,
+            &tr_comm.snapshot(),
+            CommPhase::TransitiveReduction,
+            grid.nprocs(),
+        );
+        print_row(&[
+            label.to_string(),
+            p.to_string(),
+            fmt(sora_secs),
+            fmt(tr_secs),
+            format!("{:.1}x", sora_secs / tr_secs),
+            fmt(projected),
+            format!("{:.1}x", sora_secs / projected),
+        ]);
+    }
+    println!(
+        "  ({} overlap edges, {} in S; SORA-style baseline used {} supersteps and shuffled {} adjacency records)",
+        r_local.nnz(),
+        sora_s.nnz(),
+        sora_stats.supersteps,
+        sora_stats.messages
+    );
+    println!();
 }
