@@ -140,9 +140,8 @@ impl<T: Clone + Send + Sync> DistMat2D<T> {
 
     /// Assemble a distributed matrix from already-built per-rank blocks, **by
     /// value** (no clone): `blocks[rank]` becomes the block of grid position
-    /// `grid.coords(rank)`.  This is the constructor the SUMMA kernels
-    /// use, since their `par_ranks` loop already produces the blocks in rank
-    /// order.
+    /// `grid.coords(rank)`.  This is the constructor the SUMMA kernels use,
+    /// since their `par_ranks` loop already produces the blocks in rank order.
     ///
     /// # Panics
     /// Panics if the block count or any block's dimensions do not match the

@@ -36,7 +36,10 @@ pub fn tiling_overlap_graph(n: usize, span: usize, alternate_strands: bool) -> T
             Strand::Forward
         }
     };
-    let mut t = Triples::new(n, n);
+    // Sized up front, so the entries are allocated once rather than through
+    // a doubling sequence that holds two copies while it moves them.
+    let pairs: usize = (0..n).map(|i| span.min(n - 1 - i)).sum();
+    let mut entries = Vec::with_capacity(2 * pairs);
     for i in 0..n {
         for j in (i + 1)..n.min(i + span + 1) {
             let hops = j - i;
@@ -49,11 +52,11 @@ pub fn tiling_overlap_graph(n: usize, span: usize, alternate_strands: bool) -> T
             let dir_ij = BidirectedDir::new(si, sj);
             let dir_ji = dir_ij.reversed();
             let score = overlap as i32;
-            t.push(i, j, OverlapEdge { dir: dir_ij.bits(), suffix, score, overlap_len: overlap as u32 });
-            t.push(j, i, OverlapEdge { dir: dir_ji.bits(), suffix, score, overlap_len: overlap as u32 });
+            entries.push((i, j, OverlapEdge { dir: dir_ij.bits(), suffix, score, overlap_len: overlap as u32 }));
+            entries.push((j, i, OverlapEdge { dir: dir_ji.bits(), suffix, score, overlap_len: overlap as u32 }));
         }
     }
-    t
+    Triples::from_entries(n, n, entries)
 }
 
 /// A branching overlap graph: two tiling chains that share their first
