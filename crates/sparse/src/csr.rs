@@ -55,7 +55,8 @@ impl<T> CsrMatrix<T> {
     ///
     /// # Panics
     /// Panics if a coordinate is out of bounds, or if the entries contain
-    /// duplicate `(row, col)` coordinates.
+    /// duplicate `(row, col)` coordinates — use [`Triples::merge_duplicates`]
+    /// first if duplicates are expected.
     pub fn from_entries(nrows: usize, ncols: usize, entries: Vec<(usize, usize, T)>) -> Self {
         // `Triples::from_entries` is the bounds check.
         let mut entries = Triples::from_entries(nrows, ncols, entries).into_entries();
