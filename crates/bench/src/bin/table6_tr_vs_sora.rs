@@ -53,6 +53,10 @@ fn main() {
     }
 
     // The graph-tiling task: reads on both strands, ids shuffled (seed 7).
+    // A copy of `benchmark/src/workloads.rs`' `graph_input` at its full-scale
+    // n, with its `TILING_SPAN` = 12, fuzz 100 and `permutation` shuffle —
+    // keep the two in step.  `rand` is a dependency of this crate only so
+    // that `SmallRng` reproduces the benchmark's permutation id for id.
     let n = 80_000;
     let mut rng = SmallRng::seed_from_u64(7);
     let mut read_of: Vec<usize> = (0..n).collect();
