@@ -55,8 +55,7 @@ impl<T> CsrMatrix<T> {
     ///
     /// # Panics
     /// Panics if a coordinate is out of bounds, or if the entries contain
-    /// duplicate `(row, col)` coordinates — use [`Triples::merge_duplicates`]
-    /// first if duplicates are expected.
+    /// duplicate `(row, col)` coordinates.
     pub fn from_entries(nrows: usize, ncols: usize, entries: Vec<(usize, usize, T)>) -> Self {
         // `Triples::from_entries` is the bounds check.
         let mut entries = Triples::from_entries(nrows, ncols, entries).into_entries();
@@ -224,16 +223,6 @@ impl<T> CsrMatrix<T> {
             rowptr: self.rowptr.clone(),
             colidx: self.colidx.clone(),
             vals,
-        }
-    }
-
-    /// Apply a function to every value in place (CombBLAS `Apply`).
-    pub fn apply_mut(&mut self, mut f: impl FnMut(usize, usize, &mut T)) {
-        for r in 0..self.nrows {
-            for i in self.rowptr[r]..self.rowptr[r + 1] {
-                let c = self.colidx[i];
-                f(r, c, &mut self.vals[i]);
-            }
         }
     }
 }
@@ -428,13 +417,10 @@ mod tests {
     }
 
     #[test]
-    fn map_and_apply_mut_change_values() {
+    fn map_changes_values() {
         let m = small();
         let doubled = m.map(|_, _, v| v * 2);
         assert_eq!(doubled.values(), &[2, 4, 6, 8]);
-        let mut m2 = small();
-        m2.apply_mut(|r, c, v| *v += (r + c) as i64);
-        assert_eq!(m2.get(2, 1), Some(&7));
     }
 
     #[test]

@@ -297,19 +297,6 @@ impl<T: Clone + Send + Sync> DistMat2D<T> {
         }
     }
 
-    /// Apply `f` to every value in place.
-    pub fn apply_mut(&mut self, f: impl Fn(usize, usize, &mut T) + Sync + Send) {
-        let grid = self.grid;
-        let row_dist = self.row_dist;
-        let col_dist = self.col_dist;
-        dibella_dist::par_ranks_mut(&mut self.blocks, |rank, block| {
-            let (bi, bj) = grid.coords(rank);
-            let roff = row_dist.start(bi);
-            let coff = col_dist.start(bj);
-            block.apply_mut(|r, c, v| f(roff + r, coff + c, v));
-        });
-    }
-
     /// Reduce every global row with `map` and `combine` (CombBLAS
     /// `Reduce(Row, op)`).  Returns one slot per global row; empty rows give
     /// `None`.
@@ -444,15 +431,6 @@ mod tests {
         let big = d.filter(|_, _, v| *v >= 5);
         assert_eq!(big.nnz(), 5);
         assert_eq!(big.get(0, 0), None);
-    }
-
-    #[test]
-    fn apply_mut_modifies_values_in_place() {
-        let grid = ProcessGrid::square(4);
-        let mut d = DistMat2D::from_triples(grid, &sample_triples());
-        d.apply_mut(|r, c, v| *v = (r * 10 + c) as i64);
-        assert_eq!(d.get(2, 4), Some(&24));
-        assert_eq!(d.get(5, 0), Some(&50));
     }
 
     #[test]

@@ -12,10 +12,13 @@
 //! Each rank hands **all** its stage pairs to [`spgemm_stages`] at once, so
 //! every output row is accumulated in place across the `sqrt(P)` stages by
 //! one reusable per-worker accumulator and extracted exactly once — there is
-//! no per-stage sorted merge.  [`summa`] is the one general product: both the
-//! transitive reduction's `R²` and the general form of overlap detection's
-//! `A·Aᵀ` (`summa(a, &a.transpose(), ..)` — [`DistMat2D::transpose`] is a
-//! local transpose per block and moves no accounted words) go through it.
+//! no per-stage sorted merge.  [`summa`] is the one general product; the
+//! general form of overlap detection's `A·Aᵀ` goes through it
+//! (`summa(a, &a.transpose(), ..)` — [`DistMat2D::transpose`] is a local
+//! transpose per block and moves no accounted words).  The transitive
+//! reduction does not: it never builds `R²`, and walks the same stages in a
+//! masked pass of its own, charged through [`record_stage_broadcasts`] and
+//! [`record_arithmetic`].
 //! [`summa_aat_sym`] specialises `C = A·Aᵀ`: the product is symmetric, so it
 //! multiplies only the grid blocks on or above the diagonal and returns that
 //! **upper triangle** — half the useful flops and half the stage broadcasts
@@ -71,10 +74,42 @@ pub fn aat_block_stages<'m, T: Clone + Send + Sync>(
 
 /// Close a SUMMA's books: the finished multiply's [`FlopCounter`] folded into
 /// `stats` under `phase`.
-fn record_arithmetic(stats: &CommStats, phase: CommPhase, flops: &FlopCounter) {
+pub fn record_arithmetic(stats: &CommStats, phase: CommPhase, flops: &FlopCounter) {
     stats.bump_extra(&flops_key(phase), flops.flops());
     stats.bump_extra(&probes_key(phase), flops.probes());
     stats.max_extra(&peak_row_width_key(phase), flops.peak_row_width());
+}
+
+/// Charge the stage broadcasts of the Sparse SUMMA `C = A·B` exactly as MPI
+/// would perform them: in stage `k`, `A_{i,k}` travels along grid row `i`
+/// (to the row's `grid.cols()` members) and `B_{k,j}` along grid column `j`
+/// (to the column's `grid.rows()` members).  Broadcasts are collectives, so
+/// an empty block still posts its per-member messages (see
+/// [`record_broadcast`]); the accounted message count therefore has the
+/// data-independent closed form `stages · (rows·(cols-1) + cols·(rows-1))`
+/// and the word count is `(group-1) · Σ nnz · entry_words` per operand.
+///
+/// [`summa`] calls this for its operands; a kernel that walks the same
+/// stages without calling [`summa`] calls it to be charged the same.
+pub fn record_stage_broadcasts<L: Clone + Send + Sync, R: Clone + Send + Sync>(
+    a: &DistMat2D<L>,
+    b: &DistMat2D<R>,
+    entry_words: (u64, u64),
+    stats: &CommStats,
+    phase: CommPhase,
+) {
+    let (a_entry_words, b_entry_words) = entry_words;
+    let grid = a.grid();
+    for k in 0..grid.cols() {
+        for i in 0..grid.rows() {
+            let words = a.block_nnz(i, k) as u64 * a_entry_words;
+            record_broadcast(stats, phase, words, grid.cols());
+        }
+        for j in 0..grid.cols() {
+            let words = b.block_nnz(k, j) as u64 * b_entry_words;
+            record_broadcast(stats, phase, words, grid.rows());
+        }
+    }
 }
 
 /// Compute `C = A·B` over semiring `S` with Sparse SUMMA, recording
@@ -90,7 +125,6 @@ pub fn summa<S: Semiring>(
     stats: &CommStats,
     phase: CommPhase,
 ) -> DistMat2D<S::Out> {
-    let (a_entry_words, b_entry_words) = entry_words;
     let grid = a.grid();
     assert_eq!(grid, b.grid(), "SUMMA operands must share a process grid");
     assert!(grid.is_square(), "Sparse SUMMA requires a square process grid");
@@ -109,25 +143,7 @@ pub fn summa<S: Semiring>(
     assert_eq!(a.col_dist(), b.row_dist(), "inner-dimension distributions must match");
 
     let stages = grid.cols();
-
-    // Account for the stage broadcasts exactly as MPI would perform them:
-    // A_{i,k} travels along grid row i (to the row's grid.cols() members),
-    // B_{k,j} along grid column j (to the column's grid.rows() members).
-    // Broadcasts are collectives, so an empty block still posts its
-    // per-member messages (see [`record_broadcast`]); the accounted message
-    // count therefore has the data-independent closed form
-    // `stages · (rows·(cols-1) + cols·(rows-1))` and the word count is
-    // `(group-1) · Σ nnz · entry_words` per operand.
-    for k in 0..stages {
-        for i in 0..grid.rows() {
-            let words = a.block_nnz(i, k) as u64 * a_entry_words;
-            record_broadcast(stats, phase, words, grid.cols());
-        }
-        for j in 0..grid.cols() {
-            let words = b.block_nnz(k, j) as u64 * b_entry_words;
-            record_broadcast(stats, phase, words, grid.rows());
-        }
-    }
+    record_stage_broadcasts(a, b, entry_words, stats, phase);
 
     // Owner-computes: every rank hands its sqrt(P) stage pairs to one
     // accumulate-in-place block multiply.  Ranks run in parallel; inside each

@@ -8,8 +8,8 @@ use serde::{Deserialize, Serialize};
 
 /// A sparse matrix in coordinate format.
 ///
-/// Duplicate `(row, col)` entries are allowed until [`Triples::merge_duplicates`]
-/// is called (or until conversion to CSR, which requires uniqueness).
+/// Duplicate `(row, col)` entries are allowed until conversion to CSR, which
+/// requires uniqueness.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Triples<T> {
     nrows: usize,
@@ -88,21 +88,6 @@ impl<T> Triples<T> {
         self.entries.sort_by_key(|a| (a.0, a.1));
     }
 
-    /// Sort by `(row, col)` and merge duplicate coordinates with `combine`.
-    ///
-    /// `combine(acc, new)` folds a later duplicate into the earlier one.
-    pub fn merge_duplicates(&mut self, mut combine: impl FnMut(&mut T, T)) {
-        self.sort();
-        let mut merged: Vec<(usize, usize, T)> = Vec::with_capacity(self.entries.len());
-        for (r, c, v) in std::mem::take(&mut self.entries) {
-            match merged.last_mut() {
-                Some((lr, lc, lv)) if *lr == r && *lc == c => combine(lv, v),
-                _ => merged.push((r, c, v)),
-            }
-        }
-        self.entries = merged;
-    }
-
     /// Map values to a new type, keeping the sparsity pattern.
     pub fn map<U>(self, mut f: impl FnMut(T) -> U) -> Triples<U> {
         Triples {
@@ -169,27 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_duplicates_combines_values() {
-        let mut t = Triples::new(2, 2);
-        t.push(1, 1, 5);
-        t.push(0, 0, 1);
-        t.push(1, 1, 7);
-        t.push(0, 0, 2);
-        t.merge_duplicates(|acc, v| *acc += v);
-        assert_eq!(t.entries(), &[(0, 0, 3), (1, 1, 12)]);
-    }
-
-    #[test]
-    fn merge_duplicates_keeps_unique_entries_sorted() {
-        let mut t = Triples::new(3, 3);
-        t.push(2, 0, 1);
-        t.push(0, 2, 2);
-        t.push(1, 1, 3);
-        t.merge_duplicates(|_, _| panic!("no duplicates expected"));
-        assert_eq!(t.entries(), &[(0, 2, 2), (1, 1, 3), (2, 0, 1)]);
-    }
-
-    #[test]
     fn transpose_swaps_coordinates_and_dims() {
         let mut t = Triples::new(2, 5);
         t.push(1, 4, 7);
@@ -245,25 +209,6 @@ mod tests {
             prop_assert_eq!(t.pattern(), back.pattern());
             prop_assert_eq!(t.nrows(), back.nrows());
             prop_assert_eq!(t.ncols(), back.ncols());
-        }
-
-        #[test]
-        fn prop_merge_duplicates_sum_preserved(
-            entries in proptest::collection::vec((0usize..5, 0usize..5, 1i64..10), 0..100)
-        ) {
-            let mut t = Triples::new(5, 5);
-            let total: i64 = entries.iter().map(|e| e.2).sum();
-            for (r, c, v) in entries {
-                t.push(r, c, v);
-            }
-            t.merge_duplicates(|a, b| *a += b);
-            let merged_total: i64 = t.iter().map(|(_, _, v)| *v).sum();
-            prop_assert_eq!(total, merged_total);
-            // No duplicate coordinates remain.
-            let pat = t.pattern();
-            let mut dedup = pat.clone();
-            dedup.dedup();
-            prop_assert_eq!(pat, dedup);
         }
     }
 }

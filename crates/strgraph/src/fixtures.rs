@@ -11,7 +11,7 @@ use crate::contigs::Contig;
 use dibella_align::BidirectedDir;
 use dibella_dist::ProcessGrid;
 use dibella_overlap::OverlapEdge;
-use dibella_seq::{DnaSeq, ReadRecord, ReadSet, Strand};
+use dibella_seq::{DnaSeq, ReadRecord, ReadSet};
 use dibella_sparse::{CsrMatrix, DistMat2D, Triples};
 
 /// Stride between consecutive reads in the synthetic tiling (bases).
@@ -29,34 +29,35 @@ pub fn chain_overlap_graph(n: usize, span: usize) -> Triples<OverlapEdge> {
 pub fn tiling_overlap_graph(n: usize, span: usize, alternate_strands: bool) -> Triples<OverlapEdge> {
     assert!(span >= 1);
     let read_len = span * TILING_STEP + 2 * TILING_STEP;
-    let strand_of = |i: usize| {
-        if alternate_strands && i % 2 == 1 {
-            Strand::Reverse
-        } else {
-            Strand::Forward
-        }
+    // Walking i -> j follows the genome left to right: each read is
+    // traversed "forward" iff it is stored in genome orientation, so a
+    // pair's two entries depend only on j - i and on the parity of i.
+    let forward = |i: usize| !(alternate_strands && i % 2 == 1);
+    let pair = |hops: usize, i: usize| {
+        let overlap = (read_len - hops * TILING_STEP) as u32;
+        let suffix = (hops * TILING_STEP) as u32;
+        let dir_ij = BidirectedDir::new(forward(i), forward(i + hops));
+        let edge = |dir: BidirectedDir| OverlapEdge {
+            dir: dir.bits(),
+            suffix,
+            score: overlap as i32,
+            overlap_len: overlap,
+        };
+        (edge(dir_ij), edge(dir_ij.reversed()))
     };
-    // Sized up front, so the entries are allocated once rather than through
-    // a doubling sequence that holds two copies while it moves them.
+    let table: Vec<[(OverlapEdge, OverlapEdge); 2]> =
+        (1..=span).map(|hops| [pair(hops, 0), pair(hops, 1)]).collect();
+    // Sized up front and filled in one pass, bounds checked as it goes.
     let pairs: usize = (0..n).map(|i| span.min(n - 1 - i)).sum();
-    let mut entries = Vec::with_capacity(2 * pairs);
+    let mut t = Triples::from_entries(n, n, Vec::with_capacity(2 * pairs));
     for i in 0..n {
         for j in (i + 1)..n.min(i + span + 1) {
-            let hops = j - i;
-            let overlap = read_len - hops * TILING_STEP;
-            let suffix = (hops * TILING_STEP) as u32;
-            let si = strand_of(i) == Strand::Forward;
-            let sj = strand_of(j) == Strand::Forward;
-            // Walking i -> j follows the genome left to right: each read is
-            // traversed "forward" iff it is stored in genome orientation.
-            let dir_ij = BidirectedDir::new(si, sj);
-            let dir_ji = dir_ij.reversed();
-            let score = overlap as i32;
-            entries.push((i, j, OverlapEdge { dir: dir_ij.bits(), suffix, score, overlap_len: overlap as u32 }));
-            entries.push((j, i, OverlapEdge { dir: dir_ji.bits(), suffix, score, overlap_len: overlap as u32 }));
+            let (ij, ji) = table[j - i - 1][i % 2];
+            t.push(i, j, ij);
+            t.push(j, i, ji);
         }
     }
-    Triples::from_entries(n, n, entries)
+    t
 }
 
 /// A branching overlap graph: two tiling chains that share their first
@@ -150,6 +151,7 @@ pub fn to_dist(triples: &Triples<OverlapEdge>, grid: ProcessGrid) -> DistMat2D<O
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dibella_seq::Strand;
 
     #[test]
     fn chain_graph_has_expected_edge_count() {
@@ -187,6 +189,49 @@ mod tests {
         let t = tiling_overlap_graph(6, 2, true);
         let dirs: std::collections::BTreeSet<u8> = t.iter().map(|(_, _, e)| e.dir).collect();
         assert_eq!(dirs.len(), 4, "alternating strands must produce all four edge types");
+    }
+
+    /// The tiling as a plain loop builds it, entry by entry.
+    fn tiling_reference(n: usize, span: usize, alternate_strands: bool) -> Triples<OverlapEdge> {
+        let read_len = span * TILING_STEP + 2 * TILING_STEP;
+        let strand_of = |i: usize| {
+            if alternate_strands && i % 2 == 1 {
+                Strand::Reverse
+            } else {
+                Strand::Forward
+            }
+        };
+        let mut entries = Vec::new();
+        for i in 0..n {
+            for j in (i + 1)..n.min(i + span + 1) {
+                let hops = j - i;
+                let overlap = read_len - hops * TILING_STEP;
+                let suffix = (hops * TILING_STEP) as u32;
+                let si = strand_of(i) == Strand::Forward;
+                let sj = strand_of(j) == Strand::Forward;
+                let dir_ij = BidirectedDir::new(si, sj);
+                let dir_ji = dir_ij.reversed();
+                let score = overlap as i32;
+                entries.push((i, j, OverlapEdge { dir: dir_ij.bits(), suffix, score, overlap_len: overlap as u32 }));
+                entries.push((j, i, OverlapEdge { dir: dir_ji.bits(), suffix, score, overlap_len: overlap as u32 }));
+            }
+        }
+        Triples::from_entries(n, n, entries)
+    }
+
+    #[test]
+    fn tiling_equals_the_plain_loop_entry_for_entry() {
+        for n in [1usize, 2, 13, 100] {
+            for span in [1usize, 3, 12] {
+                for alternate_strands in [false, true] {
+                    assert_eq!(
+                        tiling_overlap_graph(n, span, alternate_strands),
+                        tiling_reference(n, span, alternate_strands),
+                        "n={n} span={span} alternate_strands={alternate_strands}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

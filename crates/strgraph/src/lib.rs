@@ -5,9 +5,11 @@
 //! edges, entirely with sparse-matrix operations over custom semirings.
 //!
 //! * [`trsemiring`] — the MinPlus semiring with bidirected-orientation checks
-//!   used for the squaring `N = R²` (Algorithm 3).
+//!   that defines the squaring `N = R²` (Algorithm 3); the reduction's tests
+//!   hold the masked pass to it.
 //! * [`transitive`] — the iterated reduction loop of Algorithm 2 on
-//!   2D-distributed matrices, with communication accounting.
+//!   2D-distributed matrices: one masked, fused pass per round that emits
+//!   `I` without building `N`, with communication accounting.
 //! * [`myers`] — Myers' sequential transitive-reduction algorithm
 //!   (Bioinformatics 2005), the linear-time but inherently sequential
 //!   baseline the paper contrasts with.

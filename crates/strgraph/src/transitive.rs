@@ -19,11 +19,42 @@
 //! away"); the iteration count is a small constant in practice and the
 //! geometrically shrinking density makes the total communication essentially
 //! that of the first squaring (Section V-D).
+//!
+//! **`N` is never materialised.**  Algorithm 2 reads `N` only through
+//! `I ← M ≥ N` on `R`'s pattern, so each rank `(i, j)` computes its block of
+//! `I` in one masked, fused pass (masked SpGEMM; Milaković, Selvitopi, Nisa,
+//! Budimlić and Buluç, PPoPP 2022).  For each local row of `R_{i,j}` it
+//! stamps the row's columns, walks the `√P` SUMMA stages `R_{i,k}·R_{k,j}`,
+//! and folds a valid walk `i → k → j` only when `j` is stamped and the walk's
+//! implied direction is the direct edge's — the one of Algorithm 3's four
+//! per-direction minima that `I` reads.  It then emits `(i, j, e)` into `I`
+//! iff the row bound reaches that minimum.  Suffix sums saturate and `u32::MAX`
+//! means "no walk", as in [`TrMinPlus`], which stays the semiring of record:
+//! `summa::<TrMinPlus>` followed by the element-wise test is the oracle the
+//! pass is held to, entry for entry, in this module's tests.
+//!
+//! **Packed operand.**  At the top of a round every block of `R` becomes one
+//! `u64` per entry, in the block's CSR order: the block-local column in bits
+//! 34..64, the two direction bits in 32..34 and the full 32-bit suffix in
+//! 0..32 — 8 bytes per entry, where the block holds 8 for the column and 16
+//! for the [`OverlapEdge`].  A block wider than 2³⁰ columns fails an
+//! assertion; no column is ever truncated.
+//!
+//! **Counts.**  The pass charges the stage broadcasts through
+//! [`record_stage_broadcasts`], the code `summa` charges them with, so Table
+//! I's words and messages are those of the squaring.  The flops extra
+//! (`sparse.tr_spgemm.flops` in the benchmark) is 2 × the products of `R·R`
+//! that pass `ISDIROK`, stamped or not — what `summa::<TrMinPlus>` counts.
+//! The probes extra counts one stamp inspection per such product, and the
+//! peak row width is the widest row of `R_{i,j}`, the minima a row holds.
+//!
+//! [`TrMinPlus`]: crate::trsemiring::TrMinPlus
 
-use crate::trsemiring::{TrMinPlus, TwoHop};
-use dibella_dist::{CommPhase, CommStats};
+use dibella_align::BidirectedDir;
+use dibella_dist::{par_ranks, CommPhase, CommStats};
 use dibella_overlap::OverlapEdge;
-use dibella_sparse::{summa, DistMat2D};
+use dibella_sparse::summa::{record_arithmetic, record_stage_broadcasts};
+use dibella_sparse::{CsrMatrix, DistMat2D, FlopCounter};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the transitive reduction.
@@ -59,8 +90,6 @@ pub struct TrOutcome {
     pub iterations: usize,
     /// Directed entries removed in total.
     pub removed_edges: usize,
-    /// Nonzero count after each round (for convergence diagnostics).
-    pub nnz_per_round: Vec<usize>,
 }
 
 /// Run Algorithm 2 on the overlap matrix `R`, recording the squaring traffic
@@ -73,7 +102,6 @@ pub fn transitive_reduction(
     let mut r = r.clone();
     let mut iterations = 0usize;
     let mut removed = 0usize;
-    let mut nnz_per_round = Vec::new();
 
     loop {
         let prev = r.nnz();
@@ -82,32 +110,17 @@ pub fn transitive_reduction(
         }
         iterations += 1;
 
-        // N ← R²: shortest valid two-hop walk per direction.
-        let n: DistMat2D<TwoHop> =
-            summa::<TrMinPlus>(&r, &r, (2, 2), comm, CommPhase::TransitiveReduction);
-
-        // v ← R.Reduce(Row, max) then v ← v + x.
-        let row_bound: Vec<Option<u32>> = r
-            .reduce_rows(|_, _, e| e.suffix, u32::max)
-            .into_iter()
-            .map(|m| m.map(|v| v.saturating_add(config.fuzz)))
-            .collect();
-
-        // I ← M ≥ N on R's pattern, honouring rules (b) and (c): only a
-        // two-hop walk whose implied direction equals the direct edge's
-        // direction can make it transitive.
-        let transitive = r.filter(|i, j, edge| {
-            let best = n.get(i, j).and_then(|two_hop| two_hop.for_dir(edge.direction()));
-            row_bound[i].zip(best).is_some_and(|(bound, best)| bound >= best)
-        });
+        // N ← R², v ← R.Reduce(Row, max) + x and I ← M ≥ N, in one pass.
+        let transitive = transitive_mask(&r, config.fuzz, comm);
 
         // R ← R ∘ ¬I ∘ ¬Iᵀ.  The reverse walk of a transitive (i, j) exists
         // with mirrored directions, but its suffix sums are measured from the
         // other end and can straddle the fuzz bound, so I is not symmetric;
         // removing Iᵀ too keeps R pattern-symmetric.  The transpose sends
         // every non-empty off-diagonal block of I to its mirror rank in one
-        // message of two words (row, column) per entry — a mask carries no
-        // value; diagonal blocks stay local.
+        // message of two words (row, column) per entry — only the pattern
+        // travels, the mirror rank holds the values in R; diagonal blocks
+        // stay local.
         let grid = transitive.grid();
         let (words, messages) = (grid.ranks().map(|rank| grid.coords(rank)))
             .filter(|(bi, bj)| bi != bj)
@@ -119,14 +132,168 @@ pub fn transitive_reduction(
         let reduced =
             r.filter(|i, j, _| transitive.get(i, j).is_none() && transposed.get(i, j).is_none());
         removed += prev - reduced.nnz();
-        nnz_per_round.push(reduced.nnz());
         let converged = reduced.nnz() == prev;
         r = reduced;
         if converged {
             break;
         }
     }
-    TrOutcome { string_matrix: r, iterations, removed_edges: removed, nnz_per_round }
+    TrOutcome { string_matrix: r, iterations, removed_edges: removed }
+}
+
+/// `v ← R.Reduce(Row, max)` then `v ← v + x`: each row's bound, `None` for
+/// an empty row.
+fn row_bounds(r: &DistMat2D<OverlapEdge>, fuzz: u32) -> Vec<Option<u32>> {
+    r.reduce_rows(|_, _, e| e.suffix, u32::max)
+        .into_iter()
+        .map(|m| m.map(|v| v.saturating_add(fuzz)))
+        .collect()
+}
+
+/// Lowest bit of the block-local column in a packed entry; below it sit the
+/// two direction bits (32..34) and the suffix (0..32).
+const COL_SHIFT: u32 = 34;
+
+/// The most columns a block may have for its local column to fit a packed
+/// entry.
+const PACKED_COLS: usize = 1 << (u64::BITS - COL_SHIFT);
+
+/// One block of `R` as packed entries (see the module docs), in CSR order.
+///
+/// # Panics
+/// Panics if the block has more than [`PACKED_COLS`] columns.
+fn pack(block: &CsrMatrix<OverlapEdge>) -> Vec<u64> {
+    assert!(
+        block.ncols() <= PACKED_COLS,
+        "a block of {} columns is wider than a packed entry holds ({PACKED_COLS})",
+        block.ncols()
+    );
+    let entries = block.colidx().iter().zip(block.values());
+    entries
+        .map(|(&col, e)| {
+            debug_assert!(e.dir < 4, "a direction has two bits");
+            (col as u64) << COL_SHIFT | u64::from(e.dir) << 32 | u64::from(e.suffix)
+        })
+        .collect()
+}
+
+fn packed_col(entry: u64) -> usize {
+    (entry >> COL_SHIFT) as usize
+}
+
+fn packed_dir(entry: u64) -> BidirectedDir {
+    BidirectedDir((entry >> 32) as u8 & 3)
+}
+
+fn packed_suffix(entry: u64) -> u32 {
+    entry as u32
+}
+
+/// A block of `R` as the masked pass reads it: the block's row pointers
+/// over its packed entries.
+#[derive(Clone, Copy)]
+struct PackedBlock<'a> {
+    rowptr: &'a [usize],
+    entries: &'a [u64],
+}
+
+impl PackedBlock<'_> {
+    fn row(&self, r: usize) -> &[u64] {
+        &self.entries[self.rowptr[r]..self.rowptr[r + 1]]
+    }
+}
+
+/// One round's `I`, the entries of `R` that a two-hop walk makes transitive,
+/// from one masked, fused pass per rank; charges the squaring's stage
+/// broadcasts and flops under [`CommPhase::TransitiveReduction`].
+fn transitive_mask(
+    r: &DistMat2D<OverlapEdge>,
+    fuzz: u32,
+    comm: &CommStats,
+) -> DistMat2D<OverlapEdge> {
+    let phase = CommPhase::TransitiveReduction;
+    let grid = r.grid();
+    assert!(grid.is_square(), "the masked pass walks a square grid's SUMMA stages");
+    // Wire size of an entry of R: value and column index, as `summa` charges it.
+    record_stage_broadcasts(r, r, (2, 2), comm, phase);
+
+    let bounds = row_bounds(r, fuzz);
+    let packed: Vec<Vec<u64>> = par_ranks(grid.nprocs(), |rank| pack(&r.blocks()[rank]));
+    let block = |rank: usize| PackedBlock {
+        rowptr: r.blocks()[rank].rowptr(),
+        entries: &packed[rank],
+    };
+    let flops = FlopCounter::new();
+    let blocks = par_ranks(grid.nprocs(), |rank| {
+        let (i, j) = grid.coords(rank);
+        let stages: Vec<(PackedBlock<'_>, PackedBlock<'_>)> = (0..grid.cols())
+            .map(|k| (block(grid.rank_of(i, k)), block(grid.rank_of(k, j))))
+            .filter(|(left, right)| !left.entries.is_empty() && !right.entries.is_empty())
+            .collect();
+        let bounds = &bounds[r.row_dist().range(i)];
+        masked_block(r.block(i, j), &packed[rank], &stages, bounds, &flops)
+    });
+    record_arithmetic(comm, phase, &flops);
+    DistMat2D::from_blocks(grid, r.nrows(), r.ncols(), blocks)
+}
+
+/// One rank's block of `I`: `mask` is `R_{i,j}` and `packed` its packed
+/// entries, `stages` the pairs `(R_{i,k}, R_{k,j})` with both operands
+/// non-empty, and `bounds` the row bounds of grid row `i`.
+fn masked_block(
+    mask: &CsrMatrix<OverlapEdge>,
+    packed: &[u64],
+    stages: &[(PackedBlock<'_>, PackedBlock<'_>)],
+    bounds: &[Option<u32>],
+    flops: &FlopCounter,
+) -> CsrMatrix<OverlapEdge> {
+    // slot[c] is 1 + the position of column c in the current mask row, or 0
+    // when c is not in it; best[p] is the shortest walk found to it so far.
+    let mut slot = vec![0u32; mask.ncols()];
+    let mut best = Vec::new();
+    let mut rowptr = Vec::with_capacity(mask.nrows() + 1);
+    rowptr.push(0);
+    let (mut colidx, mut vals) = (Vec::new(), Vec::new());
+    let (mut products, mut widest) = (0u64, 0u64);
+    for (row, &bound) in bounds.iter().enumerate() {
+        let span = mask.rowptr()[row]..mask.rowptr()[row + 1];
+        let mask_row = &packed[span.clone()];
+        for (pos, &entry) in (1..).zip(mask_row) {
+            slot[packed_col(entry)] = pos;
+        }
+        best.clear();
+        best.resize(mask_row.len(), u32::MAX);
+        for (left, right) in stages {
+            for &ik in left.row(row) {
+                let (d1, s1) = (packed_dir(ik), packed_suffix(ik));
+                for &kj in right.row(packed_col(ik)) {
+                    let d2 = packed_dir(kj);
+                    // ISDIROK: the walk must traverse the middle read consistently.
+                    if !d1.chains_with(d2) {
+                        continue;
+                    }
+                    products += 1;
+                    let pos = slot[packed_col(kj)] as usize;
+                    if pos != 0 && d1.compose(d2) == packed_dir(mask_row[pos - 1]) {
+                        let sum = s1.saturating_add(packed_suffix(kj));
+                        best[pos - 1] = best[pos - 1].min(sum);
+                    }
+                }
+            }
+        }
+        // I ← M ≥ N on this row, and the stamps cleared for the next one.
+        for ((&entry, &walk), edge) in mask_row.iter().zip(&best).zip(&mask.values()[span]) {
+            slot[packed_col(entry)] = 0;
+            if walk != u32::MAX && bound.is_some_and(|bound| bound >= walk) {
+                colidx.push(packed_col(entry));
+                vals.push(*edge);
+            }
+        }
+        rowptr.push(colidx.len());
+        widest = widest.max(mask_row.len() as u64);
+    }
+    flops.record_row(products, products, widest);
+    CsrMatrix::from_raw(mask.nrows(), mask.ncols(), rowptr, colidx, vals)
 }
 
 /// Check that no transitive edge remains: for every edge `(i, j)` of `s`,
@@ -171,8 +338,166 @@ mod tests {
     use super::*;
     use crate::fixtures::{chain_overlap_graph, tiling_overlap_graph, to_dist};
     use crate::sora::sora_transitive_reduction;
-    use dibella_dist::ProcessGrid;
-    use dibella_sparse::{CsrMatrix, Triples};
+    use crate::trsemiring::{TrMinPlus, TwoHop};
+    use dibella_dist::{with_threads, ProcessGrid};
+    use dibella_sparse::summa::flops_key;
+    use dibella_sparse::{summa, Triples};
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Algorithm 2's `I` as the paper computes it, the oracle of the masked
+    /// pass: all of `N = R²` through `summa::<TrMinPlus>`, then `M ≥ N`
+    /// looked up entry by entry on `R`'s pattern.
+    fn oracle_mask(
+        r: &DistMat2D<OverlapEdge>,
+        fuzz: u32,
+        comm: &CommStats,
+    ) -> DistMat2D<OverlapEdge> {
+        let n: DistMat2D<TwoHop> =
+            summa::<TrMinPlus>(r, r, (2, 2), comm, CommPhase::TransitiveReduction);
+        let row_bound = row_bounds(r, fuzz);
+        r.filter(|i, j, edge| {
+            let best = n.get(i, j).and_then(|two_hop| two_hop.for_dir(edge.direction()));
+            row_bound[i].zip(best).is_some_and(|(bound, best)| bound >= best)
+        })
+    }
+
+    /// A pattern-symmetric `n × n` overlap matrix holding each pair with
+    /// probability `percent`%, with random directions and suffixes: mostly
+    /// short ones, whose two-hop sums the row bounds reach, and some at and
+    /// beyond 2³⁰ and within `fuzz` of `u32::MAX`, where the sums and the
+    /// bounds saturate.
+    fn random_overlaps(n: usize, percent: u32, fuzz: u32, seed: u64) -> Triples<OverlapEdge> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let suffix = |rng: &mut SmallRng| match rng.gen_range(0..10u32) {
+            0 => (1 << 30) + rng.gen_range(0..1_000u32),
+            1 => u32::MAX - rng.gen_range(0..=2 * fuzz),
+            2 => (1 << 31) + rng.gen_range(0..1_000u32),
+            _ => rng.gen_range(0..400u32),
+        };
+        let mut t = Triples::new(n, n);
+        for i in 0..n {
+            for j in i + 1..n {
+                if rng.gen_range(0..100u32) < percent {
+                    for (row, col) in [(i, j), (j, i)] {
+                        let dir = rng.gen_range(0..4u32) as u8;
+                        let suffix = suffix(&mut rng);
+                        let edge = OverlapEdge { dir, suffix, score: 1, overlap_len: 1 };
+                        t.push(row, col, edge);
+                    }
+                }
+            }
+        }
+        t
+    }
+
+    /// The masked pass's `I`, flops, words and messages against the oracle's;
+    /// returns the size of `I`.
+    fn assert_mask_matches_the_oracle(t: &Triples<OverlapEdge>, fuzz: u32, nprocs: usize) -> usize {
+        let phase = CommPhase::TransitiveReduction;
+        let r = to_dist(t, ProcessGrid::square(nprocs));
+        let (masked, oracle) = (CommStats::new(), CommStats::new());
+        let got = transitive_mask(&r, fuzz, &masked);
+        let want = oracle_mask(&r, fuzz, &oracle);
+        assert_eq!(got, want, "P={nprocs}");
+        assert_eq!(masked.extra(&flops_key(phase)), oracle.extra(&flops_key(phase)), "P={nprocs}");
+        assert_eq!(masked.words(phase), oracle.words(phase), "P={nprocs}");
+        assert_eq!(masked.messages(phase), oracle.messages(phase), "P={nprocs}");
+        got.nnz()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn prop_masked_pass_equals_the_squaring_and_the_filter(
+            seed in 0u64..10_000,
+            n in 1usize..40,
+            percent in 5u32..60,
+            fuzz in 0u32..200,
+        ) {
+            let t = random_overlaps(n, percent, fuzz, seed);
+            for nprocs in [1usize, 4, 9, 16] {
+                assert_mask_matches_the_oracle(&t, fuzz, nprocs);
+            }
+        }
+    }
+
+    #[test]
+    fn masked_pass_matches_the_oracle_on_the_fixtures() {
+        for (t, fuzz) in [
+            (tiling_overlap_graph(30, 4, true), 60),
+            (chain_overlap_graph(25, 3), 0),
+            (random_overlaps(60, 30, 100, 1), 100),
+        ] {
+            for nprocs in [1usize, 4, 9, 16] {
+                assert!(assert_mask_matches_the_oracle(&t, fuzz, nprocs) > 0, "I is empty");
+            }
+        }
+    }
+
+    #[test]
+    fn result_is_identical_at_every_thread_count() {
+        let t = random_overlaps(80, 20, 100, 3);
+        let r = to_dist(&t, ProcessGrid::square(9));
+        let cfg = TransitiveReductionConfig { fuzz: 100, max_iterations: 16 };
+        let run = |threads| {
+            with_threads(threads, || {
+                let comm = CommStats::new();
+                let out = transitive_reduction(&r, &cfg, &comm);
+                (out.string_matrix, out.iterations, out.removed_edges, comm.snapshot())
+            })
+        };
+        let reference = run(1);
+        for threads in [2usize, 4] {
+            assert!(run(threads) == reference, "threads={threads}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wider than a packed entry holds")]
+    fn a_block_too_wide_for_a_packed_column_is_refused() {
+        let _ = pack(&CsrMatrix::zero(1, PACKED_COLS + 1));
+    }
+
+    #[test]
+    fn the_widest_packable_block_keeps_its_last_column() {
+        let edge = OverlapEdge { dir: 0b10, suffix: u32::MAX, score: 0, overlap_len: 0 };
+        let last = PACKED_COLS - 1;
+        let block = CsrMatrix::from_raw(1, PACKED_COLS, vec![0, 1], vec![last], vec![edge]);
+        let entry = pack(&block)[0];
+        assert_eq!(packed_col(entry), last);
+        assert_eq!(packed_dir(entry), BidirectedDir(0b10));
+        assert_eq!(packed_suffix(entry), u32::MAX);
+    }
+
+    #[test]
+    fn shuffled_tiling_counts_are_pinned() {
+        // The benchmark's graph-tiling shape at smoke size: 2 000 reads,
+        // span 12, both strands, read ids shuffled, fuzz 100, P = 16.  The
+        // literals were taken from the reduction that built all of N.
+        let n = 2_000;
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut read_of: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            read_of.swap(i, rng.gen_range(0..=i));
+        }
+        let mut r = Triples::new(n, n);
+        for (i, j, edge) in tiling_overlap_graph(n, 12, true).into_entries() {
+            r.push(read_of[i], read_of[j], edge);
+        }
+        let comm = CommStats::new();
+        let cfg = TransitiveReductionConfig { fuzz: 100, max_iterations: 16 };
+        let out = transitive_reduction(&to_dist(&r, ProcessGrid::square(16)), &cfg, &comm);
+        let phase = CommPhase::TransitiveReduction;
+        let flops = comm.extra(&flops_key(phase));
+        assert_eq!(flops, 1_152_504);
+        assert_eq!(out.removed_edges, 43_846);
+        assert_eq!(out.string_matrix.nnz(), 3_998);
+        assert_eq!(out.iterations, 2);
+        assert_eq!(comm.words(phase), 687_444);
+        assert_eq!(comm.messages(phase), 204);
+    }
 
     #[test]
     fn chain_with_skip_edges_reduces_to_the_chain() {
@@ -242,8 +567,7 @@ mod tests {
         let comm = CommStats::new();
         let out = transitive_reduction(&dist, &TransitiveReductionConfig::for_tests(), &comm);
         assert!(out.iterations >= 1);
-        let flops =
-            comm.extra(&dibella_sparse::summa::flops_key(CommPhase::TransitiveReduction));
+        let flops = comm.extra(&flops_key(CommPhase::TransitiveReduction));
         assert!(flops > 0, "R² squarings must tally useful flops");
         assert_eq!(flops % 2, 0, "flops come in multiply-add pairs");
         assert!(
