@@ -150,7 +150,7 @@ fn main() {
     println!(
         "Sketch recall — k-min-mer candidates vs the exact reliable-k-mer path, {} preset\n\
          baseline scenario: {} bp genome, {} reads, {:.1}x depth, {:.0} bp mean reads\n\
-         sketch: k={} kmm={} density={} hpc={}\n",
+         sketch: k={} kmm={} density={}\n",
         preset,
         ds.genome.len(),
         ds.num_reads(),
@@ -159,7 +159,6 @@ fn main() {
         config.sketch.k,
         config.sketch.kmm,
         config.sketch.density,
-        config.sketch.use_hpc,
     );
 
     // Ground truth from the simulator: pairs overlapping by at least the
@@ -268,7 +267,7 @@ fn main() {
             "  \"k\": {k},\n",
             "  \"nprocs\": {nprocs},\n",
             "  \"sketch_config\": {{\n",
-            "    \"k\": {sk}, \"kmm\": {kmm}, \"density\": {density}, \"use_hpc\": {hpc},\n",
+            "    \"k\": {sk}, \"kmm\": {kmm}, \"density\": {density},\n",
             "    \"min_reads\": {min_reads}, \"max_reads\": {max_reads}\n",
             "  }},\n",
             "  \"truth_pairs\": {truth_pairs},\n",
@@ -306,7 +305,6 @@ fn main() {
         sk = config.sketch.k,
         kmm = config.sketch.kmm,
         density = config.sketch.density,
-        hpc = config.sketch.use_hpc,
         min_reads = config.sketch.min_reads,
         max_reads = config.sketch.max_reads,
         truth_pairs = truth.len(),

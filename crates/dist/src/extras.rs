@@ -37,12 +37,6 @@ pub fn probes_key(phase: CommPhase) -> String {
     format!("spgemm_probes_{}", phase.name())
 }
 
-/// The `CommStats::extras` key carrying the peak accumulated row width for
-/// `phase` (a maximum, not a sum).
-pub fn peak_row_width_key(phase: CommPhase) -> String {
-    format!("spgemm_peak_row_width_{}", phase.name())
-}
-
 // --- Alignment engine -------------------------------------------------------
 
 /// DP cells evaluated by the alignment stage.
@@ -93,7 +87,6 @@ mod tests {
         let p = CommPhase::OverlapDetection;
         assert_eq!(flops_key(p), "spgemm_flops_OverlapDetection");
         assert_eq!(probes_key(p), "spgemm_probes_OverlapDetection");
-        assert_eq!(peak_row_width_key(p), "spgemm_peak_row_width_OverlapDetection");
         // Families stay disjoint across phases.
         assert_ne!(flops_key(CommPhase::Other), flops_key(p));
     }

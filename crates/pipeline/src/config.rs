@@ -75,7 +75,9 @@ impl PipelineConfig {
     /// `k` is carried twice — [`KmerSelection::k`] for the counter,
     /// [`OverlapConfig::k`] for the occurrence matrix — and a table of one
     /// length looked up with windows of another is an empty `A`, not an
-    /// error.  Every pipeline entry point calls this before any stage runs.
+    /// error.  The [`SketchConfig`] is checked only on the k-min-mer path,
+    /// the one run that reads it.  Every pipeline entry point calls this
+    /// before any stage runs.
     pub fn validate(&self) -> Result<(), String> {
         let KmerSelection { k, min_count, max_count } = self.kmer;
         if !(1..=MAX_K).contains(&k) {
@@ -87,6 +89,30 @@ impl PipelineConfig {
         if min_count > max_count {
             return Err(format!(
                 "kmer.min_count = {min_count} must not exceed kmer.max_count = {max_count}"
+            ));
+        }
+        if self.candidate_source == CandidateSource::KMinMer {
+            self.validate_sketch()?;
+        }
+        Ok(())
+    }
+
+    /// The k-min-mer settings that would panic a worker or select nothing,
+    /// leaving `A` empty.
+    fn validate_sketch(&self) -> Result<(), String> {
+        let SketchConfig { k, kmm, density, min_reads, max_reads } = self.sketch;
+        if !(1..=MAX_K).contains(&k) {
+            return Err(format!("sketch.k must be in 1..={MAX_K}, got {k}"));
+        }
+        if kmm == 0 {
+            return Err("sketch.kmm must be at least 1, got 0".to_string());
+        }
+        if density.is_nan() || density <= 0.0 {
+            return Err(format!("sketch.density must be positive, got {density}"));
+        }
+        if min_reads > max_reads {
+            return Err(format!(
+                "sketch.min_reads = {min_reads} must not exceed sketch.max_reads = {max_reads}"
             ));
         }
         Ok(())

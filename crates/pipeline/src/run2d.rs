@@ -655,6 +655,48 @@ mod tests {
         assert!(err.contains("kmer.min_count = 5 must not exceed"), "unexpected error: {err}");
     }
 
+    /// [`rejection`] of a k-min-mer run after `edit`.
+    fn kminmer_rejection(edit: impl FnOnce(&mut dibella_sketch::SketchConfig)) -> String {
+        rejection(|cfg| {
+            cfg.candidate_source = crate::CandidateSource::KMinMer;
+            edit(&mut cfg.sketch);
+        })
+    }
+
+    #[test]
+    fn a_sketch_k_the_kmer_type_cannot_hold_is_an_error_not_a_worker_panic() {
+        for k in [0, dibella_seq::kmer::MAX_K + 1] {
+            let err = kminmer_rejection(|sketch| sketch.k = k);
+            assert!(err.contains("sketch.k must be in 1..=31"), "k = {k}: unexpected error: {err}");
+        }
+    }
+
+    #[test]
+    fn a_kminmer_of_no_minimizers_is_an_error_not_a_worker_panic() {
+        let err = kminmer_rejection(|sketch| sketch.kmm = 0);
+        assert!(err.contains("sketch.kmm must be at least 1"), "unexpected error: {err}");
+        // The exact path never reads `sketch`, so it runs with the same setting.
+        let mut cfg = tiny_config(4);
+        cfg.sketch.kmm = 0;
+        let reads = DatasetSpec::Tiny.generate(58).reads;
+        assert!(run_dibella_2d_on_reads(&reads, &cfg, &CommStats::new()).is_ok());
+    }
+
+    #[test]
+    fn an_empty_sketch_read_range_is_an_error_not_an_empty_matrix() {
+        let err = kminmer_rejection(|sketch| (sketch.min_reads, sketch.max_reads) = (5, 4));
+        assert!(err.contains("sketch.min_reads = 5 must not exceed"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn a_density_that_selects_nothing_is_an_error_not_an_empty_matrix() {
+        for density in [0.0, -0.5, f64::NAN] {
+            let err = kminmer_rejection(|sketch| sketch.density = density);
+            let want = "sketch.density must be positive";
+            assert!(err.contains(want), "density = {density}: unexpected error: {err}");
+        }
+    }
+
     #[test]
     fn kminmer_mode_runs_end_to_end() {
         let ds = DatasetSpec::Tiny.generate(42);

@@ -2,18 +2,17 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Parameters controlling HPC, minimizer selection and k-min-mer
-/// construction.
+/// Parameters controlling minimizer selection and k-min-mer construction
+/// over homopolymer-compressed (HPC) reads.
 ///
 /// Defaults follow mapquik's regime scaled to this repo's simulated read
-/// lengths: HPC on, density-bound selection (density is a *direct* knob, the
+/// lengths: density-bound selection (density is a *direct* knob, the
 /// expected fraction of sketch-space k-mers kept), and short k-min-mers of
 /// `kmm` consecutive minimizers.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SketchConfig {
     /// Minimizer k-mer length, measured in sketch space (homopolymer-
-    /// compressed bases when [`SketchConfig::use_hpc`] is set).  Must be
-    /// `<= dibella_seq::kmer::MAX_K`.
+    /// compressed bases).  Must be `<= dibella_seq::kmer::MAX_K`.
     pub k: usize,
     /// Number of consecutive minimizers per k-min-mer (mapquik's `k`; `2`
     /// keeps recall high at the small simulated scales).
@@ -21,8 +20,6 @@ pub struct SketchConfig {
     /// Minimizer density: a k-mer is selected iff its canonical hash is
     /// below `density · 2^64`, so this is the expected selected fraction.
     pub density: f64,
-    /// Whether to homopolymer-compress reads before selecting minimizers.
-    pub use_hpc: bool,
     /// A k-min-mer must occur in at least this many reads to get a column
     /// (`2` drops singleton columns, which cannot seed a candidate pair).
     pub min_reads: u32,
@@ -34,7 +31,7 @@ pub struct SketchConfig {
 
 impl Default for SketchConfig {
     fn default() -> Self {
-        Self { k: 17, kmm: 2, density: 0.08, use_hpc: true, min_reads: 2, max_reads: 200 }
+        Self { k: 17, kmm: 2, density: 0.08, min_reads: 2, max_reads: 200 }
     }
 }
 
@@ -44,7 +41,7 @@ impl SketchConfig {
     /// windows are comparable, and the density is raised so short overlaps
     /// still share consecutive minimizers.
     pub fn for_tests(k: usize) -> Self {
-        Self { k, kmm: 2, density: 0.2, use_hpc: true, min_reads: 2, max_reads: 500 }
+        Self { k, kmm: 2, density: 0.2, min_reads: 2, max_reads: 500 }
     }
 }
 

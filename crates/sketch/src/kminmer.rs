@@ -1,7 +1,7 @@
 //! k-min-mer construction: canonical tuples of consecutive minimizers.
 //!
 //! A k-min-mer is `kmm` consecutive density-selected minimizers of a read's
-//! (optionally homopolymer-compressed) sequence.  Like a canonical k-mer, a
+//! homopolymer-compressed sequence.  Like a canonical k-mer, a
 //! k-min-mer must have a strand-invariant identity: the reverse complement of
 //! a read yields the same minimizer hashes in reverse order (canonical k-mer
 //! hashes are strand-invariant), so the canonical form of a k-min-mer is the
@@ -54,8 +54,7 @@ pub struct ReadSketch {
     pub kmers: u64,
     /// Raw read length in bases.
     pub raw_len: u64,
-    /// Sketch-space length (homopolymer-compressed length when HPC is on,
-    /// raw length otherwise).
+    /// Sketch-space (homopolymer-compressed) length.
     pub sketch_len: u64,
 }
 
@@ -99,8 +98,8 @@ fn forward_is_canonical(window: &[(u64, u32, bool)]) -> bool {
 
 /// Compute the k-min-mer sketch of one read.
 ///
-/// Minimizers are density-selected over the (optionally homopolymer-
-/// compressed) sequence; every window of `cfg.kmm` consecutive minimizers
+/// Minimizers are density-selected over the homopolymer-compressed
+/// sequence; every window of `cfg.kmm` consecutive minimizers
 /// becomes one canonical k-min-mer occurrence anchored at the raw coordinate
 /// of its leading minimizer.  Duplicate keys within the read keep their first
 /// occurrence, mirroring the exact `A` matrix's one-position-per-nonzero
@@ -113,12 +112,9 @@ pub fn sketch_read(seq: &DnaSeq, cfg: &SketchConfig) -> ReadSketch {
     };
 
     // Stage 1: homopolymer compression (keeping the exact coordinate map).
-    let hpc = cfg.use_hpc.then(|| HpcSeq::compress(seq));
-    let space: &DnaSeq = hpc.as_ref().map_or(seq, |h| h.compressed());
-    let to_raw = |p: u32| match &hpc {
-        Some(h) => h.decompress_coord(p as usize) as u32,
-        None => p,
-    };
+    let hpc = HpcSeq::compress(seq);
+    let space = hpc.compressed();
+    let to_raw = |p: u32| hpc.decompress_coord(p as usize) as u32;
     sketch.sketch_len = space.len() as u64;
     sketch.kmers = (space.len() + 1).saturating_sub(cfg.k) as u64;
 
@@ -271,18 +267,5 @@ mod tests {
         assert!(sketch_read(&DnaSeq::new(), &c).hits.is_empty());
         let short: DnaSeq = "ACGTACGT".parse().unwrap();
         assert!(sketch_read(&short, &c).hits.is_empty());
-    }
-
-    #[test]
-    fn hpc_off_uses_raw_coordinates() {
-        let ds = DatasetSpec::Tiny.generate(36);
-        let mut c = cfg();
-        c.use_hpc = false;
-        let seq = ds.reads.seq(0);
-        let sk = sketch_read(seq, &c);
-        assert_eq!(sk.sketch_len, sk.raw_len);
-        for hit in &sk.hits {
-            assert!((hit.pos as usize) + c.k <= seq.len());
-        }
     }
 }

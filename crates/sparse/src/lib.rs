@@ -11,9 +11,10 @@
 //! * [`semiring::Semiring`] — the overloadable add/multiply abstraction; the
 //!   overlap-detection and MinPlus transitive-reduction semirings of the paper
 //!   live in the higher-level crates and plug in here.
-//! * [`accum`] — the reusable per-worker row accumulator (a dense SPA) and
-//!   the [`accum::FlopCounter`] every kernel tallies useful flops, probes and
-//!   peak row width into.
+//! * [`accum`] — the reusable per-worker row accumulator (a dense SPA of
+//!   `Option` slots, folded through [`Semiring::multiply_add`]) and the
+//!   [`accum::FlopCounter`] every kernel tallies useful flops and peak row
+//!   width into.
 //! * [`spgemm`] — local (single-block) Gustavson SpGEMM over the reusable
 //!   accumulator: the general kernel and the upper-triangle `A·Aᵀ` kernel,
 //!   each with the multi-stage accumulate-in-place entry point SUMMA uses,

@@ -35,10 +35,10 @@ pub trait Semiring {
     /// `multiply` then (`add` into `Some`, or store into `None`), returning
     /// whether a product was folded (`false` = annihilated, slot untouched).
     ///
-    /// The k-major block kernel ([`crate::spgemm`]) accumulates through this
-    /// alone, so a semiring whose `Out` is large can override it to update the
-    /// slot in place instead of building a temporary per product.  An
-    /// override must leave the slot bit-identical to the default's.
+    /// Every kernel of [`crate::spgemm`], row-wise or k-major, accumulates
+    /// through this alone, so a semiring whose `Out` is large can override it
+    /// to update the slot in place instead of building a temporary per
+    /// product.  An override must leave the slot bit-identical to the default's.
     #[inline]
     fn multiply_add(acc: &mut Option<Self::Out>, a: &Self::Left, b: &Self::Right) -> bool {
         let Some(prod) = Self::multiply(a, b) else { return false };

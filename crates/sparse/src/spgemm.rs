@@ -6,7 +6,8 @@
 //! work-stealing pool and reused across every output row that worker claims —
 //! and, through [`spgemm_stages`], across all SUMMA stages of a block
 //! product, so no per-row map is ever allocated and no per-stage sorted-merge
-//! is performed.
+//! is performed.  Every kernel folds each product into its slot through
+//! [`Semiring::multiply_add`], the row-wise ones by [`DenseSpa`]'s `fold`.
 //!
 //! There are two row-wise stage kernels: the general `Σ A_s·B_s`
 //! ([`spgemm_stages`]) and the upper triangle of `Σ A_s·A_sᵀ`
@@ -29,13 +30,14 @@
 //! (600 products per stored entry of `C`) that is 17–30 ns per product, 24 ms
 //! of a block's 53 in traversal alone.  The k-major kernel walks inner indices
 //! instead, streams both transposed operands once and folds each cross
-//! product into a dense slot through [`Semiring::multiply_add`]: 4× faster
-//! there, and pointless where the slots would stay empty.  Both sides produce
-//! the same CSR and the same tallies.
+//! product into a dense slot per output coordinate: 4× faster there, and
+//! pointless where the slots would stay empty.  Both sides produce the same
+//! CSR and the same tallies.
 //!
-//! All kernels tally useful flops, accumulator probes and the peak row width
-//! into a [`FlopCounter`]; the distributed layers fold those into
-//! `CommStats::extras` so every phase reports flops/s.
+//! All kernels tally useful flops and the peak row width into a
+//! [`FlopCounter`] (a probe is one slot inspection, one per folded product in
+//! every kernel); the distributed layers fold those into `CommStats::extras`
+//! so every phase reports flops/s.
 
 use crate::accum::{DenseSpa, FlopCounter};
 use crate::csr::CsrMatrix;
@@ -67,11 +69,8 @@ fn check_stages<L, R>(out_rows: usize, out_cols: usize, stages: &Stages<'_, L, R
 /// Extract the finished output row from `acc` (sorted, leaving `acc` empty
 /// for the worker's next row) and tally its work into `flops`.
 fn finish_row<T>(acc: &mut DenseSpa<T>, products: u64, flops: &FlopCounter) -> Vec<(usize, T)> {
-    let width = acc.len() as u64;
-    let probes = acc.take_probes();
-    let row = acc.extract_sorted();
-    flops.record_row(products, probes, width);
-    row
+    flops.record_row(products, acc.len() as u64);
+    acc.extract_sorted()
 }
 
 /// Multiply-accumulate a whole sequence of stage pairs into one output block:
@@ -100,10 +99,7 @@ pub fn spgemm_stages<S: Semiring>(
             for (a, b) in stages {
                 for (k, aval) in a.row(i) {
                     for (j, bval) in b.row(k) {
-                        if let Some(prod) = S::multiply(aval, bval) {
-                            products += 1;
-                            acc.scatter(j, prod, S::add);
-                        }
+                        products += u64::from(acc.fold::<S>(j, aval, bval));
                     }
                 }
             }
@@ -178,10 +174,7 @@ where
             for (a, at) in stages {
                 for (k, aval) in a.row(i) {
                     for (j, bval) in at.row_from(k, i) {
-                        if let Some(prod) = S::multiply(aval, bval) {
-                            products += 1;
-                            acc.scatter(j, prod, S::add);
-                        }
+                        products += u64::from(acc.fold::<S>(j, aval, bval));
                     }
                 }
             }
@@ -323,9 +316,9 @@ where
 /// Row tiles of at most [`TILE_SLOTS`] slots are the pool's work items, one
 /// slot array per worker reused across its tiles; an output row lives in one
 /// tile, so the result cannot depend on threads or on the claim order.  Every
-/// `(i, j)` still receives its products stage-major in ascending `k` — the
-/// order of the row-wise kernels — and every folded product tallies one
-/// product and one probe, as a dense-SPA scatter does.
+/// `(i, j)` still receives its products stage-major in ascending `k`, and
+/// tallies one product per fold — the order and the count of the row-wise
+/// kernels.
 fn aat_block_k_major<S>(
     out_rows: usize,
     out_cols: usize,
@@ -381,7 +374,7 @@ where
                     row
                 })
                 .collect();
-            flops.record_row(products, products, width as u64);
+            flops.record_row(products, width as u64);
             rows
         },
     );

@@ -29,9 +29,8 @@
 //! coordinates.  The choice is invisible in `C` and in every counter.
 //!
 //! Every SUMMA records its arithmetic into `CommStats::extras` under
-//! phase-suffixed keys (see [`flops_key`], [`probes_key`],
-//! [`peak_row_width_key`]), which is how the pipeline reports flops/s per
-//! phase.
+//! phase-suffixed keys (see [`flops_key`] and [`probes_key`]), which is how
+//! the pipeline reports flops/s per phase.
 
 use crate::accum::FlopCounter;
 use crate::csr::CsrMatrix;
@@ -41,7 +40,7 @@ use crate::spgemm::{spgemm_aat_block, spgemm_stages, AatStage};
 use dibella_dist::collectives::record_broadcast;
 use dibella_dist::{par_ranks, CommPhase, CommStats};
 
-pub use dibella_dist::extras::{flops_key, peak_row_width_key, probes_key};
+pub use dibella_dist::extras::{flops_key, probes_key};
 
 /// One rank's SUMMA stage list, handed to the accumulate-in-place block
 /// multiply at once: the pairs `(left(k), right(k))` for `k` in `0..stages`,
@@ -77,7 +76,6 @@ pub fn aat_block_stages<'m, T: Clone + Send + Sync>(
 pub fn record_arithmetic(stats: &CommStats, phase: CommPhase, flops: &FlopCounter) {
     stats.bump_extra(&flops_key(phase), flops.flops());
     stats.bump_extra(&probes_key(phase), flops.probes());
-    stats.max_extra(&peak_row_width_key(phase), flops.peak_row_width());
 }
 
 /// Charge the stage broadcasts of the Sparse SUMMA `C = A·B` exactly as MPI
@@ -354,7 +352,6 @@ mod tests {
         let _ = summa::<PlusTimes<i64>>(&a, &b, WORDS, &stats, CommPhase::OverlapDetection);
         assert!(stats.extra(&flops_key(CommPhase::OverlapDetection)) > 0);
         assert!(stats.extra(&probes_key(CommPhase::OverlapDetection)) > 0);
-        assert!(stats.extra(&peak_row_width_key(CommPhase::OverlapDetection)) > 0);
         assert_eq!(stats.extra(&flops_key(CommPhase::TransitiveReduction)), 0);
         // 2 flops per accumulated product.
         assert_eq!(stats.extra(&flops_key(CommPhase::OverlapDetection)) % 2, 0);
