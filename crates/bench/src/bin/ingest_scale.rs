@@ -27,9 +27,6 @@
 #![allow(clippy::disallowed_methods)]
 
 use dibella_bench::{print_header, print_row};
-use dibella_dist::extras::{
-    INGEST_BATCH_BYTES_PEAK_KEY, INGEST_RESIDENT_BYTES_PEAK_KEY, INGEST_SUPERSTEPS_KEY,
-};
 use dibella_dist::CommStats;
 use dibella_seq::simulate::{generate_genome, simulate_reads, GenomeConfig, ReadSimConfig};
 use dibella_seq::{
@@ -156,15 +153,14 @@ fn main() {
         // Streaming: chunked file reads, bounded batches, one superstep per
         // batch per pass — the file is re-streamed for the counting pass, so
         // the reads are never resident as a whole.
-        let stats = CommStats::new();
         let started = std::time::Instant::now();
         let scope = ALLOC.scope();
-        let streamed = count_kmers_streaming(
+        let (streamed, ingest) = count_kmers_streaming(
             || fasta_batches_file(&fasta_path, CHUNK_BYTES, budget),
             &sel,
             NPROCS,
             &budget,
-            &stats,
+            &CommStats::new(),
         )
         .expect("streaming ingest failed");
         let streaming_peak = scope.peak_resident();
@@ -199,9 +195,9 @@ fn main() {
             reads: nreads,
             input_bytes,
             kmer_windows,
-            supersteps: stats.extra(INGEST_SUPERSTEPS_KEY),
-            batch_bytes_peak: stats.extra(INGEST_BATCH_BYTES_PEAK_KEY),
-            resident_estimate_peak: stats.extra(INGEST_RESIDENT_BYTES_PEAK_KEY),
+            supersteps: ingest.supersteps,
+            batch_bytes_peak: ingest.batch_bytes_peak,
+            resident_estimate_peak: ingest.resident_bytes_peak,
             streaming_peak,
             streaming_secs,
             kmers: streamed.len(),

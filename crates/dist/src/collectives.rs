@@ -17,10 +17,7 @@ use rayon::pool;
 /// rank-ordered `MPI_Alltoallv`).  A source's items for one rank travel as
 /// one buffer: each off-rank, non-empty buffer counts `len · words_per_item`
 /// words and one message against the sending rank; on-rank data
-/// (`src == dst`) is free, so a single-rank exchange records nothing.  The
-/// largest per-rank volume of this exchange — sent **or received**, so that
-/// both send- and receive-side skew show up — is folded into the phase's
-/// [`max_words_per_rank`](crate::PhaseCounters::max_words_per_rank).
+/// (`src == dst`) is free, so a single-rank exchange records nothing.
 ///
 /// # Panics
 /// Panics if `owner` returns a rank outside `0..send.len()`.
@@ -51,27 +48,18 @@ pub fn alltoallv_counted<T: Send>(
     // `inbound[dst]`: the accounting pass hands every buffer to the rank that
     // is about to receive it, in ascending source order.
     let mut inbound: Vec<Vec<Vec<T>>> = (0..nprocs).map(|_| Vec::new()).collect();
-    let mut words_received = vec![0u64; nprocs];
     for (src, buffers) in outgoing.into_iter().enumerate() {
         let mut words_sent = 0u64;
         let mut messages_sent = 0u64;
         for (dst, buffer) in buffers {
             if dst != src {
-                let words = buffer.len() as u64 * words_per_item;
-                words_sent += words;
-                words_received[dst] += words;
+                words_sent += buffer.len() as u64 * words_per_item;
                 messages_sent += 1;
             }
             inbound[dst].push(buffer);
         }
         if messages_sent > 0 {
             stats.record(phase, words_sent, messages_sent);
-            stats.record_rank_max(phase, words_sent);
-        }
-    }
-    for words in words_received {
-        if words > 0 {
-            stats.record_rank_max(phase, words);
         }
     }
     // Every destination fills its own receive buffer, reserved at its exact
@@ -108,7 +96,6 @@ pub fn record_broadcast(stats: &CommStats, phase: CommPhase, words: u64, group_s
     }
     let peers = (group_size - 1) as u64;
     stats.record(phase, words * peers, peers);
-    stats.record_rank_max(phase, words * peers);
 }
 
 /// Account for one simulated all-reduce of a `words`-word vector over
@@ -126,7 +113,6 @@ pub fn record_allreduce(stats: &CommStats, phase: CommPhase, words: u64, group_s
     }
     let peers = (group_size - 1) as u64;
     stats.record(phase, 2 * words * peers, 2 * peers);
-    stats.record_rank_max(phase, words * peers);
 }
 
 #[cfg(test)]
@@ -200,8 +186,6 @@ mod tests {
         );
         assert_eq!(stats.words(CommPhase::KmerCounting), 8);
         assert_eq!(stats.messages(CommPhase::KmerCounting), 6);
-        // Per-rank max: ranks sent 3, 3 and 2 words respectively.
-        assert_eq!(stats.snapshot().phase(CommPhase::KmerCounting).max_words_per_rank, 3);
     }
 
     #[test]
@@ -245,16 +229,15 @@ mod tests {
         record_allreduce(&stats, CommPhase::OverlapDetection, 3, 4);
         assert_eq!(stats.words(CommPhase::OverlapDetection), 2 * 3 * 3);
         assert_eq!(stats.messages(CommPhase::OverlapDetection), 2 * 3);
-        assert_eq!(stats.snapshot().phase(CommPhase::OverlapDetection).max_words_per_rank, 9);
         // Free on a one-rank grid.
         record_allreduce(&stats, CommPhase::OverlapDetection, 3, 1);
         assert_eq!(stats.messages(CommPhase::OverlapDetection), 6);
     }
 
     #[test]
-    fn rank_max_sees_receive_side_skew() {
+    fn a_receive_side_hot_spot_is_charged_to_the_senders() {
         // Every rank sends one word, but rank 0 receives everything (a hash
-        // hot spot): the per-rank max must reflect the receive side.
+        // hot spot): each sender pays for its own word, the receiver nothing.
         let stats = CommStats::new();
         let _ = exchange(
             &[
@@ -266,8 +249,7 @@ mod tests {
             CommPhase::KmerCounting,
             1,
         );
-        let snap = stats.snapshot().phase(CommPhase::KmerCounting);
-        assert_eq!(snap.words, 2);
-        assert_eq!(snap.max_words_per_rank, 2, "rank 0 received 2 words");
+        assert_eq!(stats.words(CommPhase::KmerCounting), 2);
+        assert_eq!(stats.messages(CommPhase::KmerCounting), 2);
     }
 }

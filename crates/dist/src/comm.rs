@@ -73,11 +73,6 @@ pub struct PhaseCounters {
     pub words: u64,
     /// Total messages sent, summed over all ranks.
     pub messages: u64,
-    /// The largest per-rank word volume recorded via
-    /// [`CommStats::record_rank_max`] for any single collective in this phase
-    /// (sent or received side, whichever is larger) — a load-imbalance
-    /// indicator, not a per-rank running total.
-    pub max_words_per_rank: u64,
 }
 
 /// A frozen copy of a [`CommStats`], safe to keep, clone and compare.
@@ -85,7 +80,8 @@ pub struct PhaseCounters {
 pub struct CommSnapshot {
     /// Per-phase counters, in phase order.
     pub phases: BTreeMap<CommPhase, PhaseCounters>,
-    /// Named auxiliary counters (e.g. `"aligned_cells"`, `"ingest_supersteps"`).
+    /// Named auxiliary counters, keyed by the symbols of
+    /// [`extras`](crate::extras) (e.g. `"aligned_cells"`).
     pub extras: BTreeMap<String, u64>,
 }
 
@@ -141,14 +137,6 @@ impl CommStats {
         counters.messages += messages;
     }
 
-    /// Record the word volume one rank moved in `phase`, keeping the maximum
-    /// (a per-rank bandwidth / load-imbalance indicator).
-    pub fn record_rank_max(&self, phase: CommPhase, words: u64) {
-        let mut inner = self.locked();
-        let counters = inner.phases.entry(phase).or_default();
-        counters.max_words_per_rank = counters.max_words_per_rank.max(words);
-    }
-
     /// Add `amount` to the named auxiliary counter.
     pub fn bump_extra(&self, key: &str, amount: u64) {
         let mut inner = self.locked();
@@ -156,7 +144,7 @@ impl CommStats {
     }
 
     /// Raise the named auxiliary counter to `value` if it is larger (a
-    /// maximum-tracking extra, e.g. the peak SpGEMM accumulator row width).
+    /// maximum-tracking extra, e.g. the widest x-drop band).
     pub fn max_extra(&self, key: &str, value: u64) {
         let mut inner = self.locked();
         let slot = inner.extras.entry(key.to_string()).or_insert(0);
@@ -218,15 +206,6 @@ mod tests {
         assert_eq!(snap.total_messages(), 1);
         assert_eq!(snap.extras.get("tr_iterations"), Some(&3));
         assert_eq!(stats.words(CommPhase::ReadExchange), 109);
-    }
-
-    #[test]
-    fn rank_max_keeps_the_maximum_not_the_sum() {
-        let stats = CommStats::new();
-        stats.record_rank_max(CommPhase::ReadExchange, 40);
-        stats.record_rank_max(CommPhase::ReadExchange, 25);
-        stats.record_rank_max(CommPhase::ReadExchange, 31);
-        assert_eq!(stats.snapshot().phase(CommPhase::ReadExchange).max_words_per_rank, 40);
     }
 
     #[test]

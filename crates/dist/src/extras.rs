@@ -1,10 +1,11 @@
 //! The single registry of `CommStats::extras` keys.
 //!
-//! The auxiliary counters that have no typed home yet — SpGEMM flops and
-//! probes, x-drop cells, ingest supersteps, FASTQ drops — live in
-//! `CommStats::extras` under a string key.  A number that a
-//! typed struct on the same output already carries (`TrOutcome::iterations`,
-//! `ConsensusSummary`, `SketchStats`) is not repeated here.
+//! The bag holds the five work counters the benchmark's traced run reads
+//! from a run's communication snapshot: SpGEMM flops and probes per phase,
+//! and the x-drop aligner's cells, widest band and early terminations.  A
+//! number that a typed struct on the same output already carries
+//! (`TrOutcome::iterations`, `ConsensusSummary`, `SketchStats`, the ingest's
+//! `IngestStats`, the FASTQ filter's dropped-read count) is not repeated here.
 //!
 //! PR 5 fixed a broadcast-accounting bug that boiled down to a typo'd key
 //! symbol: two call sites spelled the same logical counter differently, so
@@ -17,11 +18,13 @@
 //!   are `pub fn …_key(phase) -> String` builders.
 //!
 //! A CI grep (`.github/workflows/ci.yml`, "Extras keys come from the
-//! registry") enforces the invariant on the writers: outside `comm.rs`, whose
-//! unit tests exercise the bag itself, every `bump_extra`/`max_extra` call
-//! must pass a `…_KEY` constant or a `&…_key(phase)` builder, so a literal or
-//! a computed key fails the build.  Adding a counter means adding it here
-//! first, which keeps the writer and every reader agreeing on the symbol.
+//! registry") enforces the invariant on writers and readers alike: outside
+//! `comm.rs`, whose unit tests exercise the bag itself, every
+//! `bump_extra`/`max_extra` call must pass a `…_KEY` constant or a
+//! `&…_key(phase)` builder, and no reader (`extra`, `extras.get`,
+//! `extras.contains_key`) may name a key by a string literal — a misspelt
+//! reader would silently read 0.  Adding a counter means adding it
+//! here first, which keeps the writer and every reader agreeing on the symbol.
 
 use crate::comm::CommPhase;
 
@@ -46,21 +49,6 @@ pub const BAND_WIDTH_PEAK_KEY: &str = "band_width_peak";
 /// Extensions stopped early by the x-drop test.
 pub const XDROP_TERMINATIONS_KEY: &str = "xdrop_terminations";
 
-// --- Streaming superstep ingest ---------------------------------------------
-
-/// Supersteps (batches) the streaming k-mer counter consumed per pass
-/// (a maximum over the two passes).
-pub const INGEST_SUPERSTEPS_KEY: &str = "ingest_supersteps";
-/// Peak bytes of any single sealed ingest batch (a maximum).
-pub const INGEST_BATCH_BYTES_PEAK_KEY: &str = "ingest_batch_bytes_peak";
-/// Peak estimated resident bytes of any ingest superstep (a maximum).
-pub const INGEST_RESIDENT_BYTES_PEAK_KEY: &str = "ingest_resident_bytes_peak";
-
-// --- FASTQ ingest -----------------------------------------------------------
-
-/// Reads dropped by the FASTQ mean-quality filter.
-pub const FASTQ_DROPPED_LOW_QUALITY_KEY: &str = "fastq_dropped_low_quality";
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,10 +59,6 @@ mod tests {
             ALIGNED_CELLS_KEY,
             BAND_WIDTH_PEAK_KEY,
             XDROP_TERMINATIONS_KEY,
-            INGEST_SUPERSTEPS_KEY,
-            INGEST_BATCH_BYTES_PEAK_KEY,
-            INGEST_RESIDENT_BYTES_PEAK_KEY,
-            FASTQ_DROPPED_LOW_QUALITY_KEY,
         ];
         let mut sorted = keys.to_vec();
         sorted.sort_unstable();

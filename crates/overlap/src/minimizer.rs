@@ -10,7 +10,7 @@
 //! algorithm (minimap2 has no distributed mode), parallelised over reads on
 //! the pool, mirroring its 32-OpenMP-thread single-node usage in the paper.
 
-use dibella_seq::{windowed_minimizers, DnaSeq, ReadSet};
+use dibella_seq::{windowed_minimizers, ReadSet};
 use rayon::pool;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -67,21 +67,12 @@ struct MinimizerHit {
     forward: bool,
 }
 
-/// Compute the `(w, k)` minimizer sketch of a sequence: for every window of
-/// `w` consecutive k-mers, the canonical k-mer with the smallest hash is kept.
-///
-/// Delegates to the shared [`dibella_seq::sketch`] primitives (also used by
-/// the k-min-mer candidate subsystem); the output is pinned bit-identical to
-/// the pre-extraction implementation by a regression test below.
-fn sketch(seq: &DnaSeq, k: usize, w: usize) -> Vec<(u64, u32, bool)> {
-    windowed_minimizers(seq, k, w)
-}
-
 /// Find approximate overlaps between all read pairs sharing minimizers.
 pub fn minimizer_overlaps(reads: &ReadSet, config: &MinimizerConfig) -> Vec<MinimizerOverlap> {
-    // Sketch every read in parallel.
+    // Sketch every read in parallel: for every window of `w` consecutive
+    // k-mers, the canonical k-mer with the smallest hash is kept.
     let sketches: Vec<Vec<(u64, u32, bool)>> =
-        pool::map_indexed(reads.len(), |i| sketch(reads.seq(i), config.k, config.w));
+        pool::map_indexed(reads.len(), |i| windowed_minimizers(reads.seq(i), config.k, config.w));
 
     // Index: minimizer hash -> hits.  BTreeMap, not HashMap: `values()` below
     // feeds the pair statistics, so its iteration order must be deterministic.
@@ -152,7 +143,7 @@ pub fn minimizer_overlaps(reads: &ReadSet, config: &MinimizerConfig) -> Vec<Mini
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dibella_seq::{DatasetSpec, KmerIter, ReadRecord};
+    use dibella_seq::{DatasetSpec, DnaSeq, KmerIter, ReadRecord};
 
     /// The pre-extraction `(w, k)` sketch implementation, kept verbatim as a
     /// regression oracle: the shared `windowed_minimizers` the overlapper now
@@ -190,7 +181,7 @@ mod tests {
             for i in 0..ds.reads.len() {
                 let seq = ds.reads.seq(i);
                 assert_eq!(
-                    sketch(seq, k, w),
+                    windowed_minimizers(seq, k, w),
                     sketch_pre_extraction(seq, k, w),
                     "sketch diverged for read {i} at (k={k}, w={w})"
                 );
@@ -199,7 +190,7 @@ mod tests {
         // Degenerate lengths: shorter than k, exactly k, fewer k-mers than w.
         for ascii in ["", "ACG", "ACGTACGTACGTA", "ACGTACGTACGTACG"] {
             let seq: DnaSeq = ascii.parse().unwrap();
-            assert_eq!(sketch(&seq, 13, 5), sketch_pre_extraction(&seq, 13, 5));
+            assert_eq!(windowed_minimizers(&seq, 13, 5), sketch_pre_extraction(&seq, 13, 5));
         }
     }
 
@@ -207,7 +198,7 @@ mod tests {
     fn sketch_is_sparser_than_the_kmer_set() {
         let ds = DatasetSpec::Tiny.generate(21);
         let seq = ds.reads.seq(0);
-        let sk = sketch(seq, 13, 8);
+        let sk = windowed_minimizers(seq, 13, 8);
         let total_kmers = seq.len() - 13 + 1;
         assert!(!sk.is_empty());
         assert!(sk.len() < total_kmers / 2, "minimizers must subsample the k-mers");
@@ -222,8 +213,10 @@ mod tests {
         let ds = DatasetSpec::Tiny.generate(22);
         let seq = ds.reads.seq(0);
         let rc = seq.reverse_complement();
-        let h1: std::collections::HashSet<u64> = sketch(seq, 13, 6).iter().map(|x| x.0).collect();
-        let h2: std::collections::HashSet<u64> = sketch(&rc, 13, 6).iter().map(|x| x.0).collect();
+        let hashes = |seq: &DnaSeq| -> std::collections::HashSet<u64> {
+            windowed_minimizers(seq, 13, 6).iter().map(|x| x.0).collect()
+        };
+        let (h1, h2) = (hashes(seq), hashes(&rc));
         let inter = h1.intersection(&h2).count();
         assert!(
             inter * 2 >= h1.len().min(h2.len()),

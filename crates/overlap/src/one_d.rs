@@ -64,7 +64,6 @@ pub fn account_read_exchange_1d(
             sources.insert(dist.owner(idx));
         }
         stats.record(CommPhase::ReadExchange, words, sources.len() as u64);
-        stats.record_rank_max(CommPhase::ReadExchange, words);
     }
 }
 

@@ -91,6 +91,10 @@ impl PipelineConfig {
                 "kmer.min_count = {min_count} must not exceed kmer.max_count = {max_count}"
             ));
         }
+        if self.min_mean_quality.is_nan() {
+            // Every comparison with NaN fails, so the filter would drop every read.
+            return Err("min_mean_quality must be a number, got NaN".to_string());
+        }
         if self.candidate_source == CandidateSource::KMinMer {
             self.validate_sketch()?;
         }

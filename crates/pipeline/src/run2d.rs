@@ -2,7 +2,6 @@
 
 use crate::config::{CandidateSource, PipelineConfig};
 use crate::timings::{timed, StageTimings};
-use dibella_dist::extras::FASTQ_DROPPED_LOW_QUALITY_KEY;
 use dibella_dist::{par_ranks, BlockDist, CommPhase, CommSnapshot, CommStats, ProcessGrid};
 use dibella_overlap::detect::read_exchange_words;
 use dibella_overlap::{
@@ -10,7 +9,8 @@ use dibella_overlap::{
     OverlapEdge, OverlapStats,
 };
 use dibella_seq::{
-    count_kmers_streaming, parse_fasta, parse_fastq_filtered, read_set_batches, KmerTable, ReadSet,
+    count_kmers_streaming, parse_fasta, parse_fastq_filtered, read_set_batches, IngestStats,
+    KmerTable, ReadSet,
 };
 use dibella_sketch::{build_sketch_matrix, SketchStats};
 use dibella_sparse::DistMat2D;
@@ -47,6 +47,12 @@ pub struct Pipeline2dOutput {
     pub dims: PipelineDims,
     /// Size and selectivity of the sketch matrix (k-min-mer mode only).
     pub sketch: Option<SketchStats>,
+    /// Supersteps and resident-byte peaks of the k-mer counter's ingest (all
+    /// zero in k-min-mer mode, which counts nothing).
+    pub ingest: IngestStats,
+    /// Reads the FASTQ mean-quality filter dropped (0 for FASTA and
+    /// already-parsed reads, which are never filtered).
+    pub dropped_low_quality: usize,
 }
 
 /// Dimensions of the run (Table II symbols measured on the input).
@@ -129,34 +135,32 @@ impl TrSummary {
 
 /// Run the diBELLA 2D pipeline on FASTA text.
 pub fn run_dibella_2d(fasta: &str, config: &PipelineConfig) -> Result<Pipeline2dOutput, String> {
-    run_parsed(timed(|| parse_fasta(fasta)), config, &CommStats::new())
+    let (reads, read_time) = timed(|| parse_fasta(fasta));
+    run_parsed(&reads?, read_time, config)
 }
 
 /// Run the diBELLA 2D pipeline on FASTQ text, applying the configuration's
 /// mean-quality read filter (`PipelineConfig::min_mean_quality`) before the
-/// pipeline proper.  The dropped-read count is reported through the
-/// `fastq_dropped_low_quality` extra of the communication snapshot.
+/// pipeline proper.  The dropped-read count is reported in
+/// [`Pipeline2dOutput::dropped_low_quality`].
 pub fn run_dibella_2d_fastq(
     fastq: &str,
     config: &PipelineConfig,
 ) -> Result<Pipeline2dOutput, String> {
-    let comm = CommStats::new();
     let (parsed, read_time) = timed(|| parse_fastq_filtered(fastq, config.min_mean_quality));
-    let reads = parsed.map(|(reads, filter_stats)| {
-        comm.bump_extra(FASTQ_DROPPED_LOW_QUALITY_KEY, filter_stats.dropped_low_quality as u64);
-        reads
-    });
-    run_parsed((reads, read_time), config, &comm)
+    let (reads, filter_stats) = parsed?;
+    let out = run_parsed(&reads, read_time, config)?;
+    Ok(Pipeline2dOutput { dropped_low_quality: filter_stats.dropped_low_quality, ..out })
 }
 
 /// The text entry points' shared epilogue: run on the parsed reads and report
 /// the measured parse time.
 fn run_parsed(
-    (reads, read_time): (Result<ReadSet, String>, f64),
+    reads: &ReadSet,
+    read_time: f64,
     config: &PipelineConfig,
-    comm: &CommStats,
 ) -> Result<Pipeline2dOutput, String> {
-    let mut out = run_dibella_2d_on_reads(&reads?, config, comm)?;
+    let mut out = run_dibella_2d_on_reads(reads, config, &CommStats::new())?;
     out.timings.read_fastq = read_time;
     Ok(out)
 }
@@ -184,9 +188,9 @@ pub fn run_dibella_2d_on_reads(
     let grid = ProcessGrid::square_at_most(config.nprocs);
     // CountKmer: two-pass distributed counting with Bloom filtering.  The
     // k-min-mer path indexes sketches instead and skips counting entirely.
-    let (table, t_count) = match config.candidate_source {
+    let ((table, ingest), t_count) = match config.candidate_source {
         CandidateSource::ExactKmer => {
-            let (table, t) = timed(|| {
+            let (counted, t) = timed(|| {
                 count_kmers_streaming(
                     || Ok(read_set_batches(reads, config.ingest)),
                     &config.kmer,
@@ -195,17 +199,18 @@ pub fn run_dibella_2d_on_reads(
                     comm,
                 )
             });
-            (table?, t)
+            (counted?, t)
         }
-        CandidateSource::KMinMer => (KmerTable::default(), 0.0),
+        CandidateSource::KMinMer => ((KmerTable::default(), IngestStats::default()), 0.0),
     };
-    Ok(pipeline_from_table(reads, table, t_count, config, grid, comm))
+    Ok(pipeline_from_table(reads, table, ingest, t_count, config, grid, comm))
 }
 
 /// Everything after k-mer counting.
 fn pipeline_from_table(
     reads: &ReadSet,
     table: KmerTable,
+    ingest: IngestStats,
     t_count: f64,
     config: &PipelineConfig,
     grid: ProcessGrid,
@@ -285,6 +290,8 @@ fn pipeline_from_table(
             a_density,
         },
         sketch,
+        ingest,
+        dropped_low_quality: 0,
     }
 }
 
@@ -472,7 +479,7 @@ mod tests {
         let mut cfg = tiny_config(4);
         let unfiltered = run_dibella_2d_fastq(&fastq, &cfg).unwrap();
         assert_eq!(unfiltered.dims.reads, ds.reads.len());
-        assert_eq!(unfiltered.comm.extras.get("fastq_dropped_low_quality"), Some(&0));
+        assert_eq!(unfiltered.dropped_low_quality, 0);
         // The unfiltered FASTQ run must agree with the FASTA run bit for bit.
         let comm = CommStats::new();
         let from_fasta = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
@@ -485,11 +492,13 @@ mod tests {
         let filtered = run_dibella_2d_fastq(&fastq, &cfg).unwrap();
         let expected_dropped = ds.reads.len().div_ceil(5);
         assert_eq!(filtered.dims.reads, ds.reads.len() - expected_dropped);
-        assert_eq!(
-            filtered.comm.extras.get("fastq_dropped_low_quality"),
-            Some(&(expected_dropped as u64))
-        );
+        assert_eq!(filtered.dropped_low_quality, expected_dropped);
         assert!(filtered.timings.read_fastq > 0.0);
+
+        // No read passes a NaN threshold: an error, not an empty assembly.
+        cfg.min_mean_quality = f64::NAN;
+        let err = run_dibella_2d_fastq(&fastq, &cfg).expect_err("a NaN threshold is rejected");
+        assert!(err.contains("min_mean_quality"), "unexpected error: {err}");
     }
 
     #[test]
@@ -544,10 +553,11 @@ mod tests {
             let mut scfg = cfg;
             scfg.ingest = IngestBudget::with_batch_reads(max_batch_reads);
             let batches = || Ok(read_set_batches(&ds.reads, scfg.ingest));
-            let table =
-                count_kmers_streaming(batches, &cfg.kmer, p, &scfg.ingest, &CommStats::new());
+            let (table, _) =
+                count_kmers_streaming(batches, &cfg.kmer, p, &scfg.ingest, &CommStats::new())
+                    .unwrap();
             assert_eq!(
-                a_of(table.unwrap()).pattern(),
+                a_of(table).pattern(),
                 serial_a.pattern(),
                 "A nnz pattern differs at b={max_batch_reads}"
             );
@@ -581,14 +591,13 @@ mod tests {
                         assert_eq!(words, base.comm.phase(phase).words, "{phase:?} words ({ctx})");
                     }
                 }
-                let supersteps = out.comm.extras.get("ingest_supersteps").copied();
                 assert_eq!(
-                    supersteps,
-                    Some(ds.reads.len().div_ceil(max_batch_reads.min(ds.reads.len())) as u64),
+                    out.ingest.supersteps,
+                    ds.reads.len().div_ceil(max_batch_reads.min(ds.reads.len())) as u64,
                     "{ctx}"
                 );
-                assert!(out.comm.extras.contains_key("ingest_batch_bytes_peak"), "{ctx}");
-                assert!(out.comm.extras.contains_key("ingest_resident_bytes_peak"), "{ctx}");
+                assert!(out.ingest.batch_bytes_peak > 0, "{ctx}");
+                assert!(out.ingest.resident_bytes_peak >= out.ingest.batch_bytes_peak, "{ctx}");
             }
         }
     }
@@ -710,6 +719,7 @@ mod tests {
         assert_eq!(out.comm.phase(CommPhase::KmerCounting).words, 0);
         assert!(out.comm.phase(CommPhase::SketchIndex).words > 0);
         assert_eq!(out.timings.count_kmer, 0.0);
+        assert_eq!(out.ingest, IngestStats::default());
         assert!(out.timings.create_spmat > 0.0);
         // dims.kmers reports k-min-mer columns; `sketch` carries the details.
         let sketch = out.sketch.expect("k-min-mer mode reports its sketch stats");

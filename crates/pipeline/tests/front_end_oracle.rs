@@ -92,8 +92,9 @@ fn assert_front_end_agrees(
             for max_batch_reads in [1usize, 7, 64, usize::MAX] {
                 let budget = IngestBudget::with_batch_reads(max_batch_reads);
                 let batches = || Ok(read_set_batches(reads, budget));
-                let table = count_kmers_streaming(batches, &sel, 4, &budget, &CommStats::new())
-                    .expect("no resident budget set");
+                let (table, _) =
+                    count_kmers_streaming(batches, &sel, 4, &budget, &CommStats::new())
+                        .expect("no resident budget set");
                 let ctx = format!("{label} streaming b={max_batch_reads} t={threads}");
                 assert_tables_identical(&table, &reference, &ctx);
             }

@@ -22,9 +22,11 @@
 //! owners' state carried across supersteps and each owner folding its share
 //! as its own pool task.  There is one implementation of them:
 //! [`count_kmers_streaming`] drives it over a batch stream under an
-//! [`IngestBudget`], [`count_kmers_distributed`] over a resident read set as
-//! a single superstep, and [`count_kmers_serial`], a plain hash-map count, is
-//! the independent reference both are tested against.  Everything the fold
+//! [`IngestBudget`] and returns, beside the table, the [`IngestStats`] it
+//! consumed (supersteps, largest batch, peak resident estimate);
+//! [`count_kmers_distributed`] drives it over a resident read set as a single
+//! superstep, and [`count_kmers_serial`], a plain hash-map count, is the
+//! independent reference both are tested against.  Everything the fold
 //! keeps is sorted, so no output depends on a hasher or a schedule.
 //!
 //! The k-mer exchange traffic is recorded under
@@ -36,9 +38,6 @@ use crate::bloom::ScalableBloom;
 use crate::fasta::{ReadRecord, ReadSet};
 use crate::kmer::{Kmer, KmerIter};
 use crate::stream::{IngestBudget, ReadBatch};
-use dibella_dist::extras::{
-    INGEST_BATCH_BYTES_PEAK_KEY, INGEST_RESIDENT_BYTES_PEAK_KEY, INGEST_SUPERSTEPS_KEY,
-};
 use dibella_dist::{alltoallv_counted, par_ranks, par_ranks_mut, BlockDist, CommPhase, CommStats};
 use serde::{Deserialize, Serialize};
 
@@ -175,9 +174,8 @@ pub fn count_kmers_distributed(
 ///   exchange buffers on both sides + per-owner filter/candidate/count
 ///   state) are checked against `budget.max_resident_bytes`; exceeding it is
 ///   an `Err`, never silent growth;
-/// * [`CommStats`] gains three extras: `ingest_supersteps` (batches per
-///   pass), `ingest_batch_bytes_peak` (largest batch) and
-///   `ingest_resident_bytes_peak` (peak of the resident estimate).
+/// * the returned [`IngestStats`] carries the supersteps per pass, the
+///   largest batch and the peak of the resident estimate.
 ///
 /// Both passes must observe the same stream: if the second call to `batches`
 /// yields a different superstep or read count, the ingest fails.
@@ -187,13 +185,13 @@ pub fn count_kmers_streaming<'a, I, F>(
     nprocs: usize,
     budget: &IngestBudget,
     stats: &CommStats,
-) -> Result<KmerTable, String>
+) -> Result<(KmerTable, IngestStats), String>
 where
     I: Iterator<Item = Result<ReadBatch<'a>, String>>,
     F: FnMut() -> Result<I, String>,
 {
     let mut fold = TwoPassFold::new(selection, nprocs, stats);
-    let mut peaks = IngestPeaks::default();
+    let mut ingest = IngestStats::default();
     // One pass: a superstep per non-empty batch, budget-checked before its
     // exchange.  Returns the (supersteps, reads) the pass saw.
     let mut pass = |fold: &mut TwoPassFold<'_>, step| -> Result<(u64, usize), String> {
@@ -207,7 +205,7 @@ where
             reads += batch.len();
             let send = extract(&batch.records, selection, nprocs);
             let owner_state = fold.owners.iter().map(Owner::state_bytes).sum();
-            peaks.observe(&batch, &send, owner_state, budget)?;
+            ingest.observe(&batch, &send, owner_state, budget)?;
             fold.superstep(send, step);
         }
         Ok((steps, reads))
@@ -221,11 +219,8 @@ where
              {pass1_steps} supersteps, pass 2 saw {pass2_reads} reads in {pass2_steps}"
         ));
     }
-
-    stats.max_extra(INGEST_SUPERSTEPS_KEY, pass1_steps);
-    stats.max_extra(INGEST_BATCH_BYTES_PEAK_KEY, peaks.batch_bytes);
-    stats.max_extra(INGEST_RESIDENT_BYTES_PEAK_KEY, peaks.resident_bytes);
-    Ok(fold.into_table())
+    ingest.supersteps = pass1_steps;
+    Ok((fold.into_table(), ingest))
 }
 
 /// One superstep's extraction: every rank lists the packed canonical k-mers
@@ -374,14 +369,19 @@ impl<'a> TwoPassFold<'a> {
     }
 }
 
-/// Running peaks of the ingest's resident-byte estimate.
-#[derive(Default)]
-struct IngestPeaks {
-    batch_bytes: u64,
-    resident_bytes: u64,
+/// What a streaming ingest consumed: its supersteps and the peaks of its
+/// resident-byte estimate (all zero for a run that counts nothing).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IngestStats {
+    /// Supersteps (non-empty batches) per pass.
+    pub supersteps: u64,
+    /// Bytes of the largest batch.
+    pub batch_bytes_peak: u64,
+    /// Peak estimated resident bytes of any superstep.
+    pub resident_bytes_peak: u64,
 }
 
-impl IngestPeaks {
+impl IngestStats {
     /// Fold one superstep into the peaks and enforce the resident budget.
     ///
     /// The estimate charges the batch itself, the send lists twice (send and
@@ -398,8 +398,8 @@ impl IngestPeaks {
         let slots: usize = send.iter().map(Vec::capacity).sum();
         let exchange_bytes = (slots * std::mem::size_of::<u64>()) as u64;
         let resident = batch_bytes + 2 * exchange_bytes + owner_state;
-        self.batch_bytes = self.batch_bytes.max(batch_bytes);
-        self.resident_bytes = self.resident_bytes.max(resident);
+        self.batch_bytes_peak = self.batch_bytes_peak.max(batch_bytes);
+        self.resident_bytes_peak = self.resident_bytes_peak.max(resident);
         if resident > budget.max_resident_bytes as u64 {
             return Err(format!(
                 "streaming ingest over budget: estimated {resident} resident bytes \
@@ -579,7 +579,7 @@ mod tests {
                 for threads in [1usize, 2, 4] {
                     let budget = IngestBudget::with_batch_reads(max_batch_reads);
                     let stats = CommStats::new();
-                    let streamed = dibella_dist::with_threads(threads, || {
+                    let (streamed, ingest) = dibella_dist::with_threads(threads, || {
                         count_kmers_streaming(
                             || Ok(read_set_batches(&ds.reads, budget)),
                             &sel,
@@ -592,15 +592,12 @@ mod tests {
                     let ctx = format!("P={nprocs} b={max_batch_reads} t={threads}");
                     assert_tables_identical(&streamed, &serial, &ctx);
                     assert_eq!(
-                        stats.extra("ingest_supersteps") as usize,
+                        ingest.supersteps as usize,
                         ds.reads.len().div_ceil(max_batch_reads.min(ds.reads.len())),
                         "superstep count ({ctx})"
                     );
-                    assert!(stats.extra("ingest_batch_bytes_peak") > 0);
-                    assert!(
-                        stats.extra("ingest_resident_bytes_peak")
-                            >= stats.extra("ingest_batch_bytes_peak")
-                    );
+                    assert!(ingest.batch_bytes_peak > 0);
+                    assert!(ingest.resident_bytes_peak >= ingest.batch_bytes_peak);
                 }
             }
         }
@@ -620,7 +617,7 @@ mod tests {
             .unwrap();
         let sel = KmerSelection { k: 9, min_count: 2, max_count: 40 };
         let stats = CommStats::new();
-        count_kmers_streaming(
+        let (_, ingest) = count_kmers_streaming(
             || Ok(read_set_batches(&ds.reads, budget)),
             &sel,
             4,
@@ -628,7 +625,7 @@ mod tests {
             &stats,
         )
         .unwrap();
-        assert_eq!(stats.extra("ingest_batch_bytes_peak"), expected_peak);
+        assert_eq!(ingest.batch_bytes_peak, expected_peak);
     }
 
     #[test]
@@ -717,17 +714,14 @@ mod tests {
                     &stats,
                 )
             });
-            let streamed = streamed.unwrap();
+            let (streamed, ingest) = streamed.unwrap();
             prop_assert_eq!(streamed.len(), serial.len());
             for ((ca, ka, na), (cb, kb, nb)) in streamed.iter().zip(serial.iter()) {
                 prop_assert_eq!(ca, cb);
                 prop_assert_eq!(ka, kb);
                 prop_assert_eq!(na, nb);
             }
-            prop_assert_eq!(
-                stats.extra("ingest_supersteps") as usize,
-                ds.reads.len().div_ceil(max_batch_reads)
-            );
+            prop_assert_eq!(ingest.supersteps as usize, ds.reads.len().div_ceil(max_batch_reads));
         }
     }
 

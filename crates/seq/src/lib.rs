@@ -49,7 +49,8 @@ pub use fasta::{
 pub use hpc::HpcSeq;
 pub use kmer::{CanonicalKmer, Kmer, KmerIter};
 pub use kmer_counter::{
-    count_kmers_distributed, count_kmers_serial, count_kmers_streaming, KmerSelection, KmerTable,
+    count_kmers_distributed, count_kmers_serial, count_kmers_streaming, IngestStats, KmerSelection,
+    KmerTable,
 };
 pub use sketch::{
     density_minimizers, density_threshold, kmer_hashes, windowed_minimizers, MinimizerPos,

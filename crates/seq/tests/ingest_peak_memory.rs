@@ -66,7 +66,7 @@ fn streaming_ingest_stays_under_a_budget_the_monolithic_path_exceeds() {
     };
     let stats = CommStats::new();
     let scope = ALLOC.scope();
-    let streamed = count_kmers_streaming(
+    let (streamed, ingest) = count_kmers_streaming(
         || Ok(fasta_batches(&text, 16 << 10, budget)),
         &sel,
         nprocs,
@@ -82,9 +82,9 @@ fn streaming_ingest_stays_under_a_budget_the_monolithic_path_exceeds() {
     );
     // The counter's own estimate must also have stayed under the budget (it
     // would have returned Err otherwise) and been recorded.
-    let estimated = stats.extra("ingest_resident_bytes_peak");
+    let estimated = ingest.resident_bytes_peak;
     assert!(estimated > 0 && estimated <= BUDGET_BYTES as u64);
-    assert!(stats.extra("ingest_supersteps") > 1, "must have taken multiple supersteps");
+    assert!(ingest.supersteps > 1, "must have taken multiple supersteps");
 
     // Unbounded negative control: same input, whole-text parse and
     // whole-input two-pass counting.  Its peak must exceed the budget — that

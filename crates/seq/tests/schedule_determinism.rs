@@ -29,7 +29,7 @@ fn count_kmers_streaming_is_bit_identical_under_adversarial_schedules() {
 
     let explored = assert_schedule_determinism(SchedulePreset::from_env(), || {
         let stats = CommStats::new();
-        let table = count_kmers_streaming(
+        let (table, _) = count_kmers_streaming(
             || Ok(read_set_batches(&ds.reads, budget)),
             &sel,
             4,

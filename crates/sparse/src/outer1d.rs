@@ -116,24 +116,23 @@ fn reduce_partials<S: Semiring>(
     let row_blocks: Vec<CsrMatrix<S::Out>> = pool::map_owned(received, |rank, entries| {
         let rows_here = out_row_dist.size(rank);
         let roff = out_row_dist.start(rank);
-        let mut rows: Vec<Vec<(usize, S::Out)>> = vec![Vec::new(); rows_here];
-        // Group by row, then merge column-sorted runs with the semiring add.
+        // Group by row, then merge each column-sorted run in place with the
+        // semiring add (the stable sort keeps equal columns in arrival order).
         let mut by_row: Vec<Vec<(usize, S::Out)>> = vec![Vec::new(); rows_here];
         for (r, c, v) in entries {
             by_row[r - roff].push((c, v));
         }
-        for (local_r, mut run) in by_row.into_iter().enumerate() {
+        for run in &mut by_row {
             run.sort_by_key(|(c, _)| *c);
-            let mut merged: Vec<(usize, S::Out)> = Vec::with_capacity(run.len());
-            for (c, v) in run {
-                match merged.last_mut() {
-                    Some((lc, lv)) if *lc == c => S::add(lv, v),
-                    _ => merged.push((c, v)),
+            run.dedup_by(|(c, v), (kept_c, kept_v)| {
+                let same = c == kept_c;
+                if same {
+                    S::add(kept_v, v.clone());
                 }
-            }
-            rows[local_r] = merged;
+                same
+            });
         }
-        rows_to_csr(rows_here, out_cols, rows)
+        rows_to_csr(rows_here, out_cols, by_row)
     });
 
     Outer1dResult { row_blocks, row_dist: out_row_dist }
