@@ -3,9 +3,8 @@
 //! The pipeline's input is a FASTA file of long reads (Section IV-B).  The
 //! real system reads an equal-sized chunk per MPI rank with parallel I/O; in
 //! this reproduction a [`ReadSet`] is parsed once and then block-partitioned
-//! over the virtual ranks.  The record grammars live in [`crate::stream`],
-//! which parses chunk by chunk; the whole-text functions here feed it their
-//! text as a single chunk and collect the batches.
+//! over the virtual ranks.  The record grammars live in [`crate::stream`];
+//! the functions here pull its batches from text or a file and collect them.
 //!
 //! Sequencers actually deliver **FASTQ** (sequence plus per-base Phred
 //! qualities); [`parse_fastq_filtered`] accepts the classic four-line record
@@ -14,8 +13,9 @@
 //! points.
 
 use crate::dna::DnaSeq;
-use crate::stream::{collect_batches, fasta_batches, fastq_batches, IngestBudget};
+use crate::stream::{collect_batches, open, Batches, IngestBudget};
 use serde::{Deserialize, Serialize};
+use std::io::{BufRead, BufReader};
 use std::path::Path;
 
 /// One FASTA record: a name and its sequence.
@@ -114,14 +114,13 @@ impl ReadSet {
 /// final line with no terminator.  Characters other than `{A, C, G, T}`
 /// (e.g. `N`) are rejected.
 pub fn parse_fasta(text: &str) -> Result<ReadSet, String> {
-    collect_batches(fasta_batches(text, text.len().max(1), IngestBudget::unbounded()))
+    collect_batches(Batches::fasta(text.as_bytes(), IngestBudget::unbounded()))
 }
 
-/// Parse a FASTA file from disk.
+/// Parse a FASTA file from disk, streaming it through a read buffer.
 pub fn parse_fasta_file(path: impl AsRef<Path>) -> Result<ReadSet, String> {
-    let text = std::fs::read_to_string(path.as_ref())
-        .map_err(|e| format!("reading {}: {e}", path.as_ref().display()))?;
-    parse_fasta(&text)
+    let file = BufReader::new(open(path.as_ref())?);
+    collect_batches(Batches::fasta(file, IngestBudget::unbounded()))
 }
 
 /// Serialise a [`ReadSet`] to FASTA text with 80-column line wrapping.
@@ -152,9 +151,6 @@ pub fn write_fasta_file(reads: &ReadSet, path: impl AsRef<Path>) -> Result<(), S
         .map_err(|e| format!("writing {}: {e}", path.as_ref().display()))
 }
 
-/// The Phred+33 offset of FASTQ quality characters.
-const PHRED_OFFSET: u8 = 33;
-
 /// Statistics of one quality-filtered FASTQ parse.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct FastqFilterStats {
@@ -166,45 +162,32 @@ pub struct FastqFilterStats {
     pub dropped_low_quality: usize,
 }
 
-/// Validate the three variable lines of one four-line FASTQ record (name,
-/// sequence, quality) into a [`ReadRecord`] plus its mean Phred quality.
-///
-pub(crate) fn validate_fastq_record(
-    name: String,
-    seq: String,
-    qual: String,
-) -> Result<(ReadRecord, f64), String> {
-    let seq = DnaSeq::from_ascii(seq.as_bytes()).map_err(|e| format!("record {name}: {e}"))?;
-    if qual.len() != seq.len() {
-        return Err(format!(
-            "record {name}: quality length {} does not match sequence length {}",
-            qual.len(),
-            seq.len()
-        ));
-    }
-    let mut sum = 0u64;
-    for (i, &q) in qual.as_bytes().iter().enumerate() {
-        if !(PHRED_OFFSET..=b'~').contains(&q) {
-            return Err(format!(
-                "record {name}: invalid quality character {:?} at position {i}",
-                q as char
-            ));
-        }
-        sum += (q - PHRED_OFFSET) as u64;
-    }
-    let mean_q = if seq.is_empty() { 0.0 } else { sum as f64 / seq.len() as f64 };
-    Ok((ReadRecord { name, seq }, mean_q))
-}
-
-/// Parse four-line FASTQ text (see [`crate::stream`] for the strict record
-/// format and the line endings forgiven) and drop reads whose mean Phred
+/// Parse four-line FASTQ text (see [`Batches::fastq`] for the strict record
+/// format; line endings as in [`parse_fasta`]) and drop reads whose mean Phred
 /// quality is below `min_mean_quality` (a threshold of 0.0 keeps everything).
 pub fn parse_fastq_filtered(
     text: &str,
     min_mean_quality: f64,
 ) -> Result<(ReadSet, FastqFilterStats), String> {
-    let mut batches =
-        fastq_batches(text, text.len().max(1), IngestBudget::unbounded(), min_mean_quality);
+    filter_fastq(text.as_bytes(), min_mean_quality)
+}
+
+/// Parse a FASTQ file from disk, streaming it through a read buffer, and
+/// apply the mean-quality filter.
+pub fn parse_fastq_file(
+    path: impl AsRef<Path>,
+    min_mean_quality: f64,
+) -> Result<(ReadSet, FastqFilterStats), String> {
+    filter_fastq(BufReader::new(open(path.as_ref())?), min_mean_quality)
+}
+
+/// The reads of FASTQ input that pass the mean-quality filter, with its
+/// counts.
+fn filter_fastq(
+    reader: impl BufRead,
+    min_mean_quality: f64,
+) -> Result<(ReadSet, FastqFilterStats), String> {
+    let mut batches = Batches::fastq(reader, IngestBudget::unbounded(), min_mean_quality);
     let reads = collect_batches(&mut batches)?;
     let dropped_low_quality = batches.dropped_low_quality();
     let stats = FastqFilterStats {
@@ -213,16 +196,6 @@ pub fn parse_fastq_filtered(
         dropped_low_quality,
     };
     Ok((reads, stats))
-}
-
-/// Parse a FASTQ file from disk, applying the mean-quality filter.
-pub fn parse_fastq_file(
-    path: impl AsRef<Path>,
-    min_mean_quality: f64,
-) -> Result<(ReadSet, FastqFilterStats), String> {
-    let text = std::fs::read_to_string(path.as_ref())
-        .map_err(|e| format!("reading {}: {e}", path.as_ref().display()))?;
-    parse_fastq_filtered(&text, min_mean_quality)
 }
 
 #[cfg(test)]
@@ -303,17 +276,6 @@ mod tests {
         assert_eq!(reads.name(0), "read1");
         assert_eq!(reads.seq(0).to_ascii(), "ACGT");
         assert_eq!(reads.seq(1).to_ascii(), "TTTTT");
-    }
-
-    #[test]
-    fn fastq_record_mean_qualities() {
-        let mean_q = |seq: &str, qual: &str| {
-            validate_fastq_record("r".to_string(), seq.to_string(), qual.to_string()).unwrap().1
-        };
-        // 'I' = Q40, '5' = Q20: mean (40*3 + 20) / 4 = 35; '!' = Q0.
-        assert!((mean_q("ACGT", "II5I") - 35.0).abs() < 1e-9);
-        assert_eq!(mean_q("TTTTT", "!!!!!"), 0.0);
-        assert_eq!(mean_q("", ""), 0.0, "an empty read has no quality to average");
     }
 
     #[test]
@@ -452,6 +414,23 @@ mod tests {
         write_fasta_file(&reads, &path).unwrap();
         let back = parse_fasta_file(&path).unwrap();
         assert_eq!(back, reads);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn file_parser_reports_invalid_utf8_like_the_chunked_reader() {
+        let bytes = b">a\nACGT\n>b\xff\nAC\n";
+        let dir = std::env::temp_dir().join("dibella_seq_utf8_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad.fa");
+        std::fs::write(&path, bytes).unwrap();
+        let err = parse_fasta_file(&path).unwrap_err();
+        assert!(err.starts_with("line 3: invalid UTF-8: "), "{err}");
+        for chunk_bytes in [1, 7, bytes.len()] {
+            let batches =
+                crate::stream::fasta_batches_file(&path, chunk_bytes, IngestBudget::unbounded());
+            assert_eq!(collect_batches(batches.unwrap()), Err(err.clone()), "{chunk_bytes}");
+        }
         std::fs::remove_file(&path).ok();
     }
 }

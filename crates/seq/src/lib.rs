@@ -8,8 +8,9 @@
 //!   forms and k-mer extraction from sequences.
 //! * [`fasta`] — FASTA parsing/writing and the [`fasta::ReadSet`] container
 //!   used throughout the pipeline.
-//! * [`stream`] — the chunked FASTA/FASTQ readers behind those parsers, and
-//!   the [`stream::IngestBudget`] that bounds their batches.
+//! * [`stream`] — the FASTA/FASTQ reader behind those parsers, which pulls
+//!   records from any `std::io::BufRead`, and the [`stream::IngestBudget`]
+//!   that bounds its batches.
 //! * [`bloom`] — the Bloom filter used to discard singleton k-mers during
 //!   counting (Melsted & Pritchard style, as cited by the paper).
 //! * [`simulate`] — synthetic genome and PacBio-CLR-like long-read simulation.
@@ -61,5 +62,5 @@ pub use simulate::{
 };
 pub use stream::{
     collect_batches, fasta_batches, fasta_batches_file, fastq_batches, read_set_batches, Batches,
-    IngestBudget, LineAssembler, ReadBatch, ReadBatcher,
+    IngestBudget, ReadBatch,
 };

@@ -1,34 +1,26 @@
-//! Chunked, bounded-memory FASTA/FASTQ ingest — the one reader per format.
+//! Bounded-memory FASTA/FASTQ ingest — the one reader per format.
 //!
 //! At the scales the paper targets no rank can hold its input, so the real
 //! system streams fixed-size I/O chunks per rank and processes reads in
 //! bounded batches (the BSP *supersteps* of the k-mer counter in
-//! [`crate::kmer_counter`]).  This module is that chunk layer, and the only
-//! parser each format has: [`crate::fasta::parse_fasta`] and
-//! [`crate::fasta::parse_fastq_filtered`] are its degenerate case (whole text
-//! = one chunk, unbounded budget = one batch).
+//! [`crate::kmer_counter`]).  [`Batches`] is that reader, and the only
+//! parser each format has: it pulls FASTA or four-line FASTQ records, with
+//! all input validation, from any [`BufRead`] — text or a file behind a
+//! `chunk_bytes` buffer ([`fasta_batches`], [`fastq_batches`],
+//! [`fasta_batches_file`]), or whole text, its own buffer
+//! ([`crate::fasta::parse_fasta`]) — and seals [`ReadBatch`]es at the
+//! [`IngestBudget`] bounds, so peak memory is one buffer plus one batch.
+//! [`read_set_batches`] lends the same batches from a resident [`ReadSet`].
 //!
-//! * [`LineAssembler`] — turns arbitrary byte chunks into logical lines,
-//!   handling records (and CRLF terminators) that straddle chunk boundaries;
-//! * [`ReadBatcher`] — incremental record assembly (the FASTA or the
-//!   four-line FASTQ grammar, with all input validation), sealing
-//!   [`ReadBatch`]es at the [`IngestBudget`] bounds;
-//! * [`fasta_batches`] / [`fastq_batches`] / [`fasta_batches_file`] — one
-//!   chunk pump ([`Batches`]) over in-memory text or a file read
-//!   `chunk_bytes` at a time, so peak memory is one chunk plus one batch;
-//! * [`read_set_batches`] — the same batches lent from an already-resident
-//!   [`ReadSet`], for replaying supersteps without re-parsing.
-//!
-//! Records do not depend on the chunk size, and batch boundaries depend only
-//! on the budget: one sealing rule ([`IngestBudget`]) serves the parser path
-//! and the resident path alike.
+//! Records and errors do not depend on the chunk size, and batch boundaries
+//! depend only on the budget: one sealing rule serves both paths.
 
 use crate::dna::DnaSeq;
-use crate::fasta::{validate_fastq_record, ReadRecord, ReadSet};
+use crate::fasta::{ReadRecord, ReadSet};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::collections::VecDeque;
-use std::io::Read;
+use std::fs::File;
+use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
 
 /// The memory budget of an ingest.
@@ -101,9 +93,6 @@ impl IngestBudget {
 /// ranges of a resident [`ReadSet`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadBatch<'a> {
-    /// Global index of the first read of this batch (reads are numbered in
-    /// input order across batches, matching the collected [`ReadSet`]).
-    pub first_read: usize,
     /// The records of this batch, in input order.
     pub records: Cow<'a, [ReadRecord]>,
 }
@@ -144,394 +133,256 @@ pub fn collect_batches<'a>(
     Ok(ReadSet::from_records(records))
 }
 
-/// Incremental splitter of byte chunks into logical lines.
+/// The logical lines of a [`BufRead`], whatever its buffer size: a line, or a
+/// `\r\n` pair, split across two refills is joined.  Unix (`\n`), Windows
+/// (`\r\n`) and classic-Mac (`\r`) endings are accepted in any mixture, with
+/// or without a final terminator — sequencing data regularly crosses Windows
+/// tooling on its way to a pipeline, and a byte-identical record set must not
+/// be rejected for its line endings.
+struct Lines<R> {
+    reader: R,
+    /// The current line, without its terminator.
+    line: String,
+    /// 1-based number of the current line, blank lines counted.
+    lineno: u64,
+    /// The last line ended on `\r`, so a `\n` opening the next one is skipped.
+    after_cr: bool,
+    /// `next` returns the current line again (a parser read one line too far).
+    kept: bool,
+}
+
+impl<R: BufRead> Lines<R> {
+    /// The next non-blank line with trailing whitespace trimmed, and its
+    /// number; `None` at the end of input.
+    fn next(&mut self) -> Result<Option<(u64, &str)>, String> {
+        if std::mem::take(&mut self.kept) {
+            return Ok(Some((self.lineno, self.line.trim_end())));
+        }
+        loop {
+            let mut bytes = std::mem::take(&mut self.line).into_bytes();
+            bytes.clear();
+            if !self.read_line(&mut bytes)? {
+                return Ok(None);
+            }
+            self.lineno += 1;
+            self.line = String::from_utf8(bytes)
+                .map_err(|e| format!("line {}: invalid UTF-8: {}", self.lineno, e.utf8_error()))?;
+            if !self.line.trim_end().is_empty() {
+                return Ok(Some((self.lineno, self.line.trim_end())));
+            }
+        }
+    }
+
+    /// Append the next line's bytes, without its terminator, to `line`;
+    /// `false` at the end of input.
+    fn read_line(&mut self, line: &mut Vec<u8>) -> Result<bool, String> {
+        loop {
+            let buf = self.reader.fill_buf().map_err(|e| format!("reading FASTA chunk: {e}"))?;
+            let Some(&first) = buf.first() else { return Ok(!line.is_empty()) };
+            let skip = usize::from(std::mem::take(&mut self.after_cr) && first == b'\n');
+            let rest = &buf[skip..];
+            if let Some(end) = rest.iter().position(|&b| b == b'\n' || b == b'\r') {
+                line.extend_from_slice(&rest[..end]);
+                self.after_cr = rest[end] == b'\r';
+                self.reader.consume(skip + end + 1);
+                return Ok(true);
+            }
+            line.extend_from_slice(rest);
+            let len = buf.len();
+            self.reader.consume(len);
+        }
+    }
+}
+
+/// The name after a header line's `marker`, up to whitespace; `None` if no header.
+fn header_name(line: &str, marker: char) -> Option<&str> {
+    line.strip_prefix(marker).map(|rest| rest.split_whitespace().next().unwrap_or(""))
+}
+
+/// The Phred+33 offset of FASTQ quality characters.
+const PHRED_OFFSET: u8 = 33;
+
+/// Validate the three variable lines of one four-line FASTQ record (name,
+/// sequence, quality) into a [`ReadRecord`] plus its mean Phred quality.
+fn validate_fastq_record(
+    name: String,
+    seq: String,
+    qual: String,
+) -> Result<(ReadRecord, f64), String> {
+    let seq = DnaSeq::from_ascii(seq.as_bytes()).map_err(|e| format!("record {name}: {e}"))?;
+    if qual.len() != seq.len() {
+        let (q, s) = (qual.len(), seq.len());
+        return Err(format!(
+            "record {name}: quality length {q} does not match sequence length {s}"
+        ));
+    }
+    if let Some(i) = qual.bytes().position(|q| !(PHRED_OFFSET..=b'~').contains(&q)) {
+        let q = qual.as_bytes()[i] as char;
+        return Err(format!("record {name}: invalid quality character {q:?} at position {i}"));
+    }
+    let sum: u64 = qual.bytes().map(|q| u64::from(q - PHRED_OFFSET)).sum();
+    let mean_q = if seq.is_empty() { 0.0 } else { sum as f64 / seq.len() as f64 };
+    Ok((ReadRecord { name, seq }, mean_q))
+}
+
+/// Iterator of [`ReadBatch`]es pulled from FASTA or FASTQ text in a
+/// [`BufRead`], sealed at the [`IngestBudget`] bounds.
 ///
-/// Accepts Unix (`\n`), Windows (`\r\n`) and classic-Mac (`\r`) line endings,
-/// in any mixture, with or without a final terminator — sequencing data
-/// regularly crosses Windows tooling on its way to a pipeline, and a
-/// byte-identical record set must not be rejected for its line endings — over
-/// a *sequence of chunks*: a line (or a `\r\n` pair) split across a chunk
-/// boundary is carried over and completed by the next chunk.  Feeding an
-/// empty chunk is a no-op.
-#[derive(Debug, Default)]
-pub struct LineAssembler {
-    carry: Vec<u8>,
-    pending_lf: bool,
-    lines_emitted: u64,
-}
-
-impl LineAssembler {
-    /// A fresh assembler with an empty carry buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feed one chunk, calling `emit(lineno, line)` for every logical line
-    /// completed by it (`lineno` is 1-based and counts blank lines, for
-    /// error messages).
-    ///
-    /// Lines are borrowed from the internal carry buffer, so `emit` must copy
-    /// what it keeps.  Returns the first error `emit` produces (or a UTF-8
-    /// error naming the offending line).
-    pub fn push(
-        &mut self,
-        chunk: &[u8],
-        mut emit: impl FnMut(u64, &str) -> Result<(), String>,
-    ) -> Result<(), String> {
-        let mut rest = chunk;
-        // A '\r' at the end of the previous chunk already emitted its line;
-        // an immediately following '\n' belongs to the same CRLF terminator.
-        if self.pending_lf {
-            self.pending_lf = false;
-            if let [b'\n', tail @ ..] = rest {
-                rest = tail;
-            }
-        }
-        while let Some(pos) = rest.iter().position(|&b| b == b'\n' || b == b'\r') {
-            self.carry.extend_from_slice(&rest[..pos]);
-            self.emit_carry(&mut emit)?;
-            if rest[pos] == b'\r' {
-                match rest.get(pos + 1) {
-                    Some(b'\n') => rest = &rest[pos + 2..],
-                    Some(_) => rest = &rest[pos + 1..],
-                    // Chunk ends exactly on the '\r': the matching '\n' may
-                    // open the next chunk.
-                    None => {
-                        self.pending_lf = true;
-                        rest = &[];
-                    }
-                }
-            } else {
-                rest = &rest[pos + 1..];
-            }
-        }
-        self.carry.extend_from_slice(rest);
-        Ok(())
-    }
-
-    /// Flush the final unterminated line, if any.
-    pub fn finish(
-        &mut self,
-        mut emit: impl FnMut(u64, &str) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.pending_lf = false;
-        if self.carry.is_empty() {
-            return Ok(());
-        }
-        self.emit_carry(&mut emit)
-    }
-
-    fn emit_carry(
-        &mut self,
-        emit: &mut impl FnMut(u64, &str) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.lines_emitted += 1;
-        let line = std::str::from_utf8(&self.carry)
-            .map_err(|e| format!("line {}: invalid UTF-8: {e}", self.lines_emitted))?;
-        let result = emit(self.lines_emitted, line);
-        self.carry.clear();
-        result
-    }
-}
-
-/// Budget-driven batch sealing for the parser path.
-#[derive(Debug)]
-struct BatchSealer {
+/// Yields the batches sealed before the first parse or I/O error, then that
+/// error once, and then fuses.
+pub struct Batches<R> {
+    lines: Lines<R>,
     budget: IngestBudget,
-    batch: Vec<ReadRecord>,
-    batch_bytes: usize,
-    first_read: usize,
-    ready: VecDeque<ReadBatch<'static>>,
-}
-
-impl BatchSealer {
-    fn new(budget: IngestBudget) -> Self {
-        Self { budget, batch: Vec::new(), batch_bytes: 0, first_read: 0, ready: VecDeque::new() }
-    }
-
-    fn push(&mut self, record: ReadRecord) {
-        let bytes = record_bytes(&record);
-        if self.budget.seals_before(self.batch.len(), self.batch_bytes, bytes) {
-            self.seal();
-        }
-        self.batch.push(record);
-        self.batch_bytes += bytes;
-        if self.budget.is_full(self.batch.len(), self.batch_bytes) {
-            self.seal();
-        }
-    }
-
-    fn seal(&mut self) {
-        if self.batch.is_empty() {
-            return;
-        }
-        let records = std::mem::take(&mut self.batch);
-        let first_read = self.first_read;
-        self.first_read += records.len();
-        self.batch_bytes = 0;
-        self.ready.push_back(ReadBatch { first_read, records: Cow::Owned(records) });
-    }
-}
-
-/// The four logical lines of a FASTQ record being assembled.
-#[derive(Debug, Default)]
-enum FastqField {
-    /// Waiting for the next `@name` header.
-    #[default]
-    Header,
-    /// Header seen; waiting for the sequence line.
-    Seq(String),
-    /// Sequence seen; waiting for the `+` separator.
-    Sep(String, String),
-    /// Separator seen; waiting for the quality line.
-    Qual(String, String),
-}
-
-/// The record grammar a [`ReadBatcher`] parses, with its record in progress.
-#[derive(Debug)]
-enum Grammar {
-    /// A `>name` header, then the sequence over any number of lines.
-    /// Characters other than `{A, C, G, T}` (e.g. `N`) are rejected — the
-    /// simulators in this repo never emit them, and the paper's pipeline
-    /// operates on the 2-bit alphabet.
-    Fasta { name: Option<String>, seq: String },
-    /// The classic four-line record, enforced strictly: a `@name` header, one
-    /// sequence line, a `+` separator (bare or repeating the name), and one
-    /// quality line of exactly the sequence's length in printable Phred+33
-    /// characters.  Multi-line sequences are rejected — every modern
-    /// long-read FASTQ writer emits four-line records.  Reads whose mean
-    /// Phred quality falls below `min_mean_quality` are dropped and counted.
-    Fastq { field: FastqField, min_mean_quality: f64, dropped_low_quality: usize },
-}
-
-impl Grammar {
-    /// Consume one logical line; blank lines are ignored by both grammars.
-    fn take_line(&mut self, lineno: u64, line: &str, out: &mut BatchSealer) -> Result<(), String> {
-        let line = line.trim_end();
-        if line.is_empty() {
-            return Ok(());
-        }
-        match self {
-            Grammar::Fasta { name, seq } => {
-                if let Some(rest) = line.strip_prefix('>') {
-                    flush_fasta(name, seq, out)?;
-                    let next = rest.split_whitespace().next().unwrap_or("");
-                    if next.is_empty() {
-                        return Err("record with empty name".to_string());
-                    }
-                    *name = Some(next.to_string());
-                } else {
-                    if name.is_none() {
-                        return Err("sequence data before the first '>' header".to_string());
-                    }
-                    seq.push_str(line);
-                }
-            }
-            Grammar::Fastq { field, min_mean_quality, dropped_low_quality } => {
-                *field = match std::mem::take(field) {
-                    FastqField::Header => {
-                        let Some(rest) = line.strip_prefix('@') else {
-                            return Err(format!(
-                                "line {lineno}: expected '@' header, found {line:?}"
-                            ));
-                        };
-                        let name = rest.split_whitespace().next().unwrap_or("");
-                        if name.is_empty() {
-                            return Err(format!("line {lineno}: record with empty name"));
-                        }
-                        FastqField::Seq(name.to_string())
-                    }
-                    FastqField::Seq(name) => FastqField::Sep(name, line.to_string()),
-                    FastqField::Sep(name, seq) => {
-                        if !line.starts_with('+') {
-                            return Err(format!(
-                                "line {lineno}: record {name}: expected '+' separator, found {line:?}"
-                            ));
-                        }
-                        FastqField::Qual(name, seq)
-                    }
-                    FastqField::Qual(name, seq) => {
-                        let (record, mean_q) = validate_fastq_record(name, seq, line.to_string())?;
-                        if mean_q >= *min_mean_quality {
-                            out.push(record);
-                        } else {
-                            *dropped_low_quality += 1;
-                        }
-                        FastqField::Header
-                    }
-                };
-            }
-        }
-        Ok(())
-    }
-
-    /// End of input: flush the trailing FASTA record, reject a truncated
-    /// FASTQ one.
-    fn end(&mut self, out: &mut BatchSealer) -> Result<(), String> {
-        match self {
-            Grammar::Fasta { name, seq } => flush_fasta(name, seq, out),
-            Grammar::Fastq { field, .. } => match std::mem::take(field) {
-                FastqField::Header => Ok(()),
-                FastqField::Seq(name) => Err(format!("record {name}: missing sequence line")),
-                FastqField::Sep(name, _) => Err(format!("record {name}: missing '+' separator")),
-                FastqField::Qual(name, _) => Err(format!("record {name}: missing quality line")),
-            },
-        }
-    }
-}
-
-/// Complete the FASTA record in progress, if any.
-fn flush_fasta(
-    name: &mut Option<String>,
-    seq: &mut String,
-    out: &mut BatchSealer,
-) -> Result<(), String> {
-    if let Some(name) = name.take() {
-        let seq = DnaSeq::from_ascii(std::mem::take(seq).as_bytes())
-            .map_err(|e| format!("record {name}: {e}"))?;
-        out.push(ReadRecord { name, seq });
-    }
-    Ok(())
-}
-
-/// Incremental FASTA or FASTQ parser over byte chunks, yielding
-/// [`ReadBatch`]es: the records (and the errors) are the same for any chunk
-/// size.
-#[derive(Debug)]
-pub struct ReadBatcher {
-    lines: LineAssembler,
-    grammar: Grammar,
-    sealer: BatchSealer,
-}
-
-impl ReadBatcher {
-    /// A FASTA batcher sealing batches at the given budget's batch bounds.
-    pub fn fasta(budget: IngestBudget) -> Self {
-        Self::new(Grammar::Fasta { name: None, seq: String::new() }, budget)
-    }
-
-    /// A four-line FASTQ batcher with the given batch budget and
-    /// mean-quality floor (0.0 keeps everything).
-    pub fn fastq(budget: IngestBudget, min_mean_quality: f64) -> Self {
-        let field = FastqField::Header;
-        Self::new(Grammar::Fastq { field, min_mean_quality, dropped_low_quality: 0 }, budget)
-    }
-
-    fn new(grammar: Grammar, budget: IngestBudget) -> Self {
-        Self { lines: LineAssembler::new(), grammar, sealer: BatchSealer::new(budget) }
-    }
-
-    /// Feed one chunk of input bytes (an empty chunk is a no-op).
-    pub fn push_chunk(&mut self, chunk: &[u8]) -> Result<(), String> {
-        let Self { lines, grammar, sealer } = self;
-        lines.push(chunk, |lineno, line| grammar.take_line(lineno, line, sealer))
-    }
-
-    /// Signal end of input: completes (or rejects) the trailing record and
-    /// seals the final, possibly smaller, batch.
-    pub fn finish(&mut self) -> Result<(), String> {
-        let Self { lines, grammar, sealer } = self;
-        lines.finish(|lineno, line| grammar.take_line(lineno, line, sealer))?;
-        grammar.end(sealer)?;
-        sealer.seal();
-        Ok(())
-    }
-
-    /// Pop the next sealed batch, if any.
-    pub fn next_batch(&mut self) -> Option<ReadBatch<'static>> {
-        self.sealer.ready.pop_front()
-    }
-
-    /// Reads dropped by the FASTQ mean-quality filter so far (FASTA carries
-    /// no qualities and never drops).
-    pub fn dropped_low_quality(&self) -> usize {
-        match self.grammar {
-            Grammar::Fasta { .. } => 0,
-            Grammar::Fastq { dropped_low_quality, .. } => dropped_low_quality,
-        }
-    }
-}
-
-/// Where a [`Batches`] pump reads its chunks from.
-enum ChunkSource<'a> {
-    Text { text: &'a [u8], pos: usize },
-    File { file: std::fs::File, buf: Vec<u8> },
-}
-
-/// Iterator of [`ReadBatch`]es: the chunk pump feeding a [`ReadBatcher`]
-/// from text or a file, `chunk_bytes` at a time.
-///
-/// Yields `Err` at most once (the first parse/I/O error) and then fuses.
-pub struct Batches<'a> {
-    source: ChunkSource<'a>,
-    chunk_bytes: usize,
-    batcher: ReadBatcher,
-    finished: bool,
+    /// `None` reads FASTA; `Some(floor)` reads FASTQ, dropping reads below it.
+    min_mean_quality: Option<f64>,
+    /// FASTQ: reads dropped by the mean-quality filter so far.
+    dropped_low_quality: usize,
+    /// The record read past the end of the last batch; it opens the next.
+    held: Option<ReadRecord>,
     failed: bool,
 }
 
-impl Iterator for Batches<'_> {
+impl<R: BufRead> Iterator for Batches<R> {
     type Item = Result<ReadBatch<'static>, String>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            if let Some(batch) = self.batcher.next_batch() {
-                return Some(Ok(batch));
-            }
-            if self.finished {
-                return None;
-            }
-            if let Err(e) = self.step() {
-                self.failed = true;
-                return Some(Err(e));
-            }
-        }
+        let item = if self.failed { None } else { self.next_batch().transpose() };
+        self.failed |= matches!(item, Some(Err(_)));
+        item
     }
 }
 
-impl<'a> Batches<'a> {
-    fn new(source: ChunkSource<'a>, chunk_bytes: usize, batcher: ReadBatcher) -> Self {
-        assert!(chunk_bytes > 0, "chunk size must be positive");
-        Self { source, chunk_bytes, batcher, finished: false, failed: false }
-    }
-
-    /// Read and feed one chunk, or finish the batcher at end of input.
-    fn step(&mut self) -> Result<(), String> {
-        let chunk = match &mut self.source {
-            ChunkSource::Text { text, pos } => {
-                let end = (*pos + self.chunk_bytes).min(text.len());
-                let chunk = &text[*pos..end];
-                *pos = end;
-                chunk
-            }
-            ChunkSource::File { file, buf } => {
-                buf.resize(self.chunk_bytes, 0);
-                let n = file.read(buf).map_err(|e| format!("reading FASTA chunk: {e}"))?;
-                &buf[..n]
-            }
-        };
-        if chunk.is_empty() {
-            self.finished = true;
-            return self.batcher.finish();
+impl<R: BufRead> Batches<R> {
+    /// FASTA batches: a `>name` header, then the sequence over any number
+    /// of lines.  Characters other than `{A, C, G, T}` (e.g. `N`) are
+    /// rejected — the simulators in this repo never emit them, and the
+    /// paper's pipeline operates on the 2-bit alphabet.
+    pub fn fasta(reader: R, budget: IngestBudget) -> Self {
+        Self {
+            lines: Lines { reader, line: String::new(), lineno: 0, after_cr: false, kept: false },
+            budget,
+            min_mean_quality: None,
+            dropped_low_quality: 0,
+            held: None,
+            failed: false,
         }
-        self.batcher.push_chunk(chunk)
     }
 
-    /// Reads dropped by the FASTQ mean-quality filter so far.
+    /// FASTQ batches of the classic four-line record, enforced strictly: a
+    /// `@name` header, one sequence line, a `+` separator (bare or repeating
+    /// the name), and one quality line of exactly the sequence's length in
+    /// printable Phred+33 characters.  Multi-line sequences are rejected —
+    /// every modern long-read FASTQ writer emits four-line records.  Reads
+    /// whose mean Phred quality falls below `min_mean_quality` are dropped
+    /// and counted (0.0 keeps everything).
+    pub fn fastq(reader: R, budget: IngestBudget, min_mean_quality: f64) -> Self {
+        Self { min_mean_quality: Some(min_mean_quality), ..Self::fasta(reader, budget) }
+    }
+
+    /// Reads the FASTQ mean-quality filter dropped so far (FASTA never drops).
     pub fn dropped_low_quality(&self) -> usize {
-        self.batcher.dropped_low_quality()
+        self.dropped_low_quality
+    }
+
+    /// The next batch, filled until the budget seals it or the input ends.
+    fn next_batch(&mut self) -> Result<Option<ReadBatch<'static>>, String> {
+        let (mut records, mut bytes) = (Vec::new(), 0usize);
+        while let Some(record) = self.next_record()? {
+            let size = record_bytes(&record);
+            if self.budget.seals_before(records.len(), bytes, size) {
+                self.held = Some(record);
+                break;
+            }
+            records.push(record);
+            bytes += size;
+            if self.budget.is_full(records.len(), bytes) {
+                break;
+            }
+        }
+        Ok((!records.is_empty()).then_some(ReadBatch { records: Cow::Owned(records) }))
+    }
+
+    /// The held record, else the next one that passes the format's filter.
+    fn next_record(&mut self) -> Result<Option<ReadRecord>, String> {
+        if let Some(record) = self.held.take() {
+            return Ok(Some(record));
+        }
+        let Some(floor) = self.min_mean_quality else { return self.next_fasta() };
+        while let Some((record, mean_q)) = self.next_fastq()? {
+            if mean_q >= floor {
+                return Ok(Some(record));
+            }
+            self.dropped_low_quality += 1;
+        }
+        Ok(None)
+    }
+
+    /// One FASTA record.  The header line that ends it is kept for the next
+    /// call, so its name is checked after this record's bases.
+    fn next_fasta(&mut self) -> Result<Option<ReadRecord>, String> {
+        let Some((_, line)) = self.lines.next()? else { return Ok(None) };
+        let name = header_name(line, '>').ok_or("sequence data before the first '>' header")?;
+        if name.is_empty() {
+            return Err("record with empty name".to_string());
+        }
+        let (name, mut seq) = (name.to_string(), String::new());
+        while let Some((_, line)) = self.lines.next()? {
+            if line.starts_with('>') {
+                self.lines.kept = true;
+                break;
+            }
+            seq.push_str(line);
+        }
+        let seq = DnaSeq::from_ascii(seq.as_bytes()).map_err(|e| format!("record {name}: {e}"))?;
+        Ok(Some(ReadRecord { name, seq }))
+    }
+
+    /// One four-line FASTQ record, with its mean Phred quality.
+    fn next_fastq(&mut self) -> Result<Option<(ReadRecord, f64)>, String> {
+        let Some((lineno, line)) = self.lines.next()? else { return Ok(None) };
+        let name = match header_name(line, '@') {
+            None => return Err(format!("line {lineno}: expected '@' header, found {line:?}")),
+            Some("") => return Err(format!("line {lineno}: record with empty name")),
+            Some(name) => name.to_string(),
+        };
+        let seq = self.field(&name, "sequence line")?.1.to_string();
+        let (lineno, line) = self.field(&name, "'+' separator")?;
+        let other = header_name(line, '+').ok_or_else(|| {
+            format!("line {lineno}: record {name}: expected '+' separator, found {line:?}")
+        })?;
+        if !other.is_empty() && other != name {
+            return Err(format!("line {lineno}: record {name}: '+' separator names {other:?}"));
+        }
+        let qual = self.field(&name, "quality line")?.1.to_string();
+        validate_fastq_record(name, seq, qual).map(Some)
+    }
+
+    /// The next line of FASTQ record `name`, which must hold its `field`.
+    fn field(&mut self, name: &str, field: &str) -> Result<(u64, &str), String> {
+        self.lines.next()?.ok_or_else(|| format!("record {name}: missing {field}"))
     }
 }
 
-/// Stream batches from in-memory FASTA text, fed in `chunk_bytes`-sized
-/// chunks through the same incremental path as the file reader (so tests can
-/// pin chunk-boundary behaviour without touching disk).
-pub fn fasta_batches(text: &str, chunk_bytes: usize, budget: IngestBudget) -> Batches<'_> {
-    let source = ChunkSource::Text { text: text.as_bytes(), pos: 0 };
-    Batches::new(source, chunk_bytes, ReadBatcher::fasta(budget))
+/// Open an input file, naming it in the error.
+pub(crate) fn open(path: &Path) -> Result<File, String> {
+    File::open(path).map_err(|e| format!("opening {}: {e}", path.display()))
+}
+
+/// `reader` behind a buffer of `chunk_bytes`, the most one read fetches.
+fn chunked<R: Read>(reader: R, chunk_bytes: usize) -> BufReader<R> {
+    assert!(chunk_bytes > 0, "chunk size must be positive");
+    BufReader::with_capacity(chunk_bytes, reader)
+}
+
+/// Stream batches from in-memory FASTA text through a `chunk_bytes` buffer,
+/// the same path as the file reader (so tests can pin chunk-boundary
+/// behaviour without touching disk).
+pub fn fasta_batches(
+    text: &str,
+    chunk_bytes: usize,
+    budget: IngestBudget,
+) -> Batches<BufReader<&[u8]>> {
+    Batches::fasta(chunked(text.as_bytes(), chunk_bytes), budget)
 }
 
 /// Stream batches from a FASTA file, reading `chunk_bytes` at a time: peak
@@ -540,23 +391,19 @@ pub fn fasta_batches_file(
     path: impl AsRef<Path>,
     chunk_bytes: usize,
     budget: IngestBudget,
-) -> Result<Batches<'static>, String> {
-    let file = std::fs::File::open(path.as_ref())
-        .map_err(|e| format!("opening {}: {e}", path.as_ref().display()))?;
-    let source = ChunkSource::File { file, buf: Vec::new() };
-    Ok(Batches::new(source, chunk_bytes, ReadBatcher::fasta(budget)))
+) -> Result<Batches<BufReader<File>>, String> {
+    Ok(Batches::fasta(chunked(open(path.as_ref())?, chunk_bytes), budget))
 }
 
-/// Stream quality-filtered batches from in-memory FASTQ text in
-/// `chunk_bytes`-sized chunks.
+/// Stream quality-filtered batches from in-memory FASTQ text through a
+/// `chunk_bytes` buffer.
 pub fn fastq_batches(
     text: &str,
     chunk_bytes: usize,
     budget: IngestBudget,
     min_mean_quality: f64,
-) -> Batches<'_> {
-    let source = ChunkSource::Text { text: text.as_bytes(), pos: 0 };
-    Batches::new(source, chunk_bytes, ReadBatcher::fastq(budget, min_mean_quality))
+) -> Batches<BufReader<&[u8]>> {
+    Batches::fastq(chunked(text.as_bytes(), chunk_bytes), budget, min_mean_quality)
 }
 
 /// Lend batches of an already-resident [`ReadSet`].
@@ -570,9 +417,9 @@ pub fn read_set_batches(
     reads: &ReadSet,
     budget: IngestBudget,
 ) -> impl Iterator<Item = Result<ReadBatch<'_>, String>> + '_ {
-    let mut first_read = 0usize;
+    let mut start = 0usize;
     std::iter::from_fn(move || {
-        let rest = &reads.records()[first_read..];
+        let rest = &reads.records()[start..];
         let (mut len, mut bytes) = (0usize, 0usize);
         for rec in rest {
             if budget.seals_before(len, bytes, record_bytes(rec)) {
@@ -584,9 +431,8 @@ pub fn read_set_batches(
                 break;
             }
         }
-        let batch = ReadBatch { first_read, records: Cow::Borrowed(&rest[..len]) };
-        first_read += len;
-        (len > 0).then_some(Ok(batch))
+        start += len;
+        (len > 0).then_some(Ok(ReadBatch { records: Cow::Borrowed(&rest[..len]) }))
     })
 }
 
@@ -596,15 +442,14 @@ mod tests {
     use crate::fasta::{parse_fasta, write_fasta};
     use crate::simulate::DatasetSpec;
 
-    /// Collect every record from a batch stream, checking `first_read`
-    /// bookkeeping along the way.
+    /// Collect every record from a batch stream, checking that no batch is
+    /// empty along the way.
     fn collect<'a>(
         iter: impl Iterator<Item = Result<ReadBatch<'a>, String>>,
     ) -> Result<ReadSet, String> {
         let mut rs = ReadSet::new();
         for batch in iter {
             let batch = batch?;
-            assert_eq!(batch.first_read, rs.len(), "batch first_read must be contiguous");
             assert!(!batch.is_empty(), "batchers must not emit empty batches");
             for rec in batch.records.into_owned() {
                 rs.push(rec);
@@ -642,11 +487,23 @@ mod tests {
 
     #[test]
     fn chunked_fasta_yields_the_literal_records_at_every_chunk_size() {
-        let expected = sample_reads();
-        for chunk_bytes in 1..=SAMPLE.len() + 1 {
-            let got =
-                collect(fasta_batches(SAMPLE, chunk_bytes, IngestBudget::unbounded())).unwrap();
-            assert_eq!(got, expected, "chunk_bytes={chunk_bytes}");
+        for (text, expected) in [
+            (SAMPLE, sample_reads()),
+            // A record with no bases.
+            (">x\n>y\nACGT\n", literal(&[("x", ""), ("y", "ACGT")])),
+            // Duplicate names are kept, in order.
+            (
+                ">d\nAC\n>d\nGT\n>e\nA\n>d\nT\n",
+                literal(&[("d", "AC"), ("d", "GT"), ("e", "A"), ("d", "T")]),
+            ),
+            // Soft-masked (lowercase) bases parse equal to uppercase.
+            (">m\nacgT\nTtga\n", literal(&[("m", "ACGTTTGA")])),
+        ] {
+            for chunk_bytes in 1..=text.len() + 1 {
+                let got =
+                    collect(fasta_batches(text, chunk_bytes, IngestBudget::unbounded())).unwrap();
+                assert_eq!(got, expected, "input {text:?} chunk_bytes={chunk_bytes}");
+            }
         }
     }
 
@@ -709,18 +566,6 @@ mod tests {
 
     #[test]
     fn empty_trailing_chunk_is_a_no_op() {
-        let mut batcher = ReadBatcher::fasta(IngestBudget::unbounded());
-        batcher.push_chunk(SAMPLE.as_bytes()).unwrap();
-        batcher.push_chunk(b"").unwrap();
-        batcher.push_chunk(b"").unwrap();
-        batcher.finish().unwrap();
-        let mut rs = ReadSet::new();
-        while let Some(batch) = batcher.next_batch() {
-            for rec in batch.records.into_owned() {
-                rs.push(rec);
-            }
-        }
-        assert_eq!(rs, parse_fasta(SAMPLE).unwrap());
         // Empty input entirely: no batches at all.
         assert_eq!(
             collect(fasta_batches("", 8, IngestBudget::unbounded())).unwrap(),
@@ -788,6 +633,8 @@ mod tests {
             ("ACGT\n>x\nACGT\n", "sequence data before the first '>' header"),
             (">\nACGT\n", "record with empty name"),
             (">bad\nACGN\n", "record bad: invalid base 'N' at position 3"),
+            // IUPAC ambiguity codes are rejected like `N`.
+            (">x\nACRT\n", "record x: invalid base 'R' at position 2"),
         ] {
             for chunk_bytes in [1, 4, bad.len()] {
                 let err = collect(fasta_batches(bad, chunk_bytes, IngestBudget::unbounded()))
@@ -799,6 +646,23 @@ mod tests {
         let mut iter = fasta_batches(">bad\nACGN\n>ok\nACGT\n", 4, IngestBudget::unbounded());
         assert!(iter.next().unwrap().is_err());
         assert!(iter.next().is_none());
+    }
+
+    #[test]
+    fn batches_before_an_error_do_not_depend_on_the_chunk_size() {
+        // With one read per batch, `a` is sealed before `b` fails: every
+        // chunk size yields `a`'s batch, then the error, then nothing.
+        let text = ">a\nAC\n>b\nAN\n>c\nGT\n";
+        let expected: Vec<Result<Vec<ReadRecord>, String>> = vec![
+            Ok(literal(&[("a", "AC")]).records().to_vec()),
+            Err("record b: invalid base 'N' at position 1".to_string()),
+        ];
+        for chunk_bytes in [1, 4, text.len()] {
+            let items: Vec<_> = fasta_batches(text, chunk_bytes, IngestBudget::with_batch_reads(1))
+                .map(|item| item.map(|batch| batch.records.into_owned()))
+                .collect();
+            assert_eq!(items, expected, "chunk_bytes={chunk_bytes}");
+        }
     }
 
     #[test]
@@ -841,9 +705,15 @@ mod tests {
             ("\n@\nACGT\n+\nIIII\n", "line 2: record with empty name"),
             ("@x\nACGN\n+\nIIII\n", "record x: invalid base 'N' at position 3"),
             (
+                "@read1\nACGT\n+read9\nIIII\n",
+                "line 3: record read1: '+' separator names \"read9\"",
+            ),
+            (
                 "@x\r\nACGT\r\n+\r\nII\r\n",
                 "record x: quality length 2 does not match sequence length 4",
             ),
+            // A `\r\n` is one terminator, not a line end and a blank line.
+            ("@x\r\nACGT\r\nIIII\r\n", "line 3: record x: expected '+' separator, found \"IIII\""),
         ] {
             for chunk_bytes in [1, 3, bad.len()] {
                 let err = collect(fastq_batches(bad, chunk_bytes, IngestBudget::unbounded(), 0.0))
@@ -851,6 +721,17 @@ mod tests {
                 assert_eq!(err, expected, "input {bad:?} chunk_bytes={chunk_bytes}");
             }
         }
+    }
+
+    #[test]
+    fn fastq_record_mean_qualities() {
+        let mean_q = |seq: &str, qual: &str| {
+            validate_fastq_record("r".to_string(), seq.to_string(), qual.to_string()).unwrap().1
+        };
+        // 'I' = Q40, '5' = Q20: mean (40*3 + 20) / 4 = 35; '!' = Q0.
+        assert!((mean_q("ACGT", "II5I") - 35.0).abs() < 1e-9);
+        assert_eq!(mean_q("TTTTT", "!!!!!"), 0.0);
+        assert_eq!(mean_q("", ""), 0.0, "an empty read has no quality to average");
     }
 
     #[test]
