@@ -10,12 +10,14 @@
 //! cargo run --release -p dibella-bench --bin table1_comm_costs
 //! ```
 //!
-//! The two 2D overlap-detection rows and the alignment-wave row are a check,
-//! not just a print: the process exits non-zero when the measured words or
-//! messages of `2D`, `2D sym` or `waves` differ from `comm_model.rs` at all,
-//! or `2D sym` is not exactly half of `2D` in both — CI runs this binary, so
-//! an edit to a function that posts those collectives cannot drift from the
-//! model unseen.
+//! The two 2D overlap-detection rows, the alignment-wave row and the
+//! transitive-reduction row are a check, not just a print: the process exits
+//! non-zero when the measured words or messages of `2D`, `2D sym`, `waves` or
+//! the reduction differ from `comm_model.rs` at all, or `2D sym` is not
+//! exactly half of `2D` in both — CI runs this binary, so an edit to a
+//! function that posts those collectives cannot drift from the model unseen.
+//! The reduction's model takes the measured off-diagonal `I`, whose
+//! transpose it prices.
 
 use dibella_bench::{benchmark_dataset, fmt, print_header, print_row};
 use dibella_dist::{CommPhase, CommStats, ProcessGrid};
@@ -63,7 +65,6 @@ fn main() {
         c: ostats.c_density,
         r: ostats.r_density,
         kmer_passes: 2,
-        tr_iterations: 3,
     };
     println!(
         "Table II parameters: n={}, m={}, l={:.0}, a={:.2}, c={:.1}, r={:.2}\n",
@@ -140,19 +141,9 @@ fn main() {
         let r_dist = DistMat2D::from_triples(grid, &r_triples);
         let tr = transitive_reduction(&r_dist, &TransitiveReductionConfig::default(), &tr_comm);
         let trc = tr_comm.snapshot().phase(CommPhase::TransitiveReduction);
-        let tr_model = CommModel::new(
-            ModelParams { tr_iterations: tr.iterations, ..params },
-            p,
-        );
-        emit(
-            p,
-            "Transitive red.",
-            "2D",
-            trc.words,
-            tr_model.transitive_reduction_2d().aggregate_words,
-            trc.messages,
-            tr_model.transitive_reduction_2d().aggregate_messages,
-        );
+        let tr_model = model.transitive_reduction_2d(tr.transposed_entries, tr.transposed_blocks);
+        emit(p, "Transitive red.", "2D", trc.words, tr_model.aggregate_words, trc.messages, tr_model.aggregate_messages);
+        drifted.extend(drift(p, "TR", trc.words, tr_model.aggregate_words, trc.messages, tr_model.aggregate_messages));
         println!();
     }
 
@@ -161,11 +152,13 @@ fn main() {
     println!("  Overlap detection  1D: a^2 m/P     2D: a m/sqrt(P)  latency P vs sqrt(P)");
     println!("  Read exchange      1D: cnl/P       2D: 2nl/sqrt(P)  latency min(cnl/P, P) vs sqrt(P)");
     println!("  Transitive red.    1D: -           2D: rn/sqrt(P)   latency - vs t*sqrt(P)");
+    println!("  (the reduction runs t = 1 round; its model adds the order broadcast and the");
+    println!("   transpose of the measured off-diagonal I)");
     println!("\n(Measured and model values above are aggregates across all ranks, in 8-byte words,");
     println!(" with 2-bit packed k-mers/reads; divide by P for the per-process figures.)");
 
     if !drifted.is_empty() {
-        eprintln!("\noverlap detection drifted from comm_model.rs:");
+        eprintln!("\nmeasured communication drifted from comm_model.rs:");
         for line in &drifted {
             eprintln!("  {line}");
         }
@@ -173,9 +166,9 @@ fn main() {
     }
 }
 
-/// What, if anything, separates a measured overlap-detection row from the
-/// model: words (the model's `a·m` is a rounded product) and messages must
-/// match exactly.
+/// What, if anything, separates a measured row from the model: words (the
+/// model's `a·m` and `r·n` are rounded products) and messages must match
+/// exactly.
 fn drift(p: usize, algo: &str, mw: u64, model_w: f64, mm: u64, model_m: f64) -> Option<String> {
     (mw as f64 != model_w.round() || mm as f64 != model_m).then(|| {
         format!("P={p} {algo}: measured {mw} words / {mm} messages, model {model_w:.0} / {model_m:.0}")

@@ -10,6 +10,11 @@
 //! | Read exchange        | cnl/P     | 2nl/√P     | min{cnl/P, P}    | √P     |
 //! | Transitive reduction | —         | rn/√P      | —                | t√P    |
 //!
+//! The transitive reduction runs one round (`t = 1`; `crates/strgraph`'s
+//! module docs prove a second round removes nothing), so its row is exact:
+//! one squaring, the broadcast of each block range's order, and the
+//! transpose of the measured off-diagonal `I`.
+//!
 //! This module evaluates those formulas with the *same unit conventions the
 //! instrumentation uses* (8-byte words, 2-bit packed sequences, per-entry wire
 //! sizes), so the Table I harness can print model and measurement side by
@@ -37,8 +42,6 @@ pub struct ModelParams {
     pub r: f64,
     /// Number of k-mer exchange passes (`b`; this implementation uses 2).
     pub kmer_passes: usize,
-    /// Transitive-reduction iterations (`t`).
-    pub tr_iterations: usize,
 }
 
 impl ModelParams {
@@ -198,23 +201,30 @@ impl CommModel {
         }
     }
 
-    /// Transitive reduction (2D only): the squaring of `R` dominates,
-    /// `W = r·n/√P` per process per iteration, with geometrically shrinking
-    /// iterations.  The measured phase also carries each round's transpose
-    /// of the transitive-edge mask `I`, two words per off-diagonal entry:
-    /// O(removed edges), of lower order than `r·n/√P`, so it is not modelled.
-    pub fn transitive_reduction_2d(&self) -> PhaseCost {
+    /// Transitive reduction (2D only), one round: the squaring's stage
+    /// broadcasts, `W = r·n/√P` per process at 2 words per entry; each
+    /// diagonal rank's broadcast of its block range's order, `n_b` words
+    /// along its grid row and its grid column; and the transpose of `I`,
+    /// two words per entry of `I` outside the diagonal blocks
+    /// (`transposed_entries`) in one message per off-diagonal block holding
+    /// one (`transposed_blocks`).  Exact: the instrumentation must post
+    /// exactly this.
+    pub fn transitive_reduction_2d(
+        &self,
+        transposed_entries: usize,
+        transposed_blocks: usize,
+    ) -> PhaseCost {
         let pm = &self.params;
         let nnz_r = pm.r * pm.n as f64;
-        let per_iter =
-            2.0 * nnz_r * ModelParams::SPGEMM_ENTRY_WORDS as f64 * (self.sqrt_p() - 1.0);
-        // Iterations after the first work on geometrically smaller matrices;
-        // the paper treats the total as asymptotically the first iteration.
-        let aggregate = per_iter * (1.0 + 0.5 * (pm.tr_iterations.saturating_sub(1)) as f64);
+        let peers = self.sqrt_p() - 1.0;
+        let squaring = 2.0 * nnz_r * ModelParams::SPGEMM_ENTRY_WORDS as f64 * peers;
+        let order = 2.0 * pm.n as f64 * peers;
+        let aggregate = squaring + order + 2.0 * transposed_entries as f64;
         PhaseCost {
             aggregate_words: aggregate,
             per_process_words: aggregate / self.p as f64,
-            aggregate_messages: pm.tr_iterations as f64 * 2.0 * self.p as f64 * (self.sqrt_p() - 1.0),
+            aggregate_messages: 2.0 * (self.p as f64 + self.sqrt_p()) * peers
+                + transposed_blocks as f64,
         }
     }
 }
@@ -233,7 +243,6 @@ mod tests {
             c: 100.0,
             r: 8.0,
             kmer_passes: 2,
-            tr_iterations: 3,
         }
     }
 
@@ -246,8 +255,8 @@ mod tests {
         assert!(m64.overlap_1d().per_process_words < m4.overlap_1d().per_process_words);
         assert!(m64.read_exchange_2d().per_process_words < m4.read_exchange_2d().per_process_words);
         assert!(
-            m64.transitive_reduction_2d().per_process_words
-                < m4.transitive_reduction_2d().per_process_words
+            m64.transitive_reduction_2d(0, 0).per_process_words
+                < m4.transitive_reduction_2d(0, 0).per_process_words
         );
     }
 
@@ -309,13 +318,26 @@ mod tests {
     }
 
     #[test]
+    fn transitive_reduction_prices_one_round() {
+        // The benchmark's graph-tiling input at P = 16: n = 80 000 reads,
+        // nnz(R) = 1 919 844, and 1 319 932 entries of I in the 12
+        // off-diagonal blocks.  One squaring, 4 · nnz(R) · 3 = 23 038 128
+        // words; the order broadcast, 2n · 3 = 480 000; the transpose of I,
+        // 2 639 864.  Messages: 96 + 24 + 12.
+        let pm = ModelParams { n: 80_000, r: 1_919_844.0 / 80_000.0, ..params() };
+        let cost = CommModel::new(pm, 16).transitive_reduction_2d(1_319_932, 12);
+        assert_eq!(cost.aggregate_words.round(), 26_157_992.0);
+        assert_eq!(cost.aggregate_messages, 132.0);
+    }
+
+    #[test]
     fn single_process_costs_are_zero() {
         let m = CommModel::new(params(), 1);
         assert_eq!(m.kmer_counting().aggregate_words, 0.0);
         assert_eq!(m.overlap_2d().aggregate_words, 0.0);
         assert_eq!(m.overlap_1d().aggregate_words, 0.0);
         assert_eq!(m.read_exchange_2d().per_process_words, 0.0);
-        assert_eq!(m.transitive_reduction_2d().aggregate_words, 0.0);
+        assert_eq!(m.transitive_reduction_2d(0, 0).aggregate_words, 0.0);
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub struct PipelineDims {
 /// A compact, serialisable summary of a [`TrOutcome`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TrSummary {
-    /// Reduction rounds executed.
+    /// Reduction rounds executed: 1, or 0 for an empty `R`.
     pub iterations: usize,
     /// Directed entries removed.
     pub removed_edges: usize,
@@ -79,6 +79,10 @@ pub struct TrSummary {
     pub string_edges: usize,
     /// `s` — average nonzeros per row of `S`.
     pub s_density: f64,
+    /// Entries of `I` outside the diagonal blocks (see [`TrOutcome`]).
+    pub transposed_entries: usize,
+    /// Off-diagonal blocks of `I` holding an entry.
+    pub transposed_blocks: usize,
 }
 
 /// A compact, serialisable summary of the consensus stage.
@@ -129,6 +133,8 @@ impl TrSummary {
             } else {
                 0.0
             },
+            transposed_entries: outcome.transposed_entries,
+            transposed_blocks: outcome.transposed_blocks,
         }
     }
 }

@@ -208,9 +208,12 @@ fn front_end_output_matches_the_digests_taken_before_the_rewrite() {
     // but for the two entries that counted SUMMA's cross-diagonal exchange
     // until `C` became a triangle: 747 entries × 5 words in 6 messages.  Since
     // the transitive reduction charges its transpose of `I`, the
-    // `TransitiveReduction` and message entries also carry round 1's 54
+    // `TransitiveReduction` and message entries also carry the 54
     // off-diagonal `I` entries × 2 words in 12 messages, one per off-diagonal
-    // block (round 2's `I` is empty).
+    // block.  Since the reduction runs one round over a relabelled `R`, they
+    // no longer carry a second squaring, of the 32-entry `S` (12 × 32 words
+    // in 96 messages), and they carry the order broadcast, 2 × 79 reads × 3
+    // words in 24 messages: 1 668 → 1 758 words, 963 → 891 messages.
     assert_eq!(golden_run(), GOLDEN);
 }
 
@@ -222,7 +225,7 @@ const GOLDEN: [(&str, u64); 10] = [
     ("dist.words.SketchIndex", 0),
     ("dist.words.OverlapDetection", 159_066),
     ("dist.words.ReadExchange", 9810),
-    ("dist.words.TransitiveReduction", 1668),
+    ("dist.words.TransitiveReduction", 1758),
     ("dist.words.Consensus", 397),
-    ("dist.messages.total", 963),
+    ("dist.messages.total", 891),
 ];

@@ -1,6 +1,9 @@
 //! Transitive reduction close-up: run Algorithm 2 against Myers' sequential
 //! algorithm and the SORA-style vertex-centric baseline on synthetic overlap
 //! graphs of growing size, checking that they agree and comparing runtimes.
+//! Read ids are shuffled, as the benchmark's `graph-tiling` task shuffles
+//! them: real reads arrive in random genome order.  Exits non-zero when the
+//! three reductions disagree.
 //!
 //! ```bash
 //! cargo run --release --example transitive_reduction_demo
@@ -8,16 +11,34 @@
 
 use dibella2d::prelude::*;
 use dibella2d::strgraph::fixtures::{tiling_overlap_graph, to_dist};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::time::Instant;
+
+/// The tiling fixture with read `i` renamed to a seed-driven Fisher–Yates
+/// shuffle's `i`-th id.
+fn shuffled_tiling(n: usize, span: usize, seed: u64) -> Triples<OverlapEdge> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut read_of: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        read_of.swap(i, rng.gen_range(0..=i));
+    }
+    let entries = tiling_overlap_graph(n, span, true)
+        .into_entries()
+        .into_iter()
+        .map(|(i, j, edge)| (read_of[i], read_of[j], edge))
+        .collect();
+    Triples::from_entries(n, n, entries)
+}
 
 fn main() {
     println!(
         "{:>8} {:>10} {:>12} {:>12} {:>12} {:>10} {:>8}",
         "reads", "edges", "parallel(s)", "myers(s)", "sora(s)", "reduced", "agree"
     );
+    let mut disagreements = 0;
     for &n in &[200usize, 1_000, 4_000, 10_000] {
-        let span = 8;
-        let triples = tiling_overlap_graph(n, span, true);
+        let triples = shuffled_tiling(n, 8, 7);
         let local = CsrMatrix::from_triples(&triples);
         let grid = ProcessGrid::square(16);
         let dist = to_dist(&triples, grid);
@@ -48,6 +69,7 @@ fn main() {
         );
         if !agree {
             eprintln!("  !! the three implementations disagree at n = {n}");
+            disagreements += 1;
         }
         if n == 10_000 {
             println!(
@@ -63,5 +85,8 @@ fn main() {
                 comm.messages(CommPhase::TransitiveReduction)
             );
         }
+    }
+    if disagreements > 0 {
+        std::process::exit(1);
     }
 }

@@ -174,7 +174,6 @@ fn measured_communication_matches_the_table1_model_in_shape() {
         c: out.overlap_stats.c_density,
         r: out.overlap_stats.r_density,
         kmer_passes: 2,
-        tr_iterations: out.tr_summary.iterations,
     };
     let model = CommModel::new(params, out.grid.nprocs());
 
@@ -209,7 +208,12 @@ fn measured_communication_matches_the_table1_model_in_shape() {
     );
     check(
         out.comm.phase(CommPhase::TransitiveReduction).words,
-        model.transitive_reduction_2d().aggregate_words,
+        model
+            .transitive_reduction_2d(
+                out.tr_summary.transposed_entries,
+                out.tr_summary.transposed_blocks,
+            )
+            .aggregate_words,
         "transitive reduction",
         4.0,
     );
