@@ -60,6 +60,36 @@ pub fn tiling_overlap_graph(n: usize, span: usize, alternate_strands: bool) -> T
     t
 }
 
+/// A seed-driven Fisher–Yates shuffle of `0..n`: the same seed gives the
+/// same permutation.  The draws come from SplitMix64, so the fixtures need
+/// no random-number crate.
+pub fn shuffled_ids(n: usize, seed: u64) -> Vec<usize> {
+    let mut state = seed;
+    let mut next = || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut ids: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        ids.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    ids
+}
+
+/// The tiling of [`tiling_overlap_graph`] on both strands, with read `i`
+/// renamed to `shuffled_ids(n, seed)[i]`: real reads arrive in random
+/// genome order, so overlapping reads sit in any two block ranges.
+pub fn shuffled_tiling_overlap_graph(n: usize, span: usize, seed: u64) -> Triples<OverlapEdge> {
+    let ids = shuffled_ids(n, seed);
+    let entries = (tiling_overlap_graph(n, span, true).into_entries().into_iter())
+        .map(|(i, j, edge)| (ids[i], ids[j], edge))
+        .collect();
+    Triples::from_entries(n, n, entries)
+}
+
 /// A branching overlap graph: two tiling chains that share their first
 /// `shared` reads (a simple model of a repeat boundary / haplotype fork).
 pub fn forked_overlap_graph(arm_len: usize, shared: usize, span: usize) -> Triples<OverlapEdge> {
@@ -182,6 +212,29 @@ mod tests {
         assert!(adj < skip2 && skip2 < skip3);
         assert_eq!(skip2, 2 * adj);
         assert_eq!(skip3, 3 * adj);
+    }
+
+    #[test]
+    fn shuffled_ids_are_a_seeded_permutation() {
+        let ids = shuffled_ids(500, 3);
+        let mut sorted = ids.clone();
+        sorted.sort_unstable();
+        assert!(sorted.into_iter().eq(0..500));
+        assert_eq!(ids, shuffled_ids(500, 3));
+        assert_ne!(ids, shuffled_ids(500, 4));
+        assert_ne!(ids, (0..500).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn shuffled_tiling_renames_the_tiling() {
+        let (n, span, seed) = (40, 5, 9);
+        let ids = shuffled_ids(n, seed);
+        let tiling = CsrMatrix::from_triples(&tiling_overlap_graph(n, span, true));
+        let shuffled = CsrMatrix::from_triples(&shuffled_tiling_overlap_graph(n, span, seed));
+        assert_eq!(shuffled.nnz(), tiling.nnz());
+        for (i, j, edge) in tiling.iter() {
+            assert_eq!(shuffled.get(ids[i], ids[j]), Some(edge));
+        }
     }
 
     #[test]

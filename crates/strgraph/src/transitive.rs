@@ -136,6 +136,11 @@ pub struct TrOutcome {
 /// Run Algorithm 2 on the overlap matrix `R`, recording the order broadcast,
 /// the squaring traffic and the transpose of `I` under
 /// [`CommPhase::TransitiveReduction`].
+///
+/// `R` is reduced exactly whatever its pattern.  The relabelling gains its
+/// locality on a pattern-symmetric `R`, which is what the pipeline builds
+/// (each overlap is stored in both directions); on any other pattern it is
+/// still a permutation of each block range, only a less local one.
 pub fn transitive_reduction(
     r: &DistMat2D<OverlapEdge>,
     config: &TransitiveReductionConfig,
@@ -194,6 +199,10 @@ fn row_bounds(r: &DistMat2D<OverlapEdge>, fuzz: u32) -> Vec<Option<u32>> {
 /// The breadth-first order of a diagonal block's rows, as `order[new] =
 /// old`: each connected component of the block's graph from a far end of
 /// it, components in the order of their lowest row.
+///
+/// A permutation of the block's rows for any pattern.  On a pattern that is
+/// not symmetric the far end may not reach every row the first sweep did;
+/// the rows it misses are ordered from `root` and from later roots.
 fn bfs_order(block: &CsrMatrix<OverlapEdge>) -> Vec<u32> {
     let mut order = Vec::with_capacity(block.nrows());
     let mut seen = vec![false; block.nrows()];
@@ -210,6 +219,9 @@ fn bfs_order(block: &CsrMatrix<OverlapEdge>) -> Vec<u32> {
         }
         order.truncate(start);
         sweep(block, far, &mut seen, &mut order);
+        if !seen[root] {
+            sweep(block, root, &mut seen, &mut order);
+        }
     }
     order
 }
@@ -246,6 +258,9 @@ impl Relabelling {
     fn new(r: &DistMat2D<OverlapEdge>, comm: &CommStats, phase: CommPhase) -> Self {
         let grid = r.grid();
         let order = par_ranks(grid.rows(), |b| bfs_order(r.block(b, b)));
+        for (b, order) in order.iter().enumerate() {
+            assert_eq!(order.len(), r.row_dist().size(b), "block range {b} is not ordered whole");
+        }
         let label = (order.iter())
             .map(|order| {
                 let mut label = vec![0; order.len()];
@@ -351,14 +366,19 @@ fn packed_suffix(entry: u64) -> u32 {
 /// The masked pass and its working set: the relabelling, the row bounds,
 /// the packed blocks and each rank's stamps and marks.
 ///
-/// All of it is allocated on the calling thread before the pass starts —
-/// the pool only fills it — and [`transitive_reduction`] drops it only
-/// after `S` is built.  The pass then allocates nothing, and freeing the set
-/// leaves one contiguous hole below `S` in the calling thread's heap rather
-/// than gaps among the blocks of `S`.  On `graph-tiling` that hole is what
-/// lets the next input reuse freed memory (EXPERIMENTS.md, "Heap modes"):
-/// packed on the pool, or freed before `S` is built, the same set left every
-/// measured process in the slower mode.
+/// The large buffers — packed blocks, stamps and marks — are allocated on
+/// the calling thread before the pool fills them (packing is split into
+/// [`PackedBlock::with_room_for`] and [`PackedBlock::fill`] for this), and
+/// [`transitive_reduction`] drops the set only after `S` is built; on the
+/// pool the pass allocates only small per-row and per-rank scratch.  Freeing
+/// the set then leaves one contiguous hole below `S` in the calling
+/// thread's heap rather than gaps among the blocks of `S`.  On
+/// `graph-tiling` that hole is what lets the benchmark's next input reuse
+/// freed memory (EXPERIMENTS.md, "Heap modes"): packed on the pool, or
+/// freed before `S` is built, the same set left every measured process in
+/// the slower mode.  `_held` and the two-phase packing serve only that
+/// allocator artefact, and go once the input is generated on a fresh heap
+/// (ROADMAP item 7 step B).
 struct MaskedPass {
     ranks: Vec<RankPass>,
     /// Read only while the pass runs, held to be freed with the rest.
@@ -545,7 +565,10 @@ pub fn remaining_transitive_edges(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{chain_overlap_graph, forked_overlap_graph, tiling_overlap_graph, to_dist};
+    use crate::fixtures::{
+        chain_overlap_graph, forked_overlap_graph, shuffled_ids, shuffled_tiling_overlap_graph,
+        tiling_overlap_graph, to_dist,
+    };
     use crate::sora::sora_transitive_reduction;
     use crate::trsemiring::{TrMinPlus, TwoHop};
     use dibella_dist::{with_threads, BlockDist, ProcessGrid};
@@ -618,16 +641,6 @@ mod tests {
         t
     }
 
-    /// A uniformly random permutation of `0..n`, `q[old] = new`.
-    fn shuffled(n: usize, seed: u64) -> Vec<usize> {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut q: Vec<usize> = (0..n).collect();
-        for i in (1..n).rev() {
-            q.swap(i, rng.gen_range(0..=i));
-        }
-        q
-    }
-
     /// A random permutation of `0..n` that keeps every id in its block range
     /// of a `parts`-way distribution.
     fn shuffled_within_blocks(n: usize, parts: usize, seed: u64) -> Vec<usize> {
@@ -635,7 +648,7 @@ mod tests {
         (0..parts)
             .flat_map(|b| {
                 let start = dist.start(b);
-                shuffled(dist.size(b), seed + b as u64).into_iter().map(move |q| start + q)
+                shuffled_ids(dist.size(b), seed + b as u64).into_iter().map(move |q| start + q)
             })
             .collect()
     }
@@ -651,7 +664,7 @@ mod tests {
 
     /// The graph-tiling shape: reads on both strands, span 12, ids shuffled.
     fn shuffled_tiling(n: usize, seed: u64) -> Triples<OverlapEdge> {
-        permuted(&tiling_overlap_graph(n, 12, true), &shuffled(n, seed))
+        shuffled_tiling_overlap_graph(n, 12, seed)
     }
 
     /// The 8-read chain with every backward skip's suffix cut from 400 to
@@ -728,7 +741,7 @@ mod tests {
         ) {
             let t = random_overlaps(n, percent, fuzz, seed);
             for nprocs in [1usize, 4, 16] {
-                assert_reduction_commutes(&t, fuzz, nprocs, &shuffled(n, seed), false);
+                assert_reduction_commutes(&t, fuzz, nprocs, &shuffled_ids(n, seed), false);
                 let side = ProcessGrid::square(nprocs).rows();
                 let q = shuffled_within_blocks(n, side, seed);
                 assert_reduction_commutes(&t, fuzz, nprocs, &q, true);
@@ -770,7 +783,7 @@ mod tests {
     fn reduction_commutes_with_relabelling_the_shuffled_tiling() {
         let t = shuffled_tiling(600, 3);
         for nprocs in [1usize, 4, 16] {
-            assert_reduction_commutes(&t, 100, nprocs, &shuffled(600, 5), false);
+            assert_reduction_commutes(&t, 100, nprocs, &shuffled_ids(600, 5), false);
             let side = ProcessGrid::square(nprocs).rows();
             assert_reduction_commutes(&t, 100, nprocs, &shuffled_within_blocks(600, side, 5), true);
         }
@@ -830,6 +843,41 @@ mod tests {
     }
 
     #[test]
+    fn a_far_end_that_misses_its_root_still_orders_every_row() {
+        // 0 → 1 only: the sweep from 0 ends at 1, which reaches nothing.
+        let mut t = Triples::new(3, 3);
+        t.push(0, 1, OverlapEdge { dir: 0b11, suffix: 1, score: 1, overlap_len: 1 });
+        assert_eq!(bfs_order(&CsrMatrix::from_triples(&t)), [1, 0, 2]);
+    }
+
+    #[test]
+    fn a_pattern_asymmetric_r_is_reduced_exactly() {
+        // Most pairs keep only their upper entry, so the diagonal blocks'
+        // graphs are directed and far ends miss rows their roots reached.
+        for seed in 0..6u64 {
+            let mut t = Triples::new(48, 48);
+            for (i, j, edge) in random_overlaps(48, 25, 100, seed).into_entries() {
+                if i < j || (i + j) % 3 == 0 {
+                    t.push(i, j, edge);
+                }
+            }
+            for nprocs in [1usize, 4, 9, 16] {
+                let r = to_dist(&t, ProcessGrid::square(nprocs));
+                let relabel = Relabelling::new(&r, &CommStats::new(), CommPhase::Other);
+                for (b, order) in relabel.order.iter().enumerate() {
+                    let mut sorted = order.clone();
+                    sorted.sort_unstable();
+                    let range = 0..r.row_dist().size(b) as u32;
+                    assert!(sorted.into_iter().eq(range), "block range {b} is not permuted");
+                }
+                assert_mask_matches_the_oracle(&t, 100, nprocs);
+                assert_one_round_suffices(&t, 100, nprocs);
+                assert_reduction_commutes(&t, 100, nprocs, &shuffled_ids(48, seed), false);
+            }
+        }
+    }
+
+    #[test]
     fn masked_pass_matches_the_oracle_on_the_fixtures() {
         for (t, fuzz) in [
             (tiling_overlap_graph(30, 4, true), 60),
@@ -848,7 +896,9 @@ mod tests {
         let fixtures = [
             chain_overlap_graph(3, 2),
             chain_overlap_graph(6, 2),
+            chain_overlap_graph(12, 2),
             chain_overlap_graph(12, 3),
+            chain_overlap_graph(12, 4),
             chain_overlap_graph(14, 4),
             tiling_overlap_graph(8, 2, true),
             tiling_overlap_graph(25, 5, true),
@@ -891,6 +941,11 @@ mod tests {
     fn the_widest_packable_block_keeps_its_last_column() {
         let edge = OverlapEdge { dir: 0b10, suffix: u32::MAX, score: 0, overlap_len: 0 };
         let last = PACKED_COLS - 1;
+        let block = CsrMatrix::from_raw(1, PACKED_COLS, vec![0, 1], vec![last], vec![edge]);
+        // The width check accepts the block.  `fill` would need a label for
+        // each of its 2³⁰ columns, so the entry is packed on its own.
+        let packed = PackedBlock::with_room_for(&block);
+        assert!(packed.entries.capacity() >= 1);
         let entry = pack_entry(last as u32, &edge);
         assert_eq!(packed_col(entry), last);
         assert_eq!(packed_dir(entry), BidirectedDir(0b10));
@@ -902,9 +957,11 @@ mod tests {
         // The benchmark's graph-tiling shape at smoke size: 2 000 reads,
         // span 12, both strands, read ids shuffled, fuzz 100, P = 16.  R has
         // 47 844 entries.  Words: one squaring, 4 · 47 844 · (√P − 1) =
-        // 574 128; the transpose of I, 2 · 32 670 off-diagonal entries =
-        // 65 340; the order broadcast, 2n(√P − 1) = 12 000.  Messages: 96
+        // 574 128; the transpose of I, 2 · 32 860 off-diagonal entries =
+        // 65 720; the order broadcast, 2n(√P − 1) = 12 000.  Messages: 96
         // stage broadcasts, 12 off-diagonal blocks of I and 24 for the order.
+        // Only the off-diagonal share of I depends on the shuffle; flops,
+        // removed edges and S are the same under any permutation.
         let r = shuffled_tiling(2_000, 7);
         let comm = CommStats::new();
         let cfg = TransitiveReductionConfig { fuzz: 100, max_iterations: 16 };
@@ -915,8 +972,8 @@ mod tests {
         assert_eq!(out.removed_edges, 43_846);
         assert_eq!(out.string_matrix.nnz(), 3_998);
         assert_eq!(out.iterations, 1);
-        assert_eq!((out.transposed_entries, out.transposed_blocks), (32_670, 12));
-        assert_eq!(comm.words(phase), 574_128 + 65_340 + 12_000);
+        assert_eq!((out.transposed_entries, out.transposed_blocks), (32_860, 12));
+        assert_eq!(comm.words(phase), 574_128 + 65_720 + 12_000);
         assert_eq!(comm.messages(phase), 96 + 12 + 24);
         assert_one_round_suffices(&r, 100, 16);
     }

@@ -10,26 +10,8 @@
 //! ```
 
 use dibella2d::prelude::*;
-use dibella2d::strgraph::fixtures::{tiling_overlap_graph, to_dist};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use dibella2d::strgraph::fixtures::{shuffled_tiling_overlap_graph, to_dist};
 use std::time::Instant;
-
-/// The tiling fixture with read `i` renamed to a seed-driven Fisher–Yates
-/// shuffle's `i`-th id.
-fn shuffled_tiling(n: usize, span: usize, seed: u64) -> Triples<OverlapEdge> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut read_of: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        read_of.swap(i, rng.gen_range(0..=i));
-    }
-    let entries = tiling_overlap_graph(n, span, true)
-        .into_entries()
-        .into_iter()
-        .map(|(i, j, edge)| (read_of[i], read_of[j], edge))
-        .collect();
-    Triples::from_entries(n, n, entries)
-}
 
 fn main() {
     println!(
@@ -38,7 +20,7 @@ fn main() {
     );
     let mut disagreements = 0;
     for &n in &[200usize, 1_000, 4_000, 10_000] {
-        let triples = shuffled_tiling(n, 8, 7);
+        let triples = shuffled_tiling_overlap_graph(n, 8, 7);
         let local = CsrMatrix::from_triples(&triples);
         let grid = ProcessGrid::square(16);
         let dist = to_dist(&triples, grid);
