@@ -286,8 +286,8 @@ fn align_in_waves(
 
     // Work on the upper triangle only (all a caller need pass); every pair
     // is aligned at most once.
-    let mut pairs = candidates.to_triples().into_entries();
-    pairs.retain(|(i, j, _)| i < j);
+    let mut pairs: Vec<(usize, usize, &CommonKmers)> =
+        candidates.iter().filter(|&(i, j, _)| i < j).collect();
     stats.candidate_pairs = pairs.len();
     stats.c_density = if n > 0 { 2.0 * pairs.len() as f64 / n as f64 } else { 0.0 };
     pairs.retain(|(_, _, common)| common.count >= config.min_shared_kmers);
@@ -306,7 +306,7 @@ fn align_in_waves(
     let mut contained_reads = vec![false; n];
     let mut dovetails: Vec<(usize, usize, OverlapEdge, OverlapEdge)> = Vec::new();
     for wave in pairs.chunks(wave_len) {
-        let live: Vec<&(usize, usize, CommonKmers)> =
+        let live: Vec<&(usize, usize, &CommonKmers)> =
             wave.iter().filter(|&&(i, j, _)| !(contained_reads[i] && contained_reads[j])).collect();
         stats.pruned_pairs += wave.len() - live.len();
         let outcomes = pool::map_indexed(live.len(), |idx| {
@@ -385,7 +385,7 @@ fn align_in_waves(
 fn align_pair(
     worker: &mut WorkerState,
     reads: &ReadSet,
-    &(i, j, ref common): &(usize, usize, CommonKmers),
+    &(i, j, common): &(usize, usize, &CommonKmers),
     config: &OverlapConfig,
     engine: ExtendEngine,
 ) -> PairOutcome {

@@ -3,16 +3,25 @@
 //! CSR is the local storage format used for all computation: every block of a
 //! [`crate::DistMat2D`] is a `CsrMatrix`, and the local SpGEMM, filters,
 //! transposes and reductions all operate on it.
+//!
+//! Every matrix is built one way, by the crate-private `Builder`: rows
+//! handed over in order are written into arrays sized for the entries the
+//! caller announces, and an unordered entry list is placed by a counting
+//! pass over rows, with a column sort only for a row that is then out of
+//! order.  The builder is the only code that writes `rowptr`, `colidx` and
+//! `vals`, and it checks the invariants of every matrix it returns.
 
 use crate::triples::Triples;
 use serde::{Deserialize, Serialize};
 
 /// A sparse matrix in compressed sparse row format.
 ///
-/// Invariants (checked in debug builds and by [`CsrMatrix::validate`]):
+/// Invariants, checked whenever a matrix is built (in release builds too)
+/// and by [`CsrMatrix::validate`]:
 /// * `rowptr.len() == nrows + 1`, `rowptr[0] == 0`, non-decreasing;
 /// * `colidx.len() == vals.len() == rowptr[nrows]`;
-/// * within each row, column indices are strictly increasing (no duplicates).
+/// * within each row, column indices are strictly increasing (no duplicates)
+///   and below `ncols`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CsrMatrix<T> {
     nrows: usize,
@@ -22,66 +31,145 @@ pub struct CsrMatrix<T> {
     vals: Vec<T>,
 }
 
+/// A matrix under construction, and the one way a [`CsrMatrix`] is made.
+///
+/// Rows in order: [`Builder::new`] sizes the arrays for the entries the
+/// caller announces, then [`Builder::row`] hands each row over in ascending
+/// column order, or [`Builder::stack`] moves whole runs of rows.  An
+/// unordered entry list goes through [`Builder::place`].  [`Builder::finish`]
+/// checks the invariants.
+#[derive(Debug)]
+pub(crate) struct Builder<T> {
+    m: CsrMatrix<T>,
+}
+
+impl<T> Builder<T> {
+    /// An `nrows × ncols` matrix with room for `nnz` entries, its rows to be
+    /// handed over in order.
+    pub(crate) fn new(nrows: usize, ncols: usize, nnz: usize) -> Self {
+        let mut rowptr = Vec::with_capacity(nrows + 1);
+        rowptr.push(0);
+        let (colidx, vals) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+        Self { m: CsrMatrix { nrows, ncols, rowptr, colidx, vals } }
+    }
+
+    /// Append the next row, its `(column, value)` entries in ascending
+    /// column order.
+    pub(crate) fn row(&mut self, entries: impl IntoIterator<Item = (usize, T)>) {
+        for (col, val) in entries {
+            self.m.colidx.push(col);
+            self.m.vals.push(val);
+        }
+        self.m.rowptr.push(self.m.colidx.len());
+    }
+
+    /// An `nrows × ncols` matrix of `parts`' rows, the rows of each part
+    /// after those of the one before, moved into exactly sized arrays.
+    pub(crate) fn stack(nrows: usize, ncols: usize, parts: Vec<Builder<T>>) -> Self {
+        let mut out = Self::new(nrows, ncols, parts.iter().map(|p| p.m.colidx.len()).sum());
+        for CsrMatrix { rowptr, colidx, vals, .. } in parts.into_iter().map(|p| p.m) {
+            let base = out.m.colidx.len();
+            out.m.rowptr.extend(rowptr[1..].iter().map(|end| base + end));
+            out.m.colidx.extend(colidx);
+            out.m.vals.extend(vals);
+        }
+        out
+    }
+
+    /// An `nrows × ncols` matrix of `entries`, in any order; `rowptr` comes
+    /// in as [`row_counts`] over their rows.  Each entry goes to the next
+    /// free slot of its row, so a row keeps the order its entries came in,
+    /// and only a row that is then not in ascending column order is sorted.
+    ///
+    /// The values are collected in place from their slots, so where `T` is
+    /// smaller than `Option<T>` they keep the slots' capacity: 20 bytes per
+    /// 16-byte `OverlapEdge` in a transpose of `I`.  Exact transposes made
+    /// `graph-tiling`'s input generation fault in fresh pages in most
+    /// processes (EXPERIMENTS.md, "One CSR builder"), so only
+    /// [`CsrMatrix::from_entries`] copies them to their exact size.
+    fn place(
+        nrows: usize,
+        ncols: usize,
+        mut rowptr: Vec<usize>,
+        entries: impl IntoIterator<Item = (usize, usize, T)>,
+    ) -> Self {
+        // rowptr[r] becomes the start of row r, its next free slot.
+        let mut nnz = 0;
+        for at in &mut rowptr {
+            (*at, nnz) = (nnz, nnz + *at);
+        }
+        let mut colidx = vec![0; nnz];
+        let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(nnz).collect();
+        for (r, c, v) in entries {
+            (colidx[rowptr[r]], slots[rowptr[r]]) = (c, Some(v));
+            rowptr[r] += 1;
+        }
+        // Each row's cursor now stands where the next row starts.
+        rowptr.rotate_right(1);
+        rowptr[0] = 0;
+        for r in 0..nrows {
+            let span = rowptr[r]..rowptr[r + 1];
+            if !colidx[span.clone()].is_sorted() {
+                let mut row: Vec<_> = span.clone().map(|at| (colidx[at], slots[at].take())).collect();
+                row.sort_by_key(|&(c, _)| c);
+                for (at, (c, v)) in span.zip(row) {
+                    (colidx[at], slots[at]) = (c, v);
+                }
+            }
+        }
+        let vals = slots.into_iter().map(|v| v.expect("every slot is placed")).collect();
+        Self { m: CsrMatrix { nrows, ncols, rowptr, colidx, vals } }
+    }
+
+    /// The matrix.
+    ///
+    /// # Panics
+    /// Panics if an invariant does not hold: a row count other than the one
+    /// announced, a column out of range, or a row whose columns do not
+    /// strictly ascend (`duplicate coordinate` for a repeated one).
+    pub(crate) fn finish(self) -> CsrMatrix<T> {
+        if let Err(violation) = self.m.validate() {
+            panic!("invalid CSR arrays: {violation}");
+        }
+        self.m
+    }
+}
+
+/// The counting pass of [`Builder::place`]: `counts[r]` is the number of
+/// `rows` equal to `r`, and `counts[nrows]` is 0.
+fn row_counts(nrows: usize, rows: impl IntoIterator<Item = usize>) -> Vec<usize> {
+    let mut counts = vec![0; nrows + 1];
+    for r in rows {
+        counts[r] += 1;
+    }
+    counts
+}
+
 impl<T> CsrMatrix<T> {
     /// An empty (all-zero) `nrows x ncols` matrix.
     pub fn zero(nrows: usize, ncols: usize) -> Self {
-        Self {
-            nrows,
-            ncols,
-            rowptr: vec![0; nrows + 1],
-            colidx: Vec::new(),
-            vals: Vec::new(),
-        }
+        Builder::place(nrows, ncols, vec![0; nrows + 1], []).finish()
     }
 
-    /// Build from raw CSR arrays.
-    ///
-    /// # Panics
-    /// Panics if the CSR invariants do not hold.
-    pub fn from_raw(
-        nrows: usize,
-        ncols: usize,
-        rowptr: Vec<usize>,
-        colidx: Vec<usize>,
-        vals: Vec<T>,
-    ) -> Self {
-        let m = Self { nrows, ncols, rowptr, colidx, vals };
-        m.validate().expect("invalid CSR arrays");
-        m
-    }
-
-    /// Build from `(row, col, value)` entries, taken by value and sorted in
-    /// place; duplicate coordinates are rejected.
+    /// Build from `(row, col, value)` entries in any order, taken by value;
+    /// duplicate coordinates are rejected.
     ///
     /// # Panics
     /// Panics if a coordinate is out of bounds, or if the entries contain
     /// duplicate `(row, col)` coordinates.
     pub fn from_entries(nrows: usize, ncols: usize, entries: Vec<(usize, usize, T)>) -> Self {
-        // `Triples::from_entries` is the bounds check.
-        let mut entries = Triples::from_entries(nrows, ncols, entries).into_entries();
-        entries.sort_by_key(|a| (a.0, a.1));
-        for w in entries.windows(2) {
-            assert!(
-                (w[0].0, w[0].1) != (w[1].0, w[1].1),
-                "duplicate coordinate ({}, {}) in triples",
-                w[0].0,
-                w[0].1
-            );
-        }
-        let mut rowptr = vec![0usize; nrows + 1];
-        for (r, _, _) in &entries {
-            rowptr[r + 1] += 1;
-        }
-        for r in 0..nrows {
-            rowptr[r + 1] += rowptr[r];
-        }
-        let mut colidx = Vec::with_capacity(entries.len());
-        let mut vals = Vec::with_capacity(entries.len());
-        for (_, c, v) in entries {
-            colidx.push(c);
-            vals.push(v);
-        }
-        Self { nrows, ncols, rowptr, colidx, vals }
+        let counts = row_counts(
+            nrows,
+            entries.iter().map(|&(r, c, _)| {
+                assert!(r < nrows && c < ncols, "entry ({r},{c}) out of bounds {nrows}x{ncols}");
+                r
+            }),
+        );
+        // The values keep their slots' capacity; the list is gone once
+        // placed, so the matrix takes an exactly sized copy of them.
+        let mut m = Builder::place(nrows, ncols, counts, entries).finish();
+        m.vals = m.vals.drain(..).collect();
+        m
     }
 
     /// Check the CSR invariants, returning a description of the first
@@ -109,7 +197,10 @@ impl<T> CsrMatrix<T> {
             }
             let row = &self.colidx[self.rowptr[r]..self.rowptr[r + 1]];
             for w in row.windows(2) {
-                if w[0] >= w[1] {
+                if w[0] == w[1] {
+                    return Err(format!("duplicate coordinate ({r}, {})", w[0]));
+                }
+                if w[0] > w[1] {
                     return Err(format!("row {r} has unsorted or duplicate columns"));
                 }
             }
@@ -213,17 +304,11 @@ impl<T> CsrMatrix<T> {
 
     /// Map values (same pattern, new value type).
     pub fn map<U>(&self, mut f: impl FnMut(usize, usize, &T) -> U) -> CsrMatrix<U> {
-        let mut vals = Vec::with_capacity(self.nnz());
-        for (r, c, v) in self.iter() {
-            vals.push(f(r, c, v));
+        let mut out = Builder::new(self.nrows, self.ncols, self.nnz());
+        for r in 0..self.nrows {
+            out.row(self.row(r).map(|(c, v)| (c, f(r, c, v))));
         }
-        CsrMatrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            rowptr: self.rowptr.clone(),
-            colidx: self.colidx.clone(),
-            vals,
-        }
+        out.finish()
     }
 }
 
@@ -242,32 +327,12 @@ impl<T: Clone> CsrMatrix<T> {
         t
     }
 
-    /// Transpose (values cloned).
+    /// Transpose (values cloned): the entries are placed by column, and
+    /// arrive in each column in row order, so no row is sorted.
     pub fn transpose(&self) -> CsrMatrix<T> {
-        // Counting sort by column.
-        let mut rowptr = vec![0usize; self.ncols + 1];
-        for &c in &self.colidx {
-            rowptr[c + 1] += 1;
-        }
-        for c in 0..self.ncols {
-            rowptr[c + 1] += rowptr[c];
-        }
-        let mut next = rowptr.clone();
-        let mut colidx = vec![0usize; self.nnz()];
-        let mut vals: Vec<Option<T>> = vec![None; self.nnz()];
-        for (r, c, v) in self.iter() {
-            let slot = next[c];
-            colidx[slot] = r;
-            vals[slot] = Some(v.clone());
-            next[c] += 1;
-        }
-        CsrMatrix {
-            nrows: self.ncols,
-            ncols: self.nrows,
-            rowptr,
-            colidx,
-            vals: vals.into_iter().map(|v| v.expect("transpose slot unfilled")).collect(),
-        }
+        let counts = row_counts(self.ncols, self.colidx.iter().copied());
+        let entries = self.iter().map(|(r, c, v)| (c, r, v.clone()));
+        Builder::place(self.ncols, self.nrows, counts, entries).finish()
     }
 
     /// Extract the contiguous column range `cols` as an `nrows × cols.len()`
@@ -279,33 +344,36 @@ impl<T: Clone> CsrMatrix<T> {
     /// per-rank column blocks.
     pub fn slice_col_range(&self, cols: std::ops::Range<usize>) -> CsrMatrix<T> {
         assert!(cols.end <= self.ncols, "column slice out of bounds");
-        let mut rowptr = Vec::with_capacity(self.nrows + 1);
-        rowptr.push(0usize);
-        let mut colidx = Vec::new();
-        let mut vals = Vec::new();
-        for r in 0..self.nrows {
+        let span = |r: usize| {
             let row_cols = &self.colidx[self.rowptr[r]..self.rowptr[r + 1]];
             let lo = self.rowptr[r] + row_cols.partition_point(|&c| c < cols.start);
-            let hi = self.rowptr[r] + row_cols.partition_point(|&c| c < cols.end);
-            for i in lo..hi {
-                colidx.push(self.colidx[i] - cols.start);
-                vals.push(self.vals[i].clone());
-            }
-            rowptr.push(colidx.len());
+            lo..self.rowptr[r] + row_cols.partition_point(|&c| c < cols.end)
+        };
+        let nnz = (0..self.nrows).map(|r| span(r).len()).sum();
+        let mut out = Builder::new(self.nrows, cols.len(), nnz);
+        for r in 0..self.nrows {
+            out.row(span(r).map(|at| (self.colidx[at] - cols.start, self.vals[at].clone())));
         }
-        CsrMatrix { nrows: self.nrows, ncols: cols.len(), rowptr, colidx, vals }
+        out.finish()
     }
 
     /// Keep only entries for which `pred` returns true (CombBLAS `Prune` keeps
     /// the complement of the pruned set; here the predicate selects survivors).
+    /// `pred` is called once per entry, in CSR order; a bit per entry records
+    /// its answer, and the survivors are then copied into exactly sized arrays.
     pub fn filter(&self, mut pred: impl FnMut(usize, usize, &T) -> bool) -> CsrMatrix<T> {
-        let mut t = Triples::new(self.nrows, self.ncols);
-        for (r, c, v) in self.iter() {
-            if pred(r, c, v) {
-                t.push(r, c, v.clone());
-            }
+        let mut keep = vec![0u64; self.nnz().div_ceil(64)];
+        for (at, (r, c, v)) in self.iter().enumerate() {
+            keep[at / 64] |= u64::from(pred(r, c, v)) << (at % 64);
         }
-        CsrMatrix::from_triples(&t)
+        let len = keep.iter().map(|bits| bits.count_ones() as usize).sum();
+        let mut out = Builder::new(self.nrows, self.ncols, len);
+        let kept = |at: &usize| keep[at / 64] >> (at % 64) & 1 == 1;
+        for r in 0..self.nrows {
+            let row = (self.rowptr[r]..self.rowptr[r + 1]).filter(kept);
+            out.row(row.map(|at| (self.colidx[at], self.vals[at].clone())));
+        }
+        out.finish()
     }
 
     /// Reduce every row with `f`, starting from `None` (empty rows give `None`).
@@ -335,6 +403,7 @@ impl<T: Clone> CsrMatrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::shuffle;
     use proptest::prelude::*;
 
     fn small() -> CsrMatrix<i64> {
@@ -392,6 +461,14 @@ mod tests {
     fn from_triples_rejects_duplicates() {
         let t = Triples::from_entries(2, 2, vec![(0, 0, 1), (0, 0, 2)]);
         let _ = CsrMatrix::<i64>::from_triples(&t);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate coordinate (1, 2)")]
+    fn from_entries_rejects_duplicates_far_apart() {
+        // Row 1 arrives out of order, other entries between its two (1, 2)s.
+        let entries = vec![(1, 2, 1), (1, 0, 2), (0, 1, 3), (1, 3, 4), (2, 2, 5), (1, 2, 6)];
+        let _ = CsrMatrix::from_entries(3, 4, entries);
     }
 
     #[test]
@@ -461,13 +538,17 @@ mod tests {
         assert_eq!((empty.ncols(), empty.nnz()), (0, 0));
     }
 
+    /// Up to 80 distinct coordinates of a 15 × 12 matrix, in an order
+    /// shuffled from a drawn seed: most rows reach the builder out of order.
     fn arb_triples() -> impl Strategy<Value = Triples<i64>> {
-        proptest::collection::btree_set((0usize..15, 0usize..12), 0..80).prop_map(|coords| {
-            let entries: Vec<_> = coords
+        let coords = proptest::collection::btree_set((0usize..15, 0usize..12), 0..80);
+        (coords, any::<u64>()).prop_map(|(coords, seed)| {
+            let mut entries: Vec<_> = coords
                 .into_iter()
                 .enumerate()
                 .map(|(i, (r, c))| (r, c, i as i64 + 1))
                 .collect();
+            shuffle(&mut entries, seed);
             Triples::from_entries(15, 12, entries)
         })
     }
@@ -478,10 +559,10 @@ mod tests {
             let m = CsrMatrix::from_triples(&t);
             prop_assert!(m.validate().is_ok());
             prop_assert_eq!(m.nnz(), t.nnz());
-            let mut sorted = t.clone();
-            sorted.sort();
-            let back = m.to_triples();
-            prop_assert_eq!(back.entries(), sorted.entries());
+            for (r, c, v) in t.iter() {
+                prop_assert_eq!(m.get(r, c), Some(v));
+            }
+            prop_assert_eq!(CsrMatrix::from_entries(15, 12, t.into_entries()), m);
         }
 
         #[test]

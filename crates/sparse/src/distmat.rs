@@ -5,8 +5,15 @@
 //! `col_dist.range(j)`.  [`DistMat2D`] reproduces that layout over the virtual
 //! ranks of a [`ProcessGrid`]: each rank's block is an ordinary local
 //! [`CsrMatrix`] addressed with block-local indices.
+//!
+//! Blocks are built by the crate's one CSR builder (see [`crate::csr`]):
+//! [`DistMat2D::from_triples`] routes every entry to its block and places
+//! each block's unordered list; [`DistMat2D::from_sorted_rows`] hands rows
+//! over in order; [`DistMat2D::to_local_csr`] copies each global row, its
+//! grid row's block rows side by side, in order.  Only the first sorts, and
+//! only the rows that arrive out of order.
 
-use crate::csr::CsrMatrix;
+use crate::csr::{Builder, CsrMatrix};
 use crate::triples::Triples;
 use dibella_dist::{par_ranks, BlockDist, ProcessGrid};
 use rayon::pool;
@@ -58,15 +65,15 @@ impl<T: Clone + Send + Sync> DistMat2D<T> {
     /// ascending column order.
     ///
     /// Each grid row is cut into `⌈scan_ranks / grid.rows()⌉` runs of
-    /// consecutive rows, scanned in parallel.  A run appends every row to raw
-    /// CSR arrays, one set per grid column, so rows and columns arrive in
-    /// order and nothing is ever sorted; a block is its grid row's runs
-    /// concatenated into exactly-sized arrays.  The result does not depend on
-    /// `scan_ranks`.
+    /// consecutive rows, scanned in parallel.  A run hands every row over in
+    /// order to one growing builder per grid column, so rows and columns
+    /// arrive in order and nothing is ever sorted; a block is its grid row's
+    /// runs stacked into exactly sized arrays.  The result does not depend
+    /// on `scan_ranks`.
     ///
     /// # Panics
     /// Panics if a column is out of range or a row is not strictly ascending
-    /// (the latter through the validation of [`CsrMatrix::from_raw`]).
+    /// (the latter when the block is checked).
     pub fn from_sorted_rows(
         grid: ProcessGrid,
         nrows: usize,
@@ -80,37 +87,32 @@ impl<T: Clone + Send + Sync> DistMat2D<T> {
         let col_starts: Vec<usize> =
             (0..grid.cols()).map(|bj| col_dist.start(bj)).chain([ncols]).collect();
 
-        // Per run and grid column: (row ends, block-local columns, values).
-        type Raw<T> = (Vec<usize>, Vec<usize>, Vec<T>);
-        let scanned: Vec<Vec<Raw<T>>> = par_ranks(grid.rows() * runs_per_row, |run| {
+        // Per run, one part of a block per grid column.
+        let scanned: Vec<Vec<Builder<T>>> = par_ranks(grid.rows() * runs_per_row, |run| {
             let bi = run / runs_per_row;
             let rows = BlockDist::new(row_dist.size(bi), runs_per_row).range(run % runs_per_row);
-            let mut parts: Vec<Raw<T>> =
-                (0..grid.cols()).map(|_| (Vec::new(), Vec::new(), Vec::new())).collect();
+            let mut parts: Vec<Builder<T>> =
+                (0..grid.cols()).map(|bj| Builder::new(rows.len(), col_dist.size(bj), 0)).collect();
             let mut row = Vec::new();
             for r in rows {
                 fill_row(row_dist.start(bi) + r, &mut row);
-                // Columns ascend, so the block cursor only moves forward (no
-                // division per entry); a row out of order wraps a column
-                // past `ncols` here and is rejected by `from_raw` below.
-                let mut bj = 0;
-                for (c, v) in row.drain(..) {
-                    assert!(c < ncols, "column {c} out of range ({ncols} columns)");
-                    while c >= col_starts[bj + 1] {
-                        bj += 1;
-                    }
-                    parts[bj].1.push(c.wrapping_sub(col_starts[bj]));
-                    parts[bj].2.push(v);
+                // Columns ascend, so each grid column takes the next run of
+                // the row (no division per entry); a row out of order wraps
+                // a column past its block's width and fails the check below.
+                let mut entries = row.drain(..).peekable();
+                for (part, cols) in parts.iter_mut().zip(col_starts.windows(2)) {
+                    let run = std::iter::from_fn(|| entries.next_if(|&(c, _)| c < cols[1]));
+                    part.row(run.map(|(c, v)| (c.wrapping_sub(cols[0]), v)));
                 }
-                for (ends, cols, _) in &mut parts {
-                    ends.push(cols.len());
+                if let Some((c, _)) = entries.next() {
+                    panic!("column {c} out of range ({ncols} columns)");
                 }
             }
             parts
         });
 
         // Hand every block its parts, in row order.
-        let mut per_block: Vec<Vec<Raw<T>>> = (0..grid.nprocs()).map(|_| Vec::new()).collect();
+        let mut per_block: Vec<Vec<Builder<T>>> = (0..grid.nprocs()).map(|_| Vec::new()).collect();
         for (run, parts) in scanned.into_iter().enumerate() {
             for (bj, part) in parts.into_iter().enumerate() {
                 per_block[grid.rank_of(run / runs_per_row, bj)].push(part);
@@ -118,24 +120,14 @@ impl<T: Clone + Send + Sync> DistMat2D<T> {
         }
         let blocks = pool::map_owned(per_block, |rank, parts| {
             let (bi, bj) = grid.coords(rank);
-            let nnz = parts.iter().map(|(_, cols, _)| cols.len()).sum();
-            let mut rowptr = Vec::with_capacity(row_dist.size(bi) + 1);
-            let (mut colidx, mut vals) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
-            rowptr.push(0);
-            for (ends, cols, more) in parts {
-                let base = colidx.len();
-                rowptr.extend(ends.into_iter().map(|end| base + end));
-                colidx.extend(cols);
-                vals.extend(more);
-            }
-            CsrMatrix::from_raw(row_dist.size(bi), col_dist.size(bj), rowptr, colidx, vals)
+            Builder::stack(row_dist.size(bi), col_dist.size(bj), parts).finish()
         });
         Self::from_blocks(grid, nrows, ncols, blocks)
     }
 
     /// An all-zero distributed matrix with the given global dimensions.
     pub fn zero(grid: ProcessGrid, nrows: usize, ncols: usize) -> Self {
-        Self::from_triples(grid, &Triples::new(nrows, ncols))
+        Self::from_sorted_rows(grid, nrows, ncols, 1, |_, _| {})
     }
 
     /// Assemble a distributed matrix from already-built per-rank blocks, **by
@@ -208,26 +200,40 @@ impl<T: Clone + Send + Sync> DistMat2D<T> {
         &self.blocks
     }
 
+    /// Every entry as `(row, col, &value)` in global coordinates, block by
+    /// block in rank order, each block in CSR order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, &T)> {
+        self.grid.ranks().flat_map(move |rank| {
+            let (bi, bj) = self.grid.coords(rank);
+            let (roff, coff) = (self.row_dist.start(bi), self.col_dist.start(bj));
+            self.blocks[rank].iter().map(move |(r, c, v)| (roff + r, coff + c, v))
+        })
+    }
+
     /// Gather every entry back into a single triple list with global
-    /// coordinates.
+    /// coordinates, in [`DistMat2D::iter`]'s order.
     pub fn to_triples(&self) -> Triples<T> {
         let mut out = Triples::new(self.nrows, self.ncols);
-        for rank in self.grid.ranks() {
-            let (bi, bj) = self.grid.coords(rank);
-            let roff = self.row_dist.start(bi);
-            let coff = self.col_dist.start(bj);
-            for (r, c, v) in self.blocks[rank].iter() {
-                out.push(roff + r, coff + c, v.clone());
-            }
-        }
+        out.extend(self.iter().map(|(r, c, v)| (r, c, v.clone())));
         out
     }
 
     /// Gather the whole matrix into a single local CSR.  Every run does this
     /// once: the 2D pipeline on `S` (contig extraction and consensus walk a
-    /// local matrix), the 1D baseline on `A`.
+    /// local matrix), the 1D baseline on `A`.  A global row is its grid
+    /// row's block rows side by side, so the columns already ascend: the
+    /// rows are copied in order into exactly sized arrays, with no sort.
     pub fn to_local_csr(&self) -> CsrMatrix<T> {
-        CsrMatrix::from_entries(self.nrows, self.ncols, self.to_triples().into_entries())
+        let mut out = Builder::new(self.nrows, self.ncols, self.nnz());
+        for bi in 0..self.grid.rows() {
+            for r in 0..self.row_dist.size(bi) {
+                out.row((0..self.grid.cols()).flat_map(|bj| {
+                    let coff = self.col_dist.start(bj);
+                    self.block(bi, bj).row(r).map(move |(c, v)| (coff + c, v.clone()))
+                }));
+            }
+        }
+        out.finish()
     }
 
     /// Look up a value by global coordinates.
@@ -248,14 +254,7 @@ impl<T: Clone + Send + Sync> DistMat2D<T> {
             // New block (bi, bj) is old block (bj, bi) transposed.
             self.block(bj, bi).transpose()
         });
-        DistMat2D {
-            grid: new_grid,
-            nrows: self.ncols,
-            ncols: self.nrows,
-            row_dist: self.col_dist,
-            col_dist: self.row_dist,
-            blocks,
-        }
+        DistMat2D::from_blocks(new_grid, self.ncols, self.nrows, blocks)
     }
 
     /// Map every value, preserving the distribution and pattern.
@@ -269,14 +268,7 @@ impl<T: Clone + Send + Sync> DistMat2D<T> {
             let coff = self.col_dist.start(bj);
             self.blocks[rank].map(|r, c, v| f(roff + r, coff + c, v))
         });
-        DistMat2D {
-            grid: self.grid,
-            nrows: self.nrows,
-            ncols: self.ncols,
-            row_dist: self.row_dist,
-            col_dist: self.col_dist,
-            blocks,
-        }
+        DistMat2D::from_blocks(self.grid, self.nrows, self.ncols, blocks)
     }
 
     /// Keep only entries selected by `pred` (global coordinates).
@@ -287,14 +279,7 @@ impl<T: Clone + Send + Sync> DistMat2D<T> {
             let coff = self.col_dist.start(bj);
             self.blocks[rank].filter(|r, c, v| pred(roff + r, coff + c, v))
         });
-        DistMat2D {
-            grid: self.grid,
-            nrows: self.nrows,
-            ncols: self.ncols,
-            row_dist: self.row_dist,
-            col_dist: self.col_dist,
-            blocks,
-        }
+        Self::from_blocks(self.grid, self.nrows, self.ncols, blocks)
     }
 
     /// Reduce every global row with `map` and `combine` (CombBLAS
@@ -311,18 +296,12 @@ impl<T: Clone + Send + Sync> DistMat2D<T> {
         combine: impl Fn(U, U) -> U + Sync + Send,
     ) -> Vec<Option<U>> {
         let mut out: Vec<Option<U>> = vec![None; self.nrows];
-        for rank in self.grid.ranks() {
-            let (bi, bj) = self.grid.coords(rank);
-            let roff = self.row_dist.start(bi);
-            let coff = self.col_dist.start(bj);
-            for (r, c, v) in self.blocks[rank].iter() {
-                let gr = roff + r;
-                let x = map(gr, coff + c, v);
-                out[gr] = Some(match out[gr].take() {
-                    None => x,
-                    Some(acc) => combine(acc, x),
-                });
-            }
+        for (r, c, v) in self.iter() {
+            let x = map(r, c, v);
+            out[r] = Some(match out[r].take() {
+                None => x,
+                Some(acc) => combine(acc, x),
+            });
         }
         out
     }
@@ -345,7 +324,9 @@ impl<T: Clone + Send + Sync> DistMat2D<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::shuffle;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn sample_triples() -> Triples<i64> {
         // A 6x6 matrix with entries on the diagonal and a few off-diagonals.
@@ -369,11 +350,9 @@ mod tests {
         let t = sample_triples();
         let d = DistMat2D::from_triples(grid, &t);
         assert_eq!(d.nnz(), t.nnz());
-        let mut back = d.to_triples();
-        back.sort();
-        let mut orig = t.clone();
-        orig.sort();
-        assert_eq!(back, orig);
+        let local = CsrMatrix::from_triples(&t);
+        assert_eq!(CsrMatrix::from_triples(&d.to_triples()), local);
+        assert_eq!(d.to_local_csr(), local);
     }
 
     #[test]
@@ -480,38 +459,45 @@ mod tests {
         assert_eq!(d.block(0, 0), &local);
     }
 
+    /// Distinct coordinates of an `nrows × ncols` matrix, valued by their
+    /// sorted position and shuffled from `seed`.
+    fn shuffled(
+        nrows: usize,
+        ncols: usize,
+        coords: BTreeSet<(usize, usize)>,
+        seed: u64,
+    ) -> Triples<i64> {
+        let mut entries: Vec<_> =
+            coords.into_iter().enumerate().map(|(i, (r, c))| (r, c, i as i64)).collect();
+        shuffle(&mut entries, seed);
+        Triples::from_entries(nrows, ncols, entries)
+    }
+
     proptest! {
         #[test]
         fn prop_distribute_gather_roundtrip(
             coords in proptest::collection::btree_set((0usize..20, 0usize..17), 0..120),
+            seed in any::<u64>(),
             grid_side in 1usize..4,
         ) {
-            let entries: Vec<_> = coords
-                .into_iter()
-                .enumerate()
-                .map(|(i, (r, c))| (r, c, i as i64))
-                .collect();
-            let t = Triples::from_entries(20, 17, entries);
+            let t = shuffled(20, 17, coords, seed);
             let grid = ProcessGrid::square(grid_side * grid_side);
             let d = DistMat2D::from_triples(grid, &t);
             prop_assert_eq!(d.nnz(), t.nnz());
-            let mut back = d.to_triples();
-            back.sort();
-            let mut orig = t;
-            orig.sort();
-            prop_assert_eq!(back, orig);
+            let local = CsrMatrix::from_triples(&t);
+            prop_assert_eq!(CsrMatrix::from_triples(&d.to_triples()), local.clone());
+            prop_assert_eq!(d.to_local_csr(), local);
+            for (r, c, v) in d.iter() {
+                prop_assert_eq!(d.get(r, c), Some(v));
+            }
         }
 
         #[test]
         fn prop_distributed_transpose_matches_local_transpose(
             coords in proptest::collection::btree_set((0usize..12, 0usize..12), 0..60),
+            seed in any::<u64>(),
         ) {
-            let entries: Vec<_> = coords
-                .into_iter()
-                .enumerate()
-                .map(|(i, (r, c))| (r, c, i as i64))
-                .collect();
-            let t = Triples::from_entries(12, 12, entries);
+            let t = shuffled(12, 12, coords, seed);
             let grid = ProcessGrid::square(4);
             let d = DistMat2D::from_triples(grid, &t);
             let dist_t = d.transpose().to_local_csr();

@@ -48,3 +48,21 @@ pub use semiring::{BoolAndOr, MinPlusNum, PlusTimes, Semiring};
 pub use spgemm::{local_spgemm, local_spgemm_aat};
 pub use summa::{summa, summa_aat_sym};
 pub use triples::Triples;
+
+#[cfg(test)]
+/// Helpers shared by this crate's unit tests.
+pub(crate) mod test_util {
+    /// Shuffle `items` in place, deterministically from `seed` (Fisher–Yates
+    /// over SplitMix64), so that an entry list a test builds from a sorted
+    /// set reaches the code under test out of order.
+    pub(crate) fn shuffle<T>(items: &mut [T], seed: u64) {
+        let mut state = seed;
+        for i in (1..items.len()).rev() {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            items.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
+        }
+    }
+}

@@ -16,10 +16,9 @@
 //! owners, as diBELLA 1D does (Ellis et al., ICPP 2019).
 
 use crate::accum::FlopCounter;
-use crate::csr::CsrMatrix;
+use crate::csr::{Builder, CsrMatrix};
 use crate::semiring::Semiring;
 use crate::spgemm::{local_spgemm_aat, rows_to_csr};
-use crate::triples::Triples;
 use dibella_dist::{alltoallv_counted, par_ranks, BlockDist, CommPhase, CommStats};
 use rayon::pool;
 
@@ -34,17 +33,16 @@ pub struct Outer1dResult<T> {
 }
 
 impl<T: Clone> Outer1dResult<T> {
-    /// Assemble the distributed block rows into one global matrix.
+    /// Assemble the distributed block rows into one global matrix: the
+    /// blocks' rows, copied in order into exactly sized arrays.
     pub fn to_local_csr(&self, ncols: usize) -> CsrMatrix<T> {
-        let total_rows = self.row_dist.total();
-        let mut t = Triples::new(total_rows, ncols);
-        for (rank, block) in self.row_blocks.iter().enumerate() {
-            let roff = self.row_dist.start(rank);
-            for (r, c, v) in block.iter() {
-                t.push(roff + r, c, v.clone());
+        let mut out = Builder::new(self.row_dist.total(), ncols, self.nnz());
+        for block in &self.row_blocks {
+            for r in 0..block.nrows() {
+                out.row(block.row(r).map(|(c, v)| (c, v.clone())));
             }
         }
-        CsrMatrix::from_entries(total_rows, ncols, t.into_entries())
+        out.finish()
     }
 
     /// Total stored entries.
@@ -143,6 +141,7 @@ mod tests {
     use super::*;
     use crate::semiring::PlusTimes;
     use crate::spgemm::local_spgemm;
+    use crate::triples::Triples;
     use proptest::prelude::*;
 
     fn random_triples(nrows: usize, ncols: usize, nnz: usize, seed: u64) -> Triples<i64> {

@@ -40,7 +40,7 @@
 //! so every phase reports flops/s.
 
 use crate::accum::{DenseSpa, FlopCounter};
-use crate::csr::CsrMatrix;
+use crate::csr::{Builder, CsrMatrix};
 use crate::semiring::Semiring;
 use rayon::pool;
 
@@ -381,26 +381,12 @@ where
     tiles.into_iter().flatten().collect()
 }
 
-/// Assemble per-row `(col, value)` lists into a CSR matrix.
-pub(crate) fn rows_to_csr<T: Clone + Send>(
-    nrows: usize,
-    ncols: usize,
-    rows: Vec<Vec<(usize, T)>>,
-) -> CsrMatrix<T> {
-    assert_eq!(rows.len(), nrows);
-    let nnz: usize = rows.iter().map(|r| r.len()).sum();
-    let mut rowptr = Vec::with_capacity(nrows + 1);
-    rowptr.push(0usize);
-    let mut colidx = Vec::with_capacity(nnz);
-    let mut vals = Vec::with_capacity(nnz);
-    for row in rows {
-        for (c, v) in row {
-            colidx.push(c);
-            vals.push(v);
-        }
-        rowptr.push(colidx.len());
-    }
-    CsrMatrix::from_raw(nrows, ncols, rowptr, colidx, vals)
+/// Assemble per-row `(col, value)` lists, columns ascending, into a CSR
+/// matrix.
+pub(crate) fn rows_to_csr<T>(nrows: usize, ncols: usize, rows: Vec<Vec<(usize, T)>>) -> CsrMatrix<T> {
+    let mut out = Builder::new(nrows, ncols, rows.iter().map(Vec::len).sum());
+    rows.into_iter().for_each(|row| out.row(row));
+    out.finish()
 }
 
 #[cfg(test)]

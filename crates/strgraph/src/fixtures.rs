@@ -155,13 +155,13 @@ pub fn chain_layout(
 ) -> (Contig, CsrMatrix<OverlapEdge>, ReadSet) {
     let n = reads.len();
     assert_eq!(joins.len() + 1, n, "one join per adjacent pair of reads");
-    let mut triples = Triples::new(n, n);
+    let mut edges = Vec::with_capacity(2 * joins.len());
     for (i, &(lead, suffix)) in joins.iter().enumerate() {
         let overlap = (reads[i + 1].len() - suffix) as u32;
         let score = (overlap / 2) as i32;
         let edge = OverlapEdge { dir: 0b11, suffix: suffix as u32, score, overlap_len: overlap };
-        triples.push(i, i + 1, edge);
-        triples.push(i + 1, i, OverlapEdge { dir: 0b00, suffix: lead as u32, ..edge });
+        edges.push((i, i + 1, edge));
+        edges.push((i + 1, i, OverlapEdge { dir: 0b00, suffix: lead as u32, ..edge }));
     }
     let contig = Contig {
         reads: (0..n).collect(),
@@ -170,7 +170,7 @@ pub fn chain_layout(
     };
     let records =
         reads.into_iter().enumerate().map(|(i, seq)| ReadRecord { name: format!("r{i}"), seq });
-    (contig, CsrMatrix::from_triples(&triples), ReadSet::from_records(records.collect()))
+    (contig, CsrMatrix::from_entries(n, n, edges), ReadSet::from_records(records.collect()))
 }
 
 /// Distribute a fixture over a process grid.

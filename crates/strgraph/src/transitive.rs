@@ -291,7 +291,7 @@ const PACKED_COLS: usize = 1 << (u64::BITS - COL_SHIFT);
 /// relabelled and sorted, and beside each its position in the block's CSR
 /// arrays.
 struct PackedBlock {
-    rowptr: Vec<usize>,
+    offsets: Vec<usize>,
     entries: Vec<u64>,
     positions: Vec<u32>,
 }
@@ -311,7 +311,7 @@ impl PackedBlock {
         let nnz = block.nnz();
         assert!(u32::try_from(nnz).is_ok(), "a block of {nnz} entries is too long");
         Self {
-            rowptr: Vec::with_capacity(block.nrows() + 1),
+            offsets: Vec::with_capacity(block.nrows() + 1),
             entries: Vec::with_capacity(block.nnz()),
             positions: Vec::with_capacity(block.nnz()),
         }
@@ -320,7 +320,7 @@ impl PackedBlock {
     /// Pack `block`, taking its rows in `rows` order and relabelling column
     /// `c` to `label[c]`.
     fn fill(&mut self, block: &CsrMatrix<OverlapEdge>, rows: &[u32], label: &[u32]) {
-        self.rowptr.push(0);
+        self.offsets.push(0);
         let mut row_entries: Vec<(u64, u32)> = Vec::new();
         for &row in rows {
             let span = block.rowptr()[row as usize]..block.rowptr()[row as usize + 1];
@@ -332,16 +332,16 @@ impl PackedBlock {
             row_entries.sort_unstable();
             self.entries.extend(row_entries.iter().map(|&(entry, _)| entry));
             self.positions.extend(row_entries.iter().map(|&(_, at)| at));
-            self.rowptr.push(self.entries.len());
+            self.offsets.push(self.entries.len());
         }
     }
 
     fn row(&self, r: usize) -> &[u64] {
-        &self.entries[self.rowptr[r]..self.rowptr[r + 1]]
+        &self.entries[self.offsets[r]..self.offsets[r + 1]]
     }
 
     fn positions(&self, r: usize) -> &[u32] {
-        &self.positions[self.rowptr[r]..self.rowptr[r + 1]]
+        &self.positions[self.offsets[r]..self.offsets[r + 1]]
     }
 }
 
@@ -436,31 +436,17 @@ impl MaskedPass {
     }
 
     /// The entries of `r` that `keep(rank, row, col, marked)` selects, block
-    /// by block in CSR order, each block allocated at its exact size;
-    /// `marked` says whether the entry is in `I`.
+    /// by block, each block allocated at its exact size; `marked` says
+    /// whether the entry is in `I`.
     fn select(
         &self,
         r: &DistMat2D<OverlapEdge>,
         keep: impl Fn(usize, usize, usize, bool) -> bool + Sync,
     ) -> DistMat2D<OverlapEdge> {
         let blocks = par_ranks(r.grid().nprocs(), |rank| {
-            let (block, marks, keep) = (&r.blocks()[rank], &self.ranks[rank].marks, &keep);
-            let kept = |row: usize| {
-                let span = block.rowptr()[row]..block.rowptr()[row + 1];
-                span.filter(move |&at| keep(rank, row, block.colidx()[at], marks[at]))
-            };
-            let len = (0..block.nrows()).map(|row| kept(row).count()).sum();
-            let mut rowptr = Vec::with_capacity(block.nrows() + 1);
-            rowptr.push(0);
-            let (mut colidx, mut vals) = (Vec::with_capacity(len), Vec::with_capacity(len));
-            for row in 0..block.nrows() {
-                for at in kept(row) {
-                    colidx.push(block.colidx()[at]);
-                    vals.push(block.values()[at]);
-                }
-                rowptr.push(colidx.len());
-            }
-            CsrMatrix::from_raw(block.nrows(), block.ncols(), rowptr, colidx, vals)
+            // `filter` visits the entries in CSR order, the order of the marks.
+            let mut marks = self.ranks[rank].marks.iter();
+            r.blocks()[rank].filter(|row, col, _| keep(rank, row, col, marks.next() == Some(&true)))
         });
         DistMat2D::from_blocks(r.grid(), r.nrows(), r.ncols(), blocks)
     }
@@ -941,7 +927,7 @@ mod tests {
     fn the_widest_packable_block_keeps_its_last_column() {
         let edge = OverlapEdge { dir: 0b10, suffix: u32::MAX, score: 0, overlap_len: 0 };
         let last = PACKED_COLS - 1;
-        let block = CsrMatrix::from_raw(1, PACKED_COLS, vec![0, 1], vec![last], vec![edge]);
+        let block = CsrMatrix::from_entries(1, PACKED_COLS, vec![(0, last, edge)]);
         // The width check accepts the block.  `fill` would need a label for
         // each of its 2³⁰ columns, so the entry is packed on its own.
         let packed = PackedBlock::with_room_for(&block);
