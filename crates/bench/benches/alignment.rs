@@ -12,34 +12,17 @@
 //! inside a CI budget the candidate set is subsampled (every
 //! `PAIR_STRIDE`-th upper-triangle pair, recorded in the JSON).  CI runs this
 //! bench at every push to maintain the perf trajectory
-//! (`DIBELLA_BENCH_OUT` overrides the path).
-
-// The bench crate is the sanctioned home of wall-clock reads (see
-// clippy.toml); opt back in to Instant::now here.
-#![allow(clippy::disallowed_methods)]
+//! (`DIBELLA_RECORD_DIR` overrides the record's directory).
 
 use dibella_align::{vector_kernel, AlignmentConfig, ExtendEngine};
+use dibella_bench::{mean_secs, write_record, Fixed, Record};
 use dibella_dist::{CommStats, ProcessGrid};
 use dibella_overlap::{
     align_candidates_exec, build_a_matrix, detect_candidates_2d_with, CommonKmers, OverlapConfig,
 };
 use dibella_seq::{count_kmers_serial, DatasetSpec, KmerSelection};
 use dibella_sparse::{DistMat2D, Triples};
-use std::time::{Duration, Instant};
-
-/// Mean wall-clock seconds of `f`: one warm-up call, then samples until the
-/// time budget and at least `min_samples` calls are spent.
-fn measure<T>(budget: Duration, min_samples: usize, mut f: impl FnMut() -> T) -> f64 {
-    std::hint::black_box(f());
-    let mut samples = Vec::new();
-    let started = Instant::now();
-    while started.elapsed() < budget || samples.len() < min_samples {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        samples.push(t0.elapsed().as_secs_f64());
-    }
-    samples.iter().sum::<f64>() / samples.len() as f64
-}
+use std::time::Duration;
 
 /// Every `PAIR_STRIDE`-th candidate pair enters the timed subsample (an
 /// upper-triangular matrix, like the real candidate output).  Stride 1 would
@@ -76,10 +59,10 @@ fn main() {
         ..OverlapConfig::default()
     };
 
-    let scalar_secs = measure(budget, 3, || {
+    let scalar_secs = mean_secs(budget, 3, || {
         align_candidates_exec(&ds.reads, &candidates, &config, ExtendEngine::Scalar)
     });
-    let vector_secs = measure(budget, 3, || {
+    let vector_secs = mean_secs(budget, 3, || {
         align_candidates_exec(&ds.reads, &candidates, &config, ExtendEngine::Auto)
     });
 
@@ -119,62 +102,28 @@ fn main() {
         vector_secs * 1e3
     );
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"alignment\",\n",
-            "  \"dataset\": \"{dataset}\",\n",
-            "  \"threads\": {threads},\n",
-            "  \"vector_kernel\": \"{kernel}\",\n",
-            "  \"reads\": {reads},\n",
-            "  \"total_candidate_pairs\": {total},\n",
-            "  \"pair_stride\": {stride},\n",
-            "  \"sampled_pairs\": {pairs},\n",
-            "  \"aligned_pairs\": {aligned},\n",
-            "  \"pruned_pairs\": {pruned},\n",
-            "  \"seeds_skipped\": {skipped},\n",
-            "  \"extend_calls\": {calls},\n",
-            "  \"simd_calls\": {simd},\n",
-            "  \"scalar_calls\": {scalar},\n",
-            "  \"aligned_cells\": {cells},\n",
-            "  \"dp_rows\": {rows},\n",
-            "  \"band_width_peak\": {band},\n",
-            "  \"xdrop_terminations\": {stops},\n",
-            "  \"scalar_secs\": {scal:.6},\n",
-            "  \"vector_secs\": {vecsecs:.6},\n",
-            "  \"scalar_mcells_per_sec\": {scalrate:.2},\n",
-            "  \"vector_mcells_per_sec\": {vecrate:.2}\n",
-            "}}\n"
-        ),
-        dataset = DatasetSpec::Small.label(),
-        threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        kernel = kernel,
-        reads = ds.reads.len(),
-        total = total_pairs,
-        stride = PAIR_STRIDE,
-        pairs = ostats.candidate_pairs,
-        aligned = ostats.aligned_pairs,
-        pruned = ostats.pruned_pairs,
-        skipped = exec.seeds_skipped,
-        calls = exec.extend_calls,
-        simd = exec.simd_calls,
-        scalar = exec.scalar_calls,
-        cells = cells,
-        rows = exec.dp_rows,
-        band = exec.band_width_peak,
-        stops = exec.xdrop_terminations,
-        scal = scalar_secs,
-        vecsecs = vector_secs,
-        scalrate = scalar_rate,
-        vecrate = vector_rate,
-    );
-    // Default to the workspace root (cargo bench runs with the package dir
-    // as cwd); DIBELLA_BENCH_OUT overrides.
-    let out_path = std::env::var("DIBELLA_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_align.json").to_string()
-    });
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("  wrote {out_path}"),
-        Err(e) => eprintln!("  could not write {out_path}: {e}"),
-    }
+    let record = Record::default()
+        .field("bench", "alignment")
+        .field("dataset", DatasetSpec::Small.label())
+        .field("threads", std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+        .field("vector_kernel", kernel)
+        .field("reads", ds.reads.len())
+        .field("total_candidate_pairs", total_pairs)
+        .field("pair_stride", PAIR_STRIDE)
+        .field("sampled_pairs", ostats.candidate_pairs)
+        .field("aligned_pairs", ostats.aligned_pairs)
+        .field("pruned_pairs", ostats.pruned_pairs)
+        .field("seeds_skipped", exec.seeds_skipped)
+        .field("extend_calls", exec.extend_calls)
+        .field("simd_calls", exec.simd_calls)
+        .field("scalar_calls", exec.scalar_calls)
+        .field("aligned_cells", cells)
+        .field("dp_rows", exec.dp_rows)
+        .field("band_width_peak", exec.band_width_peak)
+        .field("xdrop_terminations", exec.xdrop_terminations)
+        .field("scalar_secs", Fixed(scalar_secs, 6))
+        .field("vector_secs", Fixed(vector_secs, 6))
+        .field("scalar_mcells_per_sec", Fixed(scalar_rate, 2))
+        .field("vector_mcells_per_sec", Fixed(vector_rate, 2));
+    write_record("BENCH_align.json", &record);
 }

@@ -13,12 +13,9 @@
 //! accumulator probes and the peak row width; the general kernels do about
 //! twice the symmetric ones' flops, so compare seconds between the two and
 //! Mflop/s across commits.  CI runs this bench at every push to maintain the
-//! perf trajectory (`DIBELLA_BENCH_OUT` overrides the artifact path).
+//! perf trajectory (`DIBELLA_RECORD_DIR` overrides the record's directory).
 
-// The bench crate is the sanctioned home of wall-clock reads (see
-// clippy.toml); opt back in to Instant::now here.
-#![allow(clippy::disallowed_methods)]
-
+use dibella_bench::{mean_secs, write_record, Fixed, Record};
 use dibella_dist::{CommPhase, CommStats, ProcessGrid};
 use dibella_overlap::{build_a_matrix, KmerOccurrence, OverlapSemiring};
 use dibella_seq::simulate::{generate_genome, simulate_reads, GenomeConfig, ReadSimConfig};
@@ -30,7 +27,7 @@ use dibella_sparse::{
     local_spgemm, local_spgemm_aat, summa, summa_aat_sym, CsrMatrix, DistMat2D, PlusTimes,
     Triples,
 };
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Wire sizes per entry; nothing here reads the word counts they scale.
 const WORDS: (u64, u64) = (2, 2);
@@ -62,16 +59,9 @@ impl Timed {
     /// flops: one warm-up call, then samples until 400 ms and at least three
     /// calls are spent.
     fn measure(mut f: impl FnMut() -> u64) -> Self {
-        let budget = Duration::from_millis(400);
-        let mut flops = f();
-        let mut samples = Vec::new();
-        let started = Instant::now();
-        while started.elapsed() < budget || samples.len() < 3 {
-            let t0 = Instant::now();
-            flops = f();
-            samples.push(t0.elapsed().as_secs_f64());
-        }
-        Self { secs: samples.iter().sum::<f64>() / samples.len() as f64, flops }
+        let mut flops = 0;
+        let secs = mean_secs(Duration::from_millis(400), 3, || flops = f());
+        Self { secs, flops }
     }
 
     /// [`Timed::measure`] of a local kernel, which tallies into the counter
@@ -96,16 +86,6 @@ impl Timed {
 
     fn mflops_per_sec(&self) -> f64 {
         self.flops as f64 / self.secs / 1e6
-    }
-
-    /// The three JSON fields of this entry, named `<name>_…`.
-    fn json(&self, name: &str) -> String {
-        format!(
-            "  \"{name}_secs\": {:.6},\n  \"{name}_flops\": {},\n  \"{name}_mflops_per_sec\": {:.2},\n",
-            self.secs,
-            self.flops,
-            self.mflops_per_sec()
-        )
     }
 }
 
@@ -204,21 +184,32 @@ fn main() {
         a.nnz(),
         c_mat.nnz()
     );
-    let entries = [
+    let mut record = Record::default()
+        .field("bench", "spgemm")
+        .field("dataset", DatasetSpec::Small.label())
+        .field("threads", threads)
+        .field("reads", a.nrows())
+        .field("kmers", a.ncols())
+        .field("a_nnz", a.nnz())
+        .field("c_nnz", c_mat.nnz());
+    for (name, t) in [
         ("summa_sym_p4", &summa_sym),
         ("summa_general_p4", &summa_general),
         ("local_sym", &local_sym),
         ("local_general", &local_general),
         ("random_2k", &random_2k),
         ("summa_sym_p16", &summa_sym_p16),
-    ];
-    for (name, t) in entries {
+    ] {
         println!(
             "  {name:<18} {:>10.3} ms  {:>10} flops  {:>8.1} Mflop/s",
             t.secs * 1e3,
             t.flops,
             t.mflops_per_sec()
         );
+        record = record
+            .field(&format!("{name}_secs"), Fixed(t.secs, 6))
+            .field(&format!("{name}_flops"), t.flops)
+            .field(&format!("{name}_mflops_per_sec"), Fixed(t.mflops_per_sec(), 2));
     }
     println!("  local_sym probes: {}, peak row width: {}", tally.probes(), tally.peak_row_width());
     println!(
@@ -227,40 +218,14 @@ fn main() {
         hifi.nrows(),
         hifi.nnz()
     );
-
-    let mut json = format!(
-        "{{\n  \"bench\": \"spgemm\",\n  \"dataset\": \"{}\",\n  \"threads\": {threads},\n  \
-         \"reads\": {},\n  \"kmers\": {},\n  \"a_nnz\": {},\n  \"c_nnz\": {},\n",
-        DatasetSpec::Small.label(),
-        a.nrows(),
-        a.ncols(),
-        a.nnz(),
-        c_mat.nnz()
-    );
-    for (name, t) in entries {
-        json += &t.json(name);
-    }
-    json += &format!(
-        "  \"summa_sym_p16_reads\": {},\n  \"summa_sym_p16_a_nnz\": {},\n  \
-         \"summa_sym_p16_k_major_blocks\": {hifi_k_major},\n  \
-         \"summa_sym_p16_row_wise_blocks\": {hifi_row_wise},\n  \
-         \"summa_sym_p4_k_major_blocks\": {small_k_major},\n  \
-         \"summa_sym_p4_row_wise_blocks\": {small_row_wise},\n",
-        hifi.nrows(),
-        hifi.nnz()
-    );
-    json += &format!(
-        "  \"accumulator_probes\": {},\n  \"peak_row_width\": {}\n}}\n",
-        tally.probes(),
-        tally.peak_row_width()
-    );
-    // Default to the workspace root (cargo bench runs with the package dir
-    // as cwd); DIBELLA_BENCH_OUT overrides.
-    let out_path = std::env::var("DIBELLA_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_spgemm.json").to_string()
-    });
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("  wrote {out_path}"),
-        Err(e) => eprintln!("  could not write {out_path}: {e}"),
-    }
+    let record = record
+        .field("summa_sym_p16_reads", hifi.nrows())
+        .field("summa_sym_p16_a_nnz", hifi.nnz())
+        .field("summa_sym_p16_k_major_blocks", hifi_k_major)
+        .field("summa_sym_p16_row_wise_blocks", hifi_row_wise)
+        .field("summa_sym_p4_k_major_blocks", small_k_major)
+        .field("summa_sym_p4_row_wise_blocks", small_row_wise)
+        .field("accumulator_probes", tally.probes())
+        .field("peak_row_width", tally.peak_row_width());
+    write_record("BENCH_spgemm.json", &record);
 }

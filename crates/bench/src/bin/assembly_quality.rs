@@ -13,15 +13,17 @@
 //!
 //! ```bash
 //! cargo run --release -p dibella-bench --bin assembly_quality
-//! DIBELLA_ASSEMBLY_OUT=/tmp/out.json cargo run --release -p dibella-bench --bin assembly_quality
-//! DIBELLA_SCENARIO_PRESET=fast cargo run --release -p dibella-bench --bin assembly_quality
+//! DIBELLA_RECORD_DIR=/tmp cargo run --release -p dibella-bench --bin assembly_quality
+//! DIBELLA_PRESET=fast cargo run --release -p dibella-bench --bin assembly_quality
 //! ```
 
 // The bench crate is the sanctioned home of wall-clock reads (see
 // clippy.toml); opt back in to Instant::now here.
 #![allow(clippy::disallowed_methods)]
 
-use dibella_bench::{fmt, print_header, print_row};
+use dibella_bench::{
+    fmt, print_header, print_row, scaled_length, write_record, Fixed, Preset, Record,
+};
 use dibella_dist::CommStats;
 use dibella_pipeline::{run_dibella_2d_on_reads, run_scenario, PipelineConfig, ScenarioSpec};
 use dibella_seq::simulate::{
@@ -69,11 +71,7 @@ fn evaluation_dataset(genome_length: usize) -> SimulatedDataset {
 }
 
 fn main() {
-    let scale: f64 = std::env::var("DIBELLA_BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
-    let genome_length = ((GENOME_LENGTH as f64 * scale) as usize).max(5_000);
+    let genome_length = scaled_length(GENOME_LENGTH, 5_000);
 
     println!("Assembly quality — simulated reads, full OLC pipeline, consensus vs reference\n");
     let ds = evaluation_dataset(genome_length);
@@ -118,17 +116,17 @@ fn main() {
         out.consensus_summary.consensus_bases
     );
 
-    // The adversarial scenario matrix.  `DIBELLA_SCENARIO_PRESET` picks the
-    // suite: "bench" (default; what the committed BENCH_assembly.json holds)
-    // or "fast" (CI smoke subset: ~8 kb genomes, 600 bp reads).
-    let preset = std::env::var("DIBELLA_SCENARIO_PRESET").unwrap_or_else(|_| "bench".to_string());
-    let suite = match preset.as_str() {
-        "fast" => ScenarioSpec::fast_suite(),
-        _ => ScenarioSpec::bench_suite(),
+    // The adversarial scenario matrix: the bench-scale suite the committed
+    // BENCH_assembly.json holds, or the CI smoke subset (~8 kb genomes,
+    // 600 bp reads).
+    let preset = Preset::from_env();
+    let suite = match preset {
+        Preset::Fast => ScenarioSpec::fast_suite(),
+        Preset::Full => ScenarioSpec::bench_suite(),
     };
-    println!("\nAdversarial scenario matrix ({preset} preset)\n");
+    println!("\nAdversarial scenario matrix ({} preset)\n", preset.name());
     print_header(&["scenario", "reads", "contigs", "NG50", "identity", "misjoin", "chim.brk"]);
-    let mut scenario_json = Vec::new();
+    let mut scenarios = Vec::new();
     let scenarios_started = std::time::Instant::now();
     for spec in &suite {
         let r = run_scenario(spec).unwrap();
@@ -141,107 +139,53 @@ fn main() {
             r.misjoins.to_string(),
             r.chimera_breaks.to_string(),
         ]);
-        scenario_json.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"scenario\": \"{scenario}\",\n",
-                "      \"genome_length\": {genome_length},\n",
-                "      \"reads\": {reads},\n",
-                "      \"chimeric_reads\": {chimeric},\n",
-                "      \"depth\": {depth:.2},\n",
-                "      \"contigs\": {contigs},\n",
-                "      \"multi_read_contigs\": {multi},\n",
-                "      \"circular_contigs\": {circular},\n",
-                "      \"assembled_bases\": {assembled},\n",
-                "      \"largest_contig\": {largest},\n",
-                "      \"n50\": {n50},\n",
-                "      \"ng50\": {ng50},\n",
-                "      \"mean_identity\": {identity:.5},\n",
-                "      \"misjoins\": {misjoins},\n",
-                "      \"chimera_breaks\": {chimera_breaks}\n",
-                "    }}"
-            ),
-            scenario = r.scenario,
-            genome_length = r.genome_length,
-            reads = r.reads,
-            chimeric = r.chimeric_reads,
-            depth = r.depth,
-            contigs = r.contigs,
-            multi = r.multi_read_contigs,
-            circular = r.circular_contigs,
-            assembled = r.assembled_bases,
-            largest = r.largest_contig,
-            n50 = r.n50,
-            ng50 = r.ng50,
-            identity = r.mean_identity,
-            misjoins = r.misjoins,
-            chimera_breaks = r.chimera_breaks,
-        ));
+        scenarios.push(
+            Record::default()
+                .field("scenario", r.scenario.as_str())
+                .field("genome_length", r.genome_length)
+                .field("reads", r.reads)
+                .field("chimeric_reads", r.chimeric_reads)
+                .field("depth", Fixed(r.depth, 2))
+                .field("contigs", r.contigs)
+                .field("multi_read_contigs", r.multi_read_contigs)
+                .field("circular_contigs", r.circular_contigs)
+                .field("assembled_bases", r.assembled_bases)
+                .field("largest_contig", r.largest_contig)
+                .field("n50", r.n50)
+                .field("ng50", r.ng50)
+                .field("mean_identity", Fixed(r.mean_identity, 5))
+                .field("misjoins", r.misjoins)
+                .field("chimera_breaks", r.chimera_breaks),
+        );
     }
     let scenarios_secs = scenarios_started.elapsed().as_secs_f64();
     println!("\nscenario matrix: {} scenarios in {:.2}s", suite.len(), scenarios_secs);
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"dataset\": \"{dataset}\",\n",
-            "  \"genome_length\": {genome_length},\n",
-            "  \"reads\": {reads},\n",
-            "  \"depth\": {depth:.2},\n",
-            "  \"error_rate\": {error:.3},\n",
-            "  \"contigs\": {contigs},\n",
-            "  \"multi_read_contigs\": {multi},\n",
-            "  \"assembled_bases\": {assembled},\n",
-            "  \"largest_contig\": {largest},\n",
-            "  \"n50\": {n50},\n",
-            "  \"ng50\": {ng50},\n",
-            "  \"mean_identity\": {mean_identity:.5},\n",
-            "  \"largest_identity\": {largest_identity:.5},\n",
-            "  \"misjoins\": {misjoins},\n",
-            "  \"poa_graph_nodes\": {poa_nodes},\n",
-            "  \"poa_aligned_bases\": {aligned_bases},\n",
-            "  \"poa_dp_cells\": {dp_cells},\n",
-            "  \"unplaced_reads\": {unplaced_reads},\n",
-            "  \"consensus_bases\": {consensus_bases},\n",
-            "  \"consensus_secs\": {consensus_secs:.4},\n",
-            "  \"pipeline_secs\": {pipeline_secs:.4},\n",
-            "  \"scenario_preset\": \"{preset}\",\n",
-            "  \"scenario_matrix_secs\": {scenarios_secs:.4},\n",
-            "  \"scenarios\": [\n{scenarios}\n  ]\n",
-            "}}\n"
-        ),
-        dataset = ds.label,
-        genome_length = ds.genome.len(),
-        reads = ds.num_reads(),
-        depth = ds.achieved_depth(),
-        error = ds.config.error_rate,
-        contigs = metrics.contigs,
-        multi = metrics.multi_read_contigs,
-        assembled = metrics.assembled_bases,
-        largest = metrics.largest_contig,
-        n50 = metrics.n50,
-        ng50 = metrics.ng50,
-        mean_identity = metrics.mean_identity,
-        largest_identity = metrics.largest_identity,
-        misjoins = metrics.misjoins,
-        poa_nodes = out.consensus_summary.poa_nodes,
-        aligned_bases = out.consensus_summary.aligned_bases,
-        dp_cells = out.consensus_summary.dp_cells,
-        unplaced_reads = out.consensus_summary.unplaced_reads,
-        consensus_bases = out.consensus_summary.consensus_bases,
-        consensus_secs = out.timings.consensus,
-        pipeline_secs = pipeline_secs,
-        preset = preset,
-        scenarios_secs = scenarios_secs,
-        scenarios = scenario_json.join(",\n"),
-    );
-    // Default to the workspace root (the binary's cwd is the package dir);
-    // DIBELLA_ASSEMBLY_OUT overrides.
-    let out_path = std::env::var("DIBELLA_ASSEMBLY_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_assembly.json").to_string()
-    });
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("\nwrote {out_path}"),
-        Err(e) => eprintln!("\ncould not write {out_path}: {e}"),
-    }
+    let summary = &out.consensus_summary;
+    let record = Record::default()
+        .field("dataset", ds.label.as_str())
+        .field("genome_length", ds.genome.len())
+        .field("reads", ds.num_reads())
+        .field("depth", Fixed(ds.achieved_depth(), 2))
+        .field("error_rate", Fixed(ds.config.error_rate, 3))
+        .field("contigs", metrics.contigs)
+        .field("multi_read_contigs", metrics.multi_read_contigs)
+        .field("assembled_bases", metrics.assembled_bases)
+        .field("largest_contig", metrics.largest_contig)
+        .field("n50", metrics.n50)
+        .field("ng50", metrics.ng50)
+        .field("mean_identity", Fixed(metrics.mean_identity, 5))
+        .field("largest_identity", Fixed(metrics.largest_identity, 5))
+        .field("misjoins", metrics.misjoins)
+        .field("poa_graph_nodes", summary.poa_nodes)
+        .field("poa_aligned_bases", summary.aligned_bases)
+        .field("poa_dp_cells", summary.dp_cells)
+        .field("unplaced_reads", summary.unplaced_reads)
+        .field("consensus_bases", summary.consensus_bases)
+        .field("consensus_secs", Fixed(out.timings.consensus, 4))
+        .field("pipeline_secs", Fixed(pipeline_secs, 4))
+        .field("scenario_preset", preset.name())
+        .field("scenario_matrix_secs", Fixed(scenarios_secs, 4))
+        .field("scenarios", scenarios);
+    write_record("BENCH_assembly.json", &record);
 }

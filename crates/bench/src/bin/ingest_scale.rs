@@ -18,15 +18,15 @@
 //!
 //! ```bash
 //! cargo run --release -p dibella-bench --bin ingest_scale
-//! DIBELLA_INGEST_PRESET=fast cargo run --release -p dibella-bench --bin ingest_scale
-//! DIBELLA_INGEST_OUT=/tmp/out.json cargo run --release -p dibella-bench --bin ingest_scale
+//! DIBELLA_PRESET=fast cargo run --release -p dibella-bench --bin ingest_scale
+//! DIBELLA_RECORD_DIR=/tmp cargo run --release -p dibella-bench --bin ingest_scale
 //! ```
 
 // The bench crate is the sanctioned home of wall-clock reads (see
 // clippy.toml); opt back in to Instant::now here.
 #![allow(clippy::disallowed_methods)]
 
-use dibella_bench::{print_header, print_row};
+use dibella_bench::{print_header, print_row, write_record, Fixed, Preset, Record};
 use dibella_dist::CommStats;
 use dibella_seq::simulate::{generate_genome, simulate_reads, GenomeConfig, ReadSimConfig};
 use dibella_seq::{
@@ -44,9 +44,8 @@ const CHUNK_BYTES: usize = 64 << 10;
 /// Virtual ranks, matching the other medium-scale harnesses.
 const NPROCS: usize = 16;
 
-/// One preset of the sweep.
-struct Preset {
-    name: &'static str,
+/// The sweep of one [`Preset`].
+struct Sweep {
     genome_length: usize,
     /// Read counts to sweep (approximate; the simulator draws until the
     /// target depth `n*l/g` is covered).
@@ -59,8 +58,7 @@ struct Preset {
     monolithic_cutoff_bytes: usize,
 }
 
-const FAST: Preset = Preset {
-    name: "fast",
+const FAST: Sweep = Sweep {
     genome_length: 20_000,
     read_counts: &[500, 2_000, 8_000],
     budget_bytes: 16 << 20,
@@ -69,8 +67,7 @@ const FAST: Preset = Preset {
 
 /// `full`: the largest size is >= 100k reads (~100x the repo's usual Tiny
 /// datasets) and ~36 MB of FASTA.
-const FULL: Preset = Preset {
-    name: "full",
+const FULL: Sweep = Sweep {
     genome_length: 50_000,
     read_counts: &[2_500, 10_000, 40_000, 120_000],
     budget_bytes: 24 << 20,
@@ -79,40 +76,24 @@ const FULL: Preset = Preset {
 
 const MEAN_READ_LENGTH: usize = 300;
 
-struct SizeResult {
-    reads: usize,
-    input_bytes: u64,
-    /// Σ max(l − k + 1, 0) over the reads: the layer's unit of work.
-    kmer_windows: u64,
-    supersteps: u64,
-    batch_bytes_peak: u64,
-    resident_estimate_peak: u64,
-    streaming_peak: u64,
-    streaming_secs: f64,
-    kmers: usize,
-    monolithic_peak: Option<u64>,
-    monolithic_secs: Option<f64>,
-}
-
 fn main() {
-    let preset_name =
-        std::env::var("DIBELLA_INGEST_PRESET").unwrap_or_else(|_| "full".to_string());
-    let preset = match preset_name.as_str() {
-        "fast" => &FAST,
-        _ => &FULL,
+    let preset = Preset::from_env();
+    let sweep = match preset {
+        Preset::Fast => &FAST,
+        Preset::Full => &FULL,
     };
     let budget = IngestBudget {
         max_batch_reads: 256,
         max_batch_bytes: 256 << 10,
-        max_resident_bytes: preset.budget_bytes,
+        max_resident_bytes: sweep.budget_bytes,
     };
     println!(
         "Ingest scale — superstep ingest, bounded vs unbounded budget, {} preset\n\
          fixed genome {} bp, mean read length {} bp, budget {} MiB, P={}\n",
-        preset.name,
-        preset.genome_length,
+        preset.name(),
+        sweep.genome_length,
         MEAN_READ_LENGTH,
-        preset.budget_bytes >> 20,
+        sweep.budget_bytes >> 20,
         NPROCS,
     );
 
@@ -120,19 +101,23 @@ fn main() {
     // add Bloom-filter noise (novel singleton k-mers) without changing what
     // the ingest paths keep resident.
     let genome = generate_genome(&GenomeConfig {
-        length: preset.genome_length,
+        length: sweep.genome_length,
         repeat_fraction: 0.0,
         repeat_length: 100,
         seed: 91,
     });
     let sel = KmerSelection { k: 17, min_count: 2, max_count: u32::MAX };
-    let fasta_path = std::env::temp_dir().join("dibella_ingest_scale.fa");
+    // Named per process, so concurrent runs do not overwrite each other's input.
+    let fasta_path =
+        std::env::temp_dir().join(format!("dibella_ingest_scale.{}.fa", std::process::id()));
 
     print_header(&["reads", "input MiB", "steps", "stream MiB", "secs", "mono MiB", "kmers"]);
-    let mut results: Vec<SizeResult> = Vec::new();
-    for &target_reads in preset.read_counts {
-        let depth =
-            target_reads as f64 * MEAN_READ_LENGTH as f64 / preset.genome_length as f64;
+    let mut sizes = Vec::new();
+    // The largest dataset (reads, input bytes, streaming peak), the worst
+    // monolithic peak and the most reads the monolithic run was measured on.
+    let (mut largest, mut worst_mono, mut mono_reads_max) = ((0, 0, 0), 0, 0);
+    for &target_reads in sweep.read_counts {
+        let depth = target_reads as f64 * MEAN_READ_LENGTH as f64 / sweep.genome_length as f64;
         let sim = ReadSimConfig {
             depth,
             mean_read_length: MEAN_READ_LENGTH,
@@ -166,166 +151,100 @@ fn main() {
         let streaming_peak = scope.peak_resident();
         let streaming_secs = started.elapsed().as_secs_f64();
         assert!(
-            streaming_peak <= preset.budget_bytes as u64,
+            streaming_peak <= sweep.budget_bytes as u64,
             "streaming ingest of {nreads} reads peaked at {streaming_peak} real bytes, \
              over the {}-byte budget",
-            preset.budget_bytes
+            sweep.budget_bytes
         );
 
         // Unbounded negative control on the affordable sizes: whole file in
         // memory, whole read set, whole-input exchanges.
-        let (monolithic_peak, monolithic_secs) = if input_bytes
-            <= preset.monolithic_cutoff_bytes as u64
-        {
-            let mono_stats = CommStats::new();
-            let started = std::time::Instant::now();
-            let scope = ALLOC.scope();
-            let text = std::fs::read_to_string(&fasta_path).expect("reading sweep FASTA");
-            let mono_reads = parse_fasta(&text).expect("parsing sweep FASTA");
-            let mono = count_kmers_distributed(&mono_reads, &sel, NPROCS, &mono_stats);
-            let peak = scope.peak_resident();
-            let secs = started.elapsed().as_secs_f64();
-            assert_tables_identical(&streamed, &mono);
-            (Some(peak), Some(secs))
-        } else {
-            (None, None)
-        };
+        let (monolithic_peak, monolithic_secs) =
+            if input_bytes <= sweep.monolithic_cutoff_bytes as u64 {
+                let mono_stats = CommStats::new();
+                let started = std::time::Instant::now();
+                let scope = ALLOC.scope();
+                let text = std::fs::read_to_string(&fasta_path).expect("reading sweep FASTA");
+                let mono_reads = parse_fasta(&text).expect("parsing sweep FASTA");
+                let mono = count_kmers_distributed(&mono_reads, &sel, NPROCS, &mono_stats);
+                let peak = scope.peak_resident();
+                let secs = started.elapsed().as_secs_f64();
+                assert_tables_identical(&streamed, &mono);
+                (Some(peak), Some(secs))
+            } else {
+                (None, None)
+            };
 
-        let r = SizeResult {
-            reads: nreads,
-            input_bytes,
-            kmer_windows,
-            supersteps: ingest.supersteps,
-            batch_bytes_peak: ingest.batch_bytes_peak,
-            resident_estimate_peak: ingest.resident_bytes_peak,
-            streaming_peak,
-            streaming_secs,
-            kmers: streamed.len(),
-            monolithic_peak,
-            monolithic_secs,
-        };
         print_row(&[
-            r.reads.to_string(),
-            format!("{:.1}", r.input_bytes as f64 / (1 << 20) as f64),
-            r.supersteps.to_string(),
-            format!("{:.1}", r.streaming_peak as f64 / (1 << 20) as f64),
-            format!("{:.2}", r.streaming_secs),
-            r.monolithic_peak
+            nreads.to_string(),
+            format!("{:.1}", input_bytes as f64 / (1 << 20) as f64),
+            ingest.supersteps.to_string(),
+            format!("{:.1}", streaming_peak as f64 / (1 << 20) as f64),
+            format!("{streaming_secs:.2}"),
+            monolithic_peak
                 .map(|p| format!("{:.1}", p as f64 / (1 << 20) as f64))
                 .unwrap_or_else(|| "-".to_string()),
-            r.kmers.to_string(),
+            streamed.len().to_string(),
         ]);
-        results.push(r);
+        // Σ max(l − k + 1, 0) over the reads is the layer's unit of work.
+        let rate = |secs: f64| Fixed(kmer_windows as f64 / secs / 1e6, 2);
+        sizes.push(
+            Record::default()
+                .field("reads", nreads)
+                .field("input_bytes", input_bytes)
+                .field("kmer_windows", kmer_windows)
+                .field("supersteps", ingest.supersteps)
+                .field("batch_bytes_peak", ingest.batch_bytes_peak)
+                .field("resident_estimate_peak", ingest.resident_bytes_peak)
+                .field("streaming_peak_bytes", streaming_peak)
+                .field("streaming_secs", Fixed(streaming_secs, 4))
+                .field("streaming_mkmers_per_s", rate(streaming_secs))
+                .field("kmers", streamed.len())
+                .field("monolithic_peak_bytes", monolithic_peak)
+                .field("monolithic_secs", monolithic_secs.map(|s| Fixed(s, 4)))
+                .field("monolithic_mkmers_per_s", monolithic_secs.map(rate)),
+        );
+        largest = (nreads, input_bytes, streaming_peak);
+        if let Some(peak) = monolithic_peak {
+            worst_mono = worst_mono.max(peak);
+            mono_reads_max = mono_reads_max.max(nreads);
+        }
     }
     std::fs::remove_file(&fasta_path).ok();
 
     // The budget must be *binding*: at least one measured monolithic run has
     // to exceed it, and the largest streamed dataset has to be bigger than
     // every dataset the monolithic path survived under the budget.
-    let worst_mono = results.iter().filter_map(|r| r.monolithic_peak).max().unwrap_or(0);
     assert!(
-        worst_mono > preset.budget_bytes as u64,
+        worst_mono > sweep.budget_bytes as u64,
         "no monolithic run exceeded the {}-byte budget (max was {worst_mono}); \
          the budget is not discriminating",
-        preset.budget_bytes
+        sweep.budget_bytes
     );
-    let largest = results.last().expect("at least one sweep size");
     println!(
         "\nlargest dataset: {} reads ({:.1} MiB) streamed under the {} MiB budget \
          (peak {:.1} MiB); monolithic already needed {:.1} MiB at {} reads",
-        largest.reads,
-        largest.input_bytes as f64 / (1 << 20) as f64,
-        preset.budget_bytes >> 20,
-        largest.streaming_peak as f64 / (1 << 20) as f64,
+        largest.0,
+        largest.1 as f64 / (1 << 20) as f64,
+        sweep.budget_bytes >> 20,
+        largest.2 as f64 / (1 << 20) as f64,
         worst_mono as f64 / (1 << 20) as f64,
-        results
-            .iter()
-            .filter(|r| r.monolithic_peak.is_some())
-            .map(|r| r.reads)
-            .max()
-            .unwrap_or(0),
+        mono_reads_max,
     );
 
-    let sizes_json: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "    {{\n",
-                    "      \"reads\": {reads},\n",
-                    "      \"input_bytes\": {input},\n",
-                    "      \"kmer_windows\": {windows},\n",
-                    "      \"supersteps\": {steps},\n",
-                    "      \"batch_bytes_peak\": {batch_peak},\n",
-                    "      \"resident_estimate_peak\": {estimate},\n",
-                    "      \"streaming_peak_bytes\": {stream_peak},\n",
-                    "      \"streaming_secs\": {stream_secs:.4},\n",
-                    "      \"streaming_mkmers_per_s\": {stream_rate:.2},\n",
-                    "      \"kmers\": {kmers},\n",
-                    "      \"monolithic_peak_bytes\": {mono_peak},\n",
-                    "      \"monolithic_secs\": {mono_secs},\n",
-                    "      \"monolithic_mkmers_per_s\": {mono_rate}\n",
-                    "    }}"
-                ),
-                reads = r.reads,
-                input = r.input_bytes,
-                windows = r.kmer_windows,
-                steps = r.supersteps,
-                batch_peak = r.batch_bytes_peak,
-                estimate = r.resident_estimate_peak,
-                stream_peak = r.streaming_peak,
-                stream_secs = r.streaming_secs,
-                stream_rate = r.kmer_windows as f64 / r.streaming_secs / 1e6,
-                kmers = r.kmers,
-                mono_peak =
-                    r.monolithic_peak.map(|p| p.to_string()).unwrap_or_else(|| "null".into()),
-                mono_secs = r
-                    .monolithic_secs
-                    .map(|s| format!("{s:.4}"))
-                    .unwrap_or_else(|| "null".into()),
-                mono_rate = r
-                    .monolithic_secs
-                    .map(|s| format!("{:.2}", r.kmer_windows as f64 / s / 1e6))
-                    .unwrap_or_else(|| "null".into()),
-            )
-        })
-        .collect();
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"preset\": \"{preset}\",\n",
-            "  \"genome_length\": {genome_length},\n",
-            "  \"mean_read_length\": {mean_len},\n",
-            "  \"nprocs\": {nprocs},\n",
-            "  \"k\": {k},\n",
-            "  \"chunk_bytes\": {chunk},\n",
-            "  \"max_batch_reads\": {max_batch_reads},\n",
-            "  \"max_batch_bytes\": {max_batch_bytes},\n",
-            "  \"budget_bytes\": {budget},\n",
-            "  \"monolithic_worst_peak_bytes\": {worst_mono},\n",
-            "  \"sizes\": [\n{sizes}\n  ]\n",
-            "}}\n"
-        ),
-        preset = preset.name,
-        genome_length = preset.genome_length,
-        mean_len = MEAN_READ_LENGTH,
-        nprocs = NPROCS,
-        k = sel.k,
-        chunk = CHUNK_BYTES,
-        max_batch_reads = budget.max_batch_reads,
-        max_batch_bytes = budget.max_batch_bytes,
-        budget = preset.budget_bytes,
-        worst_mono = worst_mono,
-        sizes = sizes_json.join(",\n"),
-    );
-    // Default to the workspace root; DIBELLA_INGEST_OUT overrides.
-    let out_path = std::env::var("DIBELLA_INGEST_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest.json").to_string()
-    });
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("\nwrote {out_path}"),
-        Err(e) => eprintln!("\ncould not write {out_path}: {e}"),
-    }
+    let record = Record::default()
+        .field("preset", preset.name())
+        .field("genome_length", sweep.genome_length)
+        .field("mean_read_length", MEAN_READ_LENGTH)
+        .field("nprocs", NPROCS)
+        .field("k", sel.k)
+        .field("chunk_bytes", CHUNK_BYTES)
+        .field("max_batch_reads", budget.max_batch_reads)
+        .field("max_batch_bytes", budget.max_batch_bytes)
+        .field("budget_bytes", sweep.budget_bytes)
+        .field("monolithic_worst_peak_bytes", worst_mono)
+        .field("sizes", sizes);
+    write_record("BENCH_ingest.json", &record);
 }
 
 fn assert_tables_identical(a: &KmerTable, b: &KmerTable) {

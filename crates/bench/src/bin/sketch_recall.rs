@@ -22,8 +22,8 @@
 //!
 //! ```bash
 //! cargo run --release -p dibella-bench --bin sketch_recall
-//! DIBELLA_SKETCH_PRESET=fast cargo run --release -p dibella-bench --bin sketch_recall
-//! DIBELLA_SKETCH_OUT=/tmp/out.json cargo run --release -p dibella-bench --bin sketch_recall
+//! DIBELLA_PRESET=fast cargo run --release -p dibella-bench --bin sketch_recall
+//! DIBELLA_RECORD_DIR=/tmp cargo run --release -p dibella-bench --bin sketch_recall
 //! ```
 
 // The bench crate is the sanctioned home of wall-clock reads (see
@@ -34,7 +34,7 @@
     reason = "pair sets are intersected and counted; nothing is emitted in iteration order"
 )]
 
-use dibella_bench::{print_header, print_row};
+use dibella_bench::{print_header, print_row, write_record, Fixed, Preset, Record};
 use dibella_dist::{CommPhase, CommStats, ProcessGrid};
 use dibella_overlap::{
     account_read_exchange_2d, align_candidates_with, build_a_matrix, detect_candidates_2d_with,
@@ -72,6 +72,23 @@ struct LegResult {
     total_words: u64,
     /// Wall-clock of the staged leg (counting + matrix + SUMMA + alignment).
     secs: f64,
+}
+
+impl LegResult {
+    /// The leg's fields of the record; `true_pairs` of its aligned pairs
+    /// are true overlaps.
+    fn record(&self, true_pairs: usize) -> Record {
+        Record::default()
+            .field("a_nnz", self.a_nnz)
+            .field("a_cols", self.a_cols)
+            .field("candidate_pairs", self.candidate_pairs)
+            .field("aligned_pairs", self.pairs.len())
+            .field("true_pairs", true_pairs)
+            .field("spgemm_flops", self.spgemm_flops)
+            .field("bcast_words", self.bcast_words)
+            .field("total_words", self.total_words)
+            .field("stage_secs", Fixed(self.secs, 4))
+    }
 }
 
 /// Run one candidate path end to end through alignment, so the exact leg
@@ -138,20 +155,18 @@ fn ratio(num: f64, den: f64) -> f64 {
 }
 
 fn main() {
-    let preset_name =
-        std::env::var("DIBELLA_SKETCH_PRESET").unwrap_or_else(|_| "full".to_string());
-    let spec = match preset_name.as_str() {
-        "fast" => ScenarioSpec::fast(ScenarioKind::Baseline),
-        _ => ScenarioSpec::bench(ScenarioKind::Baseline),
+    let preset = Preset::from_env();
+    let spec = match preset {
+        Preset::Fast => ScenarioSpec::fast(ScenarioKind::Baseline),
+        Preset::Full => ScenarioSpec::bench(ScenarioKind::Baseline),
     };
-    let preset = if preset_name == "fast" { "fast" } else { "full" };
     let ds = build_scenario(spec.kind, &spec.params);
     let config = PipelineConfig::for_small_reads(spec.k, spec.nprocs);
     println!(
         "Sketch recall — k-min-mer candidates vs the exact reliable-k-mer path, {} preset\n\
          baseline scenario: {} bp genome, {} reads, {:.1}x depth, {:.0} bp mean reads\n\
          sketch: k={} kmm={} density={}\n",
-        preset,
+        preset.name(),
         ds.genome.len(),
         ds.num_reads(),
         ds.achieved_depth(),
@@ -256,94 +271,37 @@ fn main() {
          words ({bcast_reduction:.2}x)"
     );
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"preset\": \"{preset}\",\n",
-            "  \"scenario\": \"baseline\",\n",
-            "  \"genome_length\": {genome_length},\n",
-            "  \"reads\": {reads},\n",
-            "  \"mean_read_length\": {mean_len:.1},\n",
-            "  \"k\": {k},\n",
-            "  \"nprocs\": {nprocs},\n",
-            "  \"sketch_config\": {{\n",
-            "    \"k\": {sk}, \"kmm\": {kmm}, \"density\": {density},\n",
-            "    \"min_reads\": {min_reads}, \"max_reads\": {max_reads}\n",
-            "  }},\n",
-            "  \"truth_pairs\": {truth_pairs},\n",
-            "  \"min_overlap\": {min_overlap},\n",
-            "  \"exact\": {{\n",
-            "    \"a_nnz\": {e_nnz}, \"a_cols\": {e_cols}, \"candidate_pairs\": {e_cand},\n",
-            "    \"aligned_pairs\": {e_pairs}, \"true_pairs\": {e_true},\n",
-            "    \"spgemm_flops\": {e_flops}, \"bcast_words\": {e_bcast},\n",
-            "    \"total_words\": {e_words}, \"stage_secs\": {e_secs:.4}\n",
-            "  }},\n",
-            "  \"kminmer\": {{\n",
-            "    \"a_nnz\": {s_nnz}, \"a_cols\": {s_cols}, \"candidate_pairs\": {s_cand},\n",
-            "    \"aligned_pairs\": {s_pairs}, \"true_pairs\": {s_true},\n",
-            "    \"spgemm_flops\": {s_flops}, \"bcast_words\": {s_bcast},\n",
-            "    \"total_words\": {s_words}, \"stage_secs\": {s_secs:.4}\n",
-            "  }},\n",
-            "  \"recall_of_exact_true_pairs\": {recall:.4},\n",
-            "  \"kminmer_precision\": {precision:.4},\n",
-            "  \"nnz_reduction\": {nnz_red:.2},\n",
-            "  \"spgemm_flops_reduction\": {flops_red:.2},\n",
-            "  \"bcast_words_reduction\": {bcast_red:.2},\n",
-            "  \"total_words_reduction\": {words_red:.2},\n",
-            "  \"stage_speedup\": {stage_speedup:.2},\n",
-            "  \"end_to_end_secs_exact\": {e2e_exact:.4},\n",
-            "  \"end_to_end_secs_kminmer\": {e2e_kmm:.4},\n",
-            "  \"end_to_end_speedup\": {e2e_speedup:.2}\n",
-            "}}\n"
-        ),
-        preset = preset,
-        genome_length = ds.genome.len(),
-        reads = ds.num_reads(),
-        mean_len = ds.mean_read_length(),
-        k = spec.k,
-        nprocs = spec.nprocs,
-        sk = config.sketch.k,
-        kmm = config.sketch.kmm,
-        density = config.sketch.density,
-        min_reads = config.sketch.min_reads,
-        max_reads = config.sketch.max_reads,
-        truth_pairs = truth.len(),
-        min_overlap = min_overlap,
-        e_nnz = exact.a_nnz,
-        e_cols = exact.a_cols,
-        e_cand = exact.candidate_pairs,
-        e_pairs = exact.pairs.len(),
-        e_true = exact_true.len(),
-        e_flops = exact.spgemm_flops,
-        e_bcast = exact.bcast_words,
-        e_words = exact.total_words,
-        e_secs = exact.secs,
-        s_nnz = kmm.a_nnz,
-        s_cols = kmm.a_cols,
-        s_cand = kmm.candidate_pairs,
-        s_pairs = kmm.pairs.len(),
-        s_true = kmm_true.len(),
-        s_flops = kmm.spgemm_flops,
-        s_bcast = kmm.bcast_words,
-        s_words = kmm.total_words,
-        s_secs = kmm.secs,
-        recall = recall_of_exact,
-        precision = kmm_precision,
-        nnz_red = nnz_reduction,
-        flops_red = flops_reduction,
-        bcast_red = bcast_reduction,
-        words_red = words_reduction,
-        stage_speedup = stage_speedup,
-        e2e_exact = exact_e2e,
-        e2e_kmm = kmm_e2e,
-        e2e_speedup = e2e_speedup,
-    );
-    // Default to the workspace root; DIBELLA_SKETCH_OUT overrides.
-    let out_path = std::env::var("DIBELLA_SKETCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sketch.json").to_string()
-    });
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("\nwrote {out_path}"),
-        Err(e) => eprintln!("\ncould not write {out_path}: {e}"),
-    }
+    let sketch = &config.sketch;
+    let record = Record::default()
+        .field("preset", preset.name())
+        .field("scenario", "baseline")
+        .field("genome_length", ds.genome.len())
+        .field("reads", ds.num_reads())
+        .field("mean_read_length", Fixed(ds.mean_read_length(), 1))
+        .field("k", spec.k)
+        .field("nprocs", spec.nprocs)
+        .field(
+            "sketch_config",
+            Record::default()
+                .field("k", sketch.k)
+                .field("kmm", sketch.kmm)
+                .field("density", sketch.density)
+                .field("min_reads", sketch.min_reads)
+                .field("max_reads", sketch.max_reads),
+        )
+        .field("truth_pairs", truth.len())
+        .field("min_overlap", min_overlap)
+        .field("exact", exact.record(exact_true.len()))
+        .field("kminmer", kmm.record(kmm_true.len()))
+        .field("recall_of_exact_true_pairs", Fixed(recall_of_exact, 4))
+        .field("kminmer_precision", Fixed(kmm_precision, 4))
+        .field("nnz_reduction", Fixed(nnz_reduction, 2))
+        .field("spgemm_flops_reduction", Fixed(flops_reduction, 2))
+        .field("bcast_words_reduction", Fixed(bcast_reduction, 2))
+        .field("total_words_reduction", Fixed(words_reduction, 2))
+        .field("stage_speedup", Fixed(stage_speedup, 2))
+        .field("end_to_end_secs_exact", Fixed(exact_e2e, 4))
+        .field("end_to_end_secs_kminmer", Fixed(kmm_e2e, 4))
+        .field("end_to_end_speedup", Fixed(e2e_speedup, 2));
+    write_record("BENCH_sketch.json", &record);
 }

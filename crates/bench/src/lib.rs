@@ -23,6 +23,10 @@
 use dibella_dist::{CommPhase, CommSnapshot};
 use dibella_pipeline::StageTimings;
 use dibella_seq::{DatasetSpec, SimulatedDataset};
+use std::ffi::OsStr;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// Assumed per-process injection bandwidth of the interconnect (bytes/s).
 /// Cray Aries (Cori) delivers roughly 8 GB/s per node.
@@ -34,29 +38,185 @@ pub const INTERCONNECT_LATENCY_SECS: f64 = 2.0e-6;
 /// Bytes per word in the communication accounting.
 pub const BYTES_PER_WORD: f64 = 8.0;
 
-/// Scale of the benchmark datasets (genome length in bases).  The harnesses
-/// accept `DIBELLA_BENCH_SCALE` in the environment to grow or shrink this.
-pub fn genome_length_for(spec: DatasetSpec) -> usize {
-    // Sizes chosen so that the dominant cost (pairwise alignment, roughly
-    // genome_length x depth^2 x band cells) keeps every harness within a few
-    // minutes on one core while the higher-depth datasets stay the harder ones.
-    let base = match spec {
-        DatasetSpec::EColiLike => 60_000,
-        DatasetSpec::CElegansLike => 50_000,
-        DatasetSpec::HSapiensLike => 150_000,
-        DatasetSpec::Small => 60_000,
-        DatasetSpec::Tiny => 4_000,
-    };
-    let scale: f64 = std::env::var("DIBELLA_BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
-    ((base as f64 * scale) as usize).max(2_000)
+/// Generate (deterministically) the benchmark dataset for a preset, at its
+/// [`DatasetSpec::default_genome_length`], [scaled](scaled_length) and at
+/// least 2 kbp.
+pub fn benchmark_dataset(spec: DatasetSpec, seed: u64) -> SimulatedDataset {
+    spec.generate_with_length(scaled_length(spec.default_genome_length(), 2_000), seed)
 }
 
-/// Generate (deterministically) the benchmark dataset for a preset.
-pub fn benchmark_dataset(spec: DatasetSpec, seed: u64) -> SimulatedDataset {
-    spec.generate_with_length(genome_length_for(spec), seed)
+/// `base` bases times `DIBELLA_BENCH_SCALE` (1 when unset), and at least
+/// `floor`; panics when the scale is not a positive number.
+pub fn scaled_length(base: usize, floor: usize) -> usize {
+    let scale = parse_scale(std::env::var_os("DIBELLA_BENCH_SCALE").as_deref())
+        .unwrap_or_else(|e| panic!("{e}"));
+    ((base as f64 * scale) as usize).max(floor)
+}
+
+/// A `DIBELLA_BENCH_SCALE` value: a finite number above zero, 1 when unset.
+pub fn parse_scale(value: Option<&OsStr>) -> Result<f64, String> {
+    let Some(value) = value else { return Ok(1.0) };
+    value
+        .to_str()
+        .and_then(|s| s.parse::<f64>().ok())
+        .filter(|scale| scale.is_finite() && *scale > 0.0)
+        .ok_or_else(|| format!("DIBELLA_BENCH_SCALE={value:?} is not a positive number"))
+}
+
+/// Which size of workload the record-writing harnesses run, picked by
+/// `DIBELLA_PRESET`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Preset {
+    /// The small smoke workload pull-request CI runs.
+    Fast,
+    /// The workload the committed records hold (the default).
+    Full,
+}
+
+impl Preset {
+    /// The preset `DIBELLA_PRESET` names; panics on a value that is neither
+    /// `fast` nor `full`.
+    pub fn from_env() -> Self {
+        Self::parse(std::env::var_os("DIBELLA_PRESET").as_deref()).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// A `DIBELLA_PRESET` value: `fast` or `full`, [`Preset::Full`] when
+    /// unset.
+    pub fn parse(value: Option<&OsStr>) -> Result<Self, String> {
+        match value.map(OsStr::to_str) {
+            None | Some(Some("full")) => Ok(Preset::Full),
+            Some(Some("fast")) => Ok(Preset::Fast),
+            Some(_) => Err(format!(
+                "DIBELLA_PRESET={:?} is neither fast nor full",
+                value.unwrap_or_default()
+            )),
+        }
+    }
+
+    /// The name the records carry.
+    pub fn name(self) -> &'static str {
+        match self {
+            Preset::Fast => "fast",
+            Preset::Full => "full",
+        }
+    }
+}
+
+/// A value a [`Record`] field can hold, as JSON text.
+pub trait Json {
+    /// The value as JSON, nested lines indented two spaces per level.
+    fn json(&self) -> String;
+}
+
+/// Counts are written as integers, an `f64` as the shortest decimal that
+/// reads back as itself.
+macro_rules! json_numbers {
+    ($($t:ty),*) => {$(
+        impl Json for $t {
+            fn json(&self) -> String {
+                self.to_string()
+            }
+        }
+    )*};
+}
+json_numbers!(u32, u64, usize, f64);
+
+/// A float written with a fixed number of decimals, or `null` when it is not
+/// finite.
+pub struct Fixed(pub f64, pub usize);
+
+impl Json for Fixed {
+    fn json(&self) -> String {
+        let Fixed(value, decimals) = *self;
+        if value.is_finite() { format!("{value:.decimals$}") } else { "null".into() }
+    }
+}
+
+impl Json for &str {
+    fn json(&self) -> String {
+        let escape = |c: char| match c {
+            '"' | '\\' => format!("\\{c}"),
+            c if c.is_control() => format!("\\u{:04x}", c as u32),
+            c => c.to_string(),
+        };
+        format!("\"{}\"", self.chars().map(escape).collect::<String>())
+    }
+}
+
+impl<T: Json> Json for Option<T> {
+    fn json(&self) -> String {
+        self.as_ref().map_or_else(|| "null".into(), Json::json)
+    }
+}
+
+impl Json for Vec<Record> {
+    fn json(&self) -> String {
+        block('[', self.iter().map(Json::json), ']')
+    }
+}
+
+/// `items` one per line between `open` and `close`, indented one level.
+fn block(open: char, items: impl Iterator<Item = String>, close: char) -> String {
+    let items: Vec<String> =
+        items.map(|item| format!("  {}", item.replace('\n', "\n  "))).collect();
+    if items.is_empty() {
+        format!("{open}{close}")
+    } else {
+        format!("{open}\n{}\n{close}", items.join(",\n"))
+    }
+}
+
+/// A machine-readable record (the committed `BENCH_*.json` files): fields
+/// in the order they were added, written as JSON with one field per line.
+#[derive(Default)]
+pub struct Record {
+    fields: Vec<(String, String)>,
+}
+
+impl Record {
+    /// The record with `key: value` appended.
+    pub fn field(mut self, key: &str, value: impl Json) -> Self {
+        self.fields.push((key.json(), value.json()));
+        self
+    }
+}
+
+impl Json for Record {
+    fn json(&self) -> String {
+        block('{', self.fields.iter().map(|(key, value)| format!("{key}: {value}")), '}')
+    }
+}
+
+/// Write `record` as `file_name` into the workspace root, or into
+/// `DIBELLA_RECORD_DIR` when that is set; panics when the file cannot be
+/// written, so a stale committed record never passes for a fresh one.
+pub fn write_record(file_name: &str, record: &Record) {
+    let dir = std::env::var_os("DIBELLA_RECORD_DIR")
+        .map_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."), PathBuf::from);
+    if let Err(e) = write_record_in(&dir, file_name, record) {
+        panic!("could not write {file_name} in {}: {e}", dir.display());
+    }
+    println!("\nwrote {}", dir.join(file_name).display());
+}
+
+/// Write `record` as `dir/file_name`.
+pub fn write_record_in(dir: &Path, file_name: &str, record: &Record) -> io::Result<()> {
+    std::fs::write(dir.join(file_name), record.json() + "\n")
+}
+
+/// Mean wall-clock seconds of `f`: one warm-up call, then samples until the
+/// time budget and at least `min_samples` calls are spent.
+#[expect(clippy::disallowed_methods, reason = "the kernel-throughput records time their kernels")]
+pub fn mean_secs<T>(budget: Duration, min_samples: usize, mut f: impl FnMut() -> T) -> f64 {
+    std::hint::black_box(f());
+    let mut samples = Vec::new();
+    let started = Instant::now();
+    while started.elapsed() < budget || samples.len() < min_samples {
+        let t0 = Instant::now();
+        std::hint::black_box(f());
+        samples.push(t0.elapsed().as_secs_f64());
+    }
+    samples.iter().sum::<f64>() / samples.len() as f64
 }
 
 /// The estimated time to move `words` words and `messages` messages from one
@@ -194,7 +354,81 @@ mod tests {
     fn dataset_presets_generate_at_bench_scale() {
         let ds = benchmark_dataset(DatasetSpec::Tiny, 1);
         assert!(ds.num_reads() > 10);
-        assert_eq!(ds.genome.len(), genome_length_for(DatasetSpec::Tiny));
+        assert_eq!(
+            ds.genome.len(),
+            scaled_length(DatasetSpec::Tiny.default_genome_length(), 2_000)
+        );
+    }
+
+    #[test]
+    fn records_render_as_indented_json_in_field_order() {
+        let record = Record::default()
+            .field("name", "a \"quoted\" \\ name\n")
+            .field("count", 42usize)
+            .field("secs", Fixed(0.123456, 4))
+            .field("density", 0.2)
+            .field("missing", None::<u64>)
+            .field("ratio", Fixed(f64::INFINITY, 2))
+            .field("nested", Record::default().field("k", 15u32))
+            .field("rows", vec![Record::default().field("x", 1u64), Record::default()])
+            .field("empty", Vec::<Record>::new());
+        let expected = r#"{
+  "name": "a \"quoted\" \\ name\u000a",
+  "count": 42,
+  "secs": 0.1235,
+  "density": 0.2,
+  "missing": null,
+  "ratio": null,
+  "nested": {
+    "k": 15
+  },
+  "rows": [
+    {
+      "x": 1
+    },
+    {}
+  ],
+  "empty": []
+}
+"#;
+        assert_eq!(record.json() + "\n", expected);
+    }
+
+    #[test]
+    fn a_record_that_cannot_be_written_is_an_error() {
+        let record = Record::default().field("reads", 1usize);
+        let dir = std::env::temp_dir().join(format!("dibella_record_dir.{}", std::process::id()));
+        assert!(write_record_in(&dir, "BENCH_test.json", &record).is_err());
+
+        std::fs::create_dir_all(&dir).unwrap();
+        let written = write_record_in(&dir, "BENCH_test.json", &record)
+            .and_then(|()| std::fs::read_to_string(dir.join("BENCH_test.json")));
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(written.unwrap(), "{\n  \"reads\": 1\n}\n");
+    }
+
+    #[test]
+    fn presets_are_fast_or_full_and_nothing_else() {
+        let parse = |v: Option<&str>| Preset::parse(v.map(OsStr::new));
+        assert_eq!(parse(None), Ok(Preset::Full));
+        assert_eq!(parse(Some("full")), Ok(Preset::Full));
+        assert_eq!(parse(Some("fast")), Ok(Preset::Fast));
+        for typo in ["bench", "Fast", "fast ", ""] {
+            assert!(parse(Some(typo)).is_err(), "{typo:?} was accepted");
+        }
+        assert_eq!(Preset::Fast.name(), "fast");
+        assert_eq!(Preset::Full.name(), "full");
+    }
+
+    #[test]
+    fn scales_are_positive_numbers() {
+        let parse = |v: Option<&str>| parse_scale(v.map(OsStr::new));
+        assert_eq!(parse(None), Ok(1.0));
+        assert_eq!(parse(Some("0.5")), Ok(0.5));
+        assert_eq!(parse(Some("4")), Ok(4.0));
+        for bad in ["", "x", "0", "-1", "inf", "NaN", "1,5"] {
+            assert!(parse(Some(bad)).is_err(), "{bad:?} was accepted");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::config::{CandidateSource, PipelineConfig};
 use crate::timings::{timed, StageTimings};
-use dibella_dist::{par_ranks, BlockDist, CommPhase, CommSnapshot, CommStats, ProcessGrid};
+use dibella_dist::{BlockDist, CommPhase, CommSnapshot, CommStats, ProcessGrid};
 use dibella_overlap::detect::read_exchange_words;
 use dibella_overlap::{
     account_read_exchange_2d, align_candidates_with, build_a_matrix, detect_candidates_2d_with,
@@ -15,7 +15,7 @@ use dibella_seq::{
 use dibella_sketch::{build_sketch_matrix, SketchStats};
 use dibella_sparse::DistMat2D;
 use dibella_strgraph::{
-    consensus_contig, extract_contigs, n50, transitive_reduction, Contig, ContigConsensus,
+    consensus_contigs, extract_contigs, n50, transitive_reduction, Contig, ContigConsensus,
     TrOutcome,
 };
 use serde::{Deserialize, Serialize};
@@ -269,9 +269,7 @@ fn pipeline_from_table(
         let s_local = tr.string_matrix.to_local_csr();
         let lengths = reads.lengths();
         let contigs = extract_contigs(&s_local, &lengths);
-        let consensus = par_ranks(contigs.len(), |i| {
-            consensus_contig(&contigs[i], &s_local, reads, &config.consensus)
-        });
+        let consensus = consensus_contigs(&contigs, &s_local, reads, &config.consensus);
         (contigs, consensus)
     });
     timings.consensus = t_consensus;

@@ -858,11 +858,16 @@ impl DatasetSpec {
     }
 
     /// Default scaled genome length in bases used by the harnesses.
+    ///
+    /// Sizes chosen so that the dominant cost (pairwise alignment, roughly
+    /// genome length × depth² × band cells) keeps every harness within a few
+    /// minutes on one core while the higher-depth datasets stay the harder
+    /// ones.
     pub fn default_genome_length(&self) -> usize {
         match self {
-            DatasetSpec::EColiLike => 200_000,
-            DatasetSpec::CElegansLike => 300_000,
-            DatasetSpec::HSapiensLike => 400_000,
+            DatasetSpec::EColiLike => 60_000,
+            DatasetSpec::CElegansLike => 50_000,
+            DatasetSpec::HSapiensLike => 150_000,
             DatasetSpec::Small => 60_000,
             DatasetSpec::Tiny => 4_000,
         }

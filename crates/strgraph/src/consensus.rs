@@ -47,6 +47,7 @@ use crate::contigs::Contig;
 use dibella_align::{banded_fit, AlnOp, Band, FitScratch, ScoringScheme};
 use dibella_overlap::OverlapEdge;
 use dibella_seq::{DnaSeq, ReadSet};
+use dibella_dist::par_ranks;
 use dibella_sparse::CsrMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -522,17 +523,16 @@ pub fn consensus_contig(
     }
 }
 
-/// Build the consensus of every contig layout, in layout order.
-///
-/// This is the serial kernel; the pipeline parallelises the loop per contig
-/// on the work-stealing pool (see `dibella_pipeline::run2d`).
+/// Build the consensus of every contig layout, one contig per task on the
+/// work-stealing pool, returned in layout order (so the result does not
+/// depend on the thread count).
 pub fn consensus_contigs(
     contigs: &[Contig],
     s: &CsrMatrix<OverlapEdge>,
     reads: &ReadSet,
     config: &ConsensusConfig,
 ) -> Vec<ContigConsensus> {
-    contigs.iter().map(|c| consensus_contig(c, s, reads, config)).collect()
+    par_ranks(contigs.len(), |i| consensus_contig(&contigs[i], s, reads, config))
 }
 
 #[cfg(test)]
