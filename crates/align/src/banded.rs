@@ -8,12 +8,11 @@
 //! `lanes.rs`, like the x-drop kernel of [`crate::vector`], and keeps each
 //! row's band as `i16` words instead.  [`banded_fit`] runs the lane kernel on
 //! the widest word the host has, and the scalar one only where the lane one
-//! cannot be exact: a scoring scheme outside [`vector_eligible`], or a fit
-//! whose live cells spread wider than the `i16` box.  The two return
-//! bit-identical [`BandedFit`]s and operations.
+//! cannot be exact: a fit whose live cells spread wider than the `i16` box.
+//! The two return bit-identical [`BandedFit`]s and operations.
 //!
 //! The lane kernel's row is the x-drop word loop: the diagonal shift, a
-//! substitution-table add, the `up + gap` max, the in-word scan and the
+//! substitution-table add, the `up + GAP` max, the in-word scan and the
 //! cross-word carry.  What differs:
 //!
 //! * **The band is geometric.**  Row `i` spans the columns `lo..=hi` the
@@ -22,24 +21,26 @@
 //!   last word masks the lanes right of `hi` after it.
 //! * **Dead is a threshold.**  A lane below `DEAD16` is re-pinned to
 //!   `NEG16`, where the scalar kernel tests `score < DEAD`.  A lane with
-//!   only dead sources reaches at most `NEG16 + 63`, far below.
+//!   only dead sources reaches at most `NEG16 + MATCH`, far below.
 //! * **The box is checked, not assumed.**  Scores are relative to a per-row
 //!   base rebased like [`crate::vector`]'s (`REBASE_AT`).  A live cell more
-//!   than about 8 000 below the row's base would fall between `NEG16 + 63`
-//!   and `DEAD16`; two ops per word fold any such lane into one per-row test,
-//!   and a row that fails it hands the whole fit to the scalar kernel.
+//!   than about 8 000 below the row's base would fall between
+//!   `NEG16 + MATCH` and `DEAD16`; two ops per word fold any such lane into
+//!   one per-row test, and a row that fails it hands the whole fit to the
+//!   scalar kernel.  Only a ribbon some 4 100 columns wide and as many rows
+//!   deep spreads that far.
 //! * **No direction bytes.**  The traceback reads each step's direction off
 //!   the stored scores with the scalar kernel's tie rule (strict `>` in the
 //!   order diagonal, up, left): DIAG if `s == diag + sub`, else UP if
-//!   `s == up + gap`, else LEFT.  One compare of a splatted score against the
+//!   `s == up + GAP`, else LEFT.  One compare of a splatted score against the
 //!   neighbour's word answers each question.
 
 #[cfg(target_arch = "x86_64")]
 use crate::batch::WideWord;
 use crate::batch::Word;
-use crate::lanes::Lanes;
-use crate::scoring::ScoringScheme;
-use crate::vector::{vector_eligible, NEG16, REBASE_AT};
+use crate::lanes::{Lanes, GAP16, MATCH16, MISMATCH16};
+use crate::scoring::{GAP, MATCH, MISMATCH};
+use crate::vector::{NEG16, REBASE_AT};
 
 /// One traceback operation of a fit, in window coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,12 +155,12 @@ const DEAD: i32 = NEG / 2;
 
 /// A lane below this is dead, the lane kernel's twin of [`DEAD`].
 const DEAD16: i16 = NEG16 / 2;
-/// `v + BOX_BIAS` (wrapping) moves the lanes strictly between `NEG16 + 63`
-/// (the most a cell with only dead sources scores) and [`DEAD16`] — live cells
-/// that left the `i16` box — above [`OUT_OF_BOX`], and every other lane the
-/// kernel can produce below it.
+/// `v + BOX_BIAS` (wrapping) moves the lanes strictly between
+/// `NEG16 + MATCH` (the most a cell with only dead sources scores) and
+/// [`DEAD16`] — live cells that left the `i16` box — above [`OUT_OF_BOX`], and
+/// every other lane the kernel can produce below it.
 const BOX_BIAS: i16 = i16::MAX.wrapping_sub(DEAD16).wrapping_add(1);
-const OUT_OF_BOX: i16 = (NEG16 + 63).wrapping_add(BOX_BIAS);
+const OUT_OF_BOX: i16 = (NEG16 + MATCH16).wrapping_add(BOX_BIAS);
 
 // Traceback directions of the scalar kernel, one byte per banded cell.
 const STOP: u8 = 0;
@@ -182,14 +183,9 @@ pub fn banded_fit(
     window: &[u8],
     offset: usize,
     band: Band,
-    scoring: ScoringScheme,
 ) -> BandedFit {
-    if vector_eligible(scoring, 0) {
-        if let Some(fit) = lane_fit(scratch, read, window, offset, band, scoring) {
-            return fit;
-        }
-    }
-    banded_fit_scalar(scratch, read, window, offset, band, scoring)
+    lane_fit(scratch, read, window, offset, band)
+        .unwrap_or_else(|| banded_fit_scalar(scratch, read, window, offset, band))
 }
 
 /// The lane kernel on the host's widest word.
@@ -199,14 +195,13 @@ fn lane_fit(
     window: &[u8],
     offset: usize,
     band: Band,
-    scoring: ScoringScheme,
 ) -> Option<BandedFit> {
     let ops = &mut scratch.ops;
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") {
-        return WideWord::fit(&mut scratch.lanes_wide, ops, read, window, offset, band, scoring);
+        return WideWord::fit(&mut scratch.lanes_wide, ops, read, window, offset, band);
     }
-    Word::fit(&mut scratch.lanes, ops, read, window, offset, band, scoring)
+    Word::fit(&mut scratch.lanes, ops, read, window, offset, band)
 }
 
 /// The scalar kernel: the fallback of [`banded_fit`] and the oracle its lane
@@ -217,7 +212,6 @@ pub(crate) fn banded_fit_scalar(
     window: &[u8],
     offset: usize,
     band: Band,
-    scoring: ScoringScheme,
 ) -> BandedFit {
     let FitScratch { ops, scalar: ScalarScratch { prev, cur, dirs, rows }, .. } = scratch;
     ops.clear();
@@ -279,7 +273,7 @@ pub(crate) fn banded_fit_scalar(
         let mut left = NEG;
         if lo == 0 {
             // Column 0 has no window base: only "up" reaches it.
-            let up = prev[1] + scoring.gap;
+            let up = prev[1] + GAP;
             if up > DEAD {
                 left = up;
                 cur[1] = up;
@@ -293,14 +287,14 @@ pub(crate) fn banded_fit_scalar(
         let outputs = cur[first - lo + 1..][..n].iter_mut().zip(&mut dirs[row_dirs + first - lo..]);
         for (((&diag, &up), &w), (out, dir_out)) in sources.zip(&window[first - 1..hi]).zip(outputs) {
             // Ties keep the earlier of diagonal, up, left.
-            let mut score = diag + if r == w { scoring.match_score } else { scoring.mismatch };
+            let mut score = diag + if r == w { MATCH } else { MISMATCH };
             let mut dir = DIAG;
-            if up + scoring.gap > score {
-                score = up + scoring.gap;
+            if up + GAP > score {
+                score = up + GAP;
                 dir = UP;
             }
-            if left + scoring.gap > score {
-                score = left + scoring.gap;
+            if left + GAP > score {
+                score = left + GAP;
                 dir = LEFT;
             }
             if score < DEAD {
@@ -380,8 +374,7 @@ pub(crate) fn banded_fit_scalar(
 }
 
 /// The lane kernel on word `L`: [`banded_fit_scalar`]'s result, or `None`
-/// when a live cell left the `i16` box.  The caller must check
-/// [`vector_eligible`] first.
+/// when a live cell left the `i16` box.
 #[inline(always)]
 pub(crate) fn banded_fit_lanes<L: Lanes>(
     scratch: &mut LaneScratch<L>,
@@ -390,9 +383,7 @@ pub(crate) fn banded_fit_lanes<L: Lanes>(
     window: &[u8],
     offset: usize,
     band: Band,
-    scoring: ScoringScheme,
 ) -> Option<BandedFit> {
-    debug_assert!(vector_eligible(scoring, 0));
     ops.clear();
     let (rn, wn, n) = (read.len(), window.len(), L::N);
     if rn == 0 || wn == 0 {
@@ -420,13 +411,11 @@ pub(crate) fn banded_fit_lanes<L: Lanes>(
     rows.clear();
     rows.reserve(rn + 1);
 
-    let gap = scoring.gap as i16;
-    let gap1 = L::splat(gap);
-    let match16 = L::splat(scoring.match_score as i16);
-    let mism16 = L::splat(scoring.mismatch as i16);
+    let gap1 = L::splat(GAP16);
+    let (match16, mism16) = (L::splat(MATCH16), L::splat(MISMATCH16));
     // Cross-word scan carry, as in the x-drop kernel.
-    let ramp = L::from_fn(|t| ((t as i32 + 1) * scoring.gap) as i16);
-    let word_gap = L::splat((n as i32 * scoring.gap) as i16);
+    let ramp = L::from_fn(|t| (t as i16 + 1) * GAP16);
+    let word_gap = L::splat(n as i16 * GAP16);
     let lane_ids = L::from_fn(|t| t as i16);
     let (zero, dead, box_bias) = (L::splat(0), L::splat(DEAD16), L::splat(BOX_BIAS));
 
@@ -488,7 +477,7 @@ pub(crate) fn banded_fit_lanes<L: Lanes>(
         let pm1 = if ws > pws { prev[ws - 1 - pws] } else { negv };
         let left_of_lo = lane_ids.lt_mask(L::splat((lo - ws * n) as i16));
         let tmp = p.shift_in(pm1).add(subs[0][ai]).vmax(p.add(gap1));
-        let s = left_of_lo.select(negv, tmp).scan(gap);
+        let s = left_of_lo.select(negv, tmp).scan();
         let mut carry = s.broadcast_last();
         let mut outside = s.add(box_bias);
         let mut word = s.lt_mask(dead).select(negv, s);
@@ -502,7 +491,7 @@ pub(crate) fn banded_fit_lanes<L: Lanes>(
             rowmax = rowmax.vmax(word);
             let tmp = p.shift_in(pm1).add(sub_w[ai]).vmax(p.add(gap1));
             pm1 = p;
-            let s = tmp.scan(gap);
+            let s = tmp.scan();
             let v = s.vmax(carry.add(ramp));
             carry = s.broadcast_last().vmax(carry.add(word_gap));
             outside = outside.vmax(v.add(box_bias));
@@ -573,7 +562,7 @@ pub(crate) fn banded_fit_lanes<L: Lanes>(
         let r = read[i - 1];
         if j > 0 {
             let same = r == window[j - 1];
-            let sub = if same { scoring.match_score } else { scoring.mismatch };
+            let sub = if same { MATCH } else { MISMATCH };
             if holds(words, above, j - 1, score - sub) {
                 ops.push(if same { AlnOp::Match(j - 1) } else { AlnOp::Sub(j - 1, r) });
                 matches += usize::from(same);
@@ -581,14 +570,14 @@ pub(crate) fn banded_fit_lanes<L: Lanes>(
                 continue;
             }
         }
-        if holds(words, above, j, score - scoring.gap) {
+        if holds(words, above, j, score - GAP) {
             ops.push(AlnOp::Ins(r));
             i -= 1;
         } else {
             ops.push(AlnOp::Del(j - 1));
             j -= 1;
         }
-        score -= scoring.gap;
+        score -= GAP;
     }
     ops.reverse();
     Some(BandedFit {
@@ -629,9 +618,9 @@ mod tests {
     }
 
     /// The scalar fit and its operations, on a fresh scratch.
-    fn scalar(read: &[u8], window: &[u8], offset: usize, band: Band, scoring: ScoringScheme) -> (BandedFit, Vec<AlnOp>) {
+    fn scalar(read: &[u8], window: &[u8], offset: usize, band: Band) -> (BandedFit, Vec<AlnOp>) {
         let mut scratch = FitScratch::default();
-        let fit = banded_fit_scalar(&mut scratch, read, window, offset, band, scoring);
+        let fit = banded_fit_scalar(&mut scratch, read, window, offset, band);
         (fit, scratch.ops)
     }
 
@@ -643,13 +632,13 @@ mod tests {
         window: &[u8],
         offset: usize,
         band: Band,
-        scoring: ScoringScheme,
-    ) {
+    ) -> BandedFit {
         let mut ops = Vec::new();
-        let got = L::fit(scratch, &mut ops, read, window, offset, band, scoring);
-        let (want, want_ops) = scalar(read, window, offset, band, scoring);
-        assert_eq!(got, Some(want), "{}, {band:?}, {scoring:?}", L::NAME);
-        assert_eq!(ops, want_ops, "{}, {band:?}, {scoring:?}", L::NAME);
+        let got = L::fit(scratch, &mut ops, read, window, offset, band);
+        let (want, want_ops) = scalar(read, window, offset, band);
+        assert_eq!(got, Some(want), "{}, {band:?}", L::NAME);
+        assert_eq!(ops, want_ops, "{}, {band:?}", L::NAME);
+        want
     }
 
     /// A read/window pair for the kernel: the read is either unrelated to the
@@ -671,38 +660,30 @@ mod tests {
         (read.codes().to_vec(), window.codes().to_vec(), offset, band)
     }
 
-    /// One `kernel_case` pair under both band kinds, with the default scheme
-    /// and a random eligible one; one scratch serves all four fits, so state
-    /// left by one fit must never leak into the next.
+    /// Two `kernel_case` pairs under both band kinds; one scratch serves all
+    /// four fits, so state left by one fit must never leak into the next.
     fn kernel_cases_match_scalar<L: Lanes>(seed: u64) {
-        let (read, window, offset, half_width) = kernel_case(seed);
         let mut rng = SmallRng::seed_from_u64(seed ^ 4);
-        let random = ScoringScheme {
-            match_score: rng.gen_range(1..8),
-            mismatch: rng.gen_range(-8..=0),
-            gap: rng.gen_range(-8..=-1),
-        };
         let scratch = &mut LaneScratch::<L>::default();
-        for scoring in [ScoringScheme::default(), random] {
+        for case in [seed, seed ^ 5] {
+            let (read, window, offset, half_width) = kernel_case(case);
             for tracked in [None, Some(rng.gen_range(0..40))] {
-                check(scratch, &read, &window, offset, Band { half_width, tracked }, scoring);
+                check(scratch, &read, &window, offset, Band { half_width, tracked });
             }
         }
     }
 
-    /// A 9 kb read at 1% error scores past `REBASE_AT` twice (five times at
-    /// match 5), on the tracked band and on a 129-column ribbon.
+    /// A 9 kb read at 1% error scores past `REBASE_AT` twice, on the tracked
+    /// band and on a 129-column ribbon.
     fn long_fits_cross_the_rebase<L: Lanes>() {
         let mut rng = SmallRng::seed_from_u64(31);
         let window = random_seq(9_000, 32);
         let read = apply_errors(&window, 0.01, &mut rng);
         let scratch = &mut LaneScratch::<L>::default();
-        let heavy = ScoringScheme { match_score: 5, mismatch: -4, gap: -3 };
-        for scoring in [ScoringScheme::default(), heavy] {
-            for tracked in [Some(32), None] {
-                let band = Band { half_width: 64, tracked };
-                check(scratch, read.codes(), window.codes(), 0, band, scoring);
-            }
+        for tracked in [Some(32), None] {
+            let band = Band { half_width: 64, tracked };
+            let fit = check(scratch, read.codes(), window.codes(), 0, band);
+            assert!(fit.score > 2 * REBASE_AT, "{fit:?}");
         }
     }
 
@@ -711,31 +692,29 @@ mod tests {
         for_every_lane_word!(long_fits_cross_the_rebase());
     }
 
-    /// At ±63 a row of a 401-column ribbon spans ~25 000: no `i16` lane box
-    /// holds it.
-    fn leaves_the_box<L: Lanes>(read: &[u8], window: &[u8], band: Band, scoring: ScoringScheme) {
-        let fit = L::fit(&mut LaneScratch::default(), &mut Vec::new(), read, window, 0, band, scoring);
-        assert_eq!(fit, None, "{}", L::NAME);
-    }
-
+    /// An exact match on a ribbon as wide as the read: column 0, reached by
+    /// insertions alone, scores `-i` in row `i` while the diagonal scores
+    /// `i`, so by row 4 098 it lies past `DEAD16` below the row's base.  The
+    /// lane kernel gives up, and the dispatcher runs the scalar one (whose
+    /// buffers grow only when it runs).
     #[test]
     fn the_dispatcher_returns_the_scalar_fit_where_the_lanes_cannot_be_exact() {
-        let mut rng = SmallRng::seed_from_u64(33);
-        let window = random_seq(300, 34);
-        let read = apply_errors(&window, 0.05, &mut rng);
-        let (read, window) = (read.codes(), window.codes());
-        let band = Band { half_width: 200, tracked: None };
-        let steep = ScoringScheme { match_score: 63, mismatch: -63, gap: -63 };
-        assert!(vector_eligible(steep, 0));
-        for_every_lane_word!(leaves_the_box(read, window, band, steep));
-        // ... and a scheme the lanes do not take at all.
-        let flat_gap = ScoringScheme { gap: 0, ..ScoringScheme::default() };
-        assert!(!vector_eligible(flat_gap, 0));
-        for scoring in [steep, flat_gap] {
-            let mut scratch = FitScratch::default();
-            let fit = banded_fit(&mut scratch, read, window, 0, band, scoring);
-            assert!(fit.matches > 250, "{scoring:?}: {fit:?}");
-            assert_eq!((fit, scratch.ops), scalar(read, window, 0, band, scoring));
+        let seq = random_seq(4_200, 34);
+        let (seq, band) = (seq.codes(), Band { half_width: seq.len(), tracked: None });
+        let mut scratch = FitScratch::default();
+        let fit = banded_fit(&mut scratch, seq, seq, 0, band);
+        assert!(!scratch.scalar.dirs.is_empty(), "the scalar kernel ran");
+        assert_eq!((fit.score, fit.matches, fit.columns), (4_200, 4_200, 4_200));
+        assert!(scratch.ops.iter().enumerate().all(|(k, &op)| op == AlnOp::Match(k)));
+    }
+
+    /// The box test flags exactly the lanes between the most a dead-sourced
+    /// cell scores and `DEAD16`.
+    #[test]
+    fn the_box_test_flags_exactly_the_live_cells_below_dead16() {
+        for v in i16::MIN..=i16::MAX {
+            let flagged = v.wrapping_add(BOX_BIAS) > OUT_OF_BOX;
+            assert_eq!(flagged, NEG16 + MATCH16 < v && v < DEAD16, "lane {v}");
         }
     }
 

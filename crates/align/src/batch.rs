@@ -9,10 +9,10 @@
 //! buffers, the steady state allocates **nothing** per alignment (pinned by
 //! the `alloc_steady_state` integration test of this crate).
 //!
-//! Dispatch: [`ExtendEngine::Auto`] runs the lane-packed vector kernel
-//! ([`crate::vector`]) whenever [`vector_eligible`] accepts the scoring
-//! scheme, else (and under [`ExtendEngine::Scalar`]) the scalar oracle.  The
-//! kernel's lane word is the widest the host has ([`vector_kernel`]):
+//! Dispatch is on the engine alone: [`ExtendEngine::Auto`] runs the
+//! lane-packed vector kernel ([`crate::vector`]), [`ExtendEngine::Scalar`]
+//! the scalar oracle.  The kernel's lane word is the widest the host has
+//! ([`vector_kernel`]):
 //! `__m256i` on an x86-64 CPU that reports AVX2 (asked per call — a cached
 //! flag), else `__m128i`; `[i16; 8]` on every other target.  All of them
 //! produce bit-identical [`ExtendResult`]s and counters, so neither the
@@ -20,8 +20,8 @@
 
 use crate::classify::PairAlignment;
 use crate::lanes::Lanes;
-use crate::scoring::{AlignmentConfig, ScoringScheme};
-use crate::vector::{vector_eligible, VectorScratch};
+use crate::scoring::{AlignmentConfig, MATCH};
+use crate::vector::VectorScratch;
 use crate::xdrop::{xdrop_extend_with, ExtendCounters, ExtendResult, XdropScratch};
 use dibella_seq::Strand;
 
@@ -49,7 +49,8 @@ pub fn vector_kernel() -> &'static str {
 /// Which extension kernel the batched engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExtendEngine {
-    /// Vector kernel when the scoring scheme is eligible, scalar otherwise.
+    /// The vector kernel on the host's widest lane word; it panics on an
+    /// x-drop outside `0..=`[`MAX_XDROP`](crate::vector::MAX_XDROP).
     #[default]
     Auto,
     /// Always the scalar oracle (the reference / bench comparison path).
@@ -86,22 +87,24 @@ impl AlignScratch {
 pub fn xdrop_extend_auto(
     a: &[u8],
     b: &[u8],
-    scoring: ScoringScheme,
     xdrop: i32,
     engine: ExtendEngine,
     scratch: &mut AlignScratch,
 ) -> ExtendResult {
-    if engine == ExtendEngine::Auto && vector_eligible(scoring, xdrop) {
-        scratch.simd_calls += 1;
-        let counters = &mut scratch.counters;
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            return WideWord::extend(a, b, scoring, xdrop, &mut scratch.vector_wide, counters);
+    let counters = &mut scratch.counters;
+    match engine {
+        ExtendEngine::Auto => {
+            scratch.simd_calls += 1;
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx2") {
+                return WideWord::extend(a, b, xdrop, &mut scratch.vector_wide, counters);
+            }
+            Word::extend(a, b, xdrop, &mut scratch.vector, counters)
         }
-        Word::extend(a, b, scoring, xdrop, &mut scratch.vector, counters)
-    } else {
-        scratch.scalar_calls += 1;
-        xdrop_extend_with(a, b, scoring, xdrop, &mut scratch.xdrop, &mut scratch.counters)
+        ExtendEngine::Scalar => {
+            scratch.scalar_calls += 1;
+            xdrop_extend_with(a, b, xdrop, &mut scratch.xdrop, counters)
+        }
     }
 }
 
@@ -129,17 +132,9 @@ pub fn align_seed_pair_with(
 ) -> PairAlignment {
     assert!(seed_v + k <= v.len(), "seed exceeds read v");
     assert!(seed_h + k <= h_oriented.len(), "seed exceeds read h");
-    let scoring = config.scoring;
 
     // Right extension over the suffixes beyond the seed.
-    let right = xdrop_extend_auto(
-        &v[seed_v + k..],
-        &h_oriented[seed_h + k..],
-        scoring,
-        config.xdrop,
-        engine,
-        scratch,
-    );
+    let right = xdrop_extend_auto(&v[seed_v + k..], &h_oriented[seed_h + k..], config.xdrop, engine, scratch);
 
     // Left extension over the reversed prefixes before the seed, built into
     // the reusable buffers (cleared, not reallocated), which leave the
@@ -150,11 +145,11 @@ pub fn align_seed_pair_with(
     rev_a.extend(v[..seed_v].iter().rev().copied());
     rev_b.clear();
     rev_b.extend(h_oriented[..seed_h].iter().rev().copied());
-    let left = xdrop_extend_auto(&rev_a, &rev_b, scoring, config.xdrop, engine, scratch);
+    let left = xdrop_extend_auto(&rev_a, &rev_b, config.xdrop, engine, scratch);
     scratch.rev_a = rev_a;
     scratch.rev_b = rev_b;
 
-    let score = left.score + right.score + (k as i32) * scoring.match_score;
+    let score = left.score + right.score + (k as i32) * MATCH;
     PairAlignment {
         score,
         beg_v: seed_v - left.ext_a,
@@ -230,19 +225,14 @@ mod tests {
     }
 
     #[test]
-    fn engine_dispatch_falls_back_on_ineligible_schemes() {
+    fn engine_dispatch_counts_each_kernel() {
         let a: Vec<u8> = vec![0, 1, 2, 3, 0, 1, 2, 3];
         let mut scratch = AlignScratch::new();
-        // Default scheme: vector-eligible.
-        let _ = xdrop_extend_auto(&a, &a, ScoringScheme::default(), 10, ExtendEngine::Auto, &mut scratch);
+        let _ = xdrop_extend_auto(&a, &a, 10, ExtendEngine::Auto, &mut scratch);
         assert_eq!((scratch.simd_calls, scratch.scalar_calls), (1, 0));
-        // Zero gap penalty: outside the vector exactness box -> scalar.
-        let weird = ScoringScheme { match_score: 1, mismatch: -1, gap: 0 };
-        let _ = xdrop_extend_auto(&a, &a, weird, 10, ExtendEngine::Auto, &mut scratch);
+        let _ = xdrop_extend_auto(&a, &a, 10, ExtendEngine::Scalar, &mut scratch);
         assert_eq!((scratch.simd_calls, scratch.scalar_calls), (1, 1));
-        // Forced scalar.
-        let _ = xdrop_extend_auto(&a, &a, ScoringScheme::default(), 10, ExtendEngine::Scalar, &mut scratch);
-        assert_eq!((scratch.simd_calls, scratch.scalar_calls), (1, 2));
+        assert_eq!(scratch.counters.calls, 2);
     }
 
     /// One seed-pair alignment on a cold scratch.

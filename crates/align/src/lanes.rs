@@ -12,12 +12,19 @@
 //! method of the same width on random lanes, op by op.
 //!
 //! All arithmetic is wrapping and lane-wise; masks are lanes of all-ones
-//! (`-1`) or zero.
+//! (`-1`) or zero.  The kernels score with the crate's one scheme
+//! ([`crate::scoring`]), so the gap, its ramps and the substitution scores
+//! are lane constants, not per-call splats.
 
 use crate::banded::{banded_fit_lanes, AlnOp, Band, BandedFit, LaneScratch};
-use crate::scoring::ScoringScheme;
+use crate::scoring::{GAP, MATCH, MISMATCH};
 use crate::vector::{xdrop_extend_vector, VectorScratch, NEG16};
 use crate::xdrop::{ExtendCounters, ExtendResult};
+
+/// The scoring scheme in lane arithmetic.
+pub(crate) const MATCH16: i16 = MATCH as i16;
+pub(crate) const MISMATCH16: i16 = MISMATCH as i16;
+pub(crate) const GAP16: i16 = GAP as i16;
 
 /// `N` lane-packed `i16` DP cells.
 pub(crate) trait Lanes: Copy {
@@ -44,13 +51,13 @@ pub(crate) trait Lanes: Copy {
     /// Every lane moved up by one, lane 0 taking the last lane of `below`:
     /// column `j - 1` of a row, in the lanes of column `j`.
     fn shift_in(self, below: Self) -> Self;
-    /// In-word max-plus prefix scan, `run[t] = max(self[t], run[t-1] + gap)`
-    /// with `run[-1]` = [`NEG16`], for lanes inside the kernel's value box
-    /// `[NEG16 + gap, 4096 + 63]` (there nothing wraps and `run[-1]` never
-    /// wins).  Outside the box the words differ: the array and SSE2 words
-    /// take log₂ `N` wrapping shift-add-max steps that move the sentinel into
-    /// the vacated lanes, the AVX2 word an unsigned prefix max.
-    fn scan(self, gap: i16) -> Self;
+    /// In-word max-plus prefix scan, `run[t] = max(self[t], run[t-1] + GAP)`
+    /// with `run[-1]` = [`NEG16`], for lanes inside the kernels' value box
+    /// `[NEG16 + GAP, REBASE_AT + MATCH]` (there nothing wraps and `run[-1]`
+    /// never wins).  Outside the box the words differ: the array and SSE2
+    /// words take log₂ `N` wrapping shift-add-max steps that move the
+    /// sentinel into the vacated lanes, the AVX2 word an unsigned prefix max.
+    fn scan(self) -> Self;
     /// [`Lanes::STRIDE`] set bits per lane that differs from `o`, lane 0 lowest.
     fn ne_bits(self, o: Self) -> u32;
     /// The largest lane.
@@ -62,12 +69,11 @@ pub(crate) trait Lanes: Copy {
     fn extend(
         a: &[u8],
         b: &[u8],
-        scoring: ScoringScheme,
         xdrop: i32,
         scratch: &mut VectorScratch<Self>,
         counters: &mut ExtendCounters,
     ) -> ExtendResult {
-        xdrop_extend_vector(a, b, scoring, xdrop, scratch, counters)
+        xdrop_extend_vector(a, b, xdrop, scratch, counters)
     }
     /// [`banded_fit_lanes`] on this word, entered the way
     /// [`crate::banded::banded_fit`] enters it.
@@ -78,9 +84,8 @@ pub(crate) trait Lanes: Copy {
         window: &[u8],
         offset: usize,
         band: Band,
-        scoring: ScoringScheme,
     ) -> Option<BandedFit> {
-        banded_fit_lanes(scratch, ops, read, window, offset, band, scoring)
+        banded_fit_lanes(scratch, ops, read, window, offset, band)
     }
 }
 
@@ -116,11 +121,11 @@ impl<const N: usize> Lanes for [i16; N] {
     fn shift_in(self, below: Self) -> Self {
         std::array::from_fn(|t| if t == 0 { below[N - 1] } else { self[t - 1] })
     }
-    fn scan(self, gap: i16) -> Self {
+    fn scan(self) -> Self {
         let mut v = self;
         let mut step = 1;
         while step < N {
-            let g = gap.wrapping_mul(step as i16);
+            let g = GAP16.wrapping_mul(step as i16);
             let from = |t: usize| if t >= step { v[t - step] } else { NEG16 };
             v = std::array::from_fn(|t| v[t].max(from(t).wrapping_add(g)));
             step *= 2;
@@ -187,9 +192,9 @@ mod x86 {
             unsafe { _mm_or_si128(_mm_slli_si128::<2>(self), _mm_srli_si128::<14>(below)) }
         }
         #[inline(always)]
-        fn scan(self, gap: i16) -> Self {
+        fn scan(self) -> Self {
             let neg = Self::splat(NEG16);
-            let gaps = |steps: i16| Self::splat(gap.wrapping_mul(steps));
+            let gaps = |steps: i16| Self::splat(GAP16 * steps);
             unsafe {
                 let s1 = _mm_or_si128(_mm_slli_si128::<2>(self), _mm_srli_si128::<14>(neg));
                 let v = _mm_max_epi16(self, _mm_add_epi16(s1, gaps(1)));
@@ -270,14 +275,14 @@ mod x86 {
             }
         }
         #[inline(always)]
-        fn scan(self, gap: i16) -> Self {
-            // run[t] − t·gap is the prefix max of x[k] − k·gap.  Flipping the
+        fn scan(self) -> Self {
+            // run[t] − t·GAP is the prefix max of x[k] − k·GAP.  Flipping the
             // sign bit makes that an *unsigned* max, whose identity is the
-            // zero a byte shift moves in — no sentinel fill.  `x − k·gap`
+            // zero a byte shift moves in — no sentinel fill.  `x − k·GAP`
             // does not wrap inside the value box; outside it this is not the
             // wrapping form of the other words.
-            let bias = Self::from_fn(|k| i16::MIN.wrapping_sub(gap.wrapping_mul(k as i16)));
-            let unbias = Self::from_fn(|t| i16::MIN.wrapping_add(gap.wrapping_mul(t as i16)));
+            let bias = Self::from_fn(|k| i16::MIN.wrapping_sub(GAP16 * k as i16));
+            let unbias = Self::from_fn(|t| i16::MIN.wrapping_add(GAP16 * t as i16));
             unsafe {
                 let v = _mm256_add_epi16(self, bias);
                 let v = _mm256_max_epu16(v, _mm256_slli_si256::<2>(v));
@@ -309,7 +314,6 @@ mod x86 {
         fn extend(
             a: &[u8],
             b: &[u8],
-            scoring: ScoringScheme,
             xdrop: i32,
             scratch: &mut VectorScratch<Self>,
             counters: &mut ExtendCounters,
@@ -320,16 +324,15 @@ mod x86 {
             fn entry(
                 a: &[u8],
                 b: &[u8],
-                scoring: ScoringScheme,
                 xdrop: i32,
                 scratch: &mut VectorScratch<__m256i>,
                 counters: &mut ExtendCounters,
             ) -> ExtendResult {
-                xdrop_extend_vector(a, b, scoring, xdrop, scratch, counters)
+                xdrop_extend_vector(a, b, xdrop, scratch, counters)
             }
             assert!(is_x86_feature_detected!("avx2"), "the AVX2 word on a CPU without AVX2");
             // SAFETY: the CPU was just seen to support AVX2.
-            unsafe { entry(a, b, scoring, xdrop, scratch, counters) }
+            unsafe { entry(a, b, xdrop, scratch, counters) }
         }
         fn fit(
             scratch: &mut LaneScratch<Self>,
@@ -338,7 +341,6 @@ mod x86 {
             window: &[u8],
             offset: usize,
             band: Band,
-            scoring: ScoringScheme,
         ) -> Option<BandedFit> {
             // As in `extend`: the kernel inlines into this instantiation.
             #[target_feature(enable = "avx2")]
@@ -349,19 +351,19 @@ mod x86 {
                 window: &[u8],
                 offset: usize,
                 band: Band,
-                scoring: ScoringScheme,
             ) -> Option<BandedFit> {
-                banded_fit_lanes(scratch, ops, read, window, offset, band, scoring)
+                banded_fit_lanes(scratch, ops, read, window, offset, band)
             }
             assert!(is_x86_feature_detected!("avx2"), "the AVX2 word on a CPU without AVX2");
             // SAFETY: the CPU was just seen to support AVX2.
-            unsafe { entry(scratch, ops, read, window, offset, band, scoring) }
+            unsafe { entry(scratch, ops, read, window, offset, band) }
         }
     }
 
     #[cfg(test)]
     mod tests {
         use super::*;
+        use crate::vector::REBASE_AT;
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
 
@@ -416,20 +418,19 @@ mod x86 {
                 assert_eq!(lanes(V::splat(x[0])), <[i16; N]>::splat(x[0]));
                 let mask = random(&mut rng, i16::MIN, i16::MAX).lt_mask([0; N]);
                 assert_eq!(lanes(load(mask).select(vx, vy)), mask.select(x, y));
-                let gap = -1 - (round % 63) as i16;
                 if scan_wraps {
-                    assert_eq!(lanes(vx.scan(gap)), x.scan(gap));
+                    assert_eq!(lanes(vx.scan()), x.scan());
                 }
-                // Inside the kernel's value box nothing wraps, and every
+                // Inside the kernels' value box nothing wraps, and every
                 // form of the scan is the left-to-right recurrence.
-                let boxed: [i16; N] = random(&mut rng, NEG16 + gap, 4096 + 63);
+                let boxed: [i16; N] = random(&mut rng, NEG16 + GAP16, REBASE_AT as i16 + MATCH16);
                 let mut carry = NEG16;
                 let run = boxed.map(|v| {
-                    carry = v.max(carry + gap);
+                    carry = v.max(carry + GAP16);
                     carry
                 });
-                assert_eq!(boxed.scan(gap), run);
-                assert_eq!(lanes(load(boxed).scan(gap)), run);
+                assert_eq!(boxed.scan(), run);
+                assert_eq!(lanes(load(boxed).scan()), run);
             }
         }
 

@@ -14,14 +14,19 @@
 //! word of `i16` DP cells — sixteen in a `__m256i` on an x86-64 CPU that
 //! reports AVX2, eight in a `__m128i` (SSE2) on any other x86-64, eight in a
 //! plain `[i16; 8]` everywhere else (`lanes.rs`).  The batched engine
-//! ([`batch`]) dispatches per scoring scheme with per-worker reusable
-//! scratch and picks the host's word ([`vector_kernel`]); the kernels are
-//! bit-identical wherever the `i16` value-range guards
-//! ([`vector_eligible`]) hold.
+//! ([`batch`]) runs the one its [`ExtendEngine`] names, with per-worker
+//! reusable scratch, on the host's word ([`vector_kernel`]); the kernels are
+//! bit-identical for every x-drop in `0..=`[`MAX_XDROP`], the vector one's
+//! `i16` box.
+//!
+//! Every kernel scores with BELLA's linear scheme, three constants in
+//! [`scoring`] (`+1` match, `-1` mismatch, `-1` gap), so none takes a scoring
+//! argument.
 //!
 //! The consensus stage's banded fit ([`banded`]) is the lane word's second
-//! caller: a scalar kernel and one generic lane kernel again, dispatched the
-//! same way by [`banded_fit`].
+//! caller: a scalar kernel and one generic lane kernel again; [`banded_fit`]
+//! runs the lane kernel and the scalar one only for a fit that leaves the
+//! `i16` box.
 
 #![warn(missing_docs)]
 
@@ -55,6 +60,6 @@ pub use batch::{
     align_seed_pair_with, vector_kernel, xdrop_extend_auto, AlignScratch, ExtendEngine, OrientCache,
 };
 pub use classify::{classify_alignment, BidirectedDir, OverlapClass, PairAlignment};
-pub use scoring::{AlignmentConfig, ScoringScheme};
-pub use vector::vector_eligible;
+pub use scoring::AlignmentConfig;
+pub use vector::MAX_XDROP;
 pub use xdrop::{xdrop_extend, xdrop_extend_with, ExtendCounters, ExtendResult, XdropScratch};

@@ -1,34 +1,25 @@
-//! Scoring schemes and alignment configuration.
+//! The scoring scheme and the alignment configuration.
+//!
+//! Every aligner of the crate — the x-drop kernels and the banded fit — scores
+//! with BELLA's linear-gap scheme (Guidi et al., ACDA 2021), which the diBELLA
+//! pipelines reuse: `+1` per match, `-1` per mismatch, `-1` per gap base.
 
 use serde::{Deserialize, Serialize};
 
-/// Linear-gap scoring scheme for the x-drop aligner.
-///
-/// The defaults (`match = +1`, `mismatch = -1`, `gap = -1`) follow BELLA's
-/// setting, which the diBELLA pipelines reuse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ScoringScheme {
-    /// Score added for a matching base pair.
-    pub match_score: i32,
-    /// Score added for a mismatching base pair (negative).
-    pub mismatch: i32,
-    /// Score added per gap base (negative, linear gaps).
-    pub gap: i32,
-}
-
-impl Default for ScoringScheme {
-    fn default() -> Self {
-        Self { match_score: 1, mismatch: -1, gap: -1 }
-    }
-}
+/// Score added for a matching base pair.
+pub const MATCH: i32 = 1;
+/// Score added for a mismatching base pair.
+pub const MISMATCH: i32 = -1;
+/// Score added per gap base (linear gaps).
+pub const GAP: i32 = -1;
 
 /// Full configuration of the pairwise-alignment stage.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AlignmentConfig {
-    /// Base-level scoring.
-    pub scoring: ScoringScheme,
     /// X-drop threshold: extension stops once the running score falls more
-    /// than this far below the best score seen.
+    /// than this far below the best score seen.  The vector kernel is exact
+    /// for `0..=`[`MAX_XDROP`](crate::vector::MAX_XDROP), and pipeline
+    /// configurations outside it are rejected.
     pub xdrop: i32,
     /// Minimum aligned length (on the shorter side) for an overlap to count.
     pub min_overlap: usize,
@@ -46,7 +37,6 @@ pub struct AlignmentConfig {
 impl Default for AlignmentConfig {
     fn default() -> Self {
         Self {
-            scoring: ScoringScheme::default(),
             xdrop: 49,
             min_overlap: 200,
             min_score_per_base: 0.45,
@@ -86,12 +76,6 @@ impl AlignmentConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_scoring_matches_bella() {
-        let s = ScoringScheme::default();
-        assert_eq!((s.match_score, s.mismatch, s.gap), (1, -1, -1));
-    }
 
     #[test]
     fn score_threshold_scales_linearly() {

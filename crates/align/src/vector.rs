@@ -13,16 +13,17 @@
 //!   word w:  | Nw | Nw+1 | Nw+2 | Nw+3 |  …  | Nw+N-2 | Nw+N-1 |   i16 lanes
 //! ```
 //!
-//! Lane adds are wrapping; the value-range guards of [`vector_eligible`] keep
-//! every intermediate inside `i16`, so they are *exact* — no saturation,
-//! hence scores bit-identical to the oracle.  Dead cells hold the sentinel
-//! `NEG16`, exactly; a dead lane plus any bounded addend stays far below
-//! every threshold, so dead lanes may freely participate in the maxes.
+//! Lane adds are wrapping; BELLA's ±1 scheme and an x-drop of at most
+//! [`MAX_XDROP`] keep every intermediate inside `i16`, so they are *exact* —
+//! no saturation, hence scores bit-identical to the oracle.  Dead cells hold
+//! the sentinel `NEG16`, exactly; a dead lane plus any bounded addend stays
+//! far below every threshold, so dead lanes may freely participate in the
+//! maxes.
 //!
-//! The within-row left-gap dependency `run[j] = max(tmp[j], run[j-1] + gap)`
+//! The within-row left-gap dependency `run[j] = max(tmp[j], run[j-1] + GAP)`
 //! is a max-plus prefix scan: in-word (`Lanes::scan`) plus a sequential
 //! cross-word carry, a broadcast of the word's last run value that every
-//! lane of the next word reads through a `gap` ramp.
+//! lane of the next word reads through a `GAP` ramp.
 //!
 //! The word loop is the recurrence and nothing else — per word: one load of
 //! the previous row, the diagonal shift, a table add, the scan, the carry,
@@ -43,13 +44,13 @@
 //! [`crate::xdrop::xdrop_extend`]; the tests at the bottom hold it to the
 //! oracle, results and counters, for every lane word the host has.
 
-use crate::lanes::Lanes;
-use crate::scoring::ScoringScheme;
+use crate::lanes::{Lanes, GAP16, MATCH16, MISMATCH16};
+use crate::scoring::{GAP, MATCH, MISMATCH};
 use crate::xdrop::{ExtendCounters, ExtendResult};
 
 /// Dead-cell sentinel per lane.  `-16384` leaves headroom on both sides:
 /// `NEG16` plus a substitution and two words of gap steps cannot wrap below
-/// `i16::MIN`, and live scores stay below `REBASE_AT + match` which cannot
+/// `i16::MIN`, and live scores stay below `REBASE_AT + MATCH` which cannot
 /// collide with it from above.
 pub(crate) const NEG16: i16 = -16384;
 
@@ -57,20 +58,15 @@ pub(crate) const NEG16: i16 = -16384;
 /// exceeds this, keeping all lane values well inside `i16`.
 pub(crate) const REBASE_AT: i32 = 4096;
 
-/// Can the vector kernel run this scoring scheme bit-exactly?
-///
-/// The bounds box every intermediate inside `i16` under wrapping lane adds
-/// (see the module docs): per-step addends within ±63, relative scores within
-/// `[-xdrop, REBASE_AT + 63]` with `xdrop ≤ 3000`, dead sentinel at `-16384`.
-/// The default and `for_error_rate` schemes (`match 1, mismatch -1, gap -1`,
-/// `xdrop ≤ ~100`) are comfortably inside; exotic schemes (zero/positive gap,
-/// huge penalties, huge xdrop) take the scalar oracle instead.
-pub fn vector_eligible(scoring: ScoringScheme, xdrop: i32) -> bool {
-    (1..=63).contains(&scoring.match_score)
-        && (-63..=0).contains(&scoring.mismatch)
-        && (-63..=-1).contains(&scoring.gap)
-        && (0..=3000).contains(&xdrop)
-}
+/// The largest x-drop the vector kernel is exact for: relative scores stay
+/// within `[-MAX_XDROP, REBASE_AT + MATCH]`, far from the sentinel and from
+/// wrapping (see the module docs).  The values in use are 49 and 30.
+pub const MAX_XDROP: i32 = 3000;
+
+// The lane kernels' box also needs a gap that costs and per-step addends far
+// below the sentinel's headroom.
+const _: () = assert!(MATCH >= 1 && MATCH <= 63 && MISMATCH >= -63 && MISMATCH <= 0);
+const _: () = assert!(GAP >= -63 && GAP <= -1);
 
 /// Reusable word buffers for the vector kernel.
 #[derive(Debug)]
@@ -93,18 +89,17 @@ impl<L> Default for VectorScratch<L> {
 /// Vector twin of [`crate::xdrop::xdrop_extend_with`]: same two-phase x-drop
 /// semantics, bit-identical [`ExtendResult`], `L::N` cells per word.
 ///
-/// The caller must check [`vector_eligible`] first; the batched engine
-/// ([`crate::batch`]) does this and falls back to the scalar oracle.
+/// Panics on an `xdrop` outside `0..=`[`MAX_XDROP`], where `i16` lanes
+/// would not be exact.
 #[inline(always)]
 pub(crate) fn xdrop_extend_vector<L: Lanes>(
     a: &[u8],
     b: &[u8],
-    scoring: ScoringScheme,
     xdrop: i32,
     scratch: &mut VectorScratch<L>,
     counters: &mut ExtendCounters,
 ) -> ExtendResult {
-    debug_assert!(vector_eligible(scoring, xdrop));
+    assert!((0..=MAX_XDROP).contains(&xdrop), "x-drop {xdrop} outside the vector kernel's 0..={MAX_XDROP}");
     let m = b.len();
     // Words covering columns 0..=m, plus one guard word at the right so the
     // row after a window ending at column m can still read a NEG word.
@@ -120,14 +115,12 @@ pub(crate) fn xdrop_extend_vector<L: Lanes>(
     let sub = &mut scratch.sub[..nw];
     let mut sub_built = 0;
 
-    let gap = scoring.gap as i16;
-    let gap1 = L::splat(gap);
-    let match16 = L::splat(scoring.match_score as i16);
-    let mism16 = L::splat(scoring.mismatch as i16);
-    // Cross-word scan carry: lane t adds (t + 1) · gap to the run value
+    let gap1 = L::splat(GAP16);
+    let (match16, mism16) = (L::splat(MATCH16), L::splat(MISMATCH16));
+    // Cross-word scan carry: lane t adds (t + 1) · GAP to the run value
     // carried out of the previous word, which itself ages a word per word.
-    let ramp = L::from_fn(|t| ((t as i32 + 1) * scoring.gap) as i16);
-    let word_gap = L::splat((L::N as i32 * scoring.gap) as i16);
+    let ramp = L::from_fn(|t| (t as i16 + 1) * GAP16);
+    let word_gap = L::splat(L::N as i16 * GAP16);
     let lane_ids = L::from_fn(|t| t as i16);
 
     // Best score = base + best_rel; lanes store scores relative to `base`.
@@ -135,11 +128,11 @@ pub(crate) fn xdrop_extend_vector<L: Lanes>(
     let mut best_rel = 0i32;
     let (mut best_i, mut best_j) = (0usize, 0usize);
 
-    // Row 0: leading gaps in `a`; fills columns 0..=r0_hi (j·gap ≥ -xdrop).
-    // gap ≤ -1 so the row-0 width is at most xdrop + 1 ≪ i16 range.
-    let r0_width = ((xdrop / -scoring.gap) as usize + 1).min(m + 1);
+    // Row 0: leading gaps in `a`; fills columns 0..=r0_hi (j·GAP ≥ -xdrop).
+    // GAP ≤ -1 so the row-0 width is at most xdrop + 1 ≪ i16 range.
+    let r0_width = ((xdrop / -GAP) as usize + 1).min(m + 1);
     let row0_we = (r0_width - 1) / L::N;
-    let row0 = |j: usize| if j < r0_width { (j as i32 * scoring.gap) as i16 } else { NEG16 };
+    let row0 = |j: usize| if j < r0_width { j as i16 * GAP16 } else { NEG16 };
     for (w, word) in prev[..=row0_we].iter_mut().enumerate() {
         *word = L::from_fn(|t| row0(w * L::N + t));
     }
@@ -155,7 +148,7 @@ pub(crate) fn xdrop_extend_vector<L: Lanes>(
         let whi = (hi + 1).min(m);
         let ws = lo / L::N;
         let we = whi / L::N;
-        // best_rel ≤ REBASE_AT and xdrop ≤ 3000, so this fits an i16 lane.
+        // best_rel ≤ REBASE_AT and xdrop ≤ MAX_XDROP, so this fits an i16 lane.
         let thr = L::splat((best_rel - xdrop) as i16);
         let ai = a[i - 1] as usize;
         while sub_built <= we {
@@ -182,7 +175,7 @@ pub(crate) fn xdrop_extend_vector<L: Lanes>(
         // No mask for the lanes left of `lo` in word `ws`: they read only
         // exact-`NEG16` lanes of the previous row (the threshold select, the
         // fences and the rebase's `vmax(NEG16)` write nothing else into a
-        // dead lane), so their diag/up candidates are ≤ NEG16 + 63, and no
+        // dead lane), so their diag/up candidates are ≤ NEG16 + MATCH, and no
         // left-gap run starts left of `lo` (`carry` starts at `NEG16`) — all
         // far below `thr`, so the threshold select already writes `NEG16`.
         let mut carry = negv;
@@ -197,9 +190,9 @@ pub(crate) fn xdrop_extend_vector<L: Lanes>(
             // previous row: shift the band left by one lane across words.
             let tmp = p.shift_in(pm1).add(sub_w[ai]).vmax(p.add(gap1));
             pm1 = p;
-            // Max-plus prefix scan for run[j] = max(tmp[j], run[j-1] + gap):
+            // Max-plus prefix scan for run[j] = max(tmp[j], run[j-1] + GAP):
             // in-word, then the cross-word carry via the ramp.
-            let s = tmp.scan(gap);
+            let s = tmp.scan();
             let v = s.vmax(carry.add(ramp));
             carry = s.broadcast_last().vmax(carry.add(word_gap));
             word = v.lt_mask(thr).select(negv, v);
@@ -296,17 +289,11 @@ mod tests {
 
     /// One extension on `scratch`, held to the scalar oracle: result AND
     /// counters (both engines walk the same adaptive band).
-    fn check<L: Lanes>(
-        a: &[u8],
-        b: &[u8],
-        sc: ScoringScheme,
-        xdrop: i32,
-        scratch: &mut VectorScratch<L>,
-    ) -> ExtendResult {
+    fn check<L: Lanes>(a: &[u8], b: &[u8], xdrop: i32, scratch: &mut VectorScratch<L>) -> ExtendResult {
         let (mut cv, mut cs) = (ExtendCounters::default(), ExtendCounters::default());
-        let got = L::extend(a, b, sc, xdrop, scratch, &mut cv);
-        let want = xdrop_extend_with(a, b, sc, xdrop, &mut XdropScratch::new(), &mut cs);
-        assert_eq!((got, cv), (want, cs), "{sc:?}, xdrop {xdrop}");
+        let got = L::extend(a, b, xdrop, scratch, &mut cv);
+        let want = xdrop_extend_with(a, b, xdrop, &mut XdropScratch::new(), &mut cs);
+        assert_eq!((got, cv), (want, cs), "xdrop {xdrop}");
         got
     }
 
@@ -315,8 +302,7 @@ mod tests {
         let scratch = &mut VectorScratch::<L>::default();
         // Identical sequences.
         let a: Vec<u8> = (0..100).map(|i| (i % 4) as u8).collect();
-        let sc = ScoringScheme::default();
-        assert_eq!(check(&a, &a, sc, 10, scratch).score, 100);
+        assert_eq!(check(&a, &a, 10, scratch).score, 100);
 
         // Substitutions every 17 bases.
         let mut rng = SmallRng::seed_from_u64(11);
@@ -325,16 +311,15 @@ mod tests {
         for idx in (0..b.len()).step_by(17) {
             b[idx] = (b[idx] + 1) % 4;
         }
-        check(&a, &b, sc, 30, scratch);
+        check(&a, &b, 30, scratch);
 
-        // A long perfect match crosses the i16 rebase boundary: the score
-        // grows to 60k ≫ i16::MAX, through repeated rebasing.
-        let a: Vec<u8> = (0..20_000).map(|i| ((i * 7 + 3) % 4) as u8).collect();
-        let sc = ScoringScheme { match_score: 3, mismatch: -2, gap: -2 };
-        let r = check(&a, &a, sc, 40, scratch);
-        assert_eq!((r.score, r.ext_a), (60_000, 20_000));
+        // A long perfect match crosses the i16 rebase boundary nine times:
+        // the score grows to 40k > i16::MAX.
+        let a: Vec<u8> = (0..40_000).map(|i| ((i * 7 + 3) % 4) as u8).collect();
+        let r = check(&a, &a, 10, scratch);
+        assert_eq!((r.score, r.ext_a), (40_000, 40_000));
 
-        // Near saturation, with noise and occasional indels.
+        // Noise, occasional indels and a wide band, past the rebase boundary.
         let mut rng = SmallRng::seed_from_u64(5);
         let a: Vec<u8> = (0..8000).map(|_| rng.gen_range(0..4u8)).collect();
         let mut b = a.clone();
@@ -343,24 +328,22 @@ mod tests {
         }
         b.remove(1000);
         b.insert(3000, 2);
-        let sc = ScoringScheme { match_score: 5, mismatch: -4, gap: -3 };
-        check(&a, &b, sc, 200, scratch);
+        assert!(check(&a, &b, 100, scratch).score > REBASE_AT);
+
+        // The largest x-drop: an unrelated pair keeps the whole DP live.
+        let b: Vec<u8> = (0..600).map(|_| rng.gen_range(0..4u8)).collect();
+        check(&a[..600], &b, MAX_XDROP, scratch);
     }
 
-    /// Eight random extensions — sequences, scoring schemes and xdrops —
-    /// each bit-identical to the scalar oracle.  One scratch serves all
-    /// eight: reuse across calls of wildly different shapes must never leak
-    /// state between extensions.
+    /// Eight random extensions — sequences and xdrops — each bit-identical
+    /// to the scalar oracle.  One scratch serves all eight: reuse across
+    /// calls of wildly different shapes must never leak state between
+    /// extensions.
     fn random_cases_match_scalar<L: Lanes>(seed: u64) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut scratch = VectorScratch::<L>::default();
         for _ in 0..8 {
-            let sc = ScoringScheme {
-                match_score: rng.gen_range(1..8),
-                mismatch: rng.gen_range(-8..=0),
-                gap: rng.gen_range(-8..=-1),
-            };
-            let xdrop = rng.gen_range(0..120);
+            let xdrop = rng.gen_range(0..64);
             let a: Vec<u8> = (0..rng.gen_range(0..400)).map(|_| rng.gen_range(0..4u8)).collect();
             // b: a mutated copy of a (prefix-correlated) so extensions go deep.
             let error_pct = rng.gen_range(0..50u32);
@@ -370,8 +353,7 @@ mod tests {
                     _ => rng.gen_range(0..4u8),
                 })
                 .collect();
-            assert!(vector_eligible(sc, xdrop));
-            check(&a, &b, sc, xdrop, &mut scratch);
+            check(&a, &b, xdrop, &mut scratch);
         }
     }
 
@@ -392,7 +374,7 @@ mod tests {
             let insert = (0..40).map(|j| (a[200 + j % 7] + 1) % 4);
             let b: Vec<u8> =
                 junk.chain(a[..200].iter().copied()).chain(insert).chain(a[200..].iter().copied()).collect();
-            let r = check(&a, &b, ScoringScheme::default(), 100, scratch);
+            let r = check(&a, &b, 100, scratch);
             assert_eq!((r.ext_a, r.ext_b), (400, 440 + offset), "crossed the insertion");
         }
     }
@@ -400,6 +382,14 @@ mod tests {
     #[test]
     fn left_edge_needs_no_mask_on_any_lane_word() {
         for_every_lane_word!(left_edge_needs_no_mask());
+    }
+
+    /// An x-drop outside the box would wrap lanes: the kernel refuses it.
+    #[test]
+    #[should_panic(expected = "outside the vector kernel's 0..=3000")]
+    fn an_xdrop_outside_the_box_panics() {
+        let (a, counters) = ([0u8, 1, 2, 3], &mut ExtendCounters::default());
+        xdrop_extend_vector::<[i16; 8]>(&a, &a, MAX_XDROP + 1, &mut VectorScratch::default(), counters);
     }
 
     /// Mcells/s and ns/row of `L` at five band widths on a 0.2%- and a
@@ -416,11 +406,10 @@ mod tests {
             let tracked = Band { half_width: 32, tracked: Some(32) };
             let ribbon = Band { half_width: 128, tracked: None };
             for (name, band) in [("tracked 32", tracked), ("ribbon 128", ribbon)] {
-                let sc = ScoringScheme::default();
                 let (mut cells, mut rows) = (0, 0);
                 let t0 = std::time::Instant::now();
                 while t0.elapsed().as_millis() < 200 {
-                    let fit = L::fit(fit_scratch, ops, a.codes(), b.codes(), 0, band, sc);
+                    let fit = L::fit(fit_scratch, ops, a.codes(), b.codes(), 0, band);
                     cells += std::hint::black_box(fit).map_or(0, |fit| fit.cells);
                     rows += a.len();
                 }
@@ -431,10 +420,10 @@ mod tests {
                 );
             }
             for xdrop in [10, 20, 49, 100, 200] {
-                let (sc, mut c) = (ScoringScheme::default(), ExtendCounters::default());
+                let mut c = ExtendCounters::default();
                 let t0 = std::time::Instant::now();
                 while t0.elapsed().as_millis() < 200 {
-                    std::hint::black_box(L::extend(a.codes(), b.codes(), sc, xdrop, scratch, &mut c));
+                    std::hint::black_box(L::extend(a.codes(), b.codes(), xdrop, scratch, &mut c));
                 }
                 let ns = t0.elapsed().as_nanos() as f64;
                 println!(
@@ -450,20 +439,6 @@ mod tests {
     #[ignore = "a measurement, not a check"]
     fn print_rates_of_every_lane_word() {
         for_every_lane_word!(print_rates());
-    }
-
-    #[test]
-    fn eligibility_bounds() {
-        let d = ScoringScheme::default();
-        assert!(vector_eligible(d, 49));
-        assert!(vector_eligible(d, 0));
-        assert!(!vector_eligible(d, -1));
-        assert!(!vector_eligible(d, 3001));
-        assert!(!vector_eligible(ScoringScheme { match_score: 0, ..d }, 49));
-        assert!(!vector_eligible(ScoringScheme { match_score: 64, ..d }, 49));
-        assert!(!vector_eligible(ScoringScheme { mismatch: 1, ..d }, 49));
-        assert!(!vector_eligible(ScoringScheme { gap: 0, ..d }, 49));
-        assert!(!vector_eligible(ScoringScheme { gap: -64, ..d }, 49));
     }
 
     proptest! {

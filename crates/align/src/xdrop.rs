@@ -4,9 +4,9 @@
 //! to the left and to the right with a banded dynamic program that abandons
 //! cells whose score falls more than `xdrop` below the best score seen — the
 //! classic BLAST-style gapped x-drop extension.  The band adapts to the data:
-//! with the default linear-gap scoring the live band stays within roughly
-//! `2·xdrop` columns of the optimal path, so extension over a full long-read
-//! overlap costs `O(overlap · xdrop)`.
+//! with BELLA's linear-gap scoring ([`crate::scoring`]) the live band stays
+//! within roughly `2·xdrop` columns of the optimal path, so extension over a
+//! full long-read overlap costs `O(overlap · xdrop)`.
 //!
 //! ## Two-phase thresholding
 //!
@@ -25,7 +25,7 @@
 //! allocation-free: the two row buffers are reused across every extension a
 //! worker performs.
 
-use crate::scoring::ScoringScheme;
+use crate::scoring::{GAP, MATCH, MISMATCH};
 
 /// Result of extending in one direction: the best score and how far the
 /// extension reached into each sequence.
@@ -96,10 +96,10 @@ const NEG: i32 = i32::MIN / 4;
 ///
 /// Allocates a fresh scratch per call; batched callers use
 /// [`xdrop_extend_with`] to reuse buffers across calls.
-pub fn xdrop_extend(a: &[u8], b: &[u8], scoring: ScoringScheme, xdrop: i32) -> ExtendResult {
+pub fn xdrop_extend(a: &[u8], b: &[u8], xdrop: i32) -> ExtendResult {
     let mut scratch = XdropScratch::new();
     let mut counters = ExtendCounters::default();
-    xdrop_extend_with(a, b, scoring, xdrop, &mut scratch, &mut counters)
+    xdrop_extend_with(a, b, xdrop, &mut scratch, &mut counters)
 }
 
 /// [`xdrop_extend`] with caller-provided scratch and counters — the
@@ -108,7 +108,6 @@ pub fn xdrop_extend(a: &[u8], b: &[u8], scoring: ScoringScheme, xdrop: i32) -> E
 pub fn xdrop_extend_with(
     a: &[u8],
     b: &[u8],
-    scoring: ScoringScheme,
     xdrop: i32,
     scratch: &mut XdropScratch,
     counters: &mut ExtendCounters,
@@ -124,7 +123,7 @@ pub fn xdrop_extend_with(
     {
         let mut j = 0usize;
         while j <= m {
-            let sc = j as i32 * scoring.gap;
+            let sc = j as i32 * GAP;
             if sc < -xdrop {
                 break;
             }
@@ -159,20 +158,20 @@ pub fn xdrop_extend_with(
                 // j - 1 <= prev_hi holds because j <= prev_hi + 1.
                 let diag = scratch.prev[j - 1 - prev_lo];
                 if diag > NEG {
-                    let sub = if ai == b[j - 1] { scoring.match_score } else { scoring.mismatch };
+                    let sub = if ai == b[j - 1] { MATCH } else { MISMATCH };
                     sc = sc.max(diag + sub);
                 }
             }
             if j <= prev_hi {
                 let up = scratch.prev[j - prev_lo];
                 if up > NEG {
-                    sc = sc.max(up + scoring.gap);
+                    sc = sc.max(up + GAP);
                 }
             }
             if j > new_lo {
                 let left = *scratch.cur.last().unwrap();
                 if left > NEG {
-                    sc = sc.max(left + scoring.gap);
+                    sc = sc.max(left + GAP);
                 }
             }
             // Two-phase x-drop test: threshold against the best of the
@@ -229,14 +228,10 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn default_scoring() -> ScoringScheme {
-        ScoringScheme::default()
-    }
-
     #[test]
     fn identical_sequences_extend_fully() {
         let a = seq("ACGTACGTACGTACGT");
-        let r = xdrop_extend(a.codes(), a.codes(), default_scoring(), 10);
+        let r = xdrop_extend(a.codes(), a.codes(), 10);
         assert_eq!(r.score, 16);
         assert_eq!(r.ext_a, 16);
         assert_eq!(r.ext_b, 16);
@@ -246,9 +241,9 @@ mod tests {
     fn empty_inputs_yield_zero_extension() {
         let a = seq("ACGT");
         let empty: [u8; 0] = [];
-        let r = xdrop_extend(a.codes(), &empty, default_scoring(), 10);
+        let r = xdrop_extend(a.codes(), &empty, 10);
         assert_eq!(r, ExtendResult { score: 0, ext_a: 0, ext_b: 0 });
-        let r2 = xdrop_extend(&empty, &empty, default_scoring(), 10);
+        let r2 = xdrop_extend(&empty, &empty, 10);
         assert_eq!(r2.score, 0);
     }
 
@@ -257,7 +252,7 @@ mod tests {
         // 10 matching bases then complete divergence (A vs T repeated).
         let a = seq("ACGTACGTACAAAAAAAAAAAAAAAAAAAA");
         let b = seq("ACGTACGTACTTTTTTTTTTTTTTTTTTTT");
-        let r = xdrop_extend(a.codes(), b.codes(), default_scoring(), 5);
+        let r = xdrop_extend(a.codes(), b.codes(), 5);
         assert_eq!(r.score, 10);
         assert_eq!(r.ext_a, 10);
         assert_eq!(r.ext_b, 10);
@@ -269,7 +264,7 @@ mod tests {
         let mut codes = a.codes().to_vec();
         codes[10] = (codes[10] + 1) % 4;
         let b = DnaSeq::from_codes(codes);
-        let r = xdrop_extend(a.codes(), b.codes(), default_scoring(), 20);
+        let r = xdrop_extend(a.codes(), b.codes(), 20);
         assert_eq!(r.ext_a, 20);
         assert_eq!(r.ext_b, 20);
         assert_eq!(r.score, 19 - 1);
@@ -280,7 +275,7 @@ mod tests {
         // b has one extra base inserted in the middle.
         let a = seq("ACGTACGTACGTACGTACGT");
         let b = seq("ACGTACGTACAGTACGTACGT");
-        let r = xdrop_extend(a.codes(), b.codes(), default_scoring(), 20);
+        let r = xdrop_extend(a.codes(), b.codes(), 20);
         assert_eq!(r.ext_a, 20);
         assert_eq!(r.ext_b, 21);
         assert_eq!(r.score, 20 - 1);
@@ -297,10 +292,10 @@ mod tests {
         let tail = "GTACGTACGTACGTACGTACGTACGTACGT";
         let a = seq(&format!("{good}{bad_a}{tail}"));
         let b = seq(&format!("{good}{bad_b}{tail}"));
-        let tight = xdrop_extend(a.codes(), b.codes(), default_scoring(), 5);
+        let tight = xdrop_extend(a.codes(), b.codes(), 5);
         assert_eq!(tight.score, 5);
         assert_eq!(tight.ext_a, 5);
-        let loose = xdrop_extend(a.codes(), b.codes(), default_scoring(), 100);
+        let loose = xdrop_extend(a.codes(), b.codes(), 100);
         assert_eq!(loose.score, 5 - 10 + 30);
         assert_eq!(loose.ext_a, 45);
     }
@@ -317,7 +312,7 @@ mod tests {
         let mut scratch = XdropScratch::new();
         let mut counters = ExtendCounters::default();
         let r1 =
-            xdrop_extend_with(a.codes(), b.codes(), default_scoring(), 30, &mut scratch, &mut counters);
+            xdrop_extend_with(a.codes(), b.codes(), 30, &mut scratch, &mut counters);
         let cells_one = counters.cells;
         assert!(cells_one > 0);
         assert!(counters.band_peak >= 1);
@@ -325,10 +320,10 @@ mod tests {
         // Second call with the same (now warm) scratch: identical result,
         // identical cell count.
         let r2 =
-            xdrop_extend_with(a.codes(), b.codes(), default_scoring(), 30, &mut scratch, &mut counters);
+            xdrop_extend_with(a.codes(), b.codes(), 30, &mut scratch, &mut counters);
         assert_eq!(r1, r2);
         assert_eq!(counters.cells, 2 * cells_one);
-        assert_eq!(r1, xdrop_extend(a.codes(), b.codes(), default_scoring(), 30));
+        assert_eq!(r1, xdrop_extend(a.codes(), b.codes(), 30));
     }
 
     #[test]
@@ -337,12 +332,12 @@ mod tests {
         let mut counters = ExtendCounters::default();
         // Full extension: no termination.
         let a = seq("ACGTACGTACGTACGT");
-        let _ = xdrop_extend_with(a.codes(), a.codes(), default_scoring(), 10, &mut scratch, &mut counters);
+        let _ = xdrop_extend_with(a.codes(), a.codes(), 10, &mut scratch, &mut counters);
         assert_eq!(counters.terminations, 0);
         // Divergence: the window dies before `a` is consumed.
         let c = seq("ACGTACGTACAAAAAAAAAAAAAAAAAAAA");
         let d = seq("ACGTACGTACTTTTTTTTTTTTTTTTTTTT");
-        let _ = xdrop_extend_with(c.codes(), d.codes(), default_scoring(), 5, &mut scratch, &mut counters);
+        let _ = xdrop_extend_with(c.codes(), d.codes(), 5, &mut scratch, &mut counters);
         assert_eq!(counters.terminations, 1);
     }
 }

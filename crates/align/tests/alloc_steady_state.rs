@@ -9,7 +9,7 @@
 
 use dibella_align::{
     align_seed_pair_with, xdrop_extend_auto, AlignmentConfig, AlignScratch, ExtendEngine,
-    OrientCache, ScoringScheme,
+    OrientCache,
 };
 use dibella_seq::{DnaSeq, Strand};
 use dibella_testutil::PeakAlloc;
@@ -46,7 +46,7 @@ fn steady_state_alignment_allocates_nothing() {
     let mut scratch = AlignScratch::new();
     let allocs = count_allocs(|| {
         let (v, h) = (v.codes(), h.codes());
-        let _ = xdrop_extend_auto(v, h, ScoringScheme::default(), 20, ExtendEngine::Auto, &mut scratch);
+        let _ = xdrop_extend_auto(v, h, 20, ExtendEngine::Auto, &mut scratch);
     });
     assert_eq!(allocs, 3, "one lane word's buffers, each grown once");
     let mut cache = OrientCache::new();
@@ -98,24 +98,10 @@ fn steady_state_alignment_allocates_nothing() {
     // Sanity: the raw extension entry point is allocation-free too (one warm
     // call first — the full-length extension is wider than the seeded ones).
     for engine in [ExtendEngine::Auto, ExtendEngine::Scalar] {
-        let _ = xdrop_extend_auto(
-            v.codes(),
-            h.codes(),
-            ScoringScheme::default(),
-            config.xdrop,
-            engine,
-            &mut scratch,
-        );
+        let _ = xdrop_extend_auto(v.codes(), h.codes(), config.xdrop, engine, &mut scratch);
     }
     let allocs = count_allocs(|| {
-        let _ = xdrop_extend_auto(
-            v.codes(),
-            h.codes(),
-            ScoringScheme::default(),
-            config.xdrop,
-            ExtendEngine::Auto,
-            &mut scratch,
-        );
+        let _ = xdrop_extend_auto(v.codes(), h.codes(), config.xdrop, ExtendEngine::Auto, &mut scratch);
     });
     assert_eq!(allocs, 0, "warm xdrop_extend_auto must not allocate");
 }

@@ -1,5 +1,6 @@
 //! Pipeline configuration.
 
+use dibella_align::MAX_XDROP;
 use dibella_overlap::OverlapConfig;
 use dibella_seq::kmer::MAX_K;
 use dibella_seq::{IngestBudget, KmerSelection};
@@ -29,7 +30,8 @@ pub struct PipelineConfig {
     pub overlap: OverlapConfig,
     /// Transitive reduction settings.
     pub transitive: TransitiveReductionConfig,
-    /// POA consensus settings (band width, scoring).
+    /// POA consensus settings (the band width; the fit scores with the
+    /// aligner's scheme).
     pub consensus: ConsensusConfig,
     /// Minimum mean Phred quality for a FASTQ read to enter the pipeline
     /// (0.0 keeps everything; FASTA input carries no qualities and is never
@@ -75,9 +77,12 @@ impl PipelineConfig {
     /// `k` is carried twice — [`KmerSelection::k`] for the counter,
     /// [`OverlapConfig::k`] for the occurrence matrix — and a table of one
     /// length looked up with windows of another is an empty `A`, not an
-    /// error.  The [`SketchConfig`] is checked only on the k-min-mer path,
-    /// the one run that reads it.  Every pipeline entry point calls this
-    /// before any stage runs.
+    /// error.  The x-drop must lie in the vector kernel's exact box
+    /// `0..=`[`MAX_XDROP`], and the score threshold per base must be a
+    /// finite number (a NaN threshold is 0 and passes every alignment).  The
+    /// [`SketchConfig`] is checked only on the k-min-mer path, the one run
+    /// that reads it.  Every pipeline entry point calls this before any stage
+    /// runs.
     pub fn validate(&self) -> Result<(), String> {
         let KmerSelection { k, min_count, max_count } = self.kmer;
         if !(1..=MAX_K).contains(&k) {
@@ -89,6 +94,16 @@ impl PipelineConfig {
         if min_count > max_count {
             return Err(format!(
                 "kmer.min_count = {min_count} must not exceed kmer.max_count = {max_count}"
+            ));
+        }
+        let xdrop = self.overlap.alignment.xdrop;
+        if !(0..=MAX_XDROP).contains(&xdrop) {
+            return Err(format!("overlap.alignment.xdrop must be in 0..={MAX_XDROP}, got {xdrop}"));
+        }
+        let min_score_per_base = self.overlap.alignment.min_score_per_base;
+        if !min_score_per_base.is_finite() {
+            return Err(format!(
+                "overlap.alignment.min_score_per_base must be a finite number, got {min_score_per_base}"
             ));
         }
         if self.min_mean_quality.is_nan() {

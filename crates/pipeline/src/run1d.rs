@@ -7,7 +7,7 @@
 //! nonzero.  It does not implement transitive reduction, which is why the
 //! Figure 9 comparison subtracts the TR time from diBELLA 2D.
 
-use crate::config::PipelineConfig;
+use crate::config::{CandidateSource, PipelineConfig};
 use crate::run2d::PipelineDims;
 use crate::timings::{timed, StageTimings};
 use dibella_dist::{CommSnapshot, CommStats, ProcessGrid};
@@ -38,13 +38,20 @@ pub struct Pipeline1dOutput {
 /// Run the diBELLA 1D pipeline on an already-parsed read set.
 ///
 /// Fails — before anything runs, with the message the 2D entry points return —
-/// if [`PipelineConfig::validate`] rejects the configuration.
+/// if [`PipelineConfig::validate`] rejects the configuration, and on the
+/// k-min-mer candidate path, which only the 2D pipeline implements.
 pub fn run_dibella_1d(
     reads: &ReadSet,
     config: &PipelineConfig,
     comm: &CommStats,
 ) -> Result<Pipeline1dOutput, String> {
     config.validate()?;
+    if config.candidate_source != CandidateSource::ExactKmer {
+        return Err(format!(
+            "candidate_source = {:?}: the 1D pipeline detects overlaps on exact k-mers only",
+            config.candidate_source
+        ));
+    }
     let nprocs = config.nprocs.max(1);
     let mut timings = StageTimings::default();
 
@@ -105,6 +112,15 @@ mod tests {
         let err = run_dibella_1d(&DatasetSpec::Tiny.generate(52).reads, &cfg, &CommStats::new())
             .unwrap_err();
         assert!(err.contains("overlap.k must equal kmer.k = 13, got 11"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn the_kminmer_path_is_an_error_not_an_exact_kmer_run() {
+        let mut cfg = tiny_config(4);
+        cfg.candidate_source = CandidateSource::KMinMer;
+        let err = run_dibella_1d(&DatasetSpec::Tiny.generate(52).reads, &cfg, &CommStats::new())
+            .unwrap_err();
+        assert!(err.contains("candidate_source = KMinMer"), "unexpected error: {err}");
     }
 
     #[test]

@@ -663,6 +663,24 @@ mod tests {
     }
 
     #[test]
+    fn an_xdrop_outside_the_vector_kernels_box_is_an_error() {
+        for xdrop in [-1, 5000] {
+            let err = rejection(|cfg| cfg.overlap.alignment.xdrop = xdrop);
+            let want = format!("overlap.alignment.xdrop must be in 0..=3000, got {xdrop}");
+            assert!(err.contains(&want), "unexpected error: {err}");
+        }
+    }
+
+    #[test]
+    fn a_score_threshold_that_is_not_a_number_is_an_error() {
+        for per_base in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = rejection(|cfg| cfg.overlap.alignment.min_score_per_base = per_base);
+            let want = "overlap.alignment.min_score_per_base must be a finite number";
+            assert!(err.contains(want), "{per_base}: unexpected error: {err}");
+        }
+    }
+
+    #[test]
     fn an_empty_reliable_range_is_an_error() {
         let err = rejection(|cfg| (cfg.kmer.min_count, cfg.kmer.max_count) = (5, 4));
         assert!(err.contains("kmer.min_count = 5 must not exceed"), "unexpected error: {err}");

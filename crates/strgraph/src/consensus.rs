@@ -14,7 +14,7 @@
 //!    bidirected direction;
 //! 3. the read is aligned to its backbone window with a **banded**
 //!    dynamic program ([`banded_fit`], in `dibella_align` beside the x-drop
-//!    kernels, with the same linear-gap [`ScoringScheme`]) and the resulting
+//!    kernels, with the same linear-gap scheme) and the resulting
 //!    operations are threaded into the graph: matches bump node weights,
 //!    substitutions branch into *alternative* nodes, insertions create (or
 //!    re-weight) *insert* nodes between columns, deletions simply skip
@@ -44,7 +44,7 @@
 //! the buffers are reused from read to read, so a row allocates nothing.
 
 use crate::contigs::Contig;
-use dibella_align::{banded_fit, AlnOp, Band, FitScratch, ScoringScheme};
+use dibella_align::{banded_fit, AlnOp, Band, FitScratch};
 use dibella_overlap::OverlapEdge;
 use dibella_seq::{DnaSeq, ReadSet};
 use dibella_dist::par_ranks;
@@ -58,13 +58,11 @@ pub struct ConsensusConfig {
     /// backbone in (see the module docs), and the least half-width of
     /// [`banded_identity`]'s band.
     pub min_band: usize,
-    /// Base-level scoring used by the banded aligner (the x-drop scheme).
-    pub scoring: ScoringScheme,
 }
 
 impl Default for ConsensusConfig {
     fn default() -> Self {
-        Self { min_band: 32, scoring: ScoringScheme::default() }
+        Self { min_band: 32 }
     }
 }
 
@@ -344,7 +342,7 @@ pub fn banded_identity(a: &DnaSeq, b: &DnaSeq, config: &ConsensusConfig) -> f64 
     let len = a.len().max(b.len());
     let half_width = config.min_band.max(a.len().abs_diff(b.len()) + len / 50);
     let band = Band { half_width, tracked: None };
-    let fit = banded_fit(&mut FitScratch::default(), a.codes(), b.codes(), 0, band, config.scoring);
+    let fit = banded_fit(&mut FitScratch::default(), a.codes(), b.codes(), 0, band);
     if fit.columns == 0 {
         return 0.0;
     }
@@ -485,7 +483,7 @@ pub fn consensus_contig(
             window.clear();
             window.extend(graph.backbone[wstart..].iter().map(|&id| graph.nodes[id as usize].base));
             let band = Band { half_width, tracked: Some(config.min_band) };
-            let fit = banded_fit(&mut scratch, codes, &window, expected_start - wstart, band, config.scoring);
+            let fit = banded_fit(&mut scratch, codes, &window, expected_start - wstart, band);
             dp_cells += fit.cells;
             if 10 * fit.score >= 9 * edge.score || half_width >= overlap / 8 {
                 break (wstart, fit);
@@ -549,7 +547,8 @@ mod tests {
     /// the diagonal.  Kept as the oracle the new kernel must equal when its
     /// band stays on the diagonal too.
     mod oracle {
-        use super::super::{AlnOp, ScoringScheme};
+        use super::super::AlnOp;
+        use dibella_align::scoring::{GAP, MATCH, MISMATCH};
 
         const NEG: i32 = i32::MIN / 4;
 
@@ -584,7 +583,6 @@ mod tests {
             window: &[u8],
             offset: usize,
             band: usize,
-            scoring: ScoringScheme,
         ) -> BandedFit {
             let rn = read.len();
             let wn = window.len();
@@ -627,11 +625,7 @@ mod tests {
                     if j >= 1 && (plo..=phi).contains(&(j - 1)) {
                         let d = prev_row[j - 1 - plo];
                         if d > NEG {
-                            let sub = if read[i - 1] == window[j - 1] {
-                                scoring.match_score
-                            } else {
-                                scoring.mismatch
-                            };
+                            let sub = if read[i - 1] == window[j - 1] { MATCH } else { MISMATCH };
                             if d + sub > best {
                                 best = d + sub;
                                 dir = Dir::Diag;
@@ -641,16 +635,16 @@ mod tests {
                     // Up: consume a read base only (insertion into the window).
                     if (plo..=phi).contains(&j) {
                         let u = prev_row[j - plo];
-                        if u > NEG && u + scoring.gap > best {
-                            best = u + scoring.gap;
+                        if u > NEG && u + GAP > best {
+                            best = u + GAP;
                             dir = Dir::Up;
                         }
                     }
                     // Left: consume a window base only (deletion from the read).
                     if j > lo {
                         let l = row[j - 1 - lo];
-                        if l > NEG && l + scoring.gap > best {
-                            best = l + scoring.gap;
+                        if l > NEG && l + GAP > best {
+                            best = l + GAP;
                             dir = Dir::Left;
                         }
                     }
@@ -928,7 +922,7 @@ mod tests {
             vec![genome.slice(0, 3_000), genome.slice(200, 2_850), genome.slice(2_450, 4_000)];
         let (contig, s, reads) = chain_layout(reads, &[(200, 0), (2_250, 1_150)]);
         // A 64-column start-up ribbon: less than those 150 columns.
-        let cfg = ConsensusConfig { min_band: 16, ..ConsensusConfig::default() };
+        let cfg = ConsensusConfig { min_band: 16 };
         let out = consensus_contig(&contig, &s, &reads, &cfg);
         assert_eq!(out.unplaced_reads, 0);
         assert_eq!(out.consensus, genome);
@@ -968,7 +962,7 @@ mod tests {
             let window = genome.slice(1_000 - half, 7_000);
             let mut scratch = FitScratch::default();
             let band = Band { half_width: half, tracked: Some(half) };
-            let fit = banded_fit(&mut scratch, read.codes(), window.codes(), half, band, cfg.scoring);
+            let fit = banded_fit(&mut scratch, read.codes(), window.codes(), half, band);
             assert_eq!(fit.window_end, window.len(), "the window is consumed");
             assert!(fit.window_start.abs_diff(half) <= 2, "started at {}", fit.window_start);
             assert!(fit.read_consumed.abs_diff(overlap.len()) <= 2, "{}", fit.read_consumed);
@@ -1029,11 +1023,10 @@ mod tests {
         #[test]
         fn prop_on_the_diagonal_the_kernel_equals_the_old_one(seed in any::<u64>()) {
             let (read, window, offset, band) = kernel_case(seed);
-            let scoring = ScoringScheme::default();
-            let old = oracle::banded_fit(&read, &window, offset, band, scoring);
+            let old = oracle::banded_fit(&read, &window, offset, band);
             let mut scratch = FitScratch::default();
             let on_diagonal = Band { half_width: band, tracked: None };
-            let new = banded_fit(&mut scratch, &read, &window, offset, on_diagonal, scoring);
+            let new = banded_fit(&mut scratch, &read, &window, offset, on_diagonal);
             prop_assert_eq!(&scratch.ops, &old.ops);
             prop_assert_eq!(new.read_consumed, old.read_consumed);
             prop_assert_eq!(new.window_end - new.window_start, old.window_consumed);

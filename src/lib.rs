@@ -71,7 +71,7 @@ pub use dibella_strgraph as strgraph;
 
 /// The most commonly used types and entry points, in one import.
 pub mod prelude {
-    pub use dibella_align::{AlignmentConfig, BidirectedDir, OverlapClass, ScoringScheme};
+    pub use dibella_align::{AlignmentConfig, BidirectedDir, OverlapClass};
     pub use dibella_dist::{CommPhase, CommStats, ProcessGrid};
     pub use dibella_overlap::{
         minimizer_overlaps, MinimizerConfig, OverlapConfig, OverlapEdge,
