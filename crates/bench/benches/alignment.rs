@@ -15,7 +15,7 @@
 //! (`DIBELLA_RECORD_DIR` overrides the record's directory).
 
 use dibella_align::{vector_kernel, AlignmentConfig, ExtendEngine};
-use dibella_bench::{mean_secs, write_record, Fixed, Record};
+use dibella_bench::{median_secs, write_record, Fixed, Record};
 use dibella_dist::{CommStats, ProcessGrid};
 use dibella_overlap::{
     align_candidates_exec, build_a_matrix, detect_candidates_2d_with, CommonKmers, OverlapConfig,
@@ -59,10 +59,11 @@ fn main() {
         ..OverlapConfig::default()
     };
 
-    let scalar_secs = mean_secs(budget, 3, || {
+    let scalar_secs = median_secs(budget, 3, || {
         align_candidates_exec(&ds.reads, &candidates, &config, ExtendEngine::Scalar)
     });
-    let vector_secs = mean_secs(budget, 3, || {
+    // A vector leg takes ~80 ms, so the budget alone holds few samples.
+    let vector_secs = median_secs(budget, 15, || {
         align_candidates_exec(&ds.reads, &candidates, &config, ExtendEngine::Auto)
     });
 

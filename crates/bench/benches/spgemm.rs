@@ -15,7 +15,7 @@
 //! Mflop/s across commits.  CI runs this bench at every push to maintain the
 //! perf trajectory (`DIBELLA_RECORD_DIR` overrides the record's directory).
 
-use dibella_bench::{mean_secs, write_record, Fixed, Record};
+use dibella_bench::{median_secs, write_record, Fixed, Record};
 use dibella_dist::{CommPhase, CommStats, ProcessGrid};
 use dibella_overlap::{build_a_matrix, KmerOccurrence, OverlapSemiring};
 use dibella_seq::simulate::{generate_genome, simulate_reads, GenomeConfig, ReadSimConfig};
@@ -47,7 +47,7 @@ fn random_matrix(nrows: usize, ncols: usize, nnz: usize, seed: u64) -> CsrMatrix
     CsrMatrix::from_triples(&t)
 }
 
-/// One kernel's entry in the record: mean seconds and the useful flops of
+/// One kernel's entry in the record: median seconds and the useful flops of
 /// one call.
 struct Timed {
     secs: f64,
@@ -60,7 +60,7 @@ impl Timed {
     /// calls are spent.
     fn measure(mut f: impl FnMut() -> u64) -> Self {
         let mut flops = 0;
-        let secs = mean_secs(Duration::from_millis(400), 3, || flops = f());
+        let secs = median_secs(Duration::from_millis(400), 3, || flops = f());
         Self { secs, flops }
     }
 

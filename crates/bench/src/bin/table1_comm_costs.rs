@@ -36,7 +36,6 @@ fn main() {
     let selection = KmerSelection::with_bella_bound(k, ds.achieved_depth(), ds.config.error_rate);
     let overlap_cfg = OverlapConfig {
         k,
-        min_shared_kmers: 1,
         alignment: dibella_align::AlignmentConfig::for_error_rate(ds.config.error_rate),
         ..OverlapConfig::default()
     };

@@ -30,13 +30,7 @@ fn main() {
         let d = ds.achieved_depth();
         let c = out.overlap_stats.c_density;
         let r = out.overlap_stats.r_density;
-        print_row(&[
-            ds.label.clone(),
-            fmt(d),
-            fmt(c),
-            fmt(c / (2.0 * d)),
-            fmt(r),
-        ]);
+        print_row(&[ds.label.clone(), fmt(d), fmt(c), fmt(c / (2.0 * d)), fmt(r)]);
     }
 
     println!("\nPaper (Table III):");

@@ -37,24 +37,8 @@ fn main() {
     print_header(&[
         "label", "depth", "reads (K)", "read len", "input (GB)", "genome (Mb)", "error",
     ]);
-    print_row(&[
-        "C. elegans".into(),
-        "40".into(),
-        "420.7".into(),
-        "11241".into(),
-        "4.8".into(),
-        "100".into(),
-        "0.13".into(),
-    ]);
-    print_row(&[
-        "H. sapiens".into(),
-        "10".into(),
-        "4421.6".into(),
-        "7401".into(),
-        "33.1".into(),
-        "3000".into(),
-        "0.15".into(),
-    ]);
+    print_row(&["C. elegans", "40", "420.7", "11241", "4.8", "100", "0.13"]);
+    print_row(&["H. sapiens", "10", "4421.6", "7401", "33.1", "3000", "0.15"]);
     println!("\nThe synthetic datasets preserve depth, read-length scale and error rate; the");
     println!("genome length is scaled down (see DESIGN.md, substitution table) so the full");
     println!("pipeline and every experiment harness run on a single machine.");

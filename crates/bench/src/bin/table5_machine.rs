@@ -41,20 +41,8 @@ fn main() {
     ]);
 
     // The paper's platforms.
-    print_row(&[
-        "Cori Haswell".into(),
-        "32".into(),
-        "3.6".into(),
-        "Xeon E5-2698V3".into(),
-        "128".into(),
-    ]);
-    print_row(&[
-        "Summit CPU".into(),
-        "42".into(),
-        "4.0".into(),
-        "IBM POWER9".into(),
-        "512".into(),
-    ]);
+    print_row(&["Cori Haswell", "32", "3.6", "Xeon E5-2698V3", "128"]);
+    print_row(&["Summit CPU", "42", "4.0", "IBM POWER9", "512"]);
 
     println!("\nNetworks: Cori uses Aries Dragonfly, Summit an InfiniBand fat tree.  This");
     println!("reproduction replaces the network with a virtual process grid whose collective");

@@ -1,9 +1,11 @@
 //! Shared harness utilities for the table/figure reproduction binaries.
 //!
-//! Every table and figure of the paper's evaluation (Section VI–VII) has a
-//! binary under `src/bin/` that regenerates it on simulated datasets.  The
-//! original experiments ran on hundreds of Cori/Summit nodes; this host is a
-//! single machine, so the harness reports two complementary quantities:
+//! Every table of the paper's evaluation (Section VI–VII) has a binary under
+//! `src/bin/` that regenerates it on simulated datasets, and its scaling
+//! figures (Figures 4–9 and the Section VII-B comparison) are four tables of
+//! one sweep, `scaling_figures`.  The original experiments ran on hundreds
+//! of Cori/Summit nodes; this host is a single machine, so the harness
+//! reports two complementary quantities:
 //!
 //! * **measured** values — wall-clock times of the real computation on this
 //!   host and the exact communication volumes recorded by
@@ -204,10 +206,12 @@ pub fn write_record_in(dir: &Path, file_name: &str, record: &Record) -> io::Resu
     std::fs::write(dir.join(file_name), record.json() + "\n")
 }
 
-/// Mean wall-clock seconds of `f`: one warm-up call, then samples until the
-/// time budget and at least `min_samples` calls are spent.
+/// Median wall-clock seconds of `f` (the upper of the two middle samples
+/// for an even count): one warm-up call, then samples until the time budget
+/// and at least `min_samples` calls are spent.  The median, not the mean, so
+/// one call slowed by a busy host does not move the record.
 #[expect(clippy::disallowed_methods, reason = "the kernel-throughput records time their kernels")]
-pub fn mean_secs<T>(budget: Duration, min_samples: usize, mut f: impl FnMut() -> T) -> f64 {
+pub fn median_secs<T>(budget: Duration, min_samples: usize, mut f: impl FnMut() -> T) -> f64 {
     std::hint::black_box(f());
     let mut samples = Vec::new();
     let started = Instant::now();
@@ -216,7 +220,8 @@ pub fn mean_secs<T>(budget: Duration, min_samples: usize, mut f: impl FnMut() ->
         std::hint::black_box(f());
         samples.push(t0.elapsed().as_secs_f64());
     }
-    samples.iter().sum::<f64>() / samples.len() as f64
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 /// The estimated time to move `words` words and `messages` messages from one
@@ -270,34 +275,15 @@ pub fn project(timings: &StageTimings, comm: &CommSnapshot, p: usize) -> StageTi
     }
 }
 
-/// Useful SpGEMM flops a phase recorded (via `dibella_sparse::summa`'s
-/// `FlopCounter` plumbing) and the resulting measured flop rate in Mflop/s
-/// given the phase's measured wall-clock seconds.
-pub fn phase_flop_rate(comm: &CommSnapshot, phase: CommPhase, secs: f64) -> (u64, f64) {
-    let flops =
-        comm.extras.get(&dibella_sparse::summa::flops_key(phase)).copied().unwrap_or(0);
-    let rate = if secs > 0.0 { flops as f64 / secs / 1e6 } else { 0.0 };
-    (flops, rate)
-}
-
-/// Aligned DP cells the batched aligner recorded (via the overlap stage's
-/// `CommStats::extras` plumbing) and the resulting measured alignment
-/// throughput in Mcells/s given the stage's measured wall-clock seconds.
-pub fn alignment_cell_rate(comm: &CommSnapshot, secs: f64) -> (u64, f64) {
-    let cells = comm.extras.get(dibella_overlap::ALIGNED_CELLS_KEY).copied().unwrap_or(0);
-    let rate = if secs > 0.0 { cells as f64 / secs / 1e6 } else { 0.0 };
-    (cells, rate)
-}
-
 /// Pretty-print a row of pipe-separated cells with a fixed width.
-pub fn print_row(cells: &[String]) {
-    let line: Vec<String> = cells.iter().map(|c| format!("{c:>14}")).collect();
+pub fn print_row(cells: &[impl AsRef<str>]) {
+    let line: Vec<String> = cells.iter().map(|c| format!("{:>14}", c.as_ref())).collect();
     println!("| {} |", line.join(" | "));
 }
 
 /// Pretty-print a header row followed by a separator.
-pub fn print_header(cells: &[&str]) {
-    print_row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>());
+pub fn print_header(cells: &[impl AsRef<str>]) {
+    print_row(cells);
     let sep: Vec<String> = cells.iter().map(|_| "-".repeat(14)).collect();
     println!("|-{}-|", sep.join("-|-"));
 }
@@ -348,6 +334,43 @@ mod tests {
         assert!(t64.total() < t4.total());
         assert!(t64.alignment < t4.alignment);
         assert!(t4.total() < timings.total());
+    }
+
+    #[test]
+    fn the_1d_projection_sums_the_terms_of_its_stages() {
+        // A diBELLA 1D run: no transitive reduction, no consensus.
+        let timings = StageTimings {
+            read_fastq: 0.7,
+            count_kmer: 3.1,
+            create_spmat: 0.4,
+            spgemm: 5.3,
+            exchange_read: 0.2,
+            alignment: 17.9,
+            tr_reduction: 0.0,
+            consensus: 0.0,
+        };
+        let stats = CommStats::new();
+        stats.record(CommPhase::KmerCounting, 3_000_000, 4_000);
+        stats.record(CommPhase::OverlapDetection, 7_000_000, 9_000);
+        stats.record(CommPhase::ReadExchange, 2_000_000, 5_000);
+        let comm = stats.snapshot();
+        for p in [4, 256, 1024, 10_816] {
+            let pf = p as f64;
+            let phase = |phase| {
+                let counters = comm.phase(phase);
+                comm_time_secs(counters.words as f64 / pf, counters.messages as f64 / pf)
+            };
+            let by_term = timings.alignment / pf
+                + timings.read_fastq / pf.min(8.0)
+                + timings.count_kmer / pf
+                + phase(CommPhase::KmerCounting)
+                + timings.create_spmat / pf
+                + timings.spgemm / pf
+                + phase(CommPhase::OverlapDetection)
+                + phase(CommPhase::ReadExchange);
+            let projected = project(&timings, &comm, p).total_without_tr();
+            assert!((projected - by_term).abs() < 1e-12, "P={p}: {projected} != {by_term}");
+        }
     }
 
     #[test]

@@ -28,8 +28,6 @@ use std::sync::{Mutex, PoisonError};
 pub struct OverlapConfig {
     /// k-mer (seed) length; the paper uses 17.
     pub k: usize,
-    /// Minimum number of shared reliable k-mers for a pair to be aligned.
-    pub min_shared_kmers: u32,
     /// Compute `C = A·Aᵀ` with the symmetric SUMMA (`summa_aat_sym`): only
     /// the grid blocks on or above the diagonal are multiplied — half the
     /// useful flops and half the stage broadcasts.  The output is
@@ -45,7 +43,6 @@ impl Default for OverlapConfig {
     fn default() -> Self {
         Self {
             k: 17,
-            min_shared_kmers: 1,
             use_symmetric_summa: true,
             alignment: AlignmentConfig::default(),
         }
@@ -64,8 +61,8 @@ impl OverlapConfig {
 pub struct OverlapStats {
     /// Candidate pairs (upper triangle of `C`) examined.
     pub candidate_pairs: usize,
-    /// Pairs actually aligned: they passed the shared-k-mer filter, were not
-    /// pruned, and had a seed lying within both reads.
+    /// Pairs actually aligned: they were not pruned and had a seed lying
+    /// within both reads.
     pub aligned_pairs: usize,
     /// Pairs not aligned because both reads were already known to be
     /// contained; nothing such a pair could yield would reach `R`.
@@ -260,15 +257,15 @@ pub fn align_candidates_exec(
 /// The alignment stage: one job per candidate pair ([`align_pair`]), run in
 /// waves of `wave_len` pairs over a length-ordered pair list.
 ///
-/// Pairs that pass the shared-k-mer filter are sorted by (longer read's
-/// length ↓, shorter read's length ↓, i, j) — a read is contained by a longer
-/// one, so containments surface first — and cut into waves; order and wave
-/// boundaries depend on the candidate list and the read lengths alone, never
-/// on workers, grid or steal schedule.  After each wave the reads it found
-/// contained join `contained_reads` (distributed: one bitwise-OR all-reduce of
-/// `⌈n/64⌉` words, accounted on `comm`), and a pair whose reads were *both*
-/// contained when its wave began is not aligned: its dovetail would be dropped
-/// from `R`, its containment would flag a flagged read, anything else is
+/// The candidate pairs are sorted by (longer read's length ↓, shorter read's
+/// length ↓, i, j) — a read is contained by a longer one, so containments
+/// surface first — and cut into waves; order and wave boundaries depend on
+/// the candidate list and the read lengths alone, never on workers, grid or
+/// steal schedule.  After each wave the reads it found contained join
+/// `contained_reads` (distributed: one bitwise-OR all-reduce of `⌈n/64⌉`
+/// words, accounted on `comm`), and a pair whose reads were *both* contained
+/// when its wave began is not aligned: its dovetail would be dropped from
+/// `R`, its containment would flag a flagged read, anything else is
 /// discarded.  `R` and the flags — the fourth value returned — are therefore
 /// exactly those of `wave_len = usize::MAX`, which prunes nothing, and every
 /// flagged read keeps the aligned pair that flagged it.  (Pruning on *either*
@@ -290,7 +287,6 @@ fn align_in_waves(
         candidates.iter().filter(|&(i, j, _)| i < j).collect();
     stats.candidate_pairs = pairs.len();
     stats.c_density = if n > 0 { 2.0 * pairs.len() as f64 / n as f64 } else { 0.0 };
-    pairs.retain(|(_, _, common)| common.count >= config.min_shared_kmers);
     pairs.sort_unstable_by_key(|&(i, j, _)| {
         let (a, b) = (reads.seq(i).len(), reads.seq(j).len());
         (Reverse(a.max(b)), Reverse(a.min(b)), i, j)
@@ -590,22 +586,16 @@ mod tests {
     #[test]
     fn stats_are_internally_consistent() {
         let (ds, table, cfg) = setup(6);
-        let cfg = OverlapConfig { min_shared_kmers: 2, ..cfg };
         let comm = CommStats::new();
-        let (candidates, overlaps, s) = overlap_2d(&ds, &table, &cfg, ProcessGrid::square(4), &comm);
+        let (_, overlaps, s) = overlap_2d(&ds, &table, &cfg, ProcessGrid::square(4), &comm);
         assert_eq!(
             s.aligned_pairs,
             s.dovetail + s.contained + s.internal + s.below_threshold,
             "every aligned pair must be classified exactly once"
         );
-        // The books close: a candidate pair is filtered, pruned or aligned.
-        let filtered = candidates
-            .to_triples()
-            .iter()
-            .filter(|&(i, j, common)| i < j && common.count < cfg.min_shared_kmers)
-            .count();
-        assert!(filtered > 0 && s.pruned_pairs > 0, "both exits must be exercised");
-        assert_eq!(s.aligned_pairs + s.pruned_pairs + filtered, s.candidate_pairs);
+        // The books close: a candidate pair is pruned or aligned.
+        assert!(s.pruned_pairs > 0, "the pruning exit must be exercised");
+        assert_eq!(s.aligned_pairs + s.pruned_pairs, s.candidate_pairs);
         assert!((s.r_density - overlaps.nnz() as f64 / ds.reads.len() as f64).abs() < 1e-9);
         // Every surviving overlap contributes two directed entries; dovetails
         // touching contained reads are dropped, so this is an upper bound.

@@ -137,12 +137,11 @@ impl CommModel {
         }
     }
 
-    /// The alignment stage's share of overlap detection: the pairs that pass
-    /// the shared-k-mer filter are aligned in waves of
-    /// [`dibella_overlap::WAVE_PAIRS`], and after each wave one
-    /// bitwise-OR all-reduce folds the `⌈n/64⌉`-word contained-read bitmap —
-    /// a reduce plus a broadcast over the `P` ranks.  Exact, not asymptotic:
-    /// the instrumentation must post exactly this.
+    /// The alignment stage's share of overlap detection: the candidate pairs
+    /// are aligned in waves of [`dibella_overlap::WAVE_PAIRS`], and after each
+    /// wave one bitwise-OR all-reduce folds the `⌈n/64⌉`-word contained-read
+    /// bitmap — a reduce plus a broadcast over the `P` ranks.  Exact, not
+    /// asymptotic: the instrumentation must post exactly this.
     pub fn alignment_waves(&self, candidate_pairs: usize, reads: usize) -> PhaseCost {
         let waves = candidate_pairs.div_ceil(dibella_overlap::WAVE_PAIRS) as f64;
         let peers = self.p as f64 - 1.0;

@@ -162,7 +162,6 @@ impl PipelineConfig {
     pub fn for_benchmark(k: usize, error_rate: f64, nprocs: usize) -> Self {
         let mut overlap = OverlapConfig {
             k,
-            min_shared_kmers: 1,
             alignment: dibella_align::AlignmentConfig::for_error_rate(error_rate),
             ..OverlapConfig::default()
         };

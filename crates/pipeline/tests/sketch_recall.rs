@@ -9,7 +9,7 @@
 //! does not propagate to the assembled contigs on the baseline scenario.
 //!
 //! "Candidate recall" here is measured at the SUMMA output (pairs whose
-//! sketch rows share at least `min_shared_kmers` k-min-mers), before
+//! sketch rows share at least one k-min-mer), before
 //! alignment: it isolates the subsystem under test from aligner behaviour.
 
 use dibella_dist::{CommStats, ProcessGrid};
