@@ -14,7 +14,6 @@
 //! ```bash
 //! cargo run --release -p dibella-bench --bin assembly_quality
 //! DIBELLA_RECORD_DIR=/tmp cargo run --release -p dibella-bench --bin assembly_quality
-//! DIBELLA_PRESET=fast cargo run --release -p dibella-bench --bin assembly_quality
 //! ```
 
 // The bench crate is the sanctioned home of wall-clock reads (see
@@ -116,15 +115,9 @@ fn main() {
         out.consensus_summary.consensus_bases
     );
 
-    // The adversarial scenario matrix: the bench-scale suite the committed
-    // BENCH_assembly.json holds, or the CI smoke subset (~8 kb genomes,
-    // 600 bp reads).
-    let preset = Preset::from_env();
-    let suite = match preset {
-        Preset::Fast => ScenarioSpec::fast_suite(),
-        Preset::Full => ScenarioSpec::bench_suite(),
-    };
-    println!("\nAdversarial scenario matrix ({} preset)\n", preset.name());
+    // The adversarial scenario matrix at bench scale.
+    let suite = ScenarioSpec::bench_suite();
+    println!("\nAdversarial scenario matrix\n");
     print_header(&["scenario", "reads", "contigs", "NG50", "identity", "misjoin", "chim.brk"]);
     let mut scenarios = Vec::new();
     let scenarios_started = std::time::Instant::now();
@@ -184,7 +177,7 @@ fn main() {
         .field("consensus_bases", summary.consensus_bases)
         .field("consensus_secs", Fixed(out.timings.consensus, 4))
         .field("pipeline_secs", Fixed(pipeline_secs, 4))
-        .field("scenario_preset", preset.name())
+        .field("scenario_preset", Preset::Full.name())
         .field("scenario_matrix_secs", Fixed(scenarios_secs, 4))
         .field("scenarios", scenarios);
     write_record("BENCH_assembly.json", &record);

@@ -18,6 +18,7 @@
 //! ```
 
 use dibella_bench::{benchmark_dataset, fmt, print_header, print_row, project};
+use dibella_bench::READ_FASTQ_MAX_RANKS;
 use dibella_dist::extras::flops_key;
 use dibella_dist::{CommPhase, CommStats};
 use dibella_overlap::{
@@ -236,7 +237,8 @@ fn main() {
     println!("'measured' is this host's wall clock, including the per-rank bookkeeping of");
     println!("the simulated ranks, which grows with P; 'proj. T(P)' divides the measured");
     println!("per-stage compute across ranks and adds the per-rank communication time");
-    println!("derived from the measured volumes (see EXPERIMENTS.md).\n");
+    println!("derived from the measured volumes (see EXPERIMENTS.md); ReadFastq is divided");
+    println!("across at most {READ_FASTQ_MAX_RANKS} ranks, so it bounds T(P) from below.\n");
 
     println!("Figures 5-8 reproduction — diBELLA 2D runtime breakdown\n");
     sweeps.iter().for_each(Sweep::fig5_8);

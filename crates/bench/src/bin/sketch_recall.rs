@@ -13,39 +13,29 @@
 //!   aligns successfully, the k-min-mer path must recover at least 90%;
 //! * **cost** — the sketch matrix must carry at least 5x fewer nonzeros than
 //!   the exact `A`, with the SpGEMM flops and `OverlapDetection` broadcast
-//!   words shrinking alongside, and the staged overlap phase (counting +
-//!   matrix + SUMMA + alignment) ending up faster wall-clock.
+//!   words shrinking alongside.
+//!
+//! Each path is one `run_dibella_2d_on_reads`, and every number is read off
+//! its output.  `stage_secs` is the run's stage timings up to and including
+//! alignment (k-mer counting or the sketch index, `A`, the read exchange,
+//! SUMMA, alignment), `total_words` the words of the same phases, and the
+//! end-to-end seconds the run's total through consensus.
 //!
 //! Both claims are hard `assert!`s, so CI fails if a regression lands.  The
-//! committed `BENCH_sketch.json` holds the `full` preset (the bench-scale
-//! baseline scenario: 15 kb genome, 1.2 kb reads).
+//! committed `BENCH_sketch.json` holds the bench-scale baseline scenario
+//! (15 kb genome, 1.2 kb reads).
 //!
 //! ```bash
 //! cargo run --release -p dibella-bench --bin sketch_recall
-//! DIBELLA_PRESET=fast cargo run --release -p dibella-bench --bin sketch_recall
 //! DIBELLA_RECORD_DIR=/tmp cargo run --release -p dibella-bench --bin sketch_recall
 //! ```
 
-// The bench crate is the sanctioned home of wall-clock reads (see
-// clippy.toml); opt back in to Instant::now here.
-#![allow(clippy::disallowed_methods)]
-#![expect(
-    clippy::disallowed_types,
-    reason = "pair sets are intersected and counted; nothing is emitted in iteration order"
-)]
-
 use dibella_bench::{print_header, print_row, write_record, Fixed, Preset, Record};
-use dibella_dist::{CommPhase, CommStats, ProcessGrid};
-use dibella_overlap::{
-    account_read_exchange_2d, align_candidates_with, build_a_matrix, detect_candidates_2d_with,
-};
+use dibella_dist::{CommPhase, CommStats};
 use dibella_pipeline::{run_dibella_2d_on_reads, CandidateSource, PipelineConfig, ScenarioSpec};
-use dibella_seq::count_kmers_distributed;
 use dibella_seq::simulate::{build_scenario, ScenarioKind, SimulatedDataset};
-use dibella_sketch::build_sketch_matrix;
 use dibella_sparse::summa::flops_key;
-use std::collections::HashSet;
-use std::time::Instant;
+use std::collections::BTreeSet;
 
 /// The candidate-recall floor: of the true pairs the exact path aligns, the
 /// fraction the k-min-mer path must also align.
@@ -54,7 +44,7 @@ const RECALL_OF_EXACT_FLOOR: f64 = 0.90;
 /// The sparsity floor: `exact A nnz / sketch A nnz` must be at least this.
 const NNZ_REDUCTION_FLOOR: f64 = 5.0;
 
-/// One staged overlap-phase run: matrix construction through alignment.
+/// The numbers of one pipeline run.
 struct LegResult {
     /// Occurrence-matrix nonzeros (the SUMMA operand).
     a_nnz: usize,
@@ -63,15 +53,17 @@ struct LegResult {
     /// Candidate pairs surviving the SUMMA threshold (upper triangle).
     candidate_pairs: usize,
     /// Aligned overlap pairs (upper triangle).
-    pairs: HashSet<(usize, usize)>,
+    pairs: BTreeSet<(usize, usize)>,
     /// Useful SpGEMM flops recorded under `OverlapDetection`.
     spgemm_flops: u64,
     /// Broadcast words recorded under `OverlapDetection`.
     bcast_words: u64,
-    /// Total communication words of the leg, all phases.
+    /// Words of the phases up to and including alignment.
     total_words: u64,
-    /// Wall-clock of the staged leg (counting + matrix + SUMMA + alignment).
-    secs: f64,
+    /// Stage seconds up to and including alignment.
+    stage_secs: f64,
+    /// Stage seconds of the whole run, through consensus.
+    end_to_end_secs: f64,
 }
 
 impl LegResult {
@@ -87,63 +79,41 @@ impl LegResult {
             .field("spgemm_flops", self.spgemm_flops)
             .field("bcast_words", self.bcast_words)
             .field("total_words", self.total_words)
-            .field("stage_secs", Fixed(self.secs, 4))
+            .field("stage_secs", Fixed(self.stage_secs, 4))
     }
 }
 
-/// Run one candidate path end to end through alignment, so the exact leg
-/// pays for its k-mer counting stage and the sketch leg for its index
-/// exchange.
+/// Run the 2D pipeline on one candidate path and read its numbers, so the
+/// exact leg pays for its k-mer counting stage and the sketch leg for its
+/// index exchange.
 fn run_leg(ds: &SimulatedDataset, config: &PipelineConfig, source: CandidateSource) -> LegResult {
-    let comm = CommStats::new();
-    let start = Instant::now();
-    let grid = ProcessGrid::square_at_most(config.nprocs);
-    let a = match source {
-        CandidateSource::ExactKmer => {
-            let table =
-                count_kmers_distributed(&ds.reads, &config.kmer, config.nprocs, &comm);
-            build_a_matrix(&ds.reads, &table, config.overlap.k, grid, grid.nprocs())
-        }
-        CandidateSource::KMinMer => {
-            build_sketch_matrix(&ds.reads, &config.sketch, grid, grid.nprocs(), &comm).0
-        }
-    };
-    account_read_exchange_2d(&ds.reads, grid, &comm);
-    let candidates = detect_candidates_2d_with(&a, &comm, config.overlap.use_symmetric_summa);
-    let (overlaps, _) =
-        align_candidates_with(&ds.reads, &candidates, &config.overlap, Some(&comm));
-    let secs = start.elapsed().as_secs_f64();
-    let snap = comm.snapshot();
-    let bcast = snap.phase(CommPhase::OverlapDetection);
+    let config = PipelineConfig { candidate_source: source, ..*config };
+    let out = run_dibella_2d_on_reads(&ds.reads, &config, &CommStats::new()).unwrap();
+    assert!(out.consensus_summary.consensus_bases > 0, "pipeline produced no consensus");
+    let t = out.timings;
+    let words = [
+        CommPhase::KmerCounting,
+        CommPhase::SketchIndex,
+        CommPhase::ReadExchange,
+        CommPhase::OverlapDetection,
+    ]
+    .map(|phase| out.comm.phase(phase).words);
     LegResult {
-        a_nnz: a.nnz(),
-        a_cols: a.ncols(),
-        candidate_pairs: candidates.to_triples().iter().filter(|(i, j, _)| i < j).count(),
-        pairs: overlaps
-            .to_triples()
-            .iter()
-            .filter(|(i, j, _)| i < j)
-            .map(|(i, j, _)| (i, j))
-            .collect(),
-        spgemm_flops: snap
+        a_nnz: out.dims.a_nnz,
+        a_cols: out.dims.kmers,
+        candidate_pairs: out.overlap_stats.candidate_pairs,
+        pairs: out.overlap_matrix.iter().filter(|(i, j, _)| i < j).map(|(i, j, _)| (i, j)).collect(),
+        spgemm_flops: out
+            .comm
             .extras
             .get(&flops_key(CommPhase::OverlapDetection))
             .copied()
             .unwrap_or(0),
-        bcast_words: bcast.words,
-        total_words: snap.total_words(),
-        secs,
+        bcast_words: out.comm.phase(CommPhase::OverlapDetection).words,
+        total_words: words.iter().sum(),
+        stage_secs: t.count_kmer + t.create_spmat + t.exchange_read + t.spgemm + t.alignment,
+        end_to_end_secs: t.total(),
     }
-}
-
-/// Wall-clock of the full 2D pipeline (through consensus) in one mode.
-fn pipeline_secs(ds: &SimulatedDataset, config: &PipelineConfig) -> f64 {
-    let comm = CommStats::new();
-    let start = Instant::now();
-    let out = run_dibella_2d_on_reads(&ds.reads, config, &comm).unwrap();
-    let secs = start.elapsed().as_secs_f64();
-    assert!(out.consensus_summary.consensus_bases > 0, "pipeline produced no consensus");
-    secs
 }
 
 fn ratio(num: f64, den: f64) -> f64 {
@@ -155,18 +125,13 @@ fn ratio(num: f64, den: f64) -> f64 {
 }
 
 fn main() {
-    let preset = Preset::from_env();
-    let spec = match preset {
-        Preset::Fast => ScenarioSpec::fast(ScenarioKind::Baseline),
-        Preset::Full => ScenarioSpec::bench(ScenarioKind::Baseline),
-    };
+    let spec = ScenarioSpec::bench(ScenarioKind::Baseline);
     let ds = build_scenario(spec.kind, &spec.params);
     let config = PipelineConfig::for_small_reads(spec.k, spec.nprocs);
     println!(
-        "Sketch recall — k-min-mer candidates vs the exact reliable-k-mer path, {} preset\n\
+        "Sketch recall — k-min-mer candidates vs the exact reliable-k-mer path\n\
          baseline scenario: {} bp genome, {} reads, {:.1}x depth, {:.0} bp mean reads\n\
          sketch: k={} kmm={} density={}\n",
-        preset.name(),
         ds.genome.len(),
         ds.num_reads(),
         ds.achieved_depth(),
@@ -179,14 +144,7 @@ fn main() {
     // Ground truth from the simulator: pairs overlapping by at least the
     // aligner's minimum overlap.
     let min_overlap = config.overlap.alignment.min_overlap;
-    let mut truth = HashSet::new();
-    for i in 0..ds.num_reads() {
-        for j in (i + 1)..ds.num_reads() {
-            if ds.true_overlap(i, j) >= min_overlap {
-                truth.insert((i, j));
-            }
-        }
-    }
+    let truth = ds.true_pairs(min_overlap);
 
     let exact = run_leg(&ds, &config, CandidateSource::ExactKmer);
     let kmm = run_leg(&ds, &config, CandidateSource::KMinMer);
@@ -194,8 +152,8 @@ fn main() {
     // Quality: the k-min-mer path is judged against what the exact path
     // actually delivers (true pairs it aligned), not raw simulator truth —
     // pairs the exact path itself misses are not held against the sketch.
-    let exact_true: HashSet<(usize, usize)> = exact.pairs.intersection(&truth).copied().collect();
-    let kmm_true: HashSet<(usize, usize)> = kmm.pairs.intersection(&truth).copied().collect();
+    let exact_true: BTreeSet<(usize, usize)> = exact.pairs.intersection(&truth).copied().collect();
+    let kmm_true: BTreeSet<(usize, usize)> = kmm.pairs.intersection(&truth).copied().collect();
     let recovered = kmm_true.intersection(&exact_true).count();
     let recall_of_exact = ratio(recovered as f64, exact_true.len() as f64);
     let exact_recall = ratio(exact_true.len() as f64, truth.len() as f64);
@@ -208,13 +166,8 @@ fn main() {
     let flops_reduction = ratio(exact.spgemm_flops as f64, kmm.spgemm_flops as f64);
     let bcast_reduction = ratio(exact.bcast_words as f64, kmm.bcast_words as f64);
     let words_reduction = ratio(exact.total_words as f64, kmm.total_words as f64);
-    let stage_speedup = ratio(exact.secs, kmm.secs);
-    let exact_e2e = pipeline_secs(&ds, &config);
-    let kmm_e2e = pipeline_secs(
-        &ds,
-        &PipelineConfig { candidate_source: CandidateSource::KMinMer, ..config },
-    );
-    let e2e_speedup = ratio(exact_e2e, kmm_e2e);
+    let stage_speedup = ratio(exact.stage_secs, kmm.stage_secs);
+    let e2e_speedup = ratio(exact.end_to_end_secs, kmm.end_to_end_secs);
 
     print_header(&["path", "A nnz", "A cols", "cand", "pairs", "true", "bcast words", "secs"]);
     for (name, leg, true_pairs) in
@@ -228,14 +181,14 @@ fn main() {
             leg.pairs.len().to_string(),
             true_pairs.to_string(),
             leg.bcast_words.to_string(),
-            format!("{:.2}", leg.secs),
+            format!("{:.2}", leg.stage_secs),
         ]);
     }
     println!(
         "\nground truth: {} pairs (>= {} bp); exact recall {:.1}%, k-min-mer recall {:.1}%\n\
          k-min-mer recovers {recovered}/{} of the exact path's true pairs ({:.1}%)\n\
          reductions: {:.1}x nnz, {:.1}x SpGEMM flops, {:.1}x broadcast words, {:.1}x total words\n\
-         wall-clock: {:.2}x staged overlap phase, {:.2}x end-to-end pipeline",
+         wall-clock: {:.2}x stages through alignment, {:.2}x end-to-end pipeline",
         truth.len(),
         min_overlap,
         100.0 * exact_recall,
@@ -273,7 +226,7 @@ fn main() {
 
     let sketch = &config.sketch;
     let record = Record::default()
-        .field("preset", preset.name())
+        .field("preset", Preset::Full.name())
         .field("scenario", "baseline")
         .field("genome_length", ds.genome.len())
         .field("reads", ds.num_reads())
@@ -300,8 +253,8 @@ fn main() {
         .field("bcast_words_reduction", Fixed(bcast_reduction, 2))
         .field("total_words_reduction", Fixed(words_reduction, 2))
         .field("stage_speedup", Fixed(stage_speedup, 2))
-        .field("end_to_end_secs_exact", Fixed(exact_e2e, 4))
-        .field("end_to_end_secs_kminmer", Fixed(kmm_e2e, 4))
+        .field("end_to_end_secs_exact", Fixed(exact.end_to_end_secs, 4))
+        .field("end_to_end_secs_kminmer", Fixed(kmm.end_to_end_secs, 4))
         .field("end_to_end_speedup", Fixed(e2e_speedup, 2));
     write_record("BENCH_sketch.json", &record);
 }

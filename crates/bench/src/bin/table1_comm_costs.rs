@@ -25,7 +25,7 @@ use dibella_overlap::{
     account_read_exchange_1d, account_read_exchange_2d, align_candidates_with, build_a_matrix,
     detect_candidates_1d, detect_candidates_2d_with, OverlapConfig,
 };
-use dibella_pipeline::{CommModel, ModelParams};
+use dibella_pipeline::{run_dibella_2d_on_reads, CommModel, ModelParams, PipelineConfig};
 use dibella_seq::{count_kmers_distributed, DatasetSpec, KmerSelection};
 use dibella_sparse::DistMat2D;
 use dibella_strgraph::{transitive_reduction, TransitiveReductionConfig};
@@ -47,22 +47,20 @@ fn main() {
         ds.achieved_depth()
     );
 
-    // One serial pass to derive the Table II parameters (n, m, a, c, r) and the
-    // overlap matrix R reused by the transitive-reduction measurement.
-    let warm = CommStats::new();
-    let table = count_kmers_distributed(&ds.reads, &selection, 1, &warm);
-    let a_ref = build_a_matrix(&ds.reads, &table, k, ProcessGrid::square(1), 1);
-    let c_ref = detect_candidates_2d_with(&a_ref, &warm, true);
-    let (r_ref, ostats) = align_candidates_with(&ds.reads, &c_ref, &overlap_cfg, None);
-    let r_triples = r_ref.to_triples();
+    // One pipeline run at P = 1 gives the Table II parameters (n, m, a, c, r)
+    // and the overlap matrix R the transitive-reduction measurement reuses.
+    let config =
+        PipelineConfig { kmer: selection, overlap: overlap_cfg, nprocs: 1, ..Default::default() };
+    let serial = run_dibella_2d_on_reads(&ds.reads, &config, &CommStats::new()).unwrap();
+    let r_triples = serial.overlap_matrix.to_triples();
     let params = ModelParams {
-        n: ds.num_reads(),
-        m: table.len(),
-        l: ds.mean_read_length(),
+        n: serial.dims.reads,
+        m: serial.dims.kmers,
+        l: serial.dims.mean_read_length,
         k,
-        a: if table.is_empty() { 0.0 } else { a_ref.nnz() as f64 / table.len() as f64 },
-        c: ostats.c_density,
-        r: ostats.r_density,
+        a: serial.dims.a_density(),
+        c: serial.overlap_stats.c_density,
+        r: serial.overlap_stats.r_density,
         kmer_passes: 2,
     };
     println!(
@@ -81,7 +79,7 @@ fn main() {
 
         // K-mer counting (identical in 1D and 2D).
         let comm = CommStats::new();
-        let _ = count_kmers_distributed(&ds.reads, &selection, p, &comm);
+        let table = count_kmers_distributed(&ds.reads, &selection, p, &comm);
         let kc = comm.snapshot().phase(CommPhase::KmerCounting);
         emit(p, "K-mer counting", "1D=2D", kc.words, model.kmer_counting().aggregate_words, kc.messages, model.kmer_counting().aggregate_messages);
 
@@ -119,8 +117,7 @@ fn main() {
 
         // Overlap detection, 1D outer product.
         let comm1d = CommStats::new();
-        let a_local = a_ref.to_local_csr();
-        let c1d = detect_candidates_1d(&a_local, p, &comm1d);
+        let c1d = detect_candidates_1d(&a2d.to_local_csr(), p, &comm1d);
         let od1 = comm1d.snapshot().phase(CommPhase::OverlapDetection);
         emit(p, "Overlap detection", "1D", od1.words, model.overlap_1d().aggregate_words, od1.messages, model.overlap_1d().aggregate_messages);
 

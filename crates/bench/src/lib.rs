@@ -40,6 +40,11 @@ pub const INTERCONNECT_LATENCY_SECS: f64 = 2.0e-6;
 /// Bytes per word in the communication accounting.
 pub const BYTES_PER_WORD: f64 = 8.0;
 
+/// The rank count beyond which [`project`] stops dividing ReadFastq: read
+/// I/O is modelled as scaling to this many ranks and no further, after the
+/// paper's observation that it stops scaling at high concurrency.
+pub const READ_FASTQ_MAX_RANKS: f64 = 8.0;
+
 /// Generate (deterministically) the benchmark dataset for a preset, at its
 /// [`DatasetSpec::default_genome_length`], [scaled](scaled_length) and at
 /// least 2 kbp.
@@ -65,8 +70,8 @@ pub fn parse_scale(value: Option<&OsStr>) -> Result<f64, String> {
         .ok_or_else(|| format!("DIBELLA_BENCH_SCALE={value:?} is not a positive number"))
 }
 
-/// Which size of workload the record-writing harnesses run, picked by
-/// `DIBELLA_PRESET`.
+/// Which size of workload `ingest_scale` runs, picked by `DIBELLA_PRESET`
+/// (the other record-writing harnesses run one size).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Preset {
     /// The small smoke workload pull-request CI runs.
@@ -249,12 +254,12 @@ pub fn simulated_phase_time(
 /// Project a measured single-host run onto `p` virtual ranks: the simulated
 /// distributed runtime breakdown, derived from the run's stage timings and
 /// communication snapshot.  Alignment is perfectly parallel and communicates
-/// nothing; parsing is modelled as non-scaling beyond 8 ranks, mirroring the
-/// paper's observation that read I/O stops scaling; the read exchange is
-/// communication alone.
+/// nothing; parsing is modelled as non-scaling beyond
+/// [`READ_FASTQ_MAX_RANKS`] ranks; the read exchange is communication
+/// alone.
 pub fn project(timings: &StageTimings, comm: &CommSnapshot, p: usize) -> StageTimings {
     let pf = p as f64;
-    let io_ranks = pf.min(8.0);
+    let io_ranks = pf.min(READ_FASTQ_MAX_RANKS);
     StageTimings {
         alignment: timings.alignment / pf,
         read_fastq: timings.read_fastq / io_ranks,
@@ -361,7 +366,7 @@ mod tests {
                 comm_time_secs(counters.words as f64 / pf, counters.messages as f64 / pf)
             };
             let by_term = timings.alignment / pf
-                + timings.read_fastq / pf.min(8.0)
+                + timings.read_fastq / pf.min(READ_FASTQ_MAX_RANKS)
                 + timings.count_kmer / pf
                 + phase(CommPhase::KmerCounting)
                 + timings.create_spmat / pf

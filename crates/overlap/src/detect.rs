@@ -545,18 +545,10 @@ mod tests {
         let grid = ProcessGrid::square(1);
         let comm = CommStats::new();
         let (_, overlaps, _) = overlap_2d(&ds, &table, &cfg, grid, &comm);
-        let local = overlaps.to_local_csr();
-        let mut true_pos = 0usize;
-        let mut false_pos = 0usize;
-        for (i, j, _) in local.iter() {
-            if i < j {
-                if ds.true_overlap(i, j) >= cfg.alignment.min_overlap / 2 {
-                    true_pos += 1;
-                } else {
-                    false_pos += 1;
-                }
-            }
-        }
+        let truth = ds.true_pairs(cfg.alignment.min_overlap / 2);
+        let found = overlaps.iter().filter(|&(i, j, _)| i < j).count();
+        let true_pos = overlaps.iter().filter(|&(i, j, _)| truth.contains(&(i, j))).count();
+        let false_pos = found - true_pos;
         assert!(true_pos > 0, "should recover genuine overlaps");
         assert!(
             false_pos <= true_pos / 5 + 2,

@@ -64,7 +64,6 @@ pub fn run_dibella_1d(
     let (a, t_create) =
         timed(|| build_a_matrix(reads, &table, config.overlap.k, grid, nprocs));
     timings.create_spmat = t_create;
-    let a_density = if table.is_empty() { 0.0 } else { a.nnz() as f64 / table.len() as f64 };
 
     let a_local = a.to_local_csr();
     let (candidates_local, t_spgemm) = timed(|| detect_candidates_1d(&a_local, nprocs, comm));
@@ -88,7 +87,7 @@ pub fn run_dibella_1d(
             reads: reads.len(),
             kmers: table.len(),
             mean_read_length: reads.mean_read_length(),
-            a_density,
+            a_nnz: a.nnz(),
         },
         nprocs,
     })

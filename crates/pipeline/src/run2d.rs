@@ -64,8 +64,20 @@ pub struct PipelineDims {
     pub kmers: usize,
     /// Mean read length `l`.
     pub mean_read_length: f64,
-    /// Density `a` of `A` (average reads per reliable k-mer).
-    pub a_density: f64,
+    /// Nonzeros of the occurrence matrix `A`.
+    pub a_nnz: usize,
+}
+
+impl PipelineDims {
+    /// Density `a` of `A`: average reads per reliable k-mer, 0 without
+    /// k-mers.
+    pub fn a_density(&self) -> f64 {
+        if self.kmers == 0 {
+            0.0
+        } else {
+            self.a_nnz as f64 / self.kmers as f64
+        }
+    }
 }
 
 /// A compact, serialisable summary of a [`TrOutcome`].
@@ -239,8 +251,7 @@ fn pipeline_from_table(
         }
     });
     timings.create_spmat = t_create;
-    let columns = a.ncols();
-    let a_density = if columns == 0 { 0.0 } else { a.nnz() as f64 / columns as f64 };
+    let (columns, a_nnz) = (a.ncols(), a.nnz());
 
     // ExchangeRead: in the real system the exchange is overlapped with the
     // k-mer counting and SpGEMM; here the data is already shared, so this
@@ -291,7 +302,7 @@ fn pipeline_from_table(
             // In k-min-mer mode `m` counts k-min-mer columns, not k-mers.
             kmers: columns,
             mean_read_length: reads.mean_read_length(),
-            a_density,
+            a_nnz,
         },
         sketch,
         ingest,
@@ -539,7 +550,6 @@ mod tests {
 
     #[test]
     fn ingest_budget_changes_supersteps_but_not_the_result() {
-        use dibella_overlap::build_a_matrix;
         use dibella_seq::{count_kmers_serial, IngestBudget};
         let ds = DatasetSpec::Tiny.generate(52);
         let cfg = tiny_config(4);
@@ -553,6 +563,7 @@ mod tests {
         let a_of = |table| build_a_matrix(&ds.reads, &table, cfg.overlap.k, grid, p).to_local_csr();
         let serial_a = a_of(count_kmers_serial(&ds.reads, &cfg.kmer));
         assert_eq!(base.dims.kmers, serial_a.ncols());
+        assert_eq!(base.dims.a_nnz, serial_a.nnz());
         for max_batch_reads in [1usize, 7, 64, usize::MAX] {
             let mut scfg = cfg;
             scfg.ingest = IngestBudget::with_batch_reads(max_batch_reads);
@@ -743,19 +754,23 @@ mod tests {
         assert_eq!(out.timings.count_kmer, 0.0);
         assert_eq!(out.ingest, IngestStats::default());
         assert!(out.timings.create_spmat > 0.0);
-        // dims.kmers reports k-min-mer columns; `sketch` carries the details.
+        // dims reports the sketch matrix: k-min-mer columns and its nonzeros.
         let sketch = out.sketch.expect("k-min-mer mode reports its sketch stats");
         assert_eq!(out.dims.kmers as u64, sketch.columns);
+        assert_eq!(out.dims.a_nnz as u64, sketch.nnz);
+        let (grid, p) = (out.grid, out.grid.nprocs());
+        let built = build_sketch_matrix(&ds.reads, &cfg.sketch, grid, p, &CommStats::new()).0;
+        assert_eq!(out.dims.a_nnz, built.nnz());
         assert!(sketch.nnz > 0);
         assert!(sketch.hpc_ratio() > 1.0);
 
         // The sketch matrix must be far smaller than the exact-path A.
         let exact = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &CommStats::new()).unwrap();
-        let exact_nnz = (exact.dims.a_density * exact.dims.kmers as f64).round() as u64;
         assert!(
-            sketch.nnz * 3 < exact_nnz,
-            "sketch nnz {} vs exact nnz {exact_nnz}",
-            sketch.nnz
+            out.dims.a_nnz * 3 < exact.dims.a_nnz,
+            "sketch nnz {} vs exact nnz {}",
+            out.dims.a_nnz,
+            exact.dims.a_nnz
         );
     }
 
@@ -778,7 +793,7 @@ mod tests {
                 let out = run(threads, nprocs);
                 let ctx = format!("t={threads} p={nprocs}");
                 assert_eq!(out.dims.kmers, base.dims.kmers, "{ctx}");
-                assert_eq!(out.dims.a_density, base.dims.a_density, "{ctx}");
+                assert_eq!(out.dims.a_nnz, base.dims.a_nnz, "{ctx}");
                 assert_eq!(out.overlap_matrix.to_local_csr(), base_overlap, "{ctx}");
                 assert_eq!(out.string_matrix.to_local_csr(), base_string, "{ctx}");
             }
@@ -793,7 +808,7 @@ mod tests {
         let n = ds.reads.len() as f64;
         assert!((out.overlap_stats.r_density - out.overlap_matrix.nnz() as f64 / n).abs() < 1e-9);
         assert!((out.tr_summary.s_density - out.string_matrix.nnz() as f64 / n).abs() < 1e-9);
-        assert!(out.dims.a_density > 0.0);
+        assert!(out.dims.a_density() > 0.0);
         assert!(out.dims.kmers > 0);
         assert_eq!(out.string_matrix.nrows(), ds.reads.len());
     }

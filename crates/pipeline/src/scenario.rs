@@ -33,7 +33,7 @@ pub struct ScenarioSpec {
 
 impl ScenarioSpec {
     /// The fast preset: ~8–9 kb genomes and 600 bp reads, sized so the whole
-    /// six-scenario matrix runs in seconds (CI smoke subset, debug builds).
+    /// six-scenario matrix runs in seconds (the test suites, debug builds).
     pub fn fast(kind: ScenarioKind) -> Self {
         let genome_length = match kind {
             // The tandem array (3 × 1200 bp) needs flanks around it.

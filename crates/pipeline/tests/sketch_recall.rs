@@ -11,17 +11,18 @@
 //! "Candidate recall" here is measured at the SUMMA output (pairs whose
 //! sketch rows share at least one k-min-mer), before
 //! alignment: it isolates the subsystem under test from aligner behaviour.
+//! A pipeline run does not return `C`, so this test builds the sketch
+//! matrix and runs the SUMMA itself.
 
 use dibella_dist::{CommStats, ProcessGrid};
 use dibella_overlap::detect_candidates_2d_with;
 use dibella_pipeline::{
     run_dibella_2d_on_reads, CandidateSource, PipelineConfig, ScenarioSpec,
 };
-use dibella_seq::simulate::{build_scenario, ScenarioKind, SimulatedDataset};
+use dibella_seq::simulate::{build_scenario, ScenarioKind};
 use dibella_sketch::build_sketch_matrix;
 use dibella_strgraph::{evaluate_assembly_truth, GroundTruth};
 use proptest::prelude::*;
-use std::collections::HashSet;
 
 /// A candidate pair must be recoverable when the genomic overlap spans at
 /// least this many bases — a third of the fast preset's 600 bp reads.  Much
@@ -29,19 +30,6 @@ use std::collections::HashSet;
 /// index (the exact path misses most of them too) and are not what the
 /// string graph needs.
 const MIN_TRUE_OVERLAP: usize = 200;
-
-/// Ground-truth pairs overlapping by at least `min_overlap` genomic bases.
-fn truth_pairs(ds: &SimulatedDataset, min_overlap: usize) -> HashSet<(usize, usize)> {
-    let mut truth = HashSet::new();
-    for i in 0..ds.num_reads() {
-        for j in (i + 1)..ds.num_reads() {
-            if ds.true_overlap(i, j) >= min_overlap {
-                truth.insert((i, j));
-            }
-        }
-    }
-    truth
-}
 
 /// Build the scenario's dataset, run the sketch matrix + SUMMA, and return
 /// the candidate recall against `MIN_TRUE_OVERLAP`-base true overlaps.
@@ -54,15 +42,10 @@ fn candidate_recall(kind: ScenarioKind, seed: u64) -> f64 {
     let grid = ProcessGrid::square_at_most(config.nprocs);
     let (a, _) = build_sketch_matrix(&ds.reads, &config.sketch, grid, grid.nprocs(), &comm);
     let candidates = detect_candidates_2d_with(&a, &comm, config.overlap.use_symmetric_summa);
-    let found: HashSet<(usize, usize)> = candidates
-        .to_triples()
-        .iter()
-        .filter(|(i, j, _)| i < j)
-        .map(|(i, j, _)| (i, j))
-        .collect();
-    let truth = truth_pairs(&ds, MIN_TRUE_OVERLAP);
+    let truth = ds.true_pairs(MIN_TRUE_OVERLAP);
     assert!(!truth.is_empty(), "scenario {kind:?} produced no ground-truth overlaps");
-    found.intersection(&truth).count() as f64 / truth.len() as f64
+    let found = candidates.iter().filter(|&(i, j, _)| truth.contains(&(i, j))).count();
+    found as f64 / truth.len() as f64
 }
 
 /// Per-scenario candidate-recall floors at the fast preset's default seed.

@@ -26,6 +26,7 @@ use crate::fasta::{ReadRecord, ReadSet};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 
 /// Parameters of the synthetic genome.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -443,6 +444,17 @@ impl SimulatedDataset {
     /// genomes overlap across the origin.
     pub fn true_overlap(&self, i: usize, j: usize) -> usize {
         self.origins[i].overlap_with_in(&self.origins[j], self.topology, self.genome.len())
+    }
+
+    /// The ground-truth overlap pairs: every `(i, j)` with `i < j` whose
+    /// [`SimulatedDataset::true_overlap`] is at least `min_overlap` bases, so
+    /// origin-crossing pairs of a circular genome are included.
+    pub fn true_pairs(&self, min_overlap: usize) -> BTreeSet<(usize, usize)> {
+        let n = self.num_reads();
+        (0..n)
+            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+            .filter(|&(i, j)| self.true_overlap(i, j) >= min_overlap)
+            .collect()
     }
 
     /// Input size in megabytes of FASTA text (roughly; one byte per base).
@@ -1160,6 +1172,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn true_pairs_are_the_upper_triangle_of_the_circular_overlap_filter() {
+        let params =
+            ScenarioParams { genome_length: 6_000, mean_read_length: 800, ..Default::default() };
+        let ds = build_scenario(ScenarioKind::CircularGenome, &params);
+        let min_overlap = 100;
+        let pairs = ds.true_pairs(min_overlap);
+        assert!(pairs.iter().all(|&(i, j)| i < j));
+        let n = ds.num_reads();
+        let filtered: BTreeSet<(usize, usize)> = (0..n)
+            .flat_map(|i| (0..n).map(move |j| (i, j)))
+            .filter(|&(i, j)| i < j && ds.true_overlap(i, j) >= min_overlap)
+            .collect();
+        assert_eq!(pairs, filtered);
+        // A pair that overlaps only across the origin: the linear reading
+        // of the same coordinates sees too little of it.
+        assert!(
+            pairs
+                .iter()
+                .any(|&(i, j)| ds.origins[i].overlap_with(&ds.origins[j]) < min_overlap),
+            "no origin-crossing pair among {} true pairs",
+            pairs.len()
+        );
     }
 
     #[test]

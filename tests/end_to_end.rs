@@ -3,18 +3,6 @@
 
 use dibella2d::prelude::*;
 
-fn ground_truth_pairs(ds: &dibella2d::seq::SimulatedDataset, min_overlap: usize) -> Vec<(usize, usize)> {
-    let mut truth = Vec::new();
-    for i in 0..ds.num_reads() {
-        for j in (i + 1)..ds.num_reads() {
-            if ds.true_overlap(i, j) >= min_overlap {
-                truth.push((i, j));
-            }
-        }
-    }
-    truth
-}
-
 #[test]
 fn pipeline_recovers_most_true_overlaps_on_tiny_dataset() {
     let ds = DatasetSpec::Tiny.generate(101);
@@ -33,13 +21,13 @@ fn pipeline_recovers_most_true_overlaps_on_tiny_dataset() {
     };
     assert!(surviving.iter().filter(|&&s| s).count() > 10, "too few surviving reads");
     let margin = cfg.overlap.alignment.min_overlap * 3;
-    let truth: Vec<(usize, usize)> = ground_truth_pairs(&ds, margin)
+    let truth: Vec<(usize, usize)> = ds
+        .true_pairs(margin)
         .into_iter()
         .filter(|&(i, j)| surviving[i] && surviving[j])
         .collect();
-    let found: std::collections::HashSet<(usize, usize)> = out
+    let found: std::collections::BTreeSet<(usize, usize)> = out
         .overlap_matrix
-        .to_triples()
         .iter()
         .filter(|(i, j, _)| i < j)
         .map(|(i, j, _)| (i, j))
@@ -52,10 +40,8 @@ fn pipeline_recovers_most_true_overlaps_on_tiny_dataset() {
         truth.len()
     );
     // Precision: the accepted overlaps must overwhelmingly be genuine.
-    let genuine = found
-        .iter()
-        .filter(|&&(i, j)| ds.true_overlap(i, j) >= cfg.overlap.alignment.min_overlap / 2)
-        .count();
+    let genuine_pairs = ds.true_pairs(cfg.overlap.alignment.min_overlap / 2);
+    let genuine = found.intersection(&genuine_pairs).count();
     assert!(
         genuine * 10 >= found.len() * 9,
         "precision too low: {genuine}/{} accepted overlaps are genuine",
@@ -170,7 +156,7 @@ fn measured_communication_matches_the_table1_model_in_shape() {
         m: out.dims.kmers,
         l: out.dims.mean_read_length,
         k: cfg.kmer.k,
-        a: out.dims.a_density,
+        a: out.dims.a_density(),
         c: out.overlap_stats.c_density,
         r: out.overlap_stats.r_density,
         kmer_passes: 2,
