@@ -15,11 +15,13 @@
 //!   the exact `A`, with the SpGEMM flops and `OverlapDetection` broadcast
 //!   words shrinking alongside.
 //!
-//! Each path is one `run_dibella_2d_on_reads`, and every number is read off
+//! Each path is a `run_dibella_2d_on_reads`, and every number is read off
 //! its output.  `stage_secs` is the run's stage timings up to and including
 //! alignment (k-mer counting or the sketch index, `A`, the read exchange,
 //! SUMMA, alignment), `total_words` the words of the same phases, and the
-//! end-to-end seconds the run's total through consensus.
+//! end-to-end seconds the run's total through consensus.  Each path runs
+//! `REPEATS` times, alternating with the other; every count must repeat
+//! exactly (asserted), and the record holds the median seconds.
 //!
 //! Both claims are hard `assert!`s, so CI fails if a regression lands.  The
 //! committed `BENCH_sketch.json` holds the bench-scale baseline scenario
@@ -44,7 +46,11 @@ const RECALL_OF_EXACT_FLOOR: f64 = 0.90;
 /// The sparsity floor: `exact A nnz / sketch A nnz` must be at least this.
 const NNZ_REDUCTION_FLOOR: f64 = 5.0;
 
+/// Pipeline runs per path; the record holds the median seconds.
+const REPEATS: usize = 5;
+
 /// The numbers of one pipeline run.
+#[derive(PartialEq)]
 struct LegResult {
     /// Occurrence-matrix nonzeros (the SUMMA operand).
     a_nnz: usize,
@@ -116,6 +122,21 @@ fn run_leg(ds: &SimulatedDataset, config: &PipelineConfig, source: CandidateSour
     }
 }
 
+/// One path's runs as one result with the median seconds; panics unless
+/// every run has the same counts.
+fn median_of(path: &str, runs: Vec<LegResult>) -> LegResult {
+    let median = |secs: fn(&LegResult) -> f64| {
+        let mut samples: Vec<f64> = runs.iter().map(secs).collect();
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    };
+    let (stage_secs, end_to_end_secs) = (median(|r| r.stage_secs), median(|r| r.end_to_end_secs));
+    let mut runs: Vec<_> =
+        runs.into_iter().map(|run| LegResult { stage_secs, end_to_end_secs, ..run }).collect();
+    assert!(runs.windows(2).all(|w| w[0] == w[1]), "{path}: counts differ between repeats");
+    runs.swap_remove(0)
+}
+
 fn ratio(num: f64, den: f64) -> f64 {
     if den > 0.0 {
         num / den
@@ -146,8 +167,13 @@ fn main() {
     let min_overlap = config.overlap.alignment.min_overlap;
     let truth = ds.true_pairs(min_overlap);
 
-    let exact = run_leg(&ds, &config, CandidateSource::ExactKmer);
-    let kmm = run_leg(&ds, &config, CandidateSource::KMinMer);
+    let (mut exact_runs, mut kmm_runs) = (Vec::new(), Vec::new());
+    for _ in 0..REPEATS {
+        exact_runs.push(run_leg(&ds, &config, CandidateSource::ExactKmer));
+        kmm_runs.push(run_leg(&ds, &config, CandidateSource::KMinMer));
+    }
+    let exact = median_of("exact", exact_runs);
+    let kmm = median_of("k-min-mer", kmm_runs);
 
     // Quality: the k-min-mer path is judged against what the exact path
     // actually delivers (true pairs it aligned), not raw simulator truth —
@@ -161,7 +187,7 @@ fn main() {
     let kmm_precision = ratio(kmm_true.len() as f64, kmm.pairs.len() as f64);
 
     // Cost: the reductions the smaller operand buys, and the staged and
-    // end-to-end wall-clock.
+    // end-to-end wall-clock (ratios of the medians).
     let nnz_reduction = ratio(exact.a_nnz as f64, kmm.a_nnz as f64);
     let flops_reduction = ratio(exact.spgemm_flops as f64, kmm.spgemm_flops as f64);
     let bcast_reduction = ratio(exact.bcast_words as f64, kmm.bcast_words as f64);
@@ -188,7 +214,7 @@ fn main() {
         "\nground truth: {} pairs (>= {} bp); exact recall {:.1}%, k-min-mer recall {:.1}%\n\
          k-min-mer recovers {recovered}/{} of the exact path's true pairs ({:.1}%)\n\
          reductions: {:.1}x nnz, {:.1}x SpGEMM flops, {:.1}x broadcast words, {:.1}x total words\n\
-         wall-clock: {:.2}x stages through alignment, {:.2}x end-to-end pipeline",
+         wall-clock (median of {REPEATS}): {:.2}x stages through alignment, {:.2}x end-to-end",
         truth.len(),
         min_overlap,
         100.0 * exact_recall,
@@ -233,6 +259,7 @@ fn main() {
         .field("mean_read_length", Fixed(ds.mean_read_length(), 1))
         .field("k", spec.k)
         .field("nprocs", spec.nprocs)
+        .field("repeats", REPEATS)
         .field(
             "sketch_config",
             Record::default()

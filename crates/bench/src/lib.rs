@@ -21,6 +21,7 @@
 //!   constants.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use dibella_dist::{CommPhase, CommSnapshot};
 use dibella_pipeline::StageTimings;

@@ -8,10 +8,10 @@
 //! determinism does not depend on the thread count, which [`with_threads`]
 //! lets tests pin down explicitly.
 //!
-//! Because the pool's thread budget is global, the per-rank loops here and
-//! the per-row loops inside the local SpGEMM kernels share one set of
-//! workers: a large grid parallelises across ranks, a small grid leaves
-//! budget for row-level parallelism inside each block multiply.
+//! Unpinned, the pool's global thread budget makes the per-rank loops here
+//! and the per-row loops inside the local SpGEMM kernels share one set of
+//! workers; under [`with_threads`] each nested loop spawns its own workers
+//! (see `rayon::pool`), so two levels can run `threads²` threads at once.
 
 use rayon::pool;
 

@@ -23,6 +23,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![forbid(unsafe_code)]
 
 pub mod amatrix;
 pub mod detect;

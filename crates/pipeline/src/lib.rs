@@ -30,6 +30,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![forbid(unsafe_code)]
 
 pub mod comm_model;
 pub mod config;

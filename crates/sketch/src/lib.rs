@@ -24,6 +24,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod kminmer;

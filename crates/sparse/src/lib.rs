@@ -31,6 +31,7 @@
 //!   diBELLA 1D's communication structure (Section V-B).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod accum;
 pub mod csr;

@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![forbid(unsafe_code)]
 
 pub mod bidirected;
 pub mod consensus;

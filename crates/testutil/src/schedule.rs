@@ -160,7 +160,7 @@ mod tests {
         // canonical nondeterminism bug; some permutation must expose it.
         assert_schedule_determinism(SchedulePreset::ExhaustiveSmall, || {
             let out = std::sync::Mutex::new(Vec::new());
-            rayon::pool::for_each_index(12, || (), |(), i| out.lock().unwrap().push(i));
+            rayon::pool::for_each_mut(&mut [(); 12], |i, ()| out.lock().unwrap().push(i));
             out.into_inner().unwrap()
         });
     }

@@ -59,6 +59,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use dibella_align as align;
 pub use dibella_dist as dist;
