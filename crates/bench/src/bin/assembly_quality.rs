@@ -23,7 +23,6 @@
 use dibella_bench::{
     fmt, print_header, print_row, scaled_length, write_record, Fixed, Preset, Record,
 };
-use dibella_dist::CommStats;
 use dibella_pipeline::{run_dibella_2d_on_reads, run_scenario, PipelineConfig, ScenarioSpec};
 use dibella_seq::simulate::{
     generate_genome, simulate_reads, GenomeConfig, ReadSimConfig, Topology,
@@ -84,9 +83,8 @@ fn main() {
         ds.genome.len()
     );
 
-    let comm = CommStats::new();
     let started = std::time::Instant::now();
-    let out = run_dibella_2d_on_reads(&ds.reads, &config, &comm).unwrap();
+    let out = run_dibella_2d_on_reads(&ds.reads, &config).unwrap();
     let pipeline_secs = started.elapsed().as_secs_f64();
     let metrics =
         evaluate_assembly(&out.contigs, &out.consensus, &ds.origins, &ds.genome, &config.consensus);

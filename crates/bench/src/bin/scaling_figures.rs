@@ -20,7 +20,7 @@
 use dibella_bench::{benchmark_dataset, fmt, print_header, print_row, project};
 use dibella_bench::READ_FASTQ_MAX_RANKS;
 use dibella_dist::extras::flops_key;
-use dibella_dist::{CommPhase, CommStats};
+use dibella_dist::CommPhase;
 use dibella_overlap::{
     minimizer_overlaps, MinimizerConfig, ALIGNED_CELLS_KEY, BAND_WIDTH_PEAK_KEY,
     XDROP_TERMINATIONS_KEY,
@@ -94,8 +94,7 @@ impl Sweep {
         let runs_1d = ranks(nodes.fig5_9)
             .map(|p| {
                 let (reads, read_fastq) = timed(parse);
-                let mut out = run_dibella_1d(&reads, &config(p), &CommStats::new())
-                    .expect("diBELLA 1D run");
+                let mut out = run_dibella_1d(&reads, &config(p)).expect("diBELLA 1D run");
                 out.timings.read_fastq = read_fastq;
                 (p, out)
             })

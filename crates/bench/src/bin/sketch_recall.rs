@@ -33,7 +33,7 @@
 //! ```
 
 use dibella_bench::{print_header, print_row, write_record, Fixed, Preset, Record};
-use dibella_dist::{CommPhase, CommStats};
+use dibella_dist::CommPhase;
 use dibella_pipeline::{run_dibella_2d_on_reads, CandidateSource, PipelineConfig, ScenarioSpec};
 use dibella_seq::simulate::{build_scenario, ScenarioKind, SimulatedDataset};
 use dibella_sparse::summa::flops_key;
@@ -94,7 +94,7 @@ impl LegResult {
 /// index exchange.
 fn run_leg(ds: &SimulatedDataset, config: &PipelineConfig, source: CandidateSource) -> LegResult {
     let config = PipelineConfig { candidate_source: source, ..*config };
-    let out = run_dibella_2d_on_reads(&ds.reads, &config, &CommStats::new()).unwrap();
+    let out = run_dibella_2d_on_reads(&ds.reads, &config).unwrap();
     assert!(out.consensus_summary.consensus_bases > 0, "pipeline produced no consensus");
     let t = out.timings;
     let words = [

@@ -51,7 +51,7 @@ fn main() {
     // and the overlap matrix R the transitive-reduction measurement reuses.
     let config =
         PipelineConfig { kmer: selection, overlap: overlap_cfg, nprocs: 1, ..Default::default() };
-    let serial = run_dibella_2d_on_reads(&ds.reads, &config, &CommStats::new()).unwrap();
+    let serial = run_dibella_2d_on_reads(&ds.reads, &config).unwrap();
     let r_triples = serial.overlap_matrix.to_triples();
     let params = ModelParams {
         n: serial.dims.reads,

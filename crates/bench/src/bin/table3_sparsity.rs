@@ -9,7 +9,6 @@
 //! ```
 
 use dibella_bench::{benchmark_dataset, fmt, print_header, print_row};
-use dibella_dist::CommStats;
 use dibella_pipeline::{run_dibella_2d_on_reads, PipelineConfig};
 use dibella_seq::DatasetSpec;
 
@@ -25,8 +24,7 @@ fn main() {
     for (spec, seed) in presets {
         let ds = benchmark_dataset(spec, seed);
         let config = PipelineConfig::for_benchmark(17, ds.config.error_rate, 16);
-        let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &config, &comm).unwrap();
+        let out = run_dibella_2d_on_reads(&ds.reads, &config).unwrap();
         let d = ds.achieved_depth();
         let c = out.overlap_stats.c_density;
         let r = out.overlap_stats.r_density;

@@ -47,7 +47,7 @@ fn main() {
     for (spec, seed, node_counts) in cases {
         let ds = benchmark_dataset(spec, seed);
         let config = PipelineConfig::for_benchmark(17, ds.config.error_rate, 16);
-        let out = run_dibella_2d_on_reads(&ds.reads, &config, &CommStats::new()).unwrap();
+        let out = run_dibella_2d_on_reads(&ds.reads, &config).unwrap();
         let r = out.overlap_matrix.to_triples();
         compare(&ds.label, &r, config.transitive.fuzz, &node_counts);
     }

@@ -4,8 +4,8 @@
 //! from a run's communication snapshot: SpGEMM flops and probes per phase,
 //! and the x-drop aligner's cells, widest band and early terminations.  A
 //! number that a typed struct on the same output already carries
-//! (`TrOutcome::iterations`, `ConsensusSummary`, `SketchStats`, the ingest's
-//! `IngestStats`, the FASTQ filter's dropped-read count) is not repeated here.
+//! (`TrOutcome::iterations`, `ConsensusSummary`, `SketchStats`, the FASTQ
+//! filter's dropped-read count) is not repeated here.
 //!
 //! PR 5 fixed a broadcast-accounting bug that boiled down to a typo'd key
 //! symbol: two call sites spelled the same logical counter differently, so

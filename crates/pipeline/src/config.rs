@@ -3,7 +3,7 @@
 use dibella_align::MAX_XDROP;
 use dibella_overlap::OverlapConfig;
 use dibella_seq::kmer::MAX_K;
-use dibella_seq::{IngestBudget, KmerSelection};
+use dibella_seq::KmerSelection;
 use dibella_sketch::SketchConfig;
 use dibella_strgraph::{ConsensusConfig, TransitiveReductionConfig};
 use serde::{Deserialize, Serialize};
@@ -40,13 +40,6 @@ pub struct PipelineConfig {
     /// Number of virtual MPI ranks (must be a perfect square for the 2D
     /// pipeline; the largest square not exceeding it is used otherwise).
     pub nprocs: usize,
-    /// Memory budget of the k-mer counter, honoured by every
-    /// `run_dibella_2d*` entry point: batch bounds for its supersteps plus a
-    /// hard cap on its estimated resident bytes (exceeding it is an `Err`).
-    /// It bounds the counter's working set, not the resident reads, and the
-    /// k-min-mer path, which counts nothing, never consults it.  Defaults to
-    /// unbounded: one superstep over the whole input.
-    pub ingest: IngestBudget,
     /// Which candidate path builds the occurrence matrix the SUMMA consumes
     /// (defaults to the paper's exact reliable-k-mer path).
     pub candidate_source: CandidateSource,
@@ -64,7 +57,6 @@ impl Default for PipelineConfig {
             consensus: ConsensusConfig::default(),
             min_mean_quality: 0.0,
             nprocs: 4,
-            ingest: IngestBudget::unbounded(),
             candidate_source: CandidateSource::ExactKmer,
             sketch: SketchConfig::default(),
         }

@@ -37,13 +37,14 @@ pub struct Pipeline1dOutput {
 
 /// Run the diBELLA 1D pipeline on an already-parsed read set.
 ///
-/// Fails — before anything runs, with the message the 2D entry points return —
-/// if [`PipelineConfig::validate`] rejects the configuration, and on the
-/// k-min-mer candidate path, which only the 2D pipeline implements.
+/// The run owns its communication counters and reports them in
+/// [`Pipeline1dOutput::comm`].  Fails — before anything runs, with the message
+/// the 2D entry points return — if [`PipelineConfig::validate`] rejects the
+/// configuration, and on the k-min-mer candidate path, which only the 2D
+/// pipeline implements.
 pub fn run_dibella_1d(
     reads: &ReadSet,
     config: &PipelineConfig,
-    comm: &CommStats,
 ) -> Result<Pipeline1dOutput, String> {
     config.validate()?;
     if config.candidate_source != CandidateSource::ExactKmer {
@@ -53,6 +54,7 @@ pub fn run_dibella_1d(
         ));
     }
     let nprocs = config.nprocs.max(1);
+    let comm = &CommStats::new();
     let mut timings = StageTimings::default();
 
     let (table, t_count) = timed(|| count_kmers_distributed(reads, &config.kmer, nprocs, comm));
@@ -108,8 +110,7 @@ mod tests {
     fn an_invalid_configuration_fails_with_the_validation_message() {
         let mut cfg = tiny_config(4);
         cfg.overlap.k = 11;
-        let err = run_dibella_1d(&DatasetSpec::Tiny.generate(52).reads, &cfg, &CommStats::new())
-            .unwrap_err();
+        let err = run_dibella_1d(&DatasetSpec::Tiny.generate(52).reads, &cfg).unwrap_err();
         assert!(err.contains("overlap.k must equal kmer.k = 13, got 11"), "unexpected error: {err}");
     }
 
@@ -117,18 +118,15 @@ mod tests {
     fn the_kminmer_path_is_an_error_not_an_exact_kmer_run() {
         let mut cfg = tiny_config(4);
         cfg.candidate_source = CandidateSource::KMinMer;
-        let err = run_dibella_1d(&DatasetSpec::Tiny.generate(52).reads, &cfg, &CommStats::new())
-            .unwrap_err();
+        let err = run_dibella_1d(&DatasetSpec::Tiny.generate(52).reads, &cfg).unwrap_err();
         assert!(err.contains("candidate_source = KMinMer"), "unexpected error: {err}");
     }
 
     #[test]
     fn one_d_pipeline_finds_the_same_overlaps_as_2d() {
         let ds = DatasetSpec::Tiny.generate(52);
-        let comm1d = CommStats::new();
-        let out1d = run_dibella_1d(&ds.reads, &tiny_config(4), &comm1d).unwrap();
-        let comm2d = CommStats::new();
-        let out2d = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm2d).unwrap();
+        let out1d = run_dibella_1d(&ds.reads, &tiny_config(4)).unwrap();
+        let out2d = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4)).unwrap();
         assert_eq!(
             out1d.overlap_matrix.to_local_csr().pattern(),
             out2d.overlap_matrix.to_local_csr().pattern(),
@@ -140,8 +138,7 @@ mod tests {
     #[test]
     fn one_d_pipeline_has_no_tr_stage() {
         let ds = DatasetSpec::Tiny.generate(53);
-        let comm = CommStats::new();
-        let out = run_dibella_1d(&ds.reads, &tiny_config(4), &comm).unwrap();
+        let out = run_dibella_1d(&ds.reads, &tiny_config(4)).unwrap();
         assert_eq!(out.timings.tr_reduction, 0.0);
         assert_eq!(out.comm.phase(CommPhase::TransitiveReduction).words, 0);
         assert!(out.timings.total_without_tr() > 0.0);
@@ -151,31 +148,25 @@ mod tests {
     fn one_d_communication_profile_differs_from_2d() {
         let ds = DatasetSpec::Tiny.generate(54);
         let p = 16;
-        let comm1d = CommStats::new();
-        run_dibella_1d(&ds.reads, &tiny_config(p), &comm1d).unwrap();
-        let comm2d = CommStats::new();
-        let _ = run_dibella_2d_on_reads(&ds.reads, &tiny_config(p), &comm2d).unwrap();
-        // K-mer counting is the same algorithm in both pipelines.
-        assert_eq!(
-            comm1d.words(CommPhase::KmerCounting),
-            comm2d.words(CommPhase::KmerCounting)
-        );
+        let comm1d = run_dibella_1d(&ds.reads, &tiny_config(p)).unwrap().comm;
+        let comm2d = run_dibella_2d_on_reads(&ds.reads, &tiny_config(p)).unwrap().comm;
+        // K-mer counting is the same call in both pipelines.
+        assert_eq!(comm1d.phase(CommPhase::KmerCounting), comm2d.phase(CommPhase::KmerCounting));
         // Overlap-detection latency: the 1D all-to-all reduction uses more
         // messages than the 2D broadcasts (Table I: Y = P vs √P per rank).
         assert!(
-            comm1d.messages(CommPhase::OverlapDetection)
-                > comm2d.messages(CommPhase::OverlapDetection)
+            comm1d.phase(CommPhase::OverlapDetection).messages
+                > comm2d.phase(CommPhase::OverlapDetection).messages
         );
         // Both record read-exchange traffic.
-        assert!(comm1d.words(CommPhase::ReadExchange) > 0);
-        assert!(comm2d.words(CommPhase::ReadExchange) > 0);
+        assert!(comm1d.phase(CommPhase::ReadExchange).words > 0);
+        assert!(comm2d.phase(CommPhase::ReadExchange).words > 0);
     }
 
     #[test]
     fn single_rank_run_is_communication_free() {
         let ds = DatasetSpec::Tiny.generate(55);
-        let comm = CommStats::new();
-        let out = run_dibella_1d(&ds.reads, &tiny_config(1), &comm).unwrap();
+        let out = run_dibella_1d(&ds.reads, &tiny_config(1)).unwrap();
         assert_eq!(out.comm.total_words(), 0);
         assert!(out.overlap_matrix.nnz() > 0);
     }

@@ -8,10 +8,7 @@ use dibella_overlap::{
     account_read_exchange_2d, align_candidates_with, build_a_matrix, detect_candidates_2d_with,
     OverlapEdge, OverlapStats,
 };
-use dibella_seq::{
-    count_kmers_streaming, parse_fasta, parse_fastq_filtered, read_set_batches, IngestStats,
-    KmerTable, ReadSet,
-};
+use dibella_seq::{count_kmers_distributed, parse_fasta, parse_fastq_filtered, KmerTable, ReadSet};
 use dibella_sketch::{build_sketch_matrix, SketchStats};
 use dibella_sparse::DistMat2D;
 use dibella_strgraph::{
@@ -47,9 +44,6 @@ pub struct Pipeline2dOutput {
     pub dims: PipelineDims,
     /// Size and selectivity of the sketch matrix (k-min-mer mode only).
     pub sketch: Option<SketchStats>,
-    /// Supersteps and resident-byte peaks of the k-mer counter's ingest (all
-    /// zero in k-min-mer mode, which counts nothing).
-    pub ingest: IngestStats,
     /// Reads the FASTQ mean-quality filter dropped (0 for FASTA and
     /// already-parsed reads, which are never filtered).
     pub dropped_low_quality: usize,
@@ -154,7 +148,9 @@ impl TrSummary {
 /// Run the diBELLA 2D pipeline on FASTA text.
 pub fn run_dibella_2d(fasta: &str, config: &PipelineConfig) -> Result<Pipeline2dOutput, String> {
     let (reads, read_time) = timed(|| parse_fasta(fasta));
-    run_parsed(&reads?, read_time, config)
+    let mut out = run_dibella_2d_on_reads(&reads?, config)?;
+    out.timings.read_fastq = read_time;
+    Ok(out)
 }
 
 /// Run the diBELLA 2D pipeline on FASTQ text, applying the configuration's
@@ -167,73 +163,39 @@ pub fn run_dibella_2d_fastq(
 ) -> Result<Pipeline2dOutput, String> {
     let (parsed, read_time) = timed(|| parse_fastq_filtered(fastq, config.min_mean_quality));
     let (reads, filter_stats) = parsed?;
-    let out = run_parsed(&reads, read_time, config)?;
-    Ok(Pipeline2dOutput { dropped_low_quality: filter_stats.dropped_low_quality, ..out })
-}
-
-/// The text entry points' shared epilogue: run on the parsed reads and report
-/// the measured parse time.
-fn run_parsed(
-    reads: &ReadSet,
-    read_time: f64,
-    config: &PipelineConfig,
-) -> Result<Pipeline2dOutput, String> {
-    let mut out = run_dibella_2d_on_reads(reads, config, &CommStats::new())?;
+    let mut out = run_dibella_2d_on_reads(&reads, config)?;
     out.timings.read_fastq = read_time;
+    out.dropped_low_quality = filter_stats.dropped_low_quality;
     Ok(out)
 }
 
 /// Run the diBELLA 2D pipeline on an already-parsed read set.
 ///
-/// The k-mer counter replays the reads as bounded batches under
-/// `config.ingest` (one all-to-all exchange per batch per pass, never more
-/// than one in-flight batch), so its working set is capped by the budget even
-/// though the reads themselves stay resident for alignment and consensus.
-/// Every output is bit-identical at any batch size and thread count (see
-/// [`count_kmers_streaming`]); the default unbounded budget is one superstep
-/// over the whole set.  Fails if the estimated resident bytes of any
-/// superstep exceed `config.ingest.max_resident_bytes`, or — before anything
-/// runs — if [`PipelineConfig::validate`] rejects the configuration.
+/// The reads stay resident for alignment and consensus, so the k-mer counter
+/// folds them in one superstep ([`count_kmers_distributed`], the call the 1D
+/// pipeline makes); a memory budget belongs to streamed input
+/// (`dibella_seq::count_kmers_streaming`).  The run owns its communication
+/// counters and reports them in [`Pipeline2dOutput::comm`].  Fails only if
+/// [`PipelineConfig::validate`] rejects the configuration, before anything
+/// runs.
 ///
 /// The FASTA parsing time is reported as zero; callers that parse a file can
 /// use [`run_dibella_2d`] to have it measured.
 pub fn run_dibella_2d_on_reads(
     reads: &ReadSet,
     config: &PipelineConfig,
-    comm: &CommStats,
 ) -> Result<Pipeline2dOutput, String> {
     config.validate()?;
     let grid = ProcessGrid::square_at_most(config.nprocs);
+    let comm = &CommStats::new();
     // CountKmer: two-pass distributed counting with Bloom filtering.  The
     // k-min-mer path indexes sketches instead and skips counting entirely.
-    let ((table, ingest), t_count) = match config.candidate_source {
+    let (table, t_count) = match config.candidate_source {
         CandidateSource::ExactKmer => {
-            let (counted, t) = timed(|| {
-                count_kmers_streaming(
-                    || Ok(read_set_batches(reads, config.ingest)),
-                    &config.kmer,
-                    grid.nprocs(),
-                    &config.ingest,
-                    comm,
-                )
-            });
-            (counted?, t)
+            timed(|| count_kmers_distributed(reads, &config.kmer, grid.nprocs(), comm))
         }
-        CandidateSource::KMinMer => ((KmerTable::default(), IngestStats::default()), 0.0),
+        CandidateSource::KMinMer => (KmerTable::default(), 0.0),
     };
-    Ok(pipeline_from_table(reads, table, ingest, t_count, config, grid, comm))
-}
-
-/// Everything after k-mer counting.
-fn pipeline_from_table(
-    reads: &ReadSet,
-    table: KmerTable,
-    ingest: IngestStats,
-    t_count: f64,
-    config: &PipelineConfig,
-    grid: ProcessGrid,
-    comm: &CommStats,
-) -> Pipeline2dOutput {
     let mut timings = StageTimings { count_kmer: t_count, ..StageTimings::default() };
 
     // CreateSpMat: the occurrence matrix A (Aᵀ is formed inside the SpGEMM).
@@ -286,7 +248,7 @@ fn pipeline_from_table(
     timings.consensus = t_consensus;
     account_consensus(&contigs, reads, grid, comm);
 
-    Pipeline2dOutput {
+    Ok(Pipeline2dOutput {
         tr_summary: TrSummary::from_outcome(&tr, reads.len()),
         consensus_summary: ConsensusSummary::new(&contigs, &consensus),
         contigs,
@@ -305,9 +267,8 @@ fn pipeline_from_table(
             a_nnz,
         },
         sketch,
-        ingest,
         dropped_low_quality: 0,
-    }
+    })
 }
 
 /// Account the communication a real distributed consensus stage would incur:
@@ -373,8 +334,7 @@ mod tests {
     #[test]
     fn pipeline_produces_a_reduced_string_graph() {
         let ds = DatasetSpec::Tiny.generate(42);
-        let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm).unwrap();
+        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4)).unwrap();
         assert!(out.overlap_matrix.nnz() > 0, "overlaps expected on a 12x dataset");
         assert!(out.string_matrix.nnz() > 0);
         assert!(out.string_matrix.nnz() <= out.overlap_matrix.nnz());
@@ -390,8 +350,7 @@ mod tests {
     #[test]
     fn timings_cover_every_stage() {
         let ds = DatasetSpec::Tiny.generate(43);
-        let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm).unwrap();
+        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4)).unwrap();
         let t = out.timings;
         assert!(t.count_kmer > 0.0);
         assert!(t.create_spmat > 0.0);
@@ -417,8 +376,7 @@ mod tests {
     #[test]
     fn communication_is_recorded_per_phase() {
         let ds = DatasetSpec::Tiny.generate(45);
-        let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(9), &comm).unwrap();
+        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(9)).unwrap();
         assert!(out.comm.phase(CommPhase::KmerCounting).words > 0);
         assert!(out.comm.phase(CommPhase::OverlapDetection).words > 0);
         assert!(out.comm.phase(CommPhase::ReadExchange).words > 0);
@@ -433,10 +391,8 @@ mod tests {
     #[test]
     fn process_count_changes_communication_but_not_the_result() {
         let ds = DatasetSpec::Tiny.generate(46);
-        let comm1 = CommStats::new();
-        let out1 = run_dibella_2d_on_reads(&ds.reads, &tiny_config(1), &comm1).unwrap();
-        let comm9 = CommStats::new();
-        let out9 = run_dibella_2d_on_reads(&ds.reads, &tiny_config(9), &comm9).unwrap();
+        let out1 = run_dibella_2d_on_reads(&ds.reads, &tiny_config(1)).unwrap();
+        let out9 = run_dibella_2d_on_reads(&ds.reads, &tiny_config(9)).unwrap();
         assert_eq!(
             out1.string_matrix.to_local_csr(),
             out9.string_matrix.to_local_csr(),
@@ -449,8 +405,7 @@ mod tests {
     #[test]
     fn non_square_process_counts_fall_back_to_the_largest_square() {
         let ds = DatasetSpec::Tiny.generate(47);
-        let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(10), &comm).unwrap();
+        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(10)).unwrap();
         assert_eq!(out.grid.nprocs(), 9);
     }
 
@@ -459,8 +414,7 @@ mod tests {
         // On a low-error tiny dataset the string graph should chain most reads
         // into a few long contigs covering the genome.
         let ds = DatasetSpec::Tiny.generate(48);
-        let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm).unwrap();
+        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4)).unwrap();
         let graph = BidirectedGraph::from_dist_matrix(&out.string_matrix);
         assert_eq!(graph.num_vertices(), ds.reads.len());
         let lengths = ds.reads.lengths();
@@ -496,8 +450,7 @@ mod tests {
         assert_eq!(unfiltered.dims.reads, ds.reads.len());
         assert_eq!(unfiltered.dropped_low_quality, 0);
         // The unfiltered FASTQ run must agree with the FASTA run bit for bit.
-        let comm = CommStats::new();
-        let from_fasta = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
+        let from_fasta = run_dibella_2d_on_reads(&ds.reads, &cfg).unwrap();
         assert_eq!(
             unfiltered.string_matrix.to_local_csr(),
             from_fasta.string_matrix.to_local_csr()
@@ -519,8 +472,7 @@ mod tests {
     #[test]
     fn pipeline_emits_consensus_sequences_for_every_contig() {
         let ds = DatasetSpec::Tiny.generate(50);
-        let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm).unwrap();
+        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4)).unwrap();
         assert_eq!(out.contigs.len(), out.consensus.len(), "one consensus per layout");
         assert!(!out.contigs.is_empty());
         assert_eq!(out.consensus_summary.contigs, out.contigs.len());
@@ -546,108 +498,6 @@ mod tests {
         // Every read is threaded into exactly one POA graph.
         let threaded: usize = out.consensus.iter().map(|c| c.reads).sum();
         assert_eq!(threaded, ds.reads.len());
-    }
-
-    #[test]
-    fn ingest_budget_changes_supersteps_but_not_the_result() {
-        use dibella_seq::{count_kmers_serial, IngestBudget};
-        let ds = DatasetSpec::Tiny.generate(52);
-        let cfg = tiny_config(4);
-        let run = |cfg: &PipelineConfig| {
-            run_dibella_2d_on_reads(&ds.reads, cfg, &CommStats::new()).unwrap()
-        };
-        let base = dibella_dist::with_threads(1, || run(&cfg));
-        // A is not an output: pin it against the one built from the serial
-        // reference counter's table.
-        let (grid, p) = (base.grid, base.grid.nprocs());
-        let a_of = |table| build_a_matrix(&ds.reads, &table, cfg.overlap.k, grid, p).to_local_csr();
-        let serial_a = a_of(count_kmers_serial(&ds.reads, &cfg.kmer));
-        assert_eq!(base.dims.kmers, serial_a.ncols());
-        assert_eq!(base.dims.a_nnz, serial_a.nnz());
-        for max_batch_reads in [1usize, 7, 64, usize::MAX] {
-            let mut scfg = cfg;
-            scfg.ingest = IngestBudget::with_batch_reads(max_batch_reads);
-            let batches = || Ok(read_set_batches(&ds.reads, scfg.ingest));
-            let (table, _) =
-                count_kmers_streaming(batches, &cfg.kmer, p, &scfg.ingest, &CommStats::new())
-                    .unwrap();
-            assert_eq!(
-                a_of(table).pattern(),
-                serial_a.pattern(),
-                "A nnz pattern differs at b={max_batch_reads}"
-            );
-            let mut counting_words = None;
-            for threads in [1usize, 2, 4] {
-                let out = dibella_dist::with_threads(threads, || run(&scfg));
-                let ctx = format!("b={max_batch_reads} t={threads}");
-                assert_eq!(out.dims, base.dims, "{ctx}");
-                assert_eq!(
-                    out.overlap_matrix.to_local_csr(),
-                    base.overlap_matrix.to_local_csr(),
-                    "overlap matrix differs ({ctx})"
-                );
-                assert_eq!(
-                    out.string_matrix.to_local_csr(),
-                    base.string_matrix.to_local_csr(),
-                    "string matrix differs ({ctx})"
-                );
-                assert_eq!(out.contigs, base.contigs, "{ctx}");
-                assert_eq!(out.consensus, base.consensus, "{ctx}");
-                // Which rank extracts a read depends on its batch, so the
-                // counting exchange moves different (equally many, in
-                // expectation) k-mers off-rank per budget — but never per
-                // thread count; every later phase sees the same matrices.
-                for phase in CommPhase::ALL {
-                    let words = out.comm.phase(phase).words;
-                    if phase == CommPhase::KmerCounting {
-                        let first = *counting_words.get_or_insert(words);
-                        assert_eq!(words, first, "{phase:?} words ({ctx})");
-                    } else {
-                        assert_eq!(words, base.comm.phase(phase).words, "{phase:?} words ({ctx})");
-                    }
-                }
-                assert_eq!(
-                    out.ingest.supersteps,
-                    ds.reads.len().div_ceil(max_batch_reads.min(ds.reads.len())) as u64,
-                    "{ctx}"
-                );
-                assert!(out.ingest.batch_bytes_peak > 0, "{ctx}");
-                assert!(out.ingest.resident_bytes_peak >= out.ingest.batch_bytes_peak, "{ctx}");
-            }
-        }
-    }
-
-    #[test]
-    fn every_entry_point_enforces_the_resident_budget() {
-        use dibella_seq::IngestBudget;
-        let ds = DatasetSpec::Tiny.generate(54);
-        let fasta = write_fasta(&ds.reads);
-        let fastq: String = ds
-            .reads
-            .iter()
-            .map(|(_, rec)| {
-                let seq = rec.seq.to_ascii();
-                format!("@{}\n{seq}\n+\n{}\n", rec.name, "I".repeat(seq.len()))
-            })
-            .collect();
-        // Far below one superstep of 8 reads: the run must fail loudly at
-        // whichever door the reads came in, never exceed the cap silently.
-        let mut cfg = tiny_config(4);
-        cfg.ingest = IngestBudget::with_batch_reads(8);
-        cfg.ingest.max_resident_bytes = 16;
-        let results = [
-            ("run_dibella_2d", run_dibella_2d(&fasta, &cfg)),
-            ("run_dibella_2d_fastq", run_dibella_2d_fastq(&fastq, &cfg)),
-            ("run_dibella_2d_on_reads", run_dibella_2d_on_reads(&ds.reads, &cfg, &CommStats::new())),
-        ];
-        for (entry, result) in results {
-            let err = result.err().unwrap_or_else(|| panic!("{entry} ignored the budget"));
-            assert!(err.contains("over budget"), "{entry}: unexpected error: {err}");
-            assert!(err.contains("max_resident_bytes = 16"), "{entry}: unexpected error: {err}");
-        }
-        // The k-min-mer path counts nothing, so there is nothing to bound.
-        cfg.candidate_source = crate::CandidateSource::KMinMer;
-        assert!(run_dibella_2d(&fasta, &cfg).is_ok());
     }
 
     /// The error `run_dibella_2d` returns for `tiny_config(4)` after `edit`:
@@ -721,7 +571,7 @@ mod tests {
         let mut cfg = tiny_config(4);
         cfg.sketch.kmm = 0;
         let reads = DatasetSpec::Tiny.generate(58).reads;
-        assert!(run_dibella_2d_on_reads(&reads, &cfg, &CommStats::new()).is_ok());
+        assert!(run_dibella_2d_on_reads(&reads, &cfg).is_ok());
     }
 
     #[test]
@@ -744,15 +594,13 @@ mod tests {
         let ds = DatasetSpec::Tiny.generate(42);
         let mut cfg = tiny_config(4);
         cfg.candidate_source = crate::CandidateSource::KMinMer;
-        let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
+        let out = run_dibella_2d_on_reads(&ds.reads, &cfg).unwrap();
         assert!(out.overlap_matrix.nnz() > 0, "k-min-mer mode must find overlaps");
         assert!(out.string_matrix.nnz() > 0);
         // No k-mer counting happens; the sketch index is accounted instead.
         assert_eq!(out.comm.phase(CommPhase::KmerCounting).words, 0);
         assert!(out.comm.phase(CommPhase::SketchIndex).words > 0);
         assert_eq!(out.timings.count_kmer, 0.0);
-        assert_eq!(out.ingest, IngestStats::default());
         assert!(out.timings.create_spmat > 0.0);
         // dims reports the sketch matrix: k-min-mer columns and its nonzeros.
         let sketch = out.sketch.expect("k-min-mer mode reports its sketch stats");
@@ -765,7 +613,7 @@ mod tests {
         assert!(sketch.hpc_ratio() > 1.0);
 
         // The sketch matrix must be far smaller than the exact-path A.
-        let exact = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &CommStats::new()).unwrap();
+        let exact = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4)).unwrap();
         assert!(
             out.dims.a_nnz * 3 < exact.dims.a_nnz,
             "sketch nnz {} vs exact nnz {}",
@@ -781,8 +629,7 @@ mod tests {
             dibella_dist::with_threads(threads, || {
                 let mut cfg = tiny_config(nprocs);
                 cfg.candidate_source = crate::CandidateSource::KMinMer;
-                let comm = CommStats::new();
-                run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap()
+                run_dibella_2d_on_reads(&ds.reads, &cfg).unwrap()
             })
         };
         let base = run(1, 1);
@@ -803,13 +650,19 @@ mod tests {
     #[test]
     fn densities_match_matrix_contents() {
         let ds = DatasetSpec::Tiny.generate(49);
-        let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm).unwrap();
+        let cfg = tiny_config(4);
+        let out = run_dibella_2d_on_reads(&ds.reads, &cfg).unwrap();
         let n = ds.reads.len() as f64;
         assert!((out.overlap_stats.r_density - out.overlap_matrix.nnz() as f64 / n).abs() < 1e-9);
         assert!((out.tr_summary.s_density - out.string_matrix.nnz() as f64 / n).abs() < 1e-9);
         assert!(out.dims.a_density() > 0.0);
+        // A is not an output: pin its size against the A built from the
+        // serial reference counter's table.
+        let table = dibella_seq::count_kmers_serial(&ds.reads, &cfg.kmer);
+        let (grid, p) = (out.grid, out.grid.nprocs());
+        let serial_a = build_a_matrix(&ds.reads, &table, cfg.overlap.k, grid, p);
         assert!(out.dims.kmers > 0);
+        assert_eq!((out.dims.kmers, out.dims.a_nnz), (serial_a.ncols(), serial_a.nnz()));
         assert_eq!(out.string_matrix.nrows(), ds.reads.len());
     }
 }

@@ -13,7 +13,6 @@
 
 use crate::config::PipelineConfig;
 use crate::run2d::run_dibella_2d_on_reads;
-use dibella_dist::CommStats;
 use dibella_seq::simulate::{build_scenario, ScenarioKind, ScenarioParams};
 use dibella_strgraph::{evaluate_assembly_truth, GroundTruth};
 use serde::{Deserialize, Serialize};
@@ -134,8 +133,7 @@ pub struct ScenarioReport {
 pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport, String> {
     let ds = build_scenario(spec.kind, &spec.params);
     let config = PipelineConfig::for_small_reads(spec.k, spec.nprocs);
-    let comm = CommStats::new();
-    let out = run_dibella_2d_on_reads(&ds.reads, &config, &comm)?;
+    let out = run_dibella_2d_on_reads(&ds.reads, &config)?;
     let metrics = evaluate_assembly_truth(
         &out.contigs,
         &out.consensus,

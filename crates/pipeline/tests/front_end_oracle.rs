@@ -17,7 +17,7 @@ use dibella_overlap::{build_a_matrix, KmerOccurrence};
 use dibella_pipeline::{run_dibella_2d_on_reads, PipelineConfig, ScenarioSpec};
 use dibella_seq::simulate::build_scenario;
 use dibella_seq::{
-    count_kmers_distributed, count_kmers_serial, count_kmers_streaming, read_set_batches,
+    count_kmers_distributed, count_kmers_serial, count_kmers_streaming, fasta_batches, write_fasta,
     DatasetSpec, IngestBudget, Kmer, KmerSelection, KmerTable, ReadRecord, ReadSet,
 };
 use dibella_sparse::{CsrMatrix, DistMat2D, Triples};
@@ -68,6 +68,7 @@ fn assert_front_end_agrees(
     }
 
     let naive = naive_a_triples(reads, &reference);
+    let fasta = write_fasta(reads);
     let expected: Vec<_> = [1usize, 4, 9, 16]
         .into_iter()
         .map(|nprocs| {
@@ -91,7 +92,7 @@ fn assert_front_end_agrees(
             }
             for max_batch_reads in [1usize, 7, 64, usize::MAX] {
                 let budget = IngestBudget::with_batch_reads(max_batch_reads);
-                let batches = || Ok(read_set_batches(reads, budget));
+                let batches = || Ok(fasta_batches(&fasta, 4096, budget));
                 let (table, _) =
                     count_kmers_streaming(batches, &sel, 4, &budget, &CommStats::new())
                         .expect("no resident budget set");
@@ -174,7 +175,7 @@ fn golden_run() -> Vec<(&'static str, u64)> {
     let grid = ProcessGrid::square(16);
     let table = count_kmers_distributed(&reads, &config.kmer, 16, &CommStats::new());
     let a = build_a_matrix(&reads, &table, K, grid, 16);
-    let out = run_dibella_2d_on_reads(&reads, &config, &CommStats::new()).unwrap();
+    let out = run_dibella_2d_on_reads(&reads, &config).unwrap();
 
     let table_words = table.iter().flat_map(|(_, kmer, count)| [kmer.packed(), count as u64]);
     let a_local = a.to_local_csr();

@@ -10,7 +10,6 @@
 //! end-to-end output (string graph, consensus, and the exact communication
 //! snapshot) never moves.
 
-use dibella_dist::CommStats;
 use dibella_pipeline::{run_dibella_2d_on_reads, PipelineConfig};
 use dibella_seq::DatasetSpec;
 use dibella_testutil::{assert_schedule_determinism, SchedulePreset};
@@ -23,8 +22,7 @@ fn pipeline_is_bit_identical_under_fifty_plus_steal_schedules() {
     let config = PipelineConfig::for_small_reads(13, 4);
 
     let workload = || {
-        let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &config, &comm).unwrap();
+        let out = run_dibella_2d_on_reads(&ds.reads, &config).unwrap();
         // Everything but wall-clock timings participates in the claim; the
         // CommSnapshot pins words/messages/extras (flops, p2p, POA counters)
         // exactly, not just the assembled sequences.

@@ -106,8 +106,7 @@ fn kminmer_assembly_stays_within_tolerance_of_exact_on_baseline() {
     let truth = GroundTruth::from_dataset(&ds);
 
     let run = |config: &PipelineConfig| {
-        let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, config, &comm).unwrap();
+        let out = run_dibella_2d_on_reads(&ds.reads, config).unwrap();
         evaluate_assembly_truth(&out.contigs, &out.consensus, &truth, &config.consensus)
     };
     let exact = run(&exact_config);

@@ -18,16 +18,17 @@
 //! 5. surviving k-mers, in ascending order, receive consecutive column
 //!    indices — they become the columns of the `|reads| x |k-mers|` matrix `A`.
 //!
-//! Steps 1–3 run once per **superstep** — a bounded batch of reads — with the
+//! Steps 1–3 run once per **superstep** — a batch of reads — with the
 //! owners' state carried across supersteps and each owner folding its share
 //! as its own pool task.  There is one implementation of them:
-//! [`count_kmers_streaming`] drives it over a batch stream under an
-//! [`IngestBudget`] and returns, beside the table, the [`IngestStats`] it
-//! consumed (supersteps, largest batch, peak resident estimate);
 //! [`count_kmers_distributed`] drives it over a resident read set as a single
-//! superstep, and [`count_kmers_serial`], a plain hash-map count, is the
-//! independent reference both are tested against.  Everything the fold
-//! keeps is sorted, so no output depends on a hasher or a schedule.
+//! superstep (the call both pipelines make); [`count_kmers_streaming`] drives
+//! it over a stream of batches under an [`IngestBudget`], which belongs to
+//! streamed input, and returns, beside the table, the [`IngestStats`] it
+//! consumed (supersteps, largest batch, peak resident estimate), and
+//! [`count_kmers_serial`], a plain hash-map count, is the independent
+//! reference both are tested against.  Everything the fold keeps is sorted,
+//! so no output depends on a hasher or a schedule.
 //!
 //! The k-mer exchange traffic is recorded under
 //! [`CommPhase::KmerCounting`] with the paper's `k/4`-bytes-per-k-mer wire
@@ -134,7 +135,7 @@ pub fn count_kmers_serial(reads: &ReadSet, selection: &KmerSelection) -> KmerTab
 /// Reads are block-partitioned over ranks; canonical k-mers are exchanged to
 /// hash-assigned owner ranks twice (Bloom pass, then counting pass), exactly
 /// as the paper's k-mer counter does.  This is the fold
-/// [`count_kmers_streaming`] drives, with the resident set lent as a single
+/// [`count_kmers_streaming`] drives, over the resident set as a single
 /// superstep: no stream, no budget, nothing that can fail.  Returns the same
 /// table as [`count_kmers_serial`] for any `nprocs`.
 pub fn count_kmers_distributed(
@@ -179,7 +180,7 @@ pub fn count_kmers_distributed(
 ///
 /// Both passes must observe the same stream: if the second call to `batches`
 /// yields a different superstep or read count, the ingest fails.
-pub fn count_kmers_streaming<'a, I, F>(
+pub fn count_kmers_streaming<I, F>(
     mut batches: F,
     selection: &KmerSelection,
     nprocs: usize,
@@ -187,7 +188,7 @@ pub fn count_kmers_streaming<'a, I, F>(
     stats: &CommStats,
 ) -> Result<(KmerTable, IngestStats), String>
 where
-    I: Iterator<Item = Result<ReadBatch<'a>, String>>,
+    I: Iterator<Item = Result<ReadBatch, String>>,
     F: FnMut() -> Result<I, String>,
 {
     let mut fold = TwoPassFold::new(selection, nprocs, stats);
@@ -389,7 +390,7 @@ impl IngestStats {
     /// persistent owner state.
     fn observe(
         &mut self,
-        batch: &ReadBatch<'_>,
+        batch: &ReadBatch,
         send: &[Vec<u64>],
         owner_state: u64,
         budget: &IngestBudget,
@@ -425,8 +426,9 @@ fn build_table(counts: impl IntoIterator<Item = (u64, u32)>, sel: &KmerSelection
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fasta::{parse_fasta, ReadRecord};
+    use crate::fasta::{parse_fasta, write_fasta, ReadRecord};
     use crate::simulate::DatasetSpec;
+    use crate::stream::{fasta_batches, IngestBudget};
     use proptest::prelude::*;
 
     fn reads_from(seqs: &[&str]) -> ReadSet {
@@ -570,8 +572,8 @@ mod tests {
 
     #[test]
     fn streaming_matches_serial_at_fixed_batch_sizes_and_threads() {
-        use crate::stream::{read_set_batches, IngestBudget};
         let ds = DatasetSpec::Tiny.generate(11);
+        let fasta = write_fasta(&ds.reads);
         let sel = KmerSelection { k: 11, min_count: 2, max_count: 30 };
         let serial = count_kmers_serial(&ds.reads, &sel);
         for nprocs in [1usize, 3] {
@@ -581,7 +583,7 @@ mod tests {
                     let stats = CommStats::new();
                     let (streamed, ingest) = dibella_dist::with_threads(threads, || {
                         count_kmers_streaming(
-                            || Ok(read_set_batches(&ds.reads, budget)),
+                            || Ok(fasta_batches(&fasta, 4096, budget)),
                             &sel,
                             nprocs,
                             &budget,
@@ -608,17 +610,16 @@ mod tests {
         // The exchange consumes its send buffers, so the recorded peak must
         // equal the largest batch exactly — any residual cloning/doubling of
         // batch state would inflate it.
-        use crate::stream::{read_set_batches, IngestBudget};
-        let ds = DatasetSpec::Tiny.generate(12);
+        let fasta = write_fasta(&DatasetSpec::Tiny.generate(12).reads);
         let budget = IngestBudget::with_batch_reads(5);
-        let expected_peak = read_set_batches(&ds.reads, budget)
+        let expected_peak = fasta_batches(&fasta, 4096, budget)
             .map(|b| b.unwrap().bytes() as u64)
             .max()
             .unwrap();
         let sel = KmerSelection { k: 9, min_count: 2, max_count: 40 };
         let stats = CommStats::new();
         let (_, ingest) = count_kmers_streaming(
-            || Ok(read_set_batches(&ds.reads, budget)),
+            || Ok(fasta_batches(&fasta, 4096, budget)),
             &sel,
             4,
             &budget,
@@ -630,15 +631,14 @@ mod tests {
 
     #[test]
     fn streaming_enforces_the_resident_budget() {
-        use crate::stream::{read_set_batches, IngestBudget};
-        let ds = DatasetSpec::Tiny.generate(13);
+        let fasta = write_fasta(&DatasetSpec::Tiny.generate(13).reads);
         let sel = KmerSelection { k: 11, min_count: 2, max_count: 30 };
         // A 1-byte resident budget must fail loudly, not grow silently.
         let mut budget = IngestBudget::with_batch_reads(4);
         budget.max_resident_bytes = 1;
         let stats = CommStats::new();
         let err = count_kmers_streaming(
-            || Ok(read_set_batches(&ds.reads, budget)),
+            || Ok(fasta_batches(&fasta, 4096, budget)),
             &sel,
             2,
             &budget,
@@ -651,9 +651,8 @@ mod tests {
 
     #[test]
     fn streaming_rejects_input_that_changes_between_passes() {
-        use crate::stream::{read_set_batches, IngestBudget};
-        let ds_a = DatasetSpec::Tiny.generate(14);
-        let ds_b = DatasetSpec::Tiny.generate(15);
+        let fasta_a = write_fasta(&DatasetSpec::Tiny.generate(14).reads);
+        let fasta_b = write_fasta(&DatasetSpec::Tiny.generate(15).reads);
         let sel = KmerSelection { k: 11, min_count: 2, max_count: 30 };
         let budget = IngestBudget::with_batch_reads(8);
         let stats = CommStats::new();
@@ -661,7 +660,7 @@ mod tests {
         let err = count_kmers_streaming(
             || {
                 pass += 1;
-                Ok(read_set_batches(if pass == 1 { &ds_a.reads } else { &ds_b.reads }, budget))
+                Ok(fasta_batches(if pass == 1 { &fasta_a } else { &fasta_b }, 4096, budget))
             },
             &sel,
             2,
@@ -674,7 +673,6 @@ mod tests {
 
     #[test]
     fn streaming_propagates_batch_errors() {
-        use crate::stream::IngestBudget;
         let sel = KmerSelection { k: 5, min_count: 2, max_count: 30 };
         let budget = IngestBudget::unbounded();
         let stats = CommStats::new();
@@ -698,16 +696,16 @@ mod tests {
             nprocs in 1usize..6,
             threads_idx in 0usize..3,
         ) {
-            use crate::stream::{read_set_batches, IngestBudget};
-            let threads = [1usize, 2, 4][threads_idx];
+                let threads = [1usize, 2, 4][threads_idx];
             let ds = DatasetSpec::Tiny.generate_with_length(2_000, seed);
+            let fasta = write_fasta(&ds.reads);
             let sel = KmerSelection { k: 9, min_count: 2, max_count: 50 };
             let serial = count_kmers_serial(&ds.reads, &sel);
             let budget = IngestBudget::with_batch_reads(max_batch_reads);
             let stats = CommStats::new();
             let streamed = dibella_dist::with_threads(threads, || {
                 count_kmers_streaming(
-                    || Ok(read_set_batches(&ds.reads, budget)),
+                    || Ok(fasta_batches(&fasta, 4096, budget)),
                     &sel,
                     nprocs,
                     &budget,

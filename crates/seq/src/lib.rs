@@ -62,6 +62,6 @@ pub use simulate::{
     SimulatedDataset, Topology,
 };
 pub use stream::{
-    collect_batches, fasta_batches, fasta_batches_file, fastq_batches, read_set_batches, Batches,
-    IngestBudget, ReadBatch,
+    collect_batches, fasta_batches, fasta_batches_file, fastq_batches, Batches, IngestBudget,
+    ReadBatch,
 };

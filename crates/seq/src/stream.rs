@@ -10,15 +10,15 @@
 //! [`fasta_batches_file`]), or whole text, its own buffer
 //! ([`crate::fasta::parse_fasta`]) — and seals [`ReadBatch`]es at the
 //! [`IngestBudget`] bounds, so peak memory is one buffer plus one batch.
-//! [`read_set_batches`] lends the same batches from a resident [`ReadSet`].
+//! The budget belongs to streamed input: a pipeline that already holds its
+//! reads counts them in one superstep
+//! ([`crate::kmer_counter::count_kmers_distributed`]).
 //!
 //! Records and errors do not depend on the chunk size, and batch boundaries
-//! depend only on the budget: one sealing rule serves both paths.
+//! depend only on the budget.
 
 use crate::dna::DnaSeq;
 use crate::fasta::{ReadRecord, ReadSet};
-use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
@@ -36,7 +36,7 @@ use std::path::Path;
 ///   (current batch + in-flight exchange buffers + per-owner filter/table
 ///   state) ever exceed `max_resident_bytes`, rather than silently growing
 ///   past the budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestBudget {
     /// Maximum reads per batch (one superstep ingests one batch per rank).
     pub max_batch_reads: usize,
@@ -88,16 +88,14 @@ impl IngestBudget {
     }
 }
 
-/// One bounded batch of reads — the unit of a counting superstep.  Parsers
-/// yield owned batches (`ReadBatch<'static>`); [`read_set_batches`] lends
-/// ranges of a resident [`ReadSet`].
+/// One bounded batch of reads — the unit of a counting superstep.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReadBatch<'a> {
+pub struct ReadBatch {
     /// The records of this batch, in input order.
-    pub records: Cow<'a, [ReadRecord]>,
+    pub records: Vec<ReadRecord>,
 }
 
-impl ReadBatch<'_> {
+impl ReadBatch {
     /// Number of reads in the batch.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -123,12 +121,12 @@ pub fn record_bytes(rec: &ReadRecord) -> usize {
 
 /// Collect a batch stream into one resident [`ReadSet`], stopping at the
 /// stream's first error.
-pub fn collect_batches<'a>(
-    batches: impl Iterator<Item = Result<ReadBatch<'a>, String>>,
+pub fn collect_batches(
+    batches: impl Iterator<Item = Result<ReadBatch, String>>,
 ) -> Result<ReadSet, String> {
     let mut records = Vec::new();
     for batch in batches {
-        records.extend(batch?.records.into_owned());
+        records.extend(batch?.records);
     }
     Ok(ReadSet::from_records(records))
 }
@@ -243,7 +241,7 @@ pub struct Batches<R> {
 }
 
 impl<R: BufRead> Iterator for Batches<R> {
-    type Item = Result<ReadBatch<'static>, String>;
+    type Item = Result<ReadBatch, String>;
 
     fn next(&mut self) -> Option<Self::Item> {
         let item = if self.failed { None } else { self.next_batch().transpose() };
@@ -285,7 +283,7 @@ impl<R: BufRead> Batches<R> {
     }
 
     /// The next batch, filled until the budget seals it or the input ends.
-    fn next_batch(&mut self) -> Result<Option<ReadBatch<'static>>, String> {
+    fn next_batch(&mut self) -> Result<Option<ReadBatch>, String> {
         let (mut records, mut bytes) = (Vec::new(), 0usize);
         while let Some(record) = self.next_record()? {
             let size = record_bytes(&record);
@@ -299,7 +297,7 @@ impl<R: BufRead> Batches<R> {
                 break;
             }
         }
-        Ok((!records.is_empty()).then_some(ReadBatch { records: Cow::Owned(records) }))
+        Ok((!records.is_empty()).then_some(ReadBatch { records }))
     }
 
     /// The held record, else the next one that passes the format's filter.
@@ -406,36 +404,6 @@ pub fn fastq_batches(
     Batches::fastq(chunked(text.as_bytes(), chunk_bytes), budget, min_mean_quality)
 }
 
-/// Lend batches of an already-resident [`ReadSet`].
-///
-/// The k-mer counter consumes each pass through a fresh batch iterator; when
-/// the reads are already in memory (the pipeline keeps them for alignment
-/// and consensus anyway), replaying supersteps from the `ReadSet` avoids
-/// re-parsing while keeping the per-superstep exchange buffers bounded by
-/// the same budget, sealed by the same rule as the parser path.
-pub fn read_set_batches(
-    reads: &ReadSet,
-    budget: IngestBudget,
-) -> impl Iterator<Item = Result<ReadBatch<'_>, String>> + '_ {
-    let mut start = 0usize;
-    std::iter::from_fn(move || {
-        let rest = &reads.records()[start..];
-        let (mut len, mut bytes) = (0usize, 0usize);
-        for rec in rest {
-            if budget.seals_before(len, bytes, record_bytes(rec)) {
-                break;
-            }
-            len += 1;
-            bytes += record_bytes(rec);
-            if budget.is_full(len, bytes) {
-                break;
-            }
-        }
-        start += len;
-        (len > 0).then_some(Ok(ReadBatch { records: Cow::Borrowed(&rest[..len]) }))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,14 +412,12 @@ mod tests {
 
     /// Collect every record from a batch stream, checking that no batch is
     /// empty along the way.
-    fn collect<'a>(
-        iter: impl Iterator<Item = Result<ReadBatch<'a>, String>>,
-    ) -> Result<ReadSet, String> {
+    fn collect(iter: impl Iterator<Item = Result<ReadBatch, String>>) -> Result<ReadSet, String> {
         let mut rs = ReadSet::new();
         for batch in iter {
             let batch = batch?;
             assert!(!batch.is_empty(), "batchers must not emit empty batches");
-            for rec in batch.records.into_owned() {
+            for rec in batch.records {
                 rs.push(rec);
             }
         }
@@ -608,21 +574,18 @@ mod tests {
     #[test]
     fn degenerate_batch_bounds_terminate_with_one_read_per_batch() {
         // A bound of 0 or 1 (reads, or bytes — every read is larger) cannot
-        // be met; both paths must then fall back to singleton batches, not
-        // spin on empty ones: one sealing rule, so they cannot disagree.
+        // be met; the parser must then fall back to singleton batches, not
+        // spin on empty ones.
         let reads = DatasetSpec::Tiny.generate(9).reads;
         let text = write_fasta(&reads);
         for bound in [0usize, 1] {
             for budget in
                 [IngestBudget::with_batch_reads(bound), IngestBudget::with_batch_bytes(bound)]
             {
-                let parsed: Vec<_> = fasta_batches(&text, 512, budget).take(reads.len() + 1).collect();
-                let lent: Vec<_> = read_set_batches(&reads, budget).take(reads.len() + 1).collect();
-                for (path, batches) in [("parser", parsed), ("resident", lent)] {
-                    let ctx = format!("{path} path, {budget:?}");
-                    assert_eq!(batches.len(), reads.len(), "one batch per read ({ctx})");
-                    assert_eq!(collect(batches.into_iter()).unwrap(), reads, "{ctx}");
-                }
+                let batches: Vec<_> =
+                    fasta_batches(&text, 512, budget).take(reads.len() + 1).collect();
+                assert_eq!(batches.len(), reads.len(), "one batch per read ({budget:?})");
+                assert_eq!(collect(batches.into_iter()).unwrap(), reads, "{budget:?}");
             }
         }
     }
@@ -659,7 +622,7 @@ mod tests {
         ];
         for chunk_bytes in [1, 4, text.len()] {
             let items: Vec<_> = fasta_batches(text, chunk_bytes, IngestBudget::with_batch_reads(1))
-                .map(|item| item.map(|batch| batch.records.into_owned()))
+                .map(|item| item.map(|batch| batch.records))
                 .collect();
             assert_eq!(items, expected, "chunk_bytes={chunk_bytes}");
         }
@@ -750,18 +713,5 @@ mod tests {
         assert_eq!(from_file, from_text);
         assert_eq!(collect(from_file.into_iter().map(Ok)).unwrap(), ds.reads);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn read_set_batches_cover_the_set_in_order() {
-        let ds = DatasetSpec::Tiny.generate(6);
-        for max_reads in [1usize, 3, 7, usize::MAX] {
-            let budget = IngestBudget::with_batch_reads(max_reads);
-            let got = collect(read_set_batches(&ds.reads, budget)).unwrap();
-            assert_eq!(got, ds.reads, "max_batch_reads={max_reads}");
-            let n_batches = read_set_batches(&ds.reads, budget).count();
-            assert_eq!(n_batches, ds.reads.len().div_ceil(max_reads.min(ds.reads.len())));
-        }
-        assert_eq!(read_set_batches(&ReadSet::new(), IngestBudget::unbounded()).count(), 0);
     }
 }

@@ -11,15 +11,17 @@
 //! points injected before every claim.
 
 use dibella_dist::CommStats;
-use dibella_seq::stream::{read_set_batches, IngestBudget};
+use dibella_seq::stream::{fasta_batches, IngestBudget};
 use dibella_seq::{
-    count_kmers_distributed, count_kmers_serial, count_kmers_streaming, DatasetSpec, KmerSelection,
+    count_kmers_distributed, count_kmers_serial, count_kmers_streaming, write_fasta, DatasetSpec,
+    KmerSelection,
 };
 use dibella_testutil::{assert_schedule_determinism, SchedulePreset};
 
 #[test]
 fn count_kmers_streaming_is_bit_identical_under_adversarial_schedules() {
     let ds = DatasetSpec::Tiny.generate_with_length(2_000, 21);
+    let fasta = write_fasta(&ds.reads);
     let sel = KmerSelection { k: 9, min_count: 2, max_count: 50 };
     let budget = IngestBudget::with_batch_reads(7);
 
@@ -30,7 +32,7 @@ fn count_kmers_streaming_is_bit_identical_under_adversarial_schedules() {
     let explored = assert_schedule_determinism(SchedulePreset::from_env(), || {
         let stats = CommStats::new();
         let (table, _) = count_kmers_streaming(
-            || Ok(read_set_batches(&ds.reads, budget)),
+            || Ok(fasta_batches(&fasta, 4096, budget)),
             &sel,
             4,
             &budget,

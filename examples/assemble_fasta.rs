@@ -56,8 +56,7 @@ fn main() {
         config = PipelineConfig::for_small_reads(k, nprocs);
     }
 
-    let comm = CommStats::new();
-    let out = run_dibella_2d_on_reads(&reads, &config, &comm).expect("running the pipeline");
+    let out = run_dibella_2d_on_reads(&reads, &config).expect("running the pipeline");
 
     println!("\nstage timings (s):");
     for (label, value) in StageTimings::LABELS.iter().zip(out.timings.values()) {

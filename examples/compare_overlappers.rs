@@ -53,8 +53,7 @@ fn main() {
 
     // diBELLA 2D, with the alignment stage (the dominant cost, Figures 5-8)
     // timed on its own.
-    let exact = run_dibella_2d_on_reads(&dataset.reads, &config, &CommStats::new())
-        .expect("diBELLA 2D run");
+    let exact = run_dibella_2d_on_reads(&dataset.reads, &config).expect("diBELLA 2D run");
     report_run("diBELLA 2D (SpGEMM)", &exact.overlap_matrix, &exact.timings, &exact.comm, &truth);
 
     // diBELLA 2D on the k-min-mer sketch matrix — same SUMMA + alignment,
@@ -62,7 +61,7 @@ fn main() {
     // minimizers) instead of one per reliable k-mer, so there is no k-mer
     // counting stage and far fewer nonzeros to broadcast and multiply.
     let sketch_config = PipelineConfig { candidate_source: CandidateSource::KMinMer, ..config };
-    let kmm = run_dibella_2d_on_reads(&dataset.reads, &sketch_config, &CommStats::new())
+    let kmm = run_dibella_2d_on_reads(&dataset.reads, &sketch_config)
         .expect("diBELLA 2D k-min-mer run");
     report_run("diBELLA 2D (k-min-mer)", &kmm.overlap_matrix, &kmm.timings, &kmm.comm, &truth);
     let info = kmm.sketch.expect("a k-min-mer run reports its sketch");
@@ -75,8 +74,7 @@ fn main() {
     );
 
     // diBELLA 1D.
-    let one_d =
-        run_dibella_1d(&dataset.reads, &config, &CommStats::new()).expect("diBELLA 1D run");
+    let one_d = run_dibella_1d(&dataset.reads, &config).expect("diBELLA 1D run");
     report_run("diBELLA 1D (hash)", &one_d.overlap_matrix, &one_d.timings, &one_d.comm, &truth);
 
     // Minimizer overlapper (shared-memory, no alignment — like minimap2).

@@ -30,9 +30,7 @@ fn main() {
     // 3. Run Algorithm 1 plus the consensus stage: k-mer counting, C = A·Aᵀ,
     //    alignment, pruning, the transitive reduction of Algorithm 2, contig
     //    layout and POA consensus.
-    let comm = CommStats::new();
-    let out = run_dibella_2d_on_reads(&dataset.reads, &config, &comm)
-        .expect("the default ingest budget is unbounded");
+    let out = run_dibella_2d_on_reads(&dataset.reads, &config).expect("a valid configuration");
 
     println!("\n== pipeline summary ==");
     println!("reliable k-mers (m):        {}", out.dims.kmers);

@@ -41,8 +41,7 @@
 //! // Run the diBELLA 2D pipeline on 4 virtual ranks: overlap detection,
 //! // string-graph construction, contig layout and POA consensus.
 //! let config = PipelineConfig::for_small_reads(13, 4);
-//! let comm = CommStats::new();
-//! let out = run_dibella_2d_on_reads(&dataset.reads, &config, &comm).unwrap();
+//! let out = run_dibella_2d_on_reads(&dataset.reads, &config).unwrap();
 //!
 //! assert!(out.string_matrix.nnz() > 0);
 //! assert!(out.string_matrix.nnz() <= out.overlap_matrix.nnz());
@@ -105,8 +104,7 @@ mod tests {
     fn facade_reexports_compose() {
         let ds = DatasetSpec::Tiny.generate(3);
         let cfg = PipelineConfig::for_small_reads(13, 1);
-        let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
+        let out = run_dibella_2d_on_reads(&ds.reads, &cfg).unwrap();
         let graph = BidirectedGraph::from_dist_matrix(&out.string_matrix);
         assert_eq!(graph.num_vertices(), ds.reads.len());
     }

@@ -36,8 +36,7 @@ fn golden_dataset() -> (dibella2d::seq::DnaSeq, ReadSet, Vec<dibella2d::seq::sim
 fn golden_20kbp_assembly_meets_ng50_and_identity_thresholds() {
     let (genome, reads, origins) = golden_dataset();
     let config = PipelineConfig::for_small_reads(15, 4);
-    let comm = CommStats::new();
-    let out = run_dibella_2d_on_reads(&reads, &config, &comm).unwrap();
+    let out = run_dibella_2d_on_reads(&reads, &config).unwrap();
 
     assert!(!out.contigs.is_empty());
     assert_eq!(out.contigs.len(), out.consensus.len());

@@ -7,8 +7,7 @@ use dibella2d::prelude::*;
 fn pipeline_recovers_most_true_overlaps_on_tiny_dataset() {
     let ds = DatasetSpec::Tiny.generate(101);
     let cfg = PipelineConfig::for_small_reads(13, 4);
-    let comm = CommStats::new();
-    let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
+    let out = run_dibella_2d_on_reads(&ds.reads, &cfg).unwrap();
 
     // The pipeline removes contained (and near-contained, within the
     // classification fuzz) reads from the graph, as the paper prescribes, so
@@ -53,12 +52,11 @@ fn pipeline_recovers_most_true_overlaps_on_tiny_dataset() {
 fn string_graph_is_sparser_than_overlap_graph_and_fixed_point() {
     let ds = DatasetSpec::Tiny.generate(102);
     let cfg = PipelineConfig::for_small_reads(13, 9);
-    let comm = CommStats::new();
-    let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
+    let out = run_dibella_2d_on_reads(&ds.reads, &cfg).unwrap();
     assert!(out.string_matrix.nnz() > 0);
     assert!(out.string_matrix.nnz() < out.overlap_matrix.nnz());
     // Applying the reduction again must change nothing (fixed point).
-    let again = transitive_reduction(&out.string_matrix, &cfg.transitive, &comm);
+    let again = transitive_reduction(&out.string_matrix, &cfg.transitive, &CommStats::new());
     assert_eq!(again.removed_edges, 0);
     assert_eq!(
         again.string_matrix.to_local_csr(),
@@ -88,8 +86,7 @@ fn error_free_dataset_assembles_into_a_near_complete_contig() {
     ds.origins = origins;
 
     let cfg = PipelineConfig::for_small_reads(15, 4);
-    let comm = CommStats::new();
-    let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
+    let out = run_dibella_2d_on_reads(&ds.reads, &cfg).unwrap();
 
     let lengths = ds.reads.lengths();
     let contigs = extract_contigs(&out.string_matrix.to_local_csr(), &lengths);
@@ -112,10 +109,8 @@ fn error_free_dataset_assembles_into_a_near_complete_contig() {
 fn one_d_and_two_d_pipelines_agree_while_communication_differs() {
     let ds = DatasetSpec::Tiny.generate(104);
     let cfg = PipelineConfig::for_small_reads(13, 16);
-    let comm2d = CommStats::new();
-    let out2d = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm2d).unwrap();
-    let comm1d = CommStats::new();
-    let out1d = run_dibella_1d(&ds.reads, &cfg, &comm1d).unwrap();
+    let out2d = run_dibella_2d_on_reads(&ds.reads, &cfg).unwrap();
+    let out1d = run_dibella_1d(&ds.reads, &cfg).unwrap();
 
     assert_eq!(
         out2d.overlap_matrix.to_local_csr().pattern(),
@@ -124,8 +119,8 @@ fn one_d_and_two_d_pipelines_agree_while_communication_differs() {
     // Latency: the 1D overlap reduction is an all-to-all (Y = P per rank),
     // the 2D SUMMA uses broadcasts (Y = sqrt(P) per rank).
     assert!(
-        comm1d.messages(CommPhase::OverlapDetection)
-            > comm2d.messages(CommPhase::OverlapDetection)
+        out1d.comm.phase(CommPhase::OverlapDetection).messages
+            > out2d.comm.phase(CommPhase::OverlapDetection).messages
     );
 }
 
@@ -135,8 +130,7 @@ fn fasta_roundtrip_through_the_full_pipeline() {
     let fasta = write_fasta(&ds.reads);
     let cfg = PipelineConfig::for_small_reads(13, 4);
     let from_text = run_dibella_2d(&fasta, &cfg).expect("pipeline on FASTA text");
-    let comm = CommStats::new();
-    let from_reads = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
+    let from_reads = run_dibella_2d_on_reads(&ds.reads, &cfg).unwrap();
     assert_eq!(
         from_text.string_matrix.to_local_csr(),
         from_reads.string_matrix.to_local_csr()
@@ -148,8 +142,7 @@ fn fasta_roundtrip_through_the_full_pipeline() {
 fn measured_communication_matches_the_table1_model_in_shape() {
     let ds = DatasetSpec::Tiny.generate(106);
     let cfg = PipelineConfig::for_small_reads(13, 16);
-    let comm = CommStats::new();
-    let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
+    let out = run_dibella_2d_on_reads(&ds.reads, &cfg).unwrap();
 
     let params = ModelParams {
         n: out.dims.reads,

@@ -50,8 +50,7 @@ fn reductions_agree_on_a_pipeline_produced_overlap_matrix() {
     // input than the fixtures.
     let ds = DatasetSpec::Tiny.generate(201);
     let cfg = PipelineConfig::for_small_reads(13, 4);
-    let comm = CommStats::new();
-    let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
+    let out = run_dibella_2d_on_reads(&ds.reads, &cfg).unwrap();
     let r_local = out.overlap_matrix.to_local_csr();
     assert!(r_local.nnz() > 0);
 
@@ -80,8 +79,7 @@ fn reductions_agree_on_a_pipeline_produced_overlap_matrix() {
 fn no_implementation_leaves_transitive_edges_behind() {
     let ds = DatasetSpec::Tiny.generate(202);
     let cfg = PipelineConfig::for_small_reads(13, 4);
-    let comm = CommStats::new();
-    let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
+    let out = run_dibella_2d_on_reads(&ds.reads, &cfg).unwrap();
     let fuzz = cfg.transitive.fuzz;
 
     assert!(remaining_transitive_edges(&out.string_matrix, fuzz).is_empty());
@@ -97,21 +95,18 @@ fn grid_and_thread_count_do_not_change_the_string_graph() {
     let ds = DatasetSpec::Tiny.generate(203);
     let reference = {
         let cfg = PipelineConfig::for_small_reads(13, 1);
-        let comm = CommStats::new();
-        run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap().string_matrix.to_local_csr()
+        run_dibella_2d_on_reads(&ds.reads, &cfg).unwrap().string_matrix.to_local_csr()
     };
     for nprocs in [4usize, 9, 25] {
         let cfg = PipelineConfig::for_small_reads(13, nprocs);
-        let comm = CommStats::new();
-        let out = run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap();
+        let out = run_dibella_2d_on_reads(&ds.reads, &cfg).unwrap();
         assert_eq!(out.string_matrix.to_local_csr(), reference, "P={nprocs}");
     }
     // And across rayon thread counts.
     for threads in [1usize, 2, 8] {
         let cfg = PipelineConfig::for_small_reads(13, 4);
         let got = dibella2d::dist::with_threads(threads, || {
-            let comm = CommStats::new();
-            run_dibella_2d_on_reads(&ds.reads, &cfg, &comm).unwrap().string_matrix.to_local_csr()
+            run_dibella_2d_on_reads(&ds.reads, &cfg).unwrap().string_matrix.to_local_csr()
         });
         assert_eq!(got, reference, "threads={threads}");
     }
