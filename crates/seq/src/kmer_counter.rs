@@ -5,13 +5,13 @@
 //! 1. every rank rolls over the canonical k-mers of its block of reads and
 //!    sends each, as its packed `u64`, to an owner rank chosen by hashing
 //!    (`MPI_Alltoallv`);
-//! 2. **pass 1**: each owner sorts what it received and run-lengths it (KMC 3,
-//!    HySortK).  A k-mer seen twice in the batch graduates to the owner's
-//!    candidates at once; a batch-singleton goes through the owner's Bloom
-//!    filter and graduates only if the filter has seen it before — singletons
-//!    never occupy candidate memory;
-//! 3. **pass 2**: the same exchange is repeated and owners add the run
-//!    lengths to the candidates they find;
+//! 2. **pass 1**: each owner tallies what it received in a hash table.  A
+//!    k-mer seen twice in the batch graduates to the owner's candidates at
+//!    once; a batch-singleton goes through the owner's Bloom filter and
+//!    graduates only if the filter has seen it before — singletons never
+//!    occupy candidate memory;
+//! 3. **pass 2**: the same exchange is repeated and owners count each k-mer
+//!    they receive in the hash table over their candidates;
 //! 4. k-mers whose count falls outside the reliable range
 //!    `[min_count, max_count]` are discarded (the BELLA-style upper bound `d`
 //!    removes repeat-induced high-frequency k-mers);
@@ -27,8 +27,8 @@
 //! streamed input, and returns, beside the table, the [`IngestStats`] it
 //! consumed (supersteps, largest batch, peak resident estimate), and
 //! [`count_kmers_serial`], a plain hash-map count, is the independent
-//! reference both are tested against.  Everything the fold keeps is sorted,
-//! so no output depends on a hasher or a schedule.
+//! reference both are tested against.  Owners count in hash tables, and the
+//! table leaves sorted, so no output depends on a hasher or a schedule.
 //!
 //! The k-mer exchange traffic is recorded under
 //! [`CommPhase::KmerCounting`] with the paper's `k/4`-bytes-per-k-mer wire
@@ -72,13 +72,15 @@ impl KmerSelection {
 
 /// The reliable k-mer table: canonical k-mers in ascending order, their
 /// counts, and — a k-mer's position being its column — their column indices
-/// in the `|reads| x |k-mers|` matrix `A`.
+/// in the `|reads| x |k-mers|` matrix `A`, found through a hash index.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct KmerTable {
     k: usize,
     /// [`Kmer::packed`] of every k-mer, ascending.
     packed: Vec<u64>,
     counts: Vec<u32>,
+    /// Column of each k-mer in `packed`.
+    index: KmerIndex,
 }
 
 impl KmerTable {
@@ -92,10 +94,10 @@ impl KmerTable {
         self.packed.is_empty()
     }
 
-    /// Column index of a canonical k-mer, if reliable (binary search).
+    /// Column index of a canonical k-mer, if reliable (one hashed lookup).
     pub fn column_of(&self, canonical: &Kmer) -> Option<u32> {
-        let column = self.packed.binary_search(&canonical.packed()).ok()?;
-        (canonical.k() == self.k).then_some(column as u32)
+        let column = self.index.find(&self.packed, canonical.packed()).ok()?;
+        (canonical.k() == self.k).then_some(column)
     }
 
     /// The canonical k-mer at a column index.
@@ -134,10 +136,11 @@ pub fn count_kmers_serial(reads: &ReadSet, selection: &KmerSelection) -> KmerTab
 ///
 /// Reads are block-partitioned over ranks; canonical k-mers are exchanged to
 /// hash-assigned owner ranks twice (Bloom pass, then counting pass), exactly
-/// as the paper's k-mer counter does.  This is the fold
-/// [`count_kmers_streaming`] drives, over the resident set as a single
-/// superstep: no stream, no budget, nothing that can fail.  Returns the same
-/// table as [`count_kmers_serial`] for any `nprocs`.
+/// as the paper's k-mer counter does, each owner counting in hash tables (a
+/// tally per batch, then an index over its candidates).  This is the fold
+/// [`count_kmers_streaming`] drives, over the resident set as one superstep:
+/// no stream, no budget, nothing that can fail.  Returns the same table as
+/// [`count_kmers_serial`] for any `nprocs`.
 pub fn count_kmers_distributed(
     reads: &ReadSet,
     selection: &KmerSelection,
@@ -195,7 +198,7 @@ where
     let mut ingest = IngestStats::default();
     // One pass: a superstep per non-empty batch, budget-checked before its
     // exchange.  Returns the (supersteps, reads) the pass saw.
-    let mut pass = |fold: &mut TwoPassFold<'_>, step| -> Result<(u64, usize), String> {
+    let mut pass = |fold: &mut TwoPassFold<'_>, step, fold_bytes_per_kmer| -> Result<_, String> {
         let (mut steps, mut reads) = (0u64, 0usize);
         for batch in batches()? {
             let batch = batch?;
@@ -205,15 +208,16 @@ where
             steps += 1;
             reads += batch.len();
             let send = extract(&batch.records, selection, nprocs);
-            let owner_state = fold.owners.iter().map(Owner::state_bytes).sum();
+            let folding = send.iter().map(|s| s.len() as u64).sum::<u64>() * fold_bytes_per_kmer;
+            let owner_state = fold.owners.iter().map(Owner::state_bytes).sum::<u64>() + folding;
             ingest.observe(&batch, &send, owner_state, budget)?;
             fold.superstep(send, step);
         }
         Ok((steps, reads))
     };
-    let (pass1_steps, pass1_reads) = pass(&mut fold, Owner::graduate)?;
+    let (pass1_steps, pass1_reads) = pass(&mut fold, Owner::graduate, TALLY_BYTES_PER_KMER)?;
     fold.start_counting();
-    let (pass2_steps, pass2_reads) = pass(&mut fold, Owner::count)?;
+    let (pass2_steps, pass2_reads) = pass(&mut fold, Owner::count, 0)?;
     if pass2_steps != pass1_steps || pass2_reads != pass1_reads {
         return Err(format!(
             "streaming input changed between passes: pass 1 saw {pass1_reads} reads in \
@@ -245,10 +249,86 @@ fn extract(records: &[ReadRecord], selection: &KmerSelection, nprocs: usize) -> 
     })
 }
 
-/// Yield `(k-mer, occurrences)` for every run of a sorted batch.
-fn runs(sorted: &[u64]) -> impl Iterator<Item = (u64, u32)> + '_ {
-    sorted.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as u32))
+/// An open-addressing hash index over distinct packed k-mers kept in a slice
+/// by the caller: a slot holds a position in that slice, or `EMPTY`.  Linear
+/// probing from a Fibonacci multiply-shift hash, unrelated to the owner hash
+/// [`Kmer::hash64`], at a power-of-two capacity of at least 2 slots per key.
+#[derive(Clone, Default, Serialize, Deserialize)]
+struct KmerIndex {
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: the hash's top bits pick the home slot.
+    shift: u32,
 }
+
+const EMPTY: u32 = u32::MAX;
+const MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl KmerIndex {
+    fn with_capacity(keys: usize) -> Self {
+        assert!(keys < EMPTY as usize, "{keys} keys overflow a u32 position");
+        let capacity = (2 * keys).next_power_of_two().max(2);
+        Self { slots: vec![EMPTY; capacity], shift: 64 - capacity.trailing_zeros() }
+    }
+
+    /// Index `keys[from..]`, distinct and absent from `keys[..from]`, which is
+    /// indexed; rebuilds at twice the size when over half the slots would fill.
+    fn extend(&mut self, keys: &[u64], mut from: usize) {
+        if 2 * keys.len() > self.slots.len() {
+            (*self, from) = (Self::with_capacity(keys.len()), 0);
+        }
+        for (position, &key) in keys.iter().enumerate().skip(from) {
+            if let Err(slot) = self.find(keys, key) {
+                self.slots[slot] = position as u32;
+            }
+        }
+    }
+
+    /// `Ok(position)` of `key` in `keys`, the slice the index was built over,
+    /// or `Err(slot)`: the empty slot where it would go.
+    fn find(&self, keys: &[u64], key: u64) -> Result<u32, usize> {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut slot = (key.wrapping_mul(MULTIPLIER) >> self.shift) as usize;
+        loop {
+            match self.slots.get(slot) {
+                None | Some(&EMPTY) => return Err(slot),
+                Some(&position) if keys[position as usize] == key => return Ok(position),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+}
+
+impl std::fmt::Debug for KmerIndex {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KmerIndex").field("slots", &self.slots.len()).finish()
+    }
+}
+
+/// Tally a batch in place: its distinct k-mers move, in first-seen order, to
+/// its front, and the returned `counts[i]` is how often `batch[i]` occurred.
+fn tally(batch: &mut [u64]) -> Vec<u32> {
+    if batch.is_empty() {
+        return Vec::new();
+    }
+    let mut index = KmerIndex::with_capacity(batch.len());
+    let mut counts = Vec::with_capacity(batch.len());
+    for i in 0..batch.len() {
+        let kmer = batch[i];
+        match index.find(&batch[..counts.len()], kmer) {
+            Ok(seen) => counts[seen as usize] += 1,
+            Err(slot) => {
+                index.slots[slot] = counts.len() as u32;
+                batch[counts.len()] = kmer;
+                counts.push(1);
+            }
+        }
+    }
+    counts
+}
+
+/// What [`tally`] allocates per k-mer at most, over one batch or many (an
+/// empty one allocates nothing): a count and up to 4 index slots.
+const TALLY_BYTES_PER_KMER: u64 = 5 * std::mem::size_of::<u32>() as u64;
 
 /// One owner's share of the counter's state.  It persists across supersteps
 /// so k-mers whose occurrences land in different batches still graduate.
@@ -257,24 +337,22 @@ struct Owner {
     /// Pass 1's filter chain: sized by the first superstep, gone in pass 2
     /// (so the resident estimate drops accordingly).
     bloom: Option<ScalableBloom>,
-    /// The candidates pass 1 graduated, ascending and distinct …
-    sorted: Vec<u64>,
-    /// … plus those graduated since the last merge, in arrival order and
-    /// absent from `sorted` (a k-mer may repeat here until the merge).
-    tail: Vec<u64>,
-    /// Pass 2: occurrences of `sorted[i]`.
+    /// Pass 1's candidates, distinct, in graduation order, and their index.
+    kmers: Vec<u64>,
+    index: KmerIndex,
+    /// Pass 2: occurrences of `kmers[i]`.
     counts: Vec<u32>,
 }
 
 impl Owner {
-    /// Pass 1.  A run of two graduates on the spot; only batch-singletons
-    /// reach the filter.  A k-mer with global count >= 2 still always
-    /// graduates — two of its occurrences share a batch, or the second
-    /// singleton finds the first in the filter (no false negatives) — and a
-    /// false positive still only graduates a true singleton, which pass 2
-    /// counts as 1.
+    /// Pass 1.  A k-mer the batch holds twice graduates on the spot; only
+    /// batch-singletons reach the filter.  A k-mer with global count >= 2
+    /// still always graduates — two of its occurrences share a batch, or the
+    /// second singleton finds the first in the filter (no false negatives) —
+    /// and a false positive still only graduates a true singleton, which
+    /// pass 2 counts as 1.
     fn graduate(&mut self, batch: &mut [u64]) {
-        batch.sort_unstable();
+        let counts = tally(batch);
         // First stage sized for the first superstep's singletons: with a
         // single superstep that is every key the filter will ever see and
         // the chain never grows; later stages double.  (Their bytes enter
@@ -282,43 +360,34 @@ impl Owner {
         // singleton they sit well inside the 2x the estimate charges for
         // this superstep's 8 B-per-k-mer exchange.)
         let bloom = self.bloom.get_or_insert_with(|| {
-            ScalableBloom::with_rate(runs(batch).filter(|run| run.1 == 1).count(), 0.01)
+            ScalableBloom::with_rate(counts.iter().filter(|&&n| n == 1).count(), 0.01)
         });
-        for (kmer, occurrences) in runs(batch) {
-            let known = self.sorted.binary_search(&kmer).is_ok();
-            if !known && (occurrences >= 2 || bloom.insert(kmer)) {
-                self.tail.push(kmer);
+        let known = self.kmers.len();
+        for (&kmer, &occurrences) in batch.iter().zip(&counts) {
+            let candidate = self.index.find(&self.kmers[..known], kmer).is_ok();
+            if !candidate && (occurrences >= 2 || bloom.insert(kmer)) {
+                self.kmers.push(kmer);
             }
         }
-        // Merging costs O(state), so it waits until the tail is as long as
-        // the run it joins: amortised O(log state) per graduation, never
-        // O(state) per superstep.
-        if self.tail.len() >= self.sorted.len().max(1024) {
-            self.merge_tail();
-        }
+        self.index.extend(&self.kmers, known);
     }
 
-    fn merge_tail(&mut self) {
-        self.sorted.extend(std::mem::take(&mut self.tail));
-        self.sorted.sort_unstable();
-        self.sorted.dedup();
-    }
-
-    /// Pass 2: add each run's length to its candidate, if it is one.
+    /// Pass 2: count each k-mer that is a candidate.
     fn count(&mut self, batch: &mut [u64]) {
-        batch.sort_unstable();
-        for (kmer, occurrences) in runs(batch) {
-            if let Ok(i) = self.sorted.binary_search(&kmer) {
-                self.counts[i] += occurrences;
+        for &kmer in batch.iter() {
+            if let Ok(i) = self.index.find(&self.kmers, kmer) {
+                self.counts[i as usize] += 1;
             }
         }
     }
 
-    /// Heap bytes of the persistent state: filter chain, candidates, counts.
+    /// Heap bytes of the persistent state: filter chain, candidates, index,
+    /// counts.
     fn state_bytes(&self) -> u64 {
         let bloom = self.bloom.as_ref().map_or(0, ScalableBloom::resident_bytes);
-        let kmers = (self.sorted.capacity() + self.tail.capacity()) * std::mem::size_of::<u64>();
-        (bloom + kmers + std::mem::size_of_val(self.counts.as_slice())) as u64
+        let kmers = self.kmers.capacity() * std::mem::size_of::<u64>();
+        let index = std::mem::size_of_val(self.index.slots.as_slice());
+        (bloom + kmers + index + std::mem::size_of_val(self.counts.as_slice())) as u64
     }
 }
 
@@ -350,13 +419,12 @@ impl<'a> TwoPassFold<'a> {
         par_ranks_mut(&mut folds, |_, (owner, batch)| step(owner, batch));
     }
 
-    /// End pass 1: only the candidates survive into pass 2.
+    /// End pass 1: only the candidates and their index survive into pass 2.
     fn start_counting(&mut self) {
-        par_ranks_mut(&mut self.owners, |_, owner| {
+        for owner in &mut self.owners {
             owner.bloom = None;
-            owner.merge_tail();
-            owner.counts = vec![0; owner.sorted.len()];
-        });
+            owner.counts = vec![0; owner.kmers.len()];
+        }
     }
 
     /// Owners partition the k-mer space by hash, so the per-owner tables are
@@ -365,7 +433,7 @@ impl<'a> TwoPassFold<'a> {
     /// k-mer, a candidate's pass-2 count can still be 1; the reliable-range
     /// filter removes those, matching the serial counter.
     fn into_table(self) -> KmerTable {
-        let counted = self.owners.into_iter().flat_map(|o| o.sorted.into_iter().zip(o.counts));
+        let counted = self.owners.into_iter().flat_map(|o| o.kmers.into_iter().zip(o.counts));
         build_table(counted, self.selection)
     }
 }
@@ -387,7 +455,7 @@ impl IngestStats {
     ///
     /// The estimate charges the batch itself, the send lists twice (send and
     /// receive sides are briefly co-resident inside the all-to-all) and the
-    /// persistent owner state.
+    /// owner state: persistent, plus pass 1's tallies.
     fn observe(
         &mut self,
         batch: &ReadBatch,
@@ -419,8 +487,10 @@ fn build_table(counts: impl IntoIterator<Item = (u64, u32)>, sel: &KmerSelection
     let in_range = |&(_, count): &(u64, u32)| (sel.min_count..=sel.max_count).contains(&count);
     let mut reliable: Vec<(u64, u32)> = counts.into_iter().filter(in_range).collect();
     reliable.sort_unstable();
-    let (packed, counts) = reliable.into_iter().unzip();
-    KmerTable { k: sel.k, packed, counts }
+    let (packed, counts): (Vec<u64>, _) = reliable.into_iter().unzip();
+    let mut index = KmerIndex::default();
+    index.extend(&packed, 0);
+    KmerTable { k: sel.k, packed, counts, index }
 }
 
 #[cfg(test)]
@@ -685,6 +755,144 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, "bad record");
+    }
+
+    /// The largest packed k-mer, `T` x 31.
+    const LARGEST_31MER: u64 = (1 << 62) - 1;
+
+    /// The first `count` keys after 0 whose hashes share 0's top 12 bits: in
+    /// an index of up to 4096 slots they all start probing at 0's home slot.
+    fn colliding_keys(count: usize) -> Vec<u64> {
+        let top = |key: u64| key.wrapping_mul(MULTIPLIER) >> 52;
+        (1..).filter(|&key| top(key) == top(0)).take(count).collect()
+    }
+
+    fn indexed(keys: &[u64]) -> KmerIndex {
+        let mut index = KmerIndex::default();
+        index.extend(keys, 0);
+        index
+    }
+
+    #[test]
+    fn index_on_empty_and_single_key_sets() {
+        let empty = indexed(&[]);
+        for key in [0, 1, LARGEST_31MER, u64::MAX] {
+            assert!(empty.find(&[], key).is_err());
+        }
+        for key in [0, 7, LARGEST_31MER] {
+            let index = indexed(&[key]);
+            assert_eq!(index.find(&[key], key), Ok(0));
+            assert!(index.find(&[key], key ^ 1).is_err());
+        }
+        assert!(format!("{:?}", indexed(&[3, 5])).contains("slots: 4"), "size, not slots");
+    }
+
+    #[test]
+    fn tally_of_an_empty_batch_is_empty() {
+        assert!(tally(&mut []).is_empty());
+    }
+
+    #[test]
+    fn column_of_misses_on_an_empty_table_and_another_k() {
+        let any = Kmer::from_ascii(b"ACGTA").unwrap().canonical().kmer;
+        assert_eq!(KmerTable::default().column_of(&any), None);
+        let reads = reads_from(&["ACGTACGTACG", "ACGTACGTACG"]);
+        let sel = KmerSelection { k: 4, min_count: 2, max_count: 100 };
+        let table = count_kmers_serial(&reads, &sel);
+        let acgt = Kmer::from_ascii(b"ACGT").unwrap().canonical().kmer;
+        assert!(table.column_of(&acgt).is_some());
+        // The same packed value as a 5-mer: `AACGT`.
+        let other_k = Kmer::from_packed(acgt.packed(), 5);
+        assert_eq!(table.column_of(&other_k), None);
+    }
+
+    #[test]
+    fn all_singletons_give_an_empty_table_and_poly_a_one_kmer() {
+        // 400 pseudo-random bases: every canonical 15-mer occurs once.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let bases: String = (0..400)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                b"ACGT"[(state >> 60) as usize % 4] as char
+            })
+            .collect();
+        let singletons = reads_from(&[&bases]);
+        let sel = KmerSelection { k: 15, min_count: 1, max_count: 10 };
+        let all = count_kmers_serial(&singletons, &sel);
+        assert!(all.iter().all(|(_, _, count)| count == 1), "the input must hold singletons only");
+        let poly_a = reads_from(&[&"A".repeat(21), &"T".repeat(21)]);
+        for nprocs in [1, 16] {
+            let stats = CommStats::new();
+            let sel = KmerSelection { k: 15, min_count: 2, max_count: 10 };
+            assert!(count_kmers_distributed(&singletons, &sel, nprocs, &stats).is_empty());
+            // 11 windows per read, both reads on one canonical k-mer: 22.
+            let sel = KmerSelection { k: 11, min_count: 2, max_count: 22 };
+            let table = count_kmers_distributed(&poly_a, &sel, nprocs, &stats);
+            let a11 = Kmer::from_packed(0, 11);
+            assert_eq!((table.len(), table.column_of(&a11)), (1, Some(0)), "P={nprocs}");
+            assert_eq!(table.count_at(0), 22);
+            let sel = KmerSelection { max_count: 21, ..sel };
+            assert!(count_kmers_distributed(&poly_a, &sel, nprocs, &stats).is_empty());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_index_lookup_equals_binary_search(
+            random in proptest::collection::btree_set(0..=LARGEST_31MER, 0..600),
+            queries in proptest::collection::vec(0..=LARGEST_31MER, 0..64),
+            extremes in any::<bool>(),
+            colliding in 0usize..24,
+            split_per_mille in 0usize..=1000,
+        ) {
+            let mut keys = random;
+            if extremes {
+                keys.extend([0, LARGEST_31MER]);
+            }
+            keys.extend(colliding_keys(colliding));
+            let keys: Vec<u64> = keys.into_iter().collect();
+            // Built in two pieces, as pass 1 grows its candidates' index.
+            let split = keys.len() * split_per_mille / 1000;
+            let mut index = indexed(&keys[..split]);
+            index.extend(&keys, split);
+            prop_assert!(index.slots.len() >= 2 * keys.len());
+            let more = colliding_keys(32);
+            let probes = keys.iter().chain(&queries).chain(&more);
+            for &key in probes.chain(&[0, LARGEST_31MER, u64::MAX]) {
+                let found = index.find(&keys, key).ok().map(|position| position as usize);
+                prop_assert_eq!(found, keys.binary_search(&key).ok());
+            }
+        }
+
+        #[test]
+        fn prop_tally_equals_sort_and_run_length(
+            values in proptest::collection::vec(0..=LARGEST_31MER, 0..400),
+            alphabet in 1u64..48,
+            shape in 0usize..3,
+        ) {
+            let mut seen = std::collections::BTreeSet::new();
+            let batch: Vec<u64> = match shape {
+                0 => values.iter().map(|v| v % alphabet).collect(),
+                1 => vec![values.first().copied().unwrap_or(0); values.len()],
+                _ => values.iter().copied().filter(|&v| seen.insert(v)).collect(),
+            };
+            let mut tallied = batch.clone();
+            let counts = tally(&mut tallied);
+            let distinct = &tallied[..counts.len()];
+            seen.clear();
+            let first_seen: Vec<u64> = batch.iter().copied().filter(|&v| seen.insert(v)).collect();
+            prop_assert_eq!(distinct, &first_seen[..]);
+            let mut sorted = batch;
+            sorted.sort_unstable();
+            let runs: Vec<(u64, u32)> =
+                sorted.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as u32)).collect();
+            let mut pairs: Vec<(u64, u32)> = distinct.iter().copied().zip(counts).collect();
+            pairs.sort_unstable();
+            prop_assert_eq!(pairs, runs);
+        }
     }
 
     proptest! {

@@ -49,7 +49,7 @@ fn count_kmers_streaming_is_bit_identical_under_adversarial_schedules() {
 #[test]
 fn parallel_owner_folds_are_bit_identical_under_adversarial_schedules() {
     // One superstep, sixteen owners: every explored schedule spreads the
-    // owners' sort / run-length / Bloom folds over its chunks differently,
+    // owners' tally / Bloom / count folds over its chunks differently,
     // and the table and the accounted exchange must not notice.
     let ds = DatasetSpec::Tiny.generate_with_length(2_000, 22);
     let sel = KmerSelection { k: 9, min_count: 2, max_count: 50 };
