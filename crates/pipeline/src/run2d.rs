@@ -172,9 +172,8 @@ pub fn run_dibella_2d_fastq(
 /// Run the diBELLA 2D pipeline on an already-parsed read set.
 ///
 /// The reads stay resident for alignment and consensus, so the k-mer counter
-/// folds them in one superstep ([`count_kmers_distributed`], the call the 1D
-/// pipeline makes); a memory budget belongs to streamed input
-/// (`dibella_seq::count_kmers_streaming`).  The run owns its communication
+/// folds them in one superstep per pass ([`count_kmers_distributed`], the
+/// call the 1D pipeline makes).  The run owns its communication
 /// counters and reports them in [`Pipeline2dOutput::comm`].  Fails only if
 /// [`PipelineConfig::validate`] rejects the configuration, before anything
 /// runs.

@@ -2,8 +2,8 @@
 //!
 //! Two kinds of pin.  **Agreement**: every way of running the front end —
 //! the serial hash-map counter, the distributed counter at several rank
-//! counts, the streaming counter at several batch sizes, all at several
-//! thread counts, then `build_a_matrix` at several construction-rank counts —
+//! counts and several thread counts, then `build_a_matrix` at several
+//! construction-rank counts —
 //! must produce the same table and the same `A`, and `A` must equal a naive
 //! matrix built from the definitions (`Kmer::from_codes`, `canonical`, first
 //! occurrence per column, `DistMat2D::from_triples`).  **Golden digests**:
@@ -17,8 +17,8 @@ use dibella_overlap::{build_a_matrix, KmerOccurrence};
 use dibella_pipeline::{run_dibella_2d_on_reads, PipelineConfig, ScenarioSpec};
 use dibella_seq::simulate::build_scenario;
 use dibella_seq::{
-    count_kmers_distributed, count_kmers_serial, count_kmers_streaming, fasta_batches, write_fasta,
-    DatasetSpec, IngestBudget, Kmer, KmerSelection, KmerTable, ReadRecord, ReadSet,
+    count_kmers_distributed, count_kmers_serial, DatasetSpec, Kmer, KmerSelection, KmerTable,
+    ReadRecord, ReadSet,
 };
 use dibella_sparse::{CsrMatrix, DistMat2D, Triples};
 use std::collections::BTreeMap;
@@ -68,7 +68,6 @@ fn assert_front_end_agrees(
     }
 
     let naive = naive_a_triples(reads, &reference);
-    let fasta = write_fasta(reads);
     let expected: Vec<_> = [1usize, 4, 9, 16]
         .into_iter()
         .map(|nprocs| {
@@ -89,15 +88,6 @@ fn assert_front_end_agrees(
                     assert_eq!(a.blocks(), want.blocks(), "A blocks ({ctx} ranks={ranks})");
                     assert_eq!(&a.to_local_csr(), want_local, "A ({ctx} ranks={ranks})");
                 }
-            }
-            for max_batch_reads in [1usize, 7, 64, usize::MAX] {
-                let budget = IngestBudget::with_batch_reads(max_batch_reads);
-                let batches = || Ok(fasta_batches(&fasta, 4096, budget));
-                let (table, _) =
-                    count_kmers_streaming(batches, &sel, 4, &budget, &CommStats::new())
-                        .expect("no resident budget set");
-                let ctx = format!("{label} streaming b={max_batch_reads} t={threads}");
-                assert_tables_identical(&table, &reference, &ctx);
             }
         });
     }

@@ -88,80 +88,6 @@ impl BloomFilter {
     }
 }
 
-/// A scalable Bloom filter for streams of unknown cardinality.
-///
-/// A [`BloomFilter`] must be sized for its key count, which a superstep
-/// ingest cannot know upfront.  `ScalableBloom` (Almeida et al., "Scalable
-/// Bloom Filters") keeps a chain
-/// of fixed-size filters: inserts go to the newest filter, membership checks
-/// consult the whole chain, and when the newest filter reaches its design
-/// capacity a new filter with twice the capacity and a tightened
-/// false-positive rate is appended.  The compounded false-positive rate stays
-/// bounded by `rate / (1 - tightening)` with the 0.5 tightening ratio used
-/// here, and there are still no false negatives.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ScalableBloom {
-    stages: Vec<BloomFilter>,
-    stage_capacity: usize,
-    stage_new_keys: usize,
-    stage_rate: f64,
-}
-
-impl ScalableBloom {
-    /// A scalable filter whose first stage is sized for `initial_capacity`
-    /// distinct keys at the given per-stage false-positive rate.
-    pub fn with_rate(initial_capacity: usize, false_positive_rate: f64) -> Self {
-        let cap = initial_capacity.max(64);
-        Self {
-            stages: vec![BloomFilter::with_rate(cap, false_positive_rate)],
-            stage_capacity: cap,
-            stage_new_keys: 0,
-            stage_rate: false_positive_rate,
-        }
-    }
-
-    /// Insert a key; returns `true` if the key **might** have been inserted
-    /// before (in any stage), `false` if it was definitely new.
-    pub fn insert(&mut self, key: u64) -> bool {
-        // A hit in any sealed stage means "seen"; no need to re-insert.
-        let newest = self.stages.len() - 1;
-        if self.stages[..newest].iter().any(|s| s.contains(key)) {
-            return true;
-        }
-        let already = self.stages[newest].insert(key);
-        if !already {
-            self.stage_new_keys += 1;
-            if self.stage_new_keys >= self.stage_capacity {
-                // Seal this stage and open one with twice the capacity at a
-                // tightened rate, keeping the compounded rate bounded.
-                self.stage_capacity *= 2;
-                self.stage_rate *= 0.5;
-                self.stages.push(BloomFilter::with_rate(self.stage_capacity, self.stage_rate));
-                self.stage_new_keys = 0;
-            }
-        }
-        already
-    }
-
-    /// Whether the key might have been inserted into any stage (false
-    /// positives possible, false negatives impossible).
-    pub fn contains(&self, key: u64) -> bool {
-        self.stages.iter().any(|s| s.contains(key))
-    }
-
-    /// Number of chained stages (diagnostic: grows logarithmically with the
-    /// number of distinct keys).
-    pub fn stages(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Approximate heap bytes held by the filter chain — the quantity the
-    /// k-mer counter's resident-byte estimate charges for its filters.
-    pub fn resident_bytes(&self) -> usize {
-        self.stages.iter().map(|s| (s.nbits() as usize).div_ceil(8)).sum()
-    }
-}
-
 fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E3779B97F4A7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
@@ -238,48 +164,5 @@ mod tests {
                 prop_assert!(bf.contains(k));
             }
         }
-    }
-
-    #[test]
-    fn scalable_bloom_grows_past_initial_capacity_without_false_negatives() {
-        // 64-key first stage, 10k distinct keys: the chain must grow and the
-        // second insert of every key must report "seen".
-        let mut sb = ScalableBloom::with_rate(64, 0.01);
-        for key in 0..10_000u64 {
-            sb.insert(splitmix(key));
-        }
-        assert!(sb.stages() > 1, "filter must have scaled");
-        for key in 0..10_000u64 {
-            assert!(sb.contains(splitmix(key)), "no false negatives after scaling");
-            assert!(sb.insert(splitmix(key)), "re-insert must report seen");
-        }
-        assert!(sb.resident_bytes() > 0);
-    }
-
-    #[test]
-    fn scalable_bloom_first_insert_reports_new() {
-        let mut sb = ScalableBloom::with_rate(1000, 0.01);
-        assert!(!sb.insert(42));
-        assert!(sb.insert(42));
-        assert!(!sb.contains(43));
-    }
-
-    #[test]
-    fn scalable_bloom_compounded_false_positive_rate_stays_bounded() {
-        // Tiny initial stage forces many scalings; the compounded FP rate
-        // must stay near the configured 1%, not degrade per stage.
-        let mut sb = ScalableBloom::with_rate(64, 0.01);
-        for key in 0..20_000u64 {
-            sb.insert(splitmix(key));
-        }
-        let mut false_positives = 0;
-        let probes = 20_000u64;
-        for key in 0..probes {
-            if sb.contains(splitmix(key + 10_000_000)) {
-                false_positives += 1;
-            }
-        }
-        let rate = false_positives as f64 / probes as f64;
-        assert!(rate < 0.05, "compounded false positive rate {rate} too high");
     }
 }

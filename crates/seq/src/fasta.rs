@@ -4,7 +4,7 @@
 //! real system reads an equal-sized chunk per MPI rank with parallel I/O; in
 //! this reproduction a [`ReadSet`] is parsed once and then block-partitioned
 //! over the virtual ranks.  The record grammars live in [`crate::stream`];
-//! the functions here pull its batches from text or a file and collect them.
+//! the functions here pull its records from text or a file and collect them.
 //!
 //! Sequencers actually deliver **FASTQ** (sequence plus per-base Phred
 //! qualities); [`parse_fastq_filtered`] accepts the classic four-line record
@@ -13,7 +13,7 @@
 //! points.
 
 use crate::dna::DnaSeq;
-use crate::stream::{collect_batches, open, Batches, IngestBudget};
+use crate::stream::{open, Records};
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader};
 use std::path::Path;
@@ -114,13 +114,17 @@ impl ReadSet {
 /// final line with no terminator.  Characters other than `{A, C, G, T}`
 /// (e.g. `N`) are rejected.
 pub fn parse_fasta(text: &str) -> Result<ReadSet, String> {
-    collect_batches(Batches::fasta(text.as_bytes(), IngestBudget::unbounded()))
+    read_fasta(text.as_bytes())
 }
 
 /// Parse a FASTA file from disk, streaming it through a read buffer.
 pub fn parse_fasta_file(path: impl AsRef<Path>) -> Result<ReadSet, String> {
-    let file = BufReader::new(open(path.as_ref())?);
-    collect_batches(Batches::fasta(file, IngestBudget::unbounded()))
+    read_fasta(BufReader::new(open(path.as_ref())?))
+}
+
+/// Every FASTA record in `reader`, or the first error.
+fn read_fasta(reader: impl BufRead) -> Result<ReadSet, String> {
+    Records::fasta(reader).collect::<Result<_, _>>().map(ReadSet::from_records)
 }
 
 /// Serialise a [`ReadSet`] to FASTA text with 80-column line wrapping.
@@ -162,7 +166,7 @@ pub struct FastqFilterStats {
     pub dropped_low_quality: usize,
 }
 
-/// Parse four-line FASTQ text (see [`Batches::fastq`] for the strict record
+/// Parse four-line FASTQ text (see [`Records::fastq`] for the strict record
 /// format; line endings as in [`parse_fasta`]) and drop reads whose mean Phred
 /// quality is below `min_mean_quality` (a threshold of 0.0 keeps everything).
 pub fn parse_fastq_filtered(
@@ -187,9 +191,9 @@ fn filter_fastq(
     reader: impl BufRead,
     min_mean_quality: f64,
 ) -> Result<(ReadSet, FastqFilterStats), String> {
-    let mut batches = Batches::fastq(reader, IngestBudget::unbounded(), min_mean_quality);
-    let reads = collect_batches(&mut batches)?;
-    let dropped_low_quality = batches.dropped_low_quality();
+    let mut records = Records::fastq(reader, min_mean_quality);
+    let reads = ReadSet::from_records(records.by_ref().collect::<Result<_, _>>()?);
+    let dropped_low_quality = records.dropped_low_quality();
     let stats = FastqFilterStats {
         total_reads: reads.len() + dropped_low_quality,
         kept_reads: reads.len(),
@@ -427,10 +431,49 @@ mod tests {
         let err = parse_fasta_file(&path).unwrap_err();
         assert!(err.starts_with("line 3: invalid UTF-8: "), "{err}");
         for chunk_bytes in [1, 7, bytes.len()] {
-            let batches =
-                crate::stream::fasta_batches_file(&path, chunk_bytes, IngestBudget::unbounded());
-            assert_eq!(collect_batches(batches.unwrap()), Err(err.clone()), "{chunk_bytes}");
+            let file = std::fs::File::open(&path).unwrap();
+            let chunked = read_fasta(BufReader::with_capacity(chunk_bytes, file));
+            assert_eq!(chunked, Err(err.clone()), "{chunk_bytes}");
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A reader that hands out `text` and fails once `limit` bytes are read.
+    struct FailsAfter<'a> {
+        text: &'a [u8],
+        limit: usize,
+    }
+
+    impl std::io::Read for FailsAfter<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.limit == 0 {
+                return Err(std::io::Error::other("disk on fire"));
+            }
+            let n = buf.len().min(self.limit).min(self.text.len());
+            buf[..n].copy_from_slice(&self.text[..n]);
+            (self.text, self.limit) = (&self.text[n..], self.limit - n);
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn an_io_error_mid_stream_fails_the_parse_with_no_partial_read_set() {
+        let expected = Some("reading input: disk on fire".to_string());
+        for text in [SAMPLE, FASTQ] {
+            for limit in 0..text.len() {
+                for chunk_bytes in [1, 7, text.len()] {
+                    let reader = || {
+                        let failing = FailsAfter { text: text.as_bytes(), limit };
+                        BufReader::with_capacity(chunk_bytes, failing)
+                    };
+                    let ctx = format!("{text:?} fails after {limit} bytes, chunk {chunk_bytes}");
+                    if text == SAMPLE {
+                        assert_eq!(read_fasta(reader()).err(), expected, "{ctx}");
+                    } else {
+                        assert_eq!(filter_fastq(reader(), 0.0).err(), expected, "{ctx}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -9,8 +9,7 @@
 //! * [`fasta`] — FASTA parsing/writing and the [`fasta::ReadSet`] container
 //!   used throughout the pipeline.
 //! * [`stream`] — the FASTA/FASTQ reader behind those parsers, which pulls
-//!   records from any `std::io::BufRead`, and the [`stream::IngestBudget`]
-//!   that bounds its batches.
+//!   records from any `std::io::BufRead`.
 //! * [`bloom`] — the Bloom filter used to discard singleton k-mers during
 //!   counting (Melsted & Pritchard style, as cited by the paper).
 //! * [`simulate`] — synthetic genome and PacBio-CLR-like long-read simulation.
@@ -42,7 +41,7 @@ pub mod simulate;
 pub mod sketch;
 pub mod stream;
 
-pub use bloom::{BloomFilter, ScalableBloom};
+pub use bloom::BloomFilter;
 pub use dna::{complement_code, DnaSeq, Strand};
 pub use fasta::{
     parse_fasta, parse_fasta_file, parse_fastq_file, parse_fastq_filtered, write_fasta,
@@ -50,10 +49,7 @@ pub use fasta::{
 };
 pub use hpc::HpcSeq;
 pub use kmer::{CanonicalKmer, Kmer, KmerIter};
-pub use kmer_counter::{
-    count_kmers_distributed, count_kmers_serial, count_kmers_streaming, IngestStats, KmerSelection,
-    KmerTable,
-};
+pub use kmer_counter::{count_kmers_distributed, count_kmers_serial, KmerSelection, KmerTable};
 pub use sketch::{
     density_minimizers, density_threshold, kmer_hashes, windowed_minimizers, MinimizerPos,
 };
@@ -61,7 +57,4 @@ pub use simulate::{
     build_scenario, DatasetSpec, LengthModel, ReadSimConfig, ScenarioKind, ScenarioParams,
     SimulatedDataset, Topology,
 };
-pub use stream::{
-    collect_batches, fasta_batches, fasta_batches_file, fastq_batches, Batches, IngestBudget,
-    ReadBatch,
-};
+pub use stream::Records;

@@ -1,14 +1,12 @@
-//! Hostile input through the chunked readers: first slice of the zoo.
+//! Hostile input through the record reader: first slice of the zoo.
 //!
 //! A file cut off mid-transfer is the commonest damaged input.  Whatever the
 //! cut, the readers must answer `Ok` with a prefix of the records or a clean
 //! `Err` — never panic — and the answer must not depend on how the bytes
 //! happened to be chunked.
 
-use dibella_seq::{
-    collect_batches, fasta_batches, fastq_batches, write_fasta, DatasetSpec, IngestBudget,
-    ReadRecord, ReadSet,
-};
+use dibella_seq::{write_fasta, DatasetSpec, ReadRecord, ReadSet, Records};
+use std::io::BufReader;
 
 /// `got` is `full` cut short: every record but the last is intact, and the
 /// last is a prefix (name and bases) of the record at its position.
@@ -44,11 +42,14 @@ fn files_truncated_at_every_byte_parse_to_a_prefix_or_a_clean_error() {
         fastq.push_str(&format!("@{} run=1\n{seq}\n+\n{}\n", rec.name, "I".repeat(seq.len())));
     }
 
-    let budget = IngestBudget::with_batch_reads(3);
     for (format, text) in [("fasta", &fasta), ("fastq", &fastq)] {
-        let parse = |cut: &str, chunk_bytes: usize| match format {
-            "fasta" => collect_batches(fasta_batches(cut, chunk_bytes, budget)),
-            _ => collect_batches(fastq_batches(cut, chunk_bytes, budget, 0.0)),
+        let parse = |cut: &str, chunk_bytes: usize| {
+            let reader = BufReader::with_capacity(chunk_bytes, cut.as_bytes());
+            let records = match format {
+                "fasta" => Records::fasta(reader),
+                _ => Records::fastq(reader, 0.0),
+            };
+            records.collect::<Result<_, _>>().map(ReadSet::from_records)
         };
         assert_eq!(parse(text, text.len()).unwrap(), full, "the intact {format} file");
         let (mut oks, mut errs) = (0usize, 0usize);

@@ -6,10 +6,10 @@
 //! engine's steady-state-zero-allocation test (PR 7) and is shared by
 //!
 //! * the alignment test pinning zero allocations in the warm x-drop loop,
-//! * the ingest tests pinning peak resident bytes under an
-//!   `IngestBudget::max_resident_bytes`, and
-//! * the `ingest_scale` bench binary that records peak resident bytes vs
-//!   dataset size into `BENCH_ingest.json`.
+//! * the k-mer counter's tests pinning allocation-free Bloom inserts and a
+//!   peak linear in the input and the rank count at P = 4 096, and
+//! * the `ingest_scale` bench binary that records the counter's peak
+//!   resident bytes vs dataset size into `BENCH_ingest.json`.
 //!
 //! ## Usage
 //!
