@@ -71,9 +71,9 @@ fn main() {
         NPROCS,
     );
 
-    // Error-free reads: sequencing errors only add novel singleton k-mers,
-    // which the Bloom pass discards, and would make the table grow with the
-    // input instead of staying fixed by the genome.
+    // Error-free reads: sequencing errors add novel k-mers in proportion to
+    // the input, some of which recur and pass `min_count`, so the table would
+    // grow with the input instead of staying fixed by the genome.
     let genome = generate_genome(&GenomeConfig {
         length: sweep.genome_length,
         repeat_fraction: 0.0,

@@ -13,7 +13,8 @@ use std::sync::{Mutex, MutexGuard};
 /// The communicating stages of Algorithm 1, matching Table I of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CommPhase {
-    /// The two-pass k-mer exchange of the distributed k-mer counter.
+    /// The k-mer exchange of the distributed k-mer counter (the paper's
+    /// two passes).
     KmerCounting,
     /// The k-min-mer key exchange and ownership/ID-assignment pass of the
     /// sketch-space candidate subsystem (replaces `KmerCounting` when the

@@ -93,19 +93,19 @@ impl CommModel {
     }
 
     /// K-mer counting (same in both pipelines): every rank keeps `1/P` of its
-    /// k-mers and ships the rest, in `b` passes.
+    /// k-mers and ships the rest, in `b` passes.  Only the `min(n, P)` ranks
+    /// that hold a read send, one message to each of the other `P − 1`.
     pub fn kmer_counting(&self) -> PhaseCost {
         let pm = &self.params;
         let total_kmers = pm.n as f64 * (pm.l - pm.k as f64 + 1.0).max(0.0);
         let off_node = (self.p as f64 - 1.0) / self.p as f64;
-        let aggregate =
-            pm.kmer_passes as f64 * total_kmers * off_node * pm.kmer_words() as f64;
+        let passes = pm.kmer_passes as f64;
+        let aggregate = passes * total_kmers * off_node * pm.kmer_words() as f64;
+        let senders = pm.n.min(self.p) as f64;
         PhaseCost {
             aggregate_words: aggregate,
             per_process_words: aggregate / self.p as f64,
-            aggregate_messages: pm.kmer_passes as f64
-                * self.p as f64
-                * (self.p as f64 - 1.0),
+            aggregate_messages: passes * senders * (self.p as f64 - 1.0),
         }
     }
 
@@ -306,6 +306,17 @@ mod tests {
         assert!(y1d > y2d);
         assert!((y1d - 63.0).abs() < 1e-9);
         assert!((y2d - 14.0).abs() < 1e-9); // 2(√P - 1) = 14
+    }
+
+    #[test]
+    fn kmer_counting_messages_come_from_ranks_holding_reads() {
+        // Table I's E. coli run: 206 reads.  At P = 256 only 206 ranks hold
+        // a read, so 2 · 206 · 255 = 105 060 messages, not 2 · 256 · 255.
+        let pm = ModelParams { n: 206, ..params() };
+        assert_eq!(CommModel::new(pm, 256).kmer_counting().aggregate_messages, 105_060.0);
+        assert_eq!(CommModel::new(pm, 64).kmer_counting().aggregate_messages, 2.0 * 64.0 * 63.0);
+        assert_eq!(CommModel::new(pm, 206).kmer_counting().aggregate_messages, 2.0 * 206.0 * 205.0);
+        assert_eq!(CommModel::new(pm, 1).kmer_counting().aggregate_messages, 0.0);
     }
 
     #[test]

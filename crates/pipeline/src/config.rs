@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CandidateSource {
     /// The paper's path: the occurrence matrix `A` has one column per
-    /// reliable k-mer from the two-pass distributed counter.
+    /// reliable k-mer from the distributed counter.
     ExactKmer,
     /// The sketch-space path: one column per k-min-mer (consecutive
     /// density-selected minimizers over homopolymer-compressed reads),

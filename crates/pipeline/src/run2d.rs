@@ -187,8 +187,9 @@ pub fn run_dibella_2d_on_reads(
     config.validate()?;
     let grid = ProcessGrid::square_at_most(config.nprocs);
     let comm = &CommStats::new();
-    // CountKmer: two-pass distributed counting with Bloom filtering.  The
-    // k-min-mer path indexes sketches instead and skips counting entirely.
+    // CountKmer: distributed counting, one exchange charged as the paper's
+    // two passes.  The k-min-mer path indexes sketches instead and skips
+    // counting entirely.
     let (table, t_count) = match config.candidate_source {
         CandidateSource::ExactKmer => {
             timed(|| count_kmers_distributed(reads, &config.kmer, grid.nprocs(), comm))

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 pub struct StageTimings {
     /// Parsing the FASTA input (the paper's `ReadFastq`).
     pub read_fastq: f64,
-    /// Two-pass k-mer counting (`CountKmer`).
+    /// Distributed k-mer counting (`CountKmer`).
     pub count_kmer: f64,
     /// Building `A` and `Aᵀ` (`CreateSpMat`).
     pub create_spmat: f64,

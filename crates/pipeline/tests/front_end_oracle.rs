@@ -147,10 +147,10 @@ fn a_homopolymer_read_seen_twice_is_one_kmer_with_one_entry_per_read() {
 }
 
 #[test]
-fn kmers_seen_once_per_superstep_graduate_through_the_filter_alone() {
-    // No window repeats inside the read, so at one read per superstep every
-    // owner sees only batch-singletons: the second copy of each k-mer can
-    // only graduate by finding the first in the Bloom filter.
+fn a_read_seen_twice_counts_each_of_its_distinct_kmers_twice() {
+    // No window repeats inside the read, so every k-mer's two copies come
+    // from different reads, often from different ranks, and meet only at
+    // their owner.
     let read = "ACGGTCATTGCAAGCTTAGGCATCGTACCA";
     let reads = reads_from(&[read, read]);
     let (table, _) = assert_front_end_agrees(&reads, "straddling");

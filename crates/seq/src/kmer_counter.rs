@@ -1,35 +1,34 @@
-//! Two-pass distributed k-mer counting (Section IV-C of the paper).
+//! Distributed k-mer counting (Section IV-C of the paper).
 //!
 //! The counter mirrors the HipMer-style design diBELLA 2D uses:
 //!
 //! 1. every rank rolls over the canonical k-mers of its block of reads and
 //!    sends each, as its packed `u64`, to an owner rank chosen by hashing
 //!    (`MPI_Alltoallv`);
-//! 2. **pass 1**: each owner tallies what it received in a hash table.  A
-//!    k-mer received twice graduates to the owner's candidates; a singleton
-//!    goes through the owner's Bloom filter and graduates only if the filter
-//!    reports it seen (a false positive) — singletons almost never occupy
-//!    candidate memory;
-//! 3. **pass 2**: the same exchange is repeated and owners count each k-mer
-//!    they receive in the hash table over their candidates;
-//! 4. k-mers whose count falls outside the reliable range
-//!    `[min_count, max_count]` are discarded (the BELLA-style upper bound `d`
-//!    removes repeat-induced high-frequency k-mers);
-//! 5. surviving k-mers, in ascending order, receive consecutive column
+//! 2. each owner tallies what it received in a hash table, which holds every
+//!    distinct k-mer the owner was sent with its exact count;
+//! 3. the owner keeps only the k-mers whose count falls in the reliable range
+//!    `[min_count, max_count]` (the BELLA-style upper bound `d` removes
+//!    repeat-induced high-frequency k-mers);
+//! 4. surviving k-mers, in ascending order, receive consecutive column
 //!    indices — they become the columns of the `|reads| x |k-mers|` matrix `A`.
 //!
-//! [`count_kmers_distributed`] runs them over a resident read set, each
-//! exchange one superstep and each owner folding its share as its own pool
-//! task; [`count_kmers_serial`], a plain hash-map count, is the independent
-//! reference it is tested against.  Owners count in hash tables, and the
-//! table leaves sorted, so no output depends on a hasher or a schedule.
+//! The paper's counter makes the exchange twice, a Bloom-filter pass that
+//! keeps singletons out of owner memory and a counting pass.  Here the tally
+//! already holds the exact counts, so the exchange runs once and the second
+//! pass is charged, not sent (see [`count_kmers_distributed`]).
+//!
+//! [`count_kmers_distributed`] runs this over a resident read set, each owner
+//! folding its share as its own pool task; [`count_kmers_serial`], a plain
+//! hash-map count, is the independent reference it is tested against.
+//! Owners count in hash tables, and the table leaves sorted, so no output
+//! depends on a hasher or a schedule.
 //!
 //! The k-mer exchange traffic is recorded under
 //! [`CommPhase::KmerCounting`] with the paper's `k/4`-bytes-per-k-mer wire
 //! format (2-bit packed), so the measured words can be compared against the
 //! model `W = n·l·k/(4·P)` of Table I.
 
-use crate::bloom::BloomFilter;
 use crate::fasta::ReadSet;
 use crate::kmer::{Kmer, KmerIter};
 use dibella_dist::{alltoallv_counted, par_ranks, BlockDist, CommPhase, CommStats};
@@ -61,6 +60,11 @@ impl KmerSelection {
         let expected = depth * (1.0 - error_rate).powi(k as i32);
         let bound = (expected + 2.0 * expected.sqrt()).ceil().max(4.0) as u32;
         Self { k, min_count: 2, max_count: bound }
+    }
+
+    /// Whether `count` lies in the reliable range `[min_count, max_count]`.
+    fn is_reliable(&self, count: u32) -> bool {
+        (self.min_count..=self.max_count).contains(&count)
     }
 }
 
@@ -123,19 +127,24 @@ pub fn count_kmers_serial(reads: &ReadSet, selection: &KmerSelection) -> KmerTab
             *counts.entry(canon.kmer.packed()).or_insert(0) += 1;
         }
     }
-    build_table(counts, selection)
+    build_table(counts.into_iter().filter(|&(_, n)| selection.is_reliable(n)).collect(), selection)
 }
 
-/// Distributed two-pass k-mer counter over `nprocs` virtual ranks.
+/// Distributed k-mer counter over `nprocs` virtual ranks.
 ///
-/// Reads are block-partitioned over ranks; canonical k-mers are exchanged to
-/// hash-assigned owner ranks twice (Bloom pass, then counting pass), exactly
-/// as the paper's k-mer counter does, each owner counting in hash tables (a
-/// tally of what it received, then an index over its candidates).  Returns
-/// the same table as [`count_kmers_serial`] for any `nprocs`: Bloom false
-/// positives only graduate extra *singletons*, whose pass-2 count of 1 the
-/// reliable range then discards (for `selection.min_count >= 2`, the
-/// paper's setting), and a k-mer seen twice always graduates.
+/// Reads are block-partitioned over ranks; canonical k-mers are exchanged
+/// once to hash-assigned owner ranks, and each owner tallies what it
+/// received and keeps its reliable `(k-mer, count)` pairs.  Owners partition
+/// the k-mer space by hash, so their counts are disjoint and exact, and the
+/// table is the same as [`count_kmers_serial`]'s for any `nprocs` and any
+/// selection.
+///
+/// The paper's counter sends the k-mers twice (a Bloom-filter pass, then a
+/// counting pass) and Table I prices both.  The two exchanges move the same
+/// items between the same ranks, so the exchange runs into a local
+/// [`CommStats`] and its `KmerCounting` words and messages are recorded twice
+/// on `stats`: the second pass is charged, not sent, as the read exchange
+/// and the consensus gather already charge traffic whose data is shared.
 pub fn count_kmers_distributed(
     reads: &ReadSet,
     selection: &KmerSelection,
@@ -143,18 +152,21 @@ pub fn count_kmers_distributed(
     stats: &CommStats,
 ) -> KmerTable {
     assert!(nprocs > 0);
-    let candidates = pool::map_owned(exchange(reads, selection, nprocs, stats), |_, received| {
-        Candidates::graduate(received)
+    let once = CommStats::new();
+    let received = exchange(reads, selection, nprocs, &once);
+    let reliable = pool::map_owned(received, |_, mut received| {
+        let counts = tally(&mut received);
+        let distinct = received.iter().copied().zip(counts);
+        distinct.filter(|&(_, n)| selection.is_reliable(n)).collect::<Vec<_>>()
     });
-    let owners = candidates.into_iter().zip(exchange(reads, selection, nprocs, stats)).collect();
-    let counted = pool::map_owned(owners, |_, (candidates, received)| {
-        candidates.count(&received)
-    });
-    let counted = counted.into_iter().flat_map(|(kmers, counts)| kmers.into_iter().zip(counts));
-    build_table(counted, selection)
+    let pass = once.snapshot().phase(CommPhase::KmerCounting);
+    if pass.messages > 0 {
+        stats.record(CommPhase::KmerCounting, 2 * pass.words, 2 * pass.messages);
+    }
+    build_table(reliable.concat(), selection)
 }
 
-/// One pass's exchange: every rank lists the packed canonical k-mers of its
+/// The k-mer exchange: every rank lists the packed canonical k-mers of its
 /// block of the reads, presized to its window count, and sends each to its
 /// owner (a hash of the canonical k-mer); returns what each owner receives.
 /// `k` is one number per run, so the 8-byte value is the whole item (the
@@ -260,46 +272,8 @@ fn tally(batch: &mut [u64]) -> Vec<u32> {
     counts
 }
 
-/// One owner's candidates: the k-mers pass 1 graduated, distinct, in
-/// graduation order, and their index.
-struct Candidates {
-    kmers: Vec<u64>,
-    index: KmerIndex,
-}
-
-impl Candidates {
-    /// Pass 1 over everything the owner received.  A k-mer received twice
-    /// graduates on the spot; only singletons reach the Bloom filter, sized
-    /// for exactly them, and graduate on a false positive — a true
-    /// singleton, which pass 2 counts as 1.
-    fn graduate(mut received: Vec<u64>) -> Self {
-        let counts = tally(&mut received);
-        let singletons = counts.iter().filter(|&&n| n == 1).count();
-        let mut bloom = BloomFilter::with_rate(singletons.max(64), 0.01);
-        let kmers: Vec<u64> = (received.iter().zip(&counts))
-            .filter_map(|(&kmer, &n)| (n >= 2 || bloom.insert(kmer)).then_some(kmer))
-            .collect();
-        Self { index: KmerIndex::over(&kmers), kmers }
-    }
-
-    /// Pass 2: every candidate and its occurrences in `received`.  Owners
-    /// partition the k-mer space by hash, so the owners' counts are
-    /// disjoint and the table is their plain union.
-    fn count(self, received: &[u64]) -> (Vec<u64>, Vec<u32>) {
-        let mut counts = vec![0; self.kmers.len()];
-        for &kmer in received {
-            if let Ok(i) = self.index.find(&self.kmers, kmer) {
-                counts[i as usize] += 1;
-            }
-        }
-        (self.kmers, counts)
-    }
-}
-
-/// The table of the reliable among `(packed k-mer, count)` pairs.
-fn build_table(counts: impl IntoIterator<Item = (u64, u32)>, sel: &KmerSelection) -> KmerTable {
-    let in_range = |&(_, count): &(u64, u32)| (sel.min_count..=sel.max_count).contains(&count);
-    let mut reliable: Vec<(u64, u32)> = counts.into_iter().filter(in_range).collect();
+/// The table of reliable `(packed k-mer, count)` pairs, each k-mer once.
+fn build_table(mut reliable: Vec<(u64, u32)>, sel: &KmerSelection) -> KmerTable {
     reliable.sort_unstable();
     let (packed, counts): (Vec<u64>, _) = reliable.into_iter().unzip();
     KmerTable { k: sel.k, index: KmerIndex::over(&packed), packed, counts }
@@ -395,15 +369,17 @@ mod tests {
     #[test]
     fn distributed_matches_serial_on_simulated_data() {
         let ds = DatasetSpec::Tiny.generate(7);
-        let sel = KmerSelection { k: 11, min_count: 2, max_count: 30 };
-        let serial = count_kmers_serial(&ds.reads, &sel);
-        for nprocs in [1usize, 2, 4, 9] {
-            let stats = CommStats::new();
-            let dist = count_kmers_distributed(&ds.reads, &sel, nprocs, &stats);
-            assert_eq!(dist.len(), serial.len(), "table size mismatch at P={nprocs}");
-            for (col, kmer, count) in serial.iter() {
-                let dcol = dist.column_of(&kmer).expect("k-mer missing in distributed table");
-                assert_eq!(dist.count_at(dcol), count, "count mismatch for column {col}");
+        // At `min_count = 1` every k-mer counts, the sequencing errors'
+        // singletons (most of the table) included.
+        for (k, min_count) in [(11, 2), (13, 1)] {
+            let sel = KmerSelection { k, min_count, max_count: 30 };
+            let serial: Vec<_> = count_kmers_serial(&ds.reads, &sel).iter().collect();
+            let singletons = serial.iter().filter(|&&(_, _, count)| count == 1).count();
+            assert_eq!(2 * singletons > serial.len(), min_count == 1, "k={k}");
+            for nprocs in [1usize, 2, 4, 9, 16] {
+                let stats = CommStats::new();
+                let dist = count_kmers_distributed(&ds.reads, &sel, nprocs, &stats);
+                assert_eq!(dist.iter().collect::<Vec<_>>(), serial, "k={k} P={nprocs}");
             }
         }
     }
@@ -417,8 +393,14 @@ mod tests {
         assert_eq!(stats1.words(CommPhase::KmerCounting), 0, "single rank exchanges nothing");
         let stats4 = CommStats::new();
         let _ = count_kmers_distributed(&ds.reads, &sel, 4, &stats4);
-        assert!(stats4.words(CommPhase::KmerCounting) > 0);
-        assert!(stats4.messages(CommPhase::KmerCounting) > 0);
+        // One exchange, charged as the paper's two passes: 80 reads over 4
+        // ranks, each sending one buffer to each of the 3 other owners.
+        let once = CommStats::new();
+        let _ = exchange(&ds.reads, &sel, 4, &once);
+        assert!(once.words(CommPhase::KmerCounting) > 0);
+        assert_eq!(stats4.words(CommPhase::KmerCounting), 2 * once.words(CommPhase::KmerCounting));
+        assert_eq!(once.messages(CommPhase::KmerCounting), 4 * 3);
+        assert_eq!(stats4.messages(CommPhase::KmerCounting), 2 * 4 * 3);
     }
 
     #[test]
@@ -575,10 +557,11 @@ mod tests {
             seed in 0u64..200,
             nprocs in 1usize..6,
             k in 4usize..10,
+            min_count in 1u32..4,
             threads in (0u32..3).prop_map(|log2| 1usize << log2),
         ) {
             let ds = DatasetSpec::Tiny.generate_with_length(2_000, seed);
-            let sel = KmerSelection { k, min_count: 2, max_count: 50 };
+            let sel = KmerSelection { k, min_count, max_count: 50 };
             let serial: Vec<_> = count_kmers_serial(&ds.reads, &sel).iter().collect();
             let stats = CommStats::new();
             let dist = dibella_dist::with_threads(threads, || {

@@ -10,17 +10,16 @@
 //!   used throughout the pipeline.
 //! * [`stream`] — the FASTA/FASTQ reader behind those parsers, which pulls
 //!   records from any `std::io::BufRead`.
-//! * [`bloom`] — the Bloom filter used to discard singleton k-mers during
-//!   counting (Melsted & Pritchard style, as cited by the paper).
 //! * [`simulate`] — synthetic genome and PacBio-CLR-like long-read simulation.
 //!   The paper evaluates on proprietary-scale PacBio CLR datasets
 //!   (C. elegans 40×, H. sapiens 10×); this module generates scaled-down
 //!   datasets with the same depth / read-length / error-rate statistics so
 //!   that every downstream code path (k-mer spectrum, overlap density,
 //!   transitive reduction) is exercised realistically.
-//! * [`kmer_counter`] — the two-pass distributed k-mer counter (Section IV-C):
-//!   Bloom-filter pass then counting pass, with the all-to-all k-mer exchange
-//!   accounted under [`dibella_dist::CommPhase::KmerCounting`].
+//! * [`kmer_counter`] — the distributed k-mer counter (Section IV-C): one
+//!   all-to-all k-mer exchange to hash-assigned owners, each of which counts
+//!   what it received exactly, with the paper's two exchanges accounted under
+//!   [`dibella_dist::CommPhase::KmerCounting`].
 //! * [`hpc`] — homopolymer compression with an exact compressed→raw
 //!   coordinate map, the first stage of the sketch-space candidate path.
 //! * [`sketch`] — shared sketching primitives: canonical k-mer hashing plus
@@ -31,7 +30,6 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![forbid(unsafe_code)]
 
-pub mod bloom;
 pub mod dna;
 pub mod fasta;
 pub mod hpc;
@@ -41,7 +39,6 @@ pub mod simulate;
 pub mod sketch;
 pub mod stream;
 
-pub use bloom::BloomFilter;
 pub use dna::{complement_code, DnaSeq, Strand};
 pub use fasta::{
     parse_fasta, parse_fasta_file, parse_fastq_file, parse_fastq_filtered, write_fasta,
