@@ -1,28 +1,27 @@
 //! Batched seed-and-extend engine: per-worker scratch, oriented-read cache,
-//! and vector/scalar dispatch.
+//! and the lane-word dispatch.
 //!
 //! The overlap stage runs one job per candidate pair on the work-stealing
 //! pool; each worker holds one [`AlignScratch`] that amortises every buffer
-//! an extension needs — the scalar DP double buffer, the vector-kernel word
-//! buffers and substitution tables, the reversed-prefix buffers of the left
-//! extension, and the reverse-complement cache for opposite-strand pairs.  After the first few work items warm the
+//! an extension needs — the vector-kernel word buffers and substitution
+//! tables, the reversed-prefix buffers of the left extension, and the
+//! reverse-complement cache for opposite-strand pairs.  After the first few work items warm the
 //! buffers, the steady state allocates **nothing** per alignment (pinned by
 //! the `alloc_steady_state` integration test of this crate).
 //!
-//! Dispatch is on the engine alone: [`ExtendEngine::Auto`] runs the
-//! lane-packed vector kernel ([`crate::vector`]), [`ExtendEngine::Scalar`]
-//! the scalar oracle.  The kernel's lane word is the widest the host has
-//! ([`vector_kernel`]):
+//! Every extension runs the lane-packed vector kernel ([`crate::vector`]) on
+//! the widest lane word the host has ([`vector_kernel`]):
 //! `__m256i` on an x86-64 CPU that reports AVX2 (asked per call — a cached
 //! flag), else `__m128i`; `[i16; 8]` on every other target.  All of them
-//! produce bit-identical [`ExtendResult`]s and counters, so neither the
-//! engine nor the host ever changes pipeline output.
+//! produce [`ExtendResult`]s and counters bit-identical to the scalar oracle
+//! ([`crate::xdrop`], which the kernel suites hold them to), so the host
+//! never changes pipeline output.
 
 use crate::classify::PairAlignment;
 use crate::lanes::Lanes;
 use crate::scoring::{AlignmentConfig, MATCH};
 use crate::vector::VectorScratch;
-use crate::xdrop::{xdrop_extend_with, ExtendCounters, ExtendResult, XdropScratch};
+use crate::xdrop::{ExtendCounters, ExtendResult};
 use dibella_seq::Strand;
 
 /// The lane word the vector kernel runs on.
@@ -36,7 +35,7 @@ pub(crate) type Word = [i16; 8];
 #[cfg(target_arch = "x86_64")]
 pub(crate) type WideWord = std::arch::x86_64::__m256i;
 
-/// Name of the lane word [`ExtendEngine::Auto`] runs on *this host*, as bench
+/// Name of the lane word [`xdrop_extend_auto`] runs on *this host*, as bench
 /// records print it (`"avx2"`, `"sse2"` or `"portable"`).
 pub fn vector_kernel() -> &'static str {
     #[cfg(target_arch = "x86_64")]
@@ -46,21 +45,9 @@ pub fn vector_kernel() -> &'static str {
     <Word as Lanes>::NAME
 }
 
-/// Which extension kernel the batched engine runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExtendEngine {
-    /// The vector kernel on the host's widest lane word; it panics on an
-    /// x-drop outside `0..=`[`MAX_XDROP`](crate::vector::MAX_XDROP).
-    #[default]
-    Auto,
-    /// Always the scalar oracle (the reference / bench comparison path).
-    Scalar,
-}
-
 /// Per-worker reusable state for batched alignment.
 #[derive(Debug, Default)]
 pub struct AlignScratch {
-    xdrop: XdropScratch,
     vector: VectorScratch<Word>,
     /// Grown only on a host with AVX2, where `vector` then stays empty.
     #[cfg(target_arch = "x86_64")]
@@ -68,12 +55,8 @@ pub struct AlignScratch {
     rev_a: Vec<u8>,
     rev_b: Vec<u8>,
     /// Cell/band/termination counters accumulated over every extension this
-    /// scratch ran (engine-independent: all kernels count identically).
+    /// scratch ran (every lane word counts as the scalar oracle does).
     pub counters: ExtendCounters,
-    /// Extensions dispatched to the vector kernel ([`vector_kernel`]).
-    pub simd_calls: u64,
-    /// Extensions dispatched to the scalar oracle.
-    pub scalar_calls: u64,
 }
 
 impl AlignScratch {
@@ -83,29 +66,21 @@ impl AlignScratch {
     }
 }
 
-/// One x-drop extension through the engine dispatch, reusing `scratch`.
+/// One x-drop extension on the vector kernel and the host's widest lane
+/// word, reusing `scratch`; it panics on an x-drop outside
+/// `0..=`[`MAX_XDROP`](crate::vector::MAX_XDROP).
 pub fn xdrop_extend_auto(
     a: &[u8],
     b: &[u8],
     xdrop: i32,
-    engine: ExtendEngine,
     scratch: &mut AlignScratch,
 ) -> ExtendResult {
     let counters = &mut scratch.counters;
-    match engine {
-        ExtendEngine::Auto => {
-            scratch.simd_calls += 1;
-            #[cfg(target_arch = "x86_64")]
-            if is_x86_feature_detected!("avx2") {
-                return WideWord::extend(a, b, xdrop, &mut scratch.vector_wide, counters);
-            }
-            Word::extend(a, b, xdrop, &mut scratch.vector, counters)
-        }
-        ExtendEngine::Scalar => {
-            scratch.scalar_calls += 1;
-            xdrop_extend_with(a, b, xdrop, &mut scratch.xdrop, counters)
-        }
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        return WideWord::extend(a, b, xdrop, &mut scratch.vector_wide, counters);
     }
+    Word::extend(a, b, xdrop, &mut scratch.vector, counters)
 }
 
 /// Align read `v` against read `h` starting from a shared-k-mer seed.
@@ -127,14 +102,13 @@ pub fn align_seed_pair_with(
     k: usize,
     strand: Strand,
     config: &AlignmentConfig,
-    engine: ExtendEngine,
     scratch: &mut AlignScratch,
 ) -> PairAlignment {
     assert!(seed_v + k <= v.len(), "seed exceeds read v");
     assert!(seed_h + k <= h_oriented.len(), "seed exceeds read h");
 
     // Right extension over the suffixes beyond the seed.
-    let right = xdrop_extend_auto(&v[seed_v + k..], &h_oriented[seed_h + k..], config.xdrop, engine, scratch);
+    let right = xdrop_extend_auto(&v[seed_v + k..], &h_oriented[seed_h + k..], config.xdrop, scratch);
 
     // Left extension over the reversed prefixes before the seed, built into
     // the reusable buffers (cleared, not reallocated), which leave the
@@ -145,7 +119,7 @@ pub fn align_seed_pair_with(
     rev_a.extend(v[..seed_v].iter().rev().copied());
     rev_b.clear();
     rev_b.extend(h_oriented[..seed_h].iter().rev().copied());
-    let left = xdrop_extend_auto(&rev_a, &rev_b, config.xdrop, engine, scratch);
+    let left = xdrop_extend_auto(&rev_a, &rev_b, config.xdrop, scratch);
     scratch.rev_a = rev_a;
     scratch.rev_b = rev_b;
 
@@ -198,6 +172,7 @@ impl OrientCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::xdrop::{xdrop_extend_with, XdropScratch};
     use dibella_seq::DnaSeq;
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
@@ -224,17 +199,6 @@ mod tests {
         assert!(["avx2", "sse2", "portable"].contains(&vector_kernel()));
     }
 
-    #[test]
-    fn engine_dispatch_counts_each_kernel() {
-        let a: Vec<u8> = vec![0, 1, 2, 3, 0, 1, 2, 3];
-        let mut scratch = AlignScratch::new();
-        let _ = xdrop_extend_auto(&a, &a, 10, ExtendEngine::Auto, &mut scratch);
-        assert_eq!((scratch.simd_calls, scratch.scalar_calls), (1, 0));
-        let _ = xdrop_extend_auto(&a, &a, 10, ExtendEngine::Scalar, &mut scratch);
-        assert_eq!((scratch.simd_calls, scratch.scalar_calls), (1, 1));
-        assert_eq!(scratch.counters.calls, 2);
-    }
-
     /// One seed-pair alignment on a cold scratch.
     fn pair(
         v: &DnaSeq,
@@ -243,11 +207,10 @@ mod tests {
         seed_h: usize,
         k: usize,
         strand: Strand,
-        engine: ExtendEngine,
     ) -> PairAlignment {
         let (v, h) = (v.codes(), h_oriented.codes());
         let config = AlignmentConfig::for_tests();
-        align_seed_pair_with(v, h, seed_v, seed_h, k, strand, &config, engine, &mut AlignScratch::new())
+        align_seed_pair_with(v, h, seed_v, seed_h, k, strand, &config, &mut AlignScratch::new())
     }
 
     #[test]
@@ -258,7 +221,7 @@ mod tests {
         let v = genome.slice(0, 60);
         let h = genome.slice(30, 90);
         // Shared seed: genome[40..50) = v[40..50) = h[10..20).
-        let aln = pair(&v, &h, 40, 10, 10, Strand::Forward, ExtendEngine::Auto);
+        let aln = pair(&v, &h, 40, 10, 10, Strand::Forward);
         assert_eq!(aln.beg_v, 30);
         assert_eq!(aln.end_v, 60);
         assert_eq!(aln.beg_h, 0);
@@ -285,7 +248,7 @@ mod tests {
         let window = v.slice(seed_v, seed_v + 12).to_ascii();
         let h_ascii = h.to_ascii();
         let seed_h = h_ascii.find(&window).expect("seed window should exist in h");
-        let aln = pair(&v, &h, seed_v, seed_h, 12, Strand::Forward, ExtendEngine::Auto);
+        let aln = pair(&v, &h, seed_v, seed_h, 12, Strand::Forward);
         // The overlap region is ~200 bases; the alignment should span most of it.
         assert!(aln.end_v - aln.beg_v > 150, "aligned span too short: {aln:?}");
         assert!(aln.score > 100, "score too low: {aln:?}");
@@ -304,7 +267,7 @@ mod tests {
         let seed_v = 150;
         let window = v.slice(seed_v, seed_v + 10).to_ascii();
         let seed_h = h_oriented.to_ascii().find(&window).unwrap();
-        let aln = pair(&v, &h_oriented, seed_v, seed_h, 10, Strand::Reverse, ExtendEngine::Auto);
+        let aln = pair(&v, &h_oriented, seed_v, seed_h, 10, Strand::Reverse);
         assert_eq!(aln.strand, Strand::Reverse);
         assert_eq!(aln.end_v - aln.beg_v, 100, "the 100-base overlap should align fully");
     }
@@ -313,16 +276,18 @@ mod tests {
     #[should_panic(expected = "seed exceeds read v")]
     fn out_of_range_seed_panics() {
         let (v, h) = ("ACGT".parse().unwrap(), "ACGTACGT".parse().unwrap());
-        let _ = pair(&v, &h, 3, 0, 5, Strand::Forward, ExtendEngine::Auto);
+        let _ = pair(&v, &h, 3, 0, 5, Strand::Forward);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        // PairAlignments are bit-identical between engines, both strands,
-        // arbitrary seeds — the end-to-end form of the kernel equivalence.
+        // A seed-pair alignment is the seed plus the scalar oracle's right
+        // and left extensions, on both strands and at arbitrary seeds and
+        // x-drops, counters included — the end-to-end form of the kernel
+        // equivalence.
         #[test]
-        fn pair_alignment_engine_equivalence(
+        fn pair_alignment_composes_the_scalar_extensions(
             seed in 0u64..1_000_000,
             len in 30usize..250,
             reverse in any::<bool>(),
@@ -340,12 +305,28 @@ mod tests {
             let mut config = AlignmentConfig::for_tests();
             config.xdrop = xdrop;
             let mut scratch = AlignScratch::new();
-            let [auto, scal] = [ExtendEngine::Auto, ExtendEngine::Scalar].map(|engine| {
-                align_seed_pair_with(
-                    v, h_oriented, seed_v, seed_h, k, strand, &config, engine, &mut scratch,
-                )
-            });
-            prop_assert_eq!(auto, scal);
+            let aln = align_seed_pair_with(
+                v, h_oriented, seed_v, seed_h, k, strand, &config, &mut scratch,
+            );
+
+            let (mut oracle, mut counters) = (XdropScratch::new(), ExtendCounters::default());
+            let right = xdrop_extend_with(
+                &v[seed_v + k..], &h_oriented[seed_h + k..], xdrop, &mut oracle, &mut counters,
+            );
+            let rev = |s: &[u8]| s.iter().rev().copied().collect::<Vec<u8>>();
+            let left = xdrop_extend_with(
+                &rev(&v[..seed_v]), &rev(&h_oriented[..seed_h]), xdrop, &mut oracle, &mut counters,
+            );
+            let want = PairAlignment {
+                score: left.score + right.score + k as i32 * MATCH,
+                beg_v: seed_v - left.ext_a,
+                end_v: seed_v + k + right.ext_a,
+                beg_h: seed_h - left.ext_b,
+                end_h: seed_h + k + right.ext_b,
+                strand,
+            };
+            prop_assert_eq!(aln, want);
+            prop_assert_eq!(scratch.counters, counters);
         }
     }
 }

@@ -14,10 +14,10 @@
 //! word of `i16` DP cells — sixteen in a `__m256i` on an x86-64 CPU that
 //! reports AVX2, eight in a `__m128i` (SSE2) on any other x86-64, eight in a
 //! plain `[i16; 8]` everywhere else (`lanes.rs`).  The batched engine
-//! ([`batch`]) runs the one its [`ExtendEngine`] names, with per-worker
-//! reusable scratch, on the host's word ([`vector_kernel`]); the kernels are
-//! bit-identical for every x-drop in `0..=`[`MAX_XDROP`], the vector one's
-//! `i16` box.
+//! ([`batch`]) runs the vector kernel, with per-worker reusable scratch, on
+//! the host's word ([`vector_kernel`]); the scalar kernel is the oracle the
+//! vector one is held to, bit-identical for every x-drop in
+//! `0..=`[`MAX_XDROP`], the vector one's `i16` box.
 //!
 //! Every kernel scores with BELLA's linear scheme, three constants in
 //! [`scoring`] (`+1` match, `-1` mismatch, `-1` gap), so none takes a scoring
@@ -57,7 +57,7 @@ pub mod xdrop;
 
 pub use banded::{banded_fit, AlnOp, Band, BandedFit, FitScratch};
 pub use batch::{
-    align_seed_pair_with, vector_kernel, xdrop_extend_auto, AlignScratch, ExtendEngine, OrientCache,
+    align_seed_pair_with, vector_kernel, xdrop_extend_auto, AlignScratch, OrientCache,
 };
 pub use classify::{classify_alignment, BidirectedDir, OverlapClass, PairAlignment};
 pub use scoring::AlignmentConfig;

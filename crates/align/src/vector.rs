@@ -288,7 +288,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     /// One extension on `scratch`, held to the scalar oracle: result AND
-    /// counters (both engines walk the same adaptive band).
+    /// counters (both kernels walk the same adaptive band).
     fn check<L: Lanes>(a: &[u8], b: &[u8], xdrop: i32, scratch: &mut VectorScratch<L>) -> ExtendResult {
         let (mut cv, mut cs) = (ExtendCounters::default(), ExtendCounters::default());
         let got = L::extend(a, b, xdrop, scratch, &mut cv);

@@ -41,10 +41,11 @@ pub struct ExtendResult {
 
 /// Cell-level counters of the extension kernels, accumulated across calls.
 ///
-/// Both the scalar oracle and the vector kernel count identically (they visit
-/// the same adaptive band), so the totals are engine- and thread-count
-/// independent; the batched aligner folds them into `CommStats` extras
-/// (`aligned_cells`, `band_width_peak`, `xdrop_terminations`).
+/// The scalar oracle and the vector kernel count identically (they visit the
+/// same adaptive band), so the totals are lane-word and thread-count
+/// independent; the alignment stage sums them into its `OverlapStats`
+/// (`aligned_cells`, `dp_rows`, `band_width_peak`, `xdrop_terminations`,
+/// `extend_calls`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExtendCounters {
     /// DP cells evaluated (sum of live-band widths over all rows).
@@ -102,9 +103,9 @@ pub fn xdrop_extend(a: &[u8], b: &[u8], xdrop: i32) -> ExtendResult {
     xdrop_extend_with(a, b, xdrop, &mut scratch, &mut counters)
 }
 
-/// [`xdrop_extend`] with caller-provided scratch and counters — the
-/// allocation-free form the batched aligner uses.  This is the **reference
-/// oracle** the vector kernel is proptested against.
+/// [`xdrop_extend`] with caller-provided scratch and counters, allocation-free
+/// once warm.  This is the **reference oracle** the vector kernel is
+/// proptested against.
 pub fn xdrop_extend_with(
     a: &[u8],
     b: &[u8],

@@ -8,8 +8,7 @@
 //! calls, which libtest's threads cannot move.
 
 use dibella_align::{
-    align_seed_pair_with, xdrop_extend_auto, AlignmentConfig, AlignScratch, ExtendEngine,
-    OrientCache,
+    align_seed_pair_with, xdrop_extend_auto, AlignmentConfig, AlignScratch, OrientCache,
 };
 use dibella_seq::{DnaSeq, Strand};
 use dibella_testutil::PeakAlloc;
@@ -46,7 +45,7 @@ fn steady_state_alignment_allocates_nothing() {
     let mut scratch = AlignScratch::new();
     let allocs = count_allocs(|| {
         let (v, h) = (v.codes(), h.codes());
-        let _ = xdrop_extend_auto(v, h, 20, ExtendEngine::Auto, &mut scratch);
+        let _ = xdrop_extend_auto(v, h, 20, &mut scratch);
     });
     assert_eq!(allocs, 3, "one lane word's buffers, each grown once");
     let mut cache = OrientCache::new();
@@ -56,8 +55,25 @@ fn steady_state_alignment_allocates_nothing() {
     // same work shapes the steady loop replays).
     for seed_off in [0usize, 37, 113, 271] {
         let _ = cache.reverse_complement(1, h_rc.codes());
-        for engine in [ExtendEngine::Auto, ExtendEngine::Scalar] {
-            let _ = align_seed_pair_with(
+        let _ = align_seed_pair_with(
+            v.codes(),
+            h.codes(),
+            1200 + seed_off,
+            400 + seed_off,
+            17,
+            Strand::Forward,
+            &config,
+            &mut scratch,
+        );
+    }
+
+    // Steady state: repeat alignments of the same shape (different seeds,
+    // orientation-cache hit included) — zero allocations.
+    let allocs = count_allocs(|| {
+        for seed_off in [0usize, 37, 113, 271] {
+            let oriented = cache.reverse_complement(1, h_rc.codes());
+            assert_eq!(oriented.len(), h.len());
+            let aln = align_seed_pair_with(
                 v.codes(),
                 h.codes(),
                 1200 + seed_off,
@@ -65,43 +81,18 @@ fn steady_state_alignment_allocates_nothing() {
                 17,
                 Strand::Forward,
                 &config,
-                engine,
                 &mut scratch,
             );
-        }
-    }
-
-    // Steady state: repeat alignments of the same shape (different seeds,
-    // both engines, orientation-cache hit included) — zero allocations.
-    let allocs = count_allocs(|| {
-        for seed_off in [0usize, 37, 113, 271] {
-            let oriented = cache.reverse_complement(1, h_rc.codes());
-            assert_eq!(oriented.len(), h.len());
-            for engine in [ExtendEngine::Auto, ExtendEngine::Scalar] {
-                let aln = align_seed_pair_with(
-                    v.codes(),
-                    h.codes(),
-                    1200 + seed_off,
-                    400 + seed_off,
-                    17,
-                    Strand::Forward,
-                    &config,
-                    engine,
-                    &mut scratch,
-                );
-                assert!(aln.end_v > aln.beg_v);
-            }
+            assert!(aln.end_v > aln.beg_v);
         }
     });
     assert_eq!(allocs, 0, "warm batched alignment must not allocate");
 
     // Sanity: the raw extension entry point is allocation-free too (one warm
     // call first — the full-length extension is wider than the seeded ones).
-    for engine in [ExtendEngine::Auto, ExtendEngine::Scalar] {
-        let _ = xdrop_extend_auto(v.codes(), h.codes(), config.xdrop, engine, &mut scratch);
-    }
+    let _ = xdrop_extend_auto(v.codes(), h.codes(), config.xdrop, &mut scratch);
     let allocs = count_allocs(|| {
-        let _ = xdrop_extend_auto(v.codes(), h.codes(), config.xdrop, ExtendEngine::Auto, &mut scratch);
+        let _ = xdrop_extend_auto(v.codes(), h.codes(), config.xdrop, &mut scratch);
     });
     assert_eq!(allocs, 0, "warm xdrop_extend_auto must not allocate");
 }

@@ -1,24 +1,23 @@
 //! The alignment-stage throughput record written to `BENCH_align.json`.
 //!
-//! It times the alignment stage (`align_candidates_exec`: length-ordered
+//! It times the alignment stage (`align_candidates_with`: length-ordered
 //! waves of per-pair jobs, pairs between already-contained reads pruned, a
 //! second seed only when the first finds no overlap) on the
-//! `DatasetSpec::Small` overlap workload under both engines — the scalar
-//! oracle and `ExtendEngine::Auto`'s lane-packed vector kernel (on the lane
-//! word `vector_kernel()` names: the widest this host has).  Both engines do identical work, so each is
-//! reported as absolute aligned-cells/sec next to the work counters
-//! (`aligned_cells`, `dp_rows`, `pruned_pairs`, `seeds_skipped`, `extend_calls`) that
-//! say how much of the candidate set was aligned at all.  To keep the bench
+//! `DatasetSpec::Small` overlap workload, on the lane-packed vector kernel
+//! and the lane word `vector_kernel()` names (the widest this host has).
+//! The time is reported as absolute aligned-cells/sec next to the work
+//! counters (`aligned_cells`, `dp_rows`, `pruned_pairs`, `seeds_skipped`,
+//! `extend_calls`) that say how much of the candidate set was aligned at all.  To keep the bench
 //! inside a CI budget the candidate set is subsampled (every
 //! `PAIR_STRIDE`-th upper-triangle pair, recorded in the JSON).  CI runs this
 //! bench at every push to maintain the perf trajectory
 //! (`DIBELLA_RECORD_DIR` overrides the record's directory).
 
-use dibella_align::{vector_kernel, AlignmentConfig, ExtendEngine};
+use dibella_align::{vector_kernel, AlignmentConfig};
 use dibella_bench::{median_secs, write_record, Fixed, Record};
 use dibella_dist::{CommStats, ProcessGrid};
 use dibella_overlap::{
-    align_candidates_exec, build_a_matrix, detect_candidates_2d_with, CommonKmers, OverlapConfig,
+    align_candidates_with, build_a_matrix, detect_candidates_2d_with, CommonKmers, OverlapConfig,
 };
 use dibella_seq::{count_kmers_serial, DatasetSpec, KmerSelection};
 use dibella_sparse::{DistMat2D, Triples};
@@ -59,22 +58,15 @@ fn main() {
         ..OverlapConfig::default()
     };
 
-    let scalar_secs = median_secs(budget, 3, || {
-        align_candidates_exec(&ds.reads, &candidates, &config, ExtendEngine::Scalar)
-    });
-    // A vector leg takes ~80 ms, so the budget alone holds few samples.
+    // A run takes ~80 ms, so the budget alone holds few samples.
     let vector_secs = median_secs(budget, 15, || {
-        align_candidates_exec(&ds.reads, &candidates, &config, ExtendEngine::Auto)
+        align_candidates_with(&ds.reads, &candidates, &config, None)
     });
 
-    // One counted run for the work tallies (engine- and thread-deterministic;
-    // both engines walk identical bands, so one cell count rates both).
-    let (_, ostats, exec) =
-        align_candidates_exec(&ds.reads, &candidates, &config, ExtendEngine::Auto);
-    let cells = exec.aligned_cells;
-    let rate = |secs: f64| if secs > 0.0 { cells as f64 / secs / 1e6 } else { 0.0 };
-    let scalar_rate = rate(scalar_secs);
-    let vector_rate = rate(vector_secs);
+    // One counted run for the work tallies (thread-deterministic).
+    let (_, ostats) = align_candidates_with(&ds.reads, &candidates, &config, None);
+    let cells = ostats.aligned_cells;
+    let vector_rate = if vector_secs > 0.0 { cells as f64 / vector_secs / 1e6 } else { 0.0 };
     let kernel = vector_kernel();
 
     println!(
@@ -83,25 +75,19 @@ fn main() {
     );
     println!(
         "  reads={} sampled_pairs={} aligned_pairs={} pruned_pairs={} seeds_skipped={} \
-         extensions={} ({} {kernel} / {} scalar)",
+         extensions={}",
         ds.reads.len(),
         ostats.candidate_pairs,
         ostats.aligned_pairs,
         ostats.pruned_pairs,
-        exec.seeds_skipped,
-        exec.extend_calls,
-        exec.simd_calls,
-        exec.scalar_calls
+        ostats.seeds_skipped,
+        ostats.extend_calls
     );
     println!(
         "  DP cells: {cells} in {} rows; peak band width {}; x-drop early stops {}",
-        exec.dp_rows, exec.band_width_peak, exec.xdrop_terminations
+        ostats.dp_rows, ostats.band_width_peak, ostats.xdrop_terminations
     );
-    println!("  scalar oracle:  {:>10.3} ms  ({scalar_rate:.1} Mcells/s)", scalar_secs * 1e3);
-    println!(
-        "  {kernel} (Auto):    {:>10.3} ms  ({vector_rate:.1} Mcells/s)",
-        vector_secs * 1e3
-    );
+    println!("  {kernel}: {:>10.3} ms  ({vector_rate:.1} Mcells/s)", vector_secs * 1e3);
 
     let record = Record::default()
         .field("bench", "alignment")
@@ -114,17 +100,13 @@ fn main() {
         .field("sampled_pairs", ostats.candidate_pairs)
         .field("aligned_pairs", ostats.aligned_pairs)
         .field("pruned_pairs", ostats.pruned_pairs)
-        .field("seeds_skipped", exec.seeds_skipped)
-        .field("extend_calls", exec.extend_calls)
-        .field("simd_calls", exec.simd_calls)
-        .field("scalar_calls", exec.scalar_calls)
+        .field("seeds_skipped", ostats.seeds_skipped)
+        .field("extend_calls", ostats.extend_calls)
         .field("aligned_cells", cells)
-        .field("dp_rows", exec.dp_rows)
-        .field("band_width_peak", exec.band_width_peak)
-        .field("xdrop_terminations", exec.xdrop_terminations)
-        .field("scalar_secs", Fixed(scalar_secs, 6))
+        .field("dp_rows", ostats.dp_rows)
+        .field("band_width_peak", ostats.band_width_peak)
+        .field("xdrop_terminations", ostats.xdrop_terminations)
         .field("vector_secs", Fixed(vector_secs, 6))
-        .field("scalar_mcells_per_sec", Fixed(scalar_rate, 2))
         .field("vector_mcells_per_sec", Fixed(vector_rate, 2));
     write_record("BENCH_align.json", &record);
 }

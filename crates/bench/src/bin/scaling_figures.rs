@@ -21,10 +21,7 @@ use dibella_bench::{benchmark_dataset, fmt, print_header, print_row, project};
 use dibella_bench::READ_FASTQ_MAX_RANKS;
 use dibella_dist::extras::flops_key;
 use dibella_dist::CommPhase;
-use dibella_overlap::{
-    minimizer_overlaps, MinimizerConfig, ALIGNED_CELLS_KEY, BAND_WIDTH_PEAK_KEY,
-    XDROP_TERMINATIONS_KEY,
-};
+use dibella_overlap::{minimizer_overlaps, MinimizerConfig};
 use dibella_pipeline::timings::timed;
 use dibella_pipeline::{
     run_dibella_1d, run_dibella_2d, Pipeline1dOutput, Pipeline2dOutput, PipelineConfig,
@@ -213,13 +210,14 @@ fn print_work_counts(out: &Pipeline2dOutput) {
         per_sec(spgemm, t.spgemm),
         per_sec(tr, t.tr_reduction)
     );
-    let cells = extra(ALIGNED_CELLS_KEY);
+    let align = &out.overlap_stats;
     println!(
-        "  Alignment: {cells} DP cells at {:.1} Mcells/s; peak band width {}; \
+        "  Alignment: {} DP cells at {:.1} Mcells/s; peak band width {}; \
          x-drop early stops {}",
-        per_sec(cells, t.alignment),
-        extra(BAND_WIDTH_PEAK_KEY),
-        extra(XDROP_TERMINATIONS_KEY)
+        align.aligned_cells,
+        per_sec(align.aligned_cells, t.alignment),
+        align.band_width_peak,
+        align.xdrop_terminations
     );
     let poa = out.consensus_summary.dp_cells;
     println!("  Consensus: {poa} POA DP cells at {:.1} Mcells/s", per_sec(poa, t.consensus));

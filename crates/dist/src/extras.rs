@@ -5,7 +5,10 @@
 //! and the x-drop aligner's cells, widest band and early terminations.  A
 //! number that a typed struct on the same output already carries
 //! (`TrOutcome::iterations`, `ConsensusSummary`, `SketchStats`, the FASTQ
-//! filter's dropped-read count) is not repeated here.
+//! filter's dropped-read count) is not repeated here, with one exception:
+//! the three alignment keys repeat `OverlapStats` counters.  They stay only
+//! because `benchmark/src/replay.rs` reads them, and go with the bag
+//! (ROADMAP item 6, step B).
 //!
 //! PR 5 fixed a broadcast-accounting bug that boiled down to a typo'd key
 //! symbol: two call sites spelled the same logical counter differently, so
@@ -40,7 +43,7 @@ pub fn probes_key(phase: CommPhase) -> String {
     format!("spgemm_probes_{}", phase.name())
 }
 
-// --- Alignment engine -------------------------------------------------------
+// --- Alignment stage --------------------------------------------------------
 
 /// DP cells evaluated by the alignment stage.
 pub const ALIGNED_CELLS_KEY: &str = "aligned_cells";

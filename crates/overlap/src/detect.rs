@@ -12,7 +12,7 @@ use crate::semiring::OverlapSemiring;
 use crate::types::{CommonKmers, KmerOccurrence, OverlapEdge};
 use dibella_align::{
     align_seed_pair_with, classify_alignment, AlignScratch, AlignmentConfig, BidirectedDir,
-    ExtendEngine, OrientCache, OverlapClass, PairAlignment,
+    OrientCache, OverlapClass, PairAlignment,
 };
 use dibella_dist::{record_allreduce, BlockDist, CommPhase, CommStats, ProcessGrid};
 use dibella_seq::{ReadSet, Strand};
@@ -57,6 +57,9 @@ impl OverlapConfig {
 }
 
 /// Counters describing one overlap-detection run.
+///
+/// Every field is deterministic: independent of worker count, steal
+/// schedule, grid and the host's lane word.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct OverlapStats {
     /// Candidate pairs (upper triangle of `C`) examined.
@@ -83,6 +86,20 @@ pub struct OverlapStats {
     pub c_density: f64,
     /// `r` — average nonzeros per row of `R` (Table III).
     pub r_density: f64,
+    /// DP cells evaluated (live-band widths summed over every extension row).
+    pub aligned_cells: u64,
+    /// Extension rows evaluated; `aligned_cells / dp_rows` is the mean band.
+    pub dp_rows: u64,
+    /// Widest adaptive band of any single extension row.
+    pub band_width_peak: u64,
+    /// Extensions stopped early by the x-drop test.
+    pub xdrop_terminations: u64,
+    /// x-drop extension calls (left + right for every seed actually extended;
+    /// a pair whose first seed finds the overlap costs two).
+    pub extend_calls: u64,
+    /// Stored seeds of aligned pairs never extended because an earlier seed
+    /// of the pair already gave a dovetail or a containment.
+    pub seeds_skipped: u64,
 }
 
 /// Word cost of shipping one read of `len` bases (2-bit packed plus a header
@@ -161,39 +178,6 @@ enum PairOutcome {
 
 pub use dibella_dist::extras::{ALIGNED_CELLS_KEY, BAND_WIDTH_PEAK_KEY, XDROP_TERMINATIONS_KEY};
 
-/// Execution counters of one batched alignment run.
-///
-/// All fields except [`rc_orientations`](Self::rc_orientations) are
-/// deterministic — independent of worker count and engine choice (both
-/// kernels walk the same adaptive band); `rc_orientations` counts
-/// per-worker cache misses and therefore varies with work stealing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AlignExecStats {
-    /// DP cells evaluated (live-band widths summed over every extension row).
-    pub aligned_cells: u64,
-    /// Extension rows evaluated; `aligned_cells / dp_rows` is the mean band.
-    pub dp_rows: u64,
-    /// Widest adaptive band of any single extension row.
-    pub band_width_peak: u64,
-    /// Extensions stopped early by the x-drop test.
-    pub xdrop_terminations: u64,
-    /// x-drop extension calls (left + right for every seed actually extended;
-    /// a pair whose first seed finds the overlap costs two).
-    pub extend_calls: u64,
-    /// Stored seeds of aligned pairs never extended because an earlier seed
-    /// of the pair already gave a dovetail or a containment.
-    pub seeds_skipped: u64,
-    /// Extensions dispatched to the lane-packed vector kernel (on the lane
-    /// word this host has: `dibella_align::vector_kernel()`).
-    pub simd_calls: u64,
-    /// Extensions dispatched to the scalar oracle.
-    pub scalar_calls: u64,
-    /// Reverse complements materialised by the per-worker oriented-read
-    /// caches (cache misses; thread-count dependent, never fed into comm
-    /// accounting).
-    pub rc_orientations: u64,
-}
-
 /// One worker's reusable state: alignment scratch, the oriented-read cache
 /// and the counters they accumulate.  A job borrows one from a shared bench
 /// and puts it back, so warm buffers and counts carry over from wave to wave
@@ -222,36 +206,19 @@ pub const WAVE_PAIRS: usize = 256;
 /// overlaps ... are discarded during transitive reduction regardless of their
 /// alignment scores.  They may be reintroduced at later stages."
 ///
-/// Given a `comm`, the alignment-stage counters are folded into its extras
-/// (`aligned_cells`, `band_width_peak`, `xdrop_terminations`) and the
-/// per-wave all-reduce of the contained-read bitmap is accounted on it.  Only
-/// thread-count-deterministic counters are recorded, so comm snapshots stay
-/// bit-identical at any worker count.
+/// The returned [`OverlapStats`] carry the aligner's work counters as well;
+/// `R` and every counter are bit-identical for every worker count and steal
+/// schedule.  Given a `comm`, the per-wave all-reduce of the contained-read
+/// bitmap is accounted on it, and three of those counters are copied into
+/// its extras (`aligned_cells`, `band_width_peak`, `xdrop_terminations`).
 pub fn align_candidates_with(
     reads: &ReadSet,
     candidates: &DistMat2D<CommonKmers>,
     config: &OverlapConfig,
     comm: Option<&CommStats>,
 ) -> (DistMat2D<OverlapEdge>, OverlapStats) {
-    let (overlaps, stats, ..) =
-        align_in_waves(reads, candidates, config, ExtendEngine::Auto, WAVE_PAIRS, comm);
+    let (overlaps, stats, _) = align_in_waves(reads, candidates, config, WAVE_PAIRS, comm);
     (overlaps, stats)
-}
-
-/// [`align_candidates_with`] with an explicit engine choice, no comm
-/// accounting, and the execution counters returned to the caller (benches
-/// and tests).
-///
-/// Output is bit-identical for every engine, worker count and steal schedule.
-pub fn align_candidates_exec(
-    reads: &ReadSet,
-    candidates: &DistMat2D<CommonKmers>,
-    config: &OverlapConfig,
-    engine: ExtendEngine,
-) -> (DistMat2D<OverlapEdge>, OverlapStats, AlignExecStats) {
-    let (overlaps, stats, exec, _) =
-        align_in_waves(reads, candidates, config, engine, WAVE_PAIRS, None);
-    (overlaps, stats, exec)
 }
 
 /// The alignment stage: one job per candidate pair ([`align_pair`]), run in
@@ -266,7 +233,7 @@ pub fn align_candidates_exec(
 /// words, accounted on `comm`), and a pair whose reads were *both* contained
 /// when its wave began is not aligned: its dovetail would be dropped from
 /// `R`, its containment would flag a flagged read, anything else is
-/// discarded.  `R` and the flags — the fourth value returned — are therefore
+/// discarded.  `R` and the flags — the third value returned — are therefore
 /// exactly those of `wave_len = usize::MAX`, which prunes nothing, and every
 /// flagged read keeps the aligned pair that flagged it.  (Pruning on *either*
 /// read is not exact: the pair may be the one that flags the other read.)
@@ -274,10 +241,9 @@ fn align_in_waves(
     reads: &ReadSet,
     candidates: &DistMat2D<CommonKmers>,
     config: &OverlapConfig,
-    engine: ExtendEngine,
     wave_len: usize,
     comm: Option<&CommStats>,
-) -> (DistMat2D<OverlapEdge>, OverlapStats, AlignExecStats, Vec<bool>) {
+) -> (DistMat2D<OverlapEdge>, OverlapStats, Vec<bool>) {
     let mut stats = OverlapStats::default();
     let n = reads.len();
 
@@ -308,7 +274,7 @@ fn align_in_waves(
         let outcomes = pool::map_indexed(live.len(), |idx| {
             let idle = locked_bench().pop();
             let mut worker = idle.unwrap_or_default();
-            let outcome = align_pair(&mut worker, reads, live[idx], config, engine);
+            let outcome = align_pair(&mut worker, reads, live[idx], config);
             locked_bench().push(worker);
             outcome
         });
@@ -335,25 +301,21 @@ fn align_in_waves(
     }
     stats.contained_reads = contained_reads.iter().filter(|&&b| b).count();
 
-    let mut exec = AlignExecStats::default();
     // The bench is only ever locked around a pop or a push, so it cannot be
     // poisoned; either way every returned state's counts are intact.
     for worker in bench.into_inner().unwrap_or_else(PoisonError::into_inner) {
         let counters = worker.scratch.counters;
-        exec.aligned_cells += counters.cells;
-        exec.dp_rows += counters.rows;
-        exec.band_width_peak = exec.band_width_peak.max(counters.band_peak);
-        exec.xdrop_terminations += counters.terminations;
-        exec.extend_calls += counters.calls;
-        exec.seeds_skipped += worker.seeds_skipped;
-        exec.simd_calls += worker.scratch.simd_calls;
-        exec.scalar_calls += worker.scratch.scalar_calls;
-        exec.rc_orientations += worker.orient.rc_computed;
+        stats.aligned_cells += counters.cells;
+        stats.dp_rows += counters.rows;
+        stats.band_width_peak = stats.band_width_peak.max(counters.band_peak);
+        stats.xdrop_terminations += counters.terminations;
+        stats.extend_calls += counters.calls;
+        stats.seeds_skipped += worker.seeds_skipped;
     }
     if let Some(comm) = comm {
-        comm.bump_extra(ALIGNED_CELLS_KEY, exec.aligned_cells);
-        comm.max_extra(BAND_WIDTH_PEAK_KEY, exec.band_width_peak);
-        comm.bump_extra(XDROP_TERMINATIONS_KEY, exec.xdrop_terminations);
+        comm.bump_extra(ALIGNED_CELLS_KEY, stats.aligned_cells);
+        comm.max_extra(BAND_WIDTH_PEAK_KEY, stats.band_width_peak);
+        comm.bump_extra(XDROP_TERMINATIONS_KEY, stats.xdrop_terminations);
     }
 
     // Emit the dovetails whose endpoints both survive.
@@ -367,7 +329,7 @@ fn align_in_waves(
     let triples = Triples::from_entries(n, n, edges);
     let overlaps = DistMat2D::from_triples(candidates.grid(), &triples);
     stats.r_density = if n > 0 { overlaps.nnz() as f64 / n as f64 } else { 0.0 };
-    (overlaps, stats, exec, contained_reads)
+    (overlaps, stats, contained_reads)
 }
 
 /// Align one candidate pair and classify its best alignment.
@@ -383,7 +345,6 @@ fn align_pair(
     reads: &ReadSet,
     &(i, j, common): &(usize, usize, &CommonKmers),
     config: &OverlapConfig,
-    engine: ExtendEngine,
 ) -> PairOutcome {
     let (v, h) = (reads.seq(i), reads.seq(j));
     let mut best: Option<(i32, PairOutcome)> = None;
@@ -411,7 +372,6 @@ fn align_pair(
             config.k,
             strand,
             &config.alignment,
-            engine,
             &mut worker.scratch,
         );
         if best.as_ref().is_some_and(|&(score, _)| aln.score <= score) {
@@ -697,48 +657,24 @@ mod tests {
     }
 
     #[test]
-    fn alignment_is_bit_identical_across_thread_counts_and_engines() {
+    fn alignment_is_bit_identical_across_thread_counts() {
         let (ds, table, cfg) = setup(11);
         let grid = ProcessGrid::square(4);
         let a = build_a_matrix(&ds.reads, &table, cfg.k, grid, 4);
         let candidates = detect_candidates_2d_with(&a, &CommStats::new(), true);
 
-        let reference = rayon::pool::with_thread_limit(1, || {
-            align_candidates_exec(&ds.reads, &candidates, &cfg, ExtendEngine::Scalar)
+        let (r1, stats1) = rayon::pool::with_thread_limit(1, || {
+            align_candidates_with(&ds.reads, &candidates, &cfg, None)
         });
-        assert!(reference.2.aligned_cells > 0);
-        assert!(reference.2.extend_calls > 0);
-        assert!(reference.1.pruned_pairs > 0 && reference.2.seeds_skipped > 0);
-        for threads in [1usize, 2, 4] {
-            for engine in [ExtendEngine::Auto, ExtendEngine::Scalar] {
-                let (overlaps, stats, exec) = rayon::pool::with_thread_limit(threads, || {
-                    align_candidates_exec(&ds.reads, &candidates, &cfg, engine)
-                });
-                assert_eq!(
-                    overlaps.to_local_csr(),
-                    reference.0.to_local_csr(),
-                    "threads={threads} engine={engine:?}: overlap matrix must be bit-identical"
-                );
-                assert_eq!(stats, reference.1, "threads={threads} engine={engine:?}");
-                // Cell/band/termination accounting is engine- and
-                // thread-count-deterministic (rc_orientations is not).
-                assert_eq!(exec.aligned_cells, reference.2.aligned_cells);
-                assert_eq!(exec.dp_rows, reference.2.dp_rows);
-                assert_eq!(exec.band_width_peak, reference.2.band_width_peak);
-                assert_eq!(exec.xdrop_terminations, reference.2.xdrop_terminations);
-                assert_eq!(exec.extend_calls, reference.2.extend_calls);
-                assert_eq!(exec.seeds_skipped, reference.2.seeds_skipped);
-                match engine {
-                    ExtendEngine::Auto => {
-                        assert_eq!(exec.simd_calls, reference.2.extend_calls);
-                        assert_eq!(exec.scalar_calls, 0);
-                    }
-                    ExtendEngine::Scalar => {
-                        assert_eq!(exec.simd_calls, 0);
-                        assert_eq!(exec.scalar_calls, reference.2.extend_calls);
-                    }
-                }
-            }
+        assert!(stats1.aligned_cells > 0 && stats1.extend_calls > 0);
+        assert!(stats1.pruned_pairs > 0 && stats1.seeds_skipped > 0);
+        for threads in [2usize, 4] {
+            let (r, stats) = rayon::pool::with_thread_limit(threads, || {
+                align_candidates_with(&ds.reads, &candidates, &cfg, None)
+            });
+            assert_eq!(r.to_local_csr(), r1.to_local_csr(), "threads={threads}: R moved");
+            // Every counter, the aligner's work counts included.
+            assert_eq!(stats, stats1, "threads={threads}");
         }
     }
 
@@ -747,15 +683,16 @@ mod tests {
         reads: &ReadSet,
         seeds: &[SharedSeed],
         cfg: &OverlapConfig,
-    ) -> (DistMat2D<OverlapEdge>, OverlapStats, AlignExecStats) {
+    ) -> (DistMat2D<OverlapEdge>, OverlapStats) {
+        let t = Triples::from_entries(2, 2, vec![(0usize, 1usize, common_kmers(seeds))]);
+        let candidates = DistMat2D::from_triples(ProcessGrid::square(1), &t);
+        rayon::pool::with_thread_limit(1, || align_candidates_with(reads, &candidates, cfg, None))
+    }
+
+    fn common_kmers(seeds: &[SharedSeed]) -> CommonKmers {
         let mut list = SeedList::default();
         seeds.iter().for_each(|&seed| list.push(seed));
-        let common = CommonKmers { count: seeds.len() as u32, seeds: list };
-        let t = Triples::from_entries(2, 2, vec![(0usize, 1usize, common)]);
-        let candidates = DistMat2D::from_triples(ProcessGrid::square(1), &t);
-        rayon::pool::with_thread_limit(1, || {
-            align_candidates_exec(reads, &candidates, cfg, ExtendEngine::Auto)
-        })
+        CommonKmers { count: seeds.len() as u32, seeds: list }
     }
 
     fn two_reads(v: Vec<u8>, h: Vec<u8>) -> ReadSet {
@@ -807,12 +744,12 @@ mod tests {
     fn a_good_first_seed_settles_the_pair_in_two_extensions() {
         let (reads, [rep_seed, ovl_seed, _]) = repeat_and_overlap(100, 150);
         let cfg = OverlapConfig::for_tests(13);
-        let (r, stats, exec) = align_one_pair(&reads, &[ovl_seed, rep_seed], &cfg);
+        let (r, stats) = align_one_pair(&reads, &[ovl_seed, rep_seed], &cfg);
         assert_eq!((stats.aligned_pairs, stats.dovetail), (1, 1));
-        assert_eq!((exec.extend_calls, exec.seeds_skipped), (2, 1));
+        assert_eq!((stats.extend_calls, stats.seeds_skipped), (2, 1));
         // Exactly what that seed yields on its own.
-        let (alone, _, alone_exec) = align_one_pair(&reads, &[ovl_seed], &cfg);
-        assert_eq!((alone_exec.extend_calls, alone_exec.seeds_skipped), (2, 0));
+        let (alone, alone_stats) = align_one_pair(&reads, &[ovl_seed], &cfg);
+        assert_eq!((alone_stats.extend_calls, alone_stats.seeds_skipped), (2, 0));
         assert_eq!(r.nnz(), 2);
         assert_eq!(r.to_local_csr(), alone.to_local_csr());
         let edge = *r.to_local_csr().get(0, 1).expect("the dovetail v → h");
@@ -823,14 +760,14 @@ mod tests {
     fn a_first_seed_that_finds_no_overlap_hands_over_to_the_second() {
         let (reads, [rep_seed, ovl_seed, junk_seed]) = repeat_and_overlap(100, 150);
         let cfg = OverlapConfig::for_tests(13);
-        let (alone, ..) = align_one_pair(&reads, &[ovl_seed], &cfg);
+        let (alone, _) = align_one_pair(&reads, &[ovl_seed], &cfg);
         // On their own the two bad seeds classify as internal and as too weak.
         assert_eq!(align_one_pair(&reads, &[rep_seed], &cfg).1.internal, 1);
         assert_eq!(align_one_pair(&reads, &[junk_seed], &cfg).1.below_threshold, 1);
         for first in [rep_seed, junk_seed] {
-            let (r, stats, exec) = align_one_pair(&reads, &[first, ovl_seed], &cfg);
+            let (r, stats) = align_one_pair(&reads, &[first, ovl_seed], &cfg);
             assert_eq!((stats.aligned_pairs, stats.dovetail), (1, 1), "first seed {first:?}");
-            assert_eq!((exec.extend_calls, exec.seeds_skipped), (4, 0));
+            assert_eq!((stats.extend_calls, stats.seeds_skipped), (4, 0));
             assert_eq!(r.to_local_csr(), alone.to_local_csr());
         }
     }
@@ -841,16 +778,16 @@ mod tests {
         // Repeat copy and overlap of equal length score alike: the earlier
         // seed's internal match stands although the later one is a dovetail.
         let (reads, [rep_seed, ovl_seed, _]) = repeat_and_overlap(120, 120);
-        let (r, stats, exec) = align_one_pair(&reads, &[rep_seed, ovl_seed], &cfg);
+        let (r, stats) = align_one_pair(&reads, &[rep_seed, ovl_seed], &cfg);
         assert_eq!((stats.aligned_pairs, stats.internal, stats.dovetail), (1, 1, 0));
-        assert_eq!(exec.extend_calls, 4);
+        assert_eq!(stats.extend_calls, 4);
         assert_eq!(r.nnz(), 0);
         // Stored the other way round, the dovetail comes first and settles it.
-        let (r, stats, exec) = align_one_pair(&reads, &[ovl_seed, rep_seed], &cfg);
-        assert_eq!((stats.dovetail, exec.extend_calls, r.nnz()), (1, 2, 2));
+        let (r, stats) = align_one_pair(&reads, &[ovl_seed, rep_seed], &cfg);
+        assert_eq!((stats.dovetail, stats.extend_calls, r.nnz()), (1, 2, 2));
         // One base more on the overlap and the later seed wins.
         let (reads, [rep_seed, ovl_seed, _]) = repeat_and_overlap(120, 121);
-        let (r, stats, _) = align_one_pair(&reads, &[rep_seed, ovl_seed], &cfg);
+        let (r, stats) = align_one_pair(&reads, &[rep_seed, ovl_seed], &cfg);
         assert_eq!((stats.internal, stats.dovetail, r.nnz()), (0, 1, 2));
     }
 
@@ -874,11 +811,14 @@ mod tests {
         let junk_seed = SharedSeed { pos_v: 5, pos_h: 5, same_strand: false };
         assert_eq!(align_one_pair(&reads, &[junk_seed], &cfg).1.below_threshold, 1);
 
-        let (_, stats, exec) = align_one_pair(&reads, &[junk_seed, true_seed], &cfg);
-        assert_eq!((stats.aligned_pairs, stats.dovetail), (1, 1));
-        assert_eq!(exec.extend_calls, 4, "two seeds, each with left+right extension");
+        // One worker aligns the pair, as a pool job would.
+        let mut worker = WorkerState::default();
+        let common = common_kmers(&[junk_seed, true_seed]);
+        let outcome = align_pair(&mut worker, &reads, &(0, 1, &common), &cfg);
+        assert!(matches!(outcome, PairOutcome::Dovetail { .. }));
+        assert_eq!(worker.scratch.counters.calls, 4, "two seeds, each with left+right extension");
         assert_eq!(
-            exec.rc_orientations, 1,
+            worker.orient.rc_computed, 1,
             "one reverse pair: exactly one reverse complement regardless of seed count"
         );
     }
@@ -890,8 +830,7 @@ mod tests {
         cfg: &OverlapConfig,
         wave_len: usize,
     ) -> (dibella_sparse::CsrMatrix<OverlapEdge>, Vec<bool>, OverlapStats) {
-        let (r, stats, _, contained) =
-            align_in_waves(reads, candidates, cfg, ExtendEngine::Auto, wave_len, None);
+        let (r, stats, contained) = align_in_waves(reads, candidates, cfg, wave_len, None);
         assert_eq!(stats.contained_reads, contained.iter().filter(|&&c| c).count());
         (r.to_local_csr(), contained, stats)
     }
@@ -962,14 +901,8 @@ mod tests {
         let bitmap_words = ds.reads.len().div_ceil(64) as u64;
         for wave_len in [7usize, WAVE_PAIRS] {
             let comm = CommStats::new();
-            let (_, stats, ..) = align_in_waves(
-                &ds.reads,
-                &candidates,
-                &cfg,
-                ExtendEngine::Auto,
-                wave_len,
-                Some(&comm),
-            );
+            let (_, stats, _) =
+                align_in_waves(&ds.reads, &candidates, &cfg, wave_len, Some(&comm));
             // A reduce and a broadcast over the 4 ranks, once per wave.
             let waves = (stats.aligned_pairs + stats.pruned_pairs).div_ceil(wave_len) as u64;
             assert!(waves >= 1);
@@ -982,15 +915,13 @@ mod tests {
     fn comm_extras_carry_alignment_counters() {
         let (ds, table, cfg) = setup(12);
         let comm = CommStats::new();
-        let (candidates, _, stats) = overlap_2d(&ds, &table, &cfg, ProcessGrid::square(4), &comm);
+        let (_, _, stats) = overlap_2d(&ds, &table, &cfg, ProcessGrid::square(4), &comm);
         assert!(stats.aligned_pairs > 0);
-        assert!(comm.extra(ALIGNED_CELLS_KEY) > 0);
-        assert!(comm.extra(BAND_WIDTH_PEAK_KEY) > 0);
-        // The counters agree with a direct exec run on the same candidates.
-        let (_, _, exec) = align_candidates_exec(&ds.reads, &candidates, &cfg, ExtendEngine::Auto);
-        assert_eq!(comm.extra(ALIGNED_CELLS_KEY), exec.aligned_cells);
-        assert_eq!(comm.extra(BAND_WIDTH_PEAK_KEY), exec.band_width_peak);
-        assert_eq!(comm.extra(XDROP_TERMINATIONS_KEY), exec.xdrop_terminations);
+        assert!(stats.aligned_cells > 0 && stats.band_width_peak > 0);
+        // The extras repeat the typed counters.
+        assert_eq!(comm.extra(ALIGNED_CELLS_KEY), stats.aligned_cells);
+        assert_eq!(comm.extra(BAND_WIDTH_PEAK_KEY), stats.band_width_peak);
+        assert_eq!(comm.extra(XDROP_TERMINATIONS_KEY), stats.xdrop_terminations);
     }
 
     #[test]

@@ -34,9 +34,8 @@ pub mod types;
 
 pub use amatrix::build_a_matrix;
 pub use detect::{
-    account_read_exchange_2d, align_candidates_exec, align_candidates_with,
-    detect_candidates_2d_with, AlignExecStats, OverlapConfig, OverlapStats, ALIGNED_CELLS_KEY,
-    BAND_WIDTH_PEAK_KEY, WAVE_PAIRS, XDROP_TERMINATIONS_KEY,
+    account_read_exchange_2d, align_candidates_with, detect_candidates_2d_with, OverlapConfig,
+    OverlapStats, ALIGNED_CELLS_KEY, BAND_WIDTH_PEAK_KEY, WAVE_PAIRS, XDROP_TERMINATIONS_KEY,
 };
 pub use minimizer::{minimizer_overlaps, MinimizerConfig, MinimizerOverlap};
 pub use one_d::{account_read_exchange_1d, detect_candidates_1d};

@@ -1,26 +1,24 @@
 //! Re-pins the alignment stage's determinism claim under adversarial steal
 //! schedules.
 //!
-//! `align_candidates_exec` runs waves of per-pair jobs on the pool with
-//! worker scratch reused across jobs and waves; everything it returns except
-//! the per-worker `rc_orientations` cache counter must be bit-identical under
-//! any chunk-claim order.  The explorer enumerates all 3-/4-chunk claim
+//! `align_candidates_with` runs waves of per-pair jobs on the pool with
+//! worker scratch reused across jobs and waves; `R` and every counter it
+//! returns must be bit-identical under any chunk-claim order.  The explorer enumerates all 3-/4-chunk claim
 //! permutations (randomized large shuffles on the CI main preset) with yield
 //! injection, a much denser schedule space than the 1/2/4-thread sweeps.
 //! The minimizer baseline's sketching loop and the row-wise assembly of `A`
 //! get the same treatment.
 
-use dibella_align::ExtendEngine;
 use dibella_dist::{CommStats, ProcessGrid};
 use dibella_overlap::{
-    align_candidates_exec, build_a_matrix, detect_candidates_2d_with, minimizer_overlaps,
+    align_candidates_with, build_a_matrix, detect_candidates_2d_with, minimizer_overlaps,
     MinimizerConfig, OverlapConfig,
 };
 use dibella_seq::{count_kmers_serial, DatasetSpec, KmerSelection};
 use dibella_testutil::{assert_schedule_determinism, SchedulePreset};
 
 #[test]
-fn align_candidates_exec_is_bit_identical_under_adversarial_schedules() {
+fn align_candidates_is_bit_identical_under_adversarial_schedules() {
     // A half-length Tiny genome keeps the candidate set big enough to fan out
     // onto many chunks while the 31+ full alignment replays stay fast.
     let ds = DatasetSpec::Tiny.generate_with_length(2_000, 77);
@@ -34,17 +32,8 @@ fn align_candidates_exec_is_bit_identical_under_adversarial_schedules() {
     let candidates = detect_candidates_2d_with(&a, &comm, true);
 
     let explored = assert_schedule_determinism(SchedulePreset::from_env(), || {
-        let (overlaps, stats, exec) =
-            align_candidates_exec(&ds.reads, &candidates, &cfg, ExtendEngine::Auto);
-        // rc_orientations counts per-worker cache misses and is the one
-        // documented schedule-dependent counter — everything else is pinned.
-        (
-            overlaps.to_local_csr(),
-            stats,
-            exec.aligned_cells,
-            exec.band_width_peak,
-            exec.xdrop_terminations,
-        )
+        let (overlaps, stats) = align_candidates_with(&ds.reads, &candidates, &cfg, None);
+        (overlaps.to_local_csr(), stats)
     });
     assert!(explored >= 30, "expected at least the exhaustive-small preset");
 }

@@ -99,6 +99,7 @@ pub fn run_dibella_1d(
 mod tests {
     use super::*;
     use crate::run2d::run_dibella_2d_on_reads;
+    use dibella_dist::extras::{ALIGNED_CELLS_KEY, BAND_WIDTH_PEAK_KEY, XDROP_TERMINATIONS_KEY};
     use dibella_dist::CommPhase;
     use dibella_seq::DatasetSpec;
 
@@ -133,6 +134,12 @@ mod tests {
             "both pipelines must accept the same overlap set"
         );
         assert_eq!(out1d.overlap_stats.dovetail, out2d.overlap_stats.dovetail);
+        // The aligner's counters reach the output, and the extras repeat them.
+        let (stats, extras) = (&out1d.overlap_stats, &out1d.comm.extras);
+        assert!(stats.aligned_cells > 0);
+        assert_eq!(extras.get(ALIGNED_CELLS_KEY), Some(&stats.aligned_cells));
+        assert_eq!(extras.get(BAND_WIDTH_PEAK_KEY), Some(&stats.band_width_peak));
+        assert_eq!(extras.get(XDROP_TERMINATIONS_KEY), Some(&stats.xdrop_terminations));
     }
 
     #[test]

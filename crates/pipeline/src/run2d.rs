@@ -305,6 +305,7 @@ fn account_consensus(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dibella_dist::extras::{ALIGNED_CELLS_KEY, BAND_WIDTH_PEAK_KEY, XDROP_TERMINATIONS_KEY};
     use dibella_seq::{write_fasta, DatasetSpec};
     use dibella_strgraph::transitive::remaining_transitive_edges;
     use dibella_strgraph::{extract_contigs, BidirectedGraph};
@@ -386,6 +387,12 @@ mod tests {
         assert!(out.consensus_summary.poa_nodes > 0);
         assert!(out.consensus_summary.aligned_bases > 0);
         assert!(out.consensus_summary.consensus_bases > 0);
+        // The aligner's counters reach the output, and the extras repeat them.
+        let (stats, extras) = (&out.overlap_stats, &out.comm.extras);
+        assert!(stats.aligned_cells > 0);
+        assert_eq!(extras.get(ALIGNED_CELLS_KEY), Some(&stats.aligned_cells));
+        assert_eq!(extras.get(BAND_WIDTH_PEAK_KEY), Some(&stats.band_width_peak));
+        assert_eq!(extras.get(XDROP_TERMINATIONS_KEY), Some(&stats.xdrop_terminations));
     }
 
     #[test]

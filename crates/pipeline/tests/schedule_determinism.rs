@@ -24,8 +24,9 @@ fn pipeline_is_bit_identical_under_fifty_plus_steal_schedules() {
     let workload = || {
         let out = run_dibella_2d_on_reads(&ds.reads, &config).unwrap();
         // Everything but wall-clock timings participates in the claim; the
-        // CommSnapshot pins words/messages/extras (flops, p2p, POA counters)
-        // exactly, not just the assembled sequences.
+        // CommSnapshot pins words, messages and extras (SpGEMM flops and
+        // probes, the aligner's cells, widest band and x-drop stops) exactly,
+        // not just the assembled sequences.
         (
             out.string_matrix.to_local_csr(),
             out.overlap_matrix.to_local_csr(),

@@ -16,7 +16,7 @@
 //! ```
 
 use dibella2d::dist::CommSnapshot;
-use dibella2d::overlap::ALIGNED_CELLS_KEY;
+use dibella2d::overlap::OverlapStats;
 use dibella2d::pipeline::timings::timed;
 use dibella2d::prelude::*;
 use std::collections::BTreeSet;
@@ -54,7 +54,14 @@ fn main() {
     // diBELLA 2D, with the alignment stage (the dominant cost, Figures 5-8)
     // timed on its own.
     let exact = run_dibella_2d_on_reads(&dataset.reads, &config).expect("diBELLA 2D run");
-    report_run("diBELLA 2D (SpGEMM)", &exact.overlap_matrix, &exact.timings, &exact.comm, &truth);
+    report_run(
+        "diBELLA 2D (SpGEMM)",
+        &exact.overlap_matrix,
+        &exact.overlap_stats,
+        &exact.timings,
+        &exact.comm,
+        &truth,
+    );
 
     // diBELLA 2D on the k-min-mer sketch matrix — same SUMMA + alignment,
     // but the occurrence matrix has one column per k-min-mer (HPC + density
@@ -63,7 +70,14 @@ fn main() {
     let sketch_config = PipelineConfig { candidate_source: CandidateSource::KMinMer, ..config };
     let kmm = run_dibella_2d_on_reads(&dataset.reads, &sketch_config)
         .expect("diBELLA 2D k-min-mer run");
-    report_run("diBELLA 2D (k-min-mer)", &kmm.overlap_matrix, &kmm.timings, &kmm.comm, &truth);
+    report_run(
+        "diBELLA 2D (k-min-mer)",
+        &kmm.overlap_matrix,
+        &kmm.overlap_stats,
+        &kmm.timings,
+        &kmm.comm,
+        &truth,
+    );
     let info = kmm.sketch.expect("a k-min-mer run reports its sketch");
     println!(
         "  \\- sketch A: {} nnz, {} k-min-mer columns, density {:.3}, HPC ratio {:.2}",
@@ -75,7 +89,14 @@ fn main() {
 
     // diBELLA 1D.
     let one_d = run_dibella_1d(&dataset.reads, &config).expect("diBELLA 1D run");
-    report_run("diBELLA 1D (hash)", &one_d.overlap_matrix, &one_d.timings, &one_d.comm, &truth);
+    report_run(
+        "diBELLA 1D (hash)",
+        &one_d.overlap_matrix,
+        &one_d.overlap_stats,
+        &one_d.timings,
+        &one_d.comm,
+        &truth,
+    );
 
     // Minimizer overlapper (shared-memory, no alignment — like minimap2).
     let cfg = MinimizerConfig { min_span: min_overlap, ..MinimizerConfig::default() };
@@ -89,11 +110,12 @@ fn main() {
     );
 }
 
-/// Print the row of one diBELLA run from its `R`, stage timings and
-/// communication counters.
+/// Print the row of one diBELLA run from its `R`, overlap counters, stage
+/// timings and communication counters.
 fn report_run(
     name: &str,
     overlaps: &DistMat2D<OverlapEdge>,
+    stats: &OverlapStats,
     t: &StageTimings,
     comm: &CommSnapshot,
     truth: &BTreeSet<(usize, usize)>,
@@ -102,8 +124,7 @@ fn report_run(
         overlaps.iter().filter(|(i, j, _)| i < j).map(|(i, j, _)| (i, j)).collect();
     let secs = t.count_kmer + t.create_spmat + t.exchange_read + t.spgemm + t.alignment;
     // The alignment stage's seconds and DP-cell throughput.
-    let cells = comm.extras.get(ALIGNED_CELLS_KEY).copied().unwrap_or(0);
-    let rate = cells as f64 / t.alignment / 1e6;
+    let rate = stats.aligned_cells as f64 / t.alignment / 1e6;
     let rate = if rate.is_finite() { format!("{rate:.1}") } else { "-".into() };
     let words = OVERLAP_PHASES.iter().map(|&phase| comm.phase(phase).words).sum();
     report(name, &found, truth, secs, &format!("{:.2}", t.alignment), &rate, words);
