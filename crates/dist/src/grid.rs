@@ -2,27 +2,17 @@
 
 use std::ops::Range;
 
-/// A rectangular grid of virtual ranks, normally `√P × √P`.
+/// The square `√P × √P` grid of virtual ranks.
 ///
 /// CombBLAS (and therefore diBELLA 2D) distributes every sparse matrix over a
-/// square process grid; rank `r` sits at grid position
-/// `(r / cols, r % cols)`.  All coordinates are zero-based.
+/// square process grid; rank `r` sits at grid position `(r / √P, r % √P)`.
+/// All coordinates are zero-based.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProcessGrid {
-    rows: usize,
-    cols: usize,
+    side: usize,
 }
 
 impl ProcessGrid {
-    /// A general `rows × cols` grid.
-    ///
-    /// # Panics
-    /// Panics if either dimension is zero.
-    pub fn new(rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "process grid dimensions must be positive");
-        Self { rows, cols }
-    }
-
     /// The square grid with exactly `nprocs` ranks.
     ///
     /// # Panics
@@ -37,7 +27,7 @@ impl ProcessGrid {
             nprocs,
             "ProcessGrid::square requires a perfect square, got {nprocs}"
         );
-        Self { rows: side, cols: side }
+        Self { side }
     }
 
     /// The largest square grid with at most `nprocs` ranks (at least `1 × 1`).
@@ -45,28 +35,22 @@ impl ProcessGrid {
     /// This mirrors how the pipeline maps a requested process count onto the
     /// square grid the 2D algorithms need.
     pub fn square_at_most(nprocs: usize) -> Self {
-        let side = nprocs.isqrt().max(1);
-        Self { rows: side, cols: side }
+        Self { side: nprocs.isqrt().max(1) }
     }
 
-    /// Number of grid rows.
+    /// Number of grid rows, `√P`.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.side
     }
 
-    /// Number of grid columns.
+    /// Number of grid columns, `√P`.
     pub fn cols(&self) -> usize {
-        self.cols
+        self.side
     }
 
     /// Total number of ranks `P`.
     pub fn nprocs(&self) -> usize {
-        self.rows * self.cols
-    }
-
-    /// Whether the grid is square (`rows == cols`).
-    pub fn is_square(&self) -> bool {
-        self.rows == self.cols
+        self.side * self.side
     }
 
     /// Grid coordinates `(i, j)` of a rank.
@@ -75,7 +59,7 @@ impl ProcessGrid {
     /// Panics if `rank >= nprocs()`.
     pub fn coords(&self, rank: usize) -> (usize, usize) {
         assert!(rank < self.nprocs(), "rank {rank} out of range for {self:?}");
-        (rank / self.cols, rank % self.cols)
+        (rank / self.side, rank % self.side)
     }
 
     /// The rank at grid position `(i, j)` (row-major).
@@ -83,8 +67,8 @@ impl ProcessGrid {
     /// # Panics
     /// Panics if the position lies outside the grid.
     pub fn rank_of(&self, i: usize, j: usize) -> usize {
-        assert!(i < self.rows && j < self.cols, "grid position ({i},{j}) out of range for {self:?}");
-        i * self.cols + j
+        assert!(i < self.side && j < self.side, "grid position ({i},{j}) out of range for {self:?}");
+        i * self.side + j
     }
 
     /// Iterate over all ranks, `0..P`.
@@ -179,7 +163,6 @@ mod tests {
             assert_eq!(grid.rows(), side);
             assert_eq!(grid.cols(), side);
             assert_eq!(grid.nprocs(), p);
-            assert!(grid.is_square());
             assert_eq!(grid.ranks().count(), p);
         }
     }
@@ -201,13 +184,13 @@ mod tests {
 
     #[test]
     fn rank_layout_is_row_major() {
-        let grid = ProcessGrid::new(2, 3);
+        let grid = ProcessGrid::square(9);
         assert_eq!(grid.coords(0), (0, 0));
         assert_eq!(grid.coords(2), (0, 2));
         assert_eq!(grid.coords(3), (1, 0));
         assert_eq!(grid.rank_of(1, 2), 5);
-        assert!(!grid.is_square());
-        assert_eq!(grid.nprocs(), 6);
+        assert_eq!(grid.rank_of(2, 1), 7);
+        assert_eq!(grid.nprocs(), 9);
     }
 
     #[test]

@@ -308,7 +308,7 @@ mod tests {
     use dibella_dist::extras::{ALIGNED_CELLS_KEY, BAND_WIDTH_PEAK_KEY, XDROP_TERMINATIONS_KEY};
     use dibella_seq::{write_fasta, DatasetSpec};
     use dibella_strgraph::transitive::remaining_transitive_edges;
-    use dibella_strgraph::{extract_contigs, BidirectedGraph};
+    use dibella_strgraph::{extract_contigs, walk_orientations};
 
     fn tiny_config(nprocs: usize) -> PipelineConfig {
         PipelineConfig::for_small_reads(13, nprocs)
@@ -422,11 +422,11 @@ mod tests {
         // into a few long contigs covering the genome.
         let ds = DatasetSpec::Tiny.generate(48);
         let out = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4)).unwrap();
-        let graph = BidirectedGraph::from_dist_matrix(&out.string_matrix);
-        assert_eq!(graph.num_vertices(), ds.reads.len());
-        let lengths = ds.reads.lengths();
-        let contigs = extract_contigs(&out.string_matrix.to_local_csr(), &lengths);
+        let s = out.string_matrix.to_local_csr();
+        assert_eq!(s.nrows(), ds.reads.len());
+        let contigs = extract_contigs(&s, &ds.reads.lengths());
         assert!(!contigs.is_empty());
+        assert!(contigs.iter().all(|c| walk_orientations(&s, &c.reads).is_some()));
         let largest = &contigs[0];
         assert!(
             largest.reads.len() >= 5,

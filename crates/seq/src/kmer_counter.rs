@@ -114,7 +114,9 @@ impl KmerTable {
     }
 }
 
-/// Serial reference k-mer counter (used by tests and the minimizer baseline).
+/// Serial reference k-mer counter: the tests, the `ingest_scale` harness and
+/// the `spgemm`/`alignment` benches hold the distributed counter to it or
+/// build their inputs with it.
 pub fn count_kmers_serial(reads: &ReadSet, selection: &KmerSelection) -> KmerTable {
     #[expect(
         clippy::disallowed_types,

@@ -245,16 +245,14 @@ impl<T: Clone + Send + Sync> DistMat2D<T> {
     }
 
     /// Transpose the distributed matrix.  Block `(i, j)` becomes block
-    /// `(j, i)` of the result, locally transposed; the grid is transposed
-    /// accordingly (square grids stay square).
+    /// `(j, i)` of the result, locally transposed, on the same square grid.
     pub fn transpose(&self) -> DistMat2D<T> {
-        let new_grid = ProcessGrid::new(self.grid.cols(), self.grid.rows());
-        let blocks = par_ranks(new_grid.nprocs(), |rank| {
-            let (bi, bj) = new_grid.coords(rank);
+        let blocks = par_ranks(self.grid.nprocs(), |rank| {
+            let (bi, bj) = self.grid.coords(rank);
             // New block (bi, bj) is old block (bj, bi) transposed.
             self.block(bj, bi).transpose()
         });
-        DistMat2D::from_blocks(new_grid, self.ncols, self.nrows, blocks)
+        DistMat2D::from_blocks(self.grid, self.ncols, self.nrows, blocks)
     }
 
     /// Map every value, preserving the distribution and pattern.
@@ -304,20 +302,6 @@ impl<T: Clone + Send + Sync> DistMat2D<T> {
             });
         }
         out
-    }
-
-    /// Count the stored entries in every global row.
-    pub fn row_nnz_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.nrows];
-        for rank in self.grid.ranks() {
-            let (bi, _) = self.grid.coords(rank);
-            let roff = self.row_dist.start(bi);
-            let block = &self.blocks[rank];
-            for r in 0..block.nrows() {
-                counts[roff + r] += block.row_nnz(r);
-            }
-        }
-        counts
     }
 }
 
@@ -391,14 +375,19 @@ mod tests {
     }
 
     #[test]
-    fn works_on_non_square_grids_and_dims() {
-        let grid = ProcessGrid::new(2, 3);
+    fn works_on_non_square_matrices() {
+        let grid = ProcessGrid::square(4);
         let t = Triples::from_entries(5, 7, vec![(0, 0, 1), (4, 6, 2), (2, 3, 3)]);
         let d = DistMat2D::from_triples(grid, &t);
         assert_eq!(d.nnz(), 3);
         assert_eq!(d.get(4, 6), Some(&2));
         let back = d.to_local_csr();
         assert_eq!(back.get(2, 3), Some(&3));
+        // The transpose is 7 × 5 on the same grid.
+        let tr = d.transpose();
+        assert_eq!((tr.nrows(), tr.ncols(), tr.grid()), (7, 5, grid));
+        assert_eq!(tr.get(6, 4), Some(&2));
+        assert_eq!(tr.get(3, 2), Some(&3));
     }
 
     #[test]
@@ -420,16 +409,6 @@ mod tests {
         let dist_max = d.reduce_rows(|_, _, v| *v, i64::max);
         let local_max = local.reduce_rows(|_, _, v| *v, i64::max);
         assert_eq!(dist_max, local_max);
-    }
-
-    #[test]
-    fn row_nnz_counts_sum_to_nnz() {
-        let grid = ProcessGrid::square(9);
-        let d = DistMat2D::from_triples(grid, &sample_triples());
-        let counts = d.row_nnz_counts();
-        assert_eq!(counts.iter().sum::<usize>(), d.nnz());
-        assert_eq!(counts[0], 2);
-        assert_eq!(counts[5], 2);
     }
 
     #[test]

@@ -125,7 +125,6 @@ pub fn summa<S: Semiring>(
 ) -> DistMat2D<S::Out> {
     let grid = a.grid();
     assert_eq!(grid, b.grid(), "SUMMA operands must share a process grid");
-    assert!(grid.is_square(), "Sparse SUMMA requires a square process grid");
     assert_eq!(
         a.ncols(),
         b.nrows(),
@@ -196,7 +195,6 @@ where
     S: Semiring<Right = <S as Semiring>::Left>,
 {
     let grid = a.grid();
-    assert!(grid.is_square(), "Sparse SUMMA requires a square process grid");
 
     // Stage broadcasts to the ranks that compute: a (cols − i)-member group
     // of grid row i and an (i + 1)-member group of grid column i.  Empty
@@ -513,16 +511,6 @@ mod tests {
         assert_eq!(stats_sym.words(CommPhase::Other), 0);
         // Half the general path's broadcasts: s·(s−1) per stage × s stages.
         assert_eq!(stats_sym.messages(CommPhase::Other), 3 * 2 * 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "square process grid")]
-    fn summa_rejects_non_square_grid() {
-        let grid = ProcessGrid::new(1, 2);
-        let a = DistMat2D::from_triples(grid, &random_triples(4, 4, 4, 7));
-        let b = DistMat2D::from_triples(grid, &random_triples(4, 4, 4, 8));
-        let stats = CommStats::new();
-        let _ = summa::<PlusTimes<i64>>(&a, &b, WORDS, &stats, CommPhase::Other);
     }
 
     #[test]

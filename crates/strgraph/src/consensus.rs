@@ -43,7 +43,7 @@
 //! words, two bytes a cell, from which the traceback reads its directions;
 //! the buffers are reused from read to read, so a row allocates nothing.
 
-use crate::contigs::Contig;
+use crate::contigs::{walk_orientations, Contig};
 use dibella_align::{banded_fit, AlnOp, Band, FitScratch};
 use dibella_overlap::OverlapEdge;
 use dibella_seq::{DnaSeq, ReadSet};
@@ -391,25 +391,6 @@ impl Placement {
     }
 }
 
-/// Walk orientation of every read in a contig layout, reconstructed from the
-/// bidirected directions stored on the layout's edges (`true` = the walk
-/// traverses the read in its stored orientation).
-fn walk_orientations(contig: &Contig, s: &CsrMatrix<OverlapEdge>) -> Vec<bool> {
-    let reads = &contig.reads;
-    let mut orientations = Vec::with_capacity(reads.len());
-    for pair in reads.windows(2) {
-        #[expect(clippy::expect_used, reason = "extract_contigs only emits edges present in S")]
-        let edge =
-            s.get(pair[0], pair[1]).expect("contig layouts walk existing string-graph edges");
-        let dir = edge.direction();
-        if orientations.is_empty() {
-            orientations.push(dir.source_forward());
-        }
-        orientations.push(dir.dest_forward());
-    }
-    orientations
-}
-
 /// Build the consensus of one contig layout.
 ///
 /// `s` is the string matrix the layout was extracted from (its edges provide
@@ -434,7 +415,9 @@ pub fn consensus_contig(
             unplaced_reads: 0,
         };
     }
-    let orientations = walk_orientations(contig, s);
+    #[expect(clippy::expect_used, reason = "extract_contigs only emits valid walks of S")]
+    let orientations =
+        walk_orientations(s, &contig.reads).expect("contig layouts are valid walks of S");
     let mut graph = PoaGraph::new();
     let mut scratch = FitScratch::default();
     let mut window: Vec<u8> = Vec::new();

@@ -399,7 +399,6 @@ impl MaskedPass {
     fn run(r: &DistMat2D<OverlapEdge>, fuzz: u32, comm: &CommStats) -> Self {
         let phase = CommPhase::TransitiveReduction;
         let grid = r.grid();
-        assert!(grid.is_square(), "the masked pass walks a square grid's SUMMA stages");
         assert_eq!(r.nrows(), r.ncols(), "rows and columns are relabelled alike");
         let relabel = Relabelling::new(r, comm, phase);
         // Wire size of an entry of R: value and column index, as `summa`

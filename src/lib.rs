@@ -91,21 +91,23 @@ pub mod prelude {
     pub use dibella_strgraph::{
         banded_identity, consensus_contig, consensus_contigs, evaluate_assembly,
         evaluate_assembly_truth, extract_contigs, myers_transitive_reduction,
-        sora_transitive_reduction, transitive_reduction, AssemblyMetrics, BidirectedGraph,
-        ConsensusConfig, GroundTruth, TransitiveReductionConfig,
+        sora_transitive_reduction, transitive_reduction, AssemblyMetrics, ConsensusConfig,
+        GroundTruth, TransitiveReductionConfig,
     };
 }
 
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use crate::strgraph::walk_orientations;
 
     #[test]
     fn facade_reexports_compose() {
         let ds = DatasetSpec::Tiny.generate(3);
         let cfg = PipelineConfig::for_small_reads(13, 1);
         let out = run_dibella_2d_on_reads(&ds.reads, &cfg).unwrap();
-        let graph = BidirectedGraph::from_dist_matrix(&out.string_matrix);
-        assert_eq!(graph.num_vertices(), ds.reads.len());
+        let s = out.string_matrix.to_local_csr();
+        assert_eq!(s.nrows(), ds.reads.len());
+        assert!(out.contigs.iter().all(|c| walk_orientations(&s, &c.reads).is_some()));
     }
 }
