@@ -27,22 +27,33 @@ pub fn build_a_matrix(
 ) -> DistMat2D<KmerOccurrence> {
     assert!(construction_ranks > 0);
     DistMat2D::from_sorted_rows(grid, reads.len(), table.len(), construction_ranks, |read, row| {
-        // A hit is `column · 2³² + position · 2 + strand`: sorting the words
-        // orders a read's hits by column and, within a column, by position,
-        // so the one `dedup` keeps is the first occurrence.
-        let mut hits: Vec<u64> = KmerIter::new(reads.seq(read), k)
-            .filter_map(|(pos, _, canon)| {
-                let col = table.column_of(&canon.kmer)? as u64;
-                Some(col << 32 | (pos as u64) << 1 | u64::from(!canon.was_forward))
-            })
-            .collect();
-        hits.sort_unstable();
-        hits.dedup_by_key(|hit| *hit >> 32);
-        row.extend(hits.into_iter().map(|hit| {
-            let occ = KmerOccurrence { pos: (hit as u32) >> 1, forward: hit & 1 == 0 };
-            ((hit >> 32) as usize, occ)
-        }));
+        let hits = KmerIter::new(reads.seq(read), k).filter_map(|(pos, _, canon)| {
+            Some((table.column_of(&canon.kmer)?, pos as u32, canon.was_forward))
+        });
+        fill_a_row(hits, row);
     })
+}
+
+/// Fill `row` with one read's row of `A` from its `(column, position,
+/// forward)` hits, by column, keeping a column's first position.  Both
+/// candidate paths build their rows with it.
+pub fn fill_a_row(
+    hits: impl IntoIterator<Item = (u32, u32, bool)>,
+    row: &mut Vec<(usize, KmerOccurrence)>,
+) {
+    // A hit is `column · 2³² + position · 2 + strand`: sorting the words
+    // orders a read's hits by column and, within a column, by position,
+    // so the one `dedup` keeps is the first occurrence.
+    let mut hits: Vec<u64> = hits
+        .into_iter()
+        .map(|(col, pos, forward)| u64::from(col) << 32 | u64::from(pos) << 1 | u64::from(!forward))
+        .collect();
+    hits.sort_unstable();
+    hits.dedup_by_key(|hit| *hit >> 32);
+    row.extend(hits.into_iter().map(|hit| {
+        let occ = KmerOccurrence { pos: (hit as u32) >> 1, forward: hit & 1 == 0 };
+        ((hit >> 32) as usize, occ)
+    }));
 }
 
 #[cfg(test)]

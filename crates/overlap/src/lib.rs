@@ -32,7 +32,7 @@ pub mod one_d;
 pub mod semiring;
 pub mod types;
 
-pub use amatrix::build_a_matrix;
+pub use amatrix::{build_a_matrix, fill_a_row};
 pub use detect::{
     account_read_exchange_2d, align_candidates_with, detect_candidates_2d_with, OverlapConfig,
     OverlapStats, ALIGNED_CELLS_KEY, BAND_WIDTH_PEAK_KEY, WAVE_PAIRS, XDROP_TERMINATIONS_KEY,

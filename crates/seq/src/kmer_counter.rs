@@ -24,6 +24,10 @@
 //! Owners count in hash tables, and the table leaves sorted, so no output
 //! depends on a hasher or a schedule.
 //!
+//! Steps 2–4 take any `u64` keys: the k-min-mer path counts and numbers its
+//! columns with the same owner fold and table ([`count_owned_keys`],
+//! [`ColumnTable`]).
+//!
 //! The k-mer exchange traffic is recorded under
 //! [`CommPhase::KmerCounting`] with the paper's `k/4`-bytes-per-k-mer wire
 //! format (2-bit packed), so the measured words can be compared against the
@@ -34,6 +38,7 @@ use crate::kmer::{Kmer, KmerIter};
 use dibella_dist::{alltoallv_counted, par_ranks, BlockDist, CommPhase, CommStats};
 use rayon::pool;
 use serde::{Deserialize, Serialize};
+use std::ops::RangeInclusive;
 
 /// Reliable k-mer selection parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,51 +66,77 @@ impl KmerSelection {
         let bound = (expected + 2.0 * expected.sqrt()).ceil().max(4.0) as u32;
         Self { k, min_count: 2, max_count: bound }
     }
+}
 
-    /// Whether `count` lies in the reliable range `[min_count, max_count]`.
-    fn is_reliable(&self, count: u32) -> bool {
-        (self.min_count..=self.max_count).contains(&count)
+/// The columns of `A`: distinct `u64` keys in ascending order with their
+/// counts, a key's position being its column, found through a hash index.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct ColumnTable {
+    /// Every key, ascending.
+    keys: Vec<u64>,
+    counts: Vec<u32>,
+    /// Column of each key in `keys`.
+    index: KmerIndex,
+}
+
+impl ColumnTable {
+    /// The table of reliable `(key, count)` pairs, each key once.
+    pub fn new(mut reliable: Vec<(u64, u32)>) -> Self {
+        reliable.sort_unstable();
+        let (keys, counts): (Vec<u64>, _) = reliable.into_iter().unzip();
+        Self { index: KmerIndex::over(&keys), keys, counts }
+    }
+
+    /// Number of columns.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether the table is empty.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// Column of a key, if it has one (one hashed lookup).
+    pub fn column_of(&self, key: u64) -> Option<u32> {
+        self.index.find(&self.keys, key).ok()
     }
 }
 
-/// The reliable k-mer table: canonical k-mers in ascending order, their
-/// counts, and — a k-mer's position being its column — their column indices
-/// in the `|reads| x |k-mers|` matrix `A`, found through a hash index.
+/// The reliable k-mer table: the [`ColumnTable`] of the reliable canonical
+/// k-mers' [`Kmer::packed`] values, so a k-mer's column in the
+/// `|reads| x |k-mers|` matrix `A` is its rank in ascending packed order.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct KmerTable {
     k: usize,
-    /// [`Kmer::packed`] of every k-mer, ascending.
-    packed: Vec<u64>,
-    counts: Vec<u32>,
-    /// Column of each k-mer in `packed`.
-    index: KmerIndex,
+    columns: ColumnTable,
 }
 
 impl KmerTable {
     /// Number of reliable k-mers (`m` in the paper's notation).
     pub fn len(&self) -> usize {
-        self.packed.len()
+        self.columns.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.packed.is_empty()
+        self.columns.is_empty()
     }
 
     /// Column index of a canonical k-mer, if reliable (one hashed lookup).
     pub fn column_of(&self, canonical: &Kmer) -> Option<u32> {
-        let column = self.index.find(&self.packed, canonical.packed()).ok()?;
+        let column = self.columns.column_of(canonical.packed())?;
         (canonical.k() == self.k).then_some(column)
     }
 
     /// The canonical k-mer at a column index.
     pub fn kmer_at(&self, column: u32) -> Kmer {
-        Kmer::from_packed(self.packed[column as usize], self.k)
+        Kmer::from_packed(self.columns.keys[column as usize], self.k)
     }
 
     /// The count of the k-mer at a column index.
     pub fn count_at(&self, column: u32) -> u32 {
-        self.counts[column as usize]
+        self.columns.counts[column as usize]
     }
 
     /// Iterate over `(column, kmer, count)`.
@@ -121,7 +152,7 @@ pub fn count_kmers_serial(reads: &ReadSet, selection: &KmerSelection) -> KmerTab
     #[expect(
         clippy::disallowed_types,
         reason = "the reference counter stays the plain hash fold the sorted ones are held to; \
-                  build_table sorts before anything leaves"
+                  ColumnTable::new sorts before anything leaves"
     )]
     let mut counts = std::collections::HashMap::<u64, u32>::new();
     for (_, rec) in reads.iter() {
@@ -129,7 +160,9 @@ pub fn count_kmers_serial(reads: &ReadSet, selection: &KmerSelection) -> KmerTab
             *counts.entry(canon.kmer.packed()).or_insert(0) += 1;
         }
     }
-    build_table(counts.into_iter().filter(|&(_, n)| selection.is_reliable(n)).collect(), selection)
+    let range = selection.min_count..=selection.max_count;
+    let reliable = counts.into_iter().filter(|(_, n)| range.contains(n)).collect();
+    KmerTable { k: selection.k, columns: ColumnTable::new(reliable) }
 }
 
 /// Distributed k-mer counter over `nprocs` virtual ranks.
@@ -156,16 +189,24 @@ pub fn count_kmers_distributed(
     assert!(nprocs > 0);
     let once = CommStats::new();
     let received = exchange(reads, selection, nprocs, &once);
-    let reliable = pool::map_owned(received, |_, mut received| {
-        let counts = tally(&mut received);
-        let distinct = received.iter().copied().zip(counts);
-        distinct.filter(|&(_, n)| selection.is_reliable(n)).collect::<Vec<_>>()
-    });
+    let reliable = count_owned_keys(received, selection.min_count..=selection.max_count);
     let pass = once.snapshot().phase(CommPhase::KmerCounting);
     if pass.messages > 0 {
         stats.record(CommPhase::KmerCounting, 2 * pass.words, 2 * pass.messages);
     }
-    build_table(reliable.concat(), selection)
+    KmerTable { k: selection.k, columns: ColumnTable::new(reliable.concat()) }
+}
+
+/// The owners' fold: owner `i`, as its own pool task, tallies the keys it
+/// received, `owned[i]`, and keeps the `(key, count)` pairs whose count is in
+/// `keep`, in first-received order.  Owners hold disjoint keys, so the counts
+/// are exact.
+pub fn count_owned_keys(owned: Vec<Vec<u64>>, keep: RangeInclusive<u32>) -> Vec<Vec<(u64, u32)>> {
+    pool::map_owned(owned, |_, mut keys| {
+        let counts = tally(&mut keys);
+        let distinct = keys.iter().copied().zip(counts);
+        distinct.filter(|(_, n)| keep.contains(n)).collect()
+    })
 }
 
 /// The k-mer exchange: every rank lists the packed canonical k-mers of its
@@ -199,10 +240,11 @@ fn exchange(
     alltoallv_counted(send, owner, stats, CommPhase::KmerCounting, words_per_kmer)
 }
 
-/// An open-addressing hash index over distinct packed k-mers kept in a slice
-/// by the caller: a slot holds a position in that slice, or `EMPTY`.  Linear
-/// probing from a Fibonacci multiply-shift hash, unrelated to the owner hash
-/// [`Kmer::hash64`], at a power-of-two capacity of at least 2 slots per key.
+/// An open-addressing hash index over distinct keys kept in a slice by the
+/// caller: a slot holds a position in that slice, or `EMPTY`.  Linear
+/// probing from a Fibonacci multiply-shift hash, unrelated to the owner
+/// functions ([`Kmer::hash64`], `key % P`), at a power-of-two capacity of at
+/// least 2 slots per key.
 #[derive(Clone, Default, Serialize, Deserialize)]
 struct KmerIndex {
     slots: Vec<u32>,
@@ -272,13 +314,6 @@ fn tally(batch: &mut [u64]) -> Vec<u32> {
         }
     }
     counts
-}
-
-/// The table of reliable `(packed k-mer, count)` pairs, each k-mer once.
-fn build_table(mut reliable: Vec<(u64, u32)>, sel: &KmerSelection) -> KmerTable {
-    reliable.sort_unstable();
-    let (packed, counts): (Vec<u64>, _) = reliable.into_iter().unzip();
-    KmerTable { k: sel.k, index: KmerIndex::over(&packed), packed, counts }
 }
 
 #[cfg(test)]

@@ -67,33 +67,15 @@ fn combine(acc: u64, h: u64) -> u64 {
         .wrapping_add(acc >> 2)
 }
 
-/// Hash a minimizer-hash tuple, reading it forward or reversed.
-fn tuple_hash(window: &[(u64, u32, bool)], reversed: bool) -> u64 {
-    let mut acc = 0xcbf2_9ce4_8422_2325;
-    if reversed {
-        for m in window.iter().rev() {
-            acc = combine(acc, m.0);
-        }
-    } else {
-        for m in window {
-            acc = combine(acc, m.0);
-        }
-    }
-    acc
-}
-
-/// Whether the tuple read forward is lexicographically no greater than the
-/// tuple read in reverse (the canonical orientation test).
-fn forward_is_canonical(window: &[(u64, u32, bool)]) -> bool {
-    let n = window.len();
-    for i in 0..n {
-        let fwd = window[i].0;
-        let rev = window[n - 1 - i].0;
-        if fwd != rev {
-            return fwd < rev;
-        }
-    }
-    true // palindromic tuple: both orientations are identical
+/// The canonical key of a window of minimizers, and whether it reads the
+/// window forward: the hash tuple is folded in whichever direction is
+/// lexicographically no greater (forward for a palindromic tuple).
+fn canonical_key(window: &[(u64, u32, bool)]) -> (u64, bool) {
+    let hashes = window.iter().map(|m| m.0);
+    let forward = hashes.clone().le(hashes.clone().rev());
+    let seed = 0xcbf2_9ce4_8422_2325;
+    let key = if forward { hashes.fold(seed, combine) } else { hashes.rev().fold(seed, combine) };
+    (key, forward)
 }
 
 /// Compute the k-min-mer sketch of one read.
@@ -129,8 +111,7 @@ pub fn sketch_read(seq: &DnaSeq, cfg: &SketchConfig) -> ReadSketch {
     #[expect(clippy::disallowed_types, reason = "membership only: inserted into, never iterated")]
     let mut seen = std::collections::HashSet::new();
     for window in mins.windows(cfg.kmm) {
-        let forward = forward_is_canonical(window);
-        let key = tuple_hash(window, !forward);
+        let (key, forward) = canonical_key(window);
         if !seen.insert(key) {
             continue;
         }

@@ -14,10 +14,12 @@
 //!    primitives are shared with the minimap2-style baseline overlapper);
 //! 3. k-min-mer construction in canonical orientation ([`kminmer`]);
 //! 4. a distributed ownership/ID-assignment pass and a reads × k-min-mers
-//!    [`SketchMatrix`](matrix) with the *same* entry type ([`KmerOccurrence`])
-//!    and CSR shape the exact path produces ([`matrix`]), so the
-//!    `OverlapSemiring` SUMMA — including the symmetric `A·Aᵀ` path — runs
-//!    unchanged on top.
+//!    matrix with the *same* entry type ([`KmerOccurrence`]) and CSR shape
+//!    the exact path produces ([`matrix`]), so the `OverlapSemiring` SUMMA —
+//!    including the symmetric `A·Aᵀ` path — runs unchanged on top.  The
+//!    pass calls the exact path's code: the k-mer counter's owner fold and
+//!    column table (`dibella_seq::kmer_counter`) and `A`'s row builder
+//!    (`dibella_overlap::fill_a_row`).
 //!
 //! The matrix is roughly `density`× smaller in nnz than the exact `A`, which
 //! is the single biggest lever on everything downstream.

@@ -1,32 +1,31 @@
 //! The reads × k-min-mers occurrence matrix (the sketch-space `A`).
 //!
-//! Mirrors `dibella_overlap::build_a_matrix` — block-partitioned construction
-//! over virtual ranks, first-occurrence-per-column entries, the same
-//! [`KmerOccurrence`] payload, the same [`DistMat2D`] CSR layout — but the
-//! columns are *k-min-mers* whose IDs are assigned by a distributed
-//! ownership pass:
+//! Built as the exact `A` is (`dibella_overlap::build_a_matrix`), by the same
+//! code, with the same [`KmerOccurrence`] entries and [`DistMat2D`] layout;
+//! only the keys differ:
 //!
-//! 1. every construction rank sketches its block of reads;
-//! 2. each distinct `(read, key)` pair is sent to the key's owner rank
-//!    (`key % nranks`) via the simulated all-to-all, accounted under
-//!    [`CommPhase::SketchIndex`];
-//! 3. owners count the reads per key and drop keys outside
-//!    `[min_reads, max_reads]` (singletons cannot seed a candidate pair;
-//!    high-frequency k-min-mers are repeats);
-//! 4. surviving keys are allgathered (accounted as one broadcast per owner)
-//!    and globally sorted — column IDs are ranks in that sorted order, so
-//!    the matrix is bit-identical for any rank or thread count.
+//! 1. every construction rank sketches its block of reads and sends each
+//!    distinct `(read, key)` pair to the owner `key % nranks`, accounted
+//!    under [`CommPhase::SketchIndex`];
+//! 2. owners keep the keys found in `[min_reads, max_reads]` reads
+//!    ([`count_owned_keys`]; singletons cannot seed a candidate pair,
+//!    frequent k-min-mers are repeats);
+//! 3. the survivors are allgathered (one broadcast per owner) and numbered
+//!    in ascending order ([`ColumnTable`]), so the matrix is bit-identical
+//!    for any rank or thread count;
+//! 4. every read becomes a row ([`fill_a_row`]).
 //!
 //! The result plugs straight into `detect_candidates_2d_with`: the
 //! `OverlapSemiring` SUMMA (including the symmetric `A·Aᵀ` path) neither
 //! knows nor cares that a column is a k-min-mer rather than a k-mer.
 
 use crate::config::SketchConfig;
-use crate::kminmer::{sketch_read, KminmerHit, ReadSketch};
+use crate::kminmer::{sketch_read, ReadSketch};
 use dibella_dist::{
     alltoallv_counted, par_ranks, record_broadcast, BlockDist, CommPhase, CommStats, ProcessGrid,
 };
-use dibella_overlap::KmerOccurrence;
+use dibella_overlap::{fill_a_row, KmerOccurrence};
+use dibella_seq::kmer_counter::{count_owned_keys, ColumnTable};
 use dibella_seq::ReadSet;
 use dibella_sparse::DistMat2D;
 
@@ -45,10 +44,6 @@ pub struct SketchStats {
     pub raw_bases: u64,
     /// Total sketch-space (HPC) bases across all reads.
     pub sketch_bases: u64,
-    /// Distinct k-min-mers dropped for occurring in `< min_reads` reads.
-    pub dropped_rare: u64,
-    /// Distinct k-min-mers masked as repetitive (`> max_reads` reads).
-    pub dropped_repetitive: u64,
 }
 
 impl SketchStats {
@@ -90,76 +85,49 @@ pub fn build_sketch_matrix(
     let nranks = construction_ranks;
     let read_dist = BlockDist::new(reads.len(), nranks);
 
-    // Pass 1: every rank sketches its block of reads (HPC + density
-    // selection + k-min-mer construction, all read-local).
-    let per_rank: Vec<Vec<(usize, ReadSketch)>> = par_ranks(nranks, |rank| {
-        read_dist
-            .range(rank)
-            .map(|read_idx| (read_idx, sketch_read(reads.seq(read_idx), cfg)))
-            .collect()
-    });
+    // Every rank sketches its block of reads (HPC + density selection +
+    // k-min-mer construction, all read-local); blocks ascend, so the
+    // sketches end up indexed by read.
+    let sketches: Vec<ReadSketch> = par_ranks(nranks, |rank| {
+        read_dist.range(rank).map(|read| sketch_read(reads.seq(read), cfg)).collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect();
 
-    let mut agg = SketchStats::default();
-    let mut sketches: Vec<Vec<KminmerHit>> = vec![Vec::new(); reads.len()];
-    for block in &per_rank {
-        for (read_idx, sk) in block {
-            agg.total_kmers += sk.kmers;
-            agg.minimizers += sk.minimizers;
-            agg.raw_bases += sk.raw_len;
-            agg.sketch_bases += sk.sketch_len;
-            sketches[*read_idx] = sk.hits.clone();
-        }
-    }
-
-    // Pass 2: ownership exchange — each distinct (read, key) pair sends its
-    // key to the owner rank `key % nranks` (one u64 word per pair).
-    let send = per_rank
-        .iter()
-        .map(|block| block.iter().flat_map(|(_, sk)| sk.hits.iter().map(|hit| hit.key)).collect())
+    // Ownership exchange — each distinct (read, key) pair sends its key to
+    // the owner rank `key % nranks` (one u64 word per pair).  A read's keys
+    // are distinct, so an owner's count of a key is its number of reads.
+    let send = (0..nranks)
+        .map(|rank| {
+            let block = &sketches[read_dist.range(rank)];
+            block.iter().flat_map(|sk| sk.hits.iter().map(|hit| hit.key)).collect()
+        })
         .collect();
     let owner = |&key: &u64| (key % nranks as u64) as usize;
-    let recv: Vec<Vec<u64>> = alltoallv_counted(send, owner, stats, CommPhase::SketchIndex, 1);
-
-    // Owners count reads per key and apply the occurrence filter.
-    let mut survivors: Vec<u64> = Vec::new();
-    for keys in &recv {
-        // BTreeMap, not HashMap: the dropped_rare/dropped_repetitive tallies
-        // below iterate this map, so its order must be deterministic.
-        let mut counts: std::collections::BTreeMap<u64, u32> = std::collections::BTreeMap::new();
-        for &key in keys {
-            *counts.entry(key).or_insert(0) += 1;
-        }
-        let mut owned: Vec<u64> = Vec::new();
-        for (key, count) in counts {
-            if count < cfg.min_reads {
-                agg.dropped_rare += 1;
-            } else if count > cfg.max_reads {
-                agg.dropped_repetitive += 1;
-            } else {
-                owned.push(key);
-            }
-        }
-        // Allgather of this owner's surviving keys (for the global sort).
-        record_broadcast(stats, CommPhase::SketchIndex, owned.len() as u64, nranks);
-        survivors.extend(owned);
+    let recv = alltoallv_counted(send, owner, stats, CommPhase::SketchIndex, 1);
+    let owned = count_owned_keys(recv, cfg.min_reads..=cfg.max_reads);
+    for keys in &owned {
+        // Allgather of this owner's surviving keys (for the global order).
+        record_broadcast(stats, CommPhase::SketchIndex, keys.len() as u64, nranks);
     }
+    let columns = ColumnTable::new(owned.concat());
 
-    // Global ID assignment: column = rank of the key in sorted order.
-    survivors.sort_unstable();
-    agg.columns = survivors.len() as u64;
-
-    // Pass 3: every read becomes a finished row against the global column
-    // map (a read's keys are distinct, so sorting by column is all it needs),
-    // appended straight to its 2D blocks.
-    let a = DistMat2D::from_sorted_rows(grid, reads.len(), survivors.len(), nranks, |read, row| {
-        for hit in &sketches[read] {
-            if let Ok(col) = survivors.binary_search(&hit.key) {
-                row.push((col, KmerOccurrence { pos: hit.pos, forward: hit.forward }));
-            }
-        }
-        row.sort_unstable_by_key(|&(col, _)| col);
+    let a = DistMat2D::from_sorted_rows(grid, reads.len(), columns.len(), nranks, |read, row| {
+        let hits = sketches[read].hits.iter();
+        fill_a_row(hits.filter_map(|h| Some((columns.column_of(h.key)?, h.pos, h.forward))), row);
     });
-    agg.nnz = a.nnz() as u64;
+    let mut agg = SketchStats {
+        nnz: a.nnz() as u64,
+        columns: columns.len() as u64,
+        ..SketchStats::default()
+    };
+    for sk in &sketches {
+        agg.total_kmers += sk.kmers;
+        agg.minimizers += sk.minimizers;
+        agg.raw_bases += sk.raw_len;
+        agg.sketch_bases += sk.sketch_len;
+    }
     (a, agg)
 }
 
@@ -248,6 +216,93 @@ mod tests {
         }
     }
 
+    /// `A` built the way the sketch path first built it, from the
+    /// definitions: a `BTreeMap` count per owner `key % P`, the survivors
+    /// sorted and numbered by `binary_search`, each row sorted by column.
+    /// Returns `A`'s entries in row order, its column count and the
+    /// `SketchIndex` words and messages of the two collectives.
+    fn reference_build(
+        reads: &ReadSet,
+        cfg: &SketchConfig,
+        p: usize,
+    ) -> (Vec<(usize, usize, KmerOccurrence)>, usize, (u64, u64)) {
+        let read_dist = BlockDist::new(reads.len(), p);
+        let sketches: Vec<ReadSketch> =
+            (0..reads.len()).map(|read| sketch_read(reads.seq(read), cfg)).collect();
+        let send = (0..p)
+            .map(|rank| {
+                let block = &sketches[read_dist.range(rank)];
+                block.iter().flat_map(|sk| sk.hits.iter().map(|hit| hit.key)).collect()
+            })
+            .collect();
+        let stats = CommStats::new();
+        let owner = |&key: &u64| (key % p as u64) as usize;
+        let recv: Vec<Vec<u64>> = alltoallv_counted(send, owner, &stats, CommPhase::SketchIndex, 1);
+        let mut survivors = Vec::new();
+        for keys in &recv {
+            let mut counts = std::collections::BTreeMap::new();
+            for &key in keys {
+                *counts.entry(key).or_insert(0u32) += 1;
+            }
+            let reliable = cfg.min_reads..=cfg.max_reads;
+            let owned: Vec<u64> = counts
+                .into_iter()
+                .filter(|(_, n)| reliable.contains(n))
+                .map(|(key, _)| key)
+                .collect();
+            record_broadcast(&stats, CommPhase::SketchIndex, owned.len() as u64, p);
+            survivors.extend(owned);
+        }
+        survivors.sort_unstable();
+        let mut entries = Vec::new();
+        for (read, sk) in sketches.iter().enumerate() {
+            let mut row: Vec<(usize, KmerOccurrence)> = sk
+                .hits
+                .iter()
+                .filter_map(|hit| {
+                    let col = survivors.binary_search(&hit.key).ok()?;
+                    Some((col, KmerOccurrence { pos: hit.pos, forward: hit.forward }))
+                })
+                .collect();
+            row.sort_unstable_by_key(|&(col, _)| col);
+            entries.extend(row.into_iter().map(|(col, occ)| (read, col, occ)));
+        }
+        let phase = stats.snapshot().phase(CommPhase::SketchIndex);
+        (entries, survivors.len(), (phase.words, phase.messages))
+    }
+
+    #[test]
+    fn matrix_and_exchange_equal_the_reference_build() {
+        let (reads, cfg) = setup();
+        // A repeat threshold low enough that some keys are masked.
+        let masking = SketchConfig { max_reads: 6, ..cfg };
+        let all: Vec<u64> = (0..reads.len())
+            .flat_map(|read| sketch_read(reads.seq(read), &masking).hits)
+            .map(|hit| hit.key)
+            .collect();
+        let mut support = std::collections::BTreeMap::new();
+        for key in all {
+            *support.entry(key).or_insert(0u32) += 1;
+        }
+        assert!(support.values().any(|&n| n > masking.max_reads), "no key is masked");
+        for cfg in [cfg, masking] {
+            for p in [1usize, 2, 4, 9, 16] {
+                let stats = CommStats::new();
+                let grid = ProcessGrid::square(4);
+                let (a, info) = build_sketch_matrix(&reads, &cfg, grid, p, &stats);
+                let (entries, columns, exchange) = reference_build(&reads, &cfg, p);
+                let local = a.to_local_csr();
+                let got: Vec<_> = local.iter().map(|(read, col, &occ)| (read, col, occ)).collect();
+                let ctx = format!("P = {p}, max_reads = {}", cfg.max_reads);
+                assert!(got == entries, "A differs at {ctx}");
+                assert_eq!((a.ncols(), info.columns), (columns, columns as u64), "{ctx}");
+                assert_eq!(info.nnz, entries.len() as u64, "{ctx}");
+                let phase = stats.snapshot().phase(CommPhase::SketchIndex);
+                assert_eq!((phase.words, phase.messages), exchange, "{ctx}");
+            }
+        }
+    }
+
     #[test]
     fn single_rank_construction_is_communication_free() {
         let (reads, cfg) = setup();
@@ -266,11 +321,15 @@ mod tests {
         let stats = CommStats::new();
         let grid = ProcessGrid::square(1);
         let (a, info) = build_sketch_matrix(&reads, &cfg, grid, 3, &stats);
-        assert!(info.dropped_rare > 0, "some k-min-mers occur in only one read");
+        let distinct: std::collections::BTreeSet<u64> = (0..reads.len())
+            .flat_map(|read| sketch_read(reads.seq(read), &cfg).hits)
+            .map(|hit| hit.key)
+            .collect();
+        assert!(info.columns < distinct.len() as u64, "some k-min-mers occur in only one read");
         // Every surviving column appears in at least two rows.
         let mut col_counts = vec![0u32; a.ncols()];
         for (_, col, _) in a.to_local_csr().iter() {
-            col_counts[col as usize] += 1;
+            col_counts[col] += 1;
         }
         assert!(col_counts.iter().all(|&c| c >= cfg.min_reads));
     }

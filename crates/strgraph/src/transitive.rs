@@ -378,7 +378,7 @@ fn packed_suffix(entry: u64) -> u32 {
 /// freed before `S` is built, the same set left every measured process in
 /// the slower mode.  `_held` and the two-phase packing serve only that
 /// allocator artefact, and go once the input is generated on a fresh heap
-/// (ROADMAP item 7 step B).
+/// (ROADMAP item 6 step B).
 struct MaskedPass {
     ranks: Vec<RankPass>,
     /// Read only while the pass runs, held to be freed with the rest.
