@@ -59,13 +59,23 @@
 //! in the relabelled order: the relabelled block-local column in bits 34..64,
 //! the two direction bits in 32..34 and the full 32-bit suffix in 0..32 —
 //! 8 bytes per entry, where the block holds 8 for the column and 16 for the
-//! [`OverlapEdge`].  The column sits in the top bits, so sorting a row's
-//! `u64`s sorts it by column.  Beside each entry the block keeps the entry's
-//! position in `R`'s own CSR arrays, so the pass marks `I` in `R`'s
-//! coordinates and nothing is permuted back: `I` is `R`'s marked entries,
-//! and `S` the entries neither marked nor in `Iᵀ`.  This is the only copy of
-//! `R` the reduction makes.  A block wider than 2³⁰ columns or holding more than
-//! 2³² entries fails an assertion; no column is ever truncated.
+//! [`OverlapEdge`].  Each row is stored as two halves: the entries whose
+//! source read the walk leaves in reverse, then those it leaves forward, each
+//! sorted by column (the column sits in the top bits, so sorting a half's
+//! `u64`s sorts it by column), with the split kept beside the row's offset.
+//! `ISDIROK` asks a walk `i → k → j` to leave `k` in the orientation it
+//! entered `k` with, so for an entry `(i, k)` the pass reads only the half of
+//! row `k` that the entry's destination orientation names: every product it
+//! reads is a valid walk, and none is read only to be thrown away.  Packing
+//! reads each block's CSR rows in storage order and writes each packed row
+//! at its relabelled offset; the offsets come from one pass over the row
+//! lengths in the new order, so no row of `R` is fetched out of order.
+//! Beside each entry the block keeps the entry's position in `R`'s own CSR
+//! arrays, so the pass marks `I` in `R`'s coordinates and nothing is
+//! permuted back: `I` is `R`'s marked entries, and `S` the entries neither
+//! marked nor in `Iᵀ`.  This is the only copy of `R` the reduction makes.  A
+//! block wider than 2³⁰ columns or holding more than 2³² entries fails an
+//! assertion; no column is ever truncated.
 //!
 //! **Counts.**  Each diagonal rank broadcasts its order, `n_b` words, along
 //! its grid row and its grid column: `2n(√P − 1)` words and `2√P(√P − 1)`
@@ -76,10 +86,10 @@
 //! to its mirror rank in one message of two words per entry.  No entry
 //! changes block, so none of these depends on the order.  The flops extra
 //! (`sparse.tr_spgemm.flops` in the benchmark) is 2 × the products of `R·R`
-//! that pass `ISDIROK`, stamped or not — what `summa::<TrMinPlus>` counts.
-//! The probes extra counts one stamp inspection per such product, and the
-//! [`FlopCounter`]'s peak row width is the widest row of `R_{i,j}`, the minima
-//! a row holds.
+//! that pass `ISDIROK`, stamped or not — what `summa::<TrMinPlus>` counts,
+//! and the total length of the halves the pass reads.  The probes extra
+//! counts one stamp inspection per such product, and the [`FlopCounter`]'s
+//! peak row width is the widest row of `R_{i,j}`, the minima a row holds.
 //!
 //! [`TrMinPlus`]: crate::trsemiring::TrMinPlus
 
@@ -89,6 +99,7 @@ use dibella_overlap::OverlapEdge;
 use dibella_sparse::summa::{record_arithmetic, record_stage_broadcasts};
 use dibella_sparse::{CsrMatrix, DistMat2D, FlopCounter};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Parameters of the transitive reduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -287,11 +298,14 @@ const COL_SHIFT: u32 = 34;
 const PACKED_COLS: usize = 1 << (u64::BITS - COL_SHIFT);
 
 /// One block of `R` as the masked pass reads it: row `r` holds the entries
-/// of one row of the block, packed (see the module docs) with their columns
-/// relabelled and sorted, and beside each its position in the block's CSR
-/// arrays.
+/// of relabelled row `r` of the block, packed (see the module docs) with
+/// their columns relabelled, and beside each its position in the block's CSR
+/// arrays.  A row is two halves, the entries whose source read is traversed
+/// in reverse and then those whose source read is traversed forward, each
+/// sorted by column: `offsets[2r]` starts row `r`, `offsets[2r + 1]` starts
+/// its forward half and `offsets[2r + 2]` ends it.
 struct PackedBlock {
-    offsets: Vec<usize>,
+    offsets: Vec<u32>,
     entries: Vec<u64>,
     positions: Vec<u32>,
 }
@@ -311,37 +325,74 @@ impl PackedBlock {
         let nnz = block.nnz();
         assert!(u32::try_from(nnz).is_ok(), "a block of {nnz} entries is too long");
         Self {
-            offsets: Vec::with_capacity(block.nrows() + 1),
+            offsets: Vec::with_capacity(2 * block.nrows() + 1),
             entries: Vec::with_capacity(block.nnz()),
             positions: Vec::with_capacity(block.nnz()),
         }
     }
 
-    /// Pack `block`, taking its rows in `rows` order and relabelling column
-    /// `c` to `label[c]`.
-    fn fill(&mut self, block: &CsrMatrix<OverlapEdge>, rows: &[u32], label: &[u32]) {
-        self.offsets.push(0);
+    /// Pack `block`, block `(i, j)` of `R`, relabelled by `relabel`.  The
+    /// block's rows are read in storage order, each packed row written at
+    /// its relabelled offset.
+    fn fill(
+        &mut self,
+        block: &CsrMatrix<OverlapEdge>,
+        relabel: &Relabelling,
+        (i, j): (usize, usize),
+    ) {
+        let rowptr = block.rowptr();
+        // Each row's start, in the relabelled order; the forward halves'
+        // starts are written as the rows are packed.
+        let mut start = 0;
+        for &row in &relabel.order[i] {
+            self.offsets.extend([start, start]);
+            start += (rowptr[row as usize + 1] - rowptr[row as usize]) as u32;
+        }
+        self.offsets.push(start);
+        self.entries.resize(block.nnz(), 0);
+        self.positions.resize(block.nnz(), 0);
+        let label_j = &relabel.label[j];
         let mut row_entries: Vec<(u64, u32)> = Vec::new();
-        for &row in rows {
-            let span = block.rowptr()[row as usize]..block.rowptr()[row as usize + 1];
+        for (row, &new) in relabel.label[i].iter().enumerate() {
+            let span = rowptr[row]..rowptr[row + 1];
             let cols = block.colidx()[span.clone()].iter().zip(&block.values()[span.clone()]);
             row_entries.clear();
             row_entries.extend(
-                cols.zip(span).map(|((&col, e), at)| (pack_entry(label[col], e), at as u32)),
+                cols.zip(span).map(|((&col, e), at)| (pack_entry(label_j[col], e), at as u32)),
             );
-            row_entries.sort_unstable();
-            self.entries.extend(row_entries.iter().map(|&(entry, _)| entry));
-            self.positions.extend(row_entries.iter().map(|&(_, at)| at));
-            self.offsets.push(self.entries.len());
+            // Reverse half first; a row's columns are distinct, so the
+            // entry orders each half by column.
+            let source_forward = |&(entry, _): &(u64, u32)| packed_dir(entry).source_forward();
+            row_entries.sort_unstable_by_key(|pair| (source_forward(pair), pair.0));
+            let new = new as usize;
+            let reverse = row_entries.partition_point(|p| !source_forward(p));
+            self.offsets[2 * new + 1] = self.offsets[2 * new] + reverse as u32;
+            let span = self.span(2 * new, 2 * new + 2);
+            let slots = self.entries[span.clone()].iter_mut().zip(&mut self.positions[span]);
+            for ((entry, at), &packed) in slots.zip(&row_entries) {
+                (*entry, *at) = packed;
+            }
         }
     }
 
+    /// The entries from offset `from` to offset `to`.
+    fn span(&self, from: usize, to: usize) -> Range<usize> {
+        self.offsets[from] as usize..self.offsets[to] as usize
+    }
+
     fn row(&self, r: usize) -> &[u64] {
-        &self.entries[self.offsets[r]..self.offsets[r + 1]]
+        &self.entries[self.span(2 * r, 2 * r + 2)]
+    }
+
+    /// The half of row `r` whose entries leave the source read forward if
+    /// `source_forward`, in reverse if not.
+    fn half_row(&self, r: usize, source_forward: bool) -> &[u64] {
+        let half = 2 * r + usize::from(source_forward);
+        &self.entries[self.span(half, half + 1)]
     }
 
     fn positions(&self, r: usize) -> &[u32] {
-        &self.positions[self.offsets[r]..self.offsets[r + 1]]
+        &self.positions[self.span(2 * r, 2 * r + 2)]
     }
 }
 
@@ -408,8 +459,7 @@ impl MaskedPass {
         let mut packed: Vec<PackedBlock> =
             r.blocks().iter().map(PackedBlock::with_room_for).collect();
         par_ranks_mut(&mut packed, |rank, block| {
-            let (i, j) = grid.coords(rank);
-            block.fill(&r.blocks()[rank], &relabel.order[i], &relabel.label[j]);
+            block.fill(&r.blocks()[rank], &relabel, grid.coords(rank));
         });
         let mut ranks: Vec<RankPass> = (r.blocks().iter())
             .map(|block| RankPass { slot: vec![0; block.ncols()], marks: vec![false; block.nnz()] })
@@ -480,14 +530,14 @@ impl RankPass {
             for (left, right) in stages {
                 for &ik in left.row(row) {
                     let (d1, s1) = (packed_dir(ik), packed_suffix(ik));
-                    for &kj in right.row(packed_col(ik)) {
+                    // ISDIROK: the walk must traverse the middle read
+                    // consistently, so it leaves k in the orientation it
+                    // entered k with: one half of row k.
+                    let half = right.half_row(packed_col(ik), d1.dest_forward());
+                    products += half.len() as u64;
+                    for &kj in half {
                         let d2 = packed_dir(kj);
-                        // ISDIROK: the walk must traverse the middle read
-                        // consistently.
-                        if !d1.chains_with(d2) {
-                            continue;
-                        }
-                        products += 1;
+                        debug_assert!(d1.chains_with(d2));
                         let pos = slot[packed_col(kj)] as usize;
                         if pos != 0 && d1.compose(d2) == packed_dir(mask_row[pos - 1]) {
                             let sum = s1.saturating_add(packed_suffix(kj));
@@ -589,11 +639,15 @@ mod tests {
         MaskedPass::run(r, fuzz, comm).mask(r)
     }
 
-    /// `block` packed with its rows in `rows` order and column `c` relabelled
-    /// to `label[c]`.
-    fn pack(block: &CsrMatrix<OverlapEdge>, rows: &[u32], label: &[u32]) -> PackedBlock {
+    /// Block `(i, j)` of `r` packed as the masked pass packs it.
+    fn pack(
+        r: &DistMat2D<OverlapEdge>,
+        relabel: &Relabelling,
+        (i, j): (usize, usize),
+    ) -> PackedBlock {
+        let block = r.block(i, j);
         let mut packed = PackedBlock::with_room_for(block);
-        packed.fill(block, rows, label);
+        packed.fill(block, relabel, (i, j));
         packed
     }
 
@@ -780,6 +834,7 @@ mod tests {
             (shuffled_tiling(300, 1), 16usize),
             (random_overlaps(50, 20, 100, 2), 4),
             (forked_overlap_graph(6, 4, 3), 9),
+            (one_orientation_rows(&random_overlaps(50, 20, 100, 2), |i| i % 3 == 0), 4),
             (Triples::new(7, 7), 4),
         ] {
             let r = to_dist(&t, ProcessGrid::square(nprocs));
@@ -793,10 +848,19 @@ mod tests {
             }
             for (rank, block) in r.blocks().iter().enumerate() {
                 let (i, j) = r.grid().coords(rank);
-                let packed = pack(block, &relabel.order[i], &relabel.label[j]);
+                let packed = pack(&r, &relabel, (i, j));
                 for (new_row, &row) in relabel.order[i].iter().enumerate() {
+                    // The reverse half, then the forward half, each strictly
+                    // ascending by column, split at the reverse-half count.
                     let entries = packed.row(new_row);
-                    assert!(entries.windows(2).all(|w| packed_col(w[0]) < packed_col(w[1])));
+                    let reverse = entries.iter().filter(|&&e| !packed_dir(e).source_forward());
+                    let halves = [false, true].map(|forward| packed.half_row(new_row, forward));
+                    assert_eq!(halves[0].len(), reverse.count());
+                    assert_eq!(halves.concat(), entries);
+                    for (half, forward) in halves.into_iter().zip([false, true]) {
+                        assert!(half.iter().all(|&e| packed_dir(e).source_forward() == forward));
+                        assert!(half.windows(2).all(|w| packed_col(w[0]) < packed_col(w[1])));
+                    }
                     let mut at: Vec<u32> = packed.positions(new_row).to_vec();
                     for (&entry, &at) in entries.iter().zip(&at) {
                         let at = at as usize;
@@ -862,13 +926,34 @@ mod tests {
         }
     }
 
+    /// `t` with the source orientation of every entry of row `i` set to
+    /// `forward(i)`, so that one half of each packed row is empty.
+    fn one_orientation_rows(
+        t: &Triples<OverlapEdge>,
+        forward: impl Fn(usize) -> bool,
+    ) -> Triples<OverlapEdge> {
+        let mut out = Triples::new(t.nrows(), t.ncols());
+        for (i, j, &edge) in t.iter() {
+            let dir = BidirectedDir::new(forward(i), edge.direction().dest_forward());
+            out.push(i, j, OverlapEdge { dir: dir.bits(), ..edge });
+        }
+        out
+    }
+
     #[test]
     fn masked_pass_matches_the_oracle_on_the_fixtures() {
+        // The last three leave every reverse half empty, every forward half
+        // empty, and one or the other by row: a half the pass reads may be
+        // empty, and the one it skips may hold the whole row.
+        let (chain, random) = (chain_overlap_graph(25, 3), random_overlaps(60, 30, 100, 4));
         for (t, fuzz) in [
             (tiling_overlap_graph(30, 4, true), 60),
-            (chain_overlap_graph(25, 3), 0),
+            (chain.clone(), 0),
             (random_overlaps(60, 30, 100, 1), 100),
             (asymmetric_chain(), 60),
+            (one_orientation_rows(&chain, |_| true), 60),
+            (one_orientation_rows(&chain, |_| false), 60),
+            (one_orientation_rows(&random, |i| i % 2 == 0), 100),
         ] {
             for nprocs in [1usize, 4, 9, 16] {
                 assert!(assert_mask_matches_the_oracle(&t, fuzz, nprocs) > 0, "I is empty");
@@ -919,7 +1004,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "wider than a packed entry holds")]
     fn a_block_too_wide_for_a_packed_column_is_refused() {
-        let _ = pack(&CsrMatrix::zero(1, PACKED_COLS + 1), &[0], &[]);
+        let _ = PackedBlock::with_room_for(&CsrMatrix::zero(1, PACKED_COLS + 1));
     }
 
     #[test]
