@@ -25,11 +25,10 @@
 
 use crate::scoring::AlignmentConfig;
 use dibella_seq::Strand;
-use serde::{Deserialize, Serialize};
 
 /// Two-bit encoding of the traversal orientations of a bidirected edge, for
 /// one direction of travel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BidirectedDir(pub u8);
 
 impl BidirectedDir {
@@ -78,7 +77,7 @@ impl BidirectedDir {
 /// and read `h` considered in orientation `strand`.
 ///
 /// Coordinates are half-open `[beg, end)` on the oriented sequences.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PairAlignment {
     /// Alignment score.
     pub score: i32,
@@ -112,7 +111,7 @@ impl PairAlignment {
 }
 
 /// The outcome of classifying an alignment between reads `v` and `h`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverlapClass {
     /// `v` spans all of `h` (up to the fuzz): `h` is a contained read.
     Contains,

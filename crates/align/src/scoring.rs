@@ -4,8 +4,6 @@
 //! with BELLA's linear-gap scheme (Guidi et al., ACDA 2021), which the diBELLA
 //! pipelines reuse: `+1` per match, `-1` per mismatch, `-1` per gap base.
 
-use serde::{Deserialize, Serialize};
-
 /// Score added for a matching base pair.
 pub const MATCH: i32 = 1;
 /// Score added for a mismatching base pair.
@@ -14,7 +12,7 @@ pub const MISMATCH: i32 = -1;
 pub const GAP: i32 = -1;
 
 /// Full configuration of the pairwise-alignment stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlignmentConfig {
     /// X-drop threshold: extension stops once the running score falls more
     /// than this far below the best score seen.  The vector kernel is exact

@@ -2,14 +2,18 @@
 //! `BENCH_spgemm.json`.
 //!
 //! It times the kernels the pipelines run on the `DatasetSpec::Small` overlap
-//! workload (`C = A·Aᵀ` over the shared-k-mer semiring): the symmetric SUMMA (the upper triangle of `C`) and its general
-//! reference `summa(a, aᵀ)` (all of it) at P = 4, the local symmetric and
-//! general kernels, and a uniform random `PlusTimes` product for the
-//! dense-SPA fast path — all on the row-wise kernels — plus the symmetric
+//! workload (`C = A·Aᵀ` over the shared-k-mer semiring): the symmetric SUMMA
+//! (the upper triangle of `C`) and its general reference `summa(a, aᵀ)` (all
+//! of it) at P = 4, the local symmetric and general kernels, and a uniform
+//! random `PlusTimes` product for the dense-SPA fast path; plus the symmetric
 //! SUMMA at P = 16 on a HiFi-shaped input, whose blocks multiply ~20 products
-//! per output coordinate and take the k-major kernel (the record says how
-//! many took which).  Every
-//! entry is absolute — seconds, useful flops and Mflop/s — next to the
+//! per output coordinate.  The symmetric SUMMAs' blocks pick their kernel by
+//! product count, and the record says how many took which: all three upper
+//! blocks of the P = 4 one and all ten of the P = 16 one run k-major.  Only
+//! the single-block local symmetric kernel runs row-wise (1 990 880 products
+//! under its 1 490² output slots); the general SUMMA, the local general
+//! kernel and the random product run the general row-wise kernel, which has
+//! no k-major form.  Every entry is absolute — seconds, useful flops and Mflop/s — next to the
 //! accumulator probes and the peak row width; the general kernels do about
 //! twice the symmetric ones' flops, so compare seconds between the two and
 //! Mflop/s across commits.  CI runs this bench at every push to maintain the
@@ -28,9 +32,6 @@ use dibella_sparse::{
     Triples,
 };
 use std::time::Duration;
-
-/// Wire sizes per entry; nothing here reads the word counts they scale.
-const WORDS: (u64, u64) = (2, 2);
 
 fn random_matrix(nrows: usize, ncols: usize, nnz: usize, seed: u64) -> CsrMatrix<i64> {
     let mut t = Triples::new(nrows, ncols);
@@ -91,8 +92,9 @@ impl Timed {
 
 /// `A` of a HiFi-shaped read set (60 kbp genome without repeats, 30× of
 /// 1.2 kb reads at 0.2% error, k = 17): ~1 500 reads that share ~600 k-mers
-/// per overlapping pair, the dense side of the block-kernel rule that
-/// `Small`'s 13%-error reads never reach.
+/// per overlapping pair, far on the k-major side of the block-kernel rule —
+/// ~20 products per output coordinate at P = 16, where `Small`'s 13%-error
+/// reads at P = 4 multiply ~1.2.
 fn hifi_a_matrix(grid: ProcessGrid) -> DistMat2D<KmerOccurrence> {
     let genome = generate_genome(&GenomeConfig {
         length: 60_000,
@@ -149,10 +151,10 @@ fn main() {
 
     // The two paths `OverlapConfig::use_symmetric_summa` selects between.
     let summa_sym = Timed::distributed(|stats| {
-        summa_aat_sym::<OverlapSemiring>(&da, WORDS.0, stats, phase)
+        summa_aat_sym::<OverlapSemiring>(&da, stats, phase)
     });
     let summa_general = Timed::distributed(|stats| {
-        summa::<OverlapSemiring>(&da, &da.transpose(), WORDS, stats, phase)
+        summa::<OverlapSemiring>(&da, &da.transpose(), stats, phase)
     });
     // Local (single-block) kernels; the general one pays for its transpose.
     let local_sym = Timed::local(|flops| local_spgemm_aat::<OverlapSemiring>(&a, flops));
@@ -170,7 +172,7 @@ fn main() {
     // The dense side of the block-kernel rule: HiFi-shaped reads at P = 16.
     let hifi = hifi_a_matrix(ProcessGrid::square(16));
     let summa_sym_p16 = Timed::distributed(|stats| {
-        summa_aat_sym::<OverlapSemiring>(&hifi, WORDS.0, stats, phase)
+        summa_aat_sym::<OverlapSemiring>(&hifi, stats, phase)
     });
     let (hifi_k_major, hifi_row_wise) = kernel_census(&hifi);
     let (small_k_major, small_row_wise) = kernel_census(&da);

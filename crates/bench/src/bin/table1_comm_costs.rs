@@ -17,7 +17,10 @@
 //! k-mer-counting messages do, or when `2D sym` is not exactly half of `2D`
 //! in both — CI runs this binary, so an edit to a function that posts those
 //! collectives cannot drift from the model unseen.  The reduction's model
-//! takes the measured off-diagonal `I`, whose transpose it prices.
+//! takes the measured off-diagonal `I`, whose transpose it prices.  The rest
+//! (the 1D overlap row, both read-exchange rows, the k-mer words and every
+//! model figure) is gated by CI comparing the deterministic stdout with the
+//! committed `TABLE1.txt`.
 
 use dibella_bench::{benchmark_dataset, fmt, print_header, print_row};
 use dibella_dist::{CommPhase, CommStats, ProcessGrid};
@@ -61,7 +64,6 @@ fn main() {
         a: serial.dims.a_density(),
         c: serial.overlap_stats.c_density,
         r: serial.overlap_stats.r_density,
-        kmer_passes: 2,
     };
     println!(
         "Table II parameters: n={}, m={}, l={:.0}, a={:.2}, c={:.1}, r={:.2}\n",

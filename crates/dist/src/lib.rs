@@ -26,7 +26,8 @@
 //!   rank, so there is no per-rank control flow to compare: what guards the
 //!   protocol's shape is that a kernel's accounted messages and words equal
 //!   data-independent closed forms, pinned by the tests beside each caller
-//!   (`DESIGN.md`, "Static analysis and determinism checking").
+//!   (`DESIGN.md`, "Static analysis and determinism checking");
+//! * [`wire`] — the wire size of everything a charge posts, named once.
 //!
 //! ## Phases
 //!
@@ -74,6 +75,7 @@ mod comm;
 pub mod extras;
 mod grid;
 mod par;
+pub mod wire;
 
 pub use collectives::{alltoallv_counted, record_allreduce, record_broadcast};
 pub use comm::{CommPhase, CommSnapshot, CommStats, PhaseCounters};

@@ -14,17 +14,18 @@ use dibella_align::{
     align_seed_pair_with, classify_alignment, AlignScratch, AlignmentConfig, BidirectedDir,
     OrientCache, OverlapClass, PairAlignment,
 };
-use dibella_dist::{record_allreduce, BlockDist, CommPhase, CommStats, ProcessGrid};
+use dibella_dist::{
+    record_allreduce, wire, BlockDist, CommPhase, CommStats, PhaseCounters, ProcessGrid,
+};
 use dibella_seq::{ReadSet, Strand};
 use dibella_sparse::{summa, summa_aat_sym, DistMat2D, Triples};
 use rayon::pool;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::sync::{Mutex, PoisonError};
 
 /// Configuration of the overlap-detection stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlapConfig {
     /// k-mer (seed) length; the paper uses 17.
     pub k: usize,
@@ -60,7 +61,7 @@ impl OverlapConfig {
 ///
 /// Every field is deterministic: independent of worker count, steal
 /// schedule, grid and the host's lane word.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OverlapStats {
     /// Candidate pairs (upper triangle of `C`) examined.
     pub candidate_pairs: usize,
@@ -102,13 +103,6 @@ pub struct OverlapStats {
     pub seeds_skipped: u64,
 }
 
-/// Word cost of shipping one read of `len` bases (2-bit packed plus a header
-/// word), used consistently by the read-exchange accounting and by the
-/// analytic model it is compared against.
-pub fn read_exchange_words(len: usize) -> u64 {
-    (len as u64).div_ceil(32) + 1
-}
-
 /// Compute the candidate overlap matrix `C = A·Aᵀ` with Sparse SUMMA and
 /// return its **strict upper triangle**: `C` is symmetric and every pair is
 /// aligned once, and a read trivially shares all its k-mers with itself.
@@ -127,12 +121,10 @@ pub fn detect_candidates_2d_with(
     use_symmetric_summa: bool,
 ) -> DistMat2D<CommonKmers> {
     let phase = CommPhase::OverlapDetection;
-    // A k-mer occurrence travels as (column index, position+orientation): 2
-    // words.
     if use_symmetric_summa {
-        summa_aat_sym::<OverlapSemiring>(a, 2, stats, phase).filter(|r, col, _| r != col)
+        summa_aat_sym::<OverlapSemiring>(a, stats, phase).filter(|r, col, _| r != col)
     } else {
-        summa::<OverlapSemiring>(a, &a.transpose(), (2, 2), stats, phase).filter(|r, col, _| r < col)
+        summa::<OverlapSemiring>(a, &a.transpose(), stats, phase).filter(|r, col, _| r < col)
     }
 }
 
@@ -141,28 +133,44 @@ pub fn detect_candidates_2d_with(
 /// Reads start in a 1D block distribution (parallel FASTA I/O); every grid
 /// rank then needs the full range of reads of its block row and block column,
 /// i.e. about `2n/√P` reads costing `~2nl/√P` words, fetched from at most
-/// `√P`-ish source ranks.
-pub fn account_read_exchange_2d(reads: &ReadSet, grid: ProcessGrid, stats: &CommStats) {
-    let p = grid.nprocs();
-    let init = BlockDist::new(reads.len(), p);
+/// `√P`-ish source ranks.  Returns each rank's charge, in rank order.
+pub fn account_read_exchange_2d(
+    reads: &ReadSet,
+    grid: ProcessGrid,
+    stats: &CommStats,
+) -> Vec<PhaseCounters> {
     let row_dist = BlockDist::new(reads.len(), grid.rows());
     let col_dist = BlockDist::new(reads.len(), grid.cols());
-    for rank in grid.ranks() {
+    charge_read_fetches(reads, grid.nprocs(), stats, |rank| {
         let (bi, bj) = grid.coords(rank);
-        let mut needed: BTreeSet<usize> = row_dist.range(bi).collect();
-        needed.extend(col_dist.range(bj));
-        let own = init.range(rank);
-        let mut words = 0u64;
-        let mut sources: BTreeSet<usize> = BTreeSet::new();
-        for idx in needed {
-            if own.contains(&idx) {
-                continue;
-            }
-            words += read_exchange_words(reads.seq(idx).len());
-            sources.insert(init.owner(idx));
+        row_dist.range(bi).chain(col_dist.range(bj)).collect()
+    })
+}
+
+/// The read fetch both exchanges charge.  Reads start in a 1D block
+/// distribution over `nprocs` ranks; rank `r` needs the reads `needed(r)`,
+/// and receives each one it does not hold at [`wire::read_words`], in one
+/// message per distinct holder.  Records every rank's charge on `stats`
+/// under [`CommPhase::ReadExchange`] and returns them, in rank order.
+pub(crate) fn charge_read_fetches(
+    reads: &ReadSet,
+    nprocs: usize,
+    stats: &CommStats,
+    needed: impl Fn(usize) -> BTreeSet<usize>,
+) -> Vec<PhaseCounters> {
+    let held = BlockDist::new(reads.len(), nprocs);
+    let charge = |rank| {
+        let mut charge = PhaseCounters::default();
+        let mut sources = BTreeSet::new();
+        for read in needed(rank).into_iter().filter(|&read| held.owner(read) != rank) {
+            charge.words += wire::read_words(reads.seq(read).len());
+            sources.insert(held.owner(read));
         }
-        stats.record(CommPhase::ReadExchange, words, sources.len() as u64);
-    }
+        charge.messages = sources.len() as u64;
+        stats.record(CommPhase::ReadExchange, charge.words, charge.messages);
+        charge
+    };
+    (0..nprocs).map(charge).collect()
 }
 
 /// The classification outcome of one candidate pair's best alignment.
@@ -295,7 +303,7 @@ fn align_in_waves(
             stats.aligned_pairs += 1;
         }
         if let Some(comm) = comm {
-            let words = n.div_ceil(64) as u64;
+            let words = wire::bitmap_words(n);
             record_allreduce(comm, CommPhase::OverlapDetection, words, candidates.grid().nprocs());
         }
     }
@@ -898,7 +906,7 @@ mod tests {
         let grid = ProcessGrid::square(4);
         let a = build_a_matrix(&ds.reads, &table, cfg.k, grid, 4);
         let candidates = detect_candidates_2d_with(&a, &CommStats::new(), true);
-        let bitmap_words = ds.reads.len().div_ceil(64) as u64;
+        let bitmap_words = wire::bitmap_words(ds.reads.len());
         for wave_len in [7usize, WAVE_PAIRS] {
             let comm = CommStats::new();
             let (_, stats, _) =
@@ -938,5 +946,45 @@ mod tests {
         // Aggregate exchanged volume grows with the grid (per-rank volume shrinks).
         assert!(nine.words(CommPhase::ReadExchange) > four.words(CommPhase::ReadExchange));
         assert!(nine.words(CommPhase::ReadExchange) / 9 < four.words(CommPhase::ReadExchange) / 4);
+    }
+
+    /// Six reads whose wire sizes (`⌈len/32⌉ + 1` words) are 2, 3, 3, 4, 5
+    /// and 8.
+    fn six_reads() -> ReadSet {
+        use dibella_seq::{DnaSeq, ReadRecord};
+        let records = [10, 40, 64, 65, 100, 200].into_iter().enumerate().map(|(i, len)| {
+            ReadRecord { name: format!("r{i}"), seq: DnaSeq::from_codes(vec![0; len]) }
+        });
+        ReadSet::from_records(records.collect())
+    }
+
+    #[test]
+    fn both_read_exchanges_charge_the_fetches_counted_by_hand() {
+        let reads = six_reads();
+        let charge = |words, messages| PhaseCounters { words, messages };
+
+        // 2D on a 2×2 grid.  Reads start as {0,1} {2,3} {4} {5} on ranks
+        // 0..4; grid rows and columns both hold {0,1,2} and {3,4,5}.
+        // Rank (0,0) needs {0,1,2} and fetches 2 from rank 1; rank (0,1)
+        // needs all six and fetches 0, 1, 4, 5 from ranks 0, 2, 3; rank (1,0)
+        // fetches all but 4 from ranks 0, 1, 3; rank (1,1) needs {3,4,5} and
+        // fetches 3 and 4 from ranks 1 and 2.
+        let stats = CommStats::new();
+        let ranks = account_read_exchange_2d(&reads, ProcessGrid::square(4), &stats);
+        let expected = [charge(3, 1), charge(18, 3), charge(20, 3), charge(9, 2)];
+        assert_eq!(ranks, expected);
+        assert_eq!(stats.snapshot().phase(CommPhase::ReadExchange), charge(50, 9));
+
+        // 1D at P = 3: ranks own rows and reads {0,1} {2,3} {4,5}.  Rank 0's
+        // rows name 1, 3, 4, 5 and it fetches 3, 4, 5 from ranks 1 and 2;
+        // rank 1's name 3, 4, 5 and it fetches 4 and 5 from rank 2; rank 2's
+        // name only 5, which it holds.
+        let pairs = [(0, 1), (0, 3), (0, 5), (1, 4), (2, 3), (2, 5), (3, 4), (4, 5)];
+        let entries = pairs.iter().map(|&(i, j)| (i, j, CommonKmers::default())).collect();
+        let candidates = dibella_sparse::CsrMatrix::from_entries(6, 6, entries);
+        let stats = CommStats::new();
+        let ranks = crate::account_read_exchange_1d(&reads, &candidates, 3, &stats);
+        assert_eq!(ranks, [charge(17, 2), charge(13, 1), charge(0, 0)]);
+        assert_eq!(stats.snapshot().phase(CommPhase::ReadExchange), charge(30, 3));
     }
 }

@@ -12,11 +12,10 @@
 
 use dibella_seq::{windowed_minimizers, ReadSet};
 use rayon::pool;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Minimizer sketching and overlap-calling parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MinimizerConfig {
     /// k-mer length of the minimizers (minimap2 default for CLR data: 15).
     pub k: usize,
@@ -45,7 +44,7 @@ impl MinimizerConfig {
 }
 
 /// An approximate overlap reported by the minimizer overlapper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MinimizerOverlap {
     /// First read (smaller index).
     pub read_a: usize,

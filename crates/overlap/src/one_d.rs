@@ -9,14 +9,13 @@
 //! and Table I's cost comparison run the same local kernels and differ only in
 //! decomposition and communication — which is the paper's claim.
 
-use crate::detect::read_exchange_words;
+use crate::detect::charge_read_fetches;
 use crate::semiring::OverlapSemiring;
 use crate::types::CommonKmers;
-use dibella_dist::{BlockDist, CommPhase, CommStats};
+use dibella_dist::{BlockDist, CommPhase, CommStats, PhaseCounters};
 use dibella_seq::ReadSet;
 use dibella_sparse::outer1d::outer1d_aat;
 use dibella_sparse::CsrMatrix;
-use std::collections::BTreeSet;
 
 /// Compute the candidate overlap matrix — its strict upper triangle, as the
 /// 2D path returns it — with the 1D outer-product algorithm over `nprocs`
@@ -31,8 +30,7 @@ pub fn detect_candidates_1d(
     nprocs: usize,
     stats: &CommStats,
 ) -> CsrMatrix<CommonKmers> {
-    // A partial candidate entry travels as (row, col, count + one seed): ~4 words.
-    let result = outer1d_aat::<OverlapSemiring>(a, nprocs, 4, stats, CommPhase::OverlapDetection);
+    let result = outer1d_aat::<OverlapSemiring>(a, nprocs, stats, CommPhase::OverlapDetection);
     result.to_local_csr(a.nrows()).filter(|r, c, _| r < c)
 }
 
@@ -40,31 +38,18 @@ pub fn detect_candidates_1d(
 /// block of `C`'s rows and already holds those reads; it must fetch the
 /// column read of every nonzero it is responsible for (at most one read per
 /// nonzero), from the rank that owns it in the 1D distribution.  `candidates`
-/// holds each pair once, so a pair costs at most one fetched read.
+/// holds each pair once, so a pair costs at most one fetched read.  Returns
+/// each rank's charge, in rank order.
 pub fn account_read_exchange_1d(
     reads: &ReadSet,
     candidates: &CsrMatrix<CommonKmers>,
     nprocs: usize,
     stats: &CommStats,
-) {
+) -> Vec<PhaseCounters> {
     let dist = BlockDist::new(reads.len(), nprocs);
-    for rank in 0..nprocs {
-        let mut needed: BTreeSet<usize> = BTreeSet::new();
-        for row in dist.range(rank) {
-            for (col, _) in candidates.row(row) {
-                if !dist.range(rank).contains(&col) {
-                    needed.insert(col);
-                }
-            }
-        }
-        let mut words = 0u64;
-        let mut sources: BTreeSet<usize> = BTreeSet::new();
-        for idx in needed {
-            words += read_exchange_words(reads.seq(idx).len());
-            sources.insert(dist.owner(idx));
-        }
-        stats.record(CommPhase::ReadExchange, words, sources.len() as u64);
-    }
+    charge_read_fetches(reads, nprocs, stats, |rank| {
+        dist.range(rank).flat_map(|row| candidates.row(row).map(|(col, _)| col)).collect()
+    })
 }
 
 #[cfg(test)]

@@ -1,7 +1,6 @@
 //! Matrix entry types of the overlap stage.
 
 use dibella_align::BidirectedDir;
-use serde::{Deserialize, Serialize};
 
 /// How many shared k-mer seeds are kept per read pair (a user parameter in the
 /// paper; "for this work we store two k-mer positions for each read pair").
@@ -9,7 +8,7 @@ pub const MAX_SEEDS: usize = 2;
 
 /// One entry of the `|reads| x |k-mers|` matrix `A`: where (and in which
 /// orientation) a reliable k-mer occurs in a read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KmerOccurrence {
     /// Start position of the k-mer in the read.
     pub pos: u32,
@@ -19,7 +18,7 @@ pub struct KmerOccurrence {
 }
 
 /// A shared k-mer between two reads — the alignment seed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharedSeed {
     /// Position of the k-mer in the row read (`v`).
     pub pos_v: u32,
@@ -36,7 +35,7 @@ pub struct SharedSeed {
 /// hundreds of thousands per multiply — so the seed storage must not touch
 /// the heap; a `Vec` here dominated the whole `C = A·Aᵀ` wall-clock before
 /// this type replaced it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SeedList {
     seeds: [SharedSeed; MAX_SEEDS],
     len: u8,
@@ -105,7 +104,7 @@ impl<'a> IntoIterator for &'a SeedList {
 
 /// One entry of the candidate overlap matrix `C = A·Aᵀ`: the number of shared
 /// k-mers between two reads and (up to [`MAX_SEEDS`]) seed positions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CommonKmers {
     /// Number of shared reliable k-mers.
     pub count: u32,
@@ -124,7 +123,7 @@ impl CommonKmers {
 /// bidirected edge annotated with the information transitive reduction needs
 /// (Section IV-E — "the length of the overlap suffix and the overlap
 /// orientation").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverlapEdge {
     /// Two-bit direction of the edge when walking row-read → column-read.
     pub dir: u8,

@@ -15,16 +15,17 @@
 //! one squaring, the broadcast of each block range's order, and the
 //! transpose of the measured off-diagonal `I`.
 //!
-//! This module evaluates those formulas with the *same unit conventions the
-//! instrumentation uses* (8-byte words, 2-bit packed sequences, per-entry wire
+//! This module evaluates those formulas at the wire sizes the
+//! instrumentation charges, read from the one price list both use,
+//! [`dibella_dist::wire`] (8-byte words, 2-bit packed sequences, per-entry
 //! sizes), so the Table I harness can print model and measurement side by
 //! side.  The shapes (the `1/P` vs `1/√P` scaling, the crossovers) are what
 //! the reproduction checks; absolute constants depend on wire-format choices.
 
-use serde::{Deserialize, Serialize};
+use dibella_dist::wire;
 
 /// The dataset/algorithm parameters of Table II that the model needs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelParams {
     /// Read count `n`.
     pub n: usize,
@@ -40,29 +41,10 @@ pub struct ModelParams {
     pub c: f64,
     /// `r` — average nonzeros per row of the overlap matrix `R`.
     pub r: f64,
-    /// Number of k-mer exchange passes (`b`; this implementation uses 2).
-    pub kmer_passes: usize,
-}
-
-impl ModelParams {
-    /// Words used to ship one k-mer (2-bit packed).
-    pub fn kmer_words(&self) -> u64 {
-        (self.k as u64).div_ceil(32)
-    }
-
-    /// Words used to ship one read (2-bit packed plus a header word).
-    pub fn read_words(&self) -> u64 {
-        (self.l.ceil() as u64).div_ceil(32) + 1
-    }
-
-    /// Words used to ship one sparse-matrix entry in the overlap SpGEMM.
-    pub const SPGEMM_ENTRY_WORDS: u64 = 2;
-    /// Words used to ship one partial-product entry in the 1D reduction.
-    pub const OUTER1D_ENTRY_WORDS: u64 = 4;
 }
 
 /// Predicted aggregate (summed over ranks) and per-process costs for one phase.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseCost {
     /// Total words moved across all ranks.
     pub aggregate_words: f64,
@@ -73,7 +55,7 @@ pub struct PhaseCost {
 }
 
 /// The Table I model evaluated at a process count.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CommModel {
     /// Parameters the model was evaluated with.
     pub params: ModelParams,
@@ -93,14 +75,15 @@ impl CommModel {
     }
 
     /// K-mer counting (same in both pipelines): every rank keeps `1/P` of its
-    /// k-mers and ships the rest, in `b` passes.  Only the `min(n, P)` ranks
-    /// that hold a read send, one message to each of the other `P − 1`.
+    /// k-mers and ships the rest, in the [`wire::KMER_PASSES`] passes `b`.
+    /// Only the `min(n, P)` ranks that hold a read send, one message to each
+    /// of the other `P − 1`.
     pub fn kmer_counting(&self) -> PhaseCost {
         let pm = &self.params;
         let total_kmers = pm.n as f64 * (pm.l - pm.k as f64 + 1.0).max(0.0);
         let off_node = (self.p as f64 - 1.0) / self.p as f64;
-        let passes = pm.kmer_passes as f64;
-        let aggregate = passes * total_kmers * off_node * pm.kmer_words() as f64;
+        let passes = wire::KMER_PASSES as f64;
+        let aggregate = passes * total_kmers * off_node * wire::kmer_words(pm.k) as f64;
         let senders = pm.n.min(self.p) as f64;
         PhaseCost {
             aggregate_words: aggregate,
@@ -114,8 +97,7 @@ impl CommModel {
         let pm = &self.params;
         let nnz_a = pm.a * pm.m as f64;
         // Both A and Aᵀ blocks are broadcast to √P - 1 peers across the stages.
-        let aggregate =
-            2.0 * nnz_a * ModelParams::SPGEMM_ENTRY_WORDS as f64 * (self.sqrt_p() - 1.0);
+        let aggregate = 2.0 * nnz_a * wire::SPGEMM_ENTRY as f64 * (self.sqrt_p() - 1.0);
         PhaseCost {
             aggregate_words: aggregate,
             per_process_words: aggregate / self.p as f64,
@@ -145,7 +127,7 @@ impl CommModel {
     pub fn alignment_waves(&self, candidate_pairs: usize, reads: usize) -> PhaseCost {
         let waves = candidate_pairs.div_ceil(dibella_overlap::WAVE_PAIRS) as f64;
         let peers = self.p as f64 - 1.0;
-        let aggregate = waves * 2.0 * reads.div_ceil(64) as f64 * peers;
+        let aggregate = waves * 2.0 * wire::bitmap_words(reads) as f64 * peers;
         PhaseCost {
             aggregate_words: aggregate,
             per_process_words: aggregate / self.p as f64,
@@ -161,7 +143,7 @@ impl CommModel {
         let pm = &self.params;
         let partial_nnz = pm.a * (pm.a + 1.0) / 2.0 * pm.m as f64;
         let off_node = (self.p as f64 - 1.0) / self.p as f64;
-        let aggregate = partial_nnz * off_node * ModelParams::OUTER1D_ENTRY_WORDS as f64;
+        let aggregate = partial_nnz * off_node * wire::OUTER1D_ENTRY as f64;
         PhaseCost {
             aggregate_words: aggregate,
             per_process_words: aggregate / self.p as f64,
@@ -177,7 +159,7 @@ impl CommModel {
             return PhaseCost::default();
         }
         let per_rank_reads = 2.0 * pm.n as f64 / self.sqrt_p() - pm.n as f64 / self.p as f64;
-        let per_rank = per_rank_reads.max(0.0) * pm.read_words() as f64;
+        let per_rank = per_rank_reads.max(0.0) * wire::read_words(pm.l.ceil() as usize) as f64;
         PhaseCost {
             aggregate_words: per_rank * self.p as f64,
             per_process_words: per_rank,
@@ -192,7 +174,7 @@ impl CommModel {
         let off_node = (self.p as f64 - 1.0) / self.p as f64;
         let pairs_per_rank = pm.c / 2.0 * pm.n as f64 / self.p as f64;
         let per_rank_reads = (pairs_per_rank * off_node).min(pm.n as f64);
-        let per_rank = per_rank_reads * pm.read_words() as f64;
+        let per_rank = per_rank_reads * wire::read_words(pm.l.ceil() as usize) as f64;
         PhaseCost {
             aggregate_words: per_rank * self.p as f64,
             per_process_words: per_rank,
@@ -201,10 +183,10 @@ impl CommModel {
     }
 
     /// Transitive reduction (2D only), one round: the squaring's stage
-    /// broadcasts, `W = r·n/√P` per process at 2 words per entry; each
-    /// diagonal rank's broadcast of its block range's order, `n_b` words
-    /// along its grid row and its grid column; and the transpose of `I`,
-    /// two words per entry of `I` outside the diagonal blocks
+    /// broadcasts, `W = r·n/√P` per process; each diagonal rank's broadcast
+    /// of its block range's order, `n_b` ids along its grid row and its grid
+    /// column; and the transpose of `I`, one pattern entry per entry of `I`
+    /// outside the diagonal blocks
     /// (`transposed_entries`) in one message per off-diagonal block holding
     /// one (`transposed_blocks`).  Exact: the instrumentation must post
     /// exactly this.
@@ -216,9 +198,10 @@ impl CommModel {
         let pm = &self.params;
         let nnz_r = pm.r * pm.n as f64;
         let peers = self.sqrt_p() - 1.0;
-        let squaring = 2.0 * nnz_r * ModelParams::SPGEMM_ENTRY_WORDS as f64 * peers;
-        let order = 2.0 * pm.n as f64 * peers;
-        let aggregate = squaring + order + 2.0 * transposed_entries as f64;
+        let squaring = 2.0 * nnz_r * wire::SPGEMM_ENTRY as f64 * peers;
+        let order = 2.0 * (pm.n as u64 * wire::ID) as f64 * peers;
+        let transpose = (transposed_entries as u64 * wire::PATTERN_ENTRY) as f64;
+        let aggregate = squaring + order + transpose;
         PhaseCost {
             aggregate_words: aggregate,
             per_process_words: aggregate / self.p as f64,
@@ -241,7 +224,6 @@ mod tests {
             a: 5.0,
             c: 100.0,
             r: 8.0,
-            kmer_passes: 2,
         }
     }
 
@@ -348,12 +330,5 @@ mod tests {
         assert_eq!(m.overlap_1d().aggregate_words, 0.0);
         assert_eq!(m.read_exchange_2d().per_process_words, 0.0);
         assert_eq!(m.transitive_reduction_2d(0, 0).aggregate_words, 0.0);
-    }
-
-    #[test]
-    fn wire_sizes_match_instrumentation_conventions() {
-        let pm = params();
-        assert_eq!(pm.kmer_words(), 1, "a 17-mer packs into one 8-byte word");
-        assert_eq!(pm.read_words(), 8_000 / 32 + 1);
     }
 }

@@ -6,10 +6,9 @@ use dibella_seq::kmer::MAX_K;
 use dibella_seq::KmerSelection;
 use dibella_sketch::SketchConfig;
 use dibella_strgraph::{ConsensusConfig, TransitiveReductionConfig};
-use serde::{Deserialize, Serialize};
 
 /// Which candidate-generation path feeds the `OverlapSemiring` SUMMA.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CandidateSource {
     /// The paper's path: the occurrence matrix `A` has one column per
     /// reliable k-mer from the distributed counter.
@@ -22,7 +21,7 @@ pub enum CandidateSource {
 }
 
 /// Configuration of one diBELLA (1D or 2D) pipeline run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Reliable k-mer selection (k, frequency bounds).
     pub kmer: KmerSelection,

@@ -2,8 +2,7 @@
 
 use crate::config::{CandidateSource, PipelineConfig};
 use crate::timings::{timed, StageTimings};
-use dibella_dist::{BlockDist, CommPhase, CommSnapshot, CommStats, ProcessGrid};
-use dibella_overlap::detect::read_exchange_words;
+use dibella_dist::{wire, BlockDist, CommPhase, CommSnapshot, CommStats, ProcessGrid};
 use dibella_overlap::{
     account_read_exchange_2d, align_candidates_with, build_a_matrix, detect_candidates_2d_with,
     OverlapEdge, OverlapStats,
@@ -15,7 +14,6 @@ use dibella_strgraph::{
     consensus_contigs, extract_contigs, n50, transitive_reduction, Contig, ContigConsensus,
     TrOutcome,
 };
-use serde::{Deserialize, Serialize};
 
 /// Everything a diBELLA 2D run produces.
 #[derive(Debug, Clone)]
@@ -50,7 +48,7 @@ pub struct Pipeline2dOutput {
 }
 
 /// Dimensions of the run (Table II symbols measured on the input).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PipelineDims {
     /// Read count `n`.
     pub reads: usize,
@@ -75,7 +73,7 @@ impl PipelineDims {
 }
 
 /// A compact, serialisable summary of a [`TrOutcome`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrSummary {
     /// Reduction rounds executed: 1, or 0 for an empty `R`.
     pub iterations: usize,
@@ -92,7 +90,7 @@ pub struct TrSummary {
 }
 
 /// A compact, serialisable summary of the consensus stage.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConsensusSummary {
     /// Number of contig layouts (consensus sequences).
     pub contigs: usize,
@@ -273,8 +271,8 @@ pub fn run_dibella_2d_on_reads(
 
 /// Account the communication a real distributed consensus stage would incur:
 /// every multi-read contig is built on one owner rank, so the reads of the
-/// layout that live on other ranks are gathered there (2-bit packed plus a
-/// header word, the read-exchange wire convention).
+/// layout that live on other ranks are gathered there, one message per read
+/// at [`wire::read_words`], the read exchange's price.
 fn account_consensus(
     contigs: &[Contig],
     reads: &ReadSet,
@@ -294,7 +292,7 @@ fn account_consensus(
         let owner = index % p;
         for &r in &contig.reads {
             if read_dist.owner(r) != owner {
-                words += read_exchange_words(reads.seq(r).len());
+                words += wire::read_words(reads.seq(r).len());
                 messages += 1;
             }
         }

@@ -15,10 +15,9 @@ use crate::config::PipelineConfig;
 use crate::run2d::run_dibella_2d_on_reads;
 use dibella_seq::simulate::{build_scenario, ScenarioKind, ScenarioParams};
 use dibella_strgraph::{evaluate_assembly_truth, GroundTruth};
-use serde::{Deserialize, Serialize};
 
 /// One scenario to run: the dataset recipe plus the pipeline configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioSpec {
     /// Which adversarial scenario to build.
     pub kind: ScenarioKind,
@@ -95,7 +94,7 @@ impl ScenarioSpec {
 /// metrics the suite tracks per scenario.  Contains no wall-clock fields so
 /// that identical specs produce bit-identical reports regardless of machine
 /// or thread count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioReport {
     /// Stable scenario label ([`ScenarioKind::label`]).
     pub scenario: String,

@@ -5,11 +5,10 @@
 //! TrReduction.  [`StageTimings`] carries exactly those components so the
 //! breakdown harness can print the same series.
 
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Wall-clock time of every pipeline stage, in seconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
     /// Parsing the FASTA input (the paper's `ReadFastq`).
     pub read_fastq: f64,

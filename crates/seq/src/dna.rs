@@ -6,11 +6,10 @@
 //! random access; the packed representation used on the wire lives in
 //! [`crate::kmer`] (k-mers) and in [`DnaSeq::to_packed`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which strand a sequence (or an alignment) refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strand {
     /// The sequence as stored.
     Forward,
@@ -60,7 +59,7 @@ pub fn complement_code(code: u8) -> u8 {
 }
 
 /// A DNA sequence stored as 2-bit codes, one byte per base.
-#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct DnaSeq {
     codes: Vec<u8>,
 }

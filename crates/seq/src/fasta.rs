@@ -14,12 +14,11 @@
 
 use crate::dna::DnaSeq;
 use crate::stream::{open, Records};
-use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 
 /// One FASTA record: a name and its sequence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadRecord {
     /// The record name (text after `>` up to the first whitespace).
     pub name: String,
@@ -29,7 +28,7 @@ pub struct ReadRecord {
 
 /// An ordered collection of reads; read indices are the row/column indices of
 /// every reads-by-reads matrix in the pipeline.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReadSet {
     records: Vec<ReadRecord>,
 }
@@ -156,7 +155,7 @@ pub fn write_fasta_file(reads: &ReadSet, path: impl AsRef<Path>) -> Result<(), S
 }
 
 /// Statistics of one quality-filtered FASTQ parse.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FastqFilterStats {
     /// Records in the input.
     pub total_reads: usize,

@@ -13,14 +13,13 @@
 //! sequence and yields each window with its canonical form in O(1).
 
 use crate::dna::DnaSeq;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum supported k (2 bits per base in a `u64`, one value reserved).
 pub const MAX_K: usize = 31;
 
 /// A k-mer packed 2 bits per base into a `u64` (most significant pair first).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Kmer {
     packed: u64,
     k: u8,
@@ -116,7 +115,7 @@ impl fmt::Display for Kmer {
 }
 
 /// A canonical k-mer together with the orientation of the source k-mer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CanonicalKmer {
     /// The canonical (lexicographically smaller) k-mer.
     pub kmer: Kmer,

@@ -35,13 +35,12 @@
 
 use crate::fasta::ReadSet;
 use crate::kmer::{Kmer, KmerIter};
-use dibella_dist::{alltoallv_counted, par_ranks, BlockDist, CommPhase, CommStats};
+use dibella_dist::{alltoallv_counted, par_ranks, wire, BlockDist, CommPhase, CommStats};
 use rayon::pool;
-use serde::{Deserialize, Serialize};
 use std::ops::RangeInclusive;
 
 /// Reliable k-mer selection parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KmerSelection {
     /// k-mer length (the paper uses `k = 17`).
     pub k: usize,
@@ -70,7 +69,7 @@ impl KmerSelection {
 
 /// The columns of `A`: distinct `u64` keys in ascending order with their
 /// counts, a key's position being its column, found through a hash index.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ColumnTable {
     /// Every key, ascending.
     keys: Vec<u64>,
@@ -106,7 +105,7 @@ impl ColumnTable {
 /// The reliable k-mer table: the [`ColumnTable`] of the reliable canonical
 /// k-mers' [`Kmer::packed`] values, so a k-mer's column in the
 /// `|reads| x |k-mers|` matrix `A` is its rank in ascending packed order.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct KmerTable {
     k: usize,
     columns: ColumnTable,
@@ -177,9 +176,10 @@ pub fn count_kmers_serial(reads: &ReadSet, selection: &KmerSelection) -> KmerTab
 /// The paper's counter sends the k-mers twice (a Bloom-filter pass, then a
 /// counting pass) and Table I prices both.  The two exchanges move the same
 /// items between the same ranks, so the exchange runs into a local
-/// [`CommStats`] and its `KmerCounting` words and messages are recorded twice
-/// on `stats`: the second pass is charged, not sent, as the read exchange
-/// and the consensus gather already charge traffic whose data is shared.
+/// [`CommStats`] and its `KmerCounting` words and messages are recorded
+/// [`wire::KMER_PASSES`] times on `stats`: the second pass is charged, not
+/// sent, as the read exchange and the consensus gather already charge
+/// traffic whose data is shared.
 pub fn count_kmers_distributed(
     reads: &ReadSet,
     selection: &KmerSelection,
@@ -192,7 +192,8 @@ pub fn count_kmers_distributed(
     let reliable = count_owned_keys(received, selection.min_count..=selection.max_count);
     let pass = once.snapshot().phase(CommPhase::KmerCounting);
     if pass.messages > 0 {
-        stats.record(CommPhase::KmerCounting, 2 * pass.words, 2 * pass.messages);
+        let passes = wire::KMER_PASSES;
+        stats.record(CommPhase::KmerCounting, passes * pass.words, passes * pass.messages);
     }
     KmerTable { k: selection.k, columns: ColumnTable::new(reliable.concat()) }
 }
@@ -236,8 +237,7 @@ fn exchange(
         kmers
     });
     let owner = |&packed: &u64| (Kmer::from_packed(packed, k).hash64() % nprocs as u64) as usize;
-    let words_per_kmer = (k as u64).div_ceil(32);
-    alltoallv_counted(send, owner, stats, CommPhase::KmerCounting, words_per_kmer)
+    alltoallv_counted(send, owner, stats, CommPhase::KmerCounting, wire::kmer_words(k))
 }
 
 /// An open-addressing hash index over distinct keys kept in a slice by the
@@ -245,7 +245,7 @@ fn exchange(
 /// probing from a Fibonacci multiply-shift hash, unrelated to the owner
 /// functions ([`Kmer::hash64`], `key % P`), at a power-of-two capacity of at
 /// least 2 slots per key.
-#[derive(Clone, Default, Serialize, Deserialize)]
+#[derive(Clone, Default)]
 struct KmerIndex {
     slots: Vec<u32>,
     /// `64 - log2(slots.len())`: the hash's top bits pick the home slot.

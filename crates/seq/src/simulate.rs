@@ -25,11 +25,10 @@ use crate::dna::{DnaSeq, Strand};
 use crate::fasta::{ReadRecord, ReadSet};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Parameters of the synthetic genome.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenomeConfig {
     /// Genome length in bases.
     pub length: usize,
@@ -53,7 +52,7 @@ impl Default for GenomeConfig {
 /// content.  Copies are placed non-overlapping (with each other and with the
 /// template segment), so a crowded genome can fall short of the request; the
 /// report makes the shortfall visible instead of silent.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RepeatReport {
     /// The repeat fraction the caller asked for.
     pub requested_fraction: f64,
@@ -225,7 +224,7 @@ pub fn generate_diverged_pair(strain_length: usize, divergence: f64, seed: u64) 
 }
 
 /// Topology of the reference replicon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Topology {
     /// A linear chromosome: coordinates are plain intervals.
     #[default]
@@ -260,7 +259,7 @@ pub fn circular_slice(genome: &DnaSeq, start: usize, span: usize) -> DnaSeq {
 /// standard deviation of [`ReadSimConfig`] parameterise every family, so
 /// swapping the model stresses the pipeline's length assumptions without
 /// changing the target depth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LengthModel {
     /// Clamped normal distribution (the original model).
     #[default]
@@ -275,7 +274,7 @@ pub enum LengthModel {
 }
 
 /// Parameters of the long-read simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReadSimConfig {
     /// Target depth of coverage `d` (mean number of reads covering a base).
     pub depth: f64,
@@ -321,7 +320,7 @@ impl Default for ReadSimConfig {
 /// origin.  The `*_in` methods interpret coordinates under a given topology;
 /// the plain [`ReadOrigin::overlap_with`]/[`ReadOrigin::contains`] are the
 /// linear specialisations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadOrigin {
     /// Start position on the forward strand of the genome.
     pub start: usize,
@@ -400,7 +399,7 @@ impl ReadOrigin {
 
 /// A complete simulated dataset: the reference, the reads, their origins and
 /// the configuration that produced them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimulatedDataset {
     /// Human-readable dataset label (e.g. "C. elegans (scaled)").
     pub label: String,
@@ -610,7 +609,7 @@ pub fn apply_errors(template: &DnaSeq, error_rate: f64, rng: &mut SmallRng) -> D
 /// The adversarial assembly scenarios (see DESIGN.md "Adversarial scenario
 /// suite").  Each kind names a genome/read-model combination designed to
 /// defeat a specific assumption the happy-path pipeline gets away with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScenarioKind {
     /// Unique-sequence genome, narrow Gaussian reads — the solved game every
     /// other scenario is compared against.
@@ -656,7 +655,7 @@ impl ScenarioKind {
 
 /// Tunable knobs of the scenario builder.  `Default` gives the bench-scale
 /// preset; tests shrink `genome_length`/`mean_read_length` for speed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioParams {
     /// Genome length in bases (per strain for [`ScenarioKind::MetagenomeMix`],
     /// whose reference is twice this long).
@@ -808,7 +807,7 @@ fn finish(
 /// Named dataset presets mirroring Table IV of the paper, scaled down so they
 /// run on one machine.  The `scale` argument multiplies the genome size; the
 /// depth, read length and error rate match the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetSpec {
     /// E. coli–like: 30× depth, ~9 kb reads, 13% error (Table III row 1).
     EColiLike,

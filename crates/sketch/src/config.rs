@@ -1,7 +1,5 @@
 //! Parameters of the sketch-space candidate path.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters controlling minimizer selection and k-min-mer construction
 /// over homopolymer-compressed (HPC) reads.
 ///
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// lengths: density-bound selection (density is a *direct* knob, the
 /// expected fraction of sketch-space k-mers kept), and short k-min-mers of
 /// `kmm` consecutive minimizers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SketchConfig {
     /// Minimizer k-mer length, measured in sketch space (homopolymer-
     /// compressed bases).  Must be `<= dibella_seq::kmer::MAX_K`.

@@ -22,7 +22,8 @@
 use crate::config::SketchConfig;
 use crate::kminmer::{sketch_read, ReadSketch};
 use dibella_dist::{
-    alltoallv_counted, par_ranks, record_broadcast, BlockDist, CommPhase, CommStats, ProcessGrid,
+    alltoallv_counted, par_ranks, record_broadcast, wire, BlockDist, CommPhase, CommStats,
+    ProcessGrid,
 };
 use dibella_overlap::{fill_a_row, KmerOccurrence};
 use dibella_seq::kmer_counter::{count_owned_keys, ColumnTable};
@@ -105,11 +106,11 @@ pub fn build_sketch_matrix(
         })
         .collect();
     let owner = |&key: &u64| (key % nranks as u64) as usize;
-    let recv = alltoallv_counted(send, owner, stats, CommPhase::SketchIndex, 1);
+    let recv = alltoallv_counted(send, owner, stats, CommPhase::SketchIndex, wire::ID);
     let owned = count_owned_keys(recv, cfg.min_reads..=cfg.max_reads);
     for keys in &owned {
         // Allgather of this owner's surviving keys (for the global order).
-        record_broadcast(stats, CommPhase::SketchIndex, keys.len() as u64, nranks);
+        record_broadcast(stats, CommPhase::SketchIndex, keys.len() as u64 * wire::ID, nranks);
     }
     let columns = ColumnTable::new(owned.concat());
 

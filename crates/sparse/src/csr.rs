@@ -12,7 +12,6 @@
 //! `vals`, and it checks the invariants of every matrix it returns.
 
 use crate::triples::Triples;
-use serde::{Deserialize, Serialize};
 
 /// A sparse matrix in compressed sparse row format.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// * `colidx.len() == vals.len() == rowptr[nrows]`;
 /// * within each row, column indices are strictly increasing (no duplicates)
 ///   and below `ncols`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrMatrix<T> {
     nrows: usize,
     ncols: usize,

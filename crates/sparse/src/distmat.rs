@@ -17,10 +17,9 @@ use crate::csr::{Builder, CsrMatrix};
 use crate::triples::Triples;
 use dibella_dist::{par_ranks, BlockDist, ProcessGrid};
 use rayon::pool;
-use serde::{Deserialize, Serialize};
 
 /// A sparse matrix block-distributed over a 2D process grid.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistMat2D<T> {
     grid: ProcessGrid,
     nrows: usize,

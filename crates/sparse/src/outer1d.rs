@@ -19,7 +19,7 @@ use crate::accum::FlopCounter;
 use crate::csr::{Builder, CsrMatrix};
 use crate::semiring::Semiring;
 use crate::spgemm::{local_spgemm_aat, rows_to_csr};
-use dibella_dist::{alltoallv_counted, par_ranks, BlockDist, CommPhase, CommStats};
+use dibella_dist::{alltoallv_counted, par_ranks, wire, BlockDist, CommPhase, CommStats};
 use rayon::pool;
 
 /// Result of a 1D outer-product SpGEMM: the output matrix distributed in block
@@ -54,7 +54,7 @@ impl<T: Clone> Outer1dResult<T> {
 /// Compute the upper triangle (diagonal included) of the symmetric
 /// `C = A·Aᵀ` with the 1D outer-product algorithm over `nprocs` virtual
 /// ranks, recording the reduction traffic into `stats` under `phase` at
-/// `entry_words` words per exchanged partial entry.
+/// [`wire::OUTER1D_ENTRY`] words per exchanged partial entry.
 ///
 /// `A` is split into block columns; rank `k` slices its block directly out of
 /// the CSR arrays (two binary searches per row) and forms the partial product
@@ -66,7 +66,6 @@ impl<T: Clone> Outer1dResult<T> {
 pub fn outer1d_aat<S>(
     a: &CsrMatrix<S::Left>,
     nprocs: usize,
-    entry_words: u64,
     stats: &CommStats,
     phase: CommPhase,
 ) -> Outer1dResult<S::Out>
@@ -89,7 +88,7 @@ where
         local_spgemm_aat::<S>(&a.slice_col_range(cols), &flops)
     });
 
-    reduce_partials::<S>(partials, out_row_dist, n, stats, phase, entry_words)
+    reduce_partials::<S>(partials, out_row_dist, n, stats, phase)
 }
 
 /// The 1D reduction: route every partial entry to the block-row owner of its
@@ -101,14 +100,13 @@ fn reduce_partials<S: Semiring>(
     out_cols: usize,
     stats: &CommStats,
     phase: CommPhase,
-    entry_words: u64,
 ) -> Outer1dResult<S::Out> {
     // Consume each partial: values are *moved* into the send lists and the
     // partial's CSR storage is freed inside the map, so the exchange never
     // holds a cloned copy of the partial products alongside the originals.
     let send = pool::map_owned(partials, |_, partial| partial.into_entries().collect());
     let owner = |&(r, _, _): &(usize, usize, S::Out)| out_row_dist.owner(r);
-    let received = alltoallv_counted(send, owner, stats, phase, entry_words);
+    let received = alltoallv_counted(send, owner, stats, phase, wire::OUTER1D_ENTRY);
 
     // Merge each destination rank's received entries into its block rows.
     let row_blocks: Vec<CsrMatrix<S::Out>> = pool::map_owned(received, |rank, entries| {
@@ -172,7 +170,7 @@ mod tests {
         let expected = square(&a);
         for p in [1usize, 2, 3, 5, 8] {
             let stats = CommStats::new();
-            let got = outer1d_aat::<PlusTimes<i64>>(&a, p, 3, &stats, CommPhase::OverlapDetection);
+            let got = outer1d_aat::<PlusTimes<i64>>(&a, p, &stats, CommPhase::OverlapDetection);
             assert_eq!(got.to_local_csr(a.nrows()), expected, "mismatch at P={p}");
             assert_eq!(got.nnz(), expected.nnz());
         }
@@ -182,7 +180,7 @@ mod tests {
     fn outer1d_single_rank_communicates_nothing() {
         let a = CsrMatrix::from_triples(&random_triples(8, 8, 20, 3));
         let stats = CommStats::new();
-        let _ = outer1d_aat::<PlusTimes<i64>>(&a, 1, 3, &stats, CommPhase::OverlapDetection);
+        let _ = outer1d_aat::<PlusTimes<i64>>(&a, 1, &stats, CommPhase::OverlapDetection);
         assert_eq!(stats.words(CommPhase::OverlapDetection), 0);
         assert_eq!(stats.messages(CommPhase::OverlapDetection), 0);
     }
@@ -194,11 +192,11 @@ mod tests {
         // gives each rank a smaller share of the inner dimension.
         let a = CsrMatrix::from_triples(&random_triples(20, 16, 120, 21));
         let stats4 = CommStats::new();
-        let _ = outer1d_aat::<PlusTimes<i64>>(&a, 4, 3, &stats4, CommPhase::OverlapDetection);
+        let _ = outer1d_aat::<PlusTimes<i64>>(&a, 4, &stats4, CommPhase::OverlapDetection);
         let w4 = stats4.words(CommPhase::OverlapDetection);
         assert!(w4 > 0);
         let stats16 = CommStats::new();
-        let _ = outer1d_aat::<PlusTimes<i64>>(&a, 16, 3, &stats16, CommPhase::OverlapDetection);
+        let _ = outer1d_aat::<PlusTimes<i64>>(&a, 16, &stats16, CommPhase::OverlapDetection);
         let w16 = stats16.words(CommPhase::OverlapDetection);
         assert!(w16 >= w4, "more ranks should not reduce total exchanged volume: {w16} vs {w4}");
     }
@@ -207,7 +205,7 @@ mod tests {
     fn outer1d_handles_more_ranks_than_inner_dimension() {
         let a = CsrMatrix::from_triples(&random_triples(6, 3, 10, 31));
         let stats = CommStats::new();
-        let result = outer1d_aat::<PlusTimes<i64>>(&a, 9, 3, &stats, CommPhase::Other);
+        let result = outer1d_aat::<PlusTimes<i64>>(&a, 9, &stats, CommPhase::Other);
         assert_eq!(result.to_local_csr(a.nrows()), square(&a));
     }
 
@@ -222,7 +220,7 @@ mod tests {
         ) {
             let a = CsrMatrix::from_triples(&random_triples(n, m, n * m / 3 + 1, seed));
             let stats = CommStats::new();
-            let got = outer1d_aat::<PlusTimes<i64>>(&a, p, 3, &stats, CommPhase::Other);
+            let got = outer1d_aat::<PlusTimes<i64>>(&a, p, &stats, CommPhase::Other);
             prop_assert_eq!(got.to_local_csr(n), square(&a));
         }
     }

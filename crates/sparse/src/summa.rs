@@ -38,7 +38,7 @@ use crate::distmat::DistMat2D;
 use crate::semiring::Semiring;
 use crate::spgemm::{spgemm_aat_block, spgemm_stages, AatStage};
 use dibella_dist::collectives::record_broadcast;
-use dibella_dist::{par_ranks, CommPhase, CommStats};
+use dibella_dist::{par_ranks, wire, CommPhase, CommStats};
 
 pub use dibella_dist::extras::{flops_key, probes_key};
 
@@ -85,26 +85,25 @@ pub fn record_arithmetic(stats: &CommStats, phase: CommPhase, flops: &FlopCounte
 /// an empty block still posts its per-member messages (see
 /// [`record_broadcast`]); the accounted message count therefore has the
 /// data-independent closed form `stages · (rows·(cols-1) + cols·(rows-1))`
-/// and the word count is `(group-1) · Σ nnz · entry_words` per operand.
+/// and the word count is `(group-1) · Σ nnz ·` [`wire::SPGEMM_ENTRY`] per
+/// operand.
 ///
 /// [`summa`] calls this for its operands; a kernel that walks the same
 /// stages without calling [`summa`] calls it to be charged the same.
 pub fn record_stage_broadcasts<L: Clone + Send + Sync, R: Clone + Send + Sync>(
     a: &DistMat2D<L>,
     b: &DistMat2D<R>,
-    entry_words: (u64, u64),
     stats: &CommStats,
     phase: CommPhase,
 ) {
-    let (a_entry_words, b_entry_words) = entry_words;
     let grid = a.grid();
     for k in 0..grid.cols() {
         for i in 0..grid.rows() {
-            let words = a.block_nnz(i, k) as u64 * a_entry_words;
+            let words = a.block_nnz(i, k) as u64 * wire::SPGEMM_ENTRY;
             record_broadcast(stats, phase, words, grid.cols());
         }
         for j in 0..grid.cols() {
-            let words = b.block_nnz(k, j) as u64 * b_entry_words;
+            let words = b.block_nnz(k, j) as u64 * wire::SPGEMM_ENTRY;
             record_broadcast(stats, phase, words, grid.rows());
         }
     }
@@ -112,14 +111,9 @@ pub fn record_stage_broadcasts<L: Clone + Send + Sync, R: Clone + Send + Sync>(
 
 /// Compute `C = A·B` over semiring `S` with Sparse SUMMA, recording
 /// communication into `stats` under `phase`.
-///
-/// `entry_words` is the wire size of one stored entry of `A` and of `B`
-/// (value plus column index, the usual CSC/CSR wire format) — the caller
-/// knows what its entry type serialises to; `size_of` does not.
 pub fn summa<S: Semiring>(
     a: &DistMat2D<S::Left>,
     b: &DistMat2D<S::Right>,
-    entry_words: (u64, u64),
     stats: &CommStats,
     phase: CommPhase,
 ) -> DistMat2D<S::Out> {
@@ -140,7 +134,7 @@ pub fn summa<S: Semiring>(
     assert_eq!(a.col_dist(), b.row_dist(), "inner-dimension distributions must match");
 
     let stages = grid.cols();
-    record_stage_broadcasts(a, b, entry_words, stats, phase);
+    record_stage_broadcasts(a, b, stats, phase);
 
     // Owner-computes: every rank hands its sqrt(P) stage pairs to one
     // accumulate-in-place block multiply.  Ranks run in parallel; inside each
@@ -178,8 +172,7 @@ pub fn summa<S: Semiring>(
 /// `j ≥ i` as the left operand and grid column `i`'s rows `i' ≤ i` as the
 /// transposed right operand — `(√P − i − 1) + i = √P − 1` accounted copies
 /// per block instead of the general path's `2(√P − 1)` — so the phase's words
-/// and messages are exactly half the general path's.  `a_entry_words` is the
-/// wire size of one entry of `A`.
+/// and messages are exactly half the general path's.
 ///
 /// The output is **bit-identical** to the entries of
 /// `summa(a, &a.transpose(), ..)` on or above the diagonal at every grid
@@ -187,7 +180,6 @@ pub fn summa<S: Semiring>(
 /// (stage-major, ascending inner index) order in both formulations.
 pub fn summa_aat_sym<S>(
     a: &DistMat2D<S::Left>,
-    a_entry_words: u64,
     stats: &CommStats,
     phase: CommPhase,
 ) -> DistMat2D<S::Out>
@@ -201,7 +193,7 @@ where
     // blocks still post their broadcasts (collectives; see [`summa`]).
     for k in 0..grid.cols() {
         for i in 0..grid.rows() {
-            let words = a.block_nnz(i, k) as u64 * a_entry_words;
+            let words = a.block_nnz(i, k) as u64 * wire::SPGEMM_ENTRY;
             record_broadcast(stats, phase, words, grid.cols() - i);
             record_broadcast(stats, phase, words, i + 1);
         }
@@ -234,17 +226,9 @@ mod tests {
     use dibella_dist::ProcessGrid;
     use proptest::prelude::*;
 
-    /// Wire sizes for the tests that do not look at word counts.
-    const WORDS: (u64, u64) = (2, 2);
-
     /// The general `A·Aᵀ`: [`summa`] against the blockwise transpose.
-    fn summa_general_aat(
-        a: &DistMat2D<i64>,
-        entry_words: (u64, u64),
-        stats: &CommStats,
-        phase: CommPhase,
-    ) -> DistMat2D<i64> {
-        summa::<PlusTimes<i64>>(a, &a.transpose(), entry_words, stats, phase)
+    fn summa_general_aat(a: &DistMat2D<i64>, stats: &CommStats, phase: CommPhase) -> DistMat2D<i64> {
+        summa::<PlusTimes<i64>>(a, &a.transpose(), stats, phase)
     }
 
     fn local_product(at: &Triples<i64>, bt: &Triples<i64>) -> CsrMatrix<i64> {
@@ -279,7 +263,7 @@ mod tests {
         let a = DistMat2D::from_triples(grid, &at);
         let b = DistMat2D::from_triples(grid, &bt);
         let stats = CommStats::new();
-        let c = summa::<PlusTimes<i64>>(&a, &b, WORDS, &stats, CommPhase::OverlapDetection);
+        let c = summa::<PlusTimes<i64>>(&a, &b, &stats, CommPhase::OverlapDetection);
         let local = local_product(&at, &bt);
         assert_eq!(c.to_local_csr(), local);
     }
@@ -291,7 +275,7 @@ mod tests {
         let a = DistMat2D::from_triples(grid, &at);
         let b = a.transpose();
         let stats = CommStats::new();
-        let _ = summa::<PlusTimes<i64>>(&a, &b, WORDS, &stats, CommPhase::OverlapDetection);
+        let _ = summa::<PlusTimes<i64>>(&a, &b, &stats, CommPhase::OverlapDetection);
         assert_eq!(stats.words(CommPhase::OverlapDetection), 0);
         assert_eq!(stats.messages(CommPhase::OverlapDetection), 0);
     }
@@ -308,7 +292,7 @@ mod tests {
             let a = DistMat2D::from_triples(grid, &at);
             let b = DistMat2D::from_triples(grid, &bt);
             let stats = CommStats::new();
-            let _ = summa::<PlusTimes<i64>>(&a, &b, WORDS, &stats, CommPhase::OverlapDetection);
+            let _ = summa::<PlusTimes<i64>>(&a, &b, &stats, CommPhase::OverlapDetection);
             totals.push((
                 stats.words(CommPhase::OverlapDetection),
                 stats.messages(CommPhase::OverlapDetection),
@@ -329,7 +313,7 @@ mod tests {
         let t = Triples::from_entries(4, 4, entries);
         let r = DistMat2D::from_triples(grid, &t);
         let stats = CommStats::new();
-        let n = summa::<MinPlusNum<u64>>(&r, &r, WORDS, &stats, CommPhase::TransitiveReduction);
+        let n = summa::<MinPlusNum<u64>>(&r, &r, &stats, CommPhase::TransitiveReduction);
         let local = local_spgemm::<MinPlusNum<u64>>(
             &CsrMatrix::from_triples(&t),
             &CsrMatrix::from_triples(&t),
@@ -347,7 +331,7 @@ mod tests {
         let a = DistMat2D::from_triples(grid, &at);
         let b = DistMat2D::from_triples(grid, &random_triples(16, 16, 80, 10));
         let stats = CommStats::new();
-        let _ = summa::<PlusTimes<i64>>(&a, &b, WORDS, &stats, CommPhase::OverlapDetection);
+        let _ = summa::<PlusTimes<i64>>(&a, &b, &stats, CommPhase::OverlapDetection);
         assert!(stats.extra(&flops_key(CommPhase::OverlapDetection)) > 0);
         assert!(stats.extra(&probes_key(CommPhase::OverlapDetection)) > 0);
         assert_eq!(stats.extra(&flops_key(CommPhase::TransitiveReduction)), 0);
@@ -365,7 +349,7 @@ mod tests {
             let a = DistMat2D::from_triples(grid, &at);
             let b = DistMat2D::from_triples(grid, &bt);
             let stats = CommStats::new();
-            let _ = summa::<PlusTimes<i64>>(&a, &b, WORDS, &stats, CommPhase::Other);
+            let _ = summa::<PlusTimes<i64>>(&a, &b, &stats, CommPhase::Other);
             flops.push(stats.extra(&flops_key(CommPhase::Other)));
         }
         assert!(flops[0] > 0);
@@ -379,7 +363,7 @@ mod tests {
         let at = random_triples(15, 12, 70, 31);
         let a = DistMat2D::from_triples(grid, &at);
         let stats = CommStats::new();
-        let c = summa_general_aat(&a, WORDS, &stats, CommPhase::OverlapDetection);
+        let c = summa_general_aat(&a, &stats, CommPhase::OverlapDetection);
         let local_a = CsrMatrix::from_triples(&at);
         let want =
             local_spgemm::<PlusTimes<i64>>(&local_a, &local_a.transpose(), &FlopCounter::new());
@@ -394,8 +378,8 @@ mod tests {
         for p in [1usize, 4, 9, 16] {
             let grid = ProcessGrid::square(p);
             let a = DistMat2D::from_triples(grid, &at);
-            let sym = summa_aat_sym::<PlusTimes<i64>>(&a, 2, &CommStats::new(), CommPhase::Other);
-            let general = summa_general_aat(&a, WORDS, &CommStats::new(), CommPhase::Other);
+            let sym = summa_aat_sym::<PlusTimes<i64>>(&a, &CommStats::new(), CommPhase::Other);
+            let general = summa_general_aat(&a, &CommStats::new(), CommPhase::Other);
             // Distributed equality: every block, bit for bit.
             assert_eq!(sym, general.filter(|r, c, _| r <= c), "P={p}");
         }
@@ -407,11 +391,11 @@ mod tests {
         let grid = ProcessGrid::square(9);
         let a = DistMat2D::from_triples(grid, &at);
         let reference = rayon::pool::with_thread_limit(1, || {
-            summa_aat_sym::<PlusTimes<i64>>(&a, 2, &CommStats::new(), CommPhase::Other)
+            summa_aat_sym::<PlusTimes<i64>>(&a, &CommStats::new(), CommPhase::Other)
         });
         for threads in [2usize, 4, 8] {
             let got = rayon::pool::with_thread_limit(threads, || {
-                summa_aat_sym::<PlusTimes<i64>>(&a, 2, &CommStats::new(), CommPhase::Other)
+                summa_aat_sym::<PlusTimes<i64>>(&a, &CommStats::new(), CommPhase::Other)
             });
             assert_eq!(got, reference, "threads={threads}");
         }
@@ -426,10 +410,10 @@ mod tests {
             let grid = ProcessGrid::square(p);
             let a = DistMat2D::from_triples(grid, &at);
             let stats = CommStats::new();
-            let _ = summa_aat_sym::<PlusTimes<i64>>(&a, 2, &stats, CommPhase::Other);
+            let _ = summa_aat_sym::<PlusTimes<i64>>(&a, &stats, CommPhase::Other);
             sym_flops.push(stats.extra(&flops_key(CommPhase::Other)));
             let stats_abt = CommStats::new();
-            let _ = summa_general_aat(&a, WORDS, &stats_abt, CommPhase::Other);
+            let _ = summa_general_aat(&a, &stats_abt, CommPhase::Other);
             general_flops = stats_abt.extra(&flops_key(CommPhase::Other));
         }
         assert!(sym_flops[0] > 0);
@@ -453,7 +437,7 @@ mod tests {
         let grid = ProcessGrid::square(1);
         let a = DistMat2D::from_triples(grid, &random_triples(12, 9, 40, 47));
         let stats = CommStats::new();
-        let _ = summa_aat_sym::<PlusTimes<i64>>(&a, 2, &stats, CommPhase::OverlapDetection);
+        let _ = summa_aat_sym::<PlusTimes<i64>>(&a, &stats, CommPhase::OverlapDetection);
         assert_eq!(stats.words(CommPhase::OverlapDetection), 0);
         assert_eq!(stats.messages(CommPhase::OverlapDetection), 0);
     }
@@ -464,32 +448,29 @@ mod tests {
         // accounted totals have data-independent closed forms: for a side-s
         // grid, messages = 2·s²·(s−1)·[per stage] = 2·s²·(s−1) summed over
         // the s stages... i.e. s stages × 2·s·(s−1) messages, and words =
-        // (s−1)·(nnz(A)·aw + nnz(B)·bw).
+        // (s−1)·(nnz(A) + nnz(B))·w at w = wire::SPGEMM_ENTRY per entry.
         let at = random_triples(17, 13, 70, 51);
         let bt = random_triples(13, 11, 55, 52);
-        let (aw, bw) = (3u64, 5u64);
+        let w = wire::SPGEMM_ENTRY;
         for side in [1usize, 2, 3] {
             let grid = ProcessGrid::square(side * side);
             let a = DistMat2D::from_triples(grid, &at);
             let b = DistMat2D::from_triples(grid, &bt);
             let stats = CommStats::new();
-            let _ = summa::<PlusTimes<i64>>(&a, &b, (aw, bw), &stats, CommPhase::Other);
+            let _ = summa::<PlusTimes<i64>>(&a, &b, &stats, CommPhase::Other);
             let s = side as u64;
-            assert_eq!(
-                stats.words(CommPhase::Other),
-                (s - 1) * (at.nnz() as u64 * aw + bt.nnz() as u64 * bw),
-                "side={side}"
-            );
+            let words = (s - 1) * (at.nnz() + bt.nnz()) as u64 * w;
+            assert_eq!(stats.words(CommPhase::Other), words, "side={side}");
             assert_eq!(stats.messages(CommPhase::Other), s * 2 * s * (s - 1), "side={side}");
             // The symmetric path posts exactly half the general path's
             // broadcasts of A and Aᵀ, in words and in messages, and nothing else.
             let general = CommStats::new();
-            let _ = summa_general_aat(&a, (aw, aw), &general, CommPhase::Other);
+            let _ = summa_general_aat(&a, &general, CommPhase::Other);
             let sym = CommStats::new();
-            let _ = summa_aat_sym::<PlusTimes<i64>>(&a, aw, &sym, CommPhase::Other);
+            let _ = summa_aat_sym::<PlusTimes<i64>>(&a, &sym, CommPhase::Other);
             assert_eq!(2 * sym.words(CommPhase::Other), general.words(CommPhase::Other));
             assert_eq!(2 * sym.messages(CommPhase::Other), general.messages(CommPhase::Other));
-            assert_eq!(sym.words(CommPhase::Other), (s - 1) * at.nnz() as u64 * aw, "side={side}");
+            assert_eq!(sym.words(CommPhase::Other), (s - 1) * at.nnz() as u64 * w, "side={side}");
         }
     }
 
@@ -503,11 +484,11 @@ mod tests {
         let a = DistMat2D::<i64>::zero(grid, 12, 12);
         let b = DistMat2D::<i64>::zero(grid, 12, 12);
         let stats = CommStats::new();
-        let _ = summa::<PlusTimes<i64>>(&a, &b, WORDS, &stats, CommPhase::Other);
+        let _ = summa::<PlusTimes<i64>>(&a, &b, &stats, CommPhase::Other);
         assert_eq!(stats.words(CommPhase::Other), 0);
         assert_eq!(stats.messages(CommPhase::Other), 3 * 2 * 3 * 2);
         let stats_sym = CommStats::new();
-        let _ = summa_aat_sym::<PlusTimes<i64>>(&a, 2, &stats_sym, CommPhase::Other);
+        let _ = summa_aat_sym::<PlusTimes<i64>>(&a, &stats_sym, CommPhase::Other);
         assert_eq!(stats_sym.words(CommPhase::Other), 0);
         // Half the general path's broadcasts: s·(s−1) per stage × s stages.
         assert_eq!(stats_sym.messages(CommPhase::Other), 3 * 2 * 3);
@@ -520,7 +501,7 @@ mod tests {
         let a = DistMat2D::from_triples(grid, &random_triples(4, 5, 4, 7));
         let b = DistMat2D::from_triples(grid, &random_triples(4, 4, 4, 8));
         let stats = CommStats::new();
-        let _ = summa::<PlusTimes<i64>>(&a, &b, WORDS, &stats, CommPhase::Other);
+        let _ = summa::<PlusTimes<i64>>(&a, &b, &stats, CommPhase::Other);
     }
 
     proptest! {
@@ -540,7 +521,7 @@ mod tests {
             let a = DistMat2D::from_triples(grid, &at);
             let b = DistMat2D::from_triples(grid, &bt);
             let stats = CommStats::new();
-            let c = summa::<PlusTimes<i64>>(&a, &b, WORDS, &stats, CommPhase::OverlapDetection);
+            let c = summa::<PlusTimes<i64>>(&a, &b, &stats, CommPhase::OverlapDetection);
             let local = local_product(&at, &bt);
             prop_assert_eq!(c.to_local_csr(), local);
         }
@@ -555,8 +536,8 @@ mod tests {
             let at = random_triples(n, m, (n * m / 3).max(1), seed);
             let grid = ProcessGrid::square(grid_side * grid_side);
             let a = DistMat2D::from_triples(grid, &at);
-            let sym = summa_aat_sym::<PlusTimes<i64>>(&a, 2, &CommStats::new(), CommPhase::Other);
-            let general = summa_general_aat(&a, WORDS, &CommStats::new(), CommPhase::Other);
+            let sym = summa_aat_sym::<PlusTimes<i64>>(&a, &CommStats::new(), CommPhase::Other);
+            let general = summa_general_aat(&a, &CommStats::new(), CommPhase::Other);
             prop_assert_eq!(sym, general.filter(|r, c, _| r <= c));
         }
     }

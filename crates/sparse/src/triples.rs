@@ -4,13 +4,11 @@
 //! from `(row, col, value)` triples, redistributed across virtual ranks as
 //! triples, and converted to [`crate::CsrMatrix`] for computation.
 
-use serde::{Deserialize, Serialize};
-
 /// A sparse matrix in coordinate format.
 ///
 /// Duplicate `(row, col)` entries are allowed until conversion to CSR, which
 /// requires uniqueness.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Triples<T> {
     nrows: usize,
     ncols: usize,

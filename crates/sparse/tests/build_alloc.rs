@@ -65,6 +65,6 @@ fn builds_from_ordered_rows_allocate_only_their_result() {
 
     let a = CsrMatrix::from_triples(&matrix(600, 8));
     let stats = CommStats::new();
-    let c = outer1d_aat::<PlusTimes<i64>>(&a, 4, 3, &stats, CommPhase::Other);
+    let c = outer1d_aat::<PlusTimes<i64>>(&a, 4, &stats, CommPhase::Other);
     check("Outer1dResult::to_local_csr", c.nnz(), || c.to_local_csr(a.nrows()));
 }

@@ -121,7 +121,7 @@ fn outer1d_aat_is_bit_identical_under_adversarial_schedules() {
 
     let explored = assert_schedule_determinism(SchedulePreset::from_env(), || {
         let stats = CommStats::new();
-        let out = outer1d_aat::<PlusTimes<u64>>(&a, 4, 2, &stats, CommPhase::OverlapDetection);
+        let out = outer1d_aat::<PlusTimes<u64>>(&a, 4, &stats, CommPhase::OverlapDetection);
         // The all-to-all's accounted traffic is part of the claim too.
         (out.row_blocks, stats.snapshot())
     });

@@ -49,10 +49,9 @@ use dibella_overlap::OverlapEdge;
 use dibella_seq::{DnaSeq, ReadSet};
 use dibella_dist::par_ranks;
 use dibella_sparse::CsrMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Tuning knobs of the consensus stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConsensusConfig {
     /// Half-width, in backbone columns, of the band a read is aligned to the
     /// backbone in (see the module docs), and the least half-width of
@@ -67,7 +66,7 @@ impl Default for ConsensusConfig {
 }
 
 /// The consensus of one contig, with the counters the pipeline reports.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContigConsensus {
     /// The consensus sequence (the heaviest path through the POA graph).
     pub consensus: DnaSeq,

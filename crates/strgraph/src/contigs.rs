@@ -15,10 +15,9 @@
 use dibella_align::BidirectedDir;
 use dibella_overlap::OverlapEdge;
 use dibella_sparse::CsrMatrix;
-use serde::{Deserialize, Serialize};
 
 /// One contig layout: an ordered list of reads and an estimated length.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Contig {
     /// Read indices in walk order.
     pub reads: Vec<usize>,

@@ -33,7 +33,6 @@ use crate::consensus::{banded_identity, ConsensusConfig, ContigConsensus};
 use crate::contigs::Contig;
 use dibella_seq::simulate::{circular_slice, ReadOrigin, SimulatedDataset, Topology};
 use dibella_seq::DnaSeq;
-use serde::{Deserialize, Serialize};
 
 /// N50 of a set of contig lengths: the largest length `L` such that contigs
 /// of length ≥ `L` together cover at least half the assembled bases.
@@ -104,7 +103,7 @@ impl<'a> GroundTruth<'a> {
 }
 
 /// Quality of one contig's consensus against the reference.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContigQuality {
     /// Number of reads in the layout.
     pub reads: usize,
@@ -135,7 +134,7 @@ pub struct ContigQuality {
 /// would double-cover the genome).  When *no* layout chains two reads, the
 /// headline falls back to all contigs so a degenerate run still reports
 /// something.  `per_contig` always covers everything.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AssemblyMetrics {
     /// Number of contigs (consensus sequences), singletons included.
     pub contigs: usize,

@@ -15,10 +15,9 @@
 
 use dibella_overlap::OverlapEdge;
 use dibella_sparse::CsrMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Execution counters of a SORA-style run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SoraStats {
     /// Number of supersteps executed (including the final no-change step).
     pub supersteps: usize,

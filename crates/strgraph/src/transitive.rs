@@ -83,26 +83,26 @@
 //! stage broadcasts through [`record_stage_broadcasts`], the code `summa`
 //! charges them with, so Table I's words and messages are those of one
 //! squaring.  The transpose of `I` sends every non-empty off-diagonal block
-//! to its mirror rank in one message of two words per entry.  No entry
-//! changes block, so none of these depends on the order.  The flops extra
-//! (`sparse.tr_spgemm.flops` in the benchmark) is 2 × the products of `R·R`
-//! that pass `ISDIROK`, stamped or not — what `summa::<TrMinPlus>` counts,
-//! and the total length of the halves the pass reads.  The probes extra
-//! counts one stamp inspection per such product, and the [`FlopCounter`]'s
-//! peak row width is the widest row of `R_{i,j}`, the minima a row holds.
+//! to its mirror rank in one message of [`wire::PATTERN_ENTRY`] words per
+//! entry.  No entry changes block, so none of these depends on the order.
+//! The flops extra (`sparse.tr_spgemm.flops` in the benchmark) is 2 × the
+//! products of `R·R` that pass `ISDIROK`, stamped or not — what
+//! `summa::<TrMinPlus>` counts, and the total length of the halves the pass
+//! reads.  The probes extra counts one stamp inspection per such product, and
+//! the [`FlopCounter`]'s peak row width is the widest row of `R_{i,j}`, the
+//! minima a row holds.
 //!
 //! [`TrMinPlus`]: crate::trsemiring::TrMinPlus
 
 use dibella_align::BidirectedDir;
-use dibella_dist::{par_ranks, par_ranks_mut, record_broadcast, CommPhase, CommStats};
+use dibella_dist::{par_ranks, par_ranks_mut, record_broadcast, wire, CommPhase, CommStats};
 use dibella_overlap::OverlapEdge;
 use dibella_sparse::summa::{record_arithmetic, record_stage_broadcasts};
 use dibella_sparse::{CsrMatrix, DistMat2D, FlopCounter};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Parameters of the transitive reduction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransitiveReductionConfig {
     /// The scalar `x` added to the per-row maximum suffix to absorb
     /// error-shifted overlap endpoints (Section IV-E).  The diBELLA 2D release
@@ -137,7 +137,7 @@ pub struct TrOutcome {
     /// Directed entries removed in total.
     pub removed_edges: usize,
     /// Entries of `I` outside the diagonal blocks: the transpose of `I`
-    /// sends two words for each.
+    /// sends [`wire::PATTERN_ENTRY`] words for each.
     pub transposed_entries: usize,
     /// Off-diagonal blocks of `I` holding an entry: the transpose of `I`
     /// sends one message for each.
@@ -183,7 +183,7 @@ pub fn transitive_reduction(
         .filter(|&nnz| nnz > 0)
         .fold((0, 0), |(entries, blocks), nnz| (entries + nnz, blocks + 1));
     let phase = CommPhase::TransitiveReduction;
-    comm.record(phase, 2 * transposed_entries as u64, transposed_blocks as u64);
+    comm.record(phase, transposed_entries as u64 * wire::PATTERN_ENTRY, transposed_blocks as u64);
     let transposed = transitive.transpose();
     let reduced = pass.select(r, |rank, row, col, marked| {
         !marked && transposed.blocks()[rank].get(row, col).is_none()
@@ -282,8 +282,9 @@ impl Relabelling {
             })
             .collect();
         for order in &order {
-            record_broadcast(comm, phase, order.len() as u64, grid.cols());
-            record_broadcast(comm, phase, order.len() as u64, grid.rows());
+            let words = order.len() as u64 * wire::ID;
+            record_broadcast(comm, phase, words, grid.cols());
+            record_broadcast(comm, phase, words, grid.rows());
         }
         Self { order, label }
     }
@@ -452,9 +453,7 @@ impl MaskedPass {
         let grid = r.grid();
         assert_eq!(r.nrows(), r.ncols(), "rows and columns are relabelled alike");
         let relabel = Relabelling::new(r, comm, phase);
-        // Wire size of an entry of R: value and column index, as `summa`
-        // charges it.
-        record_stage_broadcasts(r, r, (2, 2), comm, phase);
+        record_stage_broadcasts(r, r, comm, phase);
         let bounds = row_bounds(r, fuzz);
         let mut packed: Vec<PackedBlock> =
             r.blocks().iter().map(PackedBlock::with_room_for).collect();
@@ -622,7 +621,7 @@ mod tests {
         comm: &CommStats,
     ) -> DistMat2D<OverlapEdge> {
         let n: DistMat2D<TwoHop> =
-            summa::<TrMinPlus>(r, r, (2, 2), comm, CommPhase::TransitiveReduction);
+            summa::<TrMinPlus>(r, r, comm, CommPhase::TransitiveReduction);
         let row_bound = row_bounds(r, fuzz);
         r.filter(|i, j, edge| {
             let best = n.get(i, j).and_then(|two_hop| two_hop.for_dir(edge.direction()));
@@ -1081,7 +1080,7 @@ mod tests {
         assert_eq!((out.transposed_entries, out.transposed_blocks), (4, 2));
         let phase = CommPhase::TransitiveReduction;
         let squaring = CommStats::new();
-        let _: DistMat2D<TwoHop> = summa::<TrMinPlus>(&r, &r, (2, 2), &squaring, phase);
+        let _: DistMat2D<TwoHop> = summa::<TrMinPlus>(&r, &r, &squaring, phase);
         assert_eq!(comm.words(phase), squaring.words(phase) + 12 + 8);
         assert_eq!(comm.messages(phase), squaring.messages(phase) + 4 + 2);
     }

@@ -17,12 +17,11 @@
 use dibella_align::BidirectedDir;
 use dibella_overlap::OverlapEdge;
 use dibella_sparse::Semiring;
-use serde::{Deserialize, Serialize};
 
 /// Entry of the two-hop matrix `N = R²`: the minimum two-hop suffix sum for
 /// each of the four implied bidirected directions (`u32::MAX` = no valid walk
 /// with that direction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TwoHop {
     /// Minimum suffix-sum per implied direction (indexed by `BidirectedDir` bits).
     pub min_suffix: [u32; 4],

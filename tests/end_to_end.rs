@@ -152,7 +152,6 @@ fn measured_communication_matches_the_table1_model_in_shape() {
         a: out.dims.a_density(),
         c: out.overlap_stats.c_density,
         r: out.overlap_stats.r_density,
-        kmer_passes: 2,
     };
     let model = CommModel::new(params, out.grid.nprocs());
 
